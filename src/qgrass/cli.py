@@ -4,7 +4,9 @@ Two subcommands: `verify` runs selected check suites against one graph
 J_q(N, D) and writes a machine-readable report; `identities` runs the
 standalone q-arithmetic identity suite.  Every value in a report is
 exact; timings and the timestamp live under "meta" so that reports for
-identical configurations are byte-identical outside that key.
+identical configurations are byte-identical outside that key.  The meta
+key also records how each nucleus piece was certified
+("nucleus_paths").
 
 Exit status: 0 when every executed check passes, 1 when any check
 fails, 2 for unusable parameters or a size cap hit.
@@ -147,7 +149,7 @@ class _Pipeline:
         return self._gamma
 
 
-def _run_suite(name: str, pipe: _Pipeline, artifacts: dict) -> CheckSet:
+def _run_suite(name: str, pipe: _Pipeline, artifacts: dict, meta: dict) -> CheckSet:
     cs = CheckSet(name)
     if name == "geometry":
         cs.extend(pipe.gc().build_checks)
@@ -211,6 +213,7 @@ def _run_suite(name: str, pipe: _Pipeline, artifacts: dict) -> CheckSet:
             poset_cap=pipe.poset_cap,
             cache_dir=pipe.cache_dir,
         )
+        meta["nucleus_paths"]["boundary"] = doc.pop("nucleus_paths")
         for flag in (
             "build_ok",
             "spectral_ok",
@@ -317,11 +320,12 @@ def _cmd_verify(args) -> int:
         "meta": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "timings": {},
+            "nucleus_paths": {},
         },
     }
     for name in to_run:
         t0 = time.monotonic()
-        cs = _run_suite(name, pipe, report["artifacts"])
+        cs = _run_suite(name, pipe, report["artifacts"], report["meta"])
         report["meta"]["timings"][name] = round(time.monotonic() - t0, 3)
         entry = cs.as_dict()
         entry["requested"] = name in requested
@@ -330,6 +334,7 @@ def _cmd_verify(args) -> int:
         report["artifacts"]["nucleus"] = nucleus_report_json(
             pipe._nd, pipe._fam, pipe._gamma
         )
+        report["meta"]["nucleus_paths"]["nucleus"] = list(pipe._nd.paths)
     return _finish(report, args.out, sys.stdout)
 
 

@@ -210,8 +210,10 @@ def structure_constants(gc: GraphContext):
             prod = exact_int_product(gc.a64(i), gc.a64(j), gc.n_vertices)
             for h in range(d + 1):
                 vals = prod[gc.dist == h]
-                v0 = int(vals[0])
-                if vals.size and not (vals == v0).all():
+                # an empty class has a zero matrix, so any coefficient
+                # works; zero keeps the table well defined
+                v0 = int(vals[0]) if vals.size else 0
+                if not (vals == v0).all():
                     ok = False
                     witness = f"A_{i}A_{j} not constant on class {h}"
                 p[h][i][j] = v0
@@ -316,13 +318,17 @@ class SpectralSystem:
     def idempotent_numerator(self, i: int):
         """(M, den) with E_i = M / den and M integral."""
         if i not in self._e_num_cache:
-            den = 1
-            for c in self.e_coeffs[i]:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            values = {h: int(self.e_coeffs[i][h] * den) for h in range(self.gc.d + 1)}
-            m = ExactMatrix.from_class_values(self.gc.dist, values)
-            self._e_num_cache[i] = (m, den)
+            self._e_num_cache[i] = self.class_numerator(self.e_coeffs[i])
         return self._e_num_cache[i]
+
+    def class_numerator(self, coeffs: list[Fraction]):
+        """(M, den) with sum_h coeffs[h] A_h = M / den, M integral and
+        den the least common denominator of the coefficients."""
+        den = 1
+        for c in coeffs:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        values = {h: int(coeffs[h] * den) for h in range(self.gc.d + 1)}
+        return ExactMatrix.from_class_values(self.gc.dist, values), den
 
     def estar_indicator(self, i: int) -> np.ndarray:
         return self.gc.dist[self.gc.x_index] == i

@@ -60,7 +60,7 @@ class PosetMatrices:
 
     def estar(self, i: int, j: int) -> sp.csr_matrix:
         return sp.diags(
-            self.layer_indicator(i, j).astype(np.int64), format="csr"
+            self.layer_indicator(i, j).astype(np.int64), format="csr", dtype=np.int64
         )
 
     def k1_half_exponents(self) -> np.ndarray:

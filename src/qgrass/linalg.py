@@ -146,30 +146,29 @@ class ExactMatrix:
         return ExactMatrix(np.full((m, n), 1, dtype=object), _intmax=1)
 
     @staticmethod
-    def diagonal(entries) -> "ExactMatrix":
-        ent = list(entries)
-        n = len(ent)
-        a = np.full((n, n), 0, dtype=object)
-        for i, v in enumerate(ent):
-            a[i, i] = v
-        return ExactMatrix(a)
-
-    @staticmethod
     def from_class_values(class_matrix: np.ndarray, values: dict) -> "ExactMatrix":
         """Matrix whose (y, z) entry is values[class_matrix[y, z]].
 
         The assigned objects are shared across entries, which keeps
         class-constant matrices (idempotents, distance matrices) cheap.
+        When every value is an int, the integrality cache is filled from
+        the values, so products need no scan of the entries.
         """
         a = np.empty(class_matrix.shape, dtype=object)
         seen = np.zeros(class_matrix.shape, dtype=bool)
+        present = []
         for cls, val in values.items():
             sel = class_matrix == cls
             a[sel] = val
             seen |= sel
+            if sel.any():
+                present.append(val)
         if not seen.all():
             raise ValueError("class matrix holds classes without a value")
-        return ExactMatrix(a)
+        intmax = None
+        if all(type(v) is int for v in present):
+            intmax = max((abs(v) for v in present), default=0)
+        return ExactMatrix(a, _intmax=intmax)
 
     @staticmethod
     def from_columns(cols: list[ExactVector]) -> "ExactMatrix":
@@ -290,9 +289,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return bool((self.a == 0).all())
 
-    def is_symmetric(self) -> bool:
-        return bool((self.a == self.a.T).all())
-
     def to_int_scaled(self):
         """Return (M_int, den) with M = M_int / den and M_int integral."""
         den = 1
@@ -326,10 +322,6 @@ def _int_max_of(arr: np.ndarray):
         else:
             return False
     return m
-
-
-def mat_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b
 
 
 def hadamard(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -1,11 +1,16 @@
 """The nucleus of a base vertex and its two explicit bases.
 
 For the base vertex x of J_q(N, D), the i-th piece of the nucleus is
-the intersection of two column spaces: coordinates supported within
-distance i of x on one side, and the span of the first D - i + 1
-primitive idempotents on the other.  The pieces are computed exactly,
-their dimensions are the Gaussian binomials binom(D, i)_q, and their
-sum is direct.
+N_i = B_i meet F_i V: the vectors supported within distance i of x
+(the ball B_i) that lie in the span F_i V of the first D - i + 1
+primitive idempotents, F_i = E_0 + ... + E_{D-i}.  Each piece is
+certified by a modular squeeze: the containment vectors of the
+(D - i)-dimensional subspaces of x lie in N_i and give a lower bound,
+a rank mod p of F_i's complement on the ball gives an upper bound, and
+when the two meet those vectors are the basis.  When they do not (as
+at the boundary N = 2D), an exact fraction-free (Bareiss) nullspace
+takes over.  Away from the boundary the dimensions are the Gaussian
+binomials binom(D, i)_q, and the sum of the pieces is direct.
 
 Two vector families indexed by the subspaces of x span the same space:
 the vee vector of alpha indicates the vertices containing alpha, and
@@ -29,7 +34,8 @@ from .linalg import (
     ExactVector,
     column_space_ops,
     in_span,
-    intersect_column_spaces,
+    rank_exact,
+    rank_mod_prime,
     span_rank,
 )
 from .qarith import q_binomial, q_int
@@ -71,13 +77,16 @@ def _unit_vector(n: int, pos: int) -> ExactVector:
     return ExactVector(a)
 
 
-def _partial_idempotent_sum(ss: SpectralSystem, hmax: int) -> ExactMatrix:
-    """E_0 + ... + E_hmax as one exact matrix."""
-    d = ss.gc.d
-    values = {
-        h: sum(ss.e_coeffs[t][h] for t in range(hmax + 1)) for h in range(d + 1)
-    }
-    return ExactMatrix.from_class_values(ss.gc.dist, values)
+def containment_vectors(gc: GraphContext, alphas: list[CanonicalSubspace]) -> list[ExactVector]:
+    """Vee vectors: for each alpha, the 0/1 indicator of the vertices
+    containing alpha."""
+    vmasks = [v.mask for v in gc.vertices]
+    out = []
+    for a in alphas:
+        am = a.mask
+        ind = np.fromiter(((am | m) == m for m in vmasks), dtype=bool, count=len(vmasks))
+        out.append(ExactVector(np.where(ind, 1, 0).astype(object)))
+    return out
 
 
 @dataclass
@@ -89,6 +98,9 @@ class NucleusResult:
     e_dims: list[int]
     mult_r: list[int]
     boundary: bool
+    # how each piece was certified: "base_vertex", "squeeze",
+    # "constants" or "bareiss"
+    paths: list[str]
     checks: CheckSet = field(repr=False)
 
     @property
@@ -104,6 +116,34 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
 
     assert_dims defaults to True away from the boundary N = 2D; at the
     boundary the dimension claims are recorded instead of asserted.
+
+    Proof obligation for the pieces.  Write F_i = E_0 + ... + E_{D-i}
+    = Fnum / den with Fnum integral, and B_i for the vertices within
+    distance i of x.  When the spectral checks pass, the E_j are
+    idempotent and mutually orthogonal, so F_i is idempotent and its
+    column space is ker(I - F_i).  Let M_i be the |X| x |B_i| integer
+    matrix of den (I - F_i) on the columns of B_i.  A vector supported
+    in B_i lies in N_i exactly when its restriction to B_i lies in
+    ker M_i, so dim N_i = dim ker M_i.  For 0 < i < D:
+
+    - lower bound: each containment vector of a (D - i)-dimensional
+      subspace of x is checked exactly to be supported in B_i and to
+      satisfy Fnum v = den v, so it lies in N_i; a rank over F_p is
+      never above the rank over Q, so rank_p of these vectors bounds
+      dim N_i from below;
+    - upper bound: for the same reason dim ker M_i = |B_i| - rank_Q M_i
+      is at most |B_i| - rank_p M_i.
+
+    When the vectors are independent mod p and their count equals the
+    upper bound, they are a basis of N_i ("squeeze").  Otherwise the
+    exact nullspace of M_i is computed by Bareiss elimination
+    ("bareiss").  N_0 is the base vertex indicator, since F_0 is the
+    identity.  N_D is the constants, since F_D = E_0 = J/|X| is checked
+    by the spectral suite and B_D is every vertex.  Every shortcut rests
+    on the spectral checks, so when any of them fails every piece past
+    N_0 takes the Bareiss path.  The eigenspace-side rank is observed
+    as rank_p Fnum, a lower bound for rank_Q F_i = trace F_i; when it
+    falls short, or the premise is unverified, the exact rank is taken.
     """
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
@@ -112,24 +152,46 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
         assert_dims = not gc.boundary
     cs = CheckSet(f"nucleus q={q} N={n} D={d}")
     xrow = gc.dist[gc.x_index]
+    premise = ss.checks.ok
+    alphas = subspaces_of_base(gc)
 
-    bases: list[list[ExactVector]] = []
-    dims: list[int] = []
-    for i in range(d + 1):
-        coord_idx = np.flatnonzero(xrow <= i)
-        coords = [_unit_vector(nv, int(y)) for y in coord_idx]
-        if i == 0:
-            # the eigenspace side is the whole space here: sum of all
-            # idempotents is the identity, checked in the spectral suite
-            basis = coords
-        else:
-            f_mat = _partial_idempotent_sum(ss, d - i)
-            f_cols = column_space_ops(f_mat, want_nullspace=False)
-            expected_rank = sum(ss.m[: d - i + 1])
-            cs.check(f"eigenspace_side_rank_{i}", expected_rank, f_cols.rank)
-            basis = intersect_column_spaces(coords, f_cols.column_basis)
+    bases: list[list[ExactVector]] = [[_unit_vector(nv, gc.x_index)]]
+    paths = ["base_vertex"]
+    for i in range(1, d + 1):
+        coeffs = [sum(ss.e_coeffs[t][h] for t in range(d - i + 1)) for h in range(d + 1)]
+        f_num, den = ss.class_numerator(coeffs)
+        expected_rank = sum(ss.m[: d - i + 1])
+        side_rank = rank_mod_prime(f_num)
+        if side_rank != expected_rank or not premise:
+            side_rank = rank_exact(f_num)
+        cs.check(f"eigenspace_side_rank_{i}", expected_rank, side_rank)
+
+        ball = np.flatnonzero(xrow <= i)
+        if premise and i == d:
+            bases.append([ExactVector(np.full(nv, 1, dtype=object))])
+            paths.append("constants")
+            continue
+        m_a = -f_num.a[:, ball]
+        m_a[ball, np.arange(ball.size)] += den
+        m_ball = ExactMatrix(m_a)
+        if premise:
+            vees = containment_vectors(gc, [a for a in alphas if a.dim == d - i])
+            v_mat = ExactMatrix.from_columns(vees)
+            in_ball = not (v_mat.a[xrow > i] != 0).any()
+            fixed = (f_num @ v_mat).equals(den * v_mat)
+            upper = ball.size - rank_mod_prime(m_ball)
+            if in_ball and fixed and rank_mod_prime(v_mat) == len(vees) == upper:
+                bases.append(vees)
+                paths.append("squeeze")
+                continue
+        basis = []
+        for v in column_space_ops(m_ball).nullspace_basis:
+            full = np.full(nv, 0, dtype=object)
+            full[ball] = v.a
+            basis.append(ExactVector(full))
         bases.append(basis)
-        dims.append(len(basis))
+        paths.append("bareiss")
+    dims = [len(b) for b in bases]
 
     expected_dims = [q_binomial(d, i, q) for i in range(d + 1)]
     if assert_dims:
@@ -192,6 +254,7 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
         e_dims=e_dims,
         mult_r=mult_r,
         boundary=gc.boundary,
+        paths=paths,
         checks=cs,
     )
 
@@ -258,21 +321,16 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
         len(alphas),
     )
 
-    vee = []
+    vee = containment_vectors(gc, alphas)
+    h_sizes = [int(sum(v.a)) for v in vee]
     meet = []
-    h_sizes = []
     g_sizes = []
     for a in alphas:
         am = a.mask
-        vee_a = np.fromiter(
-            ((am | m) == m for m in vmasks), dtype=bool, count=nv
-        )
         meet_a = np.fromiter(
             ((m & xmask) == am for m in vmasks), dtype=bool, count=nv
         )
-        vee.append(ExactVector(np.where(vee_a, 1, 0).astype(object)))
         meet.append(ExactVector(np.where(meet_a, 1, 0).astype(object)))
-        h_sizes.append(int(vee_a.sum()))
         g_sizes.append(int(meet_a.sum()))
 
     n_, d_ = gc.n, gc.d
@@ -627,6 +685,7 @@ def boundary_case_report(q: int, d: int, **kwargs) -> dict:
     gamma = gamma_components(gc, fam)
     doc = nucleus_report_json(nucleus, fam, gamma)
     doc["boundary"] = True
+    doc["nucleus_paths"] = list(nucleus.paths)
     generic = sum(q_binomial(d, i, q) for i in range(d + 1))
     doc["generic_dimension"] = generic
     doc["dimension_matches_generic_formula"] = nucleus.dimension == generic

@@ -41,12 +41,6 @@ class FieldContext:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 

@@ -62,10 +62,6 @@ class CheckSet:
     def check_true(self, name: str, observed_flag, witness: str | None = None) -> bool:
         return self.check(name, True, bool(observed_flag), witness)
 
-    def observe(self, name: str, value) -> None:
-        """Record a value without asserting anything about it."""
-        self.values[name] = jsonable(value)
-
     def record(self, name: str, value) -> None:
         self.values[name] = jsonable(value)
 

@@ -97,9 +97,6 @@ class CanonicalSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains_vector(self, vec) -> bool:
-        return bool(self.mask >> vector_index(vec, self.q) & 1)
-
     def is_subspace_of(self, other: "CanonicalSubspace") -> bool:
         return self.mask & other.mask == self.mask
 

@@ -1,5 +1,6 @@
 """Command-line interface: suites, report files, exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -38,6 +39,29 @@ def test_full_verify_run(tmp_path, capsys):
     assert doc["artifacts"]["boundary"]["params"] == {"q": 2, "N": 4, "D": 2}
     assert doc["config"]["x_rows"] == "standard"
     assert "timestamp" in doc["meta"] and "timings" in doc["meta"]
+    assert doc["meta"]["nucleus_paths"] == {
+        "nucleus": ["base_vertex", "squeeze", "constants"],
+        "boundary": ["base_vertex", "bareiss", "constants"],
+    }
+
+
+# sha256 of the `verify --suite all` report minus `meta`, as written when
+# every nucleus piece came from dense Bareiss intersections; the faster
+# paths must reproduce it byte for byte
+PINNED_REPORTS = {
+    (2, 5, 2): "4a71325c2d1fef02348a72227742e3e2f0d7bc47c2136ea03f738c37d2af0a4f",
+    (3, 4, 2): "0f0d667e9aa431b7dead093b568cb5ce7e133fa9854fc8a71aa0e9f14cfd78db",
+}
+
+
+@pytest.mark.parametrize("q,n,d", sorted(PINNED_REPORTS))
+def test_report_outside_meta_pinned(tmp_path, capsys, q, n, d):
+    out = tmp_path / "r.json"
+    argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    text = _without_meta(_load(out))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[(q, n, d)]
 
 
 def test_reports_identical_outside_meta(tmp_path, capsys):

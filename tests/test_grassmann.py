@@ -234,6 +234,18 @@ def test_boundary_spectral_passes():
     assert sum(ss.m) == 35
 
 
+def test_structure_constants_empty_class():
+    # a distance class that never occurs has a zero matrix; its table
+    # entries are zero rather than an index error
+    gc = build_graph(3, 4, 1)
+    gc.d = 2
+    gc._p = None
+    p, cs = structure_constants(gc)
+    assert cs.ok
+    assert p[2] == [[0] * 3 for _ in range(3)]
+    assert p[0][1][1] == 39
+
+
 def test_structure_constants_cached(j252):
     p1, _ = structure_constants(j252)
     p2, _ = structure_constants(j252)

@@ -95,6 +95,10 @@ class TestMatrixBasics:
         half = Fraction(1, 2)
         m = ExactMatrix.from_class_values(cls, {0: 1, 1: half})
         assert m[0, 1] is half and m[1, 0] is half
+        assert m._int_max() is False
+        # integer values fill the integrality cache; absent classes do not count
+        ints = ExactMatrix.from_class_values(cls, {0: 3, 1: -5, 2: 99})
+        assert ints._int_max() == 5
 
     def test_from_class_values_requires_cover(self):
         cls = np.array([[0, 2]], dtype=np.int8)

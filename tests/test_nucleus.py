@@ -1,14 +1,27 @@
 """Nucleus computation, the two vector families, and sphere fibrations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qgrass.grassmann import spectral_system
+import qgrass.nucleus
+from qgrass.grassmann import build_graph, spectral_system
 from qgrass.ladders import alpha_dominant_multiplicity
+from qgrass.linalg import (
+    ExactMatrix,
+    ExactVector,
+    column_space_ops,
+    intersect_column_spaces,
+    span_rank,
+)
 from qgrass.nucleus import (
     boundary_case_report,
     build_alpha_family,
     compute_nucleus,
+    containment_vectors,
     gamma_components,
     nucleus_report_json,
     subspaces_of_base,
@@ -16,6 +29,70 @@ from qgrass.nucleus import (
     verify_actions,
     verify_bases,
 )
+from qgrass.report import CheckSet
+from qgrass.subspaces import subspace_from_rows
+
+
+def dense_oracle_pieces(ss):
+    """Test-only reference for the nucleus pieces: the coordinate ball
+    B_i intersected with the column space of E_0 + ... + E_{D-i}, both
+    spanned explicitly and intersected by exact elimination."""
+    gc = ss.gc
+    d, nv = gc.d, gc.n_vertices
+    xrow = gc.dist[gc.x_index]
+    pieces = []
+    for i in range(d + 1):
+        coords = []
+        for y in np.flatnonzero(xrow <= i):
+            e = np.full(nv, 0, dtype=object)
+            e[y] = 1
+            coords.append(ExactVector(e))
+        if i == 0:
+            pieces.append(coords)
+            continue
+        values = {
+            h: sum(ss.e_coeffs[t][h] for t in range(d - i + 1)) for h in range(d + 1)
+        }
+        f_mat = ExactMatrix.from_class_values(gc.dist, values)
+        f_cols = column_space_ops(f_mat, want_nullspace=False)
+        pieces.append(intersect_column_spaces(coords, f_cols.column_basis))
+    return pieces
+
+
+def assert_same_pieces(nd, oracle):
+    assert nd.dims == [len(b) for b in oracle]
+    for basis, ref in zip(nd.bases, oracle):
+        assert span_rank(basis) == len(basis)
+        assert span_rank(basis + ref) == len(ref)
+
+
+def check_rows(cs):
+    return [(c.name, c.expected, c.observed, c.passed) for c in cs.checks]
+
+
+@st.composite
+def instances_with_base_vertex(draw):
+    q, n, d = draw(st.sampled_from([(2, 4, 2), (2, 5, 2), (2, 5, 1), (3, 4, 1), (3, 4, 2)]))
+    row = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = draw(st.lists(row, min_size=d, max_size=d))
+    assume(subspace_from_rows(q, n, rows).dim == d)
+    return q, n, d, tuple(rows)
+
+
+@settings(max_examples=10, deadline=None)
+@given(instances_with_base_vertex())
+def test_pieces_match_dense_oracle(instance):
+    q, n, d, x_rows = instance
+    ss = spectral_system(build_graph(q, n, d, x_rows=x_rows))
+    ss.checks.require()
+    nd = compute_nucleus(ss)
+    nd.checks.require()
+    assert_same_pieces(nd, dense_oracle_pieces(ss))
+
+
+@pytest.fixture(scope="module")
+def oracle252(j252_spectral):
+    return dense_oracle_pieces(j252_spectral)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +123,63 @@ def test_nucleus_dimensions_frozen(nucleus252):
     assert nucleus252.estar_dims == [1, 3, 1]
     assert nucleus252.e_dims == [1, 3, 1]
     assert not nucleus252.boundary
+
+
+def test_nucleus_paths(nucleus252, oracle252):
+    assert nucleus252.paths == ["base_vertex", "squeeze", "constants"]
+    assert_same_pieces(nucleus252, oracle252)
+
+
+def test_forced_bareiss_fallback(nucleus252, oracle252, j252_spectral, monkeypatch):
+    # a modular rank that under-reports breaks every squeeze, so each
+    # piece between the extremes must be recomputed exactly
+    real = qgrass.nucleus.rank_mod_prime
+    monkeypatch.setattr(qgrass.nucleus, "rank_mod_prime", lambda m: real(m) - 1)
+    nd = compute_nucleus(j252_spectral)
+    assert nd.paths == ["base_vertex", "bareiss", "constants"]
+    assert nd.dims == nucleus252.dims
+    assert check_rows(nd.checks) == check_rows(nucleus252.checks)
+    assert_same_pieces(nd, oracle252)
+
+
+def _unit_vectors_on_sphere_1(gc, alphas):
+    """Inside the ball B_1 but not fixed by F_1."""
+    sphere = np.flatnonzero(gc.dist[gc.x_index] == 1)
+    out = []
+    for y in sphere[: len(alphas)]:
+        e = np.full(gc.n_vertices, 0, dtype=object)
+        e[y] = 1
+        out.append(ExactVector(e))
+    return out
+
+
+def _ones_among_vees(gc, alphas):
+    """Fixed by F_1 but not supported in the ball B_1."""
+    vees = containment_vectors(gc, alphas)
+    return [ExactVector(np.full(gc.n_vertices, 1, dtype=object))] + vees[1:]
+
+
+@pytest.mark.parametrize("fake", [_unit_vectors_on_sphere_1, _ones_among_vees])
+def test_squeeze_rejects_vectors_outside_the_piece(
+    nucleus252, j252_spectral, monkeypatch, fake
+):
+    monkeypatch.setattr(qgrass.nucleus, "containment_vectors", fake)
+    nd = compute_nucleus(j252_spectral)
+    assert nd.paths == ["base_vertex", "bareiss", "constants"]
+    assert check_rows(nd.checks) == check_rows(nucleus252.checks)
+
+
+def test_unverified_spectrum_takes_no_shortcut(nucleus252, oracle252, j252_spectral):
+    # the shortcuts rest on the spectral checks; with one failing, every
+    # piece past the base vertex comes from exact elimination
+    failed = CheckSet("spectral system")
+    failed.extend(j252_spectral.checks)
+    failed.check("forced_failure", True, False)
+    ss = dataclasses.replace(j252_spectral, checks=failed)
+    nd = compute_nucleus(ss)
+    assert nd.paths == ["base_vertex", "bareiss", "bareiss"]
+    assert check_rows(nd.checks) == check_rows(nucleus252.checks)
+    assert_same_pieces(nd, oracle252)
 
 
 def test_nucleus_check_names(nucleus252):
@@ -193,6 +327,8 @@ def test_boundary_report():
     assert doc["generic_dimension"] == 5
     assert doc["dimension_matches_generic_formula"] is False
     assert doc["mult_r"] == [1, 4]
+    # the containment vectors fall short of the middle piece here
+    assert doc["nucleus_paths"] == ["base_vertex", "bareiss", "constants"]
     # the structural identities hold regardless of the boundary
     for flag in (
         "build_ok",
