@@ -2,12 +2,15 @@
 
 Vertices are the D-dimensional subspaces of F_q^N, adjacent when they
 meet in dimension D - 1, so graph distance is D - dim(y meet z).  The
-module builds distance matrices, extracts the multiplication table of
-the distance algebra from verified integer products, constructs the
-primitive idempotents from the closed-form eigenvalues, and derives the
-dual system at the base vertex.  Every claimed identity is checked in
-exact arithmetic, with the minimal polynomial product as the primary
-guard that the closed-form eigenvalues belong to the built graph.
+module builds the distance matrix, verifies the D integer products
+A_1 A_g on dense matrices, and keeps their intersection matrix L
+(multiplication by A_1 on coefficient vectors over A_0..A_D).  Every
+spectral claim is then checked in that (D+1)-dimensional distance
+(Bose-Mesner) algebra: the minimal polynomial of the closed-form
+eigenvalues, idempotency and orthogonality of the primitive idempotents
+as polynomials in L, and the dual system at the base vertex.  Only the
+multiplicities touch |X| x |X| matrices again, as ranks mod p of the
+idempotent numerators.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import EigenvalueCollision, InvalidParameters, InvalidQuadruple
 from .linalg import (
     ExactMatrix,
     ExactVector,
+    exact_int_product,
     invert_fraction_matrix,
     rank_exact,
     rank_mod_prime,
@@ -55,8 +59,8 @@ class GraphContext:
         self.build_checks = checks
         self._a64: dict[int, np.ndarray] = {}
         self._adjacency: list[list[int]] | None = None
-        self._p = None
-        self._p_checks = None
+        self._L = None
+        self._L_checks = None
 
     def a64(self, i: int) -> np.ndarray:
         """Distance-i indicator matrix as int64 (entries 0/1)."""
@@ -188,50 +192,50 @@ def build_graph(
 
 
 def structure_constants(gc: GraphContext):
-    """Multiplication table of the distance algebra: integers p[h][i][j]
-    with A_i A_j = sum_h p[h][i][j] A_h, extracted from exact products
-    and verified class by class.
+    """Intersection matrix of the distance algebra: integers L[h][g] =
+    p^h_{1g} with A_1 A_g = sum_h L[h][g] A_h, extracted from the D exact
+    products A_1 A_g (g = 1..D) and verified class by class.  Column 0
+    is A_1 A_0 = A_1, which needs no product once A_0 = I is checked.
+
+    L is multiplication by A_1 on coefficient vectors over A_0..A_D.
+    The classes partition the pairs (checked) and are nonempty in a
+    connected graph of diameter D, so the A_h have disjoint 0/1 supports
+    and a coefficient vector determines its matrix and back; and
+    each product A_1 A_g is checked to be constant on every class, so
+    A_1 (sum_g v_g A_g) = sum_h (L v)_h A_h exactly.  Its subdiagonal
+    holds c_g = L[g][g-1], which `intersection_numbers` compares with
+    the closed form; c_g > 0 makes every A_g a polynomial in A_1 by the
+    three-term recurrence, so the span of A_0..A_D is closed under
+    multiplication and the full table p^h_{ij} follows from L.
 
     Cached on the graph context after the first call.
     """
-    if gc._p is not None:
-        return gc._p, gc._p_checks
+    if gc._L is not None:
+        return gc._L, gc._L_checks
     d = gc.d
     cs = CheckSet("distance algebra structure constants")
     eye = np.eye(gc.n_vertices, dtype=np.int64)
     cs.check_true("a0_is_identity", bool((gc.a64(0) == eye).all()))
     total = sum(gc.a64(i) for i in range(d + 1))
     cs.check_true("classes_partition_pairs", bool((total == 1).all()))
-    p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    L = [[1 if (h, g) == (1, 0) else 0 for g in range(d + 1)] for h in range(d + 1)]
     ok = True
     witness = None
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            prod = exact_int_product(gc.a64(i), gc.a64(j), gc.n_vertices)
-            for h in range(d + 1):
-                vals = prod[gc.dist == h]
-                # an empty class has a zero matrix, so any coefficient
-                # works; zero keeps the table well defined
-                v0 = int(vals[0]) if vals.size else 0
-                if not (vals == v0).all():
-                    ok = False
-                    witness = f"A_{i}A_{j} not constant on class {h}"
-                p[h][i][j] = v0
-                p[h][j][i] = v0
+    for g in range(1, d + 1):
+        prod = exact_int_product(gc.a64(1), gc.a64(g), gc.n_vertices)
+        for h in range(d + 1):
+            vals = prod[gc.dist == h]
+            # an empty class has a zero matrix, so any coefficient
+            # works; zero keeps the table well defined
+            v0 = int(vals[0]) if vals.size else 0
+            if not (vals == v0).all():
+                ok = False
+                witness = f"A_1A_{g} not constant on class {h}"
+            L[h][g] = v0
     cs.check_true("products_constant_on_classes", ok, witness)
-    gc._p = p
-    gc._p_checks = cs
-    return p, cs
-
-
-def exact_int_product(a64: np.ndarray, b64: np.ndarray, inner: int) -> np.ndarray:
-    """int64 product guarded against overflow; falls back to
-    arbitrary-precision objects when the bound does not certify."""
-    am = int(np.abs(a64).max()) if a64.size else 0
-    bm = int(np.abs(b64).max()) if b64.size else 0
-    if inner * max(am, 1) * max(bm, 1) < 2**62:
-        return a64 @ b64
-    return np.dot(a64.astype(object), b64.astype(object))
+    gc._L = L
+    gc._L_checks = cs
+    return L, cs
 
 
 @dataclass
@@ -253,16 +257,17 @@ def intersection_number_formulas(q: int, n: int, d: int) -> IntersectionNumbers:
 
 
 def intersection_numbers(gc: GraphContext):
-    """Count a_i, b_i, c_i from the verified multiplication table and
+    """Read k, a_i, b_i, c_i off the verified intersection matrix L
+    (k = L[0][1], a_i = L[i][i], b_i = L[i][i+1], c_i = L[i][i-1]) and
     compare them with the closed forms, exactly."""
     q, n, d = gc.q, gc.n, gc.d
-    p, pcs = structure_constants(gc)
+    L, lcs = structure_constants(gc)
     cs = CheckSet(f"intersection numbers q={q} N={n} D={d}")
-    cs.extend(pcs)
-    counted_b = [p[i][i + 1][1] if i < d else 0 for i in range(d + 1)]
-    counted_c = [p[i][i - 1][1] if i > 0 else 0 for i in range(d + 1)]
-    counted_a = [p[i][i][1] for i in range(d + 1)]
-    k_counted = p[0][1][1]
+    cs.extend(lcs)
+    counted_b = [L[i][i + 1] if i < d else 0 for i in range(d + 1)]
+    counted_c = [L[i][i - 1] if i > 0 else 0 for i in range(d + 1)]
+    counted_a = [L[i][i] for i in range(d + 1)]
+    k_counted = L[0][1]
     rows = gc.a64(1).sum(axis=1)
     cs.check_true("valency_constant_rows", bool((rows == k_counted).all()))
     forms = intersection_number_formulas(q, n, d)
@@ -306,14 +311,7 @@ class SpectralSystem:
     m: list[int]
     e_coeffs: list[list[Fraction]] = field(repr=False)
     checks: CheckSet = field(repr=False)
-    _e_cache: dict = field(default_factory=dict, repr=False)
     _e_num_cache: dict = field(default_factory=dict, repr=False)
-
-    def idempotent(self, i: int) -> ExactMatrix:
-        if i not in self._e_cache:
-            values = {h: self.e_coeffs[i][h] for h in range(self.gc.d + 1)}
-            self._e_cache[i] = ExactMatrix.from_class_values(self.gc.dist, values)
-        return self._e_cache[i]
 
     def idempotent_numerator(self, i: int):
         """(M, den) with E_i = M / den and M integral."""
@@ -330,14 +328,6 @@ class SpectralSystem:
         values = {h: int(coeffs[h] * den) for h in range(self.gc.d + 1)}
         return ExactMatrix.from_class_values(self.gc.dist, values), den
 
-    def estar_indicator(self, i: int) -> np.ndarray:
-        return self.gc.dist[self.gc.x_index] == i
-
-    def estar_diag(self, i: int) -> ExactVector:
-        return ExactVector(
-            np.where(self.estar_indicator(i), 1, 0).astype(object)
-        )
-
     def astar_diag(self) -> list[Fraction]:
         xrow = self.gc.dist[self.gc.x_index]
         return [self.theta_star[int(xrow[y])] for y in range(self.gc.n_vertices)]
@@ -348,13 +338,34 @@ class SpectralSystem:
 
 
 def spectral_system(gc: GraphContext) -> SpectralSystem:
-    """Exact eigenstructure of the adjacency matrix.
+    """Exact eigenstructure of the adjacency matrix, verified in the
+    distance (Bose-Mesner) algebra.
 
     Eigenvalues come from the closed form only, never from numerics.
-    The minimal polynomial product over the built adjacency matrix must
-    vanish exactly; the idempotents are evaluated in the verified
-    distance algebra and checked for idempotency, orthogonality, unit
-    sum, and rank equal to trace.
+    Every matrix of the algebra is a coefficient vector over A_0..A_D,
+    and the only operation is "apply L", the intersection matrix of
+    `structure_constants`.
+
+    Proof obligation.  The distance classes partition the vertex pairs
+    and are nonempty, so the A_h have disjoint 0/1 supports and are
+    linearly independent: a matrix of the algebra is zero exactly when
+    its coefficient vector is, and two are equal exactly when their
+    vectors are.  Each product A_1 A_g is verified on the dense matrices
+    to equal sum_h L[h][g] A_h, so applying L is exact multiplication by
+    A_1, and applying a polynomial P(L) is exact multiplication by
+    P(A_1).  Hence:
+
+    - the minimal polynomial prod_i (A_1 - theta_i I) vanishes iff the
+      product of (L - theta_i) applied to the vector of A_0 is zero;
+    - E_i = P_i(A_1) with P_i the Lagrange polynomial of theta_i, its
+      vector is P_i(L) applied to that of A_0, and E_i M for any M in
+      the algebra is P_i(L) applied to the vector of M, which gives
+      idempotency (E_i E_i = E_i) and orthogonality (E_i E_j = 0).
+
+    Only closure under A_1 is used; `structure_constants` explains why
+    the whole span is closed.  The idempotents are then checked for
+    unit sum, E_0 = J/|X| and reconstruction of A_1; multiplicities are
+    their traces, certified as ranks mod p on the dense numerators.
     """
     q, n, d = gc.q, gc.n, gc.d
     nv = gc.n_vertices
@@ -362,34 +373,30 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     if len(set(theta)) != d + 1:
         raise EigenvalueCollision(f"eigenvalues collide: {theta}")
     cs = CheckSet(f"spectral system q={q} N={n} D={d}")
-    p, pcs = structure_constants(gc)
-    cs.extend(pcs)
+    L, lcs = structure_constants(gc)
+    cs.extend(lcs)
 
-    # minimal polynomial: the product of (A - theta_i I) must vanish
-    adj = gc.distance_matrix(1)
-    prod = adj - theta[0] * ExactMatrix.identity(nv)
-    for i in range(1, d + 1):
-        prod = prod @ (adj - theta[i] * ExactMatrix.identity(nv))
-    cs.check_true("minimal_polynomial_vanishes", prod.is_zero())
+    def apply_l(coef):
+        """L coef: the vector of A_1 M when coef is that of M."""
+        return [sum(row[g] * coef[g] for g in range(d + 1)) for row in L]
 
-    # idempotents in the distance algebra: coefficient vectors over A_h
-    def apply_adjacency(coef):
-        return [
-            sum(coef[g] * p[h][1][g] for g in range(d + 1)) for h in range(d + 1)
-        ]
+    ident = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
+    v = ident
+    for t in theta:
+        v = [a - t * b for a, b in zip(apply_l(v), v)]
+    cs.check_true("minimal_polynomial_vanishes", not any(v))
 
-    e_coeffs: list[list[Fraction]] = []
-    for i in range(d + 1):
-        c = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
+    def apply_idempotent(i, coef):
+        """P_i(L) coef: the vector of E_i M when coef is that of M."""
         for j in range(d + 1):
             if j == i:
                 continue
-            ac = apply_adjacency(c)
+            lc = apply_l(coef)
             scale = Fraction(1, theta[i] - theta[j])
-            c = [(a - theta[j] * b) * scale for a, b in zip(ac, c)]
-        e_coeffs.append(c)
+            coef = [(a - theta[j] * b) * scale for a, b in zip(lc, coef)]
+        return coef
 
-    ident = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
+    e_coeffs = [apply_idempotent(i, ident) for i in range(d + 1)]
     total = [sum(e_coeffs[i][h] for i in range(d + 1)) for h in range(d + 1)]
     cs.check("idempotents_sum_to_identity", ident, total)
     cs.check(
@@ -405,23 +412,18 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
 
     ss = SpectralSystem(gc=gc, theta=theta, theta_star=[], m=[], e_coeffs=e_coeffs, checks=cs)
 
-    # idempotency and orthogonality on the materialized matrices
     ok = True
     witness = None
     for i in range(d + 1):
-        mi, di = ss.idempotent_numerator(i)
-        sq = mi @ mi
-        if not sq.equals(di * mi):
+        if apply_idempotent(i, e_coeffs[i]) != e_coeffs[i]:
             ok = False
             witness = f"E_{i}^2 != E_{i}"
     cs.check_true("idempotency", ok, witness)
     ok = True
     witness = None
     for i in range(d + 1):
-        mi, _ = ss.idempotent_numerator(i)
         for j in range(i + 1, d + 1):
-            mj, _ = ss.idempotent_numerator(j)
-            if not (mi @ mj).is_zero():
+            if any(apply_idempotent(i, e_coeffs[j])):
                 ok = False
                 witness = f"E_{i}E_{j} != 0"
     cs.check_true("orthogonality", ok, witness)

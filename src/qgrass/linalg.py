@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
 Entries are Python ints and Fractions held in numpy object arrays.
-Matrix products take a checked int64 fast path when both operands are
-integral and the worst-case dot product provably fits in 63 bits;
-otherwise they fall back to arbitrary-precision object arithmetic.
+Integer products go through one kernel, `exact_int_product`: a checked
+int64 fast path when the worst-case dot product provably fits in 63
+bits, otherwise arbitrary-precision object arithmetic.
 Elimination is fraction-free (Bareiss), so pivots and updates stay in
 exact integer arithmetic, and emitted basis vectors are normalized to
 primitive integer vectors.  No floating point anywhere.
@@ -29,6 +29,35 @@ def _as_python_int_array(arr: np.ndarray) -> np.ndarray:
     if out.size and not type(out.flat[0]) is int:
         out = np.array(arr.tolist(), dtype=object).reshape(arr.shape)
     return out
+
+
+def _abs_max(arr: np.ndarray) -> int:
+    if not arr.size:
+        return 0
+    if arr.dtype == object:
+        return max(abs(v) for v in arr.flat)
+    return int(np.abs(arr).max())
+
+
+def exact_int_product(
+    a: np.ndarray, b: np.ndarray, inner: int, amax=None, bmax=None
+) -> np.ndarray:
+    """Exact product of two integer arrays (int64, or object arrays of
+    Python ints) sharing the dimension `inner`.
+
+    Every partial sum of a row-by-column dot product is bounded by
+    inner * amax * bmax, with amax and bmax the largest absolute entries
+    (computed when not given).  Below 2^62 the product runs in int64 and
+    cannot overflow, and the result is an int64 array; otherwise it
+    falls back to Python ints and the result is an object array.
+    """
+    if amax is None:
+        amax = _abs_max(a)
+    if bmax is None:
+        bmax = _abs_max(b)
+    if inner * max(amax, 1) * max(bmax, 1) < _INT64_BOUND:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return np.dot(a.astype(object, copy=False), b.astype(object, copy=False))
 
 
 def _validate_entries(a: np.ndarray) -> None:
@@ -142,10 +171,6 @@ class ExactMatrix:
         return ExactMatrix(a, _intmax=1)
 
     @staticmethod
-    def ones(m: int, n: int) -> "ExactMatrix":
-        return ExactMatrix(np.full((m, n), 1, dtype=object), _intmax=1)
-
-    @staticmethod
     def from_class_values(class_matrix: np.ndarray, values: dict) -> "ExactMatrix":
         """Matrix whose (y, z) entry is values[class_matrix[y, z]].
 
@@ -191,14 +216,8 @@ class ExactMatrix:
     def T(self) -> "ExactMatrix":
         return ExactMatrix(self.a.T.copy(), _intmax=self._intmax)
 
-    def row(self, i: int) -> ExactVector:
-        return ExactVector(self.a[i, :].copy())
-
     def col(self, j: int) -> ExactVector:
         return ExactVector(self.a[:, j].copy())
-
-    def columns(self) -> list[ExactVector]:
-        return [self.col(j) for j in range(self.shape[1])]
 
     def __getitem__(self, key):
         return self.a[key]
@@ -263,16 +282,10 @@ class ExactMatrix:
             return np.full((self.shape[0], b.shape[1]), 0, dtype=object)
         am = self._int_max()
         bm = other._int_max() if other is not None else _int_max_of(b)
-        if am is not False and bm is not False and k * max(am, 1) * max(bm, 1) < _INT64_BOUND:
-            # every partial sum is bounded by k*am*bm, so int64 cannot overflow
-            c = self.a.astype(np.int64) @ b.astype(np.int64)
-            return _as_python_int_array(c)
-        return np.dot(self.a, b)
-
-    def hadamard(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shapes {self.shape} and {other.shape}")
-        return ExactMatrix(self.a * other.a)
+        if am is False or bm is False:
+            return np.dot(self.a, b)
+        c = exact_int_product(self.a, b, k, am, bm)
+        return c if c.dtype == object else _as_python_int_array(c)
 
     def trace(self):
         if self.shape[0] != self.shape[1]:
@@ -322,10 +335,6 @@ def _int_max_of(arr: np.ndarray):
         else:
             return False
     return m
-
-
-def hadamard(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a.hadamard(b)
 
 
 def primitive_int_vector(entries) -> ExactVector:

@@ -240,53 +240,74 @@ class CoverType(enum.Enum):
 
 def save_table(path: str, q: int, ambient: int, dim: int, table) -> None:
     """Write a subspace table: header 'q ambient dim count', then one
-    line per subspace with its dimension and row-major digits."""
+    line per subspace with its dimension and row-major digits.
+
+    The table goes to a temporary file in the same directory, which
+    replaces `path` only once it is complete and on disk, so a write
+    that fails or is killed part way never leaves a truncated table at
+    `path`.
+    """
     if q >= 10:
         raise InvalidParameters("digit cache format supports q < 10 only")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{q} {ambient} {dim} {len(table)}\n")
-        for s in table:
-            digits = "".join(str(v) for row in s.rows for v in row)
-            fh.write(f"{s.dim} {digits}\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(f"{q} {ambient} {dim} {len(table)}\n")
+            for s in table:
+                digits = "".join(str(v) for row in s.rows for v in row)
+                fh.write(f"{s.dim} {digits}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: str, q: int, ambient: int, dim: int):
     """Read a table written by save_table, validating the count against
-    the Gaussian binomial and every line against the header."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise InvalidParameters(f"malformed cache header in {path}")
-        hq, hn, hl, hcount = (int(v) for v in header)
-        if (hq, hn, hl) != (q, ambient, dim):
-            raise InvalidParameters(
-                f"cache {path} is for q={hq} n={hn} l={hl}, wanted q={q} n={ambient} l={dim}"
-            )
-        expected = q_binomial(ambient, dim, q)
-        if hcount != expected:
-            raise InvalidParameters(
-                f"cache header count {hcount} disagrees with q_binomial {expected}"
-            )
-        table = []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            d = int(parts[0])
-            digits = parts[1] if len(parts) > 1 else ""
-            if d != dim or len(digits) != d * ambient:
-                raise InvalidParameters(f"malformed cache line in {path}: {line!r}")
-            rows = tuple(
-                tuple(int(digits[i * ambient + c]) for c in range(ambient))
-                for i in range(d)
-            )
-            if any(v >= q for row in rows for v in row):
-                raise InvalidParameters(f"cache digit out of range in {path}")
-            table.append(CanonicalSubspace(q, ambient, rows))
-        if len(table) != expected:
-            raise InvalidParameters(
-                f"cache {path} holds {len(table)} subspaces, expected {expected}"
-            )
+    the Gaussian binomial and every line against the header.
+
+    Any unparsable header or line (a non-numeric field, a byte outside
+    ASCII) raises InvalidParameters, like every other malformed cache.
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 4:
+                raise InvalidParameters(f"malformed cache header in {path}")
+            hq, hn, hl, hcount = (int(v) for v in header)
+            if (hq, hn, hl) != (q, ambient, dim):
+                raise InvalidParameters(
+                    f"cache {path} is for q={hq} n={hn} l={hl}, wanted q={q} n={ambient} l={dim}"
+                )
+            expected = q_binomial(ambient, dim, q)
+            if hcount != expected:
+                raise InvalidParameters(
+                    f"cache header count {hcount} disagrees with q_binomial {expected}"
+                )
+            table = []
+            for line in fh:
+                parts = line.split()
+                if not parts:
+                    continue
+                d = int(parts[0])
+                digits = parts[1] if len(parts) > 1 else ""
+                if d != dim or len(digits) != d * ambient:
+                    raise InvalidParameters(f"malformed cache line in {path}: {line!r}")
+                rows = tuple(
+                    tuple(int(digits[i * ambient + c]) for c in range(ambient))
+                    for i in range(d)
+                )
+                if any(v >= q for row in rows for v in row):
+                    raise InvalidParameters(f"cache digit out of range in {path}")
+                table.append(CanonicalSubspace(q, ambient, rows))
+            if len(table) != expected:
+                raise InvalidParameters(
+                    f"cache {path} holds {len(table)} subspaces, expected {expected}"
+                )
+    except ValueError as exc:
+        raise InvalidParameters(f"unreadable cache file {path}: {exc}") from exc
     return table
 
 

@@ -116,6 +116,26 @@ def test_invalid_parameters_exit_two(capsys):
     assert "complement" in err
 
 
+@pytest.mark.parametrize("corrupt", ["truncate", "non_numeric"])
+def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
+    argv = ["verify", "--q", "2", "--n", "4", "--d", "1", "--suite", "geometry",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    (path,) = (tmp_path / "cache").iterdir()
+    text = path.read_text()
+    if corrupt == "truncate":
+        path.write_text(text[: len(text) // 2])
+    else:
+        path.write_text(text.replace("1 ", "x ", 1))
+    capsys.readouterr()
+    # every later run reports the bad file instead of dying on it
+    for _ in range(2):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid parameters" in err and str(path) in err
+        assert "Traceback" not in err
+
+
 def test_size_cap_exit_two(capsys):
     rc = main(["verify", "--q", "2", "--n", "5", "--d", "2", "--max-vertices", "10"])
     assert rc == 2

@@ -28,6 +28,7 @@ from qgrass.grassmann import (
     tmodule_condition_violations,
     tmodule_intersection_numbers,
 )
+from qgrass.linalg import ExactMatrix
 from qgrass.subspaces import dim_of_mask
 
 J252_THETA = [42, 11, -3]
@@ -235,21 +236,138 @@ def test_boundary_spectral_passes():
 
 
 def test_structure_constants_empty_class():
-    # a distance class that never occurs has a zero matrix; its table
-    # entries are zero rather than an index error
+    # a distance class that never occurs has a zero matrix; its row of
+    # the intersection matrix is zero rather than an index error
     gc = build_graph(3, 4, 1)
     gc.d = 2
-    gc._p = None
-    p, cs = structure_constants(gc)
+    gc._L = None
+    L, cs = structure_constants(gc)
     assert cs.ok
-    assert p[2] == [[0] * 3 for _ in range(3)]
-    assert p[0][1][1] == 39
+    assert L[2] == [0, 0, 0]
+    assert L[0][1] == 39
+    assert L[1] == [1, 38, 0]
 
 
 def test_structure_constants_cached(j252):
     p1, _ = structure_constants(j252)
     p2, _ = structure_constants(j252)
     assert p1 is p2
+
+
+# ---------------------------------------------------------------------------
+# dense oracle for the distance-algebra checks
+
+
+def dense_spectral_oracle(ss):
+    """The dense checks the spectral system once ran on |X| x |X|
+    matrices: the minimal polynomial product over the built adjacency
+    matrix, and idempotency and orthogonality of the materialized
+    idempotents.  Returns the three verdicts."""
+    gc, theta, d = ss.gc, ss.theta, ss.gc.d
+    eye = ExactMatrix.identity(gc.n_vertices)
+    adj = gc.distance_matrix(1)
+    prod = adj - theta[0] * eye
+    for t in theta[1:]:
+        prod = prod @ (adj - t * eye)
+    nums = [ss.idempotent_numerator(i) for i in range(d + 1)]
+    idem = all((m @ m).equals(den * m) for m, den in nums)
+    orth = all(
+        (nums[i][0] @ nums[j][0]).is_zero()
+        for i in range(d + 1)
+        for j in range(i + 1, d + 1)
+    )
+    return {
+        "minimal_polynomial_vanishes": prod.is_zero(),
+        "idempotency": idem,
+        "orthogonality": orth,
+    }
+
+
+def dense_product_table(gc):
+    """p[h][i][j] from all (D+1)(D+2)/2 dense products A_i A_j."""
+    d = gc.d
+    p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            prod = exact_int_product(gc.a64(i), gc.a64(j), gc.n_vertices)
+            for h in range(d + 1):
+                vals = prod[gc.dist == h]
+                assert (vals == vals[0]).all()
+                p[h][i][j] = p[h][j][i] = int(vals[0])
+    return p
+
+
+def table_from_recurrence(L):
+    """p[h][i][j] from L alone: A_{i+1} M = (A_1 A_i M - a_i A_i M -
+    b_{i-1} A_{i-1} M) / c_{i+1} on coefficient vectors."""
+    d = len(L) - 1
+
+    def apply_l(v):
+        return [sum(row[g] * v[g] for g in range(d + 1)) for row in L]
+
+    p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for j in range(d + 1):
+        unit = [Fraction(1 if h == j else 0) for h in range(d + 1)]
+        ops = [unit, apply_l(unit)]
+        for i in range(1, d):
+            nxt = [
+                (x - L[i][i] * y - L[i - 1][i] * z) / L[i + 1][i]
+                for x, y, z in zip(apply_l(ops[i]), ops[i], ops[i - 1])
+            ]
+            ops.append(nxt)
+        for i in range(d + 1):
+            for h in range(d + 1):
+                p[h][i][j] = ops[i][h]
+    return p
+
+
+def _verdicts(ss):
+    names = ("minimal_polynomial_vanishes", "idempotency", "orthogonality")
+    return {c.name: c.passed for c in ss.checks.checks if c.name in names}
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 1), (2, 5, 2), (3, 4, 1), (3, 4, 2)])
+def test_algebra_checks_match_dense_oracle(q, n, d):
+    gc = build_graph(q, n, d)
+    assert gc.n_vertices <= 155
+    ss = spectral_system(gc)
+    ss.checks.require()
+    assert _verdicts(ss) == dense_spectral_oracle(ss)
+    assert all(dense_spectral_oracle(ss).values())
+    L, _ = structure_constants(gc)
+    dense = dense_product_table(gc)
+    assert table_from_recurrence(L) == dense
+    assert [[dense[h][1][g] for g in range(d + 1)] for h in range(d + 1)] == L
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 1), (3, 4, 2)])
+def test_wrong_eigenvalues_fail_both_paths(q, n, d, monkeypatch):
+    import qgrass.grassmann as grassmann
+
+    right = eigenvalue_formulas(q, n, d)
+    wrong = right[:-1] + [right[-1] - 1]
+    monkeypatch.setattr(grassmann, "eigenvalue_formulas", lambda *_: list(wrong))
+    ss = spectral_system(build_graph(q, n, d))
+    assert ss.theta == wrong
+    assert _verdicts(ss) == dense_spectral_oracle(ss)
+    assert not any(_verdicts(ss).values())
+
+
+# D >= 2: for D = 1 the idempotents read only column 0 of L, which is
+# fixed, so a corrupted a_1 never reaches the dense matrices
+@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 2), (3, 4, 2)])
+def test_corrupt_intersection_matrix_fails(q, n, d):
+    gc = build_graph(q, n, d)
+    L, _ = structure_constants(gc)
+    L[1][1] += 1
+    ss = spectral_system(gc)
+    algebra, dense = _verdicts(ss), dense_spectral_oracle(ss)
+    assert not algebra["minimal_polynomial_vanishes"]
+    # the dense minimal polynomial reads the built graph, not L, so it
+    # still vanishes; the idempotents come from L and fail either way
+    assert dense["minimal_polynomial_vanishes"]
+    assert not algebra["idempotency"]
+    assert not dense["idempotency"]
 
 
 def test_exact_int_product_fallback():

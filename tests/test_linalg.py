@@ -79,12 +79,6 @@ class TestMatrixBasics:
         with pytest.raises(TypeError):
             ExactMatrix.from_rows([[1.0, 2], [3, 4]])
 
-    def test_hadamard(self):
-        m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-        j = ExactMatrix.ones(2, 2)
-        assert m.hadamard(j).equals(m)
-        assert m.hadamard(ExactMatrix.zeros(2, 2)).is_zero()
-
     def test_trace_and_transpose(self):
         m = ExactMatrix.from_rows([[1, 2], [3, Fraction(5, 2)]])
         assert m.trace() == Fraction(7, 2)
@@ -132,6 +126,12 @@ class TestProductPaths:
         c = a @ b
         assert c[0, 0] == big * big + 1
         assert c[1, 1] == big
+
+    def test_guard_catches_int64_overflow(self):
+        # the entries fit in int64 but the dot product 2 * 2^62 does not
+        a = ExactMatrix.from_rows([[2**31, 2**31]])
+        b = ExactMatrix.from_rows([[2**31], [2**31]])
+        assert (a @ b)[0, 0] == 2**63
 
     def test_fraction_product(self):
         a = ExactMatrix.from_rows([[Fraction(1, 3), Fraction(2, 3)]])

@@ -249,6 +249,38 @@ class TestCache:
         ctx2 = GeometryContext(2, 5, 2, cache_dir=str(tmp_path))
         assert ctx2.table(2) == tab
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text.replace("1 ", "x ", 1),  # non-numeric dimension
+            lambda text: text.replace("0", "a", 1),  # non-numeric digit
+            lambda text: "2 4 1 1x\n" + text.split("\n", 1)[1],  # header
+            lambda text: text[: len(text) // 2] + "\xe9",  # non-ASCII byte
+        ],
+        ids=["dimension", "digit", "header", "non_ascii"],
+    )
+    def test_unparsable_fields(self, tmp_path, corrupt):
+        tab = enumerate_subspaces(2, 4, 1)
+        path = tmp_path / "t.txt"
+        save_table(str(path), 2, 4, 1, tab)
+        path.write_text(corrupt(path.read_text()), encoding="latin-1")
+        with pytest.raises(InvalidParameters):
+            load_table(str(path), 2, 4, 1)
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        tab = enumerate_subspaces(2, 4, 1)
+        path = tmp_path / "t.txt"
+        broken = tab[:5] + [None] + tab[5:]  # the write dies on the sixth line
+        with pytest.raises(AttributeError):
+            save_table(str(path), 2, 4, 1, broken)
+        assert list(tmp_path.iterdir()) == []
+        # a failed rewrite keeps the complete table that was there
+        save_table(str(path), 2, 4, 1, tab)
+        with pytest.raises(AttributeError):
+            save_table(str(path), 2, 4, 1, broken)
+        assert list(tmp_path.iterdir()) == [path]
+        assert load_table(str(path), 2, 4, 1) == tab
+
     def test_digit_format_needs_small_q(self, tmp_path):
         tab = enumerate_subspaces(11, 2, 1)
         with pytest.raises(InvalidParameters):
