@@ -2,8 +2,9 @@
 
 Vertices are the D-dimensional subspaces of F_q^N, adjacent when they
 meet in dimension D - 1, so graph distance is D - dim(y meet z).  The
-module builds the distance matrix, verifies the D integer products
-A_1 A_g on dense matrices, and keeps their intersection matrix L
+module builds the distance matrix from the Gram product of the point
+incidence matrix (common point counts q^dim(y meet z)), verifies the D
+0/1 products A_1 A_g on dense matrices, and keeps their intersection matrix L
 (multiplication by A_1 on coefficient vectors over A_0..A_D).  Every
 spectral claim is then checked in that (D+1)-dimensional distance
 (Bose-Mesner) algebra: the minimal polynomial of the closed-form
@@ -30,10 +31,17 @@ from .linalg import (
     invert_fraction_matrix,
     rank_exact,
     rank_mod_prime,
+    row_blocks,
 )
 from .qarith import q_binomial, q_int
 from .report import CheckSet
-from .subspaces import DEFAULT_POSET_CAP, DEFAULT_TABLE_CAP, GeometryContext, dim_of_mask
+from .subspaces import (
+    DEFAULT_POSET_CAP,
+    DEFAULT_TABLE_CAP,
+    GeometryContext,
+    dims_of_counts,
+    point_incidence,
+)
 
 RANK_VERIFY_LIMIT = 60
 BFS_FULL_LIMIT = 1000
@@ -43,8 +51,7 @@ _BFS_SEED = 20240
 
 
 class GraphContext:
-    """A built Grassmann graph: vertex table, exact distance matrix, and
-    cached distance-class matrices."""
+    """A built Grassmann graph: vertex table and exact distance matrix."""
 
     def __init__(self, geometry: GeometryContext, dist: np.ndarray, checks: CheckSet):
         self.geometry = geometry
@@ -57,16 +64,9 @@ class GraphContext:
         self.x_index = geometry.index_of(geometry.x)
         self.boundary = geometry.ambient == 2 * geometry.d
         self.build_checks = checks
-        self._a64: dict[int, np.ndarray] = {}
         self._adjacency: list[list[int]] | None = None
         self._L = None
         self._L_checks = None
-
-    def a64(self, i: int) -> np.ndarray:
-        """Distance-i indicator matrix as int64 (entries 0/1)."""
-        if i not in self._a64:
-            self._a64[i] = (self.dist == i).astype(np.int64)
-        return self._a64[i]
 
     def distance_matrix(self, i: int) -> ExactMatrix:
         return ExactMatrix.from_class_values(
@@ -83,16 +83,18 @@ class GraphContext:
 
 
 def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
-    """All-pairs breadth-first distances by repeated boolean expansion,
-    compared with the meet-dimension distances."""
+    """All-pairs breadth-first distances by repeated boolean expansion
+    (0/1 products with the adjacency matrix), compared with the
+    meet-dimension distances."""
     n = gc.n_vertices
-    adj64 = gc.a64(1)
+    adj = gc.dist == 1
     cur = np.eye(n, dtype=bool)
     bfs = np.full((n, n), -1, dtype=np.int16)
     np.fill_diagonal(bfs, 0)
     for t in range(1, gc.d + 1):
-        nxt = (cur.astype(np.int64) @ adj64) > 0
-        nxt |= cur
+        nxt = cur.copy()
+        for rows in row_blocks(n, n):
+            nxt[rows] |= exact_int_product(cur[rows], adj, n) > 0
         newly = nxt & ~cur
         if not newly.any():
             break
@@ -160,15 +162,13 @@ def build_graph(
     )
     vertices = geometry.table(d)
     nv = len(vertices)
-    masks = [v.mask for v in vertices]
-    dist = np.zeros((nv, nv), dtype=np.int16)
-    for a in range(nv):
-        ma = masks[a]
-        row = dist[a]
-        for b in range(a + 1, nv):
-            ddd = d - dim_of_mask(ma & masks[b], q)
-            row[b] = ddd
-            dist[b, a] = ddd
+    # common point counts are q^dim(y meet z); any other count raises
+    npoints = q**n
+    inc = point_incidence(vertices, npoints)
+    dist = np.empty((nv, nv), dtype=np.int16)
+    for rows in row_blocks(nv, nv):
+        counts = exact_int_product(inc[rows], inc.T, npoints)
+        dist[rows] = d - dims_of_counts(counts, q, d)
     cs = CheckSet(f"graph build q={q} N={n} D={d}")
     cs.check("vertex_count", q_binomial(n, d, q), nv)
     cs.check_true("distance_range", bool(((dist >= 0) & (dist <= d)).all()))
@@ -197,6 +197,10 @@ def structure_constants(gc: GraphContext):
     products A_1 A_g (g = 1..D) and verified class by class.  Column 0
     is A_1 A_0 = A_1, which needs no product once A_0 = I is checked.
 
+    A_g is the bool matrix dist == g, so the products run on the 0/1
+    branch of `exact_int_product`.  Each pair has one distance, so the
+    classes partition the pairs once every entry of dist lies in 0..D.
+
     L is multiplication by A_1 on coefficient vectors over A_0..A_D.
     The classes partition the pairs (checked) and are nonempty in a
     connected graph of diameter D, so the A_h have disjoint 0/1 supports
@@ -213,25 +217,34 @@ def structure_constants(gc: GraphContext):
     if gc._L is not None:
         return gc._L, gc._L_checks
     d = gc.d
+    n = gc.n_vertices
+    dist = gc.dist
     cs = CheckSet("distance algebra structure constants")
-    eye = np.eye(gc.n_vertices, dtype=np.int64)
-    cs.check_true("a0_is_identity", bool((gc.a64(0) == eye).all()))
-    total = sum(gc.a64(i) for i in range(d + 1))
-    cs.check_true("classes_partition_pairs", bool((total == 1).all()))
+    cs.check_true("a0_is_identity", bool(((dist == 0) == np.eye(n, dtype=bool)).all()))
+    cs.check_true("classes_partition_pairs", bool(((dist >= 0) & (dist <= d)).all()))
     L = [[1 if (h, g) == (1, 0) else 0 for g in range(d + 1)] for h in range(d + 1)]
+    adj = dist == 1
     ok = True
     witness = None
     for g in range(1, d + 1):
-        prod = exact_int_product(gc.a64(1), gc.a64(g), gc.n_vertices)
+        ag = dist == g
+        # an empty class has a zero matrix, so any coefficient works;
+        # zero keeps the table well defined
+        first = [None] * (d + 1)
+        for rows in row_blocks(n, n):
+            prod = exact_int_product(adj[rows], ag, n)
+            classes = dist[rows]
+            for h in range(d + 1):
+                vals = prod[classes == h]
+                if not vals.size:
+                    continue
+                if first[h] is None:
+                    first[h] = int(vals[0])
+                if not (vals == first[h]).all():
+                    ok = False
+                    witness = f"A_1A_{g} not constant on class {h}"
         for h in range(d + 1):
-            vals = prod[gc.dist == h]
-            # an empty class has a zero matrix, so any coefficient
-            # works; zero keeps the table well defined
-            v0 = int(vals[0]) if vals.size else 0
-            if not (vals == v0).all():
-                ok = False
-                witness = f"A_1A_{g} not constant on class {h}"
-            L[h][g] = v0
+            L[h][g] = first[h] if first[h] is not None else 0
     cs.check_true("products_constant_on_classes", ok, witness)
     gc._L = L
     gc._L_checks = cs
@@ -268,7 +281,7 @@ def intersection_numbers(gc: GraphContext):
     counted_c = [L[i][i - 1] if i > 0 else 0 for i in range(d + 1)]
     counted_a = [L[i][i] for i in range(d + 1)]
     k_counted = L[0][1]
-    rows = gc.a64(1).sum(axis=1)
+    rows = (gc.dist == 1).sum(axis=1)
     cs.check_true("valency_constant_rows", bool((rows == k_counted).all()))
     forms = intersection_number_formulas(q, n, d)
     cs.check("valency", forms.k, k_counted)

@@ -6,9 +6,11 @@ either grows the meet with x (slash) or not (backslash), and the two
 cover relations give two independent lowering operators L1, L2 with
 raising partners R1, R2 and grading operators K1, K2 whose diagonal
 entries are half-integer powers of q.  Everything is built twice where
-a relation is claimed: the raising operators come from their own scan
-and are then compared with the transposes, and the plain cover matrix
-must split exactly as L1 + L2.
+a relation is claimed: the lowering operators come from point-incidence
+products between consecutive layers (u < v when they share all points
+of u), the raising operators from their own bitwise subset test on
+packed point masks, and the two are compared as transposes; the plain
+cover matrix must split exactly as L1 + L2.
 
 Matrices are scipy sparse with int64 entries; the 0/1 data makes that
 exact.  K1 and K2 are kept as exponent vectors because their entries
@@ -23,9 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidType
+from .linalg import exact_int_product, row_blocks
 from .qarith import SqrtQScalar, q_binomial
 from .report import CheckSet
-from .subspaces import CoverType, GeometryContext
+from .subspaces import GeometryContext, dims_of_counts, mask_words, point_incidence
 
 
 def _sparse_equal(a, b) -> bool:
@@ -78,6 +81,34 @@ class PosetMatrices:
         return SqrtQScalar.of(self.geometry.q, 1, int(self.k2_half_exponents()[g]))
 
 
+def _cover_pairs(inc_lo: np.ndarray, inc_hi: np.ndarray, size_lo: int):
+    """Index arrays (a, b) of the pairs u_a < v_b between consecutive
+    layers, from chunked point-incidence products: u lies in v exactly
+    when they share all size_lo = q^l points of u."""
+    rows, cols = [], []
+    for blk in row_blocks(len(inc_lo), len(inc_hi)):
+        counts = exact_int_product(inc_lo[blk], inc_hi.T, inc_lo.shape[1])
+        a, b = np.nonzero(counts == size_lo)
+        rows.append(a + blk.start)
+        cols.append(b)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _raising_pairs(words_lo: np.ndarray, words_hi: np.ndarray, x_words: np.ndarray):
+    """Index arrays (b, a, slash) of the pairs w_a < v_b, found from above
+    by a bitwise subset test on packed point masks (no point of w
+    outside v), independently of `_cover_pairs`.  slash marks the covers
+    where v meets x in a point outside w, i.e. the meet with x grows."""
+    rows, cols, slash = [], [], []
+    for blk in row_blocks(len(words_hi), words_lo.size):
+        outside = words_lo[None, :, :] & ~words_hi[blk, None, :]
+        b, a = np.nonzero(~outside.any(axis=2))
+        slash.append((words_hi[blk][b] & x_words & ~words_lo[a]).any(axis=1))
+        rows.append(b + blk.start)
+        cols.append(a)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(slash)
+
+
 def build_poset_matrices(
     geometry: GeometryContext, force_partial: bool = False
 ) -> PosetMatrices:
@@ -97,48 +128,37 @@ def build_poset_matrices(
         offsets[l] = len(elements)
         elements.extend(geometry.table(l))
     m = len(elements)
-    ivec = np.empty(m, dtype=np.int64)
-    jvec = np.empty(m, dtype=np.int64)
-    for g, u in enumerate(elements):
-        i, j = geometry.pij(u)
-        ivec[g] = i
-        jvec[g] = j
+    npoints = q**n
+    incidence = {l: point_incidence(geometry.table(l), npoints) for l in dims}
+    words = {l: mask_words(geometry.table(l), npoints) for l in dims}
+    x_inc = point_incidence([geometry.x], npoints).T
+    x_words = mask_words([geometry.x], npoints)[0]
+    # i = dim(u meet x) from the common point count q^i
+    ivec = np.concatenate([
+        dims_of_counts(exact_int_product(incidence[l], x_inc, npoints)[:, 0], q, d)
+        for l in dims
+    ])
+    jvec = np.concatenate([np.full(len(geometry.table(l)), l) for l in dims]) - ivec
 
-    slash_rc: list[tuple[int, int]] = []
-    back_rc: list[tuple[int, int]] = []
-    cover_rc: list[tuple[int, int]] = []
-    raise_slash_rc: list[tuple[int, int]] = []
-    raise_back_rc: list[tuple[int, int]] = []
+    lo, hi, up, down, up_slash = [], [], [], [], []
     for l in dims:
         if l + 1 not in offsets:
             continue
-        low, high = geometry.table(l), geometry.table(l + 1)
-        off_lo, off_hi = offsets[l], offsets[l + 1]
-        for a, u in enumerate(low):
-            for b, v in enumerate(high):
-                if not u.is_subspace_of(v):
-                    continue
-                cover_rc.append((off_lo + a, off_hi + b))
-                t = geometry.cover_type(u, v)
-                if t is CoverType.SLASH:
-                    slash_rc.append((off_lo + a, off_hi + b))
-                else:
-                    back_rc.append((off_lo + a, off_hi + b))
-        # independent scan for the raising operators, from above
-        for b, v in enumerate(high):
-            for w in geometry.covered_by(v):
-                t = geometry.cover_type(w, v)
-                g = off_lo + geometry.index_of(w)
-                if t is CoverType.SLASH:
-                    raise_slash_rc.append((off_hi + b, g))
-                else:
-                    raise_back_rc.append((off_hi + b, g))
+        a, b = _cover_pairs(incidence[l], incidence[l + 1], q**l)
+        lo.append(offsets[l] + a)
+        hi.append(offsets[l + 1] + b)
+        b, a, slash = _raising_pairs(words[l], words[l + 1], x_words)
+        up.append(offsets[l + 1] + b)
+        down.append(offsets[l] + a)
+        up_slash.append(slash)
+    lo, hi, up, down, up_slash = (np.concatenate(v) for v in (lo, hi, up, down, up_slash))
+    # a cover grows the meet with x by one (slash) or not (backslash)
+    step = ivec[hi] - ivec[lo]
+    if not ((step == 0) | (step == 1)).all():
+        raise ArithmeticError("cover meet dimensions violate the cover dichotomy")
 
-    def to_csr(rc):
-        if not rc:
-            return sp.csr_matrix((m, m), dtype=np.int64)
-        rows, cols = zip(*rc)
-        data = np.ones(len(rc), dtype=np.int64)
+    def to_csr(rows, cols):
+        data = np.ones(rows.size, dtype=np.int64)
         return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
 
     pm = PosetMatrices(
@@ -148,11 +168,11 @@ def build_poset_matrices(
         offsets=offsets,
         ivec=ivec,
         jvec=jvec,
-        L1=to_csr(slash_rc),
-        L2=to_csr(back_rc),
-        R1=to_csr(raise_slash_rc),
-        R2=to_csr(raise_back_rc),
-        cover=to_csr(cover_rc),
+        L1=to_csr(lo[step == 1], hi[step == 1]),
+        L2=to_csr(lo[step == 0], hi[step == 0]),
+        R1=to_csr(up[up_slash], down[up_slash]),
+        R2=to_csr(up[~up_slash], down[~up_slash]),
+        cover=to_csr(lo, hi),
         partial=partial,
     )
 

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the rationals.
 
 Entries are Python ints and Fractions held in numpy object arrays.
-Integer products go through one kernel, `exact_int_product`: a checked
+Integer products go through one kernel, `exact_int_product`: popcounts
+of bit-packed rows when both operands are 0/1 (`bool`) arrays, a checked
 int64 fast path when the worst-case dot product provably fits in 63
 bits, otherwise arbitrary-precision object arithmetic.
 Elimination is fraction-free (Bareiss), so pivots and updates stay in
@@ -39,18 +40,64 @@ def _abs_max(arr: np.ndarray) -> int:
     return int(np.abs(arr).max())
 
 
+# Largest temporary, in bytes, of one block of a bit-packed product.
+_BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(rows: int, width: int):
+    """Slices of `rows` rows such that a block of `width` 8-byte entries
+    per row stays within _BLOCK_BYTES (at least one row per block)."""
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def _pack_rows(m: np.ndarray) -> np.ndarray:
+    """Rows of a bool matrix as zero-padded uint64 words."""
+    rows, cols = m.shape
+    words = -(-cols // 64)
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(m, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    pa = _pack_rows(a)
+    pb = _pack_rows(b.T)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for rows in row_blocks(a.shape[0], b.shape[1]):
+        block = out[rows]
+        for w in range(pa.shape[1]):
+            block += np.bitwise_count(pa[rows, w, None] & pb[None, :, w])
+    return out
+
+
 def exact_int_product(
     a: np.ndarray, b: np.ndarray, inner: int, amax=None, bmax=None
 ) -> np.ndarray:
-    """Exact product of two integer arrays (int64, or object arrays of
-    Python ints) sharing the dimension `inner`.
+    """Exact product of two integer arrays (bool, int64, or object arrays
+    of Python ints) sharing the dimension `inner`.
 
-    Every partial sum of a row-by-column dot product is bounded by
-    inner * amax * bmax, with amax and bmax the largest absolute entries
-    (computed when not given).  Below 2^62 the product runs in int64 and
-    cannot overflow, and the result is an int64 array; otherwise it
-    falls back to Python ints and the result is an object array.
+    When both operands are bool arrays, the rows of `a` and the columns
+    of `b` are packed into zero-padded uint64 words and each entry is
+    the popcount of their bitwise and, summed over the words, in row
+    blocks whose temporaries stay near 1 MiB.  For 0/1 entries a bit of
+    `row & col` is set exactly when both factors of a term of the dot
+    product are 1, so the popcount is the dot product; padding bits are
+    0 in both operands and add nothing; the count is at most `inner`,
+    so the int64 result is exact.
+
+    Otherwise every partial sum of a row-by-column dot product is
+    bounded by inner * amax * bmax, with amax and bmax the largest
+    absolute entries (computed when not given).  Below 2^62 the product
+    runs in int64 and cannot overflow, and the result is an int64 array;
+    otherwise it falls back to Python ints and the result is an object
+    array.
     """
+    if a.dtype == bool and b.dtype == bool:
+        if a.shape[1] != inner or b.shape[0] != inner:
+            raise DimensionMismatch(f"{a.shape} @ {b.shape} with inner {inner}")
+        return _bool_product(a, b)
     if amax is None:
         amax = _abs_max(a)
     if bmax is None:

@@ -33,17 +33,19 @@ from .linalg import (
     ExactMatrix,
     ExactVector,
     column_space_ops,
+    exact_int_product,
     in_span,
     rank_exact,
     rank_mod_prime,
+    row_blocks,
     span_rank,
 )
 from .qarith import q_binomial, q_int
 from .report import CheckSet
 from .subspaces import (
     CanonicalSubspace,
-    dim_of_mask,
     enumerate_subspaces,
+    point_incidence,
     subspace_from_rows,
 )
 
@@ -470,7 +472,7 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
             for ib, b in enumerate(alphas)
             if ib != ia
             and b.dim == a.dim
-            and dim_of_mask(masks[ia] & masks[ib], q) == a.dim - 1
+            and q * (masks[ia] & masks[ib]).bit_count() == masks[ia].bit_count()
         ]
 
     ok = True
@@ -612,32 +614,40 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     """
     q, d = gc.q, gc.d
     cs = CheckSet(f"sphere fibrations q={q} N={gc.n} D={d}")
-    xmask = gc.geometry.x.mask
-    vmasks = [v.mask for v in gc.vertices]
+    npoints = q**gc.n
+    # rows: the points of each vertex inside x, so the Gram product of
+    # two rows counts the points of y meet z meet x, q^dim
+    x_points = point_incidence([gc.geometry.x], npoints)[0]
+    inside_x = point_incidence(gc.vertices, npoints)[:, x_points]
+    width = inside_x.shape[1]
     xrow = gc.dist[gc.x_index]
     counts = []
     sizes_per_i = []
     dichotomy_ok = True
     for i in range(d + 1):
         sphere = np.flatnonzero(xrow == i)
-        local = {int(v): k for k, v in enumerate(sphere)}
+        rows_x = inside_x[sphere]
         fiber_dsu = _DisjointSets(len(sphere))
         full_dsu = _DisjointSets(len(sphere))
-        for ka, va in enumerate(sphere):
-            row = gc.dist[va]
-            for vb in sphere[ka + 1 :]:
-                if row[vb] != 1:
-                    continue
-                kb = local[int(vb)]
-                full_dsu.union(ka, kb)
-                # the meet of adjacent same-sphere vertices cuts x in
-                # dimension D-i (same fiber) or D-i-1, nothing else; the
-                # classification is shared by both endpoints by symmetry
-                dmx = dim_of_mask(vmasks[va] & vmasks[vb] & xmask, q)
-                if dmx == d - i:
-                    fiber_dsu.union(ka, kb)
-                elif dmx != d - i - 1:
-                    dichotomy_ok = False
+        for blk in row_blocks(len(sphere), len(sphere)):
+            meets = exact_int_product(rows_x[blk], rows_x.T, width)
+            ka, kb = np.nonzero(gc.dist[np.ix_(sphere[blk], sphere)] == 1)
+            meet = meets[ka, kb]
+            ka += blk.start
+            keep = ka < kb
+            ka, kb, meet = ka[keep], kb[keep], meet[keep]
+            # the meet of adjacent same-sphere vertices cuts x in
+            # dimension D-i (same fiber) or D-i-1, nothing else; the
+            # classification is shared by both endpoints by symmetry
+            same = meet == q ** (d - i)
+            if i < d:
+                dichotomy_ok &= bool((same | (meet == q ** (d - i - 1))).all())
+            else:
+                dichotomy_ok &= bool(same.all())
+            for a, b in zip(ka.tolist(), kb.tolist()):
+                full_dsu.union(a, b)
+            for a, b in zip(ka[same].tolist(), kb[same].tolist()):
+                fiber_dsu.union(a, b)
 
         comp = {
             root: [int(sphere[k]) for k in members]

@@ -4,7 +4,10 @@ subspace x.
 Every subspace is stored as its reduced row echelon basis, so equality
 is tuple equality.  Each subspace also carries a bitmask over the q^N
 vectors of the ambient space; meets and containment reduce to integer
-bit operations, which keeps pair scans cheap at desk scale.
+bit operations.  Whole tables turn into bool point-incidence matrices
+(`point_incidence`) or packed uint64 words (`mask_words`), so pair
+relations become 0/1 products: the common point count of two subspaces
+is q^dim of their meet (`dims_of_counts`).
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import enum
 import os
 from itertools import combinations, product
+
+import numpy as np
 
 from .errors import InvalidParameters, SizeCapExceeded
 from .qarith import FieldContext, q_binomial, q_int
@@ -135,6 +140,44 @@ def dim_of_mask(mask: int, q: int) -> int:
     if m != pc:
         raise ArithmeticError(f"point count {pc} is not a power of {q}")
     return d
+
+
+def dims_of_counts(counts: np.ndarray, q: int, top: int) -> np.ndarray:
+    """Dimensions k with counts == q^k, elementwise, for point counts of
+    subspaces of dimension at most `top`; the array form of dim_of_mask."""
+    lookup = np.full(q**top + 1, -1, dtype=np.int64)
+    for k in range(top + 1):
+        lookup[q**k] = k
+    counts = np.asarray(counts)
+    dims = np.full(counts.shape, -1, dtype=np.int64)
+    inside = (counts >= 0) & (counts < lookup.size)
+    dims[inside] = lookup[counts[inside]]
+    if (dims < 0).any():
+        bad = int(counts[dims < 0].flat[0])
+        raise ArithmeticError(f"point count {bad} is not a power of {q} up to {q}^{top}")
+    return dims
+
+
+def _mask_bytes(subspaces, npoints: int) -> np.ndarray:
+    """Point masks as rows of little-endian bytes, zero-padded to whole
+    64-bit words."""
+    width = 8 * -(-npoints // 64)
+    buf = b"".join(s.mask.to_bytes(width, "little") for s in subspaces)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(subspaces), width)
+
+
+def mask_words(subspaces, npoints: int) -> np.ndarray:
+    """Point masks as rows of uint64 words over the npoints = q^N vector
+    indices; bit p of a row is set when vector p lies in the subspace."""
+    return _mask_bytes(subspaces, npoints).view("<u8")
+
+
+def point_incidence(subspaces, npoints: int) -> np.ndarray:
+    """Bool point-incidence matrix: entry (r, p) is set when vector p
+    lies in subspace r.  Its Gram product counts common points, q^dim of
+    the meet."""
+    bits = np.unpackbits(_mask_bytes(subspaces, npoints), axis=1, bitorder="little")
+    return bits[:, :npoints].astype(bool)
 
 
 def dim_meet(u: CanonicalSubspace, v: CanonicalSubspace) -> int:
@@ -418,12 +461,6 @@ class GeometryContext:
         if u.dim == self.ambient:
             return []
         return [v for v in self.table(u.dim + 1) if u.is_subspace_of(v)]
-
-    def covered_by(self, u: CanonicalSubspace):
-        """Subspaces w with w < u and dim w = dim u - 1."""
-        if u.dim == 0:
-            return []
-        return [w for w in self.table(u.dim - 1) if w.is_subspace_of(u)]
 
     def census(self, full_poset: bool = True) -> CheckSet:
         """Count the layers P_{i,j} and verify the structural facts that

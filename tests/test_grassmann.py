@@ -13,8 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qgrass import grassmann
 from qgrass.errors import InvalidParameters, InvalidQuadruple
 from qgrass.grassmann import (
+    _bfs_full_check,
     build_graph,
     dual_eigenvalue_formulas,
     eigenvalue_formulas,
@@ -29,6 +31,7 @@ from qgrass.grassmann import (
     tmodule_intersection_numbers,
 )
 from qgrass.linalg import ExactMatrix
+from qgrass.report import CheckSet
 from qgrass.subspaces import dim_of_mask
 
 J252_THETA = [42, 11, -3]
@@ -284,12 +287,14 @@ def dense_spectral_oracle(ss):
 
 
 def dense_product_table(gc):
-    """p[h][i][j] from all (D+1)(D+2)/2 dense products A_i A_j."""
+    """p[h][i][j] from all (D+1)(D+2)/2 dense products A_i A_j, as plain
+    int64 matmuls (entries at most |X|, far from overflow)."""
     d = gc.d
+    a64 = [(gc.dist == i).astype(np.int64) for i in range(d + 1)]
     p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(i, d + 1):
-            prod = exact_int_product(gc.a64(i), gc.a64(j), gc.n_vertices)
+            prod = a64[i] @ a64[j]
             for h in range(d + 1):
                 vals = prod[gc.dist == h]
                 assert (vals == vals[0]).all()
@@ -478,3 +483,53 @@ def test_tmodule_eigenvalue_oracle(q, n, d):
         got = charpoly_tridiag(a, b, c)
         want = poly_from_roots(theta[t : t + dw + 1])
         assert got == want, f"quadruple {(r, t, dw, e)}"
+
+
+def pair_loop_distances(gc):
+    """Test-only oracle: the distance matrix from one dim_of_mask call
+    per vertex pair, as build_graph computed it before the point
+    incidence product."""
+    masks = [v.mask for v in gc.vertices]
+    nv = len(masks)
+    dist = np.zeros((nv, nv), dtype=np.int16)
+    for a in range(nv):
+        for b in range(a + 1, nv):
+            dist[a, b] = dist[b, a] = gc.d - dim_of_mask(masks[a] & masks[b], gc.q)
+    return dist
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 2), (3, 4, 2)])
+def test_incidence_distances_match_pair_loop(q, n, d):
+    gc = build_graph(q, n, d)
+    gc.build_checks.require()
+    assert (gc.dist == pair_loop_distances(gc)).all()
+
+
+@pytest.mark.parametrize("true_dist", [1, 2])
+def test_corrupted_distance_fails_bfs_check(true_dist):
+    # the expansion reads its edges from dist == 1, so a corruption shows
+    # where it contradicts that graph's metric: a distinct pair at 0
+    gc = build_graph(2, 4, 2)
+    a, b = 0, int(np.flatnonzero(gc.dist[0] == true_dist)[0])
+    gc.dist[a, b] = gc.dist[b, a] = 0
+    cs = CheckSet("bfs")
+    _bfs_full_check(gc, cs)
+    verdicts = {c.name: c.passed for c in cs.checks}
+    assert verdicts == {
+        "bfs_reaches_every_pair": True,
+        "bfs_distances_match_meet_formula": False,
+    }
+
+
+def test_point_count_not_power_of_q_raises(monkeypatch):
+    # a common point count of 3 over F_2 is no subspace meet
+    real = grassmann.exact_int_product
+
+    def corrupt(a, b, inner, *args):
+        out = real(a, b, inner, *args)
+        out[0, -1] = 3
+        return out
+
+    monkeypatch.setattr(grassmann, "exact_int_product", corrupt)
+    with pytest.raises(ArithmeticError, match="not a power of 2"):
+        build_graph(2, 4, 2)

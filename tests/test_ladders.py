@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qgrass import ladders
 from qgrass.errors import InvalidType
 from qgrass.grassmann import tmodule_condition_violations
 from qgrass.ladders import (
@@ -15,7 +17,7 @@ from qgrass.ladders import (
     validate_type,
 )
 from qgrass.qarith import SqrtQScalar, q_binomial, q_int
-from qgrass.subspaces import GeometryContext
+from qgrass.subspaces import CoverType, GeometryContext
 
 from test_grassmann import J252_ADMISSIBLE, admissible_quadruples
 
@@ -189,3 +191,80 @@ def test_structural_check_names(poset25):
         "base_vertex_k1_entry",
         "base_vertex_k2_entry",
     } <= names
+
+
+def pair_scan_oracle(pm):
+    """Test-only oracle: the cover relations as build_poset_matrices
+    found them before the incidence products, by one is_subspace_of
+    test per pair of consecutive layers and cover_type per cover, with
+    the raising pairs from a second scan from above.  Returns sets of
+    global index pairs keyed like the PosetMatrices fields."""
+    geometry = pm.geometry
+    out = {name: set() for name in ("L1", "L2", "R1", "R2", "cover")}
+    for l in pm.dims:
+        if l + 1 not in pm.offsets:
+            continue
+        off_lo, off_hi = pm.offsets[l], pm.offsets[l + 1]
+        for a, u in enumerate(geometry.table(l)):
+            for b, v in enumerate(geometry.table(l + 1)):
+                if not u.is_subspace_of(v):
+                    continue
+                out["cover"].add((off_lo + a, off_hi + b))
+                kind = "L1" if geometry.cover_type(u, v) is CoverType.SLASH else "L2"
+                out[kind].add((off_lo + a, off_hi + b))
+        for b, v in enumerate(geometry.table(l + 1)):
+            for a, w in enumerate(geometry.table(l)):
+                if w.is_subspace_of(v):
+                    kind = "R1" if geometry.cover_type(w, v) is CoverType.SLASH else "R2"
+                    out[kind].add((off_hi + b, off_lo + a))
+    return out
+
+
+def nonzero_pairs(mat):
+    coo = mat.tocoo()
+    assert (coo.data == 1).all()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+@pytest.mark.parametrize(
+    "q,n,d,partial",
+    [(2, 5, 2, False), (2, 5, 2, True), (3, 4, 2, False), (2, 7, 1, True)],
+    ids=["F2^5-full", "F2^5-partial", "F3^4-full", "F2^7-partial"],
+)
+def test_incidence_covers_match_pair_scan(q, n, d, partial):
+    # F_3^4 (81 points) and F_2^7 (128) take two 64-bit words per mask;
+    # over F_2 no point has a scalar multiple in the other word
+    pm = build_poset_matrices(GeometryContext(q, n, d), force_partial=partial)
+    pm.checks.require()
+    oracle = pair_scan_oracle(pm)
+    for name, pairs in oracle.items():
+        assert nonzero_pairs(getattr(pm, name)) == pairs, name
+    geometry = pm.geometry
+    assert [(int(i), int(j)) for i, j in zip(pm.ivec, pm.jvec)] == [
+        geometry.pij(u) for u in pm.elements
+    ]
+
+
+@pytest.mark.parametrize("slash", [True, False], ids=["slash", "backslash"])
+def test_dropped_raising_pair_fails_transpose_check(monkeypatch, slash):
+    # drop the first raising pair of the given kind; only the transpose
+    # check of that kind may fail
+    real = ladders._raising_pairs
+    dropped = []
+
+    def lossy(words_lo, words_hi, x_words):
+        b, a, kinds = real(words_lo, words_hi, x_words)
+        hits = np.flatnonzero(kinds == slash)
+        if dropped or not hits.size:
+            return b, a, kinds
+        dropped.append((int(b[hits[0]]), int(a[hits[0]])))
+        keep = np.arange(b.size) != hits[0]
+        return b[keep], a[keep], kinds[keep]
+
+    monkeypatch.setattr(ladders, "_raising_pairs", lossy)
+    pm = build_poset_matrices(GeometryContext(2, 4, 2))
+    assert len(dropped) == 1
+    verdicts = {c.name: c.passed for c in pm.checks.checks}
+    hit, miss = ("slash", "backslash") if slash else ("backslash", "slash")
+    assert not verdicts[f"raising_is_transpose_of_lowering_{hit}"]
+    assert verdicts[f"raising_is_transpose_of_lowering_{miss}"]

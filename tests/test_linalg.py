@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgrass import linalg
 from qgrass.errors import DimensionMismatch
 from qgrass.linalg import (
     ExactMatrix,
     ExactVector,
     column_space_ops,
+    exact_int_product,
     in_span,
     intersect_column_spaces,
     invert_fraction_matrix,
@@ -151,6 +153,56 @@ class TestProductPaths:
         m = ExactMatrix.from_rows([[1, 2], [3, 4]])
         v = ExactVector([5, 6])
         assert (m @ v).tolist() == [17, 39]
+
+
+def random_bool_matrix(rng, rows, cols):
+    density = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+    return np.array(
+        [[rng.random() < density for _ in range(cols)] for _ in range(rows)], dtype=bool
+    ).reshape(rows, cols)
+
+
+class TestBoolProduct:
+    """The bit-packed popcount branch of exact_int_product against its
+    int64 branch on the same 0/1 entries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(0, 7),
+        st.sampled_from([0, 1, 2, 7, 63, 64, 65, 127, 128, 129, 130]),
+        st.integers(0, 7),
+    )
+    def test_matches_int64_branch(self, seed, rows, inner, cols):
+        rng = random.Random(seed)
+        a = random_bool_matrix(rng, rows, inner)
+        b = random_bool_matrix(rng, inner, cols)
+        got = exact_int_product(a, b, inner)
+        want = exact_int_product(a.astype(np.int64), b.astype(np.int64), inner)
+        assert got.dtype == np.int64 and want.dtype == np.int64
+        assert got.shape == (rows, cols)
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("inner", [1, 63, 64, 65, 128, 130])
+    def test_all_ones_count_inner(self, inner):
+        # every term is 1, so each entry is exactly `inner`
+        a = np.ones((3, inner), dtype=bool)
+        b = np.ones((inner, 2), dtype=bool)
+        assert (exact_int_product(a, b, inner) == inner).all()
+
+    def test_row_blocks_cover_every_row(self, monkeypatch):
+        # blocks of a few rows still assemble the whole product
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 64)
+        rng = random.Random(5)
+        a = random_bool_matrix(rng, 37, 130)
+        b = random_bool_matrix(rng, 130, 5)
+        assert len(list(linalg.row_blocks(37, 5))) > 1
+        want = a.astype(np.int64) @ b.astype(np.int64)
+        assert (exact_int_product(a, b, 130) == want).all()
+
+    def test_inner_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            exact_int_product(np.ones((2, 3), bool), np.ones((3, 2), bool), 4)
 
 
 class TestColumnSpace:

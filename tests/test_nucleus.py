@@ -30,7 +30,7 @@ from qgrass.nucleus import (
     verify_bases,
 )
 from qgrass.report import CheckSet
-from qgrass.subspaces import subspace_from_rows
+from qgrass.subspaces import dim_of_mask, subspace_from_rows
 
 
 def dense_oracle_pieces(ss):
@@ -296,6 +296,83 @@ def test_gamma_components_frozen(j252, fam252):
         "edge_meets_obey_cover_dichotomy",
         "fiber_vectors_supported_on_sphere",
     } <= names
+
+
+def pair_loop_fibers(gc):
+    """Test-only oracle: per sphere around x, the fibers (components of
+    the edges whose ends meet x in the same subspace) as sorted member
+    lists, the number of components under all edges, and whether every
+    edge obeys the cover dichotomy, from one dim_of_mask call per
+    adjacent pair as gamma_components computed them before the
+    incidence product."""
+    q, d = gc.q, gc.d
+    xmask = gc.geometry.x.mask
+    masks = [v.mask for v in gc.vertices]
+    xrow = gc.dist[gc.x_index]
+    fibers, full_counts, dichotomy = [], [], True
+    for i in range(d + 1):
+        sphere = [int(v) for v in np.flatnonzero(xrow == i)]
+        fiber = {v: {v} for v in sphere}
+        full = {v: {v} for v in sphere}
+
+        def join(parts, a, b):
+            if parts[a] is not parts[b]:
+                merged = parts[a] | parts[b]
+                for v in merged:
+                    parts[v] = merged
+
+        for ka, a in enumerate(sphere):
+            for b in sphere[ka + 1:]:
+                if gc.dist[a, b] != 1:
+                    continue
+                join(full, a, b)
+                dmx = dim_of_mask(masks[a] & masks[b] & xmask, q)
+                if dmx == d - i:
+                    join(fiber, a, b)
+                elif dmx != d - i - 1:
+                    dichotomy = False
+        fibers.append(sorted({tuple(sorted(p)) for p in fiber.values()}))
+        full_counts.append(len({id(p) for p in full.values()}))
+    return fibers, full_counts, dichotomy
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 2), (3, 4, 2)])
+def test_gamma_components_match_pair_loop(q, n, d):
+    gc = build_graph(q, n, d)
+    fam = build_alpha_family(gc)
+    rep = gamma_components(gc, fam)
+    rep.checks.require()
+    fibers, full_counts, dichotomy = pair_loop_fibers(gc)
+    assert dichotomy
+    assert rep.counts == [len(f) for f in fibers]
+    assert rep.component_sizes == [sorted(len(c) for c in f) for f in fibers]
+    assert full_counts[d] == 1
+    for i in range(d + 1):
+        meet_sets = sorted(
+            tuple(int(v) for v in np.flatnonzero(fam.meet[ia].a != 0))
+            for ia, a in enumerate(fam.alphas)
+            if a.dim == d - i
+        )
+        assert fibers[i] == meet_sets
+
+
+@pytest.mark.parametrize("outer", [False, True], ids=["inner-spheres", "outer-sphere"])
+def test_meet_count_off_the_dichotomy_fails(monkeypatch, outer):
+    # meet counts that are neither q^(D-i) nor q^(D-i-1): inner spheres
+    # inflated by q^2, or the outer sphere (where every count is 1) by 3
+    real = qgrass.nucleus.exact_int_product
+
+    def inflate(a, b, inner):
+        out = real(a, b, inner)
+        if (out.max(initial=0) <= 1) == outer:
+            return out * (3 if outer else 4)
+        return out
+
+    monkeypatch.setattr(qgrass.nucleus, "exact_int_product", inflate)
+    gc = build_graph(2, 4, 2)
+    rep = gamma_components(gc, build_alpha_family(gc))
+    verdicts = {c.name: c.passed for c in rep.checks.checks}
+    assert not verdicts["edge_meets_obey_cover_dichotomy"]
 
 
 def test_degenerate_line_case(j341, j341_spectral):
