@@ -69,6 +69,10 @@ _DEPENDENCIES = {
     "boundary": [],
 }
 
+# the suites that use the alpha family; its build checks are reported
+# once, by the first of them that runs
+FAMILY_SUITES = ["actions", "bases", "gamma"]
+
 IDENTITIES_LMAX = 12
 
 
@@ -99,7 +103,6 @@ class _Pipeline:
         self._ss = None
         self._nd = None
         self._fam = None
-        self._fam_checks_unclaimed = None
         self._gamma = None
 
     def gc(self):
@@ -131,17 +134,9 @@ class _Pipeline:
         return self._nd
 
     def family(self):
-        """The alpha family; its build checks are claimed once by the
-        first suite that uses the family."""
         if self._fam is None:
             self._fam = build_alpha_family(self.gc())
-            self._fam_checks_unclaimed = self._fam.checks
         return self._fam
-
-    def claim_family_checks(self):
-        out = self._fam_checks_unclaimed
-        self._fam_checks_unclaimed = None
-        return out
 
     def gamma(self):
         if self._gamma is None:
@@ -149,7 +144,11 @@ class _Pipeline:
         return self._gamma
 
 
-def _run_suite(name: str, pipe: _Pipeline, artifacts: dict, meta: dict) -> CheckSet:
+def _run_suite(
+    name: str, pipe: _Pipeline, artifacts: dict, meta: dict, family_checks: bool
+) -> CheckSet:
+    """Run one suite; family_checks adds the alpha family's build checks
+    to its entry."""
     cs = CheckSet(name)
     if name == "geometry":
         cs.extend(pipe.gc().build_checks)
@@ -165,24 +164,16 @@ def _run_suite(name: str, pipe: _Pipeline, artifacts: dict, meta: dict) -> Check
         cs.extend(kcs)
     elif name == "nucleus":
         cs.extend(pipe.nucleus().checks)
-    elif name == "actions":
+    elif name in FAMILY_SUITES:
         fam = pipe.family()
-        claimed = pipe.claim_family_checks()
-        if claimed is not None:
-            cs.extend(claimed)
-        cs.extend(verify_actions(pipe.spectral(), fam))
-    elif name == "bases":
-        fam = pipe.family()
-        claimed = pipe.claim_family_checks()
-        if claimed is not None:
-            cs.extend(claimed)
-        cs.extend(verify_bases(pipe.nucleus(), fam))
-    elif name == "gamma":
-        pipe.family()
-        claimed = pipe.claim_family_checks()
-        if claimed is not None:
-            cs.extend(claimed)
-        cs.extend(pipe.gamma().checks)
+        if family_checks:
+            cs.extend(fam.checks)
+        if name == "actions":
+            cs.extend(verify_actions(pipe.spectral(), fam))
+        elif name == "bases":
+            cs.extend(verify_bases(pipe.nucleus(), fam))
+        else:
+            cs.extend(pipe.gamma().checks)
     elif name == "halgebra":
         pm = build_poset_matrices(pipe.gc().geometry)
         cs.extend(pm.checks)
@@ -323,9 +314,12 @@ def _cmd_verify(args) -> int:
             "nucleus_paths": {},
         },
     }
+    family_owner = next((s for s in to_run if s in FAMILY_SUITES), None)
     for name in to_run:
         t0 = time.monotonic()
-        cs = _run_suite(name, pipe, report["artifacts"], report["meta"])
+        cs = _run_suite(
+            name, pipe, report["artifacts"], report["meta"], name == family_owner
+        )
         report["meta"]["timings"][name] = round(time.monotonic() - t0, 3)
         entry = cs.as_dict()
         entry["requested"] = name in requested

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import EigenvalueCollision, InvalidParameters, InvalidQuadruple
 from .linalg import (
     ExactMatrix,
-    ExactVector,
     exact_int_product,
     invert_fraction_matrix,
     rank_exact,
@@ -67,11 +66,6 @@ class GraphContext:
         self._adjacency: list[list[int]] | None = None
         self._L = None
         self._L_checks = None
-
-    def distance_matrix(self, i: int) -> ExactMatrix:
-        return ExactMatrix.from_class_values(
-            self.dist, {h: (1 if h == i else 0) for h in range(self.d + 1)}
-        )
 
     def adjacency_lists(self) -> list[list[int]]:
         if self._adjacency is None:
@@ -340,14 +334,6 @@ class SpectralSystem:
             den = den * c.denominator // math.gcd(den, c.denominator)
         values = {h: int(coeffs[h] * den) for h in range(self.gc.d + 1)}
         return ExactMatrix.from_class_values(self.gc.dist, values), den
-
-    def astar_diag(self) -> list[Fraction]:
-        xrow = self.gc.dist[self.gc.x_index]
-        return [self.theta_star[int(xrow[y])] for y in range(self.gc.n_vertices)]
-
-    def astar_apply(self, v: ExactVector) -> ExactVector:
-        diag = self.astar_diag()
-        return ExactVector(np.array([dv * vv for dv, vv in zip(diag, v.a)], dtype=object))
 
 
 def spectral_system(gc: GraphContext) -> SpectralSystem:

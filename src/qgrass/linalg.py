@@ -113,76 +113,6 @@ def _validate_entries(a: np.ndarray) -> None:
             raise TypeError(f"exact matrices hold int or Fraction entries, got {type(v)}")
 
 
-class ExactVector:
-    """Length-n vector of exact entries."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, entries, validate: bool = False):
-        if isinstance(entries, np.ndarray) and entries.dtype == object and entries.ndim == 1:
-            self.a = entries
-        else:
-            self.a = np.array(list(entries), dtype=object)
-        if validate:
-            _validate_entries(self.a)
-
-    @staticmethod
-    def zeros(n: int) -> "ExactVector":
-        return ExactVector(np.full(n, 0, dtype=object))
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i):
-        return self.a[i]
-
-    def __add__(self, other: "ExactVector") -> "ExactVector":
-        if self.n != other.n:
-            raise DimensionMismatch(f"vector sizes {self.n} and {other.n}")
-        return ExactVector(self.a + other.a)
-
-    def __sub__(self, other: "ExactVector") -> "ExactVector":
-        if self.n != other.n:
-            raise DimensionMismatch(f"vector sizes {self.n} and {other.n}")
-        return ExactVector(self.a - other.a)
-
-    def __mul__(self, scalar) -> "ExactVector":
-        return ExactVector(self.a * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactVector)
-            and self.n == other.n
-            and bool((self.a == other.a).all())
-        )
-
-    def __hash__(self):
-        return hash(tuple(self.a.tolist()))
-
-    def is_zero(self) -> bool:
-        return bool((self.a == 0).all())
-
-    def nonzero_indices(self):
-        return [i for i, v in enumerate(self.a) if v != 0]
-
-    def dot(self, other: "ExactVector"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"vector sizes {self.n} and {other.n}")
-        return sum(x * y for x, y in zip(self.a, other.a))
-
-    def tolist(self) -> list:
-        return list(self.a)
-
-    def __repr__(self) -> str:
-        return f"ExactVector({self.tolist()!r})"
-
-
 class ExactMatrix:
     """m x n matrix of exact entries in a numpy object array."""
 
@@ -205,6 +135,14 @@ class ExactMatrix:
     @staticmethod
     def from_rows(rows) -> "ExactMatrix":
         return ExactMatrix(rows, validate=True)
+
+    @staticmethod
+    def from_int_array(arr: np.ndarray) -> "ExactMatrix":
+        """The entries of a 2-D bool or integer array as Python ints,
+        with the integrality cache filled."""
+        return ExactMatrix(
+            _as_python_int_array(arr.astype(np.int64, copy=False)), _intmax=_abs_max(arr)
+        )
 
     @staticmethod
     def zeros(m: int, n: int) -> "ExactMatrix":
@@ -242,18 +180,6 @@ class ExactMatrix:
             intmax = max((abs(v) for v in present), default=0)
         return ExactMatrix(a, _intmax=intmax)
 
-    @staticmethod
-    def from_columns(cols: list[ExactVector]) -> "ExactMatrix":
-        if not cols:
-            raise DimensionMismatch("no columns given")
-        n = cols[0].n
-        a = np.empty((n, len(cols)), dtype=object)
-        for j, c in enumerate(cols):
-            if c.n != n:
-                raise DimensionMismatch("column lengths differ")
-            a[:, j] = c.a
-        return ExactMatrix(a)
-
     # -- basic structure ------------------------------------------------
     @property
     def shape(self):
@@ -262,9 +188,6 @@ class ExactMatrix:
     @property
     def T(self) -> "ExactMatrix":
         return ExactMatrix(self.a.T.copy(), _intmax=self._intmax)
-
-    def col(self, j: int) -> ExactVector:
-        return ExactVector(self.a[:, j].copy())
 
     def __getitem__(self, key):
         return self.a[key]
@@ -313,26 +236,19 @@ class ExactMatrix:
         return ExactMatrix(-self.a)
 
     def __matmul__(self, other):
-        if isinstance(other, ExactVector):
-            if self.shape[1] != other.n:
-                raise DimensionMismatch(f"{self.shape} @ vector of {other.n}")
-            return ExactVector(self._product(other.a.reshape(-1, 1), None)[:, 0])
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        return ExactMatrix(self._product(other.a, other))
-
-    def _product(self, b: np.ndarray, other) -> np.ndarray:
         k = self.shape[1]
-        if k == 0 or self.shape[0] == 0 or b.shape[1] == 0:
-            return np.full((self.shape[0], b.shape[1]), 0, dtype=object)
+        if k == 0 or self.shape[0] == 0 or other.shape[1] == 0:
+            return ExactMatrix.zeros(self.shape[0], other.shape[1])
         am = self._int_max()
-        bm = other._int_max() if other is not None else _int_max_of(b)
+        bm = other._int_max()
         if am is False or bm is False:
-            return np.dot(self.a, b)
-        c = exact_int_product(self.a, b, k, am, bm)
-        return c if c.dtype == object else _as_python_int_array(c)
+            return ExactMatrix(np.dot(self.a, other.a))
+        c = exact_int_product(self.a, other.a, k, am, bm)
+        return ExactMatrix(c if c.dtype == object else _as_python_int_array(c))
 
     def trace(self):
         if self.shape[0] != self.shape[1]:
@@ -350,7 +266,10 @@ class ExactMatrix:
         return bool((self.a == 0).all())
 
     def to_int_scaled(self):
-        """Return (M_int, den) with M = M_int / den and M_int integral."""
+        """Return (M_int, den) with M = M_int / den and M_int integral;
+        an integral matrix is returned as is."""
+        if self._int_max() is not False:
+            return self, 1
         den = 1
         for v in self.a.flat:
             if isinstance(v, Fraction):
@@ -372,19 +291,7 @@ class ExactMatrix:
         return f"ExactMatrix(shape={self.shape})"
 
 
-def _int_max_of(arr: np.ndarray):
-    m = 0
-    for v in arr.flat:
-        if type(v) is int:
-            av = -v if v < 0 else v
-            if av > m:
-                m = av
-        else:
-            return False
-    return m
-
-
-def primitive_int_vector(entries) -> ExactVector:
+def primitive_int_vector(entries) -> np.ndarray:
     """Scale a rational vector to a primitive integer vector: clear
     denominators, divide by the content, make the first nonzero entry
     positive.  The zero vector stays zero."""
@@ -405,7 +312,7 @@ def primitive_int_vector(entries) -> ExactVector:
             if v < 0:
                 ints = [-w for w in ints]
             break
-    return ExactVector(np.array(ints, dtype=object))
+    return np.array(ints, dtype=object)
 
 
 def _bareiss_echelon(a: np.ndarray):
@@ -453,17 +360,18 @@ def _bareiss_echelon(a: np.ndarray):
 class ColumnSpaceResult:
     rank: int
     pivot_columns: list[int]
-    column_basis: list[ExactVector]
-    nullspace_basis: list[ExactVector]
+    # rows: a basis of the nullspace, as primitive integer vectors
+    nullspace_basis: ExactMatrix
 
 
 def _nullspace_from_echelon(ech: np.ndarray, rank: int, pivots: list[int], ncols: int):
     """Back-substitute one basis vector per free column, as exact
-    Fractions, then normalize to primitive integer vectors."""
+    Fractions, then normalize to primitive integer vectors, the rows of
+    the result."""
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    out = []
-    for f in free:
+    out = np.full((len(free), ncols), 0, dtype=object)
+    for row, f in enumerate(free):
         v = {f: Fraction(1)}
         for k in range(rank - 1, -1, -1):
             pc = pivots[k]
@@ -478,32 +386,28 @@ def _nullspace_from_echelon(ech: np.ndarray, rank: int, pivots: list[int], ncols
             if s:
                 v[pc] = -s / ech[k, pc]
         vec = [v.get(c, Fraction(0)) for c in range(ncols)]
-        out.append(primitive_int_vector(vec))
-    return out
+        out[row] = primitive_int_vector(vec)
+    return ExactMatrix(out)
 
 
 def column_space_ops(
     m: ExactMatrix, want_nullspace: bool = True, check_nullspace: bool = True
 ) -> ColumnSpaceResult:
-    """Rank, a column basis, and an integer nullspace basis.
+    """Rank, pivot columns, and an integer nullspace basis.
 
-    The column basis consists of the original columns of m at the pivot
-    positions, normalized to primitive integer vectors (an exact member
-    of the column space either way).  Each nullspace vector is verified
-    against m exactly unless check_nullspace is False.
+    The original columns of m at the pivot positions are a basis of its
+    column space.  The nullspace basis is verified against m exactly,
+    by one product, unless check_nullspace is False.
     """
     scaled, _den = m.to_int_scaled()
     work = scaled.a.copy()
     rank, pivots = _bareiss_echelon(work)
-    basis = [primitive_int_vector(m.a[:, c]) for c in pivots]
-    nullspace: list[ExactVector] = []
+    nullspace = ExactMatrix.zeros(0, m.shape[1])
     if want_nullspace:
         nullspace = _nullspace_from_echelon(work, rank, pivots, m.shape[1])
-        if check_nullspace:
-            for v in nullspace:
-                if not (m @ v).is_zero():
-                    raise ArithmeticError("nullspace vector fails m @ v = 0")
-    return ColumnSpaceResult(rank, list(pivots), basis, nullspace)
+        if check_nullspace and not (m @ nullspace.T).is_zero():
+            raise ArithmeticError("nullspace vector fails m @ v = 0")
+    return ColumnSpaceResult(rank, list(pivots), nullspace)
 
 
 def rank_exact(m: ExactMatrix) -> int:
@@ -547,52 +451,35 @@ def rank_mod_prime(m: ExactMatrix, p: int = RANK_CERT_PRIME) -> int:
     return r
 
 
-def intersect_column_spaces(
-    basis_a: list[ExactVector], basis_b: list[ExactVector], length: int | None = None
-) -> list[ExactVector]:
-    """Basis of span(A) meet span(B), from the nullspace of [A | -B].
+def intersect_column_spaces(a_mat: ExactMatrix, b_mat: ExactMatrix) -> ExactMatrix:
+    """Basis of col(A) meet col(B), as the columns of the result, from
+    the nullspace of [A | -B].
 
-    A nullspace vector (a, b) satisfies A a = B b, so A a runs over the
-    intersection; the images are reduced to a basis of primitive integer
-    vectors.
+    A nullspace vector (u, w) satisfies A u = B w, so A u runs over the
+    intersection; the pivot columns among these images are a basis, each
+    normalized to a primitive integer vector.
     """
-    if not basis_a or not basis_b:
-        return []
-    n = basis_a[0].n
-    if length is not None and length != n:
-        raise DimensionMismatch("basis vectors have unexpected length")
-    a_mat = ExactMatrix.from_columns(basis_a)
-    b_mat = ExactMatrix.from_columns(basis_b)
-    if b_mat.shape[0] != n:
+    if a_mat.shape[0] != b_mat.shape[0]:
         raise DimensionMismatch("the two bases live in different spaces")
     stacked = np.concatenate([a_mat.a, -b_mat.a], axis=1)
-    result = column_space_ops(ExactMatrix(stacked), check_nullspace=True)
-    images = []
-    for v in result.nullspace_basis:
-        img = a_mat @ ExactVector(v.a[: len(basis_a)])
-        if not img.is_zero():
-            images.append(img)
-    if not images:
-        return []
-    reduced = column_space_ops(ExactMatrix.from_columns(images), want_nullspace=False)
-    return reduced.column_basis
+    null = column_space_ops(ExactMatrix(stacked)).nullspace_basis
+    images = a_mat @ ExactMatrix(null.a[:, : a_mat.shape[1]].T)
+    pivots = column_space_ops(images, want_nullspace=False).pivot_columns
+    out = np.full((a_mat.shape[0], len(pivots)), 0, dtype=object)
+    for j, c in enumerate(pivots):
+        out[:, j] = primitive_int_vector(images.a[:, c])
+    return ExactMatrix(out)
 
 
-def span_rank(vectors: list[ExactVector]) -> int:
-    if not vectors:
-        return 0
-    return rank_exact(ExactMatrix.from_columns(vectors))
+def span_rank(*families: ExactMatrix) -> int:
+    """Dimension of the span of the rows of all the given matrices."""
+    return rank_exact(ExactMatrix(np.concatenate([f.a for f in families], axis=0)))
 
 
-def in_span(basis: list[ExactVector], v: ExactVector) -> bool:
-    """Exact membership test by rank comparison."""
-    if v.is_zero():
-        return True
-    if not basis:
-        return False
-    r0 = span_rank(basis)
-    r1 = span_rank(basis + [v])
-    return r0 == r1
+def in_span(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
+    """Whether every row of `vectors` lies in the row span of `basis`,
+    by one rank comparison."""
+    return span_rank(basis) == span_rank(basis, vectors)
 
 
 def invert_fraction_matrix(rows: list[list]) -> list[list[Fraction]]:

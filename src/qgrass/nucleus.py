@@ -23,6 +23,7 @@ spheres around x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ import numpy as np
 from .grassmann import GraphContext, SpectralSystem, build_graph, spectral_system
 from .linalg import (
     ExactMatrix,
-    ExactVector,
     column_space_ops,
     exact_int_product,
     in_span,
@@ -73,28 +73,19 @@ class _DisjointSets:
         return out
 
 
-def _unit_vector(n: int, pos: int) -> ExactVector:
-    a = np.full(n, 0, dtype=object)
-    a[pos] = 1
-    return ExactVector(a)
-
-
-def containment_vectors(gc: GraphContext, alphas: list[CanonicalSubspace]) -> list[ExactVector]:
-    """Vee vectors: for each alpha, the 0/1 indicator of the vertices
-    containing alpha."""
+def containment_vectors(gc: GraphContext, alphas: list[CanonicalSubspace]) -> np.ndarray:
+    """Vee vectors: row a is the 0/1 indicator of the vertices containing
+    alphas[a]."""
     vmasks = [v.mask for v in gc.vertices]
-    out = []
-    for a in alphas:
-        am = a.mask
-        ind = np.fromiter(((am | m) == m for m in vmasks), dtype=bool, count=len(vmasks))
-        out.append(ExactVector(np.where(ind, 1, 0).astype(object)))
-    return out
+    rows = [[(a.mask | m) == m for m in vmasks] for a in alphas]
+    return np.array(rows, dtype=bool).reshape(len(alphas), len(vmasks))
 
 
 @dataclass
 class NucleusResult:
     gc: GraphContext
-    bases: list[list[ExactVector]]
+    # one matrix per piece N_i, its rows a basis
+    bases: list[ExactMatrix]
     dims: list[int]
     estar_dims: list[int]
     e_dims: list[int]
@@ -109,8 +100,8 @@ class NucleusResult:
     def dimension(self) -> int:
         return sum(self.dims)
 
-    def combined_basis(self) -> list[ExactVector]:
-        return [v for basis in self.bases for v in basis]
+    def combined_basis(self) -> ExactMatrix:
+        return ExactMatrix(np.concatenate([b.a for b in self.bases]))
 
 
 def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> NucleusResult:
@@ -157,7 +148,9 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
     premise = ss.checks.ok
     alphas = subspaces_of_base(gc)
 
-    bases: list[list[ExactVector]] = [[_unit_vector(nv, gc.x_index)]]
+    base_vertex = np.zeros((1, nv), dtype=np.int64)
+    base_vertex[0, gc.x_index] = 1
+    bases = [ExactMatrix.from_int_array(base_vertex)]
     paths = ["base_vertex"]
     for i in range(1, d + 1):
         coeffs = [sum(ss.e_coeffs[t][h] for t in range(d - i + 1)) for h in range(d + 1)]
@@ -170,7 +163,7 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
 
         ball = np.flatnonzero(xrow <= i)
         if premise and i == d:
-            bases.append([ExactVector(np.full(nv, 1, dtype=object))])
+            bases.append(ExactMatrix.from_int_array(np.ones((1, nv), dtype=np.int64)))
             paths.append("constants")
             continue
         m_a = -f_num.a[:, ball]
@@ -178,22 +171,20 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
         m_ball = ExactMatrix(m_a)
         if premise:
             vees = containment_vectors(gc, [a for a in alphas if a.dim == d - i])
-            v_mat = ExactMatrix.from_columns(vees)
-            in_ball = not (v_mat.a[xrow > i] != 0).any()
-            fixed = (f_num @ v_mat).equals(den * v_mat)
+            v_cols = ExactMatrix.from_int_array(vees.T)
+            in_ball = not vees[:, xrow > i].any()
+            fixed = (f_num @ v_cols).equals(den * v_cols)
             upper = ball.size - rank_mod_prime(m_ball)
-            if in_ball and fixed and rank_mod_prime(v_mat) == len(vees) == upper:
-                bases.append(vees)
+            if in_ball and fixed and rank_mod_prime(v_cols) == len(vees) == upper:
+                bases.append(v_cols.T)
                 paths.append("squeeze")
                 continue
-        basis = []
-        for v in column_space_ops(m_ball).nullspace_basis:
-            full = np.full(nv, 0, dtype=object)
-            full[ball] = v.a
-            basis.append(ExactVector(full))
-        bases.append(basis)
+        null = column_space_ops(m_ball).nullspace_basis
+        basis = np.full((null.shape[0], nv), 0, dtype=object)
+        basis[:, ball] = null.a
+        bases.append(ExactMatrix(basis))
         paths.append("bareiss")
-    dims = [len(b) for b in bases]
+    dims = [b.shape[0] for b in bases]
 
     expected_dims = [q_binomial(d, i, q) for i in range(d + 1)]
     if assert_dims:
@@ -202,25 +193,17 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
         cs.record("piece_dimensions_expected_generic", expected_dims)
         cs.record("piece_dimensions_observed", dims)
 
-    combined = [v for basis in bases for v in basis]
-    total = len(combined)
-    cs.check("sum_is_direct", total, span_rank(combined))
+    total = sum(dims)
+    cs.check("sum_is_direct", total, span_rank(*bases))
     cs.record("dimension", total)
 
-    # layer dimensions through both kinds of idempotents
-    estar_dims = []
-    for r in range(d + 1):
-        ind = xrow == r
-        cut = [
-            ExactVector(np.where(ind, v.a, 0))
-            for v in combined
-        ]
-        estar_dims.append(span_rank([v for v in cut if not v.is_zero()]))
-    e_dims = []
-    for r in range(d + 1):
-        mr, _den = ss.idempotent_numerator(r)
-        imgs = [mr @ v for v in combined]
-        e_dims.append(span_rank([v for v in imgs if not v.is_zero()]))
+    # layer dimensions through both kinds of idempotents: the rank of the
+    # combined basis cut to each sphere, and of its image under each E_r
+    combined = ExactMatrix(np.concatenate([b.a for b in bases]))
+    estar_dims = [rank_exact(ExactMatrix(combined.a[:, xrow == r])) for r in range(d + 1)]
+    e_dims = [
+        rank_exact(ss.idempotent_numerator(r)[0] @ combined.T) for r in range(d + 1)
+    ]
     cs.check("layer_dimensions_agree", estar_dims, e_dims)
     if assert_dims:
         cs.check(
@@ -267,17 +250,23 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
 
 @dataclass
 class AlphaFamily:
+    """Both families as p x |X| 0/1 arrays, row a for alphas[a], and the
+    containment order of the alphas as a p x p 0/1 matrix: zeta[a, b]
+    when alphas[a] is a subspace of alphas[b]."""
+
     gc: GraphContext
     alphas: list[CanonicalSubspace]
     by_dim: dict[int, list[int]]
-    vee: list[ExactVector] = field(repr=False)
-    meet: list[ExactVector] = field(repr=False)
+    vee: np.ndarray = field(repr=False)
+    meet: np.ndarray = field(repr=False)
+    zeta: np.ndarray = field(repr=False)
     h_sizes: list[int] = field(default_factory=list)
     g_sizes: list[int] = field(default_factory=list)
     checks: CheckSet = None
 
-    def index_range(self, dim: int) -> list[int]:
-        return self.by_dim[dim]
+    @property
+    def dims(self) -> np.ndarray:
+        return np.array([a.dim for a in self.alphas])
 
 
 def subspaces_of_base(gc: GraphContext) -> list[CanonicalSubspace]:
@@ -305,14 +294,43 @@ def subspaces_of_base(gc: GraphContext) -> list[CanonicalSubspace]:
     return out
 
 
+def _mobius(zeta: np.ndarray, dims: np.ndarray, q: int) -> np.ndarray:
+    """The q-Moebius function of the subspace lattice of x as a p x p
+    object matrix: (-1)^g q^(g(g-1)/2), g = dim b - dim a, at every pair
+    with alphas[a] a subspace of alphas[b], and 0 elsewhere."""
+    out = np.full(zeta.shape, 0, dtype=object)
+    for a, b in zip(*np.nonzero(zeta)):
+        gap = int(dims[b] - dims[a])
+        out[a, b] = (-1) ** gap * q ** (gap * (gap - 1) // 2)
+    return out
+
+
+def _check_rows(cs: CheckSet, name: str, lhs: np.ndarray, rhs: np.ndarray, label) -> None:
+    """Check an identity of two arrays with one row per alpha; the
+    witness is label(a) for the last row a where they differ."""
+    bad = np.flatnonzero((lhs != rhs).any(axis=1))
+    cs.check_true(name, not bad.size, label(int(bad[-1])) if bad.size else None)
+
+
+def _alpha_label(a: int) -> str:
+    return f"alpha #{a}"
+
+
 def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     """Indicator vectors of both families, with the counting and
-    change-of-basis identities verified on the spot."""
+    change-of-basis identities verified on the spot.
+
+    A vertex contains alpha exactly when its meet with x does, so the
+    vee vector of alpha is the sum of the meet vectors of the subspaces
+    of x over it, vee = zeta meet, and Moebius inversion on the subspace
+    lattice of x turns that into meet = mobius vee.
+    """
     q, d = gc.q, gc.d
     nv = gc.n_vertices
     xmask = gc.geometry.x.mask
     vmasks = [v.mask for v in gc.vertices]
     alphas = subspaces_of_base(gc)
+    p = len(alphas)
     by_dim: dict[int, list[int]] = {l: [] for l in range(d + 1)}
     for idx, a in enumerate(alphas):
         by_dim[a.dim].append(idx)
@@ -320,20 +338,15 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     cs.check(
         "alpha_count",
         sum(q_binomial(d, l, q) for l in range(d + 1)),
-        len(alphas),
+        p,
     )
 
     vee = containment_vectors(gc, alphas)
-    h_sizes = [int(sum(v.a)) for v in vee]
-    meet = []
-    g_sizes = []
-    for a in alphas:
-        am = a.mask
-        meet_a = np.fromiter(
-            ((m & xmask) == am for m in vmasks), dtype=bool, count=nv
-        )
-        meet.append(ExactVector(np.where(meet_a, 1, 0).astype(object)))
-        g_sizes.append(int(meet_a.sum()))
+    meet = np.array(
+        [[(m & xmask) == a.mask for m in vmasks] for a in alphas], dtype=bool
+    ).reshape(p, nv)
+    h_sizes = vee.sum(axis=1).tolist()
+    g_sizes = meet.sum(axis=1).tolist()
 
     n_, d_ = gc.n, gc.d
     cs.check(
@@ -354,43 +367,25 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     )
 
     # triangular relations between the two families
-    sub_ok = True
-    witness = None
-    for ia, a in enumerate(alphas):
-        acc = ExactVector.zeros(nv)
-        for ib, b in enumerate(alphas):
-            if (a.mask | b.mask) == b.mask:
-                acc = acc + meet[ib]
-        if not (acc - vee[ia]).is_zero():
-            sub_ok = False
-            witness = f"alpha #{ia}"
-    cs.check_true("vee_expands_over_meets", sub_ok, witness)
-
-    inv_ok = True
-    witness = None
-    for ia, a in enumerate(alphas):
-        acc = ExactVector.zeros(nv)
-        for ib, b in enumerate(alphas):
-            if (a.mask | b.mask) == b.mask:
-                gap = b.dim - a.dim
-                coef = (-1) ** gap * q ** (gap * (gap - 1) // 2)
-                acc = acc + coef * vee[ib]
-        if not (acc - meet[ia]).is_zero():
-            inv_ok = False
-            witness = f"alpha #{ia}"
-    cs.check_true("meet_expands_over_vees", inv_ok, witness)
+    zeta = np.array(
+        [[(a.mask | b.mask) == b.mask for b in alphas] for a in alphas], dtype=bool
+    ).reshape(p, p)
+    dims = np.array([a.dim for a in alphas])
+    _check_rows(
+        cs, "vee_expands_over_meets", exact_int_product(zeta, meet, p), vee, _alpha_label
+    )
+    _check_rows(
+        cs,
+        "meet_expands_over_vees",
+        exact_int_product(_mobius(zeta, dims, q), vee, p),
+        meet,
+        _alpha_label,
+    )
 
     # the meet vector is the distance-sphere cut of the vee vector
-    cut_ok = True
-    witness = None
     xrow = gc.dist[gc.x_index]
-    for ia, a in enumerate(alphas):
-        ind = xrow == d - a.dim
-        cut = ExactVector(np.where(ind, vee[ia].a, 0))
-        if not (cut - meet[ia]).is_zero():
-            cut_ok = False
-            witness = f"alpha #{ia}"
-    cs.check_true("meet_is_sphere_cut_of_vee", cut_ok, witness)
+    cut = vee & (xrow[None, :] == d - dims[:, None])
+    _check_rows(cs, "meet_is_sphere_cut_of_vee", cut, meet, _alpha_label)
 
     return AlphaFamily(
         gc=gc,
@@ -398,6 +393,7 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
         by_dim=by_dim,
         vee=vee,
         meet=meet,
+        zeta=zeta,
         h_sizes=h_sizes,
         g_sizes=g_sizes,
         checks=cs,
@@ -406,30 +402,19 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
 
 def transition_matrices(fam: AlphaFamily):
     """The two triangular change-of-basis matrices over the subspace
-    poset of x, verified to be mutually inverse."""
-    q = fam.gc.q
-    alphas = fam.alphas
-    p = len(alphas)
-    t_vee = [[Fraction(0)] * p for _ in range(p)]
-    t_meet = [[Fraction(0)] * p for _ in range(p)]
-    for ia, a in enumerate(alphas):
-        for ib, b in enumerate(alphas):
-            if (a.mask | b.mask) == b.mask:
-                gap = b.dim - a.dim
-                t_vee[ia][ib] = Fraction(1)
-                t_meet[ia][ib] = Fraction((-1) ** gap * q ** (gap * (gap - 1) // 2))
+    poset of x, zeta and its q-Moebius function, verified to be mutually
+    inverse."""
+    p = len(fam.alphas)
+    t_vee = fam.zeta.astype(np.int64)
+    t_meet = _mobius(fam.zeta, fam.dims, fam.gc.q)
+    ident = np.eye(p, dtype=np.int64)
     cs = CheckSet("alpha family transitions")
-    ident = [[Fraction(1 if i == j else 0) for j in range(p)] for i in range(p)]
-    prod1 = [
-        [sum(t_vee[i][k] * t_meet[k][j] for k in range(p)) for j in range(p)]
-        for i in range(p)
-    ]
-    prod2 = [
-        [sum(t_meet[i][k] * t_vee[k][j] for k in range(p)) for j in range(p)]
-        for i in range(p)
-    ]
-    cs.check_true("vee_then_meet_is_identity", prod1 == ident)
-    cs.check_true("meet_then_vee_is_identity", prod2 == ident)
+    cs.check_true(
+        "vee_then_meet_is_identity", (exact_int_product(t_vee, t_meet, p) == ident).all()
+    )
+    cs.check_true(
+        "meet_then_vee_is_identity", (exact_int_product(t_meet, t_vee, p) == ident).all()
+    )
     return t_vee, t_meet, cs
 
 
@@ -437,108 +422,77 @@ def transition_matrices(fam: AlphaFamily):
 # exact operator actions on the two families
 
 
+def _integral(arr: np.ndarray, den: int) -> np.ndarray:
+    """den * arr as an object array of Python ints; den clears every
+    denominator in arr."""
+    return np.array([int(den * v) for v in arr.ravel().tolist()], dtype=object).reshape(
+        arr.shape
+    )
+
+
 def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     """The four operator identities, asserted with zero residual for
-    every subspace of the base vertex."""
+    every subspace of the base vertex.
+
+    Each is one identity of p x |X| arrays, op F = C F, with F a family
+    (one row per alpha) and C a p x p coefficient matrix over the
+    subspaces of x, built from the closed forms.  The left sides under
+    A are one 0/1 product of dist == 1 with both families.  A* is
+    diagonal, theta*_h at the vertices at distance h from x, so A* F
+    scales the columns of F.  Both sides are multiplied by den, the
+    least common denominator of the coefficients and the theta*, and
+    compared as integers.
+    """
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
+    nv = gc.n_vertices
+    p = len(fam.alphas)
+    dims = fam.dims
     cs = CheckSet(f"operator actions q={q} N={n} D={d}")
-    adj = gc.distance_matrix(1)
-    alphas = fam.alphas
-    masks = [a.mask for a in alphas]
+    # lower[a, b]: alphas[b] is a hyperplane of alphas[a].  Two distinct
+    # alphas of one dimension meet in a hyperplane of both exactly when
+    # they cover a common subspace, which is then their meet.
+    lower = fam.zeta.T & (dims[:, None] == dims[None, :] + 1)
+    upper = lower.T
+    sideways = (
+        (exact_int_product(lower, upper, p) > 0)
+        & (dims[:, None] == dims[None, :])
+        & ~np.eye(p, dtype=bool)
+    )
 
-    def under(ia):
-        """Indices of subspaces covered by alpha."""
-        a = alphas[ia]
-        return [
-            ib
-            for ib, b in enumerate(alphas)
-            if b.dim == a.dim - 1 and (b.mask | a.mask) == a.mask
-        ]
-
-    def over(ia):
-        a = alphas[ia]
-        return [
-            ib
-            for ib, b in enumerate(alphas)
-            if b.dim == a.dim + 1 and (a.mask | b.mask) == b.mask
-        ]
-
-    def sideways(ia):
-        """Same dimension, meeting alpha in a hyperplane of alpha."""
-        a = alphas[ia]
-        return [
-            ib
-            for ib, b in enumerate(alphas)
-            if ib != ia
-            and b.dim == a.dim
-            and q * (masks[ia] & masks[ib]).bit_count() == masks[ia].bit_count()
-        ]
-
-    ok = True
-    witness = None
-    for ia, a in enumerate(alphas):
-        i = a.dim
-        lhs = adj @ fam.vee[ia]
-        rhs = ss.theta[i] * fam.vee[ia]
-        for ib in under(ia):
-            rhs = rhs + q_int(d - i + 1, q) * fam.vee[ib]
-        if not (lhs - rhs).is_zero():
-            ok = False
-            witness = f"dim {i} alpha #{ia}"
-    cs.check_true("adjacency_on_vee", ok, witness)
-
-    ok = True
-    witness = None
-    for ia, a in enumerate(alphas):
-        i = a.dim
-        lhs = adj @ fam.meet[ia]
-        stay = q_int(d - i, q) * (q * q_int(n - d, q) - q_int(d - i, q))
-        rhs = stay * fam.meet[ia]
-        up = _qpow_fraction(q, 2 * d - 2 * i - 1) * q_int(n - 2 * d + i + 1, q)
-        for ib in over(ia):
-            rhs = rhs + up * fam.meet[ib]
-        side = _qpow_fraction(q, d - i)
-        for ib in sideways(ia):
-            rhs = rhs + side * fam.meet[ib]
-        down = q_int(d - i + 1, q)
-        for ib in under(ia):
-            rhs = rhs + down * fam.meet[ib]
-        if not (lhs - rhs).is_zero():
-            ok = False
-            witness = f"dim {i} alpha #{ia}"
-    cs.check_true("adjacency_on_meet", ok, witness)
-
-    ok = True
-    witness = None
-    for ia, a in enumerate(alphas):
-        lhs = ss.astar_apply(fam.meet[ia])
-        rhs = ss.theta_star[d - a.dim] * fam.meet[ia]
-        if not (lhs - rhs).is_zero():
-            ok = False
-            witness = f"dim {a.dim} alpha #{ia}"
-    cs.check_true("dual_adjacency_on_meet", ok, witness)
-
-    ok = True
-    witness = None
+    c_vee, c_meet, c_dual_meet, c_dual_vee = (
+        np.full((p, p), 0, dtype=object) for _ in range(4)
+    )
     dd = q_int(d, q)
     nd = q_int(n - d, q)
-    for ia, a in enumerate(alphas):
-        i = a.dim
-        lhs = ss.astar_apply(fam.vee[ia])
-        rhs = ss.theta_star[d - i] * fam.vee[ia]
-        coef = (
-            _qpow_fraction(q, -d + i + 1)
-            * q_int(n, q)
-            * q_int(n - 1, q)
-            / (dd * nd)
+    for a, i in enumerate(dims.tolist()):
+        c_vee[a, a] = ss.theta[i]
+        c_vee[a, lower[a]] = q_int(d - i + 1, q)
+        c_meet[a, a] = q_int(d - i, q) * (q * nd - q_int(d - i, q))
+        c_meet[a, upper[a]] = _qpow_fraction(q, 2 * d - 2 * i - 1) * q_int(n - 2 * d + i + 1, q)
+        c_meet[a, sideways[a]] = _qpow_fraction(q, d - i)
+        c_meet[a, lower[a]] = q_int(d - i + 1, q)
+        c_dual_meet[a, a] = ss.theta_star[d - i]
+        c_dual_vee[a, a] = ss.theta_star[d - i]
+        c_dual_vee[a, upper[a]] = (
+            _qpow_fraction(q, -d + i + 1) * q_int(n, q) * q_int(n - 1, q) / (dd * nd)
         )
-        for ib in over(ia):
-            rhs = rhs + coef * fam.vee[ib]
-        if not (lhs - rhs).is_zero():
-            ok = False
-            witness = f"dim {i} alpha #{ia}"
-    cs.check_true("dual_adjacency_on_vee", ok, witness)
+
+    coeffs = [c_vee, c_meet, c_dual_meet, c_dual_vee]
+    values = [*ss.theta_star, *np.concatenate([c.ravel() for c in coeffs])]
+    den = math.lcm(*(v.denominator for v in values))
+    both = np.concatenate([fam.vee, fam.meet])
+    adj = _integral(exact_int_product(gc.dist == 1, both.T, nv).T, den)
+    star = _integral(np.array(ss.theta_star, dtype=object), den)[gc.dist[gc.x_index]]
+    identities = [
+        ("adjacency_on_vee", adj[:p], c_vee, fam.vee),
+        ("adjacency_on_meet", adj[p:], c_meet, fam.meet),
+        ("dual_adjacency_on_meet", np.where(fam.meet, star, 0), c_dual_meet, fam.meet),
+        ("dual_adjacency_on_vee", np.where(fam.vee, star, 0), c_dual_vee, fam.vee),
+    ]
+    for name, lhs, c, family in identities:
+        rhs = exact_int_product(_integral(c, den), family, p)
+        _check_rows(cs, name, lhs, rhs, lambda a: f"dim {dims[a]} alpha #{a}")
     return cs
 
 
@@ -550,6 +504,19 @@ def _qpow_fraction(q: int, e: int):
 
 # ---------------------------------------------------------------------------
 # basis verification against the nucleus
+
+
+def _last_outside(basis: ExactMatrix, family: np.ndarray, rows: list[int]):
+    """The last of `rows` whose family vector lies outside the row span
+    of basis, or None: one rank comparison when all lie inside, then one
+    per row, from the last, to name the witness."""
+    if in_span(basis, ExactMatrix.from_int_array(family[rows])):
+        return None
+    return next(
+        a
+        for a in reversed(rows)
+        if not in_span(basis, ExactMatrix.from_int_array(family[[a]]))
+    )
 
 
 def verify_bases(nucleus: NucleusResult, fam: AlphaFamily) -> CheckSet:
@@ -566,26 +533,25 @@ def verify_bases(nucleus: NucleusResult, fam: AlphaFamily) -> CheckSet:
         cs.record("family_spans_nucleus", nucleus.dimension == p)
     else:
         cs.check("family_size_equals_dimension", nucleus.dimension, p)
-    cs.check("vee_family_rank", p, span_rank(fam.vee))
-    cs.check("meet_family_rank", p, span_rank(fam.meet))
+    cs.check("vee_family_rank", p, span_rank(ExactMatrix.from_int_array(fam.vee)))
+    cs.check("meet_family_rank", p, span_rank(ExactMatrix.from_int_array(fam.meet)))
 
-    ok = True
+    # the vee vectors of the (D-i)-dimensional alphas lie in piece i
+    outside = []
+    for i, piece in enumerate(nucleus.bases):
+        a = _last_outside(piece, fam.vee, fam.by_dim[d - i])
+        if a is not None:
+            outside.append(a)
     witness = None
-    for ia, a in enumerate(fam.alphas):
-        piece = nucleus.bases[d - a.dim]
-        if not in_span(piece, fam.vee[ia]):
-            ok = False
-            witness = f"alpha #{ia} not in piece {d - a.dim}"
-    cs.check_true("vee_vectors_lie_in_their_piece", ok, witness)
+    if outside:
+        a = max(outside)
+        witness = f"alpha #{a} not in piece {d - fam.alphas[a].dim}"
+    cs.check_true("vee_vectors_lie_in_their_piece", not outside, witness)
 
-    combined = nucleus.combined_basis()
-    ok = True
-    witness = None
-    for ia in range(p):
-        if not in_span(combined, fam.meet[ia]):
-            ok = False
-            witness = f"alpha #{ia}"
-    cs.check_true("meet_vectors_lie_in_nucleus", ok, witness)
+    last = _last_outside(nucleus.combined_basis(), fam.meet, list(range(p)))
+    cs.check_true(
+        "meet_vectors_lie_in_nucleus", last is None, None if last is None else f"alpha #{last}"
+    )
 
     _tv, _tm, tcs = transition_matrices(fam)
     cs.extend(tcs)
@@ -660,9 +626,7 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
         # vectors of the (D-i)-dimensional alphas
         comp_sets = sorted(tuple(sorted(v)) for v in comp.values())
         meet_sets = sorted(
-            tuple(int(v) for v in np.flatnonzero(fam.meet[ia].a != 0))
-            for ia, a in enumerate(fam.alphas)
-            if a.dim == d - i
+            tuple(np.flatnonzero(fam.meet[ia]).tolist()) for ia in fam.by_dim[d - i]
         )
         cs.check_true(f"components_match_meet_vectors_{i}", comp_sets == meet_sets)
         cs.check(f"component_count_{i}", q_binomial(d, i, q), len(comp))
@@ -671,13 +635,8 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     cs.check_true("edge_meets_obey_cover_dichotomy", dichotomy_ok)
 
     # fiber indicator vectors coincide with the meet vectors
-    ok = True
-    for ia, a in enumerate(fam.alphas):
-        i = d - a.dim
-        members = np.flatnonzero(fam.meet[ia].a != 0)
-        if not all(int(xrow[v]) == i for v in members):
-            ok = False
-    cs.check_true("fiber_vectors_supported_on_sphere", ok)
+    off_sphere = fam.meet & (xrow[None, :] != d - fam.dims[:, None])
+    cs.check_true("fiber_vectors_supported_on_sphere", not off_sphere.any())
     return GammaReport(counts=counts, component_sizes=sizes_per_i, checks=cs)
 
 

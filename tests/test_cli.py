@@ -64,6 +64,39 @@ def test_report_outside_meta_pinned(tmp_path, capsys, q, n, d):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[(q, n, d)]
 
 
+FAMILY_CHECKS = {
+    "alpha_count",
+    "containment_counts",
+    "fiber_counts",
+    "fibers_partition_vertices",
+    "vee_expands_over_meets",
+    "meet_expands_over_vees",
+    "meet_is_sphere_cut_of_vee",
+}
+
+
+@pytest.mark.parametrize(
+    "suites,owner",
+    [(["gamma"], "gamma"), (["bases", "gamma"], "bases"), (["all"], "actions")],
+)
+def test_family_checks_reported_once(tmp_path, capsys, suites, owner):
+    # the alpha family's build checks go to the first suite using it
+    out = tmp_path / "r.json"
+    argv = ["verify", "--q", "2", "--n", "4", "--d", "2", "--out", str(out)]
+    for s in suites:
+        argv += ["--suite", s]
+    assert main(argv) == 0
+    capsys.readouterr()
+    doc = _load(out)
+    carriers = [
+        (suite, c["name"])
+        for suite, entry in doc["suites"].items()
+        for c in entry["checks"]
+        if c["name"] in FAMILY_CHECKS
+    ]
+    assert sorted(carriers) == sorted((owner, name) for name in FAMILY_CHECKS)
+
+
 def test_reports_identical_outside_meta(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

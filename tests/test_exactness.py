@@ -12,7 +12,7 @@ import pytest
 import qgrass
 from qgrass.grassmann import build_graph, spectral_system
 from qgrass.ladders import build_poset_matrices
-from qgrass.linalg import ExactMatrix, ExactVector
+from qgrass.linalg import ExactMatrix
 from qgrass.nucleus import build_alpha_family, compute_nucleus, verify_actions, verify_bases
 
 MATH_MODULES = ["qarith", "subspaces", "grassmann", "linalg", "nucleus", "ladders"]
@@ -75,18 +75,18 @@ def test_math_module_has_no_float(module):
 
 
 def test_exact_objects_hold_int_or_fraction(monkeypatch):
-    """Every ExactMatrix and ExactVector built by the spectral system,
-    the nucleus, the alpha family and their action and basis checks on
-    J_2(4,2) holds only Python ints and Fractions."""
+    """Every ExactMatrix built by the spectral system, the nucleus, the
+    alpha family and their action and basis checks on J_2(4,2) holds
+    only Python ints and Fractions; every nucleus basis is one of them,
+    and the families and their containment order are 0/1 arrays."""
     built = []
-    for cls in (ExactMatrix, ExactVector):
-        init = cls.__init__
+    init = ExactMatrix.__init__
 
-        def recording_init(self, *args, _init=init, **kwargs):
-            _init(self, *args, **kwargs)
-            built.append(self)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
-        monkeypatch.setattr(cls, "__init__", recording_init)
+    monkeypatch.setattr(ExactMatrix, "__init__", recording_init)
     gc = build_graph(2, 4, 2)
     ss = spectral_system(gc)
     nd = compute_nucleus(ss)
@@ -95,12 +95,13 @@ def test_exact_objects_hold_int_or_fraction(monkeypatch):
     verify_bases(nd, fam)
     monkeypatch.undo()
     assert ss.checks.ok and nd.checks.ok and fam.checks.ok
-    kinds = {ExactMatrix: 0, ExactVector: 0}
+    assert built
     for obj in built:
-        kinds[type(obj)] += 1
         bad = {type(v).__name__ for v in obj.a.flat if type(v) not in (int, Fraction)}
-        assert not bad, f"{type(obj).__name__} of shape {obj.a.shape} holds {bad}"
-    assert all(kinds.values()), kinds
+        assert not bad, f"ExactMatrix of shape {obj.a.shape} holds {bad}"
+    assert all(any(basis is obj for obj in built) for basis in nd.bases)
+    for name in ("vee", "meet", "zeta"):
+        assert getattr(fam, name).dtype == bool, name
 
 
 def test_poset_operators_are_integer():

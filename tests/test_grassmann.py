@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qgrass import grassmann
 from qgrass.errors import InvalidParameters, InvalidQuadruple
@@ -33,6 +34,8 @@ from qgrass.grassmann import (
 from qgrass.linalg import ExactMatrix
 from qgrass.report import CheckSet
 from qgrass.subspaces import dim_of_mask
+
+from strategies import instances_with_base_vertex
 
 J252_THETA = [42, 11, -3]
 J252_MULT = [1, 30, 124]
@@ -268,7 +271,7 @@ def dense_spectral_oracle(ss):
     idempotents.  Returns the three verdicts."""
     gc, theta, d = ss.gc, ss.theta, ss.gc.d
     eye = ExactMatrix.identity(gc.n_vertices)
-    adj = gc.distance_matrix(1)
+    adj = ExactMatrix.from_class_values(gc.dist, {h: int(h == 1) for h in range(d + 1)})
     prod = adj - theta[0] * eye
     for t in theta[1:]:
         prod = prod @ (adj - t * eye)
@@ -505,6 +508,15 @@ def test_incidence_distances_match_pair_loop(q, n, d):
     assert (gc.dist == pair_loop_distances(gc)).all()
 
 
+@settings(max_examples=6, deadline=None)
+@given(instances_with_base_vertex())
+def test_incidence_distances_match_pair_loop_at_random_base_vertex(instance):
+    q, n, d, x_rows = instance
+    gc = build_graph(q, n, d, x_rows=x_rows)
+    gc.build_checks.require()
+    assert (gc.dist == pair_loop_distances(gc)).all()
+
+
 @pytest.mark.parametrize("true_dist", [1, 2])
 def test_corrupted_distance_fails_bfs_check(true_dist):
     # the expansion reads its edges from dist == 1, so a corruption shows
@@ -518,6 +530,26 @@ def test_corrupted_distance_fails_bfs_check(true_dist):
     assert verdicts == {
         "bfs_reaches_every_pair": True,
         "bfs_distances_match_meet_formula": False,
+    }
+
+
+def test_distance_two_rewritten_as_one_passes_bfs_check():
+    # known gap: the expansion takes its edges from dist == 1, so on a
+    # graph of diameter 2 a distance-2 pair rewritten as 1 is still the
+    # metric of its own edges; the distance-algebra checks catch it
+    gc = build_graph(2, 4, 2)
+    a, b = 0, int(np.flatnonzero(gc.dist[0] == 2)[0])
+    gc.dist[a, b] = gc.dist[b, a] = 1
+    cs = CheckSet("bfs")
+    _bfs_full_check(gc, cs)
+    assert cs.ok and {c.name for c in cs.checks} == {
+        "bfs_reaches_every_pair",
+        "bfs_distances_match_meet_formula",
+    }
+    _nums, ncs = intersection_numbers(gc)
+    assert {c.name for c in ncs.failures()} >= {
+        "products_constant_on_classes",
+        "valency_constant_rows",
     }
 
 

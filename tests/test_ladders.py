@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrass import ladders
 from qgrass.errors import InvalidType
@@ -19,6 +21,7 @@ from qgrass.ladders import (
 from qgrass.qarith import SqrtQScalar, q_binomial, q_int
 from qgrass.subspaces import CoverType, GeometryContext
 
+from strategies import instances_with_base_vertex
 from test_grassmann import J252_ADMISSIBLE, admissible_quadruples
 
 
@@ -240,6 +243,20 @@ def test_incidence_covers_match_pair_scan(q, n, d, partial):
     for name, pairs in oracle.items():
         assert nonzero_pairs(getattr(pm, name)) == pairs, name
     geometry = pm.geometry
+    assert [(int(i), int(j)) for i, j in zip(pm.ivec, pm.jvec)] == [
+        geometry.pij(u) for u in pm.elements
+    ]
+
+
+@settings(max_examples=6, deadline=None)
+@given(instances_with_base_vertex(), st.booleans())
+def test_incidence_covers_match_pair_scan_at_random_base_vertex(instance, partial):
+    q, n, d, x_rows = instance
+    geometry = GeometryContext(q, n, d, x_rows=x_rows)
+    pm = build_poset_matrices(geometry, force_partial=partial)
+    pm.checks.require()
+    for name, pairs in pair_scan_oracle(pm).items():
+        assert nonzero_pairs(getattr(pm, name)) == pairs, name
     assert [(int(i), int(j)) for i, j in zip(pm.ivec, pm.jvec)] == [
         geometry.pij(u) for u in pm.elements
     ]

@@ -10,7 +10,6 @@ from qgrass import linalg
 from qgrass.errors import DimensionMismatch
 from qgrass.linalg import (
     ExactMatrix,
-    ExactVector,
     column_space_ops,
     exact_int_product,
     in_span,
@@ -106,6 +105,17 @@ class TestMatrixBasics:
         scaled, den = m.to_int_scaled()
         assert den == 6
         assert scaled.a.tolist() == [[3, 18], [4, 0]]
+        # an integral matrix whose cache says so is its own scaling
+        ints = ExactMatrix.from_class_values(np.array([[0, 1]]), {0: 2, 1: -3})
+        assert ints.to_int_scaled() == (ints, 1)
+
+    def test_from_int_array(self):
+        m = ExactMatrix.from_int_array(np.array([[True, False], [False, True]]))
+        assert m.a.tolist() == [[1, 0], [0, 1]]
+        assert all(type(v) is int for v in m.a.flat)
+        assert m._int_max() == 1
+        big = ExactMatrix.from_int_array(np.array([[-(2**40), 7]], dtype=np.int64))
+        assert big.a.tolist() == [[-(2**40), 7]] and big._int_max() == 2**40
 
 
 class TestProductPaths:
@@ -148,11 +158,6 @@ class TestProductPaths:
         b_rows = random_int_matrix(rng, k, 4, -50, 50)
         got = (ExactMatrix.from_rows(a_rows) @ ExactMatrix.from_rows(b_rows)).a.tolist()
         assert got == naive_product(a_rows, b_rows)
-
-    def test_matrix_vector(self):
-        m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-        v = ExactVector([5, 6])
-        assert (m @ v).tolist() == [17, 39]
 
 
 def random_bool_matrix(rng, rows, cols):
@@ -209,20 +214,19 @@ class TestColumnSpace:
     def test_identity(self):
         res = column_space_ops(ExactMatrix.identity(4))
         assert res.rank == 4
-        assert res.nullspace_basis == []
+        assert res.nullspace_basis.shape == (0, 4)
 
     def test_zero_matrix(self):
         res = column_space_ops(ExactMatrix.zeros(3, 4))
         assert res.rank == 0
-        assert len(res.nullspace_basis) == 4
+        assert res.nullspace_basis.shape == (4, 4)
 
     def test_known_rank(self):
         m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
         res = column_space_ops(m)
         assert res.rank == 2
-        assert len(res.nullspace_basis) == 1
-        v = res.nullspace_basis[0]
-        assert (m @ v).is_zero()
+        assert res.nullspace_basis.shape == (1, 3)
+        assert (m @ res.nullspace_basis.T).is_zero()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6))
@@ -232,12 +236,12 @@ class TestColumnSpace:
         mat = ExactMatrix.from_rows(rows)
         res = column_space_ops(mat)
         assert res.rank == gauss_rank_fractions(rows)
-        assert res.rank + len(res.nullspace_basis) == n
-        for v in res.nullspace_basis:
-            assert (mat @ v).is_zero()
-        # every original column lies in the span of the returned basis
-        for j in range(n):
-            assert in_span(res.column_basis, mat.col(j))
+        assert res.rank + res.nullspace_basis.shape[0] == n
+        assert (mat @ res.nullspace_basis.T).is_zero()
+        # every original column lies in the span of the pivot columns
+        pivots = ExactMatrix(mat.a[:, res.pivot_columns].T)
+        assert span_rank(pivots) == res.rank
+        assert in_span(pivots, mat.T)
 
     def test_rational_matrix(self):
         m = ExactMatrix.from_rows(
@@ -246,27 +250,32 @@ class TestColumnSpace:
         assert rank_exact(m) == 1
 
     def test_column_basis_is_primitive(self):
+        # the pivot column spans the column space; the intersection
+        # oracle returns it as a primitive integer vector
         m = ExactMatrix.from_rows([[2, 0], [4, 0], [6, 0]])
         res = column_space_ops(m)
         assert res.rank == 1
-        assert res.column_basis[0].tolist() == [1, 2, 3]
+        assert res.pivot_columns == [0]
+        assert intersect_column_spaces(m, m).a.T.tolist() == [[1, 2, 3]]
 
 
 class TestSpanOps:
     def test_in_span(self):
-        e1 = ExactVector([1, 0, 0])
-        e2 = ExactVector([0, 1, 0])
-        assert in_span([e1, e2], ExactVector([3, -2, 0]))
-        assert not in_span([e1, e2], ExactVector([0, 0, 1]))
-        assert in_span([], ExactVector([0, 0, 0]))
-        assert not in_span([], ExactVector([1, 0, 0]))
+        basis = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
+        empty = ExactMatrix.zeros(0, 3)
+        assert in_span(basis, ExactMatrix.from_rows([[3, -2, 0]]))
+        assert in_span(basis, ExactMatrix.from_rows([[3, -2, 0], [0, 5, 0]]))
+        assert not in_span(basis, ExactMatrix.from_rows([[0, 0, 1]]))
+        assert not in_span(basis, ExactMatrix.from_rows([[1, 0, 0], [0, 0, 1]]))
+        assert in_span(empty, ExactMatrix.from_rows([[0, 0, 0]]))
+        assert not in_span(empty, ExactMatrix.from_rows([[1, 0, 0]]))
 
     def test_intersection_of_coordinate_spans(self):
-        e = [ExactVector([1 if i == j else 0 for i in range(4)]) for j in range(4)]
-        got = intersect_column_spaces([e[0], e[1]], [e[1], e[2]])
-        assert len(got) == 1
-        assert got[0].tolist() in ([0, 1, 0, 0], [0, -1, 0, 0])
-        assert intersect_column_spaces([e[0]], [e[1]]) == []
+        e = ExactMatrix.identity(4).a
+        got = intersect_column_spaces(ExactMatrix(e[:, [0, 1]]), ExactMatrix(e[:, [1, 2]]))
+        assert got.shape == (4, 1)
+        assert got.a.T.tolist() in ([[0, 1, 0, 0]], [[0, -1, 0, 0]])
+        assert intersect_column_spaces(ExactMatrix(e[:, [0]]), ExactMatrix(e[:, [1]])).shape == (4, 0)
 
     def test_intersection_dimension_formula(self):
         rng = random.Random(12)
@@ -274,20 +283,20 @@ class TestSpanOps:
             n = rng.randint(2, 6)
             ka = rng.randint(1, n)
             kb = rng.randint(1, n)
-            a_cols = [ExactVector([rng.randint(-4, 4) for _ in range(n)]) for _ in range(ka)]
-            b_cols = [ExactVector([rng.randint(-4, 4) for _ in range(n)]) for _ in range(kb)]
-            ra = span_rank(a_cols)
-            rb = span_rank(b_cols)
-            rab = span_rank(a_cols + b_cols)
+            a_cols = ExactMatrix.from_rows(random_int_matrix(rng, n, ka, -4, 4))
+            b_cols = ExactMatrix.from_rows(random_int_matrix(rng, n, kb, -4, 4))
+            ra = span_rank(a_cols.T)
+            rb = span_rank(b_cols.T)
+            rab = span_rank(a_cols.T, b_cols.T)
             inter = intersect_column_spaces(a_cols, b_cols)
-            assert len(inter) == ra + rb - rab
-            for v in inter:
-                assert in_span(a_cols, v) and in_span(b_cols, v)
+            assert inter.shape == (n, ra + rb - rab)
+            assert span_rank(inter.T) == inter.shape[1]
+            assert in_span(a_cols.T, inter.T) and in_span(b_cols.T, inter.T)
 
     def test_same_span_intersection(self):
-        cols = [ExactVector([1, 2, 3]), ExactVector([0, 1, 1])]
+        cols = ExactMatrix.from_rows([[1, 0], [2, 1], [3, 1]])
         inter = intersect_column_spaces(cols, cols)
-        assert len(inter) == 2
+        assert inter.shape == (3, 2)
 
 
 class TestHelpers:
@@ -305,13 +314,3 @@ class TestHelpers:
         assert eye == [[1, 0], [0, 1]]
         with pytest.raises(ArithmeticError):
             invert_fraction_matrix([[1, 2], [2, 4]])
-
-    def test_vector_ops(self):
-        a = ExactVector([1, 2, 3])
-        b = ExactVector([1, 0, -3])
-        assert (a + b).tolist() == [2, 2, 0]
-        assert (a - b).tolist() == [0, 2, 6]
-        assert (2 * a).tolist() == [2, 4, 6]
-        assert a.dot(b) == -8
-        assert ExactVector.zeros(3).is_zero()
-        assert a.nonzero_indices() == [0, 1, 2]

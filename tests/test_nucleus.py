@@ -4,15 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import qgrass.nucleus
 from qgrass.grassmann import build_graph, spectral_system
 from qgrass.ladders import alpha_dominant_multiplicity
 from qgrass.linalg import (
     ExactMatrix,
-    ExactVector,
     column_space_ops,
     intersect_column_spaces,
     span_rank,
@@ -30,53 +28,43 @@ from qgrass.nucleus import (
     verify_bases,
 )
 from qgrass.report import CheckSet
-from qgrass.subspaces import dim_of_mask, subspace_from_rows
+from qgrass.subspaces import dim_of_mask
+
+from strategies import instances_with_base_vertex
 
 
 def dense_oracle_pieces(ss):
     """Test-only reference for the nucleus pieces: the coordinate ball
     B_i intersected with the column space of E_0 + ... + E_{D-i}, both
-    spanned explicitly and intersected by exact elimination."""
+    spanned explicitly and intersected by exact elimination.  Each piece
+    is a matrix whose rows are a basis."""
     gc = ss.gc
     d, nv = gc.d, gc.n_vertices
     xrow = gc.dist[gc.x_index]
     pieces = []
     for i in range(d + 1):
-        coords = []
-        for y in np.flatnonzero(xrow <= i):
-            e = np.full(nv, 0, dtype=object)
-            e[y] = 1
-            coords.append(ExactVector(e))
+        coords = ExactMatrix.from_int_array(np.eye(nv, dtype=np.int64)[:, xrow <= i])
         if i == 0:
-            pieces.append(coords)
+            pieces.append(coords.T)
             continue
         values = {
             h: sum(ss.e_coeffs[t][h] for t in range(d - i + 1)) for h in range(d + 1)
         }
         f_mat = ExactMatrix.from_class_values(gc.dist, values)
-        f_cols = column_space_ops(f_mat, want_nullspace=False)
-        pieces.append(intersect_column_spaces(coords, f_cols.column_basis))
+        pivots = column_space_ops(f_mat, want_nullspace=False).pivot_columns
+        pieces.append(intersect_column_spaces(coords, ExactMatrix(f_mat.a[:, pivots])).T)
     return pieces
 
 
 def assert_same_pieces(nd, oracle):
-    assert nd.dims == [len(b) for b in oracle]
+    assert nd.dims == [b.shape[0] for b in oracle]
     for basis, ref in zip(nd.bases, oracle):
-        assert span_rank(basis) == len(basis)
-        assert span_rank(basis + ref) == len(ref)
+        assert span_rank(basis) == basis.shape[0]
+        assert span_rank(basis, ref) == ref.shape[0]
 
 
 def check_rows(cs):
     return [(c.name, c.expected, c.observed, c.passed) for c in cs.checks]
-
-
-@st.composite
-def instances_with_base_vertex(draw):
-    q, n, d = draw(st.sampled_from([(2, 4, 2), (2, 5, 2), (2, 5, 1), (3, 4, 1), (3, 4, 2)]))
-    row = st.tuples(*[st.integers(0, q - 1)] * n)
-    rows = draw(st.lists(row, min_size=d, max_size=d))
-    assume(subspace_from_rows(q, n, rows).dim == d)
-    return q, n, d, tuple(rows)
 
 
 @settings(max_examples=10, deadline=None)
@@ -145,18 +133,16 @@ def test_forced_bareiss_fallback(nucleus252, oracle252, j252_spectral, monkeypat
 def _unit_vectors_on_sphere_1(gc, alphas):
     """Inside the ball B_1 but not fixed by F_1."""
     sphere = np.flatnonzero(gc.dist[gc.x_index] == 1)
-    out = []
-    for y in sphere[: len(alphas)]:
-        e = np.full(gc.n_vertices, 0, dtype=object)
-        e[y] = 1
-        out.append(ExactVector(e))
+    out = np.zeros((len(alphas), gc.n_vertices), dtype=bool)
+    out[np.arange(len(alphas)), sphere[: len(alphas)]] = True
     return out
 
 
 def _ones_among_vees(gc, alphas):
     """Fixed by F_1 but not supported in the ball B_1."""
     vees = containment_vectors(gc, alphas)
-    return [ExactVector(np.full(gc.n_vertices, 1, dtype=object))] + vees[1:]
+    vees[0] = True
+    return vees
 
 
 @pytest.mark.parametrize("fake", [_unit_vectors_on_sphere_1, _ones_among_vees])
@@ -199,10 +185,10 @@ def test_nucleus_check_names(nucleus252):
 def test_nucleus_extreme_pieces(nucleus252, j252):
     # the bottom piece is the base vertex indicator, the top piece the
     # all-ones line
-    (bottom,) = nucleus252.bases[0]
-    assert list(np.flatnonzero(bottom.a != 0)) == [j252.x_index]
-    (top,) = nucleus252.bases[2]
-    vals = set(top.a.tolist())
+    (bottom,) = nucleus252.bases[0].a
+    assert list(np.flatnonzero(bottom != 0)) == [j252.x_index]
+    (top,) = nucleus252.bases[2].a
+    vals = set(top.tolist())
     assert len(vals) == 1 and 0 not in vals
 
 
@@ -237,9 +223,9 @@ def test_family_sizes_frozen(fam252):
 
 def test_family_extremes(fam252, j252):
     # the zero subspace sees every vertex; x sees itself twice over
-    assert all(v == 1 for v in fam252.vee[0].a.tolist())
-    assert list(np.flatnonzero(fam252.vee[-1].a != 0)) == [j252.x_index]
-    assert list(np.flatnonzero(fam252.meet[-1].a != 0)) == [j252.x_index]
+    assert all(v == 1 for v in fam252.vee[0].tolist())
+    assert list(np.flatnonzero(fam252.vee[-1])) == [j252.x_index]
+    assert list(np.flatnonzero(fam252.meet[-1])) == [j252.x_index]
 
 
 def test_action_identities(j252_spectral, fam252):
@@ -349,11 +335,28 @@ def test_gamma_components_match_pair_loop(q, n, d):
     assert full_counts[d] == 1
     for i in range(d + 1):
         meet_sets = sorted(
-            tuple(int(v) for v in np.flatnonzero(fam.meet[ia].a != 0))
+            tuple(int(v) for v in np.flatnonzero(fam.meet[ia]))
             for ia, a in enumerate(fam.alphas)
             if a.dim == d - i
         )
         assert fibers[i] == meet_sets
+
+
+@settings(max_examples=6, deadline=None)
+@given(instances_with_base_vertex())
+def test_gamma_components_match_pair_loop_at_random_base_vertex(instance):
+    q, n, d, x_rows = instance
+    gc = build_graph(q, n, d, x_rows=x_rows)
+    fam = build_alpha_family(gc)
+    rep = gamma_components(gc, fam)
+    rep.checks.require()
+    fibers, full_counts, dichotomy = pair_loop_fibers(gc)
+    assert dichotomy and full_counts[d] == 1
+    assert rep.component_sizes == [sorted(len(c) for c in f) for f in fibers]
+    for i in range(d + 1):
+        assert fibers[i] == sorted(
+            tuple(np.flatnonzero(fam.meet[ia]).tolist()) for ia in fam.by_dim[d - i]
+        )
 
 
 @pytest.mark.parametrize("outer", [False, True], ids=["inner-spheres", "outer-sphere"])
@@ -432,3 +435,76 @@ def test_report_json_shape(nucleus252, fam252, j252):
     assert [c["count"] for c in doc["sphere_components"]] == [1, 3, 1]
     bare = nucleus_report_json(nucleus252, None, None)
     assert "family" not in bare and "sphere_components" not in bare
+
+
+# ---------------------------------------------------------------------------
+# failure paths: a corrupted eigenvalue or family entry must fail exactly
+# the checks that read it, each naming the last failing alpha
+
+
+def failing(*checksets):
+    return {c.name: c.witness for cs in checksets for c in cs.checks if not c.passed}
+
+
+def flipped(rows, a, y):
+    """A copy of the family `rows` with entry y of row a flipped."""
+    out = rows.copy()
+    out[a, y] = not out[a, y]
+    return out
+
+
+def test_corrupt_theta_fails_adjacency_on_vee(j252_spectral, fam252):
+    theta = list(j252_spectral.theta)
+    theta[1] += 1
+    ss = dataclasses.replace(j252_spectral, theta=theta)
+    assert failing(verify_actions(ss, fam252)) == {"adjacency_on_vee": "dim 1 alpha #3"}
+
+
+def test_corrupt_theta_star_fails_dual_adjacency_on_vee(j252_spectral, fam252):
+    # A* reads the same list on both sides of the meet identity, which is
+    # diagonal, so only the vee identity sees the change
+    theta_star = list(j252_spectral.theta_star)
+    theta_star[1] += 1
+    ss = dataclasses.replace(j252_spectral, theta_star=theta_star)
+    assert failing(verify_actions(ss, fam252)) == {
+        "dual_adjacency_on_vee": "dim 1 alpha #3",
+    }
+
+
+def test_corrupt_vee_entry(j252, j252_spectral, nucleus252, monkeypatch):
+    real = qgrass.nucleus.containment_vectors
+    monkeypatch.setattr(
+        qgrass.nucleus,
+        "containment_vectors",
+        lambda gc, alphas: flipped(real(gc, alphas), 2, gc.x_index),
+    )
+    fam = build_alpha_family(j252)
+    assert failing(fam.checks) == {
+        "containment_counts": None,
+        "vee_expands_over_meets": "alpha #2",
+        "meet_expands_over_vees": "alpha #2",
+    }
+    assert failing(verify_actions(j252_spectral, fam)) == {
+        "adjacency_on_vee": "dim 2 alpha #4",
+        "dual_adjacency_on_vee": "dim 1 alpha #2",
+    }
+    assert failing(verify_bases(nucleus252, fam)) == {
+        "vee_vectors_lie_in_their_piece": "alpha #2 not in piece 1",
+    }
+
+
+def test_corrupt_meet_entry(j252, j252_spectral, nucleus252, fam252):
+    # a vertex on the outer sphere, so the corrupted row leaves the nucleus
+    y = int(np.flatnonzero(j252.dist[j252.x_index] == 2)[0])
+    fam = dataclasses.replace(fam252, meet=flipped(fam252.meet, 1, y))
+    assert failing(verify_actions(j252_spectral, fam)) == {
+        "adjacency_on_meet": "dim 2 alpha #4",
+        "dual_adjacency_on_meet": "dim 1 alpha #1",
+    }
+    assert failing(verify_bases(nucleus252, fam)) == {
+        "meet_vectors_lie_in_nucleus": "alpha #1",
+    }
+    assert failing(gamma_components(j252, fam).checks) == {
+        "components_match_meet_vectors_1": None,
+        "fiber_vectors_supported_on_sphere": None,
+    }
