@@ -9,9 +9,11 @@ incidence matrix (common point counts q^dim(y meet z)), verifies the D
 spectral claim is then checked in that (D+1)-dimensional distance
 (Bose-Mesner) algebra: the minimal polynomial of the closed-form
 eigenvalues, idempotency and orthogonality of the primitive idempotents
-as polynomials in L, and the dual system at the base vertex.  Only the
-multiplicities touch |X| x |X| matrices again, as ranks mod p of the
-idempotent numerators.  All arithmetic is exact.
+as polynomials in L, and the dual system at the base vertex.  The
+multiplicities are certified by the inclusion matrices W_i of the
+i-subspaces in the vertices (i < D), which are [N,i]_q x |X| 0/1
+arrays; no |X| x |X| matrix of the algebra is materialized for them.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -50,9 +52,13 @@ _BFS_SEED = 20240
 
 
 class GraphContext:
-    """A built Grassmann graph: vertex table and exact distance matrix."""
+    """A built Grassmann graph: vertex table, exact distance matrix, the
+    point incidence of the vertices and, built on demand and cached, the
+    inclusion matrices W_i and their Gram products W_i^T W_i."""
 
-    def __init__(self, geometry: GeometryContext, dist: np.ndarray, checks: CheckSet):
+    def __init__(
+        self, geometry: GeometryContext, dist: np.ndarray, points: np.ndarray, checks: CheckSet
+    ):
         self.geometry = geometry
         self.q = geometry.q
         self.n = geometry.ambient
@@ -60,28 +66,78 @@ class GraphContext:
         self.vertices = geometry.table(geometry.d)
         self.n_vertices = len(self.vertices)
         self.dist = dist
+        self.points = points
         self.x_index = geometry.index_of(geometry.x)
         self.boundary = geometry.ambient == 2 * geometry.d
         self.build_checks = checks
-        self._adjacency: list[list[int]] | None = None
+        self._inclusion: dict[int, np.ndarray] = {}
+        self._gram: dict[int, np.ndarray] = {}
         self._L = None
         self._L_checks = None
 
-    def adjacency_lists(self) -> list[list[int]]:
-        if self._adjacency is None:
-            self._adjacency = [
-                np.flatnonzero(self.dist[v] == 1).tolist()
-                for v in range(self.n_vertices)
-            ]
-        return self._adjacency
+    def inclusion(self, i: int) -> np.ndarray:
+        """W_i: the [N,i]_q x |X| bool inclusion matrix, row u (in the
+        order of the i-subspace table) marking the vertices that contain
+        u.  u lies in y exactly when y holds all q^i points of u, so W_i
+        is one 0/1 product of point incidences.  W_0 needs none: the
+        zero subspace lies in every vertex, and its table stays unbuilt
+        (and uncached)."""
+        if i == 0:
+            return np.ones((1, self.n_vertices), dtype=bool)
+        if i not in self._inclusion:
+            npoints = self.q**self.n
+            sub = point_incidence(self.geometry.table(i), npoints)
+            w = np.empty((sub.shape[0], self.n_vertices), dtype=bool)
+            for rows in row_blocks(sub.shape[0], self.n_vertices):
+                w[rows] = exact_int_product(sub[rows], self.points.T, npoints) == self.q**i
+            self._inclusion[i] = w
+        return self._inclusion[i]
+
+    def gram(self, i: int) -> np.ndarray:
+        """W_i^T W_i: entry (y, z) counts the i-subspaces of y meet z.
+        A 0/1 product is at most its inner dimension, the row count of
+        W_i, so the smallest unsigned dtype holding that count holds
+        every entry exactly."""
+        if i not in self._gram:
+            w = self.inclusion(i)
+            n = self.n_vertices
+            out = np.empty((n, n), dtype=np.min_scalar_type(w.shape[0]))
+            wt = w.T
+            for rows in row_blocks(n, n):
+                out[rows] = exact_int_product(wt[rows], w, w.shape[0])
+            self._gram[i] = out
+        return self._gram[i]
+
+    def adjacency(self) -> np.ndarray:
+        """Bool adjacency by a route independent of dist: y ~ z exactly
+        when y != z and one (D-1)-subspace lies in both, that is
+        (W_{D-1}^T W_{D-1})[y, z] = [dim(y meet z), D-1]_q = 1."""
+        adj = self.gram(self.d - 1) == 1
+        np.fill_diagonal(adj, False)
+        return adj
+
+    def class_sums(self, coeff_rows: list[list[int]], right: np.ndarray) -> list[np.ndarray]:
+        """sum_h c[h] (A_h @ right) for every integer row c of
+        coeff_rows, exactly, for a bool or integer `right` with |X| rows.
+
+        One kernel product per class gives A_h @ right (the bool branch
+        when `right` is 0/1); the combinations are one more product of
+        the coefficient rows with those D+1 results stacked, through the
+        same overflow-guarded kernel."""
+        n = self.n_vertices
+        prods = [exact_int_product(self.dist == h, right, n) for h in range(self.d + 1)]
+        stacked = np.stack([p.reshape(-1) for p in prods])
+        sums = exact_int_product(np.array(coeff_rows, dtype=object), stacked, self.d + 1)
+        return [row.reshape(prods[0].shape) for row in sums]
 
 
 def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
     """All-pairs breadth-first distances by repeated boolean expansion
-    (0/1 products with the adjacency matrix), compared with the
-    meet-dimension distances."""
+    (0/1 products with the adjacency matrix of `GraphContext.adjacency`,
+    which does not read dist), compared with the meet-dimension
+    distances."""
     n = gc.n_vertices
-    adj = gc.dist == 1
+    adj = gc.adjacency()
     cur = np.eye(n, dtype=bool)
     bfs = np.full((n, n), -1, dtype=np.int16)
     np.fill_diagonal(bfs, 0)
@@ -101,7 +157,7 @@ def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
 def _bfs_sampled_check(gc: GraphContext, cs: CheckSet) -> None:
     rng = random.Random(_BFS_SEED)
     n = gc.n_vertices
-    adj = gc.adjacency_lists()
+    adj = [np.flatnonzero(row).tolist() for row in gc.adjacency()]
     sources = rng.sample(range(n), min(n, BFS_SAMPLE_SOURCES))
     ok = True
     witness = None
@@ -167,7 +223,7 @@ def build_graph(
     cs.check("vertex_count", q_binomial(n, d, q), nv)
     cs.check_true("distance_range", bool(((dist >= 0) & (dist <= d)).all()))
     cs.check_true("distance_symmetric", bool((dist == dist.T).all()))
-    gc = GraphContext(geometry, dist, cs)
+    gc = GraphContext(geometry, dist, inc, cs)
     if nv <= BFS_FULL_LIMIT:
         _bfs_full_check(gc, cs)
     else:
@@ -310,6 +366,13 @@ def dual_eigenvalue_formulas(q: int, n: int, d: int) -> list[Fraction]:
     return [base + slope * Fraction(1, q**i) for i in range(d + 1)]
 
 
+def integer_coeffs(coeffs) -> tuple[list[int], int]:
+    """(values, den): den the least common denominator of the rational
+    coefficients and values the integers den * coeffs."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs], den
+
+
 @dataclass
 class SpectralSystem:
     gc: GraphContext
@@ -318,22 +381,101 @@ class SpectralSystem:
     m: list[int]
     e_coeffs: list[list[Fraction]] = field(repr=False)
     checks: CheckSet = field(repr=False)
-    _e_num_cache: dict = field(default_factory=dict, repr=False)
+    # rank of E_0 + ... + E_i for i = 0..D as certified by the inclusion
+    # matrices, None where the certificate failed
+    partial_ranks: list = field(default_factory=list)
+
+    def partial_coeffs(self, i: int) -> list[Fraction]:
+        """Coefficient vector of F'_i = E_0 + ... + E_i."""
+        return [sum(self.e_coeffs[t][h] for t in range(i + 1)) for h in range(self.gc.d + 1)]
 
     def idempotent_numerator(self, i: int):
         """(M, den) with E_i = M / den and M integral."""
-        if i not in self._e_num_cache:
-            self._e_num_cache[i] = self.class_numerator(self.e_coeffs[i])
-        return self._e_num_cache[i]
+        return self.class_numerator(self.e_coeffs[i])
 
     def class_numerator(self, coeffs: list[Fraction]):
         """(M, den) with sum_h coeffs[h] A_h = M / den, M integral and
-        den the least common denominator of the coefficients."""
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        values = {h: int(coeffs[h] * den) for h in range(self.gc.d + 1)}
-        return ExactMatrix.from_class_values(self.gc.dist, values), den
+        den the least common denominator of the coefficients: a dense
+        |X| x |X| object matrix, for the fallback paths and small |X|."""
+        values, den = integer_coeffs(coeffs)
+        return ExactMatrix.from_class_values(self.gc.dist, dict(enumerate(values))), den
+
+
+def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempotent):
+    """rank F'_i for F'_i = E_0 + ... + E_i, i = 0..D, each None when
+    its certificate fails, and the failed sub-checks, each named (a),
+    (b) or (c) as in `spectral_system`."""
+    q, n, d = gc.q, gc.n, gc.d
+    ws = [gc.inclusion(i) for i in range(d)]
+    scaled = [integer_coeffs(ss.partial_coeffs(i)) for i in range(d)]
+    # (b): one kernel product per class against all the W_i^T side by side
+    sums = gc.class_sums([v for v, _den in scaled], np.concatenate([w.T for w in ws], axis=1))
+    start = 0
+    ranks = []
+    faults = []
+    for i, w in enumerate(ws):
+        found = len(faults)
+        rows = q_binomial(n, i, q)
+        rank = rank_mod_prime(w)
+        if w.shape[0] != rows or rank != rows:
+            faults.append(f"(a) W_{i} has rank_p {rank} on {w.shape[0]} rows, not {rows}")
+        image = sums[i][:, start : start + w.shape[0]]
+        start += w.shape[0]
+        den = scaled[i][1]
+        if not ((image[w.T] == den).all() and not image[~w.T].any()):
+            faults.append(f"(b) F'_{i} W_{i}^T != W_{i}^T")
+        if not _gram_is_class_sum(gc, i):
+            faults.append(f"(c) W_{i}^T W_{i} != sum_h [D-h,{i}]_q A_h")
+        elif not _gram_spans_partial_sum(ss, i, apply_idempotent):
+            faults.append(f"(c) F'_{i} != G Q_{i}(G) for G = W_{i}^T W_{i}")
+        ranks.append(rows if len(faults) == found else None)
+    # F'_D = I
+    unit = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
+    if ss.partial_coeffs(d) == unit:
+        ranks.append(gc.n_vertices)
+    else:
+        ranks.append(None)
+        faults.append(f"F'_{d} != I")
+    return ranks, faults
+
+
+def _gram_is_class_sum(gc: GraphContext, i: int) -> bool:
+    """W_i^T W_i = sum_h [D-h, i]_q A_h, class by class: a pair at
+    distance h meets in dimension D - h, which holds [D-h, i]_q
+    i-subspaces."""
+    d, n = gc.d, gc.n_vertices
+    lut = np.array([q_binomial(d - h, i, gc.q) for h in range(d + 1)], dtype=np.int64)
+    gram = gc.gram(i)
+    for rows in row_blocks(n, n):
+        classes = gc.dist[rows]
+        if not ((classes >= 0) & (classes <= d)).all():
+            return False
+        if not (gram[rows] == lut[classes]).all():
+            return False
+    return True
+
+
+def _gram_spans_partial_sum(ss: SpectralSystem, i: int, apply_idempotent) -> bool:
+    """F'_i = G Q_i(G) on coefficient vectors, for G = sum_h [D-h, i]_q A_h
+    and Q_i interpolating 1/lambda on the nonzero eigenvalues of G.
+
+    E_j G = lambda_j E_j is checked for every j; with unit sum this makes
+    G = sum_j lambda_j E_j, and lambda Q_i(lambda) is 1 at every nonzero
+    eigenvalue and 0 at 0, so G Q_i(G) is the sum of the E_j with
+    lambda_j != 0."""
+    d = ss.gc.d
+    g = [Fraction(q_binomial(d - h, i, ss.gc.q)) for h in range(d + 1)]
+    support = []
+    for j, e in enumerate(ss.e_coeffs):
+        eg = apply_idempotent(j, g)
+        if not e[0]:
+            return False
+        lam = eg[0] / e[0]
+        if eg != [lam * v for v in e]:
+            return False
+        support.append(lam != 0)
+    image = [sum(e[h] for e, s in zip(ss.e_coeffs, support) if s) for h in range(d + 1)]
+    return image == ss.partial_coeffs(i)
 
 
 def spectral_system(gc: GraphContext) -> SpectralSystem:
@@ -364,7 +506,34 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     Only closure under A_1 is used; `structure_constants` explains why
     the whole span is closed.  The idempotents are then checked for
     unit sum, E_0 = J/|X| and reconstruction of A_1; multiplicities are
-    their traces, certified as ranks mod p on the dense numerators.
+    their traces.
+
+    Rank certificate.  The traces are compared with ranks certified
+    independently by the inclusion matrices.  For 0 <= i < D let W_i
+    be the [N,i]_q x |X| 0/1 matrix of the i-subspaces u in the
+    vertices y (u in y), F'_i = E_0 + ... + E_i, and G_i = W_i^T W_i.
+
+    - (a) W_i has [N,i]_q rows and rank_p W_i = [N,i]_q.  A rank mod p
+      is never above the rank over Q, nor is the row count, so W_i has
+      full row rank over Q and W_i^T is injective.
+    - (b) F'_i W_i^T = W_i^T, evaluated as sum_h c_h (A_h W_i^T) with
+      one 0/1 kernel product per class, c the coefficients of F'_i.  So
+      col(W_i^T) lies in col(F'_i), and rank F'_i >= [N,i]_q.
+    - (c) G_i = sum_h [D-h, i]_q A_h entry by entry (one kernel product,
+      compared class by class), so G_i lies in the algebra; and
+      F'_i = G_i Q_i(G_i) on coefficient vectors, Q_i interpolating
+      1/lambda on the nonzero eigenvalues of G_i.  So col(F'_i) lies in
+      col(G_i), inside col(W_i^T), and rank F'_i <= [N,i]_q.
+
+    Hence rank F'_i = [N,i]_q.  The E_j are orthogonal idempotents, so
+    rank F'_i = m_0 + ... + m_i, and the certified multiplicities are
+    m_i = [N,i]_q - [N,i-1]_q for i < D and m_D = |X| - [N,D-1]_q, since
+    F'_D = I.  They enter `rank_certificate` and its total; a failed
+    sub-check leaves the entries it touches uncertified (None), with a
+    witness naming (a), (b) or (c).  `partial_ranks` keeps rank F'_i
+    for the nucleus.  Kantor (Math. Z. 1972) proves W_i of full rank,
+    and Delsarte (JCTA 1976) identifies its row space with
+    V_0 + ... + V_i; the checks above verify both facts on the instance.
     """
     q, n, d = gc.q, gc.n, gc.d
     nv = gc.n_vertices
@@ -435,19 +604,20 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
         mults.append(int(tr))
     cs.check("multiplicities_sum", nv, sum(mults))
     cs.check("m_0", 1, mults[0])
-    # rank certificate: orthogonality plus unit sum make the images span
-    # V directly, so the rational ranks sum to |X|; each modular rank is
-    # a lower bound, so modular ranks that already sum to |X| are exact
-    mod_ranks = []
-    for i in range(d + 1):
-        mi, _ = ss.idempotent_numerator(i)
-        mod_ranks.append(rank_mod_prime(mi))
-    cs.check("rank_certificate_total", nv, sum(mod_ranks))
-    cs.check("rank_certificate", mults, mod_ranks)
+    partial, faults = _inclusion_certificate(gc, ss, apply_idempotent)
+    certified = [
+        None if r is None or below is None else r - below
+        for r, below in zip(partial, [0] + partial[:-1])
+    ]
+    witness = "; ".join(faults) or None
+    total_cert = None if None in certified else sum(certified)
+    cs.check("rank_certificate_total", nv, total_cert, witness)
+    cs.check("rank_certificate", mults, certified, witness)
     if nv <= RANK_VERIFY_LIMIT:
         for i in range(d + 1):
             mi, _ = ss.idempotent_numerator(i)
             cs.check(f"rank_E_{i}", mults[i], rank_exact(mi))
+    ss.partial_ranks = partial
     ss.m = mults
 
     # dual eigenvalues at the base vertex

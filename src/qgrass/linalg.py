@@ -138,11 +138,11 @@ class ExactMatrix:
 
     @staticmethod
     def from_int_array(arr: np.ndarray) -> "ExactMatrix":
-        """The entries of a 2-D bool or integer array as Python ints,
-        with the integrality cache filled."""
-        return ExactMatrix(
-            _as_python_int_array(arr.astype(np.int64, copy=False)), _intmax=_abs_max(arr)
-        )
+        """The entries of a 2-D bool, integer or Python-int object array
+        as Python ints, with the integrality cache filled."""
+        if arr.dtype != object:
+            arr = arr.astype(np.int64, copy=False)
+        return ExactMatrix(_as_python_int_array(arr), _intmax=_abs_max(arr))
 
     @staticmethod
     def zeros(m: int, n: int) -> "ExactMatrix":
@@ -417,16 +417,20 @@ def rank_exact(m: ExactMatrix) -> int:
 RANK_CERT_PRIME = 2**31 - 1
 
 
-def rank_mod_prime(m: ExactMatrix, p: int = RANK_CERT_PRIME) -> int:
+def rank_mod_prime(m, p: int = RANK_CERT_PRIME) -> int:
     """Rank of an integer matrix over F_p by vectorized elimination.
 
     Always a lower bound for the rational rank; the caller supplies the
     argument that promotes it to equality (reduction mod p can only
-    collapse rows).  Entries must be integers.
+    collapse rows).  m is an ExactMatrix of integers or a bool or int64
+    numpy array.
     """
-    if m._int_max() is False:
-        raise TypeError("rank_mod_prime needs an integer matrix")
-    a = (m.a % p).astype(np.int64)
+    if isinstance(m, ExactMatrix):
+        if m._int_max() is False:
+            raise TypeError("rank_mod_prime needs an integer matrix")
+        a = (m.a % p).astype(np.int64)
+    else:
+        a = m.astype(np.int64) % p
     rows, cols = a.shape
     r = 0
     for c in range(cols):

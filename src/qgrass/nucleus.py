@@ -6,10 +6,10 @@ N_i = B_i meet F_i V: the vectors supported within distance i of x
 primitive idempotents, F_i = E_0 + ... + E_{D-i}.  Each piece is
 certified by a modular squeeze: the containment vectors of the
 (D - i)-dimensional subspaces of x lie in N_i and give a lower bound,
-a rank mod p of F_i's complement on the ball gives an upper bound, and
-when the two meet those vectors are the basis.  When they do not (as
-at the boundary N = 2D), an exact fraction-free (Bareiss) nullspace
-takes over.  Away from the boundary the dimensions are the Gaussian
+a rank mod p of the inclusion matrix W_{D-i} off the ball gives an
+upper bound, and when the two meet those vectors are the basis.  When
+they do not (as at the boundary N = 2D), an exact fraction-free
+(Bareiss) nullspace takes over.  Away from the boundary the dimensions are the Gaussian
 binomials binom(D, i)_q, and the sum of the pieces is direct.
 
 Two vector families indexed by the subspaces of x span the same space:
@@ -29,7 +29,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grassmann import GraphContext, SpectralSystem, build_graph, spectral_system
+from .grassmann import (
+    GraphContext,
+    SpectralSystem,
+    build_graph,
+    integer_coeffs,
+    spectral_system,
+)
 from .linalg import (
     ExactMatrix,
     column_space_ops,
@@ -114,29 +120,39 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
     = Fnum / den with Fnum integral, and B_i for the vertices within
     distance i of x.  When the spectral checks pass, the E_j are
     idempotent and mutually orthogonal, so F_i is idempotent and its
-    column space is ker(I - F_i).  Let M_i be the |X| x |B_i| integer
-    matrix of den (I - F_i) on the columns of B_i.  A vector supported
-    in B_i lies in N_i exactly when its restriction to B_i lies in
-    ker M_i, so dim N_i = dim ker M_i.  For 0 < i < D:
+    column space is ker(I - F_i); and the rank certificate of
+    `spectral_system` holds for F_i = F'_{D-i}: with W = W_{D-i}, the
+    [N,D-i]_q x |X| inclusion matrix, W has full row rank (a) and
+    col(F_i) = col(W^T) (b, c), so rank F_i = [N,D-i]_q, which is the
+    eigenspace-side rank.  For 0 < i < D:
 
-    - lower bound: each containment vector of a (D - i)-dimensional
-      subspace of x is checked exactly to be supported in B_i and to
-      satisfy Fnum v = den v, so it lies in N_i; a rank over F_p is
-      never above the rank over Q, so rank_p of these vectors bounds
-      dim N_i from below;
-    - upper bound: for the same reason dim ker M_i = |B_i| - rank_Q M_i
-      is at most |B_i| - rank_p M_i.
+    - lower bound: the containment vectors of the (D - i)-dimensional
+      subspaces of x are checked to be exactly their rows of W, so F_i
+      fixes them by (b); each is checked to be supported in B_i, so
+      they lie in N_i; a rank over F_p is never above the rank over Q,
+      so rank_p of these vectors bounds dim N_i from below;
+    - upper bound: every vector of col(F_i) is W^T c for exactly one c,
+      since W^T is injective, and it is supported in B_i exactly when
+      W^T c vanishes on the vertices outside B_i.  So dim N_i is
+      [N,D-i]_q - rank_Q of W^T on those rows, at most
+      [N,D-i]_q - rank_p of the same rows.
 
     When the vectors are independent mod p and their count equals the
     upper bound, they are a basis of N_i ("squeeze").  Otherwise the
     exact nullspace of M_i is computed by Bareiss elimination
-    ("bareiss").  N_0 is the base vertex indicator, since F_0 is the
-    identity.  N_D is the constants, since F_D = E_0 = J/|X| is checked
-    by the spectral suite and B_D is every vertex.  Every shortcut rests
-    on the spectral checks, so when any of them fails every piece past
-    N_0 takes the Bareiss path.  The eigenspace-side rank is observed
-    as rank_p Fnum, a lower bound for rank_Q F_i = trace F_i; when it
-    falls short, or the premise is unverified, the exact rank is taken.
+    ("bareiss"), with M_i the |X| x |B_i| integer matrix of den (I - F_i)
+    on the columns of B_i: a vector supported in B_i lies in N_i exactly
+    when its restriction to B_i lies in ker M_i.  N_0 is the base vertex
+    indicator, since F_0 is the identity.  N_D is the constants, since
+    F_D = E_0 = J/|X| is checked by the spectral suite and B_D is every
+    vertex.  Every shortcut rests on the spectral checks, so when any
+    of them fails every piece past N_0 takes the Bareiss path and the
+    eigenspace-side rank is the exact rank of Fnum.  The dense Fnum is
+    built only for these two fallbacks.
+
+    The layer dimensions on the eigenspace side are the ranks of
+    E_r applied to the combined basis, evaluated as sum_h c_h (A_h B^T)
+    with one kernel product per class.
     """
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
@@ -153,33 +169,30 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
     bases = [ExactMatrix.from_int_array(base_vertex)]
     paths = ["base_vertex"]
     for i in range(1, d + 1):
-        coeffs = [sum(ss.e_coeffs[t][h] for t in range(d - i + 1)) for h in range(d + 1)]
-        f_num, den = ss.class_numerator(coeffs)
-        expected_rank = sum(ss.m[: d - i + 1])
-        side_rank = rank_mod_prime(f_num)
-        if side_rank != expected_rank or not premise:
-            side_rank = rank_exact(f_num)
-        cs.check(f"eigenspace_side_rank_{i}", expected_rank, side_rank)
+        coeffs = ss.partial_coeffs(d - i)
+        dense = None
+        side_rank = ss.partial_ranks[d - i] if premise else None
+        certified = side_rank is not None
+        if not certified:
+            dense = ss.class_numerator(coeffs)
+            side_rank = rank_exact(dense[0])
+        cs.check(f"eigenspace_side_rank_{i}", sum(ss.m[: d - i + 1]), side_rank)
 
-        ball = np.flatnonzero(xrow <= i)
         if premise and i == d:
             bases.append(ExactMatrix.from_int_array(np.ones((1, nv), dtype=np.int64)))
             paths.append("constants")
             continue
-        m_a = -f_num.a[:, ball]
-        m_a[ball, np.arange(ball.size)] += den
-        m_ball = ExactMatrix(m_a)
-        if premise:
-            vees = containment_vectors(gc, [a for a in alphas if a.dim == d - i])
-            v_cols = ExactMatrix.from_int_array(vees.T)
-            in_ball = not vees[:, xrow > i].any()
-            fixed = (f_num @ v_cols).equals(den * v_cols)
-            upper = ball.size - rank_mod_prime(m_ball)
-            if in_ball and fixed and rank_mod_prime(v_cols) == len(vees) == upper:
-                bases.append(v_cols.T)
+        if certified:
+            vees = _squeezed_piece(gc, i, [a for a in alphas if a.dim == d - i])
+            if vees is not None:
+                bases.append(ExactMatrix.from_int_array(vees))
                 paths.append("squeeze")
                 continue
-        null = column_space_ops(m_ball).nullspace_basis
+        f_num, den = dense or ss.class_numerator(coeffs)
+        ball = np.flatnonzero(xrow <= i)
+        m_a = -f_num.a[:, ball]
+        m_a[ball, np.arange(ball.size)] += den
+        null = column_space_ops(ExactMatrix(m_a)).nullspace_basis
         basis = np.full((null.shape[0], nv), 0, dtype=object)
         basis[:, ball] = null.a
         bases.append(ExactMatrix(basis))
@@ -201,9 +214,8 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
     # combined basis cut to each sphere, and of its image under each E_r
     combined = ExactMatrix(np.concatenate([b.a for b in bases]))
     estar_dims = [rank_exact(ExactMatrix(combined.a[:, xrow == r])) for r in range(d + 1)]
-    e_dims = [
-        rank_exact(ss.idempotent_numerator(r)[0] @ combined.T) for r in range(d + 1)
-    ]
+    images = gc.class_sums([integer_coeffs(e)[0] for e in ss.e_coeffs], combined.a.T)
+    e_dims = [rank_exact(ExactMatrix.from_int_array(image)) for image in images]
     cs.check("layer_dimensions_agree", estar_dims, e_dims)
     if assert_dims:
         cs.check(
@@ -242,6 +254,20 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
         paths=paths,
         checks=cs,
     )
+
+
+def _squeezed_piece(gc: GraphContext, i: int, top: list[CanonicalSubspace]):
+    """The containment vectors of `top`, the (D - i)-dimensional
+    subspaces of x, when the squeeze of `compute_nucleus` certifies them
+    as a basis of N_i; otherwise None."""
+    w = gc.inclusion(gc.d - i)
+    vees = containment_vectors(gc, top)
+    outside = gc.dist[gc.x_index] > i
+    rows = [gc.geometry.index_of(a) for a in top]
+    if not np.array_equal(vees, w[rows]) or vees[:, outside].any():
+        return None
+    upper = w.shape[0] - rank_mod_prime(w[:, outside])
+    return vees if rank_mod_prime(vees) == len(top) == upper else None
 
 
 # ---------------------------------------------------------------------------

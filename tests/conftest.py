@@ -7,6 +7,7 @@ on top of the shared context, so sharing never weakens a test.
 import pytest
 
 from qgrass.grassmann import build_graph, spectral_system
+from qgrass.linalg import ExactMatrix
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,17 @@ def j341():
     gc = build_graph(3, 4, 1)
     gc.build_checks.require()
     return gc
+
+
+@pytest.fixture
+def built_matrices(monkeypatch):
+    """Every ExactMatrix constructed while the test runs, in order."""
+    built = []
+    init = ExactMatrix.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", recording_init)
+    return built

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from qgrass.cli import SUITE_ORDER, _finish, main
+from qgrass.grassmann import RANK_VERIFY_LIMIT, build_graph
 from qgrass.report import CheckSet
 
 
@@ -62,6 +63,23 @@ def test_report_outside_meta_pinned(tmp_path, capsys, q, n, d):
     capsys.readouterr()
     text = _without_meta(_load(out))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[(q, n, d)]
+
+
+def test_verify_path_builds_no_dense_vertex_matrix(built_matrices, capsys):
+    # above the small-|X| exact rank checks, no |X| x |X| numerator of
+    # the algebra and no |X| x |B_i| ball matrix is built on the way
+    argv = ["verify", "--q", "2", "--n", "5", "--d", "2"]
+    argv += ["--suite", "spectrum", "--suite", "nucleus", "--suite", "bases"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    gc = build_graph(2, 5, 2)
+    nv = gc.n_vertices
+    assert nv > RANK_VERIFY_LIMIT
+    xrow = gc.dist[gc.x_index]
+    wide = {nv} | {int((xrow <= i).sum()) for i in range(1, gc.d + 1)}
+    assert wide == {43, 155}
+    shapes = {obj.shape for obj in built_matrices}
+    assert shapes and not {s for s in shapes if s[0] == nv and s[1] in wide}
 
 
 FAMILY_CHECKS = {

@@ -12,7 +12,6 @@ import pytest
 import qgrass
 from qgrass.grassmann import build_graph, spectral_system
 from qgrass.ladders import build_poset_matrices
-from qgrass.linalg import ExactMatrix
 from qgrass.nucleus import build_alpha_family, compute_nucleus, verify_actions, verify_bases
 
 MATH_MODULES = ["qarith", "subspaces", "grassmann", "linalg", "nucleus", "ladders"]
@@ -74,19 +73,13 @@ def test_math_module_has_no_float(module):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
-def test_exact_objects_hold_int_or_fraction(monkeypatch):
+def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
     """Every ExactMatrix built by the spectral system, the nucleus, the
     alpha family and their action and basis checks on J_2(4,2) holds
     only Python ints and Fractions; every nucleus basis is one of them,
-    and the families and their containment order are 0/1 arrays."""
-    built = []
-    init = ExactMatrix.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(ExactMatrix, "__init__", recording_init)
+    the families and their containment order are 0/1 arrays, every
+    inclusion matrix W_i is a bool array and every certified rank is an
+    int."""
     gc = build_graph(2, 4, 2)
     ss = spectral_system(gc)
     nd = compute_nucleus(ss)
@@ -95,13 +88,22 @@ def test_exact_objects_hold_int_or_fraction(monkeypatch):
     verify_bases(nd, fam)
     monkeypatch.undo()
     assert ss.checks.ok and nd.checks.ok and fam.checks.ok
-    assert built
-    for obj in built:
+    assert built_matrices
+    for obj in built_matrices:
         bad = {type(v).__name__ for v in obj.a.flat if type(v) not in (int, Fraction)}
         assert not bad, f"ExactMatrix of shape {obj.a.shape} holds {bad}"
-    assert all(any(basis is obj for obj in built) for basis in nd.bases)
+    assert all(any(basis is obj for obj in built_matrices) for basis in nd.bases)
     for name in ("vee", "meet", "zeta"):
         assert getattr(fam, name).dtype == bool, name
+    assert all(gc.inclusion(i).dtype == bool for i in range(gc.d))
+    certified = ss.partial_ranks + next(
+        c.observed for c in ss.checks.checks if c.name == "rank_certificate"
+    )
+    certified += [
+        c.observed for c in nd.checks.checks if c.name.startswith("eigenspace_side_rank_")
+    ]
+    assert len(certified) == 2 * (gc.d + 1) + gc.d
+    assert all(type(r) is int for r in certified), certified
 
 
 def test_poset_operators_are_integer():

@@ -519,8 +519,8 @@ def test_incidence_distances_match_pair_loop_at_random_base_vertex(instance):
 
 @pytest.mark.parametrize("true_dist", [1, 2])
 def test_corrupted_distance_fails_bfs_check(true_dist):
-    # the expansion reads its edges from dist == 1, so a corruption shows
-    # where it contradicts that graph's metric: a distinct pair at 0
+    # the expansion takes its edges from the inclusion matrix W_1, not
+    # from dist, so a distinct pair rewritten as 0 shows as a mismatch
     gc = build_graph(2, 4, 2)
     a, b = 0, int(np.flatnonzero(gc.dist[0] == true_dist)[0])
     gc.dist[a, b] = gc.dist[b, a] = 0
@@ -533,24 +533,107 @@ def test_corrupted_distance_fails_bfs_check(true_dist):
     }
 
 
-def test_distance_two_rewritten_as_one_passes_bfs_check():
-    # known gap: the expansion takes its edges from dist == 1, so on a
-    # graph of diameter 2 a distance-2 pair rewritten as 1 is still the
-    # metric of its own edges; the distance-algebra checks catch it
+def test_distance_two_rewritten_as_one_fails_bfs_check():
+    # on a graph of diameter 2 a distance-2 pair rewritten as 1 is still
+    # the metric of the edges dist == 1; the edges from W_1 see it, and
+    # so do the distance-algebra checks
     gc = build_graph(2, 4, 2)
     a, b = 0, int(np.flatnonzero(gc.dist[0] == 2)[0])
     gc.dist[a, b] = gc.dist[b, a] = 1
     cs = CheckSet("bfs")
     _bfs_full_check(gc, cs)
-    assert cs.ok and {c.name for c in cs.checks} == {
-        "bfs_reaches_every_pair",
-        "bfs_distances_match_meet_formula",
-    }
+    assert {c.name for c in cs.failures()} == {"bfs_distances_match_meet_formula"}
     _nums, ncs = intersection_numbers(gc)
     assert {c.name for c in ncs.failures()} >= {
         "products_constant_on_classes",
         "valency_constant_rows",
     }
+
+
+def test_bfs_edges_come_from_the_inclusion_matrix():
+    # y ~ z exactly when one (D-1)-subspace lies in both; on J_2(5,2)
+    # that is dist == 1, read from a product that never sees dist
+    gc = build_graph(2, 5, 2)
+    assert gc.inclusion(1).shape == (31, 155)
+    assert (gc.adjacency() == (gc.dist == 1)).all()
+
+
+# ---------------------------------------------------------------------------
+# the rank certificate from the inclusion matrices: each sub-check fails
+# on its own corruption and names itself in the witness
+
+
+def failing(*checksets):
+    return {c.name: c.witness for cs in checksets for c in cs.checks if not c.passed}
+
+
+@pytest.mark.parametrize("corrupt", ["drop", "duplicate"])
+def test_bad_row_count_of_w1_fails_certificate_a(corrupt, monkeypatch):
+    real = grassmann.GraphContext.inclusion
+
+    def inclusion(gc, i):
+        w = real(gc, i)
+        if i != 1:
+            return w
+        return w[1:] if corrupt == "drop" else np.concatenate([w, w[:1]])
+
+    monkeypatch.setattr(grassmann.GraphContext, "inclusion", inclusion)
+    gc = build_graph(2, 5, 2)
+    ss = spectral_system(gc)
+    # the breadth-first edges come from W_1 too
+    assert set(failing(gc.build_checks)) == {"bfs_distances_match_meet_formula"}
+    bad = failing(ss.checks)
+    assert set(bad) == {"rank_certificate_total", "rank_certificate"}
+    rows = 30 if corrupt == "drop" else 32
+    assert bad["rank_certificate"].startswith(f"(a) W_1 has rank_p {min(rows, 31)} on {rows} rows")
+    assert ss.partial_ranks == [1, None, 155]
+    cert = next(c for c in ss.checks.checks if c.name == "rank_certificate")
+    assert cert.observed == [1, None, None]
+
+
+def test_wrong_theta_fails_certificate_b(monkeypatch):
+    right = eigenvalue_formulas(2, 5, 2)
+    wrong = [right[0], right[1] + 1, right[2]]
+    monkeypatch.setattr(grassmann, "eigenvalue_formulas", lambda *_: list(wrong))
+    ss = spectral_system(build_graph(2, 5, 2))
+    bad = failing(ss.checks)
+    assert set(bad) == {
+        "minimal_polynomial_vanishes",
+        "e0_is_all_ones_over_size",
+        "idempotency",
+        "orthogonality",
+        "multiplicity_0_integral",
+        "multiplicity_1_integral",
+        "multiplicity_2_integral",
+        "multiplicities_sum",
+        "m_0",
+        "rank_certificate_total",
+        "rank_certificate",
+        "dual_eigenvalue_closed_form",
+    }
+    assert "(b) F'_1 W_1^T != W_1^T" in bad["rank_certificate"]
+
+
+def test_corrupted_distance_fails_certificate_c():
+    gc = build_graph(2, 5, 2)
+    a, b = 0, int(np.flatnonzero(gc.dist[0] == 2)[0])
+    gc.dist[a, b] = gc.dist[b, a] = 1
+    bad = failing(spectral_system(gc).checks)
+    assert set(bad) == {
+        "products_constant_on_classes",
+        "minimal_polynomial_vanishes",
+        "e0_is_all_ones_over_size",
+        "idempotency",
+        "orthogonality",
+        "multiplicity_0_integral",
+        "multiplicity_1_integral",
+        "multiplicity_2_integral",
+        "multiplicities_sum",
+        "rank_certificate_total",
+        "rank_certificate",
+        "dual_eigenvalue_closed_form",
+    }
+    assert "(c) W_1^T W_1 != sum_h [D-h,1]_q A_h" in bad["rank_certificate"]
 
 
 def test_point_count_not_power_of_q_raises(monkeypatch):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 
 import qgrass.nucleus
-from qgrass.grassmann import build_graph, spectral_system
+from qgrass.grassmann import GraphContext, build_graph, spectral_system
 from qgrass.ladders import alpha_dominant_multiplicity
 from qgrass.linalg import (
     ExactMatrix,
     column_space_ops,
     intersect_column_spaces,
+    rank_mod_prime,
     span_rank,
 )
 from qgrass.nucleus import (
@@ -54,6 +55,38 @@ def dense_oracle_pieces(ss):
         pivots = column_space_ops(f_mat, want_nullspace=False).pivot_columns
         pieces.append(intersect_column_spaces(coords, ExactMatrix(f_mat.a[:, pivots])).T)
     return pieces
+
+
+def dense_rank_certificate(ss):
+    """Test-only oracle: the certificate the verifier ran on dense
+    |X| x |X| numerators before the inclusion matrices.  Returns rank_p
+    of the D+1 idempotent numerators (lower bounds for the ranks, exact
+    once they sum to |X|) and rank_p of the numerators of
+    F_i = E_0 + ... + E_{D-i} for i = 1..D, the eigenspace-side ranks."""
+    d = ss.gc.d
+    ranks = [rank_mod_prime(ss.idempotent_numerator(i)[0]) for i in range(d + 1)]
+    sides = [
+        rank_mod_prime(ss.class_numerator(ss.partial_coeffs(d - i))[0]) for i in range(1, d + 1)
+    ]
+    return ranks, sides
+
+
+def observed(cs, name):
+    return next(c.observed for c in cs.checks if c.name == name)
+
+
+@settings(max_examples=10, deadline=None)
+@given(instances_with_base_vertex())
+def test_inclusion_certificate_matches_dense_oracle(instance):
+    q, n, d, x_rows = instance
+    ss = spectral_system(build_graph(q, n, d, x_rows=x_rows))
+    ss.checks.require()
+    nd = compute_nucleus(ss)
+    nd.checks.require()
+    ranks, sides = dense_rank_certificate(ss)
+    assert sum(ranks) == ss.gc.n_vertices
+    assert observed(ss.checks, "rank_certificate") == ranks == ss.m
+    assert [observed(nd.checks, f"eigenspace_side_rank_{i}") for i in range(1, d + 1)] == sides
 
 
 def assert_same_pieces(nd, oracle):
@@ -162,6 +195,21 @@ def test_unverified_spectrum_takes_no_shortcut(nucleus252, oracle252, j252_spect
     failed.extend(j252_spectral.checks)
     failed.check("forced_failure", True, False)
     ss = dataclasses.replace(j252_spectral, checks=failed)
+    nd = compute_nucleus(ss)
+    assert nd.paths == ["base_vertex", "bareiss", "bareiss"]
+    assert check_rows(nd.checks) == check_rows(nucleus252.checks)
+    assert_same_pieces(nd, oracle252)
+
+
+def test_failed_certificate_takes_no_shortcut(nucleus252, oracle252, monkeypatch):
+    # a dropped row of W_1 fails the rank certificate, and with it the
+    # premise of every shortcut
+    real = GraphContext.inclusion
+    monkeypatch.setattr(
+        GraphContext, "inclusion", lambda gc, i: real(gc, i)[1:] if i == 1 else real(gc, i)
+    )
+    ss = spectral_system(build_graph(2, 5, 2))
+    assert {c.name for c in ss.checks.failures()} == {"rank_certificate_total", "rank_certificate"}
     nd = compute_nucleus(ss)
     assert nd.paths == ["base_vertex", "bareiss", "bareiss"]
     assert check_rows(nd.checks) == check_rows(nucleus252.checks)
