@@ -228,15 +228,13 @@ def build_graph(
         _bfs_full_check(gc, cs)
     else:
         _bfs_sampled_check(gc, cs)
-    # the distance-i sphere around x is exactly the layer P_{D-i, i}
-    layer_ok = True
-    witness = None
-    for y_idx, y in enumerate(vertices):
-        i = int(dist[gc.x_index, y_idx])
-        if geometry.pij(y) != (d - i, i):
-            layer_ok = False
-            witness = f"vertex {y.rows}"
-            break
+    # the distance-i sphere around x is exactly the layer P_{D-i, i}:
+    # every vertex meets x in dimension D - dist(x, y)
+    x_inc = point_incidence([geometry.x], npoints)
+    meet_x = dims_of_counts(exact_int_product(inc, x_inc.T, npoints)[:, 0], q, d)
+    off_layer = np.flatnonzero(meet_x != d - dist[gc.x_index])
+    layer_ok = not off_layer.size
+    witness = None if layer_ok else f"vertex {vertices[int(off_layer[0])].rows}"
     cs.check_true("sphere_equals_layer", layer_ok, witness)
     return gc
 

@@ -5,12 +5,14 @@ subspaces u with dim(u meet x) = i and dim u = i + j.  A cover u < v
 either grows the meet with x (slash) or not (backslash), and the two
 cover relations give two independent lowering operators L1, L2 with
 raising partners R1, R2 and grading operators K1, K2 whose diagonal
-entries are half-integer powers of q.  Everything is built twice where
-a relation is claimed: the lowering operators come from point-incidence
-products between consecutive layers (u < v when they share all points
-of u), the raising operators from their own bitwise subset test on
-packed point masks, and the two are compared as transposes; the plain
-cover matrix must split exactly as L1 + L2.
+entries are half-integer powers of q.  The cover relation is generated
+twice and each copy is certified: from below (u + <p> for the
+projective points p of a coordinate complement of u, giving L1, L2 and
+the plain cover matrix) and from above (the kernels of the functionals
+on each v, giving R1, R2), every pair by a subset test on packed point
+masks and every element by the closed-form number of its covers of
+each kind.  The two are compared as transposes; the plain cover matrix
+must split exactly as L1 + L2.
 
 Matrices are scipy sparse with int64 entries; the 0/1 data makes that
 exact.  K1 and K2 are kept as exponent vectors because their entries
@@ -25,10 +27,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidType
-from .linalg import exact_int_product, row_blocks
-from .qarith import SqrtQScalar, q_binomial
+from .linalg import row_blocks
+from .qarith import SqrtQScalar, q_binomial, q_int
 from .report import CheckSet
-from .subspaces import GeometryContext, dims_of_counts, mask_words, point_incidence
+from .subspaces import (
+    GeometryContext,
+    SubspaceTable,
+    all_vectors,
+    dims_of_counts,
+    mask_words,
+    pack_points,
+    projective_points,
+    span_points,
+)
 
 
 def _sparse_equal(a, b) -> bool:
@@ -39,7 +50,6 @@ def _sparse_equal(a, b) -> bool:
 class PosetMatrices:
     geometry: GeometryContext
     dims: list[int]
-    elements: list = field(repr=False)
     offsets: dict[int, int] = field(repr=False)
     ivec: np.ndarray = field(repr=False)
     jvec: np.ndarray = field(repr=False)
@@ -53,7 +63,7 @@ class PosetMatrices:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.ivec)
 
     def global_index(self, u) -> int:
         return self.offsets[u.dim] + self.geometry.index_of(u)
@@ -81,32 +91,91 @@ class PosetMatrices:
         return SqrtQScalar.of(self.geometry.q, 1, int(self.k2_half_exponents()[g]))
 
 
-def _cover_pairs(inc_lo: np.ndarray, inc_hi: np.ndarray, size_lo: int):
-    """Index arrays (a, b) of the pairs u_a < v_b between consecutive
-    layers, from chunked point-incidence products: u lies in v exactly
-    when they share all size_lo = q^l points of u."""
-    rows, cols = [], []
-    for blk in row_blocks(len(inc_lo), len(inc_hi)):
-        counts = exact_int_product(inc_lo[blk], inc_hi.T, inc_lo.shape[1])
-        a, b = np.nonzero(counts == size_lo)
-        rows.append(a + blk.start)
-        cols.append(b)
-    return np.concatenate(rows), np.concatenate(cols)
+def _covers_from_below(lo: SubspaceTable, hi: SubspaceTable):
+    """Index arrays (a, b) of the covers u_a < v_b, generated from below:
+    b = -1 where a generated basis is missing from `hi`.
+
+    F_q^N = u + W for W the coordinate subspace on the N - l non-pivot
+    columns of u, so the covers of u are u + <p> for p running over one
+    representative of each projective point of W: [N - l]_q covers, all
+    distinct.  With p's leading entry 1 in column c, subtracting R[c] p
+    from every echelon row R of u clears column c and keeps u's pivot
+    columns and leading zeros (p vanishes on the pivots and before c),
+    so those rows with p slotted in at its pivot position are the
+    reduced echelon basis of u + <p>, found in `hi` by binary search.
+    """
+    q, n, l = lo.q, lo.ambient, lo.dim
+    pts = projective_points(q, n - l)
+    npts = len(pts)
+    lead_at = (pts != 0).argmax(axis=1)
+    acc = np.min_scalar_type(q * q)
+    found = []
+    for blk in row_blocks(len(lo), npts * (l + 1) * n):
+        rows, piv = lo.rows[blk], lo.pivots[blk]
+        c = len(rows)
+        at, kt = np.arange(c)[:, None, None], np.arange(npts)[None, :, None]
+        free = np.ones((c, n), dtype=bool)
+        free[np.arange(c)[:, None], piv] = False
+        cols = np.nonzero(free)[1].reshape(c, n - l)
+        p = np.zeros((c, npts, n), dtype=rows.dtype)
+        p[at, kt, cols[:, None, :]] = pts
+        lead = cols[:, lead_at]
+        coef = rows[at, np.arange(l)[None, None, :], lead[:, :, None]].astype(acc)
+        reduced = (rows[:, None].astype(acc) + (q - coef)[..., None] * p[:, :, None, :]) % q
+        pos = (piv[:, None, :] < lead[..., None]).sum(axis=2)
+        new = np.empty((c, npts, l + 1, n), dtype=rows.dtype)
+        new[at, kt, np.arange(l) + (np.arange(l) >= pos[..., None])] = reduced
+        new[at[..., 0], kt[..., 0], pos] = p
+        found.append(hi.find_rows(new.reshape(c * npts, l + 1, n)))
+    return np.repeat(np.arange(len(lo)), npts), np.concatenate(found)
 
 
-def _raising_pairs(words_lo: np.ndarray, words_hi: np.ndarray, x_words: np.ndarray):
-    """Index arrays (b, a, slash) of the pairs w_a < v_b, found from above
-    by a bitwise subset test on packed point masks (no point of w
-    outside v), independently of `_cover_pairs`.  slash marks the covers
-    where v meets x in a point outside w, i.e. the meet with x grows."""
-    rows, cols, slash = [], [], []
-    for blk in row_blocks(len(words_hi), words_lo.size):
-        outside = words_lo[None, :, :] & ~words_hi[blk, None, :]
-        b, a = np.nonzero(~outside.any(axis=2))
-        slash.append((words_hi[blk][b] & x_words & ~words_lo[a]).any(axis=1))
-        rows.append(b + blk.start)
-        cols.append(a)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(slash)
+def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable):
+    """Index arrays (b, a) of the covers w_a < v_b, generated from above:
+    a = -1 where a generated point set is missing from `lo`.
+
+    Write the points of v as c R over the coefficient vectors c of
+    F_q^(l+1), R the echelon rows of v.  The hyperplanes of v are the
+    kernels of the [l+1]_q nonzero functionals f up to scalars, and
+    kernel f holds the points c R with f . c = 0, so its mask packs
+    those q^l points; distinct functionals give distinct kernels.  Each
+    mask is found in `lo` by binary search over its sorted masks.
+    """
+    q, n, k = hi.q, hi.ambient, hi.dim
+    coeffs = all_vectors(q, k)
+    funcs = projective_points(q, k)
+    acc = np.min_scalar_type(max(k, 1) * (q - 1) ** 2)
+    values = coeffs.astype(acc) @ funcs.T.astype(acc) % q
+    kernels = np.nonzero(values.T == 0)[1].reshape(len(funcs), -1)
+    npoints = q**n
+    width = len(funcs) * (kernels.shape[1] + 8 * hi.words.shape[1]) + len(coeffs) * n
+    found = []
+    for blk in row_blocks(len(hi), width):
+        points = span_points(coeffs, hi.rows[blk], q)[:, kernels]
+        found.append(lo.find_masks(pack_points(points.reshape(-1, kernels.shape[1]), npoints)))
+    return np.repeat(np.arange(len(hi)), len(funcs)), np.concatenate(found)
+
+
+def _keep_covers(side: str, lo: SubspaceTable, hi: SubspaceTable, a, b, failures: dict):
+    """The generated pairs (a, b) that name two table entries with no
+    point of lo[a] outside hi[b], which makes them covers (consecutive
+    dimensions).  The first pair that fails fails both kinds."""
+    ok = (a >= 0) & (b >= 0)
+    ok[ok] = ~(lo.words[a[ok]] & ~hi.words[b[ok]]).any(axis=1)
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
+        witness = f"{side}: pair ({int(a[k])}, {int(b[k])}) of dims {lo.dim}, {hi.dim} is not a cover"
+        for kind in failures:
+            failures[kind].append(witness)
+    return a[ok], b[ok]
+
+
+def _count_witness(side: str, kind: str, got, want, where) -> str | None:
+    bad = np.flatnonzero(where & (got != want))
+    if not bad.size:
+        return None
+    g = int(bad[0])
+    return f"{side}: element {g} has {int(got[g])} {kind} pairs, expected {int(want[g])}"
 
 
 def build_poset_matrices(
@@ -117,40 +186,66 @@ def build_poset_matrices(
     When the full poset exceeds the poset cap (or partial mode is
     forced), only the dimensions D-1, D, D+1 are materialized; every
     relation below restricts consistently to that window.
+
+    Proof obligation for the cover relation.  It is generated twice,
+    from below (`_covers_from_below`: L1, L2, cover) and from above
+    (`_covers_from_above`: R1, R2), and each generated relation is
+    certified on its own:
+
+    - inclusion: every generated pair passes a subset test on the two
+      point masks, so it is a cover (consecutive dimensions); a pair
+      that fails, or names a subspace missing from its table, is
+      dropped and fails the certificate;
+    - completeness: every u of dimension l with meet dimension i below
+      a materialized layer has exactly [D-i]_q distinct slash covers
+      (u + <y>, y in x outside u) and [N-l]_q - [D-i]_q backslash ones,
+      and every v of dimension l + 1 in layer (i, j) above one has
+      [j]_q backslash hyperplanes (those containing v meet x) and
+      [l+1]_q - [j]_q slash ones.  Those are all the covers of each
+      kind, so a relation of distinct true covers with those counts is
+      the whole relation of that kind.
+
+    A failed certificate of a kind fails the transpose check of that
+    kind, with the first failure as witness.  The slash kind is read
+    from the meet dimensions (ivec) from below and from a bit test (v
+    meets x in a point outside w) from above, so the transpose checks
+    compare two independent classifications as well.  Every step is
+    linear in the number of subspaces and covers, up to the sorting of
+    the lookups.
     """
     q, n, d = geometry.q, geometry.ambient, geometry.d
     total = geometry.poset_size()
     partial = force_partial or total > geometry.poset_cap
     dims = [d - 1, d, d + 1] if partial else list(range(n + 1))
+    tables = {l: geometry.table(l) for l in dims}
     offsets = {}
-    elements = []
+    m = 0
     for l in dims:
-        offsets[l] = len(elements)
-        elements.extend(geometry.table(l))
-    m = len(elements)
-    npoints = q**n
-    incidence = {l: point_incidence(geometry.table(l), npoints) for l in dims}
-    words = {l: mask_words(geometry.table(l), npoints) for l in dims}
-    x_inc = point_incidence([geometry.x], npoints).T
-    x_words = mask_words([geometry.x], npoints)[0]
+        offsets[l] = m
+        m += len(tables[l])
+    x_words = mask_words([geometry.x], q**n)[0]
     # i = dim(u meet x) from the common point count q^i
     ivec = np.concatenate([
-        dims_of_counts(exact_int_product(incidence[l], x_inc, npoints)[:, 0], q, d)
+        dims_of_counts(np.bitwise_count(tables[l].words & x_words).sum(axis=1), q, d)
         for l in dims
     ])
-    jvec = np.concatenate([np.full(len(geometry.table(l)), l) for l in dims]) - ivec
+    dimvec = np.concatenate([np.full(len(tables[l]), l) for l in dims])
+    jvec = dimvec - ivec
 
+    failures = {"slash": [], "backslash": []}
     lo, hi, up, down, up_slash = [], [], [], [], []
     for l in dims:
         if l + 1 not in offsets:
             continue
-        a, b = _cover_pairs(incidence[l], incidence[l + 1], q**l)
+        t_lo, t_hi = tables[l], tables[l + 1]
+        a, b = _keep_covers("from below", t_lo, t_hi, *_covers_from_below(t_lo, t_hi), failures)
         lo.append(offsets[l] + a)
         hi.append(offsets[l + 1] + b)
-        b, a, slash = _raising_pairs(words[l], words[l + 1], x_words)
+        b, a = _covers_from_above(t_lo, t_hi)
+        a, b = _keep_covers("from above", t_lo, t_hi, a, b, failures)
         up.append(offsets[l + 1] + b)
         down.append(offsets[l] + a)
-        up_slash.append(slash)
+        up_slash.append((t_hi.words[b] & x_words & ~t_lo.words[a]).any(axis=1))
     lo, hi, up, down, up_slash = (np.concatenate(v) for v in (lo, hi, up, down, up_slash))
     # a cover grows the meet with x by one (slash) or not (backslash)
     step = ivec[hi] - ivec[lo]
@@ -158,13 +253,14 @@ def build_poset_matrices(
         raise ArithmeticError("cover meet dimensions violate the cover dichotomy")
 
     def to_csr(rows, cols):
-        data = np.ones(rows.size, dtype=np.int64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
+        # 0/1 entries: a pair generated twice counts once
+        mat = sp.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(m, m))
+        mat.data[:] = 1
+        return mat
 
     pm = PosetMatrices(
         geometry=geometry,
         dims=dims,
-        elements=elements,
         offsets=offsets,
         ivec=ivec,
         jvec=jvec,
@@ -176,6 +272,20 @@ def build_poset_matrices(
         partial=partial,
     )
 
+    # closed-form cover counts per element and kind
+    qint = np.array([q_int(k, q) for k in range(n + 1)], dtype=np.int64)
+    has_up, has_down = dimvec < dims[-1], dimvec > dims[0]
+    below = {"slash": qint[d - ivec]}
+    below["backslash"] = qint[n - dimvec] - below["slash"]
+    above = {"backslash": qint[jvec]}
+    above["slash"] = qint[dimvec] - above["backslash"]
+    for kind, lower, raising in (("slash", pm.L1, pm.R1), ("backslash", pm.L2, pm.R2)):
+        for side, mat, want, where in (
+            ("from below", lower, below[kind], has_up),
+            ("from above", raising, above[kind], has_down),
+        ):
+            failures[kind].append(_count_witness(side, kind, np.diff(mat.indptr), want, where))
+
     cs = CheckSet(f"ladder operators q={q} N={n} D={d}" + (" (partial)" if partial else ""))
     layers = [
         (i, j)
@@ -183,12 +293,18 @@ def build_poset_matrices(
         for j in range(n - d + 1)
         if i + j in offsets
     ]
+    estars = {(i, j): pm.estar(i, j) for i, j in layers}
     total_diag = sp.csr_matrix((m, m), dtype=np.int64)
-    for i, j in layers:
-        total_diag = total_diag + pm.estar(i, j)
+    for e in estars.values():
+        total_diag = total_diag + e
     cs.check_true("layer_projections_sum_to_identity", _sparse_equal(total_diag, sp.identity(m, dtype=np.int64, format="csr")))
-    cs.check_true("raising_is_transpose_of_lowering_slash", _sparse_equal(pm.R1, pm.L1.T.tocsr()))
-    cs.check_true("raising_is_transpose_of_lowering_backslash", _sparse_equal(pm.R2, pm.L2.T.tocsr()))
+    for kind, lower, raising in (("slash", pm.L1, pm.R1), ("backslash", pm.L2, pm.R2)):
+        witness = next((w for w in failures[kind] if w), None)
+        cs.check_true(
+            f"raising_is_transpose_of_lowering_{kind}",
+            witness is None and _sparse_equal(raising, lower.T.tocsr()),
+            witness,
+        )
     cs.check_true("cover_matrix_splits", _sparse_equal(pm.cover, pm.L1 + pm.L2))
     cs.check_true("cover_types_disjoint", pm.L1.multiply(pm.L2).nnz == 0)
 
@@ -196,16 +312,12 @@ def build_poset_matrices(
     shifts_ok = True
     shift_witness = None
     for i, j in layers:
-        e_ij = pm.estar(i, j)
-        up_i = pm.estar(i + 1, j) if i + 1 <= d else zero
-        up_j = pm.estar(i, j + 1) if j + 1 <= n - d else zero
-        down_i = pm.estar(i - 1, j) if i >= 1 else zero
-        down_j = pm.estar(i, j - 1) if j >= 1 else zero
+        e_ij = estars[(i, j)]
         pairs = [
-            (e_ij @ pm.L1, pm.L1 @ up_i, "slash lowering"),
-            (e_ij @ pm.L2, pm.L2 @ up_j, "backslash lowering"),
-            (e_ij @ pm.R1, pm.R1 @ down_i, "slash raising"),
-            (e_ij @ pm.R2, pm.R2 @ down_j, "backslash raising"),
+            (e_ij @ pm.L1, pm.L1 @ estars.get((i + 1, j), zero), "slash lowering"),
+            (e_ij @ pm.L2, pm.L2 @ estars.get((i, j + 1), zero), "backslash lowering"),
+            (e_ij @ pm.R1, pm.R1 @ estars.get((i - 1, j), zero), "slash raising"),
+            (e_ij @ pm.R2, pm.R2 @ estars.get((i, j - 1), zero), "backslash raising"),
         ]
         for lhs, rhs, label in pairs:
             if not _sparse_equal(lhs, rhs):
@@ -221,16 +333,14 @@ def build_poset_matrices(
                 orthogonal = False
     cs.check_true("layer_projections_pairwise_orthogonal", orthogonal)
 
-    counts = {}
-    for i, j in layers:
-        counts[f"{i},{j}"] = int(pm.layer_indicator(i, j).sum())
+    counts = {f"{i},{j}": int(indicators[(i, j)].sum()) for i, j in layers}
     expected = {
         f"{i},{j}": q_binomial(d, i, q) * q ** ((d - i) * j) * q_binomial(n - d, j, q)
         for (i, j) in layers
     }
     cs.check("layer_sizes_product_formula", expected, counts)
     # each projection is a 0/1 diagonal, so its rank is its trace
-    ranks = {f"{i},{j}": int(pm.estar(i, j).diagonal().sum()) for i, j in layers}
+    ranks = {f"{i},{j}": int(estars[(i, j)].diagonal().sum()) for i, j in layers}
     cs.check("layer_projection_ranks_match_sizes", expected, ranks)
     cs.record("layer_sizes", counts)
 

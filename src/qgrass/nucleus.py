@@ -51,6 +51,7 @@ from .report import CheckSet
 from .subspaces import (
     CanonicalSubspace,
     enumerate_subspaces,
+    mask_words,
     point_incidence,
     subspace_from_rows,
 )
@@ -81,10 +82,12 @@ class _DisjointSets:
 
 def containment_vectors(gc: GraphContext, alphas: list[CanonicalSubspace]) -> np.ndarray:
     """Vee vectors: row a is the 0/1 indicator of the vertices containing
-    alphas[a]."""
-    vmasks = [v.mask for v in gc.vertices]
-    rows = [[(a.mask | m) == m for m in vmasks] for a in alphas]
-    return np.array(rows, dtype=bool).reshape(len(alphas), len(vmasks))
+    alphas[a], by a subset test of its point mask against the vertex
+    words."""
+    vwords = gc.vertices.words
+    return np.array(
+        [((vwords & aw) == aw).all(axis=1) for aw in mask_words(alphas, gc.q**gc.n)], dtype=bool
+    ).reshape(len(alphas), gc.n_vertices)
 
 
 @dataclass
@@ -353,8 +356,6 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     """
     q, d = gc.q, gc.d
     nv = gc.n_vertices
-    xmask = gc.geometry.x.mask
-    vmasks = [v.mask for v in gc.vertices]
     alphas = subspaces_of_base(gc)
     p = len(alphas)
     by_dim: dict[int, list[int]] = {l: [] for l in range(d + 1)}
@@ -368,8 +369,10 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     )
 
     vee = containment_vectors(gc, alphas)
+    # the meet vector of alpha: the vertices y with y meet x = alpha
+    vx = gc.vertices.words & mask_words([gc.geometry.x], gc.q**gc.n)
     meet = np.array(
-        [[(m & xmask) == a.mask for m in vmasks] for a in alphas], dtype=bool
+        [(vx == aw).all(axis=1) for aw in mask_words(alphas, gc.q**gc.n)], dtype=bool
     ).reshape(p, nv)
     h_sizes = vee.sum(axis=1).tolist()
     g_sizes = meet.sum(axis=1).tolist()
@@ -610,7 +613,7 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     # rows: the points of each vertex inside x, so the Gram product of
     # two rows counts the points of y meet z meet x, q^dim
     x_points = point_incidence([gc.geometry.x], npoints)[0]
-    inside_x = point_incidence(gc.vertices, npoints)[:, x_points]
+    inside_x = gc.points[:, x_points]
     width = inside_x.shape[1]
     xrow = gc.dist[gc.x_index]
     counts = []

@@ -2,23 +2,29 @@
 subspace x.
 
 Every subspace is stored as its reduced row echelon basis, so equality
-is tuple equality.  Each subspace also carries a bitmask over the q^N
-vectors of the ambient space; meets and containment reduce to integer
-bit operations.  Whole tables turn into bool point-incidence matrices
-(`point_incidence`) or packed uint64 words (`mask_words`), so pair
-relations become 0/1 products: the common point count of two subspaces
-is q^dim of their meet (`dims_of_counts`).
+is tuple equality.  A whole table of subspaces of one dimension is a
+SubspaceTable: its echelon rows as one small-int array and its point
+masks (bit p set when vector p lies in the subspace) packed into uint64
+words, computed for all entries at once from one product of the rows
+with the coefficient vectors.  Single subspaces (the base vertex, the
+subspaces of x, anything a caller asks for by index) are
+CanonicalSubspace objects carrying the same mask as a Python int.
+Tables turn into bool point-incidence matrices (`point_incidence`) or
+packed words (`mask_words`), so pair relations become 0/1 products: the
+common point count of two subspaces is q^dim of their meet
+(`dims_of_counts`).
 """
 
 from __future__ import annotations
 
 import enum
 import os
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidParameters, SizeCapExceeded
+from .linalg import row_blocks
 from .qarith import FieldContext, q_binomial, q_int
 from .report import CheckSet
 
@@ -67,7 +73,9 @@ def vector_index(vec, q: int) -> int:
 
 
 def _span_mask(rows, q: int, n: int) -> int:
-    """Bitmask over vector indices of every point in the row span."""
+    """Bitmask over vector indices of every point in the row span, by
+    walking the q^l points one at a time.  Only single objects (the base
+    vertex, the subspaces of x) take this path; tables use `span_words`."""
     points = [(0,) * n]
     for row in rows:
         new = []
@@ -158,26 +166,178 @@ def dims_of_counts(counts: np.ndarray, q: int, top: int) -> np.ndarray:
     return dims
 
 
-def _mask_bytes(subspaces, npoints: int) -> np.ndarray:
-    """Point masks as rows of little-endian bytes, zero-padded to whole
-    64-bit words."""
-    width = 8 * -(-npoints // 64)
+def _words_per_mask(npoints: int) -> int:
+    return -(-npoints // 64)
+
+
+def _masks_to_words(subspaces, npoints: int) -> np.ndarray:
+    """Masks of CanonicalSubspace objects as rows of uint64 words."""
+    width = 8 * _words_per_mask(npoints)
     buf = b"".join(s.mask.to_bytes(width, "little") for s in subspaces)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(len(subspaces), width)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(subspaces), width // 8)
 
 
 def mask_words(subspaces, npoints: int) -> np.ndarray:
     """Point masks as rows of uint64 words over the npoints = q^N vector
-    indices; bit p of a row is set when vector p lies in the subspace."""
-    return _mask_bytes(subspaces, npoints).view("<u8")
+    indices; bit p of a row is set when vector p lies in the subspace.
+    A SubspaceTable hands over its own words; a sequence of
+    CanonicalSubspace objects is packed from their masks."""
+    if isinstance(subspaces, SubspaceTable):
+        return subspaces.words
+    return _masks_to_words(subspaces, npoints)
 
 
 def point_incidence(subspaces, npoints: int) -> np.ndarray:
     """Bool point-incidence matrix: entry (r, p) is set when vector p
     lies in subspace r.  Its Gram product counts common points, q^dim of
     the meet."""
-    bits = np.unpackbits(_mask_bytes(subspaces, npoints), axis=1, bitorder="little")
+    words = np.ascontiguousarray(mask_words(subspaces, npoints))
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     return bits[:, :npoints].astype(bool)
+
+
+def all_vectors(q: int, k: int) -> np.ndarray:
+    """Every vector of F_q^k as a row of a (q^k, k) small-int array, in
+    the order of itertools.product(range(q), repeat=k)."""
+    codes = np.arange(q**k)
+    places = q ** np.arange(k - 1, -1, -1)
+    return (codes[:, None] // places % q).astype(_digit_dtype(q))
+
+
+def projective_points(q: int, k: int) -> np.ndarray:
+    """One representative of every 1-dimensional subspace of F_q^k, the
+    one whose first nonzero entry is 1: a ([k]_q, k) array."""
+    vecs = all_vectors(q, k)
+    nonzero = vecs != 0
+    lead = vecs[np.arange(len(vecs)), nonzero.argmax(axis=1)]
+    return vecs[nonzero.any(axis=1) & (lead == 1)]
+
+
+def _digit_dtype(q: int):
+    return np.min_scalar_type(q - 1)
+
+
+def span_points(coeffs: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray:
+    """Vector indices of the combinations coeffs @ rows mod q: entry
+    (r, c) is the index of sum_i coeffs[c, i] rows[r, i], for rows of
+    shape (count, l, N) and coeffs of shape (s, l).  The product runs in
+    the smallest unsigned type that holds l (q-1)^2, so no entry wraps
+    before the reduction mod q."""
+    l, n = rows.shape[1], rows.shape[2]
+    acc = np.min_scalar_type(max(l, 1) * (q - 1) ** 2)
+    vecs = np.matmul(coeffs.astype(acc), rows.astype(acc)) % q
+    powers = q ** np.arange(n, dtype=np.min_scalar_type(q**n - 1))
+    return vecs @ powers
+
+
+def pack_points(points: np.ndarray, npoints: int) -> np.ndarray:
+    """Rows of vector indices as packed uint64 point masks: bit p of row
+    r is set when p appears in points[r]."""
+    rows = len(points)
+    bits = np.zeros((rows, 64 * _words_per_mask(npoints)), dtype=bool)
+    bits[np.arange(rows)[:, None], points] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def span_words(rows: np.ndarray, q: int) -> np.ndarray:
+    """Packed point masks of the row spans of `rows` (count, l, N): the
+    q^l points of each span come from one product with every
+    coefficient vector of F_q^l, in row blocks."""
+    count, l, n = rows.shape
+    npoints = q**n
+    coeffs = all_vectors(q, l)
+    out = np.empty((count, _words_per_mask(npoints)), dtype=np.uint64)
+    for blk in row_blocks(count, max(len(coeffs) * n, 8 * out.shape[1])):
+        out[blk] = pack_points(span_points(coeffs, rows[blk], q), npoints)
+    return out
+
+
+def _keys(a: np.ndarray) -> np.ndarray:
+    """Rows of a 2-d unsigned array as opaque byte strings whose byte
+    order is the numeric lexicographic order of the rows (big-endian
+    entries), for sorting and exact lookups."""
+    if a.shape[1] == 0:
+        return np.zeros(len(a), dtype=np.dtype((np.void, 1)))
+    big = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.shape[1] * big.itemsize))).ravel()
+
+
+class SubspaceTable:
+    """The dim-dimensional subspaces of F_q^ambient in table order, that
+    is sorted by their flattened reduced echelon rows, held as arrays:
+
+    - rows: (count, dim, ambient) small ints, the reduced echelon basis;
+    - pivots: (count, dim), the pivot column of each row;
+    - words: (count, W) uint64, the packed point mask over the q^ambient
+      vector indices (`vector_index` order).
+
+    Indexing builds one CanonicalSubspace on demand, with its pivots and
+    mask handed over, so no per-entry elimination or span walk runs.
+    """
+
+    def __init__(self, q: int, ambient: int, dim: int, rows: np.ndarray):
+        self.q = q
+        self.ambient = ambient
+        self.dim = dim
+        self.rows = rows
+        self.pivots = (rows != 0).argmax(axis=2)
+        self.words = span_words(rows, q)
+        self._row_keys = None
+        self._mask_order = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if k < 0:
+            k += len(self)
+        mask = int.from_bytes(self.words[k].tobytes(), "little")
+        rows = tuple(map(tuple, self.rows[k].tolist()))
+        return CanonicalSubspace(self.q, self.ambient, rows, self.pivots[k].tolist(), mask)
+
+    def __iter__(self):
+        for k in range(len(self)):
+            yield self[k]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SubspaceTable)
+            and (self.q, self.ambient, self.dim) == (other.q, other.ambient, other.dim)
+            and np.array_equal(self.rows, other.rows)
+        )
+
+    __hash__ = None
+
+    def find_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Table index of each reduced echelon basis in `rows` (k, dim,
+        ambient), or -1 where it is not in the table.  The table is
+        sorted by its rows, so this is a binary search."""
+        if self._row_keys is None:
+            self._row_keys = _keys(self.rows.reshape(len(self), -1))
+        return _lookup(self._row_keys, None, _keys(rows.reshape(len(rows), -1)))
+
+    def find_masks(self, words: np.ndarray) -> np.ndarray:
+        """Table index of each packed point mask in `words`, or -1 where
+        no table entry has that point set."""
+        if self._mask_order is None:
+            keys = _keys(self.words)
+            order = np.argsort(keys, kind="stable")
+            self._mask_order = (keys[order], order)
+        keys, order = self._mask_order
+        return _lookup(keys, order, _keys(words))
+
+
+def _lookup(sorted_keys: np.ndarray, order, wanted: np.ndarray) -> np.ndarray:
+    """Positions of `wanted` in `sorted_keys` (mapped through `order`
+    when the keys were sorted by it), -1 for keys that are absent."""
+    pos = np.searchsorted(sorted_keys, wanted)
+    inside = pos < len(sorted_keys)
+    hit = np.zeros(len(wanted), dtype=bool)
+    hit[inside] = sorted_keys[pos[inside]] == wanted[inside]
+    found = pos if order is None else order[np.minimum(pos, len(order) - 1)]
+    return np.where(hit, found, -1)
 
 
 def dim_meet(u: CanonicalSubspace, v: CanonicalSubspace) -> int:
@@ -231,14 +391,39 @@ def intersect(u: CanonicalSubspace, v: CanonicalSubspace) -> CanonicalSubspace:
     return subspace_from_rows(q, n, span_rows)
 
 
+def _echelon_blocks(q: int, ambient: int, dim: int):
+    """Reduced echelon rows of every dim-subspace, one array per pivot
+    pattern: the pivots hold 1, the free cells (right of a row's pivot,
+    outside the pivot columns) take every assignment in F_q, and all
+    other cells are 0."""
+    dtype = _digit_dtype(q)
+    for pivots in combinations(range(ambient), dim):
+        pivset = set(pivots)
+        cells = [
+            (i, c)
+            for i in range(dim)
+            for c in range(pivots[i] + 1, ambient)
+            if c not in pivset
+        ]
+        fill = all_vectors(q, len(cells))
+        block = np.zeros((len(fill), dim, ambient), dtype=dtype)
+        block[:, np.arange(dim), np.array(pivots, dtype=np.intp)] = 1
+        if cells:
+            ri, ci = (np.array(v, dtype=np.intp) for v in zip(*cells))
+            block[:, ri, ci] = fill
+        yield block
+
+
 def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAULT_TABLE_CAP):
-    """All dim-dimensional subspaces of F_q^ambient, sorted by their
-    flattened echelon rows.
+    """All dim-dimensional subspaces of F_q^ambient as a SubspaceTable,
+    sorted by their flattened echelon rows.
 
     Generation walks pivot column patterns and fills the free cells, so
-    each subspace is produced exactly once, already canonical.  The
-    projected count q_binomial(ambient, dim, q) is checked against the
-    cap before any work starts.
+    each subspace is produced exactly once, already canonical: a reduced
+    echelon basis is unique to its row space, and every pattern with
+    every filling is one.  The projected count q_binomial(ambient, dim,
+    q) is checked against the cap before any work starts, and against
+    the rows produced.
     """
     FieldContext(q)
     if dim < 0 or dim > ambient:
@@ -248,31 +433,13 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
         raise SizeCapExceeded(
             f"enumeration of {projected} subspaces exceeds cap {cap}", projected, cap
         )
-    out = []
-    for pivots in combinations(range(ambient), dim):
-        pivset = set(pivots)
-        free_cells = [
-            (i, c)
-            for i in range(dim)
-            for c in range(pivots[i] + 1, ambient)
-            if c not in pivset
-        ]
-        base = [[0] * ambient for _ in range(dim)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        for assignment in product(range(q), repeat=len(free_cells)):
-            rows = [r[:] for r in base]
-            for (i, c), val in zip(free_cells, assignment):
-                rows[i][c] = val
-            out.append(
-                CanonicalSubspace(q, ambient, tuple(tuple(r) for r in rows), pivots)
-            )
-    out.sort(key=lambda s: s.rows)
-    if len(out) != projected:
+    rows = np.concatenate(list(_echelon_blocks(q, ambient, dim)))
+    if len(rows) != projected:
         raise ArithmeticError(
-            f"enumeration produced {len(out)} subspaces, expected {projected}"
+            f"enumeration produced {len(rows)} subspaces, expected {projected}"
         )
-    return out
+    rows = rows[np.argsort(_keys(rows.reshape(len(rows), -1)), kind="stable")]
+    return SubspaceTable(q, ambient, dim, rows)
 
 
 class CoverType(enum.Enum):
@@ -281,7 +448,7 @@ class CoverType(enum.Enum):
     BACKSLASH = "backslash"
 
 
-def save_table(path: str, q: int, ambient: int, dim: int, table) -> None:
+def save_table(path: str, q: int, ambient: int, dim: int, table: SubspaceTable) -> None:
     """Write a subspace table: header 'q ambient dim count', then one
     line per subspace with its dimension and row-major digits.
 
@@ -296,9 +463,9 @@ def save_table(path: str, q: int, ambient: int, dim: int, table) -> None:
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write(f"{q} {ambient} {dim} {len(table)}\n")
-            for s in table:
-                digits = "".join(str(v) for row in s.rows for v in row)
-                fh.write(f"{s.dim} {digits}\n")
+            digits = table.rows.reshape(len(table), dim * ambient) + ord("0")
+            prefix = f"{dim} ".encode("ascii")
+            fh.write(b"".join(prefix + row.tobytes() + b"\n" for row in digits).decode("ascii"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -307,13 +474,47 @@ def save_table(path: str, q: int, ambient: int, dim: int, table) -> None:
         raise
 
 
-def load_table(path: str, q: int, ambient: int, dim: int):
-    """Read a table written by save_table, validating the count against
-    the Gaussian binomial and every line against the header.
+def _first_non_echelon(rows: np.ndarray):
+    """Index of the first entry of `rows` (count, l, N) that is not a
+    reduced echelon basis (a zero row, pivots out of order, or a pivot
+    column other than a unit vector), or None."""
+    count, l, _ = rows.shape
+    nonzero = rows != 0
+    pivots = nonzero.argmax(axis=2)
+    at_pivots = np.take_along_axis(rows, np.broadcast_to(pivots[:, None, :], (count, l, l)), axis=2)
+    ok = (
+        nonzero.any(axis=2).all(axis=1)
+        & (np.diff(pivots, axis=1) > 0).all(axis=1)
+        & (at_pivots == np.eye(l, dtype=rows.dtype)).all(axis=(1, 2))
+    )
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
 
-    Any unparsable header or line (a non-numeric field, a byte outside
-    ASCII) raises InvalidParameters, like every other malformed cache.
+
+def _first_descent(flat: np.ndarray):
+    """Index k of the first pair of rows with flat[k + 1] not
+    lexicographically greater than flat[k], or None."""
+    if len(flat) < 2:
+        return None
+    diff = flat[1:].astype(np.int64) - flat[:-1]
+    first = (diff != 0).argmax(axis=1)
+    bad = np.flatnonzero(diff[np.arange(len(diff)), first] <= 0)
+    return int(bad[0]) if bad.size else None
+
+
+def load_table(path: str, q: int, ambient: int, dim: int) -> SubspaceTable:
+    """Read a table written by save_table and rebuild it as arrays.
+
+    The header must match (q, ambient, dim) and count q_binomial(ambient,
+    dim, q) subspaces; every line must hold that many digits below q, in
+    reduced echelon form, and the lines must be strictly increasing in
+    table order.  Distinct echelon bases are distinct subspaces, so those
+    checks make the file the full table, in order; a line duplicated
+    over another, or two lines swapped, is refused.  Any unparsable
+    header or line (a non-numeric field, a byte outside ASCII) raises
+    InvalidParameters, like every other malformed cache.
     """
+    width = dim * ambient
     try:
         with open(path, encoding="ascii") as fh:
             header = fh.readline().split()
@@ -329,29 +530,39 @@ def load_table(path: str, q: int, ambient: int, dim: int):
                 raise InvalidParameters(
                     f"cache header count {hcount} disagrees with q_binomial {expected}"
                 )
-            table = []
+            digits = []
             for line in fh:
                 parts = line.split()
                 if not parts:
                     continue
                 d = int(parts[0])
-                digits = parts[1] if len(parts) > 1 else ""
-                if d != dim or len(digits) != d * ambient:
+                text = parts[1] if len(parts) > 1 else ""
+                if d != dim or len(text) != width or len(parts) > 2:
                     raise InvalidParameters(f"malformed cache line in {path}: {line!r}")
-                rows = tuple(
-                    tuple(int(digits[i * ambient + c]) for c in range(ambient))
-                    for i in range(d)
-                )
-                if any(v >= q for row in rows for v in row):
-                    raise InvalidParameters(f"cache digit out of range in {path}")
-                table.append(CanonicalSubspace(q, ambient, rows))
-            if len(table) != expected:
-                raise InvalidParameters(
-                    f"cache {path} holds {len(table)} subspaces, expected {expected}"
-                )
+                digits.append(text)
     except ValueError as exc:
         raise InvalidParameters(f"unreadable cache file {path}: {exc}") from exc
-    return table
+    if len(digits) != expected:
+        raise InvalidParameters(
+            f"cache {path} holds {len(digits)} subspaces, expected {expected}"
+        )
+    flat = np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8).reshape(
+        len(digits), width
+    ) - ord("0")
+    if (flat >= q).any():
+        raise InvalidParameters(f"cache digit out of range in {path}")
+    rows = flat.astype(_digit_dtype(q)).reshape(len(digits), dim, ambient)
+    bad = _first_non_echelon(rows)
+    if bad is not None:
+        raise InvalidParameters(
+            f"cache {path} line {bad + 2} is not in reduced echelon form"
+        )
+    bad = _first_descent(flat)
+    if bad is not None:
+        raise InvalidParameters(
+            f"cache {path} line {bad + 3} is not after line {bad + 2} in table order"
+        )
+    return SubspaceTable(q, ambient, dim, rows)
 
 
 class GeometryContext:
@@ -393,8 +604,7 @@ class GeometryContext:
                 raise InvalidParameters(
                     f"x has dimension {self.x.dim}, expected D={d}"
                 )
-        self._tables: dict[int, list[CanonicalSubspace]] = {}
-        self._index: dict[int, dict] = {}
+        self._tables: dict[int, SubspaceTable] = {}
 
     def _cache_path(self, dim: int) -> str | None:
         if self.cache_dir is None or self.q >= 10:
@@ -403,7 +613,7 @@ class GeometryContext:
             self.cache_dir, f"subspaces_q{self.q}_n{self.ambient}_l{dim}.txt"
         )
 
-    def table(self, dim: int):
+    def table(self, dim: int) -> SubspaceTable:
         if dim not in self._tables:
             path = self._cache_path(dim)
             tab = None
@@ -415,12 +625,15 @@ class GeometryContext:
                     os.makedirs(self.cache_dir, exist_ok=True)
                     save_table(path, self.q, self.ambient, dim, tab)
             self._tables[dim] = tab
-            self._index[dim] = {s.rows: i for i, s in enumerate(tab)}
         return self._tables[dim]
 
     def index_of(self, s: CanonicalSubspace) -> int:
-        self.table(s.dim)
-        return self._index[s.dim][s.rows]
+        tab = self.table(s.dim)
+        rows = np.array(s.rows, dtype=tab.rows.dtype).reshape(1, s.dim, self.ambient)
+        k = int(tab.find_rows(rows)[0])
+        if k < 0:
+            raise KeyError(s.rows)
+        return k
 
     def poset_size(self) -> int:
         return sum(q_binomial(self.ambient, l, self.q) for l in range(self.ambient + 1))
@@ -457,10 +670,13 @@ class GeometryContext:
         )
 
     def covers_of(self, u: CanonicalSubspace):
-        """Subspaces v with u < v and dim v = dim u + 1."""
+        """Subspaces v with u < v and dim v = dim u + 1, by a subset test
+        of u's point mask against the words of the next table."""
         if u.dim == self.ambient:
             return []
-        return [v for v in self.table(u.dim + 1) if u.is_subspace_of(v)]
+        upper = self.table(u.dim + 1)
+        uw = _masks_to_words([u], self.q**self.ambient)
+        return [upper[k] for k in np.flatnonzero(((upper.words & uw) == uw).all(axis=1))]
 
     def census(self, full_poset: bool = True) -> CheckSet:
         """Count the layers P_{i,j} and verify the structural facts that
@@ -502,7 +718,7 @@ class GeometryContext:
             cover_ok = True
             cover_witness = None
             for l in range(1, n + 1):
-                lower = self.table(l - 1)
+                lower = list(self.table(l - 1))
                 for u in self.table(l):
                     covered = [w for w in lower if w.is_subspace_of(u)]
                     if len(covered) != q_int(l, q):

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from qgrass import subspaces
 from qgrass.cli import SUITE_ORDER, _finish, main
 from qgrass.grassmann import RANK_VERIFY_LIMIT, build_graph
+from qgrass.qarith import q_binomial
 from qgrass.report import CheckSet
 
 
@@ -167,7 +169,7 @@ def test_invalid_parameters_exit_two(capsys):
     assert "complement" in err
 
 
-@pytest.mark.parametrize("corrupt", ["truncate", "non_numeric"])
+@pytest.mark.parametrize("corrupt", ["truncate", "non_numeric", "duplicate_line"])
 def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
     argv = ["verify", "--q", "2", "--n", "4", "--d", "1", "--suite", "geometry",
             "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "r.json")]
@@ -176,8 +178,13 @@ def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
     text = path.read_text()
     if corrupt == "truncate":
         path.write_text(text[: len(text) // 2])
-    else:
+    elif corrupt == "non_numeric":
         path.write_text(text.replace("1 ", "x ", 1))
+    else:
+        # one subspace written over another: every line parses and the
+        # count holds, but the table is no longer the full one in order
+        lines = text.splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + [lines[1]] + lines[4:]))
     capsys.readouterr()
     # every later run reports the bad file instead of dying on it
     for _ in range(2):
@@ -185,6 +192,32 @@ def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
         err = capsys.readouterr().err
         assert "invalid parameters" in err and str(path) in err
         assert "Traceback" not in err
+
+
+def test_verify_builds_objects_only_for_the_alphas(monkeypatch, capsys):
+    # the verify path keeps subspace tables as arrays: CanonicalSubspace
+    # objects (and their span walks) are made for x and the subspaces of
+    # x, a bounded number per alpha, never one per table entry
+    calls = {"span": 0, "init": 0}
+    span_mask, init = subspaces._span_mask, subspaces.CanonicalSubspace.__init__
+
+    def counted_span(*args):
+        calls["span"] += 1
+        return span_mask(*args)
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "_span_mask", counted_span)
+    monkeypatch.setattr(subspaces.CanonicalSubspace, "__init__", counted_init)
+    assert main(["verify", "--q", "2", "--n", "5", "--d", "2", "--suite", "all"]) == 0
+    capsys.readouterr()
+    # J_2(5,2) and the boundary suite's J_2(4,2) have 5 alphas each; one
+    # object per table entry would be at least the 374 subspaces of F_2^5
+    alphas = 2 * sum(q_binomial(2, l, 2) for l in range(3))
+    assert calls["span"] <= 3 * alphas
+    assert calls["init"] <= 5 * alphas < 374
 
 
 def test_size_cap_exit_two(capsys):

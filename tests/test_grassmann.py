@@ -121,6 +121,26 @@ def test_j252_shape(j252):
     assert "sphere_equals_layer" in names
 
 
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
+def test_sphere_layer_check_matches_per_vertex_loop(monkeypatch, q, n, d):
+    # distances read from the wrong row (x's table index shifted by one):
+    # the vectorized check must fail with the witness of the per-vertex
+    # pij loop it replaced, the first vertex off its layer
+    real = grassmann.GeometryContext.index_of
+    monkeypatch.setattr(
+        grassmann.GeometryContext, "index_of", lambda self, s: real(self, s) + 1
+    )
+    gc = build_graph(q, n, d)
+    verdict = next(c for c in gc.build_checks.checks if c.name == "sphere_equals_layer")
+    geometry = gc.geometry
+    oracle = next(
+        f"vertex {y.rows}"
+        for k, y in enumerate(gc.vertices)
+        if geometry.pij(y) != (d - int(gc.dist[gc.x_index, k]), int(gc.dist[gc.x_index, k]))
+    )
+    assert not verdict.passed and verdict.witness == oracle
+
+
 def test_j252_distance_against_intersection(j252):
     # independent distance route: subspace intersection via nullspace
     from qgrass.subspaces import intersect

@@ -19,7 +19,8 @@ from qgrass.ladders import (
     validate_type,
 )
 from qgrass.qarith import SqrtQScalar, q_binomial, q_int
-from qgrass.subspaces import CoverType, GeometryContext
+from qgrass.linalg import exact_int_product, row_blocks
+from qgrass.subspaces import CoverType, GeometryContext, mask_words, point_incidence
 
 from strategies import instances_with_base_vertex
 from test_grassmann import J252_ADMISSIBLE, admissible_quadruples
@@ -208,19 +209,28 @@ def pair_scan_oracle(pm):
         if l + 1 not in pm.offsets:
             continue
         off_lo, off_hi = pm.offsets[l], pm.offsets[l + 1]
-        for a, u in enumerate(geometry.table(l)):
-            for b, v in enumerate(geometry.table(l + 1)):
+        lower, upper = list(geometry.table(l)), list(geometry.table(l + 1))
+        for a, u in enumerate(lower):
+            for b, v in enumerate(upper):
                 if not u.is_subspace_of(v):
                     continue
                 out["cover"].add((off_lo + a, off_hi + b))
                 kind = "L1" if geometry.cover_type(u, v) is CoverType.SLASH else "L2"
                 out[kind].add((off_lo + a, off_hi + b))
-        for b, v in enumerate(geometry.table(l + 1)):
-            for a, w in enumerate(geometry.table(l)):
+        for b, v in enumerate(upper):
+            for a, w in enumerate(lower):
                 if w.is_subspace_of(v):
                     kind = "R1" if geometry.cover_type(w, v) is CoverType.SLASH else "R2"
                     out[kind].add((off_hi + b, off_lo + a))
     return out
+
+
+def assert_layers_match_objects(pm):
+    """(i, j) of every materialized subspace, from its own object."""
+    geometry = pm.geometry
+    assert [(int(i), int(j)) for i, j in zip(pm.ivec, pm.jvec)] == [
+        geometry.pij(u) for l in pm.dims for u in geometry.table(l)
+    ]
 
 
 def nonzero_pairs(mat):
@@ -242,10 +252,7 @@ def test_incidence_covers_match_pair_scan(q, n, d, partial):
     oracle = pair_scan_oracle(pm)
     for name, pairs in oracle.items():
         assert nonzero_pairs(getattr(pm, name)) == pairs, name
-    geometry = pm.geometry
-    assert [(int(i), int(j)) for i, j in zip(pm.ivec, pm.jvec)] == [
-        geometry.pij(u) for u in pm.elements
-    ]
+    assert_layers_match_objects(pm)
 
 
 @settings(max_examples=6, deadline=None)
@@ -257,31 +264,197 @@ def test_incidence_covers_match_pair_scan_at_random_base_vertex(instance, partia
     pm.checks.require()
     for name, pairs in pair_scan_oracle(pm).items():
         assert nonzero_pairs(getattr(pm, name)) == pairs, name
-    assert [(int(i), int(j)) for i, j in zip(pm.ivec, pm.jvec)] == [
-        geometry.pij(u) for u in pm.elements
-    ]
+    assert_layers_match_objects(pm)
+
+
+def _cover_pairs(inc_lo, inc_hi, size_lo):
+    """Test-only oracle (the verify path before generated covers):
+    index arrays (a, b) of the pairs u_a < v_b between consecutive
+    layers, from chunked point-incidence products: u lies in v exactly
+    when they share all size_lo = q^l points of u."""
+    rows, cols = [], []
+    for blk in row_blocks(len(inc_lo), len(inc_hi)):
+        counts = exact_int_product(inc_lo[blk], inc_hi.T, inc_lo.shape[1])
+        a, b = np.nonzero(counts == size_lo)
+        rows.append(a + blk.start)
+        cols.append(b)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _raising_pairs(words_lo, words_hi, x_words):
+    """Test-only oracle: index arrays (b, a, slash) of the pairs
+    w_a < v_b, by a bitwise subset test of every pair of packed point
+    masks; slash marks the covers where v meets x in a point outside
+    w."""
+    rows, cols, slash = [], [], []
+    for blk in row_blocks(len(words_hi), words_lo.size):
+        outside = words_lo[None, :, :] & ~words_hi[blk, None, :]
+        b, a = np.nonzero(~outside.any(axis=2))
+        slash.append((words_hi[blk][b] & x_words & ~words_lo[a]).any(axis=1))
+        rows.append(b + blk.start)
+        cols.append(a)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(slash)
+
+
+@pytest.mark.parametrize(
+    "q,n,d,partial",
+    [(2, 5, 2, False), (2, 5, 2, True), (3, 4, 2, False), (2, 7, 1, True), (2, 6, 1, False)],
+    ids=["F2^5-full", "F2^5-partial", "F3^4-full", "F2^7-partial", "F2^6-full"],
+)
+def test_generated_covers_match_quadratic_scans(q, n, d, partial):
+    # the two quadratic scans the generators replaced, as oracles for
+    # every relation built from below (cover, L1, L2) and above (R1, R2)
+    geometry = GeometryContext(q, n, d)
+    pm = build_poset_matrices(geometry, force_partial=partial)
+    pm.checks.require()
+    npoints = q**n
+    x_words = mask_words([geometry.x], npoints)[0]
+    want = {name: set() for name in ("L1", "L2", "R1", "R2", "cover")}
+    for l in pm.dims[:-1]:
+        lo, hi = geometry.table(l), geometry.table(l + 1)
+        off_lo, off_hi = pm.offsets[l], pm.offsets[l + 1]
+        a, b = _cover_pairs(
+            point_incidence(lo, npoints), point_incidence(hi, npoints), q**l
+        )
+        for u, v in zip((a + off_lo).tolist(), (b + off_hi).tolist()):
+            want["cover"].add((u, v))
+            want["L1" if pm.ivec[v] > pm.ivec[u] else "L2"].add((u, v))
+        b, a, slash = _raising_pairs(lo.words, hi.words, x_words)
+        for v, u, s in zip((b + off_hi).tolist(), (a + off_lo).tolist(), slash.tolist()):
+            want["R1" if s else "R2"].add((v, u))
+    for name, pairs in want.items():
+        assert nonzero_pairs(getattr(pm, name)) == pairs, name
+
+
+def _verdicts(pm):
+    return {c.name: (c.passed, c.witness) for c in pm.checks.checks}
+
+
+def _kinds_from_above(geometry, lo, hi, b, a):
+    x_words = mask_words([geometry.x], geometry.q**geometry.ambient)[0]
+    return (hi.words[b] & x_words & ~lo.words[a]).any(axis=1)
 
 
 @pytest.mark.parametrize("slash", [True, False], ids=["slash", "backslash"])
 def test_dropped_raising_pair_fails_transpose_check(monkeypatch, slash):
-    # drop the first raising pair of the given kind; only the transpose
-    # check of that kind may fail
-    real = ladders._raising_pairs
+    # drop the first generated raising pair of the given kind; only the
+    # transpose check of that kind may fail, and the count certificate
+    # from above names the element that lost a pair
+    geometry = GeometryContext(2, 4, 2)
+    real = ladders._covers_from_above
     dropped = []
 
-    def lossy(words_lo, words_hi, x_words):
-        b, a, kinds = real(words_lo, words_hi, x_words)
-        hits = np.flatnonzero(kinds == slash)
+    def lossy(lo, hi):
+        b, a = real(lo, hi)
+        hits = np.flatnonzero(_kinds_from_above(geometry, lo, hi, b, a) == slash)
         if dropped or not hits.size:
-            return b, a, kinds
+            return b, a
         dropped.append((int(b[hits[0]]), int(a[hits[0]])))
         keep = np.arange(b.size) != hits[0]
-        return b[keep], a[keep], kinds[keep]
+        return b[keep], a[keep]
 
-    monkeypatch.setattr(ladders, "_raising_pairs", lossy)
-    pm = build_poset_matrices(GeometryContext(2, 4, 2))
+    monkeypatch.setattr(ladders, "_covers_from_above", lossy)
+    pm = build_poset_matrices(geometry)
     assert len(dropped) == 1
-    verdicts = {c.name: c.passed for c in pm.checks.checks}
+    verdicts = _verdicts(pm)
     hit, miss = ("slash", "backslash") if slash else ("backslash", "slash")
-    assert not verdicts[f"raising_is_transpose_of_lowering_{hit}"]
-    assert verdicts[f"raising_is_transpose_of_lowering_{miss}"]
+    passed, witness = verdicts[f"raising_is_transpose_of_lowering_{hit}"]
+    assert not passed
+    assert witness.startswith("from above: element ") and f"{hit} pairs, expected" in witness
+    assert verdicts[f"raising_is_transpose_of_lowering_{miss}"] == (True, None)
+
+
+@pytest.mark.parametrize("slash", [True, False], ids=["slash", "backslash"])
+def test_dropped_cover_from_below_fails_count_certificate(monkeypatch, slash):
+    # a generator that loses one cover of u: the distinct count of u's
+    # covers of that kind falls short of its closed form
+    geometry = GeometryContext(2, 4, 2)
+    real = ladders._covers_from_below
+    dropped = []
+
+    def lossy(lo, hi):
+        a, b = real(lo, hi)
+        x_words = mask_words([geometry.x], 16)[0]
+        grows = np.bitwise_count(hi.words[b] & x_words).sum(axis=1) > np.bitwise_count(
+            lo.words[a] & x_words
+        ).sum(axis=1)
+        hits = np.flatnonzero(grows == slash)
+        if dropped or not hits.size:
+            return a, b
+        dropped.append(int(hits[0]))
+        keep = np.arange(a.size) != hits[0]
+        return a[keep], b[keep]
+
+    monkeypatch.setattr(ladders, "_covers_from_below", lossy)
+    pm = build_poset_matrices(geometry)
+    assert len(dropped) == 1
+    verdicts = _verdicts(pm)
+    hit, miss = ("slash", "backslash") if slash else ("backslash", "slash")
+    passed, witness = verdicts[f"raising_is_transpose_of_lowering_{hit}"]
+    assert not passed
+    assert witness.startswith("from below: element ") and f"{hit} pairs, expected" in witness
+    assert verdicts[f"raising_is_transpose_of_lowering_{miss}"] == (True, None)
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["from_below", "from_above"])
+@pytest.mark.parametrize("fault", ["not_subset", "missing", "duplicate"])
+def test_bad_generated_pair_fails_certificate(monkeypatch, below, fault):
+    # rewrite the partner of the first pair between lines and planes:
+    # to a subspace that breaks the inclusion, to no table entry, or
+    # (duplicate) the second pair of the same element to a copy of the
+    # first
+    geometry = GeometryContext(2, 4, 2)
+    side = "_covers_from_below" if below else "_covers_from_above"
+    real = getattr(ladders, side)
+    touched = []
+
+    def faulty(lo, hi):
+        pairs = real(lo, hi)
+        if touched or lo.dim != 1:
+            return pairs
+        a, b = (p.copy() for p in (pairs if below else pairs[::-1]))
+        partner = b if below else a
+        if fault == "not_subset" and below:
+            b[0] = np.flatnonzero((lo.words[a[0]] & ~hi.words).any(axis=1))[0]
+        elif fault == "not_subset":
+            a[0] = np.flatnonzero((lo.words & ~hi.words[b[0]]).any(axis=1))[0]
+        elif fault == "missing":
+            partner[0] = -1
+        else:
+            partner[1] = partner[0]
+        touched.append(fault)
+        return (a, b) if below else (b, a)
+
+    monkeypatch.setattr(ladders, side, faulty)
+    pm = build_poset_matrices(geometry)
+    assert touched == [fault]
+    where = "from below" if below else "from above"
+    verdicts = _verdicts(pm)
+    results = [verdicts[f"raising_is_transpose_of_lowering_{k}"] for k in ("slash", "backslash")]
+    if fault == "duplicate":
+        # the copies count once, so one kind of the element comes up short
+        failed = [w for passed, w in results if not passed]
+        assert len(failed) == 1 and failed[0].startswith(f"{where}: element ")
+    else:
+        for passed, witness in results:
+            assert not passed
+            assert witness.startswith(f"{where}: pair (") and witness.endswith("is not a cover")
+
+
+def test_generators_count_and_agree_over_f3():
+    # every generated pair from either side is a true cover, none is
+    # repeated and no table entry is missed, over F_3^5 (243 points,
+    # four words per mask)
+    geometry = GeometryContext(3, 5, 2)
+    for l in range(2, 4):
+        lo, hi = geometry.table(l), geometry.table(l + 1)
+        failures = {"slash": [], "backslash": []}
+        a, b = ladders._covers_from_below(lo, hi)
+        assert [v.size for v in ladders._keep_covers("", lo, hi, a, b, failures)] == [a.size] * 2
+        assert np.bincount(a).tolist() == [q_int(5 - l, 3)] * len(lo)
+        assert len(set(zip(a.tolist(), b.tolist()))) == a.size
+        b2, a2 = ladders._covers_from_above(lo, hi)
+        assert [v.size for v in ladders._keep_covers("", lo, hi, a2, b2, failures)] == [a2.size] * 2
+        assert np.bincount(b2).tolist() == [q_int(l + 1, 3)] * len(hi)
+        assert set(zip(a.tolist(), b.tolist())) == set(zip(a2.tolist(), b2.tolist()))
+        assert failures == {"slash": [], "backslash": []}

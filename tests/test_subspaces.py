@@ -1,8 +1,12 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qgrass import subspaces
 from qgrass.errors import InvalidParameters, SizeCapExceeded
 from qgrass.qarith import q_binomial, q_int
 from qgrass.subspaces import (
@@ -18,6 +22,72 @@ from qgrass.subspaces import (
     subspace_from_rows,
     vector_index,
 )
+
+
+def enumeration_loop_oracle(q, n, l):
+    """Test-only oracle: the object-per-subspace enumeration the array
+    tables replaced.  Walks pivot patterns, fills the free cells with
+    itertools.product, builds one CanonicalSubspace per filling (its
+    mask from _span_mask) and sorts by rows."""
+    out = []
+    for pivots in combinations(range(n), l):
+        free_cells = [
+            (i, c) for i in range(l) for c in range(pivots[i] + 1, n) if c not in pivots
+        ]
+        for assignment in product(range(q), repeat=len(free_cells)):
+            rows = [[0] * n for _ in range(l)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, c), val in zip(free_cells, assignment):
+                rows[i][c] = val
+            out.append(CanonicalSubspace(q, n, tuple(tuple(r) for r in rows), pivots))
+    out.sort(key=lambda s: s.rows)
+    return out
+
+
+# every (q, N, l) with q in {2, 3, 5} and N <= 6 small enough for the
+# object oracle
+SMALL_TABLES = [
+    (q, n, l)
+    for q in (2, 3, 5)
+    for n in range(1, 7)
+    for l in range(n + 1)
+    if q_binomial(n, l, q) <= 1500
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_TABLES))
+def test_array_table_matches_enumeration_loop(params):
+    q, n, l = params
+    tab = enumerate_subspaces(q, n, l, cap=None)
+    oracle = enumeration_loop_oracle(q, n, l)
+    assert len(tab) == len(oracle) == q_binomial(n, l, q)
+    assert tab.rows.tolist() == [[list(r) for r in s.rows] for s in oracle]
+    assert tab.pivots.tolist() == [list(s.pivots) for s in oracle]
+    masks = [int.from_bytes(w.tobytes(), "little") for w in tab.words]
+    assert masks == [s.mask for s in oracle]
+    # objects built on demand carry the same rows, pivots and mask
+    for k in {0, len(tab) // 2, len(tab) - 1}:
+        assert tab[k] == oracle[k]
+        assert (tab[k].pivots, tab[k].mask) == (oracle[k].pivots, oracle[k].mask)
+
+
+def test_lookups_by_rows_and_by_mask():
+    tab = enumerate_subspaces(3, 4, 2)
+    order = np.arange(len(tab))
+    assert (tab.find_rows(tab.rows) == order).all()
+    assert (tab.find_masks(tab.words) == order).all()
+    # a basis that is not reduced, and a point set that is no plane
+    rows = tab.rows[:1].copy()
+    rows[0, 1] = rows[0, 0]
+    assert tab.find_rows(rows).tolist() == [-1]
+    assert tab.find_masks(tab.words[:1] ^ tab.words[1:2]).tolist() == [-1]
+    ctx = GeometryContext(3, 4, 2)
+    with pytest.raises(KeyError):
+        # rows that are not reduced: no table entry has them
+        ctx.index_of(CanonicalSubspace(3, 4, ((1, 1, 0, 0), (0, 1, 0, 0)), (0, 1), 0))
+    assert ctx.index_of(tab[5]) == 5
 
 
 def span_points(rows, q, n):
@@ -267,10 +337,42 @@ class TestCache:
         with pytest.raises(InvalidParameters):
             load_table(str(path), 2, 4, 1)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lines: lines[:3] + [lines[1]] + lines[4:],  # line 1 over line 3
+            lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],  # swapped
+            lambda lines: lines[:-1] + [lines[-2]],  # last line repeated
+            lambda lines: lines[:2] + ["2 01100110"] + lines[3:],  # not reduced
+            lambda lines: lines[:2] + ["2 00000001"] + lines[3:],  # zero row
+        ],
+        ids=["duplicate", "swapped", "repeated_last", "not_reduced", "zero_row"],
+    )
+    def test_rejects_lines_out_of_table_order(self, tmp_path, corrupt):
+        # the count and every digit stay valid; only the set or the order
+        # of the subspaces is wrong
+        tab = enumerate_subspaces(2, 4, 2)
+        path = tmp_path / "t.txt"
+        save_table(str(path), 2, 4, 2, tab)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(corrupt(lines)) + "\n")
+        with pytest.raises(InvalidParameters, match="table order|echelon"):
+            load_table(str(path), 2, 4, 2)
+
+    def test_load_builds_no_object_per_line(self, tmp_path, monkeypatch):
+        tab = enumerate_subspaces(2, 5, 2)
+        path = tmp_path / "t.txt"
+        save_table(str(path), 2, 5, 2, tab)
+        calls = []
+        monkeypatch.setattr(subspaces, "_span_mask", lambda *a: calls.append(a))
+        back = load_table(str(path), 2, 5, 2)
+        assert back == tab and np.array_equal(back.words, tab.words)
+        assert calls == []
+
     def test_failed_save_leaves_no_file(self, tmp_path):
         tab = enumerate_subspaces(2, 4, 1)
         path = tmp_path / "t.txt"
-        broken = tab[:5] + [None] + tab[5:]  # the write dies on the sixth line
+        broken = tab[:5] + [None] + tab[5:]  # no table: the write dies after the header
         with pytest.raises(AttributeError):
             save_table(str(path), 2, 4, 1, broken)
         assert list(tmp_path.iterdir()) == []
