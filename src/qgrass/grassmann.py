@@ -5,7 +5,8 @@ meet in dimension D - 1, so graph distance is D - dim(y meet z).  The
 module builds the distance matrix from the Gram product of the point
 incidence matrix (common point counts q^dim(y meet z)), verifies the D
 0/1 products A_1 A_g on dense matrices, and keeps their intersection matrix L
-(multiplication by A_1 on coefficient vectors over A_0..A_D).  Every
+(multiplication by A_1 on coefficient vectors over A_0..A_D), which, being
+tridiagonal with every c_t > 0, also certifies the graph metric.  Every
 spectral claim is then checked in that (D+1)-dimensional distance
 (Bose-Mesner) algebra: the minimal polynomial of the closed-form
 eigenvalues, idempotency and orthogonality of the primitive idempotents
@@ -19,7 +20,6 @@ All arithmetic is exact.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,10 +45,6 @@ from .subspaces import (
 )
 
 RANK_VERIFY_LIMIT = 60
-BFS_FULL_LIMIT = 1000
-BFS_SAMPLE_SOURCES = 50
-BFS_SAMPLE_TARGETS = 200
-_BFS_SEED = 20240
 
 
 class GraphContext:
@@ -72,8 +68,7 @@ class GraphContext:
         self.build_checks = checks
         self._inclusion: dict[int, np.ndarray] = {}
         self._gram: dict[int, np.ndarray] = {}
-        self._L = None
-        self._L_checks = None
+        self._L = None  # (L, checks) of `structure_constants`
 
     def inclusion(self, i: int) -> np.ndarray:
         """W_i: the [N,i]_q x |X| bool inclusion matrix, row u (in the
@@ -154,35 +149,30 @@ def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
     cs.check_true("bfs_distances_match_meet_formula", bool((bfs == gc.dist).all()))
 
 
-def _bfs_sampled_check(gc: GraphContext, cs: CheckSet) -> None:
-    rng = random.Random(_BFS_SEED)
-    n = gc.n_vertices
-    adj = [np.flatnonzero(row).tolist() for row in gc.adjacency()]
-    sources = rng.sample(range(n), min(n, BFS_SAMPLE_SOURCES))
-    ok = True
-    witness = None
-    pairs = 0
-    for s in sources:
-        level = {s: 0}
-        frontier = [s]
-        t = 0
-        while frontier:
-            t += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in level:
-                        level[w] = t
-                        nxt.append(w)
-            frontier = nxt
-        targets = rng.sample(range(n), min(n, BFS_SAMPLE_TARGETS))
-        for y in targets:
-            pairs += 1
-            if level.get(y, -1) != int(gc.dist[s, y]):
-                ok = False
-                witness = f"pair ({s},{y}): bfs {level.get(y)} vs {int(gc.dist[s, y])}"
-    cs.check_true("bfs_sampled_distances_match", ok, witness)
-    cs.record("bfs_sampled_pairs", pairs)
+def _metric_certificate(gc: GraphContext) -> bool:
+    """Whether the verified intersection matrix L proves both
+    breadth-first checks over the edges of `GraphContext.adjacency`.
+
+    Proof obligation (Brouwer-Cohen-Neumaier, Section 4.1).  Assume
+    (1) adjacency() == (dist == 1); (2) the checks of `structure_constants`
+    pass: A_0 = I, the classes A_h partition the pairs and A_1 A_g =
+    sum_h L[h][g] A_h; (3) L[h][g] = 0 for |h - g| >= 2; (4) L[t][t-1] > 0
+    for t = 1..D.  Let T_t be the pairs joined by a walk of at most t
+    edges and B_t = {dist <= t}; T_0 = B_0 by (2).  A walk of t + 1 edges
+    is an edge and then a walk of t, so T_{t+1} = T_t u supp(A_1 sum_{g<=t}
+    A_g) by (1), a union of the supports of counts.  If T_t = B_t: A_1 A_0
+    is class 1, and A_1 A_g (1 <= g <= t) lies on the classes h with
+    L[h][g] > 0 by (2), all h <= g + 1 by (3), with h = t + 1 among them
+    for g = t by (4); so T_{t+1} = B_{t+1}.  So a pair at distance h is
+    first reached at step h, and T_D = B_D holds every pair by (2)."""
+    d = gc.d
+    L, lcs = structure_constants(gc)
+    return (
+        lcs.ok
+        and all(L[h][g] == 0 for h in range(d + 1) for g in range(d + 1) if abs(h - g) >= 2)
+        and all(L[t][t - 1] > 0 for t in range(1, d + 1))
+        and bool((gc.adjacency() == (gc.dist == 1)).all())
+    )
 
 
 def build_graph(
@@ -195,6 +185,9 @@ def build_graph(
     cache_dir: str | None = None,
 ) -> GraphContext:
     """Build J_q(N, D) with its exact distance matrix.
+
+    Distances are compared with breadth-first ones by `_metric_certificate`,
+    or by the all-pairs expansion of `_bfs_full_check` where that fails.
 
     Requires N > D >= 1 and N >= 2D; N = 2D is allowed and flagged as
     the boundary regime.  For N < 2D the dimension-complement
@@ -224,10 +217,11 @@ def build_graph(
     cs.check_true("distance_range", bool(((dist >= 0) & (dist <= d)).all()))
     cs.check_true("distance_symmetric", bool((dist == dist.T).all()))
     gc = GraphContext(geometry, dist, inc, cs)
-    if nv <= BFS_FULL_LIMIT:
-        _bfs_full_check(gc, cs)
+    if _metric_certificate(gc):
+        cs.check_true("bfs_reaches_every_pair", True)
+        cs.check_true("bfs_distances_match_meet_formula", True)
     else:
-        _bfs_sampled_check(gc, cs)
+        _bfs_full_check(gc, cs)
     # the distance-i sphere around x is exactly the layer P_{D-i, i}:
     # every vertex meets x in dimension D - dist(x, y)
     x_inc = point_incidence([geometry.x], npoints)
@@ -263,7 +257,7 @@ def structure_constants(gc: GraphContext):
     Cached on the graph context after the first call.
     """
     if gc._L is not None:
-        return gc._L, gc._L_checks
+        return gc._L
     d = gc.d
     n = gc.n_vertices
     dist = gc.dist
@@ -294,9 +288,8 @@ def structure_constants(gc: GraphContext):
         for h in range(d + 1):
             L[h][g] = first[h] if first[h] is not None else 0
     cs.check_true("products_constant_on_classes", ok, witness)
-    gc._L = L
-    gc._L_checks = cs
-    return L, cs
+    gc._L = L, cs
+    return gc._L
 
 
 @dataclass

@@ -178,6 +178,30 @@ def _count_witness(side: str, kind: str, got, want, where) -> str | None:
     return f"{side}: element {g} has {int(got[g])} {kind} pairs, expected {int(want[g])}"
 
 
+def _ladder_shift_witness(pm: PosetMatrices) -> str | None:
+    """The last failing "<label> shift at layer (i,j)" of E*_{i,j} M =
+    M E*_{(i,j)+s}, over the layers, then M = L1, L2, R1, R2 with s =
+    (1, 0), (0, 1), (-1, 0), (0, -1); None when all hold.  The left side
+    keeps the entries (r, c) of M with layer(r) = (i, j), the right those
+    with layer(c) - s = (i, j), so layer(r) != layer(c) - s breaks both."""
+    d, width = pm.geometry.d, pm.geometry.ambient - pm.geometry.d + 1
+
+    def code(i, j):  # rank in the order of the layers, -1 off them
+        on = (i >= 0) & (i <= d) & (j >= 0) & (j < width) & np.isin(i + j, pm.dims)
+        return np.where(on, i * width + j, -1)
+
+    own, failed = code(pm.ivec, pm.jvec), []
+    ladders = [("slash lowering", pm.L1, 1, 0), ("backslash lowering", pm.L2, 0, 1),
+               ("slash raising", pm.R1, -1, 0), ("backslash raising", pm.R2, 0, -1)]
+    for k, (label, mat, di, dj) in enumerate(ladders):
+        r, c = mat.nonzero()
+        left, right = own[r], code(pm.ivec - di, pm.jvec - dj)[c]
+        diff = left != right
+        failed.append((int(max(left[diff].max(initial=-1), right[diff].max(initial=-1))), k, label))
+    last, _k, label = max(failed)
+    return None if last < 0 else f"{label} shift at layer ({last // width},{last % width})"
+
+
 def build_poset_matrices(
     geometry: GeometryContext, force_partial: bool = False
 ) -> PosetMatrices:
@@ -293,11 +317,10 @@ def build_poset_matrices(
         for j in range(n - d + 1)
         if i + j in offsets
     ]
-    estars = {(i, j): pm.estar(i, j) for i, j in layers}
-    total_diag = sp.csr_matrix((m, m), dtype=np.int64)
-    for e in estars.values():
-        total_diag = total_diag + e
-    cs.check_true("layer_projections_sum_to_identity", _sparse_equal(total_diag, sp.identity(m, dtype=np.int64, format="csr")))
+    indicators = {(i, j): pm.layer_indicator(i, j) for i, j in layers}
+    # E*_{i,j} = diag(indicator): sum I when each element is in one layer
+    layers_of = sum(indicators.values())
+    cs.check_true("layer_projections_sum_to_identity", (layers_of == 1).all())
     for kind, lower, raising in (("slash", pm.L1, pm.R1), ("backslash", pm.L2, pm.R2)):
         witness = next((w for w in failures[kind] if w), None)
         cs.check_true(
@@ -308,30 +331,10 @@ def build_poset_matrices(
     cs.check_true("cover_matrix_splits", _sparse_equal(pm.cover, pm.L1 + pm.L2))
     cs.check_true("cover_types_disjoint", pm.L1.multiply(pm.L2).nnz == 0)
 
-    zero = sp.csr_matrix((m, m), dtype=np.int64)
-    shifts_ok = True
-    shift_witness = None
-    for i, j in layers:
-        e_ij = estars[(i, j)]
-        pairs = [
-            (e_ij @ pm.L1, pm.L1 @ estars.get((i + 1, j), zero), "slash lowering"),
-            (e_ij @ pm.L2, pm.L2 @ estars.get((i, j + 1), zero), "backslash lowering"),
-            (e_ij @ pm.R1, pm.R1 @ estars.get((i - 1, j), zero), "slash raising"),
-            (e_ij @ pm.R2, pm.R2 @ estars.get((i, j - 1), zero), "backslash raising"),
-        ]
-        for lhs, rhs, label in pairs:
-            if not _sparse_equal(lhs, rhs):
-                shifts_ok = False
-                shift_witness = f"{label} shift at layer ({i},{j})"
-    cs.check_true("ladder_support_shifts", shifts_ok, shift_witness)
+    shift_witness = _ladder_shift_witness(pm)
+    cs.check_true("ladder_support_shifts", shift_witness is None, shift_witness)
 
-    indicators = {(i, j): pm.layer_indicator(i, j) for i, j in layers}
-    orthogonal = True
-    for a in range(len(layers)):
-        for b in range(a + 1, len(layers)):
-            if (indicators[layers[a]] & indicators[layers[b]]).any():
-                orthogonal = False
-    cs.check_true("layer_projections_pairwise_orthogonal", orthogonal)
+    cs.check_true("layer_projections_pairwise_orthogonal", (layers_of <= 1).all())
 
     counts = {f"{i},{j}": int(indicators[(i, j)].sum()) for i, j in layers}
     expected = {
@@ -340,7 +343,7 @@ def build_poset_matrices(
     }
     cs.check("layer_sizes_product_formula", expected, counts)
     # each projection is a 0/1 diagonal, so its rank is its trace
-    ranks = {f"{i},{j}": int(estars[(i, j)].diagonal().sum()) for i, j in layers}
+    ranks = {f"{i},{j}": int(pm.estar(i, j).diagonal().sum()) for i, j in layers}
     cs.check("layer_projection_ranks_match_sizes", expected, ranks)
     cs.record("layer_sizes", counts)
 

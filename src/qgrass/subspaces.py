@@ -470,7 +470,8 @@ def save_table(path: str, q: int, ambient: int, dim: int, table: SubspaceTable) 
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        if os.path.exists(tmp):  # a failed open made none; its error is the one to raise
+            os.unlink(tmp)
         raise
 
 
@@ -540,7 +541,7 @@ def load_table(path: str, q: int, ambient: int, dim: int) -> SubspaceTable:
                 if d != dim or len(text) != width or len(parts) > 2:
                     raise InvalidParameters(f"malformed cache line in {path}: {line!r}")
                 digits.append(text)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise InvalidParameters(f"unreadable cache file {path}: {exc}") from exc
     if len(digits) != expected:
         raise InvalidParameters(
@@ -616,14 +617,16 @@ class GeometryContext:
     def table(self, dim: int) -> SubspaceTable:
         if dim not in self._tables:
             path = self._cache_path(dim)
-            tab = None
             if path is not None and os.path.exists(path):
                 tab = load_table(path, self.q, self.ambient, dim)
-            if tab is None:
+            else:
                 tab = enumerate_subspaces(self.q, self.ambient, dim, self.table_cap)
                 if path is not None:
-                    os.makedirs(self.cache_dir, exist_ok=True)
-                    save_table(path, self.q, self.ambient, dim, tab)
+                    try:
+                        os.makedirs(self.cache_dir, exist_ok=True)
+                        save_table(path, self.q, self.ambient, dim, tab)
+                    except OSError as exc:
+                        raise InvalidParameters(f"cannot write cache {path}: {exc}") from exc
             self._tables[dim] = tab
         return self._tables[dim]
 

@@ -194,6 +194,23 @@ def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("blocked", ["cache_dir_is_a_file", "table_is_a_directory"])
+def test_unusable_cache_path_exit_two(tmp_path, capsys, blocked):
+    cache = tmp_path / "cache"
+    if blocked == "cache_dir_is_a_file":
+        cache.write_text("")
+        blocker = cache
+    else:
+        blocker = cache / "subspaces_q2_n4_l2.txt"
+        blocker.mkdir(parents=True)
+    argv = ["verify", "--q", "2", "--n", "4", "--d", "2", "--suite", "geometry",
+            "--cache-dir", str(cache)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and str(blocker) in err
+    assert "Traceback" not in err
+
+
 def test_verify_builds_objects_only_for_the_alphas(monkeypatch, capsys):
     # the verify path keeps subspace tables as arrays: CanonicalSubspace
     # objects (and their span walks) are made for x and the subspaces of

@@ -73,6 +73,48 @@ def test_math_module_has_no_float(module):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
+def random_uses(source: str) -> list[str]:
+    """Line of every import of the random module and every use of
+    numpy.random: a check holds on every pair, never on a sample."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and node.attr == "random"
+        ):
+            names = ["numpy.random"]
+        else:
+            continue
+        found += [f"{line}: {name}" for name in names if name in ("random", "numpy.random")]
+    return found
+
+
+def test_random_scanner_sees_every_kind():
+    bad = """
+import random
+from random import sample
+import numpy.random
+from numpy import random
+rng = np.random.default_rng(1)
+"""
+    assert len(random_uses(bad)) == 5
+    ok = "from .random_walks import x\nimport numpy as np\nfrom fractions import Fraction\n"
+    assert random_uses(ok) == []
+
+
+@pytest.mark.parametrize("module", MATH_MODULES)
+def test_math_module_does_not_sample(module):
+    path = Path(qgrass.__file__).with_name(f"{module}.py")
+    assert random_uses(path.read_text(encoding="utf-8")) == []
+
+
 def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
     """Every ExactMatrix built by the spectral system, the nucleus, the
     alpha family and their action and basis checks on J_2(4,2) holds

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrass import grassmann
 from qgrass.errors import InvalidParameters, InvalidQuadruple
@@ -560,6 +561,7 @@ def test_distance_two_rewritten_as_one_fails_bfs_check():
     gc = build_graph(2, 4, 2)
     a, b = 0, int(np.flatnonzero(gc.dist[0] == 2)[0])
     gc.dist[a, b] = gc.dist[b, a] = 1
+    gc._L = None
     cs = CheckSet("bfs")
     _bfs_full_check(gc, cs)
     assert {c.name for c in cs.failures()} == {"bfs_distances_match_meet_formula"}
@@ -576,6 +578,105 @@ def test_bfs_edges_come_from_the_inclusion_matrix():
     gc = build_graph(2, 5, 2)
     assert gc.inclusion(1).shape == (31, 155)
     assert (gc.adjacency() == (gc.dist == 1)).all()
+
+
+# ---------------------------------------------------------------------------
+# the metric certificate: the breadth-first verdict read off the verified
+# intersection matrix, against the all-pairs expansion of _bfs_full_check
+
+BFS_CHECKS = ("bfs_reaches_every_pair", "bfs_distances_match_meet_formula")
+
+
+def bfs_verdicts(cs):
+    return [(c.name, c.passed, c.witness) for c in cs.checks if c.name in BFS_CHECKS]
+
+
+def full_bfs_verdicts(gc):
+    cs = CheckSet("bfs")
+    _bfs_full_check(gc, cs)
+    return bfs_verdicts(cs)
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 6, 1)])
+def test_metric_certificate_matches_full_bfs(q, n, d):
+    gc = build_graph(q, n, d)
+    assert grassmann._metric_certificate(gc)
+    passing = [(name, True, None) for name in BFS_CHECKS]
+    assert bfs_verdicts(gc.build_checks) == full_bfs_verdicts(gc) == passing
+
+
+@settings(max_examples=6, deadline=None)
+@given(instances_with_base_vertex())
+def test_metric_certificate_matches_full_bfs_at_random_base_vertex(instance):
+    q, n, d, x_rows = instance
+    gc = build_graph(q, n, d, x_rows=x_rows)
+    assert grassmann._metric_certificate(gc)
+    assert bfs_verdicts(gc.build_checks) == full_bfs_verdicts(gc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 34), st.integers(0, 34), st.integers(0, 2))
+def test_metric_certificate_never_passes_a_broken_metric(a, b, value):
+    # one pair of J_2(4,2) rewritten: the certificate holds only on the
+    # true metric, and never where the all-pairs expansion fails
+    gc = build_graph(2, 4, 2)
+    unchanged = int(gc.dist[a, b]) == value
+    gc.dist[a, b] = gc.dist[b, a] = value
+    gc._L = None
+    certified = grassmann._metric_certificate(gc)
+    assert certified == unchanged
+    if not all(ok for _name, ok, _witness in full_bfs_verdicts(gc)):
+        assert not certified
+
+
+def test_certified_build_runs_no_all_pairs_expansion(monkeypatch):
+    def expansion(gc, cs):
+        raise AssertionError("the all-pairs expansion ran")
+
+    monkeypatch.setattr(grassmann, "_bfs_full_check", expansion)
+    build_graph(2, 5, 2).build_checks.require()
+
+
+@pytest.mark.parametrize("fault", ["two_off_diagonal", "c_d_zero"])
+def test_broken_certificate_premise_runs_full_bfs(monkeypatch, fault):
+    real_constants = grassmann.structure_constants
+
+    def constants(gc):
+        L, cs = real_constants(gc)
+        L = [row[:] for row in L]
+        if fault == "two_off_diagonal":
+            L[2][0] = 1
+        else:
+            L[gc.d][gc.d - 1] = 0
+        return L, cs
+
+    ran = []
+
+    def expansion(gc, cs):
+        ran.append(gc)
+        _bfs_full_check(gc, cs)
+
+    monkeypatch.setattr(grassmann, "structure_constants", constants)
+    monkeypatch.setattr(grassmann, "_bfs_full_check", expansion)
+    gc = build_graph(2, 5, 2)
+    assert ran == [gc]
+    assert bfs_verdicts(gc.build_checks) == full_bfs_verdicts(gc)
+
+
+def test_build_checks_above_a_thousand_vertices():
+    # J_3(5,2) has 1,210 vertices; every pair is certified, none sampled
+    gc = build_graph(3, 5, 2)
+    assert gc.n_vertices == 1210
+    assert [c.name for c in gc.build_checks.checks] == [
+        "vertex_count",
+        "distance_range",
+        "distance_symmetric",
+        "bfs_reaches_every_pair",
+        "bfs_distances_match_meet_formula",
+        "sphere_equals_layer",
+    ]
+    gc.build_checks.require()
+    assert "bfs_sampled_pairs" not in gc.build_checks.values
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +739,7 @@ def test_corrupted_distance_fails_certificate_c():
     gc = build_graph(2, 5, 2)
     a, b = 0, int(np.flatnonzero(gc.dist[0] == 2)[0])
     gc.dist[a, b] = gc.dist[b, a] = 1
+    gc._L = None
     bad = failing(spectral_system(gc).checks)
     assert set(bad) == {
         "products_constant_on_classes",

@@ -1,9 +1,11 @@
 """Poset ladder operators, layer bookkeeping, and module types."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,6 +197,67 @@ def test_structural_check_names(poset25):
         "base_vertex_k1_entry",
         "base_vertex_k2_entry",
     } <= names
+
+
+def sparse_shift_oracle(pm):
+    """Test-only oracle: the ladder_support_shifts witness from the four
+    sparse products per layer that `_ladder_shift_witness` replaced, the
+    last failing (layer, label) in the loop's order, or None."""
+    d, n, m = pm.geometry.d, pm.geometry.ambient, pm.size
+    layers = [(i, j) for i in range(d + 1) for j in range(n - d + 1) if i + j in pm.offsets]
+    estars = {layer: pm.estar(*layer) for layer in layers}
+    zero = sp.csr_matrix((m, m), dtype=np.int64)
+    witness = None
+    for i, j in layers:
+        e_ij = estars[(i, j)]
+        for lhs, rhs, label in [
+            (e_ij @ pm.L1, pm.L1 @ estars.get((i + 1, j), zero), "slash lowering"),
+            (e_ij @ pm.L2, pm.L2 @ estars.get((i, j + 1), zero), "backslash lowering"),
+            (e_ij @ pm.R1, pm.R1 @ estars.get((i - 1, j), zero), "slash raising"),
+            (e_ij @ pm.R2, pm.R2 @ estars.get((i, j - 1), zero), "backslash raising"),
+        ]:
+            if (lhs != rhs).nnz:
+                witness = f"{label} shift at layer ({i},{j})"
+    return witness
+
+
+@pytest.fixture(scope="module")
+def poset342_partial():
+    pm = build_poset_matrices(GeometryContext(3, 4, 2), force_partial=True)
+    pm.checks.require()
+    return pm
+
+
+def with_moved_entry(pm, name, k, target, move_row):
+    """pm with entry k of the ladder `name` moved to row or column `target`."""
+    rows, cols = getattr(pm, name).nonzero()
+    (rows if move_row else cols)[k] = target
+    mat = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(pm.size,) * 2)
+    mat.data[:] = 1
+    return dataclasses.replace(pm, **{name: mat})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.sampled_from(["L1", "L2", "R1", "R2"]), st.booleans(), st.data())
+def test_moved_entry_shift_witness_matches_sparse_products(
+    poset25, poset342_partial, full, name, move_row, data
+):
+    # the gather and the sparse products name the same last broken
+    # (layer, label), in the full poset and in the partial window
+    pm = poset25 if full else poset342_partial
+    assert ladders._ladder_shift_witness(pm) is None and sparse_shift_oracle(pm) is None
+    k = data.draw(st.integers(0, getattr(pm, name).nnz - 1))
+    moved = with_moved_entry(pm, name, k, data.draw(st.integers(0, pm.size - 1)), move_row)
+    assert ladders._ladder_shift_witness(moved) == sparse_shift_oracle(moved)
+
+
+def test_slash_cover_moved_to_a_backslash_partner_fails_shift_check(poset25):
+    pm = poset25
+    r = int(pm.L1.nonzero()[0][0])
+    other = np.flatnonzero((pm.ivec == pm.ivec[r]) & (pm.jvec == pm.jvec[r] + 1))[0]
+    moved = with_moved_entry(pm, "L1", 0, other, move_row=False)
+    witness = ladders._ladder_shift_witness(moved)
+    assert witness is not None and witness == sparse_shift_oracle(moved)
 
 
 def pair_scan_oracle(pm):

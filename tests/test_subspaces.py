@@ -383,6 +383,19 @@ class TestCache:
         assert list(tmp_path.iterdir()) == [path]
         assert load_table(str(path), 2, 4, 1) == tab
 
+    @pytest.mark.parametrize("parent", ["missing", "regular_file"])
+    def test_failed_open_raises_its_own_error(self, tmp_path, parent):
+        # no temporary file was made, so no cleanup error may replace the
+        # error of the open
+        tab = enumerate_subspaces(2, 4, 1)
+        if parent == "regular_file":
+            (tmp_path / "parent").write_text("")
+        path = tmp_path / "parent" / "t.txt"
+        with pytest.raises(OSError) as info:
+            save_table(str(path), 2, 4, 1, tab)
+        assert info.value.filename.startswith(str(path))
+        assert info.value.__context__ is None
+
     def test_digit_format_needs_small_q(self, tmp_path):
         tab = enumerate_subspaces(11, 2, 1)
         with pytest.raises(InvalidParameters):
