@@ -3,13 +3,13 @@
 For the base vertex x of J_q(N, D), the i-th piece of the nucleus is
 N_i = B_i meet F_i V: the vectors supported within distance i of x
 (the ball B_i) that lie in the span F_i V of the first D - i + 1
-primitive idempotents, F_i = E_0 + ... + E_{D-i}.  Each piece is
-certified by a modular squeeze: the containment vectors of the
-(D - i)-dimensional subspaces of x lie in N_i and give a lower bound,
-a rank mod p of the inclusion matrix W_{D-i} off the ball gives an
-upper bound, and when the two meet those vectors are the basis.  When
-they do not (as at the boundary N = 2D), an exact fraction-free
-(Bareiss) nullspace takes over.  Away from the boundary the dimensions are the Gaussian
+primitive idempotents, F_i = E_0 + ... + E_{D-i}.  Once the spectral
+certificate shows F_i V to be the row space of the inclusion matrix
+W_{D-i}, each piece is the image under W_{D-i} of the kernel of its
+columns off the ball: the rows of W_{D-i} whose vertices all lie in
+B_i when a rank mod p shows the other rows independent ("squeeze"),
+and an exact nullspace times W_{D-i} otherwise ("kernel", as at the
+boundary N = 2D).  Away from the boundary the dimensions are the Gaussian
 binomials binom(D, i)_q, and the sum of the pieces is direct.
 
 Two vector families indexed by the subspaces of x span the same space:
@@ -100,8 +100,9 @@ class NucleusResult:
     e_dims: list[int]
     mult_r: list[int]
     boundary: bool
-    # how each piece was certified: "base_vertex", "squeeze",
-    # "constants" or "bareiss"
+    # how each piece was found: "base_vertex" for N_0, "squeeze" or
+    # "kernel" (`_inclusion_piece`), or "bareiss" when the spectral
+    # checks fail
     paths: list[str]
     checks: CheckSet = field(repr=False)
 
@@ -113,45 +114,46 @@ class NucleusResult:
         return ExactMatrix(np.concatenate([b.a for b in self.bases]))
 
 
-def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> NucleusResult:
+def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     """Compute every piece of the nucleus and verify its structure.
 
-    assert_dims defaults to True away from the boundary N = 2D; at the
-    boundary the dimension claims are recorded instead of asserted.
+    Away from the boundary N = 2D the dimension claims are asserted; at
+    the boundary they are recorded instead.
 
-    Proof obligation for the pieces.  Write F_i = E_0 + ... + E_{D-i}
-    = Fnum / den with Fnum integral, and B_i for the vertices within
-    distance i of x.  When the spectral checks pass, the E_j are
-    idempotent and mutually orthogonal, so F_i is idempotent and its
-    column space is ker(I - F_i); and the rank certificate of
-    `spectral_system` holds for F_i = F'_{D-i}: with W = W_{D-i}, the
-    [N,D-i]_q x |X| inclusion matrix, W has full row rank (a) and
-    col(F_i) = col(W^T) (b, c), so rank F_i = [N,D-i]_q, which is the
-    eigenspace-side rank.  For 0 < i < D:
+    Proof obligation for the pieces.  Write F_i = E_0 + ... + E_{D-i},
+    B_i for the vertices within distance i of x, and W = W_{D-i} for the
+    [N,D-i]_q x |X| inclusion matrix.  When the spectral checks pass,
+    the rank certificate of `spectral_system` holds for F_i = F'_{D-i}:
+    W has full row rank (a) and col(F_i) = col(W^T) (b, c), so
+    rank F_i = [N,D-i]_q, the eigenspace-side rank, and W^T is
+    injective.  A vector of col(F_i) is W^T c for exactly one c, and it
+    lies in B_i exactly when W^T c vanishes on the vertices outside B_i.
+    With `off` the columns of W outside B_i, that is
 
-    - lower bound: the containment vectors of the (D - i)-dimensional
-      subspaces of x are checked to be exactly their rows of W, so F_i
-      fixes them by (b); each is checked to be supported in B_i, so
-      they lie in N_i; a rank over F_p is never above the rank over Q,
-      so rank_p of these vectors bounds dim N_i from below;
-    - upper bound: every vector of col(F_i) is W^T c for exactly one c,
-      since W^T is injective, and it is supported in B_i exactly when
-      W^T c vanishes on the vertices outside B_i.  So dim N_i is
-      [N,D-i]_q - rank_Q of W^T on those rows, at most
-      [N,D-i]_q - rank_p of the same rows.
+        N_i = {W^T c : off^T c = 0} = W^T ker(off^T),
+        dim N_i = dim ker(off^T).
 
-    When the vectors are independent mod p and their count equals the
-    upper bound, they are a basis of N_i ("squeeze").  Otherwise the
-    exact nullspace of M_i is computed by Bareiss elimination
-    ("bareiss"), with M_i the |X| x |B_i| integer matrix of den (I - F_i)
-    on the columns of B_i: a vector supported in B_i lies in N_i exactly
-    when its restriction to B_i lies in ker M_i.  N_0 is the base vertex
-    indicator, since F_0 is the identity.  N_D is the constants, since
-    F_D = E_0 = J/|X| is checked by the spectral suite and B_D is every
-    vertex.  Every shortcut rests on the spectral checks, so when any
-    of them fails every piece past N_0 takes the Bareiss path and the
+    `_inclusion_piece` returns this image.  A row u of `off` that is
+    zero (a "free" row: every vertex over u lies in B_i) gives e_u in
+    ker(off^T).  The kernel has dimension [N,D-i]_q - rank_Q(off), and
+    rank_Q(off) is the rank of the non-free rows.  A rank over F_p is
+    never above the rank over Q, so when the non-free rows have full
+    rank mod p they are independent over Q, the kernel has dimension
+    the number of free rows, and the e_u span it: the free rows of W
+    are a basis of N_i ("squeeze").  Otherwise the exact nullspace K of
+    off^T is computed by Bareiss elimination and K W is a basis
+    ("kernel"), since W^T is injective.  N_0 is the base vertex
+    indicator, since F_0 is the identity.  For i = D, W_0 is the
+    all-ones row and no vertex lies outside B_D, so the formula gives
+    the constants.
+
+    Every shortcut rests on the spectral checks, so when any of them
+    fails every piece past N_0 is the exact nullspace of M_i, the
+    |X| x |B_i| integer matrix den (I - F_i) on the columns of B_i, with
+    F_i = Fnum / den ("bareiss"): a vector supported in B_i lies in N_i
+    exactly when its restriction to B_i lies in ker M_i, and the
     eigenspace-side rank is the exact rank of Fnum.  The dense Fnum is
-    built only for these two fallbacks.
+    built only on this fallback.
 
     The layer dimensions on the eigenspace side are the ranks of
     E_r applied to the combined basis, evaluated as sum_h c_h (A_h B^T)
@@ -160,50 +162,35 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
     nv = gc.n_vertices
-    if assert_dims is None:
-        assert_dims = not gc.boundary
     cs = CheckSet(f"nucleus q={q} N={n} D={d}")
     xrow = gc.dist[gc.x_index]
     premise = ss.checks.ok
-    alphas = subspaces_of_base(gc)
 
     base_vertex = np.zeros((1, nv), dtype=np.int64)
     base_vertex[0, gc.x_index] = 1
     bases = [ExactMatrix.from_int_array(base_vertex)]
     paths = ["base_vertex"]
     for i in range(1, d + 1):
-        coeffs = ss.partial_coeffs(d - i)
-        dense = None
-        side_rank = ss.partial_ranks[d - i] if premise else None
-        certified = side_rank is not None
-        if not certified:
-            dense = ss.class_numerator(coeffs)
-            side_rank = rank_exact(dense[0])
+        if premise:
+            side_rank = ss.partial_ranks[d - i]
+            basis, path = _inclusion_piece(gc, i)
+        else:
+            f_num, den = ss.class_numerator(ss.partial_coeffs(d - i))
+            side_rank = rank_exact(f_num)
+            ball = np.flatnonzero(xrow <= i)
+            m_a = -f_num.a[:, ball]
+            m_a[ball, np.arange(ball.size)] += den
+            null = column_space_ops(ExactMatrix(m_a)).nullspace_basis
+            basis = ExactMatrix(np.full((null.shape[0], nv), 0, dtype=object))
+            basis.a[:, ball] = null.a
+            path = "bareiss"
         cs.check(f"eigenspace_side_rank_{i}", sum(ss.m[: d - i + 1]), side_rank)
-
-        if premise and i == d:
-            bases.append(ExactMatrix.from_int_array(np.ones((1, nv), dtype=np.int64)))
-            paths.append("constants")
-            continue
-        if certified:
-            vees = _squeezed_piece(gc, i, [a for a in alphas if a.dim == d - i])
-            if vees is not None:
-                bases.append(ExactMatrix.from_int_array(vees))
-                paths.append("squeeze")
-                continue
-        f_num, den = dense or ss.class_numerator(coeffs)
-        ball = np.flatnonzero(xrow <= i)
-        m_a = -f_num.a[:, ball]
-        m_a[ball, np.arange(ball.size)] += den
-        null = column_space_ops(ExactMatrix(m_a)).nullspace_basis
-        basis = np.full((null.shape[0], nv), 0, dtype=object)
-        basis[:, ball] = null.a
-        bases.append(ExactMatrix(basis))
-        paths.append("bareiss")
+        bases.append(basis)
+        paths.append(path)
     dims = [b.shape[0] for b in bases]
 
     expected_dims = [q_binomial(d, i, q) for i in range(d + 1)]
-    if assert_dims:
+    if not gc.boundary:
         cs.check("piece_dimensions", expected_dims, dims)
     else:
         cs.record("piece_dimensions_expected_generic", expected_dims)
@@ -220,7 +207,7 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
     images = gc.class_sums([integer_coeffs(e)[0] for e in ss.e_coeffs], combined.a.T)
     e_dims = [rank_exact(ExactMatrix.from_int_array(image)) for image in images]
     cs.check("layer_dimensions_agree", estar_dims, e_dims)
-    if assert_dims:
+    if not gc.boundary:
         cs.check(
             "layer_dimensions",
             [q_binomial(d, min(r, d - r), q) for r in range(d + 1)],
@@ -259,18 +246,17 @@ def compute_nucleus(ss: SpectralSystem, assert_dims: bool | None = None) -> Nucl
     )
 
 
-def _squeezed_piece(gc: GraphContext, i: int, top: list[CanonicalSubspace]):
-    """The containment vectors of `top`, the (D - i)-dimensional
-    subspaces of x, when the squeeze of `compute_nucleus` certifies them
-    as a basis of N_i; otherwise None."""
+def _inclusion_piece(gc: GraphContext, i: int) -> tuple[ExactMatrix, str]:
+    """A basis of N_i = W^T ker(off^T) for W = W_{D-i} and `off` its
+    columns outside the ball B_i, with the path that found it; see
+    `compute_nucleus` for the proof."""
     w = gc.inclusion(gc.d - i)
-    vees = containment_vectors(gc, top)
-    outside = gc.dist[gc.x_index] > i
-    rows = [gc.geometry.index_of(a) for a in top]
-    if not np.array_equal(vees, w[rows]) or vees[:, outside].any():
-        return None
-    upper = w.shape[0] - rank_mod_prime(w[:, outside])
-    return vees if rank_mod_prime(vees) == len(top) == upper else None
+    off = w[:, gc.dist[gc.x_index] > i]
+    free = ~off.any(axis=1)
+    if rank_mod_prime(off[~free]) == int((~free).sum()):
+        return ExactMatrix.from_int_array(w[free]), "squeeze"
+    kernel = column_space_ops(ExactMatrix.from_int_array(off.T)).nullspace_basis
+    return ExactMatrix.from_int_array(exact_int_product(kernel.a, w, w.shape[0])), "kernel"
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +664,7 @@ def boundary_case_report(q: int, d: int, **kwargs) -> dict:
     dimension claims are recorded, not asserted, in this regime."""
     gc = build_graph(q, 2 * d, d, **kwargs)
     ss = spectral_system(gc)
-    nucleus = compute_nucleus(ss, assert_dims=False)
+    nucleus = compute_nucleus(ss)
     fam = build_alpha_family(gc)
     gamma = gamma_components(gc, fam)
     doc = nucleus_report_json(nucleus, fam, gamma)

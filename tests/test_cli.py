@@ -43,8 +43,8 @@ def test_full_verify_run(tmp_path, capsys):
     assert doc["config"]["x_rows"] == "standard"
     assert "timestamp" in doc["meta"] and "timings" in doc["meta"]
     assert doc["meta"]["nucleus_paths"] == {
-        "nucleus": ["base_vertex", "squeeze", "constants"],
-        "boundary": ["base_vertex", "bareiss", "constants"],
+        "nucleus": ["base_vertex", "squeeze", "squeeze"],
+        "boundary": ["base_vertex", "kernel", "squeeze"],
     }
 
 
@@ -69,19 +69,22 @@ def test_report_outside_meta_pinned(tmp_path, capsys, q, n, d):
 
 def test_verify_path_builds_no_dense_vertex_matrix(built_matrices, capsys):
     # above the small-|X| exact rank checks, no |X| x |X| numerator of
-    # the algebra and no |X| x |B_i| ball matrix is built on the way
-    argv = ["verify", "--q", "2", "--n", "5", "--d", "2"]
-    argv += ["--suite", "spectrum", "--suite", "nucleus", "--suite", "bases"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    gc = build_graph(2, 5, 2)
-    nv = gc.n_vertices
-    assert nv > RANK_VERIFY_LIMIT
-    xrow = gc.dist[gc.x_index]
-    wide = {nv} | {int((xrow <= i).sum()) for i in range(1, gc.d + 1)}
-    assert wide == {43, 155}
-    shapes = {obj.shape for obj in built_matrices}
-    assert shapes and not {s for s in shapes if s[0] == nv and s[1] in wide}
+    # the algebra and no |X| x |B_i| ball matrix is built on the way,
+    # away from the boundary and at N = 2D alike
+    for (q, n, d), ball_sizes in [((2, 5, 2), {43, 155}), ((3, 4, 2), {49, 130})]:
+        built_matrices.clear()
+        argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d)]
+        argv += ["--suite", "spectrum", "--suite", "nucleus", "--suite", "bases"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        gc = build_graph(q, n, d)
+        nv = gc.n_vertices
+        assert nv > RANK_VERIFY_LIMIT
+        xrow = gc.dist[gc.x_index]
+        wide = {nv} | {int((xrow <= i).sum()) for i in range(1, gc.d + 1)}
+        assert wide == ball_sizes
+        shapes = {obj.shape for obj in built_matrices}
+        assert shapes and not {s for s in shapes if s[0] == nv and s[1] in wide}
 
 
 FAMILY_CHECKS = {

@@ -221,6 +221,13 @@ class TestColumnSpace:
         assert res.rank == 0
         assert res.nullspace_basis.shape == (4, 4)
 
+    def test_no_rows(self):
+        # every vector solves an empty system: the nullspace of a 0 x n
+        # matrix is all of Q^n, with the unit vectors as its basis
+        res = column_space_ops(ExactMatrix.from_int_array(np.zeros((0, 3), dtype=bool)))
+        assert res.rank == 0
+        assert res.nullspace_basis.equals(ExactMatrix.identity(3))
+
     def test_known_rank(self):
         m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
         res = column_space_ops(m)

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import qgrass.nucleus
 from qgrass.grassmann import GraphContext, build_graph, spectral_system
@@ -20,7 +20,6 @@ from qgrass.nucleus import (
     boundary_case_report,
     build_alpha_family,
     compute_nucleus,
-    containment_vectors,
     gamma_components,
     nucleus_report_json,
     subspaces_of_base,
@@ -102,12 +101,18 @@ def check_rows(cs):
 
 @settings(max_examples=10, deadline=None)
 @given(instances_with_base_vertex())
+# one instance per path of the middle piece: the squeeze away from the
+# boundary, the kernel at N = 2D
+@example((2, 5, 2, ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))))
+@example((3, 4, 2, ((1, 0, 2, 0), (0, 1, 1, 2))))
 def test_pieces_match_dense_oracle(instance):
     q, n, d, x_rows = instance
     ss = spectral_system(build_graph(q, n, d, x_rows=x_rows))
     ss.checks.require()
     nd = compute_nucleus(ss)
     nd.checks.require()
+    assert nd.paths[0] == "base_vertex"
+    assert set(nd.paths[1:]) <= {"squeeze", "kernel"}
     assert_same_pieces(nd, dense_oracle_pieces(ss))
 
 
@@ -147,45 +152,42 @@ def test_nucleus_dimensions_frozen(nucleus252):
 
 
 def test_nucleus_paths(nucleus252, oracle252):
-    assert nucleus252.paths == ["base_vertex", "squeeze", "constants"]
+    assert nucleus252.paths == ["base_vertex", "squeeze", "squeeze"]
     assert_same_pieces(nucleus252, oracle252)
 
 
-def test_forced_bareiss_fallback(nucleus252, oracle252, j252_spectral, monkeypatch):
-    # a modular rank that under-reports breaks every squeeze, so each
-    # piece between the extremes must be recomputed exactly
+def test_forced_kernel_path(nucleus252, oracle252, j252_spectral, monkeypatch):
+    # a modular rank that under-reports breaks every squeeze, the empty
+    # one of the top piece included, so each piece past the base vertex
+    # must come from the exact kernel
     real = qgrass.nucleus.rank_mod_prime
     monkeypatch.setattr(qgrass.nucleus, "rank_mod_prime", lambda m: real(m) - 1)
     nd = compute_nucleus(j252_spectral)
-    assert nd.paths == ["base_vertex", "bareiss", "constants"]
+    assert nd.paths == ["base_vertex", "kernel", "kernel"]
     assert nd.dims == nucleus252.dims
     assert check_rows(nd.checks) == check_rows(nucleus252.checks)
     assert_same_pieces(nd, oracle252)
 
 
-def _unit_vectors_on_sphere_1(gc, alphas):
-    """Inside the ball B_1 but not fixed by F_1."""
-    sphere = np.flatnonzero(gc.dist[gc.x_index] == 1)
-    out = np.zeros((len(alphas), gc.n_vertices), dtype=bool)
-    out[np.arange(len(alphas)), sphere[: len(alphas)]] = True
-    return out
-
-
-def _ones_among_vees(gc, alphas):
-    """Fixed by F_1 but not supported in the ball B_1."""
-    vees = containment_vectors(gc, alphas)
-    vees[0] = True
-    return vees
-
-
-@pytest.mark.parametrize("fake", [_unit_vectors_on_sphere_1, _ones_among_vees])
-def test_squeeze_rejects_vectors_outside_the_piece(
-    nucleus252, j252_spectral, monkeypatch, fake
-):
-    monkeypatch.setattr(qgrass.nucleus, "containment_vectors", fake)
-    nd = compute_nucleus(j252_spectral)
-    assert nd.paths == ["base_vertex", "bareiss", "constants"]
-    assert check_rows(nd.checks) == check_rows(nucleus252.checks)
+def test_corrupted_free_row_fails_layers_and_bases():
+    # a free row of W_1 (a point of x) with one vertex of the sphere
+    # B_1 - B_0 cleared stays free, so the squeeze hands it out as a
+    # basis vector of N_1 although it has left F_1 V; the layer count
+    # and the vee family both see it
+    gc = build_graph(2, 5, 2)
+    ss = spectral_system(gc)
+    ss.checks.require()
+    w = gc.inclusion(1)
+    xrow = gc.dist[gc.x_index]
+    u = int(np.flatnonzero(~w[:, xrow > 1].any(axis=1))[0])
+    y = int(np.flatnonzero(w[u] & (xrow == 1))[0])
+    w[u, y] = False
+    nd = compute_nucleus(ss)
+    assert nd.paths == ["base_vertex", "squeeze", "squeeze"]
+    assert "layer_dimensions_agree" in failing(nd.checks)
+    fam = build_alpha_family(gc)
+    fam.checks.require()
+    assert "vee_vectors_lie_in_their_piece" in failing(verify_bases(nd, fam))
 
 
 def test_unverified_spectrum_takes_no_shortcut(nucleus252, oracle252, j252_spectral):
@@ -455,8 +457,8 @@ def test_boundary_report():
     assert doc["generic_dimension"] == 5
     assert doc["dimension_matches_generic_formula"] is False
     assert doc["mult_r"] == [1, 4]
-    # the containment vectors fall short of the middle piece here
-    assert doc["nucleus_paths"] == ["base_vertex", "bareiss", "constants"]
+    # the free rows of W_1 fall short of the middle piece here
+    assert doc["nucleus_paths"] == ["base_vertex", "kernel", "squeeze"]
     # the structural identities hold regardless of the boundary
     for flag in (
         "build_ok",
