@@ -1,8 +1,9 @@
 """Ladder operators on the full subspace poset and module bookkeeping.
 
 The two cover relations (meet with x grows, or not) give lowering
-operators L1, L2 with raising partners R1, R2; layer projections and
-support shifts are verified as exact sparse identities.  Module types
+operators L1, L2 with raising partners R1, R2, each held as its set of
+nonzero (row, column) pairs; layer projections and support shifts are
+verified as exact identities of those pair sets.  Module types
 convert to parameter quadruples whose tridiagonal member counts are
 computed in closed form.
 """
@@ -21,7 +22,7 @@ q, n, d = 2, 5, 2
 pm = build_poset_matrices(GeometryContext(q, n, d))
 pm.checks.require()
 print(f"full poset of F_{q}^{n}: {pm.size} subspaces in dims {pm.dims}")
-print(f"cover relation: {pm.cover.nnz} pairs = {pm.L1.nnz} slash + {pm.L2.nnz} backslash")
+print(f"cover relation: {pm.cover.size} pairs = {pm.L1.size} slash + {pm.L2.size} backslash")
 print("verified: R1 = L1^T, R2 = L2^T, layer projections sum to the")
 print("identity, and every support-shift identity holds exactly")
 

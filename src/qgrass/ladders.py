@@ -14,9 +14,12 @@ masks and every element by the closed-form number of its covers of
 each kind.  The two are compared as transposes; the plain cover matrix
 must split exactly as L1 + L2.
 
-Matrices are scipy sparse with int64 entries; the 0/1 data makes that
-exact.  K1 and K2 are kept as exponent vectors because their entries
-live in Z[q^(1/2), q^(-1/2)].
+Every operator is a 0/1 matrix on the m materialized subspaces, held as
+its pair set: the sorted, distinct int64 keys row * m + col of its
+nonzero entries (`pair_keys`), so each matrix identity is an identity of
+sorted integer arrays.  The layer projections E*_{i,j} are diagonal and
+kept as their 0/1 diagonals.  K1 and K2 are kept as exponent vectors
+because their entries live in Z[q^(1/2), q^(-1/2)].
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidType
 from .linalg import row_blocks
@@ -35,6 +37,7 @@ from .subspaces import (
     SubspaceTable,
     all_vectors,
     dims_of_counts,
+    find_sorted,
     mask_words,
     pack_points,
     projective_points,
@@ -42,22 +45,33 @@ from .subspaces import (
 )
 
 
-def _sparse_equal(a, b) -> bool:
-    return (a != b).nnz == 0
+def pair_keys(rows, cols, m: int) -> np.ndarray:
+    """The pair set of the 0/1 matrix on m elements with ones at (rows[k],
+    cols[k]): its sorted, distinct int64 keys row * m + col, so a pair
+    generated twice counts once.  Duplicates go by a neighbour mask after
+    the sort; np.unique takes a slower hash path for int64 under numpy 2.4."""
+    keys = np.sort(np.asarray(rows, dtype=np.int64) * m + cols)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 @dataclass
 class PosetMatrices:
+    """Layer data and ladder operators on the materialized subspaces.
+    L1, L2, R1, R2 and cover are pair sets (`pair_keys`) over `size`
+    elements; `pairs` turns one back into its row and column arrays."""
+
     geometry: GeometryContext
     dims: list[int]
     offsets: dict[int, int] = field(repr=False)
     ivec: np.ndarray = field(repr=False)
     jvec: np.ndarray = field(repr=False)
-    L1: sp.csr_matrix = field(repr=False)
-    L2: sp.csr_matrix = field(repr=False)
-    R1: sp.csr_matrix = field(repr=False)
-    R2: sp.csr_matrix = field(repr=False)
-    cover: sp.csr_matrix = field(repr=False)
+    L1: np.ndarray = field(repr=False)
+    L2: np.ndarray = field(repr=False)
+    R1: np.ndarray = field(repr=False)
+    R2: np.ndarray = field(repr=False)
+    cover: np.ndarray = field(repr=False)
     partial: bool = False
     checks: CheckSet = None
 
@@ -68,13 +82,16 @@ class PosetMatrices:
     def global_index(self, u) -> int:
         return self.offsets[u.dim] + self.geometry.index_of(u)
 
+    def pairs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column arrays (r, c) of a pair set, in key order."""
+        return np.divmod(keys, self.size)
+
     def layer_indicator(self, i: int, j: int) -> np.ndarray:
         return (self.ivec == i) & (self.jvec == j)
 
-    def estar(self, i: int, j: int) -> sp.csr_matrix:
-        return sp.diags(
-            self.layer_indicator(i, j).astype(np.int64), format="csr", dtype=np.int64
-        )
+    def estar(self, i: int, j: int) -> np.ndarray:
+        """The diagonal of E*_{i,j}: the int64 0/1 indicator of layer (i, j)."""
+        return self.layer_indicator(i, j).astype(np.int64)
 
     def k1_half_exponents(self) -> np.ndarray:
         """K1 is diagonal with entry q^((D - 2i)/2) on layer (i, j)."""
@@ -193,13 +210,57 @@ def _ladder_shift_witness(pm: PosetMatrices) -> str | None:
     own, failed = code(pm.ivec, pm.jvec), []
     ladders = [("slash lowering", pm.L1, 1, 0), ("backslash lowering", pm.L2, 0, 1),
                ("slash raising", pm.R1, -1, 0), ("backslash raising", pm.R2, 0, -1)]
-    for k, (label, mat, di, dj) in enumerate(ladders):
-        r, c = mat.nonzero()
+    for k, (label, keys, di, dj) in enumerate(ladders):
+        r, c = pm.pairs(keys)
         left, right = own[r], code(pm.ivec - di, pm.jvec - dj)[c]
         diff = left != right
         failed.append((int(max(left[diff].max(initial=-1), right[diff].max(initial=-1))), k, label))
     last, _k, label = max(failed)
     return None if last < 0 else f"{label} shift at layer ({last // width},{last % width})"
+
+
+def _operator_checks(pm: PosetMatrices, failures: dict) -> dict[str, tuple[bool, str | None]]:
+    """(verdict, witness) of each check on L1, L2, R1, R2 and cover, in
+    report order, each one identity of sorted key arrays.  `failures`
+    holds the generation failures of each kind; the closed-form cover
+    counts per element (a bincount of the rows) are added to them.
+
+    - raising_is_transpose_of_lowering_<kind>: no failure of the kind,
+      and the raising keys equal the sorted swapped lowering keys;
+    - cover_matrix_splits: the sorted concatenation of the L1 and L2
+      keys equals the cover keys, so a pair in both, or a duplicate,
+      fails it as an entry 2 of L1 + L2 would;
+    - cover_types_disjoint: no L1 key is found in the L2 keys (a binary
+      search; np.intersect1d would run np.unique on both first);
+    - ladder_support_shifts: `_ladder_shift_witness`.
+    """
+    q, n, d, m = pm.geometry.q, pm.geometry.ambient, pm.geometry.d, pm.size
+    qint = np.array([q_int(k, q) for k in range(n + 1)], dtype=np.int64)
+    dimvec = pm.ivec + pm.jvec
+    has_up, has_down = dimvec < pm.dims[-1], dimvec > pm.dims[0]
+    below = {"slash": qint[d - pm.ivec]}
+    below["backslash"] = qint[n - dimvec] - below["slash"]
+    above = {"backslash": qint[pm.jvec]}
+    above["slash"] = qint[dimvec] - above["backslash"]
+    out = {}
+    for kind, lower, raising in (("slash", pm.L1, pm.R1), ("backslash", pm.L2, pm.R2)):
+        found = list(failures[kind])
+        for side, keys, want, where in (
+            ("from below", lower, below[kind], has_up),
+            ("from above", raising, above[kind], has_down),
+        ):
+            got = np.bincount(keys // m, minlength=m)
+            found.append(_count_witness(side, kind, got, want, where))
+        witness = next((w for w in found if w), None)
+        r, c = pm.pairs(lower)
+        ok = witness is None and np.array_equal(raising, np.sort(c * m + r))
+        out[f"raising_is_transpose_of_lowering_{kind}"] = (ok, witness)
+    split = np.sort(np.concatenate([pm.L1, pm.L2]))
+    out["cover_matrix_splits"] = (np.array_equal(pm.cover, split), None)
+    out["cover_types_disjoint"] = (not (find_sorted(pm.L2, None, pm.L1) >= 0).any(), None)
+    shift_witness = _ladder_shift_witness(pm)
+    out["ladder_support_shifts"] = (shift_witness is None, shift_witness)
+    return out
 
 
 def build_poset_matrices(
@@ -235,7 +296,7 @@ def build_poset_matrices(
     meets x in a point outside w) from above, so the transpose checks
     compare two independent classifications as well.  Every step is
     linear in the number of subspaces and covers, up to the sorting of
-    the lookups.
+    the lookups and of the pair keys.
     """
     q, n, d = geometry.q, geometry.ambient, geometry.d
     total = geometry.poset_size()
@@ -276,39 +337,19 @@ def build_poset_matrices(
     if not ((step == 0) | (step == 1)).all():
         raise ArithmeticError("cover meet dimensions violate the cover dichotomy")
 
-    def to_csr(rows, cols):
-        # 0/1 entries: a pair generated twice counts once
-        mat = sp.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(m, m))
-        mat.data[:] = 1
-        return mat
-
     pm = PosetMatrices(
         geometry=geometry,
         dims=dims,
         offsets=offsets,
         ivec=ivec,
         jvec=jvec,
-        L1=to_csr(lo[step == 1], hi[step == 1]),
-        L2=to_csr(lo[step == 0], hi[step == 0]),
-        R1=to_csr(up[up_slash], down[up_slash]),
-        R2=to_csr(up[~up_slash], down[~up_slash]),
-        cover=to_csr(lo, hi),
+        L1=pair_keys(lo[step == 1], hi[step == 1], m),
+        L2=pair_keys(lo[step == 0], hi[step == 0], m),
+        R1=pair_keys(up[up_slash], down[up_slash], m),
+        R2=pair_keys(up[~up_slash], down[~up_slash], m),
+        cover=pair_keys(lo, hi, m),
         partial=partial,
     )
-
-    # closed-form cover counts per element and kind
-    qint = np.array([q_int(k, q) for k in range(n + 1)], dtype=np.int64)
-    has_up, has_down = dimvec < dims[-1], dimvec > dims[0]
-    below = {"slash": qint[d - ivec]}
-    below["backslash"] = qint[n - dimvec] - below["slash"]
-    above = {"backslash": qint[jvec]}
-    above["slash"] = qint[dimvec] - above["backslash"]
-    for kind, lower, raising in (("slash", pm.L1, pm.R1), ("backslash", pm.L2, pm.R2)):
-        for side, mat, want, where in (
-            ("from below", lower, below[kind], has_up),
-            ("from above", raising, above[kind], has_down),
-        ):
-            failures[kind].append(_count_witness(side, kind, np.diff(mat.indptr), want, where))
 
     cs = CheckSet(f"ladder operators q={q} N={n} D={d}" + (" (partial)" if partial else ""))
     layers = [
@@ -321,19 +362,8 @@ def build_poset_matrices(
     # E*_{i,j} = diag(indicator): sum I when each element is in one layer
     layers_of = sum(indicators.values())
     cs.check_true("layer_projections_sum_to_identity", (layers_of == 1).all())
-    for kind, lower, raising in (("slash", pm.L1, pm.R1), ("backslash", pm.L2, pm.R2)):
-        witness = next((w for w in failures[kind] if w), None)
-        cs.check_true(
-            f"raising_is_transpose_of_lowering_{kind}",
-            witness is None and _sparse_equal(raising, lower.T.tocsr()),
-            witness,
-        )
-    cs.check_true("cover_matrix_splits", _sparse_equal(pm.cover, pm.L1 + pm.L2))
-    cs.check_true("cover_types_disjoint", pm.L1.multiply(pm.L2).nnz == 0)
-
-    shift_witness = _ladder_shift_witness(pm)
-    cs.check_true("ladder_support_shifts", shift_witness is None, shift_witness)
-
+    for name, (ok, witness) in _operator_checks(pm, failures).items():
+        cs.check_true(name, ok, witness)
     cs.check_true("layer_projections_pairwise_orthogonal", (layers_of <= 1).all())
 
     counts = {f"{i},{j}": int(indicators[(i, j)].sum()) for i, j in layers}
@@ -343,7 +373,7 @@ def build_poset_matrices(
     }
     cs.check("layer_sizes_product_formula", expected, counts)
     # each projection is a 0/1 diagonal, so its rank is its trace
-    ranks = {f"{i},{j}": int(pm.estar(i, j).diagonal().sum()) for i, j in layers}
+    ranks = {f"{i},{j}": int(pm.estar(i, j).sum()) for i, j in layers}
     cs.check("layer_projection_ranks_match_sizes", expected, ranks)
     cs.record("layer_sizes", counts)
 

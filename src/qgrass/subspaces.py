@@ -23,13 +23,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidParameters, SizeCapExceeded
+from .errors import InvalidParameters, SizeCapExceeded, StaleCache
 from .linalg import row_blocks
 from .qarith import FieldContext, q_binomial, q_int
 from .report import CheckSet
 
 DEFAULT_TABLE_CAP = 20000
 DEFAULT_POSET_CAP = 60000
+# cache files start with the token "v<CACHE_FORMAT>"; version 1 had none
+CACHE_FORMAT = 2
 
 
 def rref_mod(rows, q: int):
@@ -252,10 +254,23 @@ def span_words(rows: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _keys(a: np.ndarray) -> np.ndarray:
+def _keys(a: np.ndarray, base: int) -> np.ndarray:
+    """Rows of a 2-d unsigned array of digits below `base` as keys whose
+    order is the numeric lexicographic order of the rows, for sorting and
+    exact lookups.  When base ** width fits in 64 bits each row is one
+    uint64, the row read as a number in base `base`; otherwise it is an
+    opaque byte string of big-endian entries (`_byte_keys`), which numpy
+    compares bytewise, several times slower."""
+    width = a.shape[1]
+    if base**width > 2**64:
+        return _byte_keys(a)
+    places = np.array([base**k for k in range(width - 1, -1, -1)], dtype=np.uint64)
+    return a.astype(np.uint64) @ places
+
+
+def _byte_keys(a: np.ndarray) -> np.ndarray:
     """Rows of a 2-d unsigned array as opaque byte strings whose byte
-    order is the numeric lexicographic order of the rows (big-endian
-    entries), for sorting and exact lookups."""
+    order is the numeric lexicographic order of the rows."""
     if a.shape[1] == 0:
         return np.zeros(len(a), dtype=np.dtype((np.void, 1)))
     big = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder(">"))
@@ -315,21 +330,21 @@ class SubspaceTable:
         ambient), or -1 where it is not in the table.  The table is
         sorted by its rows, so this is a binary search."""
         if self._row_keys is None:
-            self._row_keys = _keys(self.rows.reshape(len(self), -1))
-        return _lookup(self._row_keys, None, _keys(rows.reshape(len(rows), -1)))
+            self._row_keys = _keys(self.rows.reshape(len(self), -1), self.q)
+        return find_sorted(self._row_keys, None, _keys(rows.reshape(len(rows), -1), self.q))
 
     def find_masks(self, words: np.ndarray) -> np.ndarray:
         """Table index of each packed point mask in `words`, or -1 where
         no table entry has that point set."""
         if self._mask_order is None:
-            keys = _keys(self.words)
+            keys = _keys(self.words, 2**64)
             order = np.argsort(keys, kind="stable")
             self._mask_order = (keys[order], order)
         keys, order = self._mask_order
-        return _lookup(keys, order, _keys(words))
+        return find_sorted(keys, order, _keys(words, 2**64))
 
 
-def _lookup(sorted_keys: np.ndarray, order, wanted: np.ndarray) -> np.ndarray:
+def find_sorted(sorted_keys: np.ndarray, order, wanted: np.ndarray) -> np.ndarray:
     """Positions of `wanted` in `sorted_keys` (mapped through `order`
     when the keys were sorted by it), -1 for keys that are absent."""
     pos = np.searchsorted(sorted_keys, wanted)
@@ -438,7 +453,7 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
         raise ArithmeticError(
             f"enumeration produced {len(rows)} subspaces, expected {projected}"
         )
-    rows = rows[np.argsort(_keys(rows.reshape(len(rows), -1)), kind="stable")]
+    rows = rows[np.argsort(_keys(rows.reshape(len(rows), -1), q), kind="stable")]
     return SubspaceTable(q, ambient, dim, rows)
 
 
@@ -449,8 +464,9 @@ class CoverType(enum.Enum):
 
 
 def save_table(path: str, q: int, ambient: int, dim: int, table: SubspaceTable) -> None:
-    """Write a subspace table: header 'q ambient dim count', then one
-    line per subspace with its dimension and row-major digits.
+    """Write a subspace table: header 'v<CACHE_FORMAT> q ambient dim
+    count', then one line per subspace with its dimension and row-major
+    digits.
 
     The table goes to a temporary file in the same directory, which
     replaces `path` only once it is complete and on disk, so a write
@@ -462,7 +478,7 @@ def save_table(path: str, q: int, ambient: int, dim: int, table: SubspaceTable) 
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"{q} {ambient} {dim} {len(table)}\n")
+            fh.write(f"v{CACHE_FORMAT} {q} {ambient} {dim} {len(table)}\n")
             digits = table.rows.reshape(len(table), dim * ambient) + ord("0")
             prefix = f"{dim} ".encode("ascii")
             fh.write(b"".join(prefix + row.tobytes() + b"\n" for row in digits).decode("ascii"))
@@ -503,13 +519,36 @@ def _first_descent(flat: np.ndarray):
     return int(bad[0]) if bad.size else None
 
 
+def _header_fields(header: list[str], path: str) -> list[str]:
+    """The fields after the format token of a cache header.  Raises
+    StaleCache for an older format (a 'v<k>' token with k below
+    CACHE_FORMAT, or the four bare numbers of version 1), and
+    InvalidParameters for any other first field."""
+    token = header[0] if header else ""
+    if len(header) == 4 and all(f.isdecimal() for f in header):
+        version = 1
+    elif token[:1] == "v" and token[1:].isdecimal():
+        version = int(token[1:])
+    else:
+        raise InvalidParameters(f"malformed cache header in {path}")
+    if version < CACHE_FORMAT:
+        raise StaleCache(f"cache {path} has format version {version}, not {CACHE_FORMAT}")
+    if version > CACHE_FORMAT:
+        raise InvalidParameters(
+            f"cache {path} has format version {version}, newer than {CACHE_FORMAT}"
+        )
+    return header[1:]
+
+
 def load_table(path: str, q: int, ambient: int, dim: int) -> SubspaceTable:
     """Read a table written by save_table and rebuild it as arrays.
 
-    The header must match (q, ambient, dim) and count q_binomial(ambient,
-    dim, q) subspaces; every line must hold that many digits below q, in
-    reduced echelon form, and the lines must be strictly increasing in
-    table order.  Distinct echelon bases are distinct subspaces, so those
+    A file of an older format raises StaleCache (an InvalidParameters),
+    which `GeometryContext.table` answers by rebuilding the file.  In
+    the current format the header must match (q, ambient, dim) and
+    count q_binomial(ambient, dim, q) subspaces; every line must hold
+    that many digits below q, in reduced echelon form, and the lines
+    must be strictly increasing in table order.  Distinct echelon bases are distinct subspaces, so those
     checks make the file the full table, in order; a line duplicated
     over another, or two lines swapped, is refused.  Any unparsable
     header or line (a non-numeric field, a byte outside ASCII) raises
@@ -518,7 +557,7 @@ def load_table(path: str, q: int, ambient: int, dim: int) -> SubspaceTable:
     width = dim * ambient
     try:
         with open(path, encoding="ascii") as fh:
-            header = fh.readline().split()
+            header = _header_fields(fh.readline().split(), path)
             if len(header) != 4:
                 raise InvalidParameters(f"malformed cache header in {path}")
             hq, hn, hl, hcount = (int(v) for v in header)
@@ -617,9 +656,13 @@ class GeometryContext:
     def table(self, dim: int) -> SubspaceTable:
         if dim not in self._tables:
             path = self._cache_path(dim)
+            tab = None
             if path is not None and os.path.exists(path):
-                tab = load_table(path, self.q, self.ambient, dim)
-            else:
+                try:
+                    tab = load_table(path, self.q, self.ambient, dim)
+                except StaleCache:
+                    pass  # an older format: rebuilt and replaced below
+            if tab is None:
                 tab = enumerate_subspaces(self.q, self.ambient, dim, self.table_cap)
                 if path is not None:
                     try:

@@ -172,7 +172,7 @@ def test_invalid_parameters_exit_two(capsys):
     assert "complement" in err
 
 
-@pytest.mark.parametrize("corrupt", ["truncate", "non_numeric", "duplicate_line"])
+@pytest.mark.parametrize("corrupt", ["truncate", "non_numeric", "duplicate_line", "newer_format"])
 def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
     argv = ["verify", "--q", "2", "--n", "4", "--d", "1", "--suite", "geometry",
             "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "r.json")]
@@ -183,6 +183,8 @@ def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
         path.write_text(text[: len(text) // 2])
     elif corrupt == "non_numeric":
         path.write_text(text.replace("1 ", "x ", 1))
+    elif corrupt == "newer_format":
+        path.write_text(text.replace("v2 ", "v3 ", 1))
     else:
         # one subspace written over another: every line parses and the
         # count holds, but the table is no longer the full one in order
@@ -195,6 +197,20 @@ def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
         err = capsys.readouterr().err
         assert "invalid parameters" in err and str(path) in err
         assert "Traceback" not in err
+
+
+def test_old_format_cache_file_is_replaced(tmp_path, capsys):
+    # a table cached before the format had a version is rebuilt and
+    # written again in the current format, and the run passes
+    argv = ["verify", "--q", "2", "--n", "4", "--d", "1", "--suite", "geometry",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    (path,) = (tmp_path / "cache").iterdir()
+    text = path.read_text()
+    assert text.startswith("v2 ")
+    path.write_text(text[len("v2 "):])
+    assert main(argv) == 0
+    assert list((tmp_path / "cache").iterdir()) == [path] and path.read_text() == text
 
 
 @pytest.mark.parametrize("blocked", ["cache_dir_is_a_file", "table_is_a_directory"])

@@ -2,7 +2,10 @@
 runtime check of every exact object a full verification builds."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,8 @@ import qgrass
 from qgrass.grassmann import build_graph, spectral_system
 from qgrass.ladders import build_poset_matrices
 from qgrass.nucleus import build_alpha_family, compute_nucleus, verify_actions, verify_bases
+
+from test_ladders import estar_csr, pair_set_csr
 
 MATH_MODULES = ["qarith", "subspaces", "grassmann", "linalg", "nucleus", "ladders"]
 
@@ -115,6 +120,62 @@ def test_math_module_does_not_sample(module):
     assert random_uses(path.read_text(encoding="utf-8")) == []
 
 
+def scipy_imports(source: str) -> list[str]:
+    """Line and name of every absolute import of scipy or one of its
+    submodules: importing scipy.sparse alone costs more than a whole
+    small verify run."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_scipy_scanner_sees_every_kind():
+    bad = """
+import scipy
+import numpy, scipy.sparse as sp
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+"""
+    assert len(scipy_imports(bad)) == 4
+    ok = "from .scipy_free import x\nfrom . import report\nimport scipyish\nimport numpy as np\n"
+    assert scipy_imports(ok) == []
+
+
+@pytest.mark.parametrize("module", MATH_MODULES + ["cli"])
+def test_module_does_not_import_scipy(module):
+    path = Path(qgrass.__file__).with_name(f"{module}.py")
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_verify_run_loads_no_scipy(tmp_path):
+    # a whole verify run in a fresh interpreter: nothing imports scipy,
+    # at start-up or later in a call
+    argv = ["verify", "--q", "2", "--n", "5", "--d", "2", "--suite", "all",
+            "--out", str(tmp_path / "report.json")]
+    code = (
+        "import sys\n"
+        "import qgrass.cli\n"
+        f"rc = qgrass.cli.main({argv!r})\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "QGRASS_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qgrass.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
     """Every ExactMatrix built by the spectral system, the nucleus, the
     alpha family and their action and basis checks on J_2(4,2) holds
@@ -149,9 +210,19 @@ def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
 
 
 def test_poset_operators_are_integer():
+    # the pair sets and E* diagonals themselves, and the 0/1 matrices
+    # they stand for
     pm = build_poset_matrices(build_graph(2, 4, 2).geometry)
-    ops = {name: getattr(pm, name) for name in ("L1", "L2", "R1", "R2", "cover")}
+    ops, mats = {}, {}
+    for name in ("L1", "L2", "R1", "R2", "cover"):
+        ops[name] = getattr(pm, name)
+        mats[name] = pair_set_csr(pm, ops[name])
     for i, j in set(zip(pm.ivec.tolist(), pm.jvec.tolist())):
         ops[f"estar({i},{j})"] = pm.estar(i, j)
+        mats[f"estar({i},{j})"] = estar_csr(pm, i, j)
     for name, op in ops.items():
         assert np.issubdtype(op.dtype, np.integer), f"{name} has dtype {op.dtype}"
+    for name, mat in mats.items():
+        assert np.issubdtype(mat.dtype, np.integer), f"{name} has dtype {mat.dtype}"
+        mat.sum_duplicates()
+        assert set(mat.data.tolist()) <= {1}, name

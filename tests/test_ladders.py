@@ -28,6 +28,23 @@ from strategies import instances_with_base_vertex
 from test_grassmann import J252_ADMISSIBLE, admissible_quadruples
 
 
+def pair_set_csr(pm, keys):
+    """Test-only oracle representation: the pair set `keys` (sorted keys
+    row * size + col) as the scipy CSR matrix the ladder operators were
+    before.  Every key is one stored entry of value 1, so a repeated key
+    stays two entries, which the row pointers count twice and sparse
+    arithmetic sums to 2."""
+    rows, cols = pm.pairs(keys)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=pm.size))])
+    return sp.csr_matrix(
+        (np.ones(keys.size, dtype=np.int64), cols, indptr), shape=(pm.size, pm.size)
+    )
+
+
+def estar_csr(pm, i, j):
+    return sp.diags(pm.estar(i, j), format="csr", dtype=np.int64)
+
+
 @pytest.fixture(scope="module")
 def poset25():
     pm = build_poset_matrices(GeometryContext(2, 5, 2))
@@ -49,8 +66,8 @@ def test_cover_count_against_two_formulas(poset25):
     )
     from_below = sum(q_binomial(5, l, 2) * q_int(5 - l, 2) for l in range(5))
     assert from_above == from_below == 2077
-    assert poset25.cover.nnz == 2077
-    assert poset25.L1.nnz + poset25.L2.nnz == 2077
+    assert pair_set_csr(poset25, poset25.cover).nnz == 2077
+    assert pair_set_csr(poset25, poset25.L1).nnz + pair_set_csr(poset25, poset25.L2).nnz == 2077
 
 
 def test_layer_sizes(poset25):
@@ -72,7 +89,7 @@ def test_lowering_lands_one_layer_up(poset25):
     geometry = poset25.geometry
     line = next(u for u in geometry.table(1) if geometry.pij(u) == (1, 0))
     g = poset25.global_index(line)
-    row = poset25.L1.getrow(g)
+    row = pair_set_csr(poset25, poset25.L1).getrow(g)
     assert row.nnz == 1
     (col,) = row.indices
     assert poset25.ivec[col] == 2 and poset25.jvec[col] == 0
@@ -205,16 +222,17 @@ def sparse_shift_oracle(pm):
     last failing (layer, label) in the loop's order, or None."""
     d, n, m = pm.geometry.d, pm.geometry.ambient, pm.size
     layers = [(i, j) for i in range(d + 1) for j in range(n - d + 1) if i + j in pm.offsets]
-    estars = {layer: pm.estar(*layer) for layer in layers}
+    estars = {layer: estar_csr(pm, *layer) for layer in layers}
+    L1, L2, R1, R2 = (pair_set_csr(pm, getattr(pm, name)) for name in ("L1", "L2", "R1", "R2"))
     zero = sp.csr_matrix((m, m), dtype=np.int64)
     witness = None
     for i, j in layers:
         e_ij = estars[(i, j)]
         for lhs, rhs, label in [
-            (e_ij @ pm.L1, pm.L1 @ estars.get((i + 1, j), zero), "slash lowering"),
-            (e_ij @ pm.L2, pm.L2 @ estars.get((i, j + 1), zero), "backslash lowering"),
-            (e_ij @ pm.R1, pm.R1 @ estars.get((i - 1, j), zero), "slash raising"),
-            (e_ij @ pm.R2, pm.R2 @ estars.get((i, j - 1), zero), "backslash raising"),
+            (e_ij @ L1, L1 @ estars.get((i + 1, j), zero), "slash lowering"),
+            (e_ij @ L2, L2 @ estars.get((i, j + 1), zero), "backslash lowering"),
+            (e_ij @ R1, R1 @ estars.get((i - 1, j), zero), "slash raising"),
+            (e_ij @ R2, R2 @ estars.get((i, j - 1), zero), "backslash raising"),
         ]:
             if (lhs != rhs).nnz:
                 witness = f"{label} shift at layer ({i},{j})"
@@ -230,11 +248,9 @@ def poset342_partial():
 
 def with_moved_entry(pm, name, k, target, move_row):
     """pm with entry k of the ladder `name` moved to row or column `target`."""
-    rows, cols = getattr(pm, name).nonzero()
+    rows, cols = pm.pairs(getattr(pm, name))
     (rows if move_row else cols)[k] = target
-    mat = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(pm.size,) * 2)
-    mat.data[:] = 1
-    return dataclasses.replace(pm, **{name: mat})
+    return dataclasses.replace(pm, **{name: np.sort(rows * pm.size + cols)})
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,18 +262,99 @@ def test_moved_entry_shift_witness_matches_sparse_products(
     # (layer, label), in the full poset and in the partial window
     pm = poset25 if full else poset342_partial
     assert ladders._ladder_shift_witness(pm) is None and sparse_shift_oracle(pm) is None
-    k = data.draw(st.integers(0, getattr(pm, name).nnz - 1))
+    k = data.draw(st.integers(0, getattr(pm, name).size - 1))
     moved = with_moved_entry(pm, name, k, data.draw(st.integers(0, pm.size - 1)), move_row)
     assert ladders._ladder_shift_witness(moved) == sparse_shift_oracle(moved)
 
 
 def test_slash_cover_moved_to_a_backslash_partner_fails_shift_check(poset25):
     pm = poset25
-    r = int(pm.L1.nonzero()[0][0])
+    r = int(pm.pairs(pm.L1)[0][0])
     other = np.flatnonzero((pm.ivec == pm.ivec[r]) & (pm.jvec == pm.jvec[r] + 1))[0]
     moved = with_moved_entry(pm, "L1", 0, other, move_row=False)
     witness = ladders._ladder_shift_witness(moved)
     assert witness is not None and witness == sparse_shift_oracle(moved)
+
+
+def sparse_operator_checks(pm):
+    """Test-only oracle: the checks of `ladders._operator_checks`, with no
+    generation failure, as build_poset_matrices made them on scipy CSR
+    matrices: the closed-form cover counts from the row pointers, the
+    transposes and the split by sparse comparison, disjointness by an
+    elementwise product and the shift witness from the sparse products."""
+    q, n, d = pm.geometry.q, pm.geometry.ambient, pm.geometry.d
+    L1, L2, R1, R2, cover = (
+        pair_set_csr(pm, getattr(pm, name)) for name in ("L1", "L2", "R1", "R2", "cover")
+    )
+    qint = np.array([q_int(k, q) for k in range(n + 1)], dtype=np.int64)
+    dimvec = pm.ivec + pm.jvec
+    has_up, has_down = dimvec < pm.dims[-1], dimvec > pm.dims[0]
+    below = {"slash": qint[d - pm.ivec]}
+    below["backslash"] = qint[n - dimvec] - below["slash"]
+    above = {"backslash": qint[pm.jvec]}
+    above["slash"] = qint[dimvec] - above["backslash"]
+    out = {}
+    for kind, lower, raising in (("slash", L1, R1), ("backslash", L2, R2)):
+        witnesses = [
+            ladders._count_witness(side, kind, np.diff(mat.indptr), want, where)
+            for side, mat, want, where in (
+                ("from below", lower, below[kind], has_up),
+                ("from above", raising, above[kind], has_down),
+            )
+        ]
+        witness = next((w for w in witnesses if w), None)
+        ok = witness is None and (raising != lower.T.tocsr()).nnz == 0
+        out[f"raising_is_transpose_of_lowering_{kind}"] = (ok, witness)
+    out["cover_matrix_splits"] = ((cover != L1 + L2).nnz == 0, None)
+    out["cover_types_disjoint"] = (L1.multiply(L2).nnz == 0, None)
+    shift_witness = sparse_shift_oracle(pm)
+    out["ladder_support_shifts"] = (shift_witness is None, shift_witness)
+    return out
+
+
+KIND_PARTNER = {"L1": "L2", "L2": "L1", "R1": "R2", "R2": "R1"}
+PAIR_CHANGES = [
+    (name, change)
+    for name in ("L1", "L2", "R1", "R2", "cover")
+    for change in ("drop", "duplicate", "move", "switch", "copy")
+    if name in KIND_PARTNER or change in ("drop", "duplicate", "move")
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.sampled_from(PAIR_CHANGES), st.data())
+def test_changed_pair_verdicts_match_sparse_checks(poset25, poset342_partial, full, edit, data):
+    # drop, duplicate or move one pair of a relation, switch it to the
+    # other kind or copy it there too: the key-array checks and the old
+    # sparse checks give the same verdicts and witnesses, and a real
+    # change fails one
+    pm = poset25 if full else poset342_partial
+    no_failures = {"slash": [], "backslash": []}
+    verdicts = ladders._operator_checks(pm, no_failures)
+    assert verdicts == sparse_operator_checks(pm)
+    assert all(ok for ok, _witness in verdicts.values())
+    name, change = edit
+    keys = getattr(pm, name)
+    k = data.draw(st.integers(0, keys.size - 1))
+    if change == "drop":
+        fields = {name: np.delete(keys, k)}
+    elif change == "duplicate":
+        fields = {name: np.insert(keys, k, keys[k])}
+    elif change == "move":
+        rows, cols = pm.pairs(keys)
+        (rows if data.draw(st.booleans()) else cols)[k] = data.draw(st.integers(0, pm.size - 1))
+        fields = {name: np.sort(rows * pm.size + cols)}
+    else:
+        partner = KIND_PARTNER[name]
+        fields = {
+            name: keys if change == "copy" else np.delete(keys, k),
+            partner: np.sort(np.append(getattr(pm, partner), keys[k])),
+        }
+    changed = dataclasses.replace(pm, **fields)
+    verdicts = ladders._operator_checks(changed, no_failures)
+    assert verdicts == sparse_operator_checks(changed)
+    if change == "copy" or not np.array_equal(fields[name], keys):
+        assert not all(ok for ok, _witness in verdicts.values())
 
 
 def pair_scan_oracle(pm):
@@ -296,9 +393,11 @@ def assert_layers_match_objects(pm):
     ]
 
 
-def nonzero_pairs(mat):
+def nonzero_pairs(pm, keys):
+    mat = pair_set_csr(pm, keys)
+    mat.sum_duplicates()
+    assert (mat.data == 1).all()
     coo = mat.tocoo()
-    assert (coo.data == 1).all()
     return set(zip(coo.row.tolist(), coo.col.tolist()))
 
 
@@ -314,7 +413,7 @@ def test_incidence_covers_match_pair_scan(q, n, d, partial):
     pm.checks.require()
     oracle = pair_scan_oracle(pm)
     for name, pairs in oracle.items():
-        assert nonzero_pairs(getattr(pm, name)) == pairs, name
+        assert nonzero_pairs(pm, getattr(pm, name)) == pairs, name
     assert_layers_match_objects(pm)
 
 
@@ -326,7 +425,7 @@ def test_incidence_covers_match_pair_scan_at_random_base_vertex(instance, partia
     pm = build_poset_matrices(geometry, force_partial=partial)
     pm.checks.require()
     for name, pairs in pair_scan_oracle(pm).items():
-        assert nonzero_pairs(getattr(pm, name)) == pairs, name
+        assert nonzero_pairs(pm, getattr(pm, name)) == pairs, name
     assert_layers_match_objects(pm)
 
 
@@ -386,7 +485,7 @@ def test_generated_covers_match_quadratic_scans(q, n, d, partial):
         for v, u, s in zip((b + off_hi).tolist(), (a + off_lo).tolist(), slash.tolist()):
             want["R1" if s else "R2"].add((v, u))
     for name, pairs in want.items():
-        assert nonzero_pairs(getattr(pm, name)) == pairs, name
+        assert nonzero_pairs(pm, getattr(pm, name)) == pairs, name
 
 
 def _verdicts(pm):

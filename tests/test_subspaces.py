@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrass import subspaces
-from qgrass.errors import InvalidParameters, SizeCapExceeded
+from qgrass.errors import InvalidParameters, SizeCapExceeded, StaleCache
 from qgrass.qarith import q_binomial, q_int
 from qgrass.subspaces import (
     CanonicalSubspace,
@@ -88,6 +88,48 @@ def test_lookups_by_rows_and_by_mask():
         # rows that are not reduced: no table entry has them
         ctx.index_of(CanonicalSubspace(3, 4, ((1, 1, 0, 0), (0, 1, 0, 0)), (0, 1), 0))
     assert ctx.index_of(tab[5]) == 5
+
+
+@pytest.mark.parametrize(
+    "q,n,l,int_rows,int_masks",
+    [
+        (2, 6, 3, True, True),  # 18 binary digits; 64 points, one word
+        (3, 4, 2, True, False),  # 8 ternary digits; 81 points, two words
+        (2, 8, 8, True, False),  # 64 binary digits, the most that fit
+        (2, 9, 8, False, False),  # 72 binary digits; 512 points
+    ],
+)
+def test_integer_and_byte_keys_agree(q, n, l, int_rows, int_masks):
+    # one uint64 key per row where the digits or the words fit in 64
+    # bits, byte strings elsewhere: the same order and the same lookups
+    tab = enumerate_subspaces(q, n, l)
+    flat = tab.rows.reshape(len(tab), -1)
+    row_keys, mask_keys = subspaces._keys(flat, q), subspaces._keys(tab.words, 2**64)
+    assert (row_keys.dtype == np.uint64, mask_keys.dtype == np.uint64) == (int_rows, int_masks)
+    for keys, raw in ((row_keys, flat), (mask_keys, tab.words)):
+        byte_order = np.argsort(subspaces._byte_keys(raw), kind="stable")
+        assert (np.argsort(keys, kind="stable") == byte_order).all()
+    assert (np.argsort(row_keys, kind="stable") == np.arange(len(tab))).all()
+
+    rng = np.random.default_rng(0)
+    perm = rng.permutation(len(tab))
+    changed = tab.rows[perm].copy()
+    cells = rng.integers(0, l * n, size=len(tab))
+    changed.reshape(len(tab), -1)[np.arange(len(tab)), cells] += 1
+    changed %= q
+    rows = np.concatenate([tab.rows[perm], changed])
+    byte_rows = subspaces.find_sorted(
+        subspaces._byte_keys(flat), None, subspaces._byte_keys(rows.reshape(len(rows), -1))
+    )
+    found = tab.find_rows(rows)
+    assert (found == byte_rows).all() and (found[: len(tab)] == perm).all()
+
+    words = np.concatenate([tab.words[perm], tab.words[perm] ^ tab.words])
+    byte_masks = subspaces._byte_keys(tab.words)
+    order = np.argsort(byte_masks, kind="stable")
+    want = subspaces.find_sorted(byte_masks[order], order, subspaces._byte_keys(words))
+    found = tab.find_masks(words)
+    assert (found == want).all() and (found[: len(tab)] == perm).all()
 
 
 def span_points(rows, q, n):
@@ -310,6 +352,43 @@ class TestCache:
         save_table(str(path), 2, 4, 1, tab)
         with pytest.raises(InvalidParameters):
             load_table(str(path), 2, 4, 2)
+
+    @pytest.mark.parametrize("old", ["no_token", "v1"])
+    def test_older_format_is_stale(self, tmp_path, old):
+        tab = enumerate_subspaces(2, 4, 1)
+        path = tmp_path / "t.txt"
+        save_table(str(path), 2, 4, 1, tab)
+        header, body = path.read_text().split("\n", 1)
+        assert header == f"v{subspaces.CACHE_FORMAT} 2 4 1 15"
+        token = "" if old == "no_token" else "v1 "
+        path.write_text(f"{token}2 4 1 15\n{body}")
+        with pytest.raises(StaleCache, match="format version 1"):
+            load_table(str(path), 2, 4, 1)
+
+    @pytest.mark.parametrize("header", ["v3 2 4 1 15", "x2 2 4 1 15", "v 2 4 1 15", "v2 2 4 1"])
+    def test_bad_format_token_is_invalid(self, tmp_path, header):
+        tab = enumerate_subspaces(2, 4, 1)
+        path = tmp_path / "t.txt"
+        save_table(str(path), 2, 4, 1, tab)
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text(f"{header}\n{body}")
+        with pytest.raises(InvalidParameters) as info:
+            load_table(str(path), 2, 4, 1)
+        assert not isinstance(info.value, StaleCache)
+
+    @pytest.mark.parametrize("old", ["whole", "truncated"])
+    def test_context_rebuilds_older_format(self, tmp_path, old):
+        # a file in the format before versions is rebuilt and replaced,
+        # whatever it holds; the replacement loads as the table
+        ctx = GeometryContext(2, 5, 2, cache_dir=str(tmp_path))
+        tab = ctx.table(2)
+        (path,) = tmp_path.iterdir()
+        text = path.read_text()
+        stale = text.split(" ", 1)[1]
+        path.write_text(stale if old == "whole" else stale[: len(stale) // 2])
+        assert GeometryContext(2, 5, 2, cache_dir=str(tmp_path)).table(2) == tab
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == text
+        assert load_table(str(path), 2, 5, 2) == tab
 
     def test_context_uses_cache(self, tmp_path):
         ctx = GeometryContext(2, 5, 2, cache_dir=str(tmp_path))
