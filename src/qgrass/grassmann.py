@@ -2,9 +2,9 @@
 
 Vertices are the D-dimensional subspaces of F_q^N, adjacent when they
 meet in dimension D - 1, so graph distance is D - dim(y meet z).  The
-module builds the distance matrix from the Gram product of the point
-incidence matrix (common point counts q^dim(y meet z)), verifies the D
-0/1 products A_1 A_g on dense matrices, and keeps their intersection matrix L
+module builds the distance matrix from the Gram product of the packed
+point masks (common point counts q^dim(y meet z)), verifies the D
+0/1 products A_1 A_g in row blocks, and keeps their intersection matrix L
 (multiplication by A_1 on coefficient vectors over A_0..A_D), which, being
 tridiagonal with every c_t > 0, also certifies the graph metric.  Every
 spectral claim is then checked in that (D+1)-dimensional distance
@@ -30,6 +30,7 @@ from .linalg import (
     ExactMatrix,
     exact_int_product,
     invert_fraction_matrix,
+    product_blocks,
     rank_exact,
     rank_mod_prime,
     row_blocks,
@@ -41,20 +42,18 @@ from .subspaces import (
     DEFAULT_TABLE_CAP,
     GeometryContext,
     dims_of_counts,
-    point_incidence,
+    mask_words,
 )
 
 RANK_VERIFY_LIMIT = 60
 
 
 class GraphContext:
-    """A built Grassmann graph: vertex table, exact distance matrix, the
-    point incidence of the vertices and, built on demand and cached, the
-    inclusion matrices W_i and their Gram products W_i^T W_i."""
+    """A built Grassmann graph: vertex table, exact distance matrix and,
+    built on demand and cached, the inclusion matrices W_i and their
+    Gram products W_i^T W_i."""
 
-    def __init__(
-        self, geometry: GeometryContext, dist: np.ndarray, points: np.ndarray, checks: CheckSet
-    ):
+    def __init__(self, geometry: GeometryContext, dist: np.ndarray, checks: CheckSet):
         self.geometry = geometry
         self.q = geometry.q
         self.n = geometry.ambient
@@ -62,7 +61,6 @@ class GraphContext:
         self.vertices = geometry.table(geometry.d)
         self.n_vertices = len(self.vertices)
         self.dist = dist
-        self.points = points
         self.x_index = geometry.index_of(geometry.x)
         self.boundary = geometry.ambient == 2 * geometry.d
         self.build_checks = checks
@@ -74,17 +72,16 @@ class GraphContext:
         """W_i: the [N,i]_q x |X| bool inclusion matrix, row u (in the
         order of the i-subspace table) marking the vertices that contain
         u.  u lies in y exactly when y holds all q^i points of u, so W_i
-        is one 0/1 product of point incidences.  W_0 needs none: the
-        zero subspace lies in every vertex, and its table stays unbuilt
-        (and uncached)."""
+        is one 0/1 product of the two tables' packed point masks.  W_0
+        needs none: the zero subspace lies in every vertex, and its
+        table stays unbuilt (and uncached)."""
         if i == 0:
             return np.ones((1, self.n_vertices), dtype=bool)
         if i not in self._inclusion:
-            npoints = self.q**self.n
-            sub = point_incidence(self.geometry.table(i), npoints)
-            w = np.empty((sub.shape[0], self.n_vertices), dtype=bool)
-            for rows in row_blocks(sub.shape[0], self.n_vertices):
-                w[rows] = exact_int_product(sub[rows], self.points.T, npoints) == self.q**i
+            sub = self.geometry.table(i).words
+            w = np.empty((len(sub), self.n_vertices), dtype=bool)
+            for rows, counts in product_blocks(sub, self.vertices.words, self.q**self.n):
+                w[rows] = counts == self.q**i
             self._inclusion[i] = w
         return self._inclusion[i]
 
@@ -97,9 +94,8 @@ class GraphContext:
             w = self.inclusion(i)
             n = self.n_vertices
             out = np.empty((n, n), dtype=np.min_scalar_type(w.shape[0]))
-            wt = w.T
-            for rows in row_blocks(n, n):
-                out[rows] = exact_int_product(wt[rows], w, w.shape[0])
+            for rows, block in product_blocks(w.T, w, w.shape[0]):
+                out[rows] = block
             self._gram[i] = out
         return self._gram[i]
 
@@ -138,8 +134,8 @@ def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
     np.fill_diagonal(bfs, 0)
     for t in range(1, gc.d + 1):
         nxt = cur.copy()
-        for rows in row_blocks(n, n):
-            nxt[rows] |= exact_int_product(cur[rows], adj, n) > 0
+        for rows, walks in product_blocks(cur, adj, n):
+            nxt[rows] |= walks > 0
         newly = nxt & ~cur
         if not newly.any():
             break
@@ -205,18 +201,18 @@ def build_graph(
     )
     vertices = geometry.table(d)
     nv = len(vertices)
-    # common point counts are q^dim(y meet z); any other count raises
+    # common point counts are q^dim(y meet z), the 0/1 product of the
+    # packed point masks with themselves; any other count raises
     npoints = q**n
-    inc = point_incidence(vertices, npoints)
+    words = vertices.words
     dist = np.empty((nv, nv), dtype=np.int16)
-    for rows in row_blocks(nv, nv):
-        counts = exact_int_product(inc[rows], inc.T, npoints)
+    for rows, counts in product_blocks(words, words, npoints):
         dist[rows] = d - dims_of_counts(counts, q, d)
     cs = CheckSet(f"graph build q={q} N={n} D={d}")
     cs.check("vertex_count", q_binomial(n, d, q), nv)
     cs.check_true("distance_range", bool(((dist >= 0) & (dist <= d)).all()))
     cs.check_true("distance_symmetric", bool((dist == dist.T).all()))
-    gc = GraphContext(geometry, dist, inc, cs)
+    gc = GraphContext(geometry, dist, cs)
     if _metric_certificate(gc):
         cs.check_true("bfs_reaches_every_pair", True)
         cs.check_true("bfs_distances_match_meet_formula", True)
@@ -224,8 +220,8 @@ def build_graph(
         _bfs_full_check(gc, cs)
     # the distance-i sphere around x is exactly the layer P_{D-i, i}:
     # every vertex meets x in dimension D - dist(x, y)
-    x_inc = point_incidence([geometry.x], npoints)
-    meet_x = dims_of_counts(exact_int_product(inc, x_inc.T, npoints)[:, 0], q, d)
+    x_words = mask_words([geometry.x], npoints)
+    meet_x = dims_of_counts(exact_int_product(words, x_words, npoints)[:, 0], q, d)
     off_layer = np.flatnonzero(meet_x != d - dist[gc.x_index])
     layer_ok = not off_layer.size
     witness = None if layer_ok else f"vertex {vertices[int(off_layer[0])].rows}"
@@ -239,8 +235,8 @@ def structure_constants(gc: GraphContext):
     products A_1 A_g (g = 1..D) and verified class by class.  Column 0
     is A_1 A_0 = A_1, which needs no product once A_0 = I is checked.
 
-    A_g is the bool matrix dist == g, so the products run on the 0/1
-    branch of `exact_int_product`.  Each pair has one distance, so the
+    A_g is the bool matrix dist == g, so the products are streamed in
+    row blocks by `product_blocks`.  Each pair has one distance, so the
     classes partition the pairs once every entry of dist lies in 0..D.
 
     L is multiplication by A_1 on coefficient vectors over A_0..A_D.
@@ -273,8 +269,7 @@ def structure_constants(gc: GraphContext):
         # an empty class has a zero matrix, so any coefficient works;
         # zero keeps the table well defined
         first = [None] * (d + 1)
-        for rows in row_blocks(n, n):
-            prod = exact_int_product(adj[rows], ag, n)
+        for rows, prod in product_blocks(adj, ag, n):
             classes = dist[rows]
             for h in range(d + 1):
                 vals = prod[classes == h]

@@ -1,10 +1,19 @@
 """Exact dense linear algebra over the rationals.
 
 Entries are Python ints and Fractions held in numpy object arrays.
-Integer products go through one kernel, `exact_int_product`: popcounts
-of bit-packed rows when both operands are 0/1 (`bool`) arrays, a checked
-int64 fast path when the worst-case dot product provably fits in 63
-bits, otherwise arbitrary-precision object arithmetic.
+Integer products go through one kernel, `exact_int_product`, which
+checks that both operands have the stated inner dimension on every
+branch.  A 0/1 product (bool arrays, or uint64 words already packed) is
+blocked in one place, `product_blocks`: each operand is packed once into
+zero-padded uint64 words, and the popcounts of row & column words are
+summed, one block of rows at a time, into the smallest unsigned dtype
+that holds the inner dimension.  The product is exact because padding
+bits are zero, every entry is at most the inner dimension, and the
+blocks cover every row; callers reduce each block as it streams, and
+`exact_int_product` assembles the blocks into an int64 array.  Other
+integer products take a checked int64 fast path when the worst-case
+dot product provably fits in 63 bits, otherwise arbitrary-precision
+object arithmetic.
 Elimination is fraction-free (Bareiss), so pivots and updates stay in
 exact integer arithmetic, and emitted basis vectors are normalized to
 primitive integer vectors.  No floating point anywhere.
@@ -57,47 +66,123 @@ def _pack_rows(m: np.ndarray) -> np.ndarray:
     rows, cols = m.shape
     words = -(-cols // 64)
     packed = np.zeros((rows, 8 * words), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(m, axis=1, bitorder="little")
+    packed[:, : -(-cols // 8)] = np.packbits(
+        np.ascontiguousarray(m), axis=1, bitorder="little"
+    )
     return packed.view(np.uint64)
 
 
-def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    pa = _pack_rows(a)
-    pb = _pack_rows(b.T)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for rows in row_blocks(a.shape[0], b.shape[1]):
-        block = out[rows]
-        for w in range(pa.shape[1]):
-            block += np.bitwise_count(pa[rows, w, None] & pb[None, :, w])
-    return out
+def _packed_operand(m: np.ndarray, inner: int, side: str) -> np.ndarray:
+    """The packed words of the rows of a (`side` "a"), or of the columns
+    of b (`side` "b").  A uint64 array is taken as words already packed,
+    once its shape and its zero padding are checked; a bool array is
+    packed here, once."""
+    words = -(-inner // 64)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"{side} of shape {m.shape} is not a matrix")
+    if m.dtype == np.uint64:
+        if m.shape[1] != words:
+            raise DimensionMismatch(f"packed {side} of shape {m.shape} with inner {inner}")
+        if inner % 64 and m.size and (m[:, -1] >> np.uint64(inner % 64)).any():
+            raise ValueError(f"packed {side} has bits set past inner {inner}")
+        return m
+    if (m.shape[1] if side == "a" else m.shape[0]) != inner:
+        raise DimensionMismatch(f"{side} of shape {m.shape} with inner {inner}")
+    return _pack_rows(m if side == "a" else m.T)
+
+
+def _packed_pair(a: np.ndarray, b: np.ndarray, inner: int):
+    """(pa, pb): the words of the rows of a, (n, words), and of the
+    columns of b, held contiguous per word, (words, m)."""
+    pa = _packed_operand(a, inner, "a")
+    pb = np.ascontiguousarray(_packed_operand(b, inner, "b").T)
+    return pa, pb
+
+
+def _stream(pa: np.ndarray, pb: np.ndarray, inner: int):
+    """The blocks of `product_blocks` from the packed pair: per word, an
+    `&` and a popcount into preallocated temporaries, added into the
+    block's accumulator.  The word of each row is first broadcast into
+    the temporary, since numpy's `&` of two contiguous rows is several
+    times faster than of a row and a broadcast column."""
+    n, m = pa.shape[0], pb.shape[1]
+    acc_dtype = np.min_scalar_type(inner)
+    step = next(row_blocks(n, m), slice(0, 0)).stop
+    tmp = np.empty((step, m), dtype=np.uint64)
+    cnt = np.empty((step, m), dtype=np.uint8)
+    for rows in row_blocks(n, m):
+        k = rows.stop - rows.start
+        acc = np.zeros((k, m), dtype=acc_dtype)
+        t, c = tmp[:k], cnt[:k]
+        for w in range(pb.shape[0]):
+            np.copyto(t, pa[rows, w, None])
+            np.bitwise_and(t, pb[w], out=t)
+            np.bitwise_count(t, out=c)
+            np.add(acc, c, out=acc)
+        yield rows, acc
+
+
+def product_blocks(a: np.ndarray, b: np.ndarray, inner: int):
+    """The 0/1 product a @ b as an iterator of (rows, block) pairs:
+    `rows` a slice of the rows of a and `block` the exact product of
+    those rows with b, a fresh array that the caller may keep.  Callers
+    reduce each block as it comes, so no n x m result is held unless
+    they keep one.
+
+    `a` is a bool (n, inner) matrix or the packed words of its rows; `b`
+    is a bool (inner, m) matrix or the packed words of its columns, so a
+    point-incidence Gram product takes one table's words twice.  Packed
+    words are uint64 arrays of shape (count, ceil(inner / 64)), bit t of
+    a row in bit t % 64 of word t // 64, as `_pack_rows` and
+    `SubspaceTable.words` lay them out.  Shapes are checked and each
+    operand is packed once, when this is called; the words of b are
+    held contiguous per word, (words, m).
+
+    Proof obligation.  For 0/1 entries bit t of row & col is set exactly
+    when both factors of the t-th term of the dot product are 1, so the
+    popcount summed over the words is the dot product, provided:
+    - padding bits are zero: `_pack_rows` pads with zero bytes, and a
+      packed operand with a bit set past `inner` is refused;
+    - every entry fits the accumulator: an entry counts at most `inner`
+      terms, the accumulator is the smallest unsigned dtype holding
+      `inner`, and one word's popcount (at most 64) fits its uint8;
+    - the blocks cover every row: they are `row_blocks(n, m)`, which
+      keeps a block's uint64 temporary near _BLOCK_BYTES.
+    """
+    return _stream(*_packed_pair(a, b, inner), inner)
 
 
 def exact_int_product(
     a: np.ndarray, b: np.ndarray, inner: int, amax=None, bmax=None
 ) -> np.ndarray:
     """Exact product of two integer arrays (bool, int64, or object arrays
-    of Python ints) sharing the dimension `inner`.
+    of Python ints) sharing the dimension `inner`; raises
+    DimensionMismatch unless a has `inner` columns and b `inner` rows.
 
-    When both operands are bool arrays, the rows of `a` and the columns
-    of `b` are packed into zero-padded uint64 words and each entry is
-    the popcount of their bitwise and, summed over the words, in row
-    blocks whose temporaries stay near 1 MiB.  For 0/1 entries a bit of
-    `row & col` is set exactly when both factors of a term of the dot
-    product are 1, so the popcount is the dot product; padding bits are
-    0 in both operands and add nothing; the count is at most `inner`,
-    so the int64 result is exact.
+    When both operands are 0/1 (bool arrays, or packed words as
+    `product_blocks` takes them) the int64 result is assembled from the
+    blocks of `product_blocks`.  Its proof obligation: padding bits are
+    zero, every entry is at most `inner` and so fits the accumulator,
+    and the blocks cover every row (details in its docstring).
 
     Otherwise every partial sum of a row-by-column dot product is
     bounded by inner * amax * bmax, with amax and bmax the largest
     absolute entries (computed when not given).  Below 2^62 the product
     runs in int64 and cannot overflow, and the result is an int64 array;
     otherwise it falls back to Python ints and the result is an object
-    array.
+    array.  The bound trusts `inner`, hence the shape check.
     """
-    if a.dtype == bool and b.dtype == bool:
-        if a.shape[1] != inner or b.shape[0] != inner:
-            raise DimensionMismatch(f"{a.shape} @ {b.shape} with inner {inner}")
-        return _bool_product(a, b)
+    zero_one = (np.dtype(bool), np.dtype(np.uint64))
+    if a.dtype in zero_one and b.dtype in zero_one:
+        pa, pb = _packed_pair(a, b, inner)
+        out = np.empty((pa.shape[0], pb.shape[1]), dtype=np.int64)
+        for rows, block in _stream(pa, pb, inner):
+            out[rows] = block
+        return out
+    if np.uint64 in (a.dtype, b.dtype):
+        raise TypeError("packed words multiply only 0/1 operands")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != inner or b.shape[0] != inner:
+        raise DimensionMismatch(f"{a.shape} @ {b.shape} with inner {inner}")
     if amax is None:
         amax = _abs_max(a)
     if bmax is None:

@@ -41,9 +41,9 @@ from .linalg import (
     column_space_ops,
     exact_int_product,
     in_span,
+    product_blocks,
     rank_exact,
     rank_mod_prime,
-    row_blocks,
     span_rank,
 )
 from .qarith import q_binomial, q_int
@@ -52,32 +52,8 @@ from .subspaces import (
     CanonicalSubspace,
     enumerate_subspaces,
     mask_words,
-    point_incidence,
     subspace_from_rows,
 )
-
-
-class _DisjointSets:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for k in range(len(self.parent)):
-            out.setdefault(self.find(k), []).append(k)
-        return out
 
 
 def containment_vectors(gc: GraphContext, alphas: list[CanonicalSubspace]) -> np.ndarray:
@@ -584,6 +560,52 @@ class GammaReport:
     checks: CheckSet = field(repr=False)
 
 
+def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label of each vertex 0..n-1 of the graph with edges (a[e], b[e]):
+    the least vertex of its component, by min-label propagation.
+
+    The edges are read both ways and sorted by source once.  A round
+    gives every vertex the least label among its own and its
+    neighbours' (one `np.minimum.reduceat` over the sorted edges), then
+    jumps pointers, lab = lab[lab], until they settle; rounds repeat
+    until no label changes.
+
+    Proof obligation.  A label is always a vertex of the same component
+    (so is a neighbour's label, and a label's label), and labels never
+    rise, so the rounds end.  At the end no edge joins two labels, so
+    the label is constant on a component; its least vertex m can only
+    carry label m, so that constant is m.  Hence the roots, the vertices
+    with lab == arange, are one per component.
+    """
+    lab = np.arange(n)
+    if not len(a):
+        return lab
+    src = np.concatenate([a, b])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], np.concatenate([b, a])[order]
+    starts = np.flatnonzero(np.concatenate([[True], src[1:] != src[:-1]]))
+    owners = src[starts]
+    while True:
+        new = lab.copy()
+        new[owners] = np.minimum(lab[owners], np.minimum.reduceat(lab[dst], starts))
+        while True:
+            jumped = new[new]
+            if (jumped == new).all():
+                break
+            new = jumped
+        if (new == lab).all():
+            return lab
+        lab = new
+
+
+def _components(labels: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
+    """members[k] grouped by labels[k], each group in the order of k."""
+    if not len(labels):
+        return []
+    order = np.argsort(labels, kind="stable")
+    return np.split(members[order], np.flatnonzero(np.diff(labels[order])) + 1)
+
+
 def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     """Components of the distance spheres around x under same-fiber
     edges, compared with the meet-vector fibers.
@@ -596,11 +618,9 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     q, d = gc.q, gc.d
     cs = CheckSet(f"sphere fibrations q={q} N={gc.n} D={d}")
     npoints = q**gc.n
-    # rows: the points of each vertex inside x, so the Gram product of
+    # the packed points of each vertex inside x, so the Gram product of
     # two rows counts the points of y meet z meet x, q^dim
-    x_points = point_incidence([gc.geometry.x], npoints)[0]
-    inside_x = gc.points[:, x_points]
-    width = inside_x.shape[1]
+    inside_x = gc.vertices.words & mask_words([gc.geometry.x], npoints)
     xrow = gc.dist[gc.x_index]
     counts = []
     sizes_per_i = []
@@ -608,10 +628,9 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     for i in range(d + 1):
         sphere = np.flatnonzero(xrow == i)
         rows_x = inside_x[sphere]
-        fiber_dsu = _DisjointSets(len(sphere))
-        full_dsu = _DisjointSets(len(sphere))
-        for blk in row_blocks(len(sphere), len(sphere)):
-            meets = exact_int_product(rows_x[blk], rows_x.T, width)
+        # (a, b, same fiber) per block; an empty sphere streams no block
+        edges = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, bool))]
+        for blk, meets in product_blocks(rows_x, rows_x, npoints):
             ka, kb = np.nonzero(gc.dist[np.ix_(sphere[blk], sphere)] == 1)
             meet = meets[ka, kb]
             ka += blk.start
@@ -625,28 +644,26 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
                 dichotomy_ok &= bool((same | (meet == q ** (d - i - 1))).all())
             else:
                 dichotomy_ok &= bool(same.all())
-            for a, b in zip(ka.tolist(), kb.tolist()):
-                full_dsu.union(a, b)
-            for a, b in zip(ka[same].tolist(), kb[same].tolist()):
-                fiber_dsu.union(a, b)
+            edges.append((ka, kb, same))
+        ka, kb, same = (np.concatenate(part) for part in zip(*edges))
 
-        comp = {
-            root: [int(sphere[k]) for k in members]
-            for root, members in fiber_dsu.groups().items()
-        }
-        counts.append(len(comp))
-        sizes_per_i.append(sorted(len(v) for v in comp.values()))
+        fiber = component_labels(len(sphere), ka[same], kb[same])
+        comp = _components(fiber, sphere)
+        roots = int((fiber == np.arange(len(sphere))).sum())
+        counts.append(roots)
+        sizes_per_i.append(sorted(len(v) for v in comp))
 
         # component characteristic vectors must be exactly the meet
         # vectors of the (D-i)-dimensional alphas
-        comp_sets = sorted(tuple(sorted(v)) for v in comp.values())
+        comp_sets = sorted(tuple(v.tolist()) for v in comp)
         meet_sets = sorted(
             tuple(np.flatnonzero(fam.meet[ia]).tolist()) for ia in fam.by_dim[d - i]
         )
         cs.check_true(f"components_match_meet_vectors_{i}", comp_sets == meet_sets)
-        cs.check(f"component_count_{i}", q_binomial(d, i, q), len(comp))
+        cs.check(f"component_count_{i}", q_binomial(d, i, q), roots)
         if i == d:
-            cs.check("outer_sphere_connected", 1, len(full_dsu.groups()))
+            full = component_labels(len(sphere), ka, kb)
+            cs.check("outer_sphere_connected", 1, int((full == np.arange(len(sphere))).sum()))
     cs.check_true("edge_meets_obey_cover_dichotomy", dichotomy_ok)
 
     # fiber indicator vectors coincide with the meet vectors

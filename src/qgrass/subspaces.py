@@ -9,9 +9,9 @@ words, computed for all entries at once from one product of the rows
 with the coefficient vectors.  Single subspaces (the base vertex, the
 subspaces of x, anything a caller asks for by index) are
 CanonicalSubspace objects carrying the same mask as a Python int.
-Tables turn into bool point-incidence matrices (`point_incidence`) or
-packed words (`mask_words`), so pair relations become 0/1 products: the
-common point count of two subspaces is q^dim of their meet
+Tables and lists of subspaces hand over packed words (`mask_words`), so
+pair relations become 0/1 products of words (`linalg.product_blocks`):
+the common point count of two subspaces is q^dim of their meet
 (`dims_of_counts`).
 """
 
@@ -187,15 +187,6 @@ def mask_words(subspaces, npoints: int) -> np.ndarray:
     if isinstance(subspaces, SubspaceTable):
         return subspaces.words
     return _masks_to_words(subspaces, npoints)
-
-
-def point_incidence(subspaces, npoints: int) -> np.ndarray:
-    """Bool point-incidence matrix: entry (r, p) is set when vector p
-    lies in subspace r.  Its Gram product counts common points, q^dim of
-    the meet."""
-    words = np.ascontiguousarray(mask_words(subspaces, npoints))
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :npoints].astype(bool)
 
 
 def all_vectors(q: int, k: int) -> np.ndarray:

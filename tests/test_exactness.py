@@ -156,14 +156,16 @@ def test_module_does_not_import_scipy(module):
 
 def test_verify_run_loads_no_scipy(tmp_path):
     # a whole verify run in a fresh interpreter: nothing imports scipy,
-    # at start-up or later in a call
+    # at start-up or later in a call, nor numpy.ma (which np.unique
+    # imports), whose load raises peak RSS
     argv = ["verify", "--q", "2", "--n", "5", "--d", "2", "--suite", "all",
             "--out", str(tmp_path / "report.json")]
     code = (
         "import sys\n"
         "import qgrass.cli\n"
         f"rc = qgrass.cli.main({argv!r})\n"
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "      sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "QGRASS_CACHE_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(
@@ -173,7 +175,7 @@ def test_verify_run_loads_no_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 [] []"
 
 
 def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):

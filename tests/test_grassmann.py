@@ -760,13 +760,13 @@ def test_corrupted_distance_fails_certificate_c():
 
 def test_point_count_not_power_of_q_raises(monkeypatch):
     # a common point count of 3 over F_2 is no subspace meet
-    real = grassmann.exact_int_product
+    real = grassmann.product_blocks
 
-    def corrupt(a, b, inner, *args):
-        out = real(a, b, inner, *args)
-        out[0, -1] = 3
-        return out
+    def corrupt(a, b, inner):
+        for rows, out in real(a, b, inner):
+            out[0, -1] = 3
+            yield rows, out
 
-    monkeypatch.setattr(grassmann, "exact_int_product", corrupt)
+    monkeypatch.setattr(grassmann, "product_blocks", corrupt)
     with pytest.raises(ArithmeticError, match="not a power of 2"):
         build_graph(2, 4, 2)

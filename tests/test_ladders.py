@@ -22,7 +22,7 @@ from qgrass.ladders import (
 )
 from qgrass.qarith import SqrtQScalar, q_binomial, q_int
 from qgrass.linalg import exact_int_product, row_blocks
-from qgrass.subspaces import CoverType, GeometryContext, mask_words, point_incidence
+from qgrass.subspaces import CoverType, GeometryContext, mask_words
 
 from strategies import instances_with_base_vertex
 from test_grassmann import J252_ADMISSIBLE, admissible_quadruples
@@ -427,6 +427,15 @@ def test_incidence_covers_match_pair_scan_at_random_base_vertex(instance, partia
     for name, pairs in pair_scan_oracle(pm).items():
         assert nonzero_pairs(pm, getattr(pm, name)) == pairs, name
     assert_layers_match_objects(pm)
+
+
+def point_incidence(subspaces, npoints):
+    """Test-only: the bool point-incidence matrix of a table, entry
+    (r, p) set when vector p lies in subspace r, unpacked from its
+    words."""
+    words = np.ascontiguousarray(mask_words(subspaces, npoints))
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :npoints].astype(bool)
 
 
 def _cover_pairs(inc_lo, inc_hi, size_lo):

@@ -19,6 +19,7 @@ from qgrass.linalg import (
     rank_exact,
     span_rank,
 )
+from qgrass.subspaces import enumerate_subspaces
 
 
 def naive_product(a, b):
@@ -167,6 +168,24 @@ def random_bool_matrix(rng, rows, cols):
     ).reshape(rows, cols)
 
 
+def int64_oracle(a, b):
+    return a.astype(np.int64) @ b.astype(np.int64)
+
+
+def assembled(blocks, shape):
+    """The blocks of `product_blocks` put together, after checking that
+    they cover every row once, in order."""
+    out = np.zeros(shape, dtype=np.int64)
+    start = 0
+    for rows, block in blocks:
+        assert rows.start == start and rows.stop > start
+        assert block.shape == (rows.stop - rows.start, shape[1])
+        out[rows] = block
+        start = rows.stop
+    assert start == shape[0]
+    return out
+
+
 class TestBoolProduct:
     """The bit-packed popcount branch of exact_int_product against its
     int64 branch on the same 0/1 entries."""
@@ -175,7 +194,7 @@ class TestBoolProduct:
     @given(
         st.integers(0, 10**6),
         st.integers(0, 7),
-        st.sampled_from([0, 1, 2, 7, 63, 64, 65, 127, 128, 129, 130]),
+        st.sampled_from([0, 1, 2, 7, 63, 64, 65, 127, 128, 129, 130, 256, 300]),
         st.integers(0, 7),
     )
     def test_matches_int64_branch(self, seed, rows, inner, cols):
@@ -187,13 +206,19 @@ class TestBoolProduct:
         assert got.dtype == np.int64 and want.dtype == np.int64
         assert got.shape == (rows, cols)
         assert (got == want).all()
+        assert (assembled(linalg.product_blocks(a, b, inner), (rows, cols)) == want).all()
 
-    @pytest.mark.parametrize("inner", [1, 63, 64, 65, 128, 130])
+    @pytest.mark.parametrize("inner", [1, 63, 64, 65, 128, 130, 255, 256, 300, 65536])
     def test_all_ones_count_inner(self, inner):
-        # every term is 1, so each entry is exactly `inner`
+        # every term is 1, so each entry is exactly `inner`, past what a
+        # uint8 holds from 256 on; blocks count in the smallest unsigned
+        # dtype that holds `inner`
         a = np.ones((3, inner), dtype=bool)
         b = np.ones((inner, 2), dtype=bool)
         assert (exact_int_product(a, b, inner) == inner).all()
+        for _rows, block in linalg.product_blocks(a, b, inner):
+            assert block.dtype == np.min_scalar_type(inner)
+            assert (block == inner).all()
 
     def test_row_blocks_cover_every_row(self, monkeypatch):
         # blocks of a few rows still assemble the whole product
@@ -204,10 +229,89 @@ class TestBoolProduct:
         assert len(list(linalg.row_blocks(37, 5))) > 1
         want = a.astype(np.int64) @ b.astype(np.int64)
         assert (exact_int_product(a, b, 130) == want).all()
+        blocks = list(linalg.product_blocks(a, b, 130))
+        assert len(blocks) > 1
+        assert (assembled(blocks, (37, 5)) == want).all()
 
     def test_inner_mismatch(self):
         with pytest.raises(DimensionMismatch):
             exact_int_product(np.ones((2, 3), bool), np.ones((3, 2), bool), 4)
+
+
+class TestStreamedProduct:
+    """`product_blocks`, the one place a 0/1 product is blocked: empty
+    and packed operands, and the packing itself."""
+
+    @pytest.mark.parametrize("rows,inner,cols", [(0, 5, 3), (4, 70, 0), (0, 0, 0), (3, 0, 2)])
+    def test_empty_operands(self, rows, inner, cols):
+        a = np.ones((rows, inner), dtype=bool)
+        b = np.ones((inner, cols), dtype=bool)
+        got = exact_int_product(a, b, inner)
+        assert got.shape == (rows, cols) and (got == inner).all()
+        assert assembled(linalg.product_blocks(a, b, inner), (rows, cols)).shape == (rows, cols)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 63, 64, 65, 130]))
+    def test_packed_operands(self, seed, inner):
+        # words of the rows of a and of the columns of b stand in for
+        # either bool operand
+        rng = random.Random(seed)
+        a = random_bool_matrix(rng, 6, inner)
+        b = random_bool_matrix(rng, inner, 5)
+        wa, wb = linalg._pack_rows(a), linalg._pack_rows(b.T)
+        want = int64_oracle(a, b)
+        for left, right in [(wa, b), (a, wb), (wa, wb)]:
+            assert (exact_int_product(left, right, inner) == want).all()
+
+    def test_table_words_are_point_incidence(self):
+        # a table's own words give the common point counts q^dim(meet)
+        table = enumerate_subspaces(2, 5, 2)
+        bits = np.unpackbits(table.words.view(np.uint8), axis=1, bitorder="little")[:, :32]
+        inc = bits.astype(bool)
+        got = exact_int_product(table.words, table.words, 32)
+        assert (got == int64_oracle(inc, inc.T)).all()
+
+    def test_packed_padding_and_width_are_checked(self):
+        words = np.zeros((2, 2), dtype=np.uint64)
+        b = np.ones((70, 3), dtype=bool)
+        with pytest.raises(DimensionMismatch):
+            exact_int_product(words, b, 200)
+        words[1, 1] = np.uint64(1) << np.uint64(6)
+        with pytest.raises(ValueError, match="past inner 70"):
+            exact_int_product(words, b, 70)
+        with pytest.raises(TypeError):
+            exact_int_product(words, b.astype(np.int64), 70)
+
+    def test_pack_rows_pads_with_zeros_over_dirty_memory(self):
+        # fill and free buffers of the packed size first, so that an
+        # unzeroed allocation would hand back set padding bits
+        for cols in (1, 7, 9, 65, 100):
+            words = -(-cols // 64)
+            for _ in range(4):
+                dirty = np.full((5, 8 * words), 255, dtype=np.uint8)
+                del dirty
+            packed = linalg._pack_rows(np.ones((5, cols), dtype=bool))
+            assert (np.bitwise_count(packed).sum(axis=1) == cols).all()
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (np.full((1, 8), 2**30 + 7, dtype=object), np.full((8, 1), 2**30 + 7, dtype=object)),
+        (np.ones((1, 8), dtype=np.int64), np.ones((8, 1), dtype=np.int64)),
+        (np.ones((1, 8), dtype=bool), np.ones((8, 1), dtype=np.int64)),
+        (np.ones((1, 8), dtype=bool), np.ones((8, 1), dtype=bool)),
+    ],
+    ids=["object", "int64", "mixed", "bool"],
+)
+def test_every_branch_checks_inner(a, b):
+    # the int64 guard bounds a dot product by inner * amax * bmax; with
+    # inner = 1 the 8-term object product below would wrap in int64
+    with pytest.raises(DimensionMismatch):
+        exact_int_product(a, b, 1)
+    with pytest.raises(DimensionMismatch):
+        exact_int_product(a, b[:4], 8)
+    assert int(exact_int_product(a, b, 8)[0, 0]) == int(a[0, 0]) * int(b[0, 0]) * 8
 
 
 class TestColumnSpace:
@@ -321,3 +425,46 @@ class TestHelpers:
         assert eye == [[1, 0], [0, 1]]
         with pytest.raises(ArithmeticError):
             invert_fraction_matrix([[1, 2], [2, 4]])
+
+
+def verify_pack_counts(monkeypatch, tmp_path, budget):
+    """Calls of `_pack_rows`, products started and blocks streamed during
+    one `verify --suite all` run at J_2(5,2), with blocks of at most
+    `budget` bytes."""
+    from qgrass.cli import main
+
+    counts = {"packs": 0, "products": 0, "blocks": 0}
+    real_pack, real_pair, real_stream = linalg._pack_rows, linalg._packed_pair, linalg._stream
+
+    def pack(m):
+        counts["packs"] += 1
+        return real_pack(m)
+
+    def pair(a, b, inner):
+        counts["products"] += 1
+        return real_pair(a, b, inner)
+
+    def stream(pa, pb, inner):
+        for item in real_stream(pa, pb, inner):
+            counts["blocks"] += 1
+            yield item
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_pack_rows", pack)
+        mp.setattr(linalg, "_packed_pair", pair)
+        mp.setattr(linalg, "_stream", stream)
+        mp.setattr(linalg, "_BLOCK_BYTES", budget)
+        argv = ["verify", "--q", "2", "--n", "5", "--d", "2", "--suite", "all",
+                "--out", str(tmp_path / f"report_{budget}.json")]
+        assert main(argv) == 0
+    return counts
+
+
+def test_verify_packs_each_operand_once_per_product(monkeypatch, tmp_path):
+    # cutting every product into many more blocks packs nothing more:
+    # each operand is packed at most once per product, not per block
+    wide = verify_pack_counts(monkeypatch, tmp_path, 1 << 20)
+    narrow = verify_pack_counts(monkeypatch, tmp_path, 1 << 12)
+    assert narrow["blocks"] > 2 * narrow["products"] > 0
+    assert narrow["products"] == wide["products"]
+    assert narrow["packs"] == wide["packs"] <= 2 * wide["products"]

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qgrass.nucleus
 from qgrass.grassmann import GraphContext, build_graph, spectral_system
@@ -19,6 +20,7 @@ from qgrass.linalg import (
 from qgrass.nucleus import (
     boundary_case_report,
     build_alpha_family,
+    component_labels,
     compute_nucleus,
     gamma_components,
     nucleus_report_json,
@@ -409,19 +411,83 @@ def test_gamma_components_match_pair_loop_at_random_base_vertex(instance):
         )
 
 
+class DisjointSets:
+    """Test-only oracle for `component_labels`: the per-edge union-find
+    that gamma_components used before the label propagation.  A root is
+    always the least member of its set."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, a, b): random edges on n vertices, some vertices isolated,
+    often with a long path through a shuffled vertex order (the slowest
+    case for label propagation), edges in either direction."""
+    n = draw(st.integers(0, 60))
+    if n == 0:
+        return 0, [], []
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    if draw(st.booleans()):
+        path = draw(st.permutations(range(draw(st.integers(1, n)))))
+        flips = draw(st.lists(st.booleans(), min_size=len(path), max_size=len(path)))
+        edges += [(v, u) if f else (u, v) for u, v, f in zip(path, path[1:], flips)]
+    edges = draw(st.permutations(edges))
+    return n, [u for u, _v in edges], [v for _u, v in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_component_labels_match_union_find(graph):
+    n, a, b = graph
+    dsu = DisjointSets(n)
+    for u, v in zip(a, b):
+        dsu.union(u, v)
+    want = np.array([dsu.find(k) for k in range(n)], dtype=np.int64)
+    got = component_labels(n, np.array(a, dtype=np.intp), np.array(b, dtype=np.intp))
+    assert got.tolist() == want.tolist()
+    assert int((got == np.arange(n)).sum()) == len(set(want.tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 1000])
+def test_component_labels_on_long_paths(n):
+    # a path through a reversed order and one through an interleaved
+    # order: every vertex ends on label 0
+    for order in (np.arange(n)[::-1], np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])):
+        got = component_labels(n, order[:-1], order[1:])
+        assert not got.any()
+    assert component_labels(n, np.zeros(0, np.intp), np.zeros(0, np.intp)).tolist() == list(
+        range(n)
+    )
+
+
 @pytest.mark.parametrize("outer", [False, True], ids=["inner-spheres", "outer-sphere"])
 def test_meet_count_off_the_dichotomy_fails(monkeypatch, outer):
     # meet counts that are neither q^(D-i) nor q^(D-i-1): inner spheres
     # inflated by q^2, or the outer sphere (where every count is 1) by 3
-    real = qgrass.nucleus.exact_int_product
+    real = qgrass.nucleus.product_blocks
 
     def inflate(a, b, inner):
-        out = real(a, b, inner)
-        if (out.max(initial=0) <= 1) == outer:
-            return out * (3 if outer else 4)
-        return out
+        for rows, out in real(a, b, inner):
+            if (out.max(initial=0) <= 1) == outer:
+                out = out * (3 if outer else 4)
+            yield rows, out
 
-    monkeypatch.setattr(qgrass.nucleus, "exact_int_product", inflate)
+    monkeypatch.setattr(qgrass.nucleus, "product_blocks", inflate)
     gc = build_graph(2, 4, 2)
     rep = gamma_components(gc, build_alpha_family(gc))
     verdicts = {c.name: c.passed for c in rep.checks.checks}
