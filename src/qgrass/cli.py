@@ -6,7 +6,9 @@ standalone q-arithmetic identity suite.  Every value in a report is
 exact; timings and the timestamp live under "meta" so that reports for
 identical configurations are byte-identical outside that key.  The meta
 key also records how each nucleus piece was certified
-("nucleus_paths").
+("nucleus_paths") and how the exact ranks and kernels of the run were
+decided ("elimination": certified mod p, certificate failed, Bareiss
+eliminations run; see `linalg.elimination_counts`).
 
 Exit status: 0 when every executed check passes, 1 when any check
 fails, 2 for unusable parameters or a size cap hit.
@@ -30,6 +32,7 @@ from .grassmann import (
     spectrum_json,
 )
 from .ladders import alpha_dominant_multiplicity, build_poset_matrices, enumerate_types, type_to_parameters
+from .linalg import elimination_counts
 from .nucleus import (
     boundary_case_report,
     build_alpha_family,
@@ -315,15 +318,17 @@ def _cmd_verify(args) -> int:
         },
     }
     family_owner = next((s for s in to_run if s in FAMILY_SUITES), None)
-    for name in to_run:
-        t0 = time.monotonic()
-        cs = _run_suite(
-            name, pipe, report["artifacts"], report["meta"], name == family_owner
-        )
-        report["meta"]["timings"][name] = round(time.monotonic() - t0, 3)
-        entry = cs.as_dict()
-        entry["requested"] = name in requested
-        report["suites"][name] = entry
+    with elimination_counts() as counts:
+        for name in to_run:
+            t0 = time.monotonic()
+            cs = _run_suite(
+                name, pipe, report["artifacts"], report["meta"], name == family_owner
+            )
+            report["meta"]["timings"][name] = round(time.monotonic() - t0, 3)
+            entry = cs.as_dict()
+            entry["requested"] = name in requested
+            report["suites"][name] = entry
+    report["meta"]["elimination"] = counts
     if pipe._nd is not None:
         report["artifacts"]["nucleus"] = nucleus_report_json(
             pipe._nd, pipe._fam, pipe._gamma

@@ -29,6 +29,7 @@ from .errors import EigenvalueCollision, InvalidParameters, InvalidQuadruple
 from .linalg import (
     ExactMatrix,
     exact_int_product,
+    int_operand,
     invert_fraction_matrix,
     product_blocks,
     rank_exact,
@@ -41,7 +42,7 @@ from .subspaces import (
     DEFAULT_POSET_CAP,
     DEFAULT_TABLE_CAP,
     GeometryContext,
-    dims_of_counts,
+    count_dims,
     mask_words,
 )
 
@@ -108,17 +109,30 @@ class GraphContext:
         return adj
 
     def class_sums(self, coeff_rows: list[list[int]], right: np.ndarray) -> list[np.ndarray]:
-        """sum_h c[h] (A_h @ right) for every integer row c of
-        coeff_rows, exactly, for a bool or integer `right` with |X| rows.
+        """sum_h c[h] (A_h @ right) for every integer row c of coeff_rows,
+        exactly, for a bool or integer `right` with |X| rows.
 
-        One kernel product per class gives A_h @ right (the bool branch
-        when `right` is 0/1); the combinations are one more product of
-        the coefficient rows with those D+1 results stacked, through the
-        same overflow-guarded kernel."""
-        n = self.n_vertices
-        prods = [exact_int_product(self.dist == h, right, n) for h in range(self.d + 1)]
+        A 0/1 `right` meets each class A_h = (dist == h) in the 0/1
+        kernel, which streams the product through `product_blocks`.  An
+        integer `right` meets A_h one `row_blocks` slice of dist at a
+        time, on the int64 branch of `exact_int_product` (Python ints
+        when its guard fails), so no |X| x |X| integer array is built.
+        The combinations are one more product of the coefficient rows
+        with those D+1 results stacked, through the same kernel."""
+        n, d = self.n_vertices, self.d
+        if right.dtype == bool:
+            prods = [exact_int_product(self.dist == h, right, n) for h in range(d + 1)]
+        else:
+            right, bmax = int_operand(right)
+            prods = [
+                np.concatenate([
+                    exact_int_product(self.dist[rows] == h, right, n, 1, bmax)
+                    for rows in row_blocks(n, n)
+                ])
+                for h in range(d + 1)
+            ]
         stacked = np.stack([p.reshape(-1) for p in prods])
-        sums = exact_int_product(np.array(coeff_rows, dtype=object), stacked, self.d + 1)
+        sums = exact_int_product(np.array(coeff_rows, dtype=object), stacked, d + 1)
         return [row.reshape(prods[0].shape) for row in sums]
 
 
@@ -206,8 +220,9 @@ def build_graph(
     npoints = q**n
     words = vertices.words
     dist = np.empty((nv, nv), dtype=np.int16)
+    meet_dims = count_dims(q, d)
     for rows, counts in product_blocks(words, words, npoints):
-        dist[rows] = d - dims_of_counts(counts, q, d)
+        dist[rows] = d - meet_dims(counts)
     cs = CheckSet(f"graph build q={q} N={n} D={d}")
     cs.check("vertex_count", q_binomial(n, d, q), nv)
     cs.check_true("distance_range", bool(((dist >= 0) & (dist <= d)).all()))
@@ -221,7 +236,7 @@ def build_graph(
     # the distance-i sphere around x is exactly the layer P_{D-i, i}:
     # every vertex meets x in dimension D - dist(x, y)
     x_words = mask_words([geometry.x], npoints)
-    meet_x = dims_of_counts(exact_int_product(words, x_words, npoints)[:, 0], q, d)
+    meet_x = meet_dims(exact_int_product(words, x_words, npoints)[:, 0])
     off_layer = np.flatnonzero(meet_x != d - dist[gc.x_index])
     layer_ok = not off_layer.size
     witness = None if layer_ok else f"vertex {vertices[int(off_layer[0])].rows}"

@@ -36,7 +36,7 @@ from .subspaces import (
     GeometryContext,
     SubspaceTable,
     all_vectors,
-    dims_of_counts,
+    count_dims,
     find_sorted,
     mask_words,
     pack_points,
@@ -310,9 +310,9 @@ def build_poset_matrices(
         m += len(tables[l])
     x_words = mask_words([geometry.x], q**n)[0]
     # i = dim(u meet x) from the common point count q^i
+    meet_dims = count_dims(q, d)
     ivec = np.concatenate([
-        dims_of_counts(np.bitwise_count(tables[l].words & x_words).sum(axis=1), q, d)
-        for l in dims
+        meet_dims(np.bitwise_count(tables[l].words & x_words).sum(axis=1)) for l in dims
     ])
     dimvec = np.concatenate([np.full(len(tables[l]), l) for l in dims])
     jvec = dimvec - ivec

@@ -14,13 +14,22 @@ blocks cover every row; callers reduce each block as it streams, and
 integer products take a checked int64 fast path when the worst-case
 dot product provably fits in 63 bits, otherwise arbitrary-precision
 object arithmetic.
-Elimination is fraction-free (Bareiss), so pivots and updates stay in
-exact integer arithmetic, and emitted basis vectors are normalized to
-primitive integer vectors.  No floating point anywhere.
+Exact ranks, span tests and nullspaces are decided by one int64
+elimination mod p = 2^31 - 1 (`certified_kernel`): the reduced echelon
+form mod p gives a rank that can only be too low, its kernel vectors are
+rebuilt as fractions and checked against the matrix by one exact
+product, and that check proves the rank and the kernel over Q.  When a
+certificate fails, fraction-free (Bareiss) elimination decides instead,
+in exact integer arithmetic; it also serves the tests as the oracle.
+Basis vectors are primitive integer vectors either way.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -228,6 +237,14 @@ class ExactMatrix:
         if arr.dtype != object:
             arr = arr.astype(np.int64, copy=False)
         return ExactMatrix(_as_python_int_array(arr), _intmax=_abs_max(arr))
+
+    @staticmethod
+    def stack(families) -> "ExactMatrix":
+        """The rows of every matrix of `families` (at least one), in
+        order, with the integrality cache filled from theirs."""
+        bounds = [f._int_max() for f in families]
+        intmax = None if any(b is False for b in bounds) else max(bounds)
+        return ExactMatrix(np.concatenate([f.a for f in families], axis=0), _intmax=intmax)
 
     @staticmethod
     def zeros(m: int, n: int) -> "ExactMatrix":
@@ -478,12 +495,15 @@ def _nullspace_from_echelon(ech: np.ndarray, rank: int, pivots: list[int], ncols
 def column_space_ops(
     m: ExactMatrix, want_nullspace: bool = True, check_nullspace: bool = True
 ) -> ColumnSpaceResult:
-    """Rank, pivot columns, and an integer nullspace basis.
+    """Rank, pivot columns, and an integer nullspace basis, by Bareiss
+    elimination: the fallback where `certified_kernel` fails, and the
+    oracle it is tested against.
 
     The original columns of m at the pivot positions are a basis of its
     column space.  The nullspace basis is verified against m exactly,
     by one product, unless check_nullspace is False.
     """
+    _count("bareiss")
     scaled, _den = m.to_int_scaled()
     work = scaled.a.copy()
     rank, pivots = _bareiss_echelon(work)
@@ -495,11 +515,92 @@ def column_space_ops(
     return ColumnSpaceResult(rank, list(pivots), nullspace)
 
 
-def rank_exact(m: ExactMatrix) -> int:
-    return column_space_ops(m, want_nullspace=False).rank
-
+# ---------------------------------------------------------------------------
+# certified elimination mod p
 
 RANK_CERT_PRIME = 2**31 - 1
+
+# Counts of the eliminations that decided a rank or a kernel, for the
+# `elimination_counts` block that is open, if any.
+_COUNTS: ContextVar[dict | None] = ContextVar("qgrass_elimination_counts", default=None)
+
+
+@contextmanager
+def elimination_counts():
+    """Count, inside the block, the ranks and kernels decided by
+    `certified_kernel` ("certified"), its failed certificates
+    ("fallback") and the Bareiss eliminations run ("bareiss": each
+    fallback, and every direct `column_space_ops` call)."""
+    counts = {"certified": 0, "fallback": 0, "bareiss": 0}
+    token = _COUNTS.set(counts)
+    try:
+        yield counts
+    finally:
+        _COUNTS.reset(token)
+
+
+def _count(key: str) -> None:
+    counts = _COUNTS.get()
+    if counts is not None:
+        counts[key] += 1
+
+
+def int_operand(m):
+    """(a, amax): the entries of an integer ExactMatrix, or of a bool,
+    integer or Python-int object array, as an int64 array when they fit
+    the product guard and as Python ints otherwise, with their largest
+    absolute value."""
+    if isinstance(m, ExactMatrix):
+        amax = m._int_max()
+        if amax is False:
+            raise TypeError("an integer matrix is needed")
+        m = m.a
+    else:
+        amax = _abs_max(m)
+    if m.dtype == object and amax >= _INT64_BOUND:
+        return m, amax
+    return m.astype(np.int64, copy=False), amax
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """The entries of an integer array mod p, as a fresh int64 array."""
+    return (a % p).astype(np.int64, copy=False)
+
+
+def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool) -> list[int]:
+    """In place: the row echelon form over F_p of an int64 array of
+    residues in [0, p), each pivot scaled to 1, and reduced (zero above
+    every pivot as well) when `reduced`.  Returns the pivot columns.
+
+    Entries stay in [0, p) after each step, and (p - 1)^2 + p < 2^63
+    for p < 2^31, so the int64 updates cannot overflow."""
+    rows = a.shape[0]
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        row = a[r, c:]
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        if reduced:
+            hit = a[:, c].nonzero()[0]
+            hit = hit[hit != r]
+        else:
+            hit = r + 1 + a[r + 1 :, c].nonzero()[0]
+        if hit.size:
+            block = a[hit, c:]
+            block -= block[:, :1] * row
+            block %= p
+            a[hit, c:] = block
+        pivots.append(c)
+    return pivots
 
 
 def rank_mod_prime(m, p: int = RANK_CERT_PRIME) -> int:
@@ -507,37 +608,139 @@ def rank_mod_prime(m, p: int = RANK_CERT_PRIME) -> int:
 
     Always a lower bound for the rational rank; the caller supplies the
     argument that promotes it to equality (reduction mod p can only
-    collapse rows).  m is an ExactMatrix of integers or a bool or int64
-    numpy array.
+    collapse rows).  m is an ExactMatrix of integers or a bool, integer
+    or Python-int object array.
     """
-    if isinstance(m, ExactMatrix):
-        if m._int_max() is False:
-            raise TypeError("rank_mod_prime needs an integer matrix")
-        a = (m.a % p).astype(np.int64)
-    else:
-        a = m.astype(np.int64) % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        # entries stay in [0, p); products fit int64 since (p-1)^2 < 2^63
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = a[r + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            a[r + 1 :, c:][mask] = (
-                a[r + 1 :, c:][mask] - np.outer(below[mask], a[r, c:])
-            ) % p
-        r += 1
-    return r
+    return len(_echelon_mod_p(_residues(int_operand(m)[0], p), p, reduced=False))
+
+
+def _reconstruct(x: np.ndarray, p: int):
+    """(num, den), int64 arrays with num = den * x (mod p), |num| <= B
+    and 0 < den <= B for B = isqrt((p - 1) / 2), entry by entry; None
+    when some entry has no such fraction.
+
+    The extended Euclidean algorithm on (p, x), run on all entries at
+    once, keeps r = s x (mod p) for each remainder r and its cofactor s,
+    and stops at the first remainder <= B.  Since 2 B^2 < p, at most one
+    fraction of that size matches x, and this one is it when any does
+    (Wang's rational reconstruction).  |s| stays below p, so the
+    updates fit int64."""
+    bound = math.isqrt((p - 1) // 2)
+    r0 = np.full(x.shape, p, dtype=np.int64)
+    r1 = x.copy()
+    s0 = np.zeros(x.shape, dtype=np.int64)
+    s1 = np.ones(x.shape, dtype=np.int64)
+    live = r1 > bound
+    while live.any():
+        quot = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - quot * r1[live]
+        s0[live], s1[live] = s1[live], s0[live] - quot * s1[live]
+        live = r1 > bound
+    sign = np.where(s1 < 0, -1, 1)
+    num, den = r1 * sign, s1 * sign
+    if not ((den > 0) & (den <= bound)).all():
+        return None
+    return num, den
+
+
+def _kernel_rows(num, den, pivots: list[int], free: np.ndarray, n: int) -> np.ndarray:
+    """One integer kernel row per free column f: num / den on the pivot
+    columns and 1 on f, times the least common denominator of the row,
+    then divided by its content and signed so that the first nonzero
+    entry is positive, as `primitive_int_vector` does.  int64 when every
+    entry fits, Python ints otherwise."""
+    k = len(free)
+    scale = [math.lcm(*row) for row in den.tolist()]
+    top = max(scale, default=1) * max(_abs_max(num), 1)
+    dtype = np.int64 if top < _INT64_BOUND else object
+    if dtype is object:
+        num, den = num.astype(object), den.astype(object)
+    lcd = np.array(scale, dtype=dtype)
+    out = np.zeros((k, n), dtype=dtype)
+    out[:, pivots] = num * (lcd[:, None] // den)
+    out[np.arange(k), free] = lcd
+    out //= np.gcd.reduce(out, axis=1)[:, None]
+    first = out[np.arange(k), (out != 0).argmax(axis=1)]
+    return out * np.where(first < 0, -1, 1)[:, None]
+
+
+def certified_kernel(m, p: int = RANK_CERT_PRIME):
+    """(rank, K) for an integer matrix m with n columns: its rank over Q
+    and the rows of K a basis of its kernel over Q, primitive integer
+    vectors; None when the certificate below fails, and then the caller
+    falls back to Bareiss (`column_space_ops`).  m is an integer
+    ExactMatrix or a bool, integer or Python-int object array, and p a
+    prime below 2^31, so that `_echelon_mod_p` cannot overflow.
+
+    The reduced row echelon form of m mod p gives rank_p and, for each
+    free (non-pivot) column f, the kernel vector mod p that is 1 on f, 0
+    on the other free columns and minus column f of the echelon form on
+    the pivot columns.  Each pivot entry is rebuilt as a fraction by
+    `_reconstruct`, the denominators of each row are cleared, and
+    m K^T = 0 is checked exactly by `exact_int_product`.
+
+    Proof obligation.  rank_p <= rank_Q always: a minor that vanishes
+    over Q vanishes mod p.  K has n - rank_p rows, and they are
+    independent, since row f is a nonzero multiple of the unit on its
+    own free column and zero on the other free columns.  Each row lies
+    in ker_Q by the exact product.  So dim ker_Q >= n - rank_p, that is
+    rank_Q <= rank_p, hence rank_Q = rank_p and K, with dim ker_Q rows,
+    is a basis of ker_Q.  When m has full column rank mod p the kernel
+    is empty and nothing is rebuilt or checked.  Any failure (an entry
+    past the reconstruction bound, a nonzero product because p divides
+    a minor, or a rebuilt fraction that is not the rational entry)
+    returns None; no wrong rank or kernel is ever returned.
+    """
+    ints, amax = int_operand(m)
+    n = ints.shape[1]
+    ech = _residues(ints, p)
+    pivots = _echelon_mod_p(ech, p, reduced=True)
+    rank = len(pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    if not free.size:
+        return rank, np.zeros((0, n), dtype=np.int64)
+    fractions = _reconstruct((p - ech[:rank, free].T) % p, p)
+    if fractions is None:
+        return None
+    kernel = _kernel_rows(*fractions, pivots, free, n)
+    if exact_int_product(ints, kernel.T, n, amax=amax).any():
+        return None
+    return rank, kernel
+
+
+def _certified(m: ExactMatrix):
+    """`certified_kernel` of an integral m, counted as certified or as a
+    fallback."""
+    found = certified_kernel(m)
+    _count("fallback" if found is None else "certified")
+    return found
+
+
+def nullspace(m) -> np.ndarray:
+    """A basis of the kernel of an integer matrix (as `certified_kernel`
+    takes it), as the rows of an integer array: certified mod p when
+    `certified_kernel` succeeds, the Bareiss nullspace otherwise."""
+    found = _certified(m)
+    if found is not None:
+        return found[1]
+    if not isinstance(m, ExactMatrix):
+        m = ExactMatrix.from_int_array(m)
+    return column_space_ops(m).nullspace_basis.a
+
+
+def rank_exact(m: ExactMatrix) -> int:
+    """The rank over Q, by `certified_kernel` of m or of m^T, whichever
+    has fewer columns, so that the elimination loop is short and a full
+    rank needs no kernel; Bareiss when the certificate fails."""
+    scaled, _den = m.to_int_scaled()
+    if scaled.shape[1] > scaled.shape[0]:
+        scaled = ExactMatrix(scaled.a.T, _intmax=scaled._intmax)
+    found = _certified(scaled)
+    if found is not None:
+        return found[0]
+    return column_space_ops(scaled, want_nullspace=False).rank
 
 
 def intersect_column_spaces(a_mat: ExactMatrix, b_mat: ExactMatrix) -> ExactMatrix:
@@ -562,7 +765,7 @@ def intersect_column_spaces(a_mat: ExactMatrix, b_mat: ExactMatrix) -> ExactMatr
 
 def span_rank(*families: ExactMatrix) -> int:
     """Dimension of the span of the rows of all the given matrices."""
-    return rank_exact(ExactMatrix(np.concatenate([f.a for f in families], axis=0)))
+    return rank_exact(ExactMatrix.stack(families))
 
 
 def in_span(basis: ExactMatrix, vectors: ExactMatrix) -> bool:

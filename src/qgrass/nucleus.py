@@ -41,6 +41,7 @@ from .linalg import (
     column_space_ops,
     exact_int_product,
     in_span,
+    nullspace,
     product_blocks,
     rank_exact,
     rank_mod_prime,
@@ -87,7 +88,7 @@ class NucleusResult:
         return sum(self.dims)
 
     def combined_basis(self) -> ExactMatrix:
-        return ExactMatrix(np.concatenate([b.a for b in self.bases]))
+        return ExactMatrix.stack(self.bases)
 
 
 def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
@@ -117,7 +118,8 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     rank mod p they are independent over Q, the kernel has dimension
     the number of free rows, and the e_u span it: the free rows of W
     are a basis of N_i ("squeeze").  Otherwise the exact nullspace K of
-    off^T is computed by Bareiss elimination and K W is a basis
+    off^T is computed, certified mod p by `certified_kernel` (Bareiss
+    elimination when the certificate fails), and K W is a basis
     ("kernel"), since W^T is injective.  N_0 is the base vertex
     indicator, since F_0 is the identity.  For i = D, W_0 is the
     all-ones row and no vertex lies outside B_D, so the formula gives
@@ -133,7 +135,9 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
 
     The layer dimensions on the eigenspace side are the ranks of
     E_r applied to the combined basis, evaluated as sum_h c_h (A_h B^T)
-    with one kernel product per class.
+    with one kernel product per class.  Every exact rank here (the sum
+    of the pieces, both kinds of layer dimensions) is certified mod p by
+    `certified_kernel`, with Bareiss elimination as the fallback.
     """
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
@@ -178,7 +182,7 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
 
     # layer dimensions through both kinds of idempotents: the rank of the
     # combined basis cut to each sphere, and of its image under each E_r
-    combined = ExactMatrix(np.concatenate([b.a for b in bases]))
+    combined = ExactMatrix.stack(bases)
     estar_dims = [rank_exact(ExactMatrix(combined.a[:, xrow == r])) for r in range(d + 1)]
     images = gc.class_sums([integer_coeffs(e)[0] for e in ss.e_coeffs], combined.a.T)
     e_dims = [rank_exact(ExactMatrix.from_int_array(image)) for image in images]
@@ -225,14 +229,16 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
 def _inclusion_piece(gc: GraphContext, i: int) -> tuple[ExactMatrix, str]:
     """A basis of N_i = W^T ker(off^T) for W = W_{D-i} and `off` its
     columns outside the ball B_i, with the path that found it; see
-    `compute_nucleus` for the proof."""
+    `compute_nucleus` for the proof.  The "kernel" path takes ker(off^T)
+    from `nullspace`: certified mod p, or by Bareiss elimination when
+    the certificate fails."""
     w = gc.inclusion(gc.d - i)
     off = w[:, gc.dist[gc.x_index] > i]
     free = ~off.any(axis=1)
     if rank_mod_prime(off[~free]) == int((~free).sum()):
         return ExactMatrix.from_int_array(w[free]), "squeeze"
-    kernel = column_space_ops(ExactMatrix.from_int_array(off.T)).nullspace_basis
-    return ExactMatrix.from_int_array(exact_int_product(kernel.a, w, w.shape[0])), "kernel"
+    kernel = nullspace(off.T)
+    return ExactMatrix.from_int_array(exact_int_product(kernel, w, w.shape[0])), "kernel"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ CanonicalSubspace objects carrying the same mask as a Python int.
 Tables and lists of subspaces hand over packed words (`mask_words`), so
 pair relations become 0/1 products of words (`linalg.product_blocks`):
 the common point count of two subspaces is q^dim of their meet
-(`dims_of_counts`).
+(`count_dims`).
 """
 
 from __future__ import annotations
@@ -152,19 +152,30 @@ def dim_of_mask(mask: int, q: int) -> int:
     return d
 
 
-def dims_of_counts(counts: np.ndarray, q: int, top: int) -> np.ndarray:
-    """Dimensions k with counts == q^k, elementwise, for point counts of
-    subspaces of dimension at most `top`; the array form of dim_of_mask."""
-    lookup = np.full(q**top + 1, -1, dtype=np.int64)
+def count_dims(q: int, top: int):
+    """The array form of dim_of_mask for subspaces of dimension at most
+    `top`: a function taking point counts to the dimensions k with
+    count == q^k, elementwise, raising ArithmeticError (with the first
+    bad count) when a count is no such power.  Its lookup is built once,
+    here, so a caller classifying a streamed product builds it once per
+    product; each call is one clipped gather, into int16 (the dtype of
+    the distance matrix).  Entry c of the lookup is k for c = q^k and -1
+    elsewhere, including 0, which no subspace counts, and one entry past
+    q^top, so clipping sends every count out of range (negative or
+    above q^top) to a -1."""
+    lookup = np.full(q**top + 2, -1, dtype=np.int16)
     for k in range(top + 1):
         lookup[q**k] = k
-    counts = np.asarray(counts)
-    dims = np.full(counts.shape, -1, dtype=np.int64)
-    inside = (counts >= 0) & (counts < lookup.size)
-    dims[inside] = lookup[counts[inside]]
-    if (dims < 0).any():
-        bad = int(counts[dims < 0].flat[0])
-        raise ArithmeticError(f"point count {bad} is not a power of {q} up to {q}^{top}")
+
+    def dims(counts) -> np.ndarray:
+        counts = np.asarray(counts)
+        out = lookup.take(counts, mode="clip")
+        bad = out < 0
+        if bad.any():
+            first = int(counts.flat[int(bad.argmax(axis=None))])
+            raise ArithmeticError(f"point count {first} is not a power of {q} up to {q}^{top}")
+        return out
+
     return dims
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qgrass import subspaces
+from qgrass import linalg, subspaces
 from qgrass.cli import SUITE_ORDER, _finish, main
 from qgrass.grassmann import RANK_VERIFY_LIMIT, build_graph
 from qgrass.qarith import q_binomial
@@ -65,6 +65,37 @@ def test_report_outside_meta_pinned(tmp_path, capsys, q, n, d):
     capsys.readouterr()
     text = _without_meta(_load(out))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[(q, n, d)]
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 6, 2), (3, 4, 2), (2, 6, 1)])
+def test_verify_runs_no_bareiss_elimination(tmp_path, capsys, monkeypatch, q, n, d):
+    # every exact rank and kernel of these runs is certified mod p
+    shapes = []
+    real = linalg._bareiss_echelon
+    monkeypatch.setattr(linalg, "_bareiss_echelon", lambda a: shapes.append(a.shape) or real(a))
+    out = tmp_path / "r.json"
+    argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert shapes == []
+    counts = _load(out)["meta"]["elimination"]
+    assert counts["fallback"] == counts["bareiss"] == 0 < counts["certified"]
+
+
+def test_bad_prime_shows_in_fallback_count(tmp_path, capsys, monkeypatch):
+    # mod 3 many ranks of J_3(4,2) collapse; each failed certificate is
+    # counted and decided by Bareiss, and the report stays the same
+    argv = ["verify", "--q", "3", "--n", "4", "--d", "2", "--suite", "all", "--out"]
+    real = linalg.certified_kernel
+    monkeypatch.setattr(linalg, "certified_kernel", lambda m, p=3: real(m, p))
+    out = tmp_path / "bad_prime.json"
+    assert main(argv + [str(out)]) == 0
+    capsys.readouterr()
+    doc = _load(out)
+    counts = doc["meta"]["elimination"]
+    assert counts["fallback"] > 0 and counts["bareiss"] == counts["fallback"]
+    text = _without_meta(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[(3, 4, 2)]
 
 
 def test_verify_path_builds_no_dense_vertex_matrix(built_matrices, capsys):

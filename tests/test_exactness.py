@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qgrass
+from qgrass import linalg
 from qgrass.grassmann import build_graph, spectral_system
 from qgrass.ladders import build_poset_matrices
 from qgrass.nucleus import build_alpha_family, compute_nucleus, verify_actions, verify_bases
@@ -183,8 +184,18 @@ def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
     alpha family and their action and basis checks on J_2(4,2) holds
     only Python ints and Fractions; every nucleus basis is one of them,
     the families and their containment order are 0/1 arrays, every
-    inclusion matrix W_i is a bool array and every certified rank is an
-    int."""
+    inclusion matrix W_i is a bool array, every certified rank is an
+    int, and every rank and kernel of `certified_kernel` is an int and
+    an integer array (int64, or Python ints)."""
+    kernels = []
+    real_kernel = linalg.certified_kernel
+
+    def recording_kernel(m, *args):
+        found = real_kernel(m, *args)
+        kernels.append(found)
+        return found
+
+    monkeypatch.setattr(linalg, "certified_kernel", recording_kernel)
     gc = build_graph(2, 4, 2)
     ss = spectral_system(gc)
     nd = compute_nucleus(ss)
@@ -192,6 +203,13 @@ def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
     verify_actions(ss, fam)
     verify_bases(nd, fam)
     monkeypatch.undo()
+    assert kernels and None not in kernels
+    assert any(kernel.size for _rank, kernel in kernels)
+    for rank, kernel in kernels:
+        assert type(rank) is int
+        assert kernel.dtype == np.int64 or (
+            kernel.dtype == object and all(type(v) is int for v in kernel.flat)
+        ), kernel.dtype
     assert ss.checks.ok and nd.checks.ok and fam.checks.ok
     assert built_matrices
     for obj in built_matrices:

@@ -8,6 +8,7 @@ polynomial of the tridiagonal matrix they define.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrass import grassmann
+from qgrass import grassmann, linalg
 from qgrass.errors import InvalidParameters, InvalidQuadruple
 from qgrass.grassmann import (
     _bfs_full_check,
@@ -34,7 +35,7 @@ from qgrass.grassmann import (
 )
 from qgrass.linalg import ExactMatrix
 from qgrass.report import CheckSet
-from qgrass.subspaces import dim_of_mask
+from qgrass.subspaces import count_dims, dim_of_mask
 
 from strategies import instances_with_base_vertex
 
@@ -770,3 +771,83 @@ def test_point_count_not_power_of_q_raises(monkeypatch):
     monkeypatch.setattr(grassmann, "product_blocks", corrupt)
     with pytest.raises(ArithmeticError, match="not a power of 2"):
         build_graph(2, 4, 2)
+
+
+def test_point_count_in_a_later_block_raises(monkeypatch):
+    # small blocks, with the bad count in the last one only: the lookup
+    # is built once per product and every block is classified
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1024)
+    real = grassmann.product_blocks
+    seen = []
+
+    def corrupt(a, b, inner):
+        blocks = list(real(a, b, inner))
+        for k, (rows, out) in enumerate(blocks):
+            seen.append(rows.start)
+            if k == len(blocks) - 1 and rows.start > 0:
+                out[-1, 0] = 5
+            yield rows, out
+
+    monkeypatch.setattr(grassmann, "product_blocks", corrupt)
+    with pytest.raises(ArithmeticError, match="point count 5 is not a power of 2 up to 2\\^2"):
+        build_graph(2, 4, 2)
+    assert len(seen) > 2
+
+
+def test_count_dims_gathers_every_count():
+    dims = count_dims(3, 2)
+    counts = np.array([[1, 3, 9], [9, 3, 1]], dtype=np.uint8)
+    assert dims(counts).tolist() == [[0, 1, 2], [2, 1, 0]]
+    # zero, a non-power, past q^top, negative: the first bad count is named
+    for bad in (0, 4, 10, 27, 255, -3):
+        arr = np.array([1, 3, 9, 3, bad, 2], dtype=np.int64)
+        with pytest.raises(ArithmeticError, match=f"point count {bad} is not"):
+            dims(arr)
+
+
+def dense_class_sums(gc, coeff_rows, right):
+    """The oracle: every class as a dense |X| x |X| array of Python ints,
+    combined entry by entry."""
+    classes = [(gc.dist == h).astype(object) for h in range(gc.d + 1)]
+    r = right.astype(object)
+    return [sum(c * np.dot(a, r) for c, a in zip(row, classes)) for row in coeff_rows]
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
+def test_class_sums_match_dense_oracle(q, n, d, monkeypatch):
+    gc = build_graph(q, n, d)
+    rng = np.random.default_rng(7)
+    coeffs = [[3, -1, 2], [0, 5, -7], [2**40, 1, -(2**41)]]
+    rights = {
+        "bool": rng.integers(0, 2, size=(gc.n_vertices, 4)).astype(bool),
+        "int64": rng.integers(-50, 50, size=(gc.n_vertices, 3)),
+        "object": np.array(
+            [[int(v) * 2**61 for v in row] for row in rng.integers(-3, 4, size=(gc.n_vertices, 2))],
+            dtype=object,
+        ),
+    }
+    # many row blocks per class
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * gc.n_vertices * 7)
+    assert len(list(linalg.row_blocks(gc.n_vertices, gc.n_vertices))) > 10
+    for name, right in rights.items():
+        got = gc.class_sums(coeffs, right)
+        want = dense_class_sums(gc, coeffs, right)
+        for g, w in zip(got, want):
+            assert g.shape == right.shape, name
+            assert (g.astype(object) == w).all(), name
+
+
+def test_class_sums_hold_no_square_integer_array(j252, monkeypatch):
+    # an integer right side meets one slice of dist at a time: the
+    # largest allocation stays far below one |X| x |X| int64 array
+    nv = j252.n_vertices
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * nv * 8)
+    right = np.arange(nv * 3, dtype=np.int64).reshape(nv, 3) - nv
+    j252.class_sums([[1, 2, 3]], right)
+    tracemalloc.start()
+    try:
+        j252.class_sums([[1, 2, 3]], right)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nv * nv * 8 // 4, peak

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,14 +10,19 @@ from hypothesis import strategies as st
 from qgrass import linalg
 from qgrass.errors import DimensionMismatch
 from qgrass.linalg import (
+    RANK_CERT_PRIME,
     ExactMatrix,
+    certified_kernel,
     column_space_ops,
+    elimination_counts,
     exact_int_product,
     in_span,
     intersect_column_spaces,
     invert_fraction_matrix,
+    nullspace,
     primitive_int_vector,
     rank_exact,
+    rank_mod_prime,
     span_rank,
 )
 from qgrass.subspaces import enumerate_subspaces
@@ -408,6 +414,166 @@ class TestSpanOps:
         cols = ExactMatrix.from_rows([[1, 0], [2, 1], [3, 1]])
         inter = intersect_column_spaces(cols, cols)
         assert inter.shape == (3, 2)
+
+
+def object_matrix(rows, cols, values):
+    out = np.empty((rows, cols), dtype=object)
+    out[...] = np.array(values, dtype=object).reshape(rows, cols)
+    return out
+
+
+@st.composite
+def integer_matrices(draw):
+    """An object array of Python ints: empty, zero, of low rank (a
+    product of two random factors, so that kernels are common) or dense,
+    with entries up to a few units or past 2^62."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["zero", "low_rank", "dense", "big_low_rank", "big"]))
+    if kind == "zero":
+        return object_matrix(rows, cols, [0] * (rows * cols))
+    big = kind.startswith("big")
+    entry = st.integers(-(2**70), 2**70) if kind == "big" else st.integers(-4, 4)
+    if kind == "dense" or kind == "big":
+        return object_matrix(rows, cols, draw(st.lists(entry, min_size=rows * cols,
+                                                        max_size=rows * cols)))
+    inner = draw(st.integers(0, 3))
+    left = object_matrix(rows, inner, draw(st.lists(entry, min_size=rows * inner,
+                                                    max_size=rows * inner)))
+    right = object_matrix(inner, cols, draw(st.lists(entry, min_size=inner * cols,
+                                                     max_size=inner * cols)))
+    out = np.dot(left, right) if inner else object_matrix(rows, cols, [0] * (rows * cols))
+    if big:
+        out = out * (2**63 + 5)
+    return object_matrix(rows, cols, [int(v) for v in out.flat])
+
+
+def bareiss_rank(a) -> int:
+    return column_space_ops(ExactMatrix(a), want_nullspace=False).rank
+
+
+def is_primitive(row) -> bool:
+    vals = [int(v) for v in row]
+    g = 0
+    for v in vals:
+        g = gcd(g, v)
+    first = next(v for v in vals if v)
+    return g == 1 and first > 0
+
+
+class TestCertifiedKernel:
+    """`certified_kernel` and the ranks and span tests on top of it,
+    against the Bareiss oracle `column_space_ops`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices())
+    def test_matches_bareiss_oracle(self, a):
+        rows, cols = a.shape
+        oracle = column_space_ops(ExactMatrix(a))
+        found = certified_kernel(a)
+        if found is not None:
+            rank, kernel = found
+            assert type(rank) is int and rank == oracle.rank
+            assert kernel.shape == (cols - rank, cols)
+            assert np.issubdtype(kernel.dtype, np.integer) or all(
+                type(v) is int for v in kernel.flat)
+            assert not np.dot(a, kernel.T.astype(object)).any()
+            assert all(is_primitive(row) for row in kernel)
+            # the same space as the oracle's nullspace, row by row
+            kernel_obj = ExactMatrix.from_int_array(kernel)
+            assert bareiss_rank(kernel_obj.a) == kernel.shape[0]
+            both = np.concatenate([kernel_obj.a, oracle.nullspace_basis.a])
+            assert bareiss_rank(both) == kernel.shape[0]
+        m = ExactMatrix(a)
+        assert rank_exact(m) == oracle.rank == gauss_rank_fractions(a.tolist())
+        assert rank_exact(m.T) == oracle.rank
+        assert rank_mod_prime(a) <= oracle.rank
+        half = rows // 2
+        basis, vectors = ExactMatrix(a[:half]), ExactMatrix(a[half:])
+        inside = bareiss_rank(a[:half]) == oracle.rank
+        assert in_span(basis, vectors) == inside
+
+    def test_known_kernel_is_the_bareiss_nullspace(self):
+        # pivots agree mod p and over Q, so the kernel rows are the
+        # oracle's, primitive and signed alike
+        m = ExactMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [1, 1, 1, 7], [0, 3, 6, 5]])
+        rank, kernel = certified_kernel(m)
+        oracle = column_space_ops(m)
+        assert rank == oracle.rank == 3
+        assert kernel.tolist() == oracle.nullspace_basis.a.tolist()
+        assert nullspace(m).tolist() == kernel.tolist()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+    def test_empty_and_zero(self, shape):
+        a = np.zeros(shape, dtype=np.int64)
+        rank, kernel = certified_kernel(a)
+        assert rank == 0
+        assert kernel.tolist() == np.eye(shape[1], dtype=np.int64).tolist()
+        assert rank_exact(ExactMatrix.from_int_array(a)) == 0
+
+    def test_full_column_rank_needs_no_kernel(self, monkeypatch):
+        # rank_p = number of columns: no fraction is rebuilt, no product
+        # checked
+        monkeypatch.setattr(linalg, "_reconstruct", None)
+        monkeypatch.setattr(linalg, "exact_int_product", None)
+        rank, kernel = certified_kernel(np.array([[3, 1], [5, 2], [7, 7]]))
+        assert rank == 2 and kernel.shape == (0, 2)
+        assert rank_exact(ExactMatrix.from_rows([[3, 5, 7], [1, 2, 7]])) == 2
+
+    def test_reconstruction(self):
+        p = RANK_CERT_PRIME
+        x = np.array([3 * pow(7, -1, p) % p, p - 5, 0, 1], dtype=np.int64)
+        num, den = linalg._reconstruct(x, p)
+        assert num.tolist() == [3, -5, 0, 1] and den.tolist() == [7, 1, 1, 1]
+        # 1/40000: the denominator is past isqrt((p - 1) / 2) = 32767
+        assert linalg._reconstruct(np.array([pow(40000, -1, p)], dtype=np.int64), p) is None
+
+    @pytest.mark.parametrize(
+        "rows,rank,kernel",
+        [
+            # p divides the determinant: rank 1 mod p, 2 over Q
+            ([[1, 0], [0, RANK_CERT_PRIME]], 2, []),
+            # the echelon form holds 1/40000, past the reconstruction bound
+            ([[40000, 1], [80000, 2]], 1, [[1, -40000]]),
+        ],
+        ids=["prime_divides_minor", "past_reconstruction_bound"],
+    )
+    def test_forced_fallback_gives_the_bareiss_answer(self, rows, rank, kernel):
+        m = ExactMatrix.from_rows(rows)
+        oracle = column_space_ops(m)
+        assert certified_kernel(m) is None
+        with elimination_counts() as counts:
+            assert rank_exact(m) == rank == oracle.rank
+            got = nullspace(m)
+        assert got.tolist() == kernel == oracle.nullspace_basis.a.tolist()
+        assert counts == {"certified": 0, "fallback": 2, "bareiss": 2}
+        with elimination_counts() as counts:
+            assert span_rank(m) == rank
+            assert in_span(ExactMatrix.from_rows(rows[:1]), ExactMatrix.from_rows(rows[1:])) \
+                == (rank == 1)
+        assert counts["fallback"] >= 1 and counts["bareiss"] == counts["fallback"]
+
+    def test_counts_only_inside_the_block(self):
+        m = ExactMatrix.from_rows([[1, 2], [2, 4]])
+        assert rank_exact(m) == 1
+        with elimination_counts() as counts:
+            assert rank_exact(m) == 1
+            with elimination_counts() as inner:
+                column_space_ops(m)
+        assert counts == {"certified": 1, "fallback": 0, "bareiss": 0}
+        assert inner == {"certified": 0, "fallback": 0, "bareiss": 1}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_small_prime_never_passes_a_wrong_rank(self, p):
+        # mod a small prime ranks collapse often; every certificate that
+        # passes must still give the rational answer
+        rng = random.Random(p)
+        for _ in range(60):
+            a = np.array(random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -3, 3),
+                         dtype=object)
+            found = certified_kernel(a, p)
+            if found is not None:
+                assert found[0] == bareiss_rank(a)
+                assert not np.dot(a, found[1].T.astype(object)).any()
 
 
 class TestHelpers:

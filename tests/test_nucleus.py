@@ -13,6 +13,7 @@ from qgrass.ladders import alpha_dominant_multiplicity
 from qgrass.linalg import (
     ExactMatrix,
     column_space_ops,
+    elimination_counts,
     intersect_column_spaces,
     rank_mod_prime,
     span_rank,
@@ -190,6 +191,27 @@ def test_corrupted_free_row_fails_layers_and_bases():
     fam = build_alpha_family(gc)
     fam.checks.require()
     assert "vee_vectors_lie_in_their_piece" in failing(verify_bases(nd, fam))
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (3, 4, 2)])
+def test_failed_kernel_certificate_falls_back_to_bareiss(q, n, d, monkeypatch):
+    # at N = 2D the middle piece comes from an exact kernel; with every
+    # certificate failing, Bareiss gives the same piece, vector for vector
+    ss = spectral_system(build_graph(q, n, d))
+    ss.checks.require()
+    with elimination_counts() as certified:
+        ref = compute_nucleus(ss)
+    assert "kernel" in ref.paths
+    assert certified["fallback"] == certified["bareiss"] == 0 < certified["certified"]
+    monkeypatch.setattr(qgrass.linalg, "certified_kernel", lambda m, p=None: None)
+    with elimination_counts() as counts:
+        nd = compute_nucleus(ss)
+    assert nd.paths == ref.paths
+    assert check_rows(nd.checks) == check_rows(ref.checks)
+    assert counts["certified"] == 0 and counts["fallback"] == counts["bareiss"] > 0
+    for basis, ref_basis in zip(nd.bases, ref.bases):
+        assert basis.equals(ref_basis)
+    assert_same_pieces(nd, dense_oracle_pieces(ss))
 
 
 def test_unverified_spectrum_takes_no_shortcut(nucleus252, oracle252, j252_spectral):
