@@ -4,8 +4,13 @@ Subspaces of F_q^N are represented by their reduced-echelon row basis,
 so each subspace has exactly one representation and equality is literal.
 The base vertex x splits the poset into layers P_{i,j} by the meet
 dimension i = dim(u meet x) and the complement count j = dim u - i.
+The whole poset is read from `build_poset_matrices`, which holds it as
+arrays: the layer of every subspace (`layer_indicator`) and its covers,
+split into slash covers (L1, the meet with x grows) and backslash covers
+(L2, it does not), as sets of index pairs.
 """
 
+from qgrass.ladders import build_poset_matrices
 from qgrass.qarith import q_binomial
 from qgrass.subspaces import GeometryContext, enumerate_subspaces
 
@@ -24,30 +29,29 @@ for s in lines:
     print(f"  {''.join(str(v) for v in s.rows[0])}")
 
 geometry = GeometryContext(q, n, d)
+pm = build_poset_matrices(geometry)
 print()
 print(f"base vertex x = row space of the first {d} unit vectors")
-census = geometry.census()
-census.require()
-print(f"  census: {len(census.checks)} structural checks pass")
+pm.checks.require()
+print(f"  poset: {len(pm.checks.checks)} structural checks pass")
 
 print()
 print("layers P_(i,j) with their sizes (rows i = meet with x):")
-sizes = {}
-for u in (s for l in range(n + 1) for s in geometry.table(l)):
-    sizes[geometry.pij(u)] = sizes.get(geometry.pij(u), 0) + 1
 for i in range(d + 1):
-    row = [sizes.get((i, j), 0) for j in range(n - d + 1)]
+    row = [int(pm.layer_indicator(i, j).sum()) for j in range(n - d + 1)]
     print(f"  i={i}: {row}")
-total = sum(sizes.values())
-print(f"  total {total} subspaces")
+print(f"  total {pm.size} subspaces")
 
 print()
-line = next(u for u in geometry.table(1) if geometry.pij(u) == (1, 0))
+# the first line of the table in layer (1, 0), that is inside x
+g = int(pm.layer_indicator(1, 0).argmax())
+line = geometry.table(1)[g - pm.offsets[1]]
 print(f"covers of the line {line.rows[0]} inside x, classified by")
 print("whether the meet with x grows (slash) or not (backslash):")
-kinds = {"slash": 0, "backslash": 0}
-for v in geometry.covers_of(line):
-    kinds[geometry.cover_type(line, v).value] += 1
+kinds = {
+    kind: int((pm.pairs(keys)[0] == g).sum())
+    for kind, keys in (("slash", pm.L1), ("backslash", pm.L2))
+}
 print(f"  {kinds}")
 assert kinds["slash"] == 1  # only v = x extends the meet past the line
 

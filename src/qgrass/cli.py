@@ -200,13 +200,14 @@ def _run_suite(
     elif name == "identities":
         cs.extend(verify_q_identities(IDENTITIES_LMAX, pipe.q))
     elif name == "boundary":
-        doc = boundary_case_report(
-            pipe.q,
-            pipe.d,
-            table_cap=pipe.table_cap,
-            poset_cap=pipe.poset_cap,
-            cache_dir=pipe.cache_dir,
-        )
+        # J_q(2D, D) at its standard base vertex, or the verified graph
+        # itself when N = 2D
+        bp = pipe
+        if pipe.n != 2 * pipe.d:
+            bp = _Pipeline(
+                pipe.q, 2 * pipe.d, pipe.d, None, pipe.table_cap, pipe.poset_cap, pipe.cache_dir
+            )
+        doc = boundary_case_report(bp.spectral(), bp.nucleus(), bp.family(), bp.gamma())
         meta["nucleus_paths"]["boundary"] = doc.pop("nucleus_paths")
         for flag in (
             "build_ok",
@@ -329,9 +330,13 @@ def _cmd_verify(args) -> int:
             entry["requested"] = name in requested
             report["suites"][name] = entry
     report["meta"]["elimination"] = counts
-    if pipe._nd is not None:
+    # the artifact covers the suites run on their own account, not what
+    # the boundary suite built on the same pipeline
+    if "nucleus" in to_run:
         report["artifacts"]["nucleus"] = nucleus_report_json(
-            pipe._nd, pipe._fam, pipe._gamma
+            pipe._nd,
+            pipe._fam if family_owner else None,
+            pipe._gamma if "gamma" in to_run else None,
         )
         report["meta"]["nucleus_paths"]["nucleus"] = list(pipe._nd.paths)
     return _finish(report, args.out, sys.stdout)

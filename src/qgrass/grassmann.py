@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import EigenvalueCollision, InvalidParameters, InvalidQuadruple
 from .linalg import (
-    ExactMatrix,
     exact_int_product,
     int_operand,
     invert_fraction_matrix,
@@ -397,9 +396,12 @@ class SpectralSystem:
     def class_numerator(self, coeffs: list[Fraction]):
         """(M, den) with sum_h coeffs[h] A_h = M / den, M integral and
         den the least common denominator of the coefficients: a dense
-        |X| x |X| object matrix, for the fallback paths and small |X|."""
+        |X| x |X| integer array, the integer class values gathered by
+        `dist` (int64, or Python ints past the product guard), for the
+        fallback paths and small |X|."""
         values, den = integer_coeffs(coeffs)
-        return ExactMatrix.from_class_values(self.gc.dist, dict(enumerate(values))), den
+        table, _amax = int_operand(np.array(values, dtype=object))
+        return table[self.gc.dist], den
 
 
 def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempotent):

@@ -1,19 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
-Entries are Python ints and Fractions held in numpy object arrays.
-Integer products go through one kernel, `exact_int_product`, which
-checks that both operands have the stated inner dimension on every
-branch.  A 0/1 product (bool arrays, or uint64 words already packed) is
-blocked in one place, `product_blocks`: each operand is packed once into
-zero-padded uint64 words, and the popcounts of row & column words are
-summed, one block of rows at a time, into the smallest unsigned dtype
-that holds the inner dimension.  The product is exact because padding
-bits are zero, every entry is at most the inner dimension, and the
-blocks cover every row; callers reduce each block as it streams, and
-`exact_int_product` assembles the blocks into an int64 array.  Other
-integer products take a checked int64 fast path when the worst-case
-dot product provably fits in 63 bits, otherwise arbitrary-precision
-object arithmetic.
+The verify path hands integer numpy arrays to every function here: bool
+or int64, or object arrays of Python ints where an entry or a product
+would not fit the int64 guard.  Integer products go through one kernel,
+`exact_int_product`, which checks that both operands have the stated
+inner dimension on every branch.  A 0/1 product (bool arrays, or uint64
+words already packed) is blocked in one place, `product_blocks`: each
+operand is packed once into zero-padded uint64 words, and the popcounts
+of row & column words are summed, one block of rows at a time, into the
+smallest unsigned dtype that holds the inner dimension.  The product is
+exact because padding bits are zero, every entry is at most the inner
+dimension, and the blocks cover every row; callers reduce each block as
+it streams, and `exact_int_product` assembles the blocks into an int64
+array.  Other integer products take a checked int64 fast path when the
+worst-case dot product provably fits in 63 bits, otherwise
+arbitrary-precision object arithmetic.
 Exact ranks, span tests and nullspaces are decided by one int64
 elimination mod p = 2^31 - 1 (`certified_kernel`): the reduced echelon
 form mod p gives a rank that can only be too low, its kernel vectors are
@@ -21,8 +22,12 @@ rebuilt as fractions and checked against the matrix by one exact
 product, and that check proves the rank and the kernel over Q.  When a
 certificate fails, fraction-free (Bareiss) elimination decides instead,
 in exact integer arithmetic; it also serves the tests as the oracle.
-Basis vectors are primitive integer vectors either way.  No floating
-point anywhere.
+Basis vectors are primitive integer vectors either way.  ExactMatrix,
+Python ints and Fractions in an object array, is the operand type of
+that Bareiss fallback (`column_space_ops`) and of the test-only
+`intersect_column_spaces`; no ExactMatrix is built on the verify path
+unless a certificate or a spectral check fails.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -201,34 +206,18 @@ def exact_int_product(
     return np.dot(a.astype(object, copy=False), b.astype(object, copy=False))
 
 
-def _validate_entries(a: np.ndarray) -> None:
-    for v in a.flat:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise TypeError(f"exact matrices hold int or Fraction entries, got {type(v)}")
-
-
 class ExactMatrix:
-    """m x n matrix of exact entries in a numpy object array."""
+    """m x n matrix of exact entries (Python ints and Fractions) in a 2-D
+    numpy object array: the operand type of Bareiss elimination
+    (`column_space_ops`) and of `intersect_column_spaces`."""
 
     __slots__ = ("a", "_intmax")
 
-    def __init__(self, a, validate: bool = False, _intmax=None):
-        if isinstance(a, np.ndarray) and a.dtype == object and a.ndim == 2:
-            self.a = a
-        else:
-            rows = [list(r) for r in a]
-            arr = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-            for i, r in enumerate(rows):
-                arr[i, :] = r
-            self.a = arr
-        if validate:
-            _validate_entries(self.a)
+    def __init__(self, a: np.ndarray, _intmax=None):
+        if not (isinstance(a, np.ndarray) and a.dtype == object and a.ndim == 2):
+            raise TypeError("an ExactMatrix holds a 2-D object array")
+        self.a = a
         self._intmax = _intmax
-
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def from_rows(rows) -> "ExactMatrix":
-        return ExactMatrix(rows, validate=True)
 
     @staticmethod
     def from_int_array(arr: np.ndarray) -> "ExactMatrix":
@@ -239,48 +228,8 @@ class ExactMatrix:
         return ExactMatrix(_as_python_int_array(arr), _intmax=_abs_max(arr))
 
     @staticmethod
-    def stack(families) -> "ExactMatrix":
-        """The rows of every matrix of `families` (at least one), in
-        order, with the integrality cache filled from theirs."""
-        bounds = [f._int_max() for f in families]
-        intmax = None if any(b is False for b in bounds) else max(bounds)
-        return ExactMatrix(np.concatenate([f.a for f in families], axis=0), _intmax=intmax)
-
-    @staticmethod
     def zeros(m: int, n: int) -> "ExactMatrix":
         return ExactMatrix(np.full((m, n), 0, dtype=object), _intmax=0)
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        a = np.full((n, n), 0, dtype=object)
-        for i in range(n):
-            a[i, i] = 1
-        return ExactMatrix(a, _intmax=1)
-
-    @staticmethod
-    def from_class_values(class_matrix: np.ndarray, values: dict) -> "ExactMatrix":
-        """Matrix whose (y, z) entry is values[class_matrix[y, z]].
-
-        The assigned objects are shared across entries, which keeps
-        class-constant matrices (idempotents, distance matrices) cheap.
-        When every value is an int, the integrality cache is filled from
-        the values, so products need no scan of the entries.
-        """
-        a = np.empty(class_matrix.shape, dtype=object)
-        seen = np.zeros(class_matrix.shape, dtype=bool)
-        present = []
-        for cls, val in values.items():
-            sel = class_matrix == cls
-            a[sel] = val
-            seen |= sel
-            if sel.any():
-                present.append(val)
-        if not seen.all():
-            raise ValueError("class matrix holds classes without a value")
-        intmax = None
-        if all(type(v) is int for v in present):
-            intmax = max((abs(v) for v in present), default=0)
-        return ExactMatrix(a, _intmax=intmax)
 
     # -- basic structure ------------------------------------------------
     @property
@@ -290,9 +239,6 @@ class ExactMatrix:
     @property
     def T(self) -> "ExactMatrix":
         return ExactMatrix(self.a.T.copy(), _intmax=self._intmax)
-
-    def __getitem__(self, key):
-        return self.a[key]
 
     # -- integrality cache ----------------------------------------------
     def _int_max(self):
@@ -319,24 +265,6 @@ class ExactMatrix:
         return self._intmax
 
     # -- arithmetic -------------------------------------------------------
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shapes {self.shape} and {other.shape}")
-        return ExactMatrix(self.a + other.a)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shapes {self.shape} and {other.shape}")
-        return ExactMatrix(self.a - other.a)
-
-    def __mul__(self, scalar) -> "ExactMatrix":
-        return ExactMatrix(self.a * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(-self.a)
-
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -351,18 +279,6 @@ class ExactMatrix:
             return ExactMatrix(np.dot(self.a, other.a))
         c = exact_int_product(self.a, other.a, k, am, bm)
         return ExactMatrix(c if c.dtype == object else _as_python_int_array(c))
-
-    def trace(self):
-        if self.shape[0] != self.shape[1]:
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum(self.a[i, i] for i in range(self.shape[0]))
-
-    def equals(self, other: "ExactMatrix") -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.shape == other.shape
-            and bool((self.a == other.a).all())
-        )
 
     def is_zero(self) -> bool:
         return bool((self.a == 0).all())
@@ -545,18 +461,17 @@ def _count(key: str) -> None:
         counts[key] += 1
 
 
-def int_operand(m):
-    """(a, amax): the entries of an integer ExactMatrix, or of a bool,
-    integer or Python-int object array, as an int64 array when they fit
-    the product guard and as Python ints otherwise, with their largest
-    absolute value."""
-    if isinstance(m, ExactMatrix):
-        amax = m._int_max()
-        if amax is False:
-            raise TypeError("an integer matrix is needed")
-        m = m.a
-    else:
-        amax = _abs_max(m)
+def int_operand(m: np.ndarray):
+    """(a, amax): the entries of a bool, integer or Python-int object
+    array as an int64 array when they fit the product guard and as
+    Python ints otherwise, with their largest absolute value.  Any other
+    entry (a float, a Fraction, a bool object) raises TypeError."""
+    if m.dtype == object:
+        if not all(type(v) is int for v in m.flat):
+            raise TypeError("an integer array is needed")
+    elif m.dtype != bool and not np.issubdtype(m.dtype, np.integer):
+        raise TypeError(f"an integer array is needed, not {m.dtype}")
+    amax = _abs_max(m)
     if m.dtype == object and amax >= _INT64_BOUND:
         return m, amax
     return m.astype(np.int64, copy=False), amax
@@ -608,8 +523,7 @@ def rank_mod_prime(m, p: int = RANK_CERT_PRIME) -> int:
 
     Always a lower bound for the rational rank; the caller supplies the
     argument that promotes it to equality (reduction mod p can only
-    collapse rows).  m is an ExactMatrix of integers or a bool, integer
-    or Python-int object array.
+    collapse rows).  m is a bool, integer or Python-int object array.
     """
     return len(_echelon_mod_p(_residues(int_operand(m)[0], p), p, reduced=False))
 
@@ -668,9 +582,9 @@ def certified_kernel(m, p: int = RANK_CERT_PRIME):
     """(rank, K) for an integer matrix m with n columns: its rank over Q
     and the rows of K a basis of its kernel over Q, primitive integer
     vectors; None when the certificate below fails, and then the caller
-    falls back to Bareiss (`column_space_ops`).  m is an integer
-    ExactMatrix or a bool, integer or Python-int object array, and p a
-    prime below 2^31, so that `_echelon_mod_p` cannot overflow.
+    falls back to Bareiss (`column_space_ops`).  m is a bool, integer or
+    Python-int object array, and p a prime below 2^31, so that
+    `_echelon_mod_p` cannot overflow.
 
     The reduced row echelon form of m mod p gives rank_p and, for each
     free (non-pivot) column f, the kernel vector mod p that is 1 on f, 0
@@ -710,37 +624,34 @@ def certified_kernel(m, p: int = RANK_CERT_PRIME):
     return rank, kernel
 
 
-def _certified(m: ExactMatrix):
-    """`certified_kernel` of an integral m, counted as certified or as a
-    fallback."""
+def _certified(m: np.ndarray):
+    """`certified_kernel` of m, counted as certified or as a fallback."""
     found = certified_kernel(m)
     _count("fallback" if found is None else "certified")
     return found
 
 
-def nullspace(m) -> np.ndarray:
-    """A basis of the kernel of an integer matrix (as `certified_kernel`
+def nullspace(m: np.ndarray) -> np.ndarray:
+    """A basis of the kernel of an integer array (as `certified_kernel`
     takes it), as the rows of an integer array: certified mod p when
     `certified_kernel` succeeds, the Bareiss nullspace otherwise."""
     found = _certified(m)
     if found is not None:
         return found[1]
-    if not isinstance(m, ExactMatrix):
-        m = ExactMatrix.from_int_array(m)
-    return column_space_ops(m).nullspace_basis.a
+    return column_space_ops(ExactMatrix.from_int_array(m)).nullspace_basis.a
 
 
-def rank_exact(m: ExactMatrix) -> int:
-    """The rank over Q, by `certified_kernel` of m or of m^T, whichever
-    has fewer columns, so that the elimination loop is short and a full
-    rank needs no kernel; Bareiss when the certificate fails."""
-    scaled, _den = m.to_int_scaled()
-    if scaled.shape[1] > scaled.shape[0]:
-        scaled = ExactMatrix(scaled.a.T, _intmax=scaled._intmax)
-    found = _certified(scaled)
+def rank_exact(m: np.ndarray) -> int:
+    """The rank over Q of an integer array, by `certified_kernel` of m or
+    of m^T, whichever has fewer columns, so that the elimination loop is
+    short and a full rank needs no kernel; Bareiss when the certificate
+    fails."""
+    if m.shape[1] > m.shape[0]:
+        m = m.T
+    found = _certified(m)
     if found is not None:
         return found[0]
-    return column_space_ops(scaled, want_nullspace=False).rank
+    return column_space_ops(ExactMatrix.from_int_array(m), want_nullspace=False).rank
 
 
 def intersect_column_spaces(a_mat: ExactMatrix, b_mat: ExactMatrix) -> ExactMatrix:
@@ -749,7 +660,9 @@ def intersect_column_spaces(a_mat: ExactMatrix, b_mat: ExactMatrix) -> ExactMatr
 
     A nullspace vector (u, w) satisfies A u = B w, so A u runs over the
     intersection; the pivot columns among these images are a basis, each
-    normalized to a primitive integer vector.
+    normalized to a primitive integer vector.  The verify path does not
+    call it; the tests intersect dense column spaces with it as an
+    oracle for the nucleus pieces.
     """
     if a_mat.shape[0] != b_mat.shape[0]:
         raise DimensionMismatch("the two bases live in different spaces")
@@ -763,12 +676,13 @@ def intersect_column_spaces(a_mat: ExactMatrix, b_mat: ExactMatrix) -> ExactMatr
     return ExactMatrix(out)
 
 
-def span_rank(*families: ExactMatrix) -> int:
-    """Dimension of the span of the rows of all the given matrices."""
-    return rank_exact(ExactMatrix.stack(families))
+def span_rank(*families: np.ndarray) -> int:
+    """Dimension of the span of the rows of all the given integer arrays
+    (bool, int64 or Python ints, mixed freely)."""
+    return rank_exact(np.concatenate([int_operand(f)[0] for f in families]))
 
 
-def in_span(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
+def in_span(basis: np.ndarray, vectors: np.ndarray) -> bool:
     """Whether every row of `vectors` lies in the row span of `basis`,
     by one rank comparison."""
     return span_rank(basis) == span_rank(basis, vectors)

@@ -29,13 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grassmann import (
-    GraphContext,
-    SpectralSystem,
-    build_graph,
-    integer_coeffs,
-    spectral_system,
-)
+from .grassmann import GraphContext, SpectralSystem, integer_coeffs
 from .linalg import (
     ExactMatrix,
     column_space_ops,
@@ -70,8 +64,9 @@ def containment_vectors(gc: GraphContext, alphas: list[CanonicalSubspace]) -> np
 @dataclass
 class NucleusResult:
     gc: GraphContext
-    # one matrix per piece N_i, its rows a basis
-    bases: list[ExactMatrix]
+    # one integer array per piece N_i (int64, or Python ints past the
+    # product guard), its rows a basis
+    bases: list[np.ndarray]
     dims: list[int]
     estar_dims: list[int]
     e_dims: list[int]
@@ -87,8 +82,8 @@ class NucleusResult:
     def dimension(self) -> int:
         return sum(self.dims)
 
-    def combined_basis(self) -> ExactMatrix:
-        return ExactMatrix.stack(self.bases)
+    def combined_basis(self) -> np.ndarray:
+        return np.concatenate(self.bases)
 
 
 def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
@@ -148,7 +143,7 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
 
     base_vertex = np.zeros((1, nv), dtype=np.int64)
     base_vertex[0, gc.x_index] = 1
-    bases = [ExactMatrix.from_int_array(base_vertex)]
+    bases = [base_vertex]
     paths = ["base_vertex"]
     for i in range(1, d + 1):
         if premise:
@@ -158,11 +153,11 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
             f_num, den = ss.class_numerator(ss.partial_coeffs(d - i))
             side_rank = rank_exact(f_num)
             ball = np.flatnonzero(xrow <= i)
-            m_a = -f_num.a[:, ball]
+            m_a = -f_num[:, ball].astype(object)
             m_a[ball, np.arange(ball.size)] += den
             null = column_space_ops(ExactMatrix(m_a)).nullspace_basis
-            basis = ExactMatrix(np.full((null.shape[0], nv), 0, dtype=object))
-            basis.a[:, ball] = null.a
+            basis = np.zeros((null.shape[0], nv), dtype=object)
+            basis[:, ball] = null.a
             path = "bareiss"
         cs.check(f"eigenspace_side_rank_{i}", sum(ss.m[: d - i + 1]), side_rank)
         bases.append(basis)
@@ -182,10 +177,10 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
 
     # layer dimensions through both kinds of idempotents: the rank of the
     # combined basis cut to each sphere, and of its image under each E_r
-    combined = ExactMatrix.stack(bases)
-    estar_dims = [rank_exact(ExactMatrix(combined.a[:, xrow == r])) for r in range(d + 1)]
-    images = gc.class_sums([integer_coeffs(e)[0] for e in ss.e_coeffs], combined.a.T)
-    e_dims = [rank_exact(ExactMatrix.from_int_array(image)) for image in images]
+    combined = np.concatenate(bases)
+    estar_dims = [rank_exact(combined[:, xrow == r]) for r in range(d + 1)]
+    images = gc.class_sums([integer_coeffs(e)[0] for e in ss.e_coeffs], combined.T)
+    e_dims = [rank_exact(image) for image in images]
     cs.check("layer_dimensions_agree", estar_dims, e_dims)
     if not gc.boundary:
         cs.check(
@@ -226,7 +221,7 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     )
 
 
-def _inclusion_piece(gc: GraphContext, i: int) -> tuple[ExactMatrix, str]:
+def _inclusion_piece(gc: GraphContext, i: int) -> tuple[np.ndarray, str]:
     """A basis of N_i = W^T ker(off^T) for W = W_{D-i} and `off` its
     columns outside the ball B_i, with the path that found it; see
     `compute_nucleus` for the proof.  The "kernel" path takes ker(off^T)
@@ -236,9 +231,9 @@ def _inclusion_piece(gc: GraphContext, i: int) -> tuple[ExactMatrix, str]:
     off = w[:, gc.dist[gc.x_index] > i]
     free = ~off.any(axis=1)
     if rank_mod_prime(off[~free]) == int((~free).sum()):
-        return ExactMatrix.from_int_array(w[free]), "squeeze"
+        return w[free].astype(np.int64), "squeeze"
     kernel = nullspace(off.T)
-    return ExactMatrix.from_int_array(exact_int_product(kernel, w, w.shape[0])), "kernel"
+    return exact_int_product(kernel, w, w.shape[0]), "kernel"
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +498,13 @@ def _qpow_fraction(q: int, e: int):
 # basis verification against the nucleus
 
 
-def _last_outside(basis: ExactMatrix, family: np.ndarray, rows: list[int]):
+def _last_outside(basis: np.ndarray, family: np.ndarray, rows: list[int]):
     """The last of `rows` whose family vector lies outside the row span
     of basis, or None: one rank comparison when all lie inside, then one
     per row, from the last, to name the witness."""
-    if in_span(basis, ExactMatrix.from_int_array(family[rows])):
+    if in_span(basis, family[rows]):
         return None
-    return next(
-        a
-        for a in reversed(rows)
-        if not in_span(basis, ExactMatrix.from_int_array(family[[a]]))
-    )
+    return next(a for a in reversed(rows) if not in_span(basis, family[[a]]))
 
 
 def verify_bases(nucleus: NucleusResult, fam: AlphaFamily) -> CheckSet:
@@ -530,8 +521,8 @@ def verify_bases(nucleus: NucleusResult, fam: AlphaFamily) -> CheckSet:
         cs.record("family_spans_nucleus", nucleus.dimension == p)
     else:
         cs.check("family_size_equals_dimension", nucleus.dimension, p)
-    cs.check("vee_family_rank", p, span_rank(ExactMatrix.from_int_array(fam.vee)))
-    cs.check("meet_family_rank", p, span_rank(ExactMatrix.from_int_array(fam.meet)))
+    cs.check("vee_family_rank", p, span_rank(fam.vee))
+    cs.check("meet_family_rank", p, span_rank(fam.meet))
 
     # the vee vectors of the (D-i)-dimensional alphas lie in piece i
     outside = []
@@ -682,18 +673,17 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
 # reports
 
 
-def boundary_case_report(q: int, d: int, **kwargs) -> dict:
-    """Run the full pipeline on J_q(2D, D) and report what holds; the
-    dimension claims are recorded, not asserted, in this regime."""
-    gc = build_graph(q, 2 * d, d, **kwargs)
-    ss = spectral_system(gc)
-    nucleus = compute_nucleus(ss)
-    fam = build_alpha_family(gc)
-    gamma = gamma_components(gc, fam)
+def boundary_case_report(
+    ss: SpectralSystem, nucleus: NucleusResult, fam: AlphaFamily, gamma: GammaReport
+) -> dict:
+    """Report what holds on J_q(2D, D) from its built spectral system,
+    nucleus, alpha family and sphere fibrations; the dimension claims
+    are recorded, not asserted, in this regime."""
+    gc = ss.gc
     doc = nucleus_report_json(nucleus, fam, gamma)
     doc["boundary"] = True
     doc["nucleus_paths"] = list(nucleus.paths)
-    generic = sum(q_binomial(d, i, q) for i in range(d + 1))
+    generic = sum(q_binomial(gc.d, i, gc.q) for i in range(gc.d + 1))
     doc["generic_dimension"] = generic
     doc["dimension_matches_generic_formula"] = nucleus.dimension == generic
     doc["build_ok"] = gc.build_checks.ok

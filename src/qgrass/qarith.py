@@ -41,9 +41,6 @@ class FieldContext:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
     def inv(self, a: int) -> int:
         a %= self.q
         if a == 0:

@@ -1,23 +1,24 @@
-"""Subspaces of F_q^N in canonical form and the geometry around a base
-subspace x.
+"""Subspaces of F_q^N in canonical form and the tables the verifier
+reads them from.
 
 Every subspace is stored as its reduced row echelon basis, so equality
 is tuple equality.  A whole table of subspaces of one dimension is a
 SubspaceTable: its echelon rows as one small-int array and its point
 masks (bit p set when vector p lies in the subspace) packed into uint64
 words, computed for all entries at once from one product of the rows
-with the coefficient vectors.  Single subspaces (the base vertex, the
-subspaces of x, anything a caller asks for by index) are
-CanonicalSubspace objects carrying the same mask as a Python int.
-Tables and lists of subspaces hand over packed words (`mask_words`), so
-pair relations become 0/1 products of words (`linalg.product_blocks`):
-the common point count of two subspaces is q^dim of their meet
-(`count_dims`).
+with the coefficient vectors.  Tables are the one representation of the
+geometry P_q(N): pair relations become 0/1 products of their words
+(`linalg.product_blocks`), the common point count of two subspaces is
+q^dim of their meet (`count_dims`), and the layers P_{i,j} and covers
+around a base vertex x are the arrays of `ladders.build_poset_matrices`.
+A single subspace is a CanonicalSubspace carrying the same mask as a
+Python int; the verifier makes one only for x, the subspaces of x and
+witnesses.  `GeometryContext` holds x and builds, caps and caches the
+tables.
 """
 
 from __future__ import annotations
 
-import enum
 import os
 from itertools import combinations
 
@@ -25,8 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameters, SizeCapExceeded, StaleCache
 from .linalg import row_blocks
-from .qarith import FieldContext, q_binomial, q_int
-from .report import CheckSet
+from .qarith import FieldContext, q_binomial
 
 DEFAULT_TABLE_CAP = 20000
 DEFAULT_POSET_CAP = 60000
@@ -112,9 +112,6 @@ class CanonicalSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def is_subspace_of(self, other: "CanonicalSubspace") -> bool:
-        return self.mask & other.mask == self.mask
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CanonicalSubspace)
@@ -139,21 +136,8 @@ def subspace_from_rows(q: int, ambient: int, rows) -> CanonicalSubspace:
     return CanonicalSubspace(q, ambient, canon, piv)
 
 
-def dim_of_mask(mask: int, q: int) -> int:
-    """Dimension of a subspace from its point count q^d."""
-    pc = mask.bit_count()
-    d = 0
-    m = 1
-    while m < pc:
-        m *= q
-        d += 1
-    if m != pc:
-        raise ArithmeticError(f"point count {pc} is not a power of {q}")
-    return d
-
-
 def count_dims(q: int, top: int):
-    """The array form of dim_of_mask for subspaces of dimension at most
+    """Dimensions from point counts, for subspaces of dimension at most
     `top`: a function taking point counts to the dimensions k with
     count == q^k, elementwise, raising ArithmeticError (with the first
     bad count) when a count is no such power.  Its lookup is built once,
@@ -357,57 +341,6 @@ def find_sorted(sorted_keys: np.ndarray, order, wanted: np.ndarray) -> np.ndarra
     return np.where(hit, found, -1)
 
 
-def dim_meet(u: CanonicalSubspace, v: CanonicalSubspace) -> int:
-    """dim(u meet v) by counting common points."""
-    return dim_of_mask(u.mask & v.mask, u.q)
-
-
-def _nullspace_mod(mat, q: int):
-    """Basis of the right nullspace of an integer matrix over Z/qZ."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    rows, pivots = rref_mod(mat, q)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        # reduced form: row k reads v[pivots[k]] + row[k][f] * v[f] = 0
-        for k, pc in enumerate(pivots):
-            vec[pc] = (-rows[k][f]) % q
-        basis.append(tuple(vec))
-    return basis
-
-
-def intersect(u: CanonicalSubspace, v: CanonicalSubspace) -> CanonicalSubspace:
-    """Meet of two subspaces, from the nullspace of the stacked system.
-
-    A vector lies in both row spaces exactly when it is a*U with
-    (a, b) in the left nullspace of the stacked matrix [U; V].
-    """
-    if u.q != v.q or u.ambient != v.ambient:
-        raise InvalidParameters("subspaces live in different ambient spaces")
-    q, n = u.q, u.ambient
-    if u.dim == 0 or v.dim == 0:
-        return CanonicalSubspace(q, n, ())
-    stacked = [list(r) for r in u.rows] + [list(r) for r in v.rows]
-    transposed = [[stacked[i][c] for i in range(len(stacked))] for c in range(n)]
-    left_null = _nullspace_mod(transposed, q)
-    span_rows = []
-    for coeffs in left_null:
-        a = coeffs[: u.dim]
-        w = [0] * n
-        for ai, row in zip(a, u.rows):
-            if ai:
-                w = [(x + ai * y) % q for x, y in zip(w, row)]
-        if any(w):
-            span_rows.append(w)
-    return subspace_from_rows(q, n, span_rows)
-
-
 def _echelon_blocks(q: int, ambient: int, dim: int):
     """Reduced echelon rows of every dim-subspace, one array per pivot
     pattern: the pivots hold 1, the free cells (right of a row's pivot,
@@ -457,12 +390,6 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
         )
     rows = rows[np.argsort(_keys(rows.reshape(len(rows), -1), q), kind="stable")]
     return SubspaceTable(q, ambient, dim, rows)
-
-
-class CoverType(enum.Enum):
-    NOT_COVER = "not_cover"
-    SLASH = "slash"
-    BACKSLASH = "backslash"
 
 
 def save_table(path: str, q: int, ambient: int, dim: int, table: SubspaceTable) -> None:
@@ -608,12 +535,12 @@ def load_table(path: str, q: int, ambient: int, dim: int) -> SubspaceTable:
 
 
 class GeometryContext:
-    """Subspace tables of F_q^N and the partition P_{i,j} relative to a
-    base vertex x of dimension D.
+    """Subspace tables of F_q^N around a base vertex x of dimension D.
 
-    P_{i,j} collects the subspaces u with dim(u meet x) = i and
-    dim u = i + j.  Tables are built lazily per dimension, subject to a
-    per-table cap, and can be persisted to a cache directory.
+    Tables are built lazily per dimension, subject to a per-table cap,
+    and can be persisted to a cache directory; `poset_cap` bounds the
+    full poset that `ladders.build_poset_matrices` materializes, which
+    splits it into the layers P_{i,j} (dim(u meet x) = i, dim u = i + j).
     """
 
     def __init__(
@@ -685,113 +612,3 @@ class GeometryContext:
 
     def poset_size(self) -> int:
         return sum(q_binomial(self.ambient, l, self.q) for l in range(self.ambient + 1))
-
-    def build_all_tables(self):
-        total = self.poset_size()
-        if total > self.poset_cap:
-            raise SizeCapExceeded(
-                f"full poset of {total} subspaces exceeds cap {self.poset_cap}",
-                total,
-                self.poset_cap,
-            )
-        for l in range(self.ambient + 1):
-            self.table(l)
-        return total
-
-    def pij(self, u: CanonicalSubspace):
-        i = dim_meet(u, self.x)
-        return i, u.dim - i
-
-    def cover_type(self, u: CanonicalSubspace, v: CanonicalSubspace) -> CoverType:
-        """Classify the cover u < v (dim v = dim u + 1) by whether the
-        meet with x grows (slash) or not (backslash)."""
-        if v.dim != u.dim + 1 or not u.is_subspace_of(v):
-            return CoverType.NOT_COVER
-        iu = dim_meet(u, self.x)
-        iv = dim_meet(v, self.x)
-        if iv == iu + 1:
-            return CoverType.SLASH
-        if iv == iu:
-            return CoverType.BACKSLASH
-        raise ArithmeticError(
-            f"cover meet dimensions {iu} -> {iv} violate the cover dichotomy"
-        )
-
-    def covers_of(self, u: CanonicalSubspace):
-        """Subspaces v with u < v and dim v = dim u + 1, by a subset test
-        of u's point mask against the words of the next table."""
-        if u.dim == self.ambient:
-            return []
-        upper = self.table(u.dim + 1)
-        uw = _masks_to_words([u], self.q**self.ambient)
-        return [upper[k] for k in np.flatnonzero(((upper.words & uw) == uw).all(axis=1))]
-
-    def census(self, full_poset: bool = True) -> CheckSet:
-        """Count the layers P_{i,j} and verify the structural facts that
-        do not depend on spectral data:
-
-        - every table has q_binomial(N, l, q) members;
-        - the (i, j) indices fall in 0..D and 0..N-D and the layer
-          counts add up layer by layer;
-        - every u with dim u = l covers exactly [l] subspaces;
-        - every cover pair classifies as slash or backslash.
-
-        The observed layer counts are recorded together with the product
-        formula q_binomial(D,i,q) * q^((D-i)j) * q_binomial(N-D,j,q) as
-        an observation only, not an assertion.
-        """
-        cs = CheckSet(f"geometry census q={self.q} N={self.ambient} D={self.d}")
-        q, n, d = self.q, self.ambient, self.d
-        dims = range(n + 1) if full_poset else [d]
-        if full_poset:
-            self.build_all_tables()
-        counts: dict[tuple, int] = {}
-        index_ok = True
-        witness = None
-        for l in dims:
-            tab = self.table(l)
-            cs.check(f"table_count_l{l}", q_binomial(n, l, q), len(tab))
-            for u in tab:
-                i, j = self.pij(u)
-                if not (0 <= i <= d and 0 <= j <= n - d):
-                    index_ok = False
-                    witness = f"u={u.rows} -> (i,j)=({i},{j})"
-                counts[(i, j)] = counts.get((i, j), 0) + 1
-        cs.check_true("layer_indices_in_range", index_ok, witness)
-        for l in dims:
-            total_l = sum(c for (i, j), c in counts.items() if i + j == l)
-            cs.check(f"layer_partition_l{l}", q_binomial(n, l, q), total_l)
-
-        if full_poset:
-            cover_ok = True
-            cover_witness = None
-            for l in range(1, n + 1):
-                lower = list(self.table(l - 1))
-                for u in self.table(l):
-                    covered = [w for w in lower if w.is_subspace_of(u)]
-                    if len(covered) != q_int(l, q):
-                        cover_ok = False
-                        cover_witness = f"dim {l} subspace covers {len(covered)}"
-                        break
-                    for w in covered:
-                        t = self.cover_type(w, u)
-                        if t is CoverType.NOT_COVER:
-                            cover_ok = False
-                            cover_witness = f"{w.rows} under {u.rows}"
-                            break
-                if not cover_ok:
-                    break
-            cs.check_true("covered_counts_and_dichotomy", cover_ok, cover_witness)
-
-        observed = {f"{i},{j}": c for (i, j), c in sorted(counts.items())}
-        predicted = {
-            f"{i},{j}": q_binomial(d, i, q) * q ** ((d - i) * j) * q_binomial(n - d, j, q)
-            for (i, j) in sorted(counts)
-        }
-        cs.record("layer_counts", observed)
-        cs.record("layer_count_product_formula", predicted)
-        cs.record(
-            "layer_count_formula_matches",
-            all(observed[k] == predicted[k] for k in observed),
-        )
-        return cs

@@ -199,7 +199,10 @@ def test_criterion_09_poset_algebra(criterion, j252_spectral):
 
 def test_criterion_10_boundary_mode(criterion):
     with criterion(10, "J_2(4,2) completes and is flagged boundary, report-only dims"):
-        doc = boundary_case_report(2, 2)
+        gc = build_graph(2, 4, 2)
+        ss = spectral_system(gc)
+        fam = build_alpha_family(gc)
+        doc = boundary_case_report(ss, compute_nucleus(ss), fam, gamma_components(gc, fam))
         assert doc["boundary"] is True
         assert doc["params"] == {"q": 2, "N": 4, "D": 2}
         for flag in (

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from qgrass import linalg, subspaces
+from qgrass import cli, linalg, nucleus, subspaces
 from qgrass.cli import SUITE_ORDER, _finish, main
-from qgrass.grassmann import RANK_VERIFY_LIMIT, build_graph
+from qgrass.grassmann import RANK_VERIFY_LIMIT, SpectralSystem, build_graph
 from qgrass.qarith import q_binomial
 from qgrass.report import CheckSet
 
@@ -68,8 +68,9 @@ def test_report_outside_meta_pinned(tmp_path, capsys, q, n, d):
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 6, 2), (3, 4, 2), (2, 6, 1)])
-def test_verify_runs_no_bareiss_elimination(tmp_path, capsys, monkeypatch, q, n, d):
-    # every exact rank and kernel of these runs is certified mod p
+def test_verify_runs_no_bareiss_elimination(tmp_path, capsys, monkeypatch, built_matrices, q, n, d):
+    # every exact rank and kernel of these runs is certified mod p, on
+    # integer arrays: no ExactMatrix is built
     shapes = []
     real = linalg._bareiss_echelon
     monkeypatch.setattr(linalg, "_bareiss_echelon", lambda a: shapes.append(a.shape) or real(a))
@@ -77,7 +78,7 @@ def test_verify_runs_no_bareiss_elimination(tmp_path, capsys, monkeypatch, q, n,
     argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
-    assert shapes == []
+    assert shapes == [] and built_matrices == []
     counts = _load(out)["meta"]["elimination"]
     assert counts["fallback"] == counts["bareiss"] == 0 < counts["certified"]
 
@@ -98,24 +99,93 @@ def test_bad_prime_shows_in_fallback_count(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[(3, 4, 2)]
 
 
-def test_verify_path_builds_no_dense_vertex_matrix(built_matrices, capsys):
-    # above the small-|X| exact rank checks, no |X| x |X| numerator of
-    # the algebra and no |X| x |B_i| ball matrix is built on the way,
-    # away from the boundary and at N = 2D alike
-    for (q, n, d), ball_sizes in [((2, 5, 2), {43, 155}), ((3, 4, 2), {49, 130})]:
-        built_matrices.clear()
+def dense_operands(monkeypatch, capsys, q, n, d, premise=True):
+    """(exit code, shapes): one `verify` run of the spectrum, nucleus and
+    bases suites, with the shape of every operand of `certified_kernel`
+    and `column_space_ops` and of every `class_numerator` result.  With
+    `premise` False the spectral system carries one failed check, so the
+    nucleus may take no shortcut."""
+    shapes = set()
+    real_kernel, real_bareiss = linalg.certified_kernel, linalg.column_space_ops
+    real_numerator, real_spectral = SpectralSystem.class_numerator, cli.spectral_system
+
+    def kernel(m, *args):
+        shapes.add(m.shape)
+        return real_kernel(m, *args)
+
+    def bareiss(m, *args, **kwargs):
+        shapes.add(m.shape)
+        return real_bareiss(m, *args, **kwargs)
+
+    def numerator(self, coeffs):
+        found = real_numerator(self, coeffs)
+        shapes.add(found[0].shape)
+        return found
+
+    def failing_spectral(gc):
+        ss = real_spectral(gc)
+        ss.checks.check("forced_failure", True, False)
+        return ss
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "certified_kernel", kernel)
+        mp.setattr(linalg, "column_space_ops", bareiss)
+        mp.setattr(nucleus, "column_space_ops", bareiss)
+        mp.setattr(SpectralSystem, "class_numerator", numerator)
+        if not premise:
+            mp.setattr(cli, "spectral_system", failing_spectral)
         argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d)]
-        argv += ["--suite", "spectrum", "--suite", "nucleus", "--suite", "bases"]
-        assert main(argv) == 0
-        capsys.readouterr()
-        gc = build_graph(q, n, d)
-        nv = gc.n_vertices
-        assert nv > RANK_VERIFY_LIMIT
-        xrow = gc.dist[gc.x_index]
-        wide = {nv} | {int((xrow <= i).sum()) for i in range(1, gc.d + 1)}
-        assert wide == ball_sizes
-        shapes = {obj.shape for obj in built_matrices}
-        assert shapes and not {s for s in shapes if s[0] == nv and s[1] in wide}
+        rc = main(argv + ["--suite", "spectrum", "--suite", "nucleus", "--suite", "bases"])
+    capsys.readouterr()
+    return rc, shapes
+
+
+def dense_shapes(q, n, d, ball_sizes):
+    """The |X| x |X| and |X| x |B_i| shapes of J_q(N, D), after checking
+    that |X| is past the small-|X| exact rank checks."""
+    gc = build_graph(q, n, d)
+    nv = gc.n_vertices
+    assert nv > RANK_VERIFY_LIMIT
+    xrow = gc.dist[gc.x_index]
+    wide = {nv} | {int((xrow <= i).sum()) for i in range(1, gc.d + 1)}
+    assert wide == ball_sizes
+    return {(nv, w) for w in wide}
+
+
+DENSE_GUARD_CASES = [((2, 5, 2), {43, 155}), ((3, 4, 2), {49, 130})]
+
+
+def test_verify_path_builds_no_dense_vertex_matrix(monkeypatch, capsys):
+    # above the small-|X| exact rank checks, no |X| x |X| numerator of
+    # the algebra and no |X| x |B_i| ball matrix is eliminated or built
+    # on the way, away from the boundary and at N = 2D alike
+    for qnd, ball_sizes in DENSE_GUARD_CASES:
+        rc, shapes = dense_operands(monkeypatch, capsys, *qnd)
+        assert rc == 0
+        assert shapes and not shapes & dense_shapes(*qnd, ball_sizes)
+
+
+def test_dense_guard_sees_the_bareiss_path(monkeypatch, capsys):
+    # mutation: with the spectral premise false every piece past the
+    # base vertex comes from the dense "bareiss" path, and the guard
+    # above must see its |X| x |X| numerators and |X| x |B_i| matrices
+    qnd, ball_sizes = DENSE_GUARD_CASES[0]
+    rc, shapes = dense_operands(monkeypatch, capsys, *qnd, premise=False)
+    assert rc == 1
+    assert shapes & dense_shapes(*qnd, ball_sizes) == dense_shapes(*qnd, ball_sizes)
+
+
+@pytest.mark.parametrize("q,n,d,builds", [(3, 4, 2, 1), (2, 5, 2, 2)])
+def test_boundary_suite_reuses_the_verified_graph(monkeypatch, capsys, q, n, d, builds):
+    # at N = 2D the boundary suite reads the graph the other suites
+    # verified; otherwise it builds J_q(2D, D) once more
+    calls = []
+    real = cli.build_graph
+    monkeypatch.setattr(cli, "build_graph", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert main(["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert len(calls) == builds
+    assert calls[-1][1:] == (2 * d, d)
 
 
 FAMILY_CHECKS = {

@@ -179,14 +179,120 @@ def test_verify_run_loads_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 [] []"
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of every top-level function or class and
+    every non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _references(tree: ast.Module, strings: bool):
+    """(line, name) of every ast.Name and ast.Attribute, and with
+    `strings` of every part of a dotted string constant, the way the
+    benchmark tracer names the functions it wraps."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from ((node.lineno, part) for part in node.value.split("."))
+
+
+def unreferenced_definitions(package: dict, readers: list) -> list[str]:
+    """`module.name` of every definition of the `package` sources
+    (module name -> source; see `_definitions`) that nothing references:
+    no ast.Name or ast.Attribute of the package outside the definition
+    itself, and no name or dotted string constant of the `readers`
+    sources (the demos and the benchmark tracer)."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    refs = {mod: list(_references(tree, strings=False)) for mod, tree in trees.items()}
+    outside = {name for src in readers for _line, name in _references(ast.parse(src), True)}
+    dead = []
+    for mod, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            used = name in outside or any(
+                name == ref and (other != mod or not node.lineno <= line <= node.end_lineno)
+                for other, found in refs.items()
+                for line, ref in found
+            )
+            if not used:
+                dead.append(f"{mod}.{qualname}")
+    return dead
+
+
+def test_dead_helper_scanner_sees_every_kind():
+    package = {
+        "a": """
+def used():
+    return 1
+def unused():
+    return used()
+def recursive(n):
+    return recursive(n - 1)
+def shown():
+    return 2
+class Box:
+    def method(self):
+        return self.helper()
+    def helper(self):
+        return used()
+    def orphan(self):
+        return Box()
+    def __len__(self):
+        return 0
+class Traced:
+    def go(self):
+        return 3
+class Lonely:
+    def make(self):
+        return Lonely()
+""",
+        "b": "from a import Box\nx = Box().method()\n",
+    }
+    readers = ["from a import shown\nshown()\n", 'TRACED = {"k": ("a", "Traced.go")}\n']
+    assert unreferenced_definitions(package, readers) == [
+        "a.unused", "a.recursive", "a.Box.orphan", "a.Lonely", "a.Lonely.make"
+    ]
+
+
+def test_program_has_no_dead_helpers():
+    # every function, class and method of the package is reached from
+    # the package itself, a demo or the benchmark tracer, not only from
+    # the tests
+    root = Path(__file__).resolve().parents[1]
+    package = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(Path(qgrass.__file__).parent.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for p in sorted((root / "demos").glob("*.py"))]
+    tracer = root / "benchmarks" / "tracer.py"
+    if tracer.exists():
+        readers.append(tracer.read_text(encoding="utf-8"))
+    assert unreferenced_definitions(package, readers) == []
+
+
+def is_integer_array(a) -> bool:
+    """int64, or an object array of Python ints."""
+    return a.dtype == np.int64 or (a.dtype == object and all(type(v) is int for v in a.flat))
+
+
 def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
-    """Every ExactMatrix built by the spectral system, the nucleus, the
-    alpha family and their action and basis checks on J_2(4,2) holds
-    only Python ints and Fractions; every nucleus basis is one of them,
-    the families and their containment order are 0/1 arrays, every
-    inclusion matrix W_i is a bool array, every certified rank is an
-    int, and every rank and kernel of `certified_kernel` is an int and
-    an integer array (int64, or Python ints)."""
+    """The spectral system, the nucleus, the alpha family and their
+    action and basis checks on J_2(4,2) build no ExactMatrix: every
+    nucleus basis is an integer array (int64, or Python ints), the
+    families and their containment order are 0/1 arrays, every inclusion
+    matrix W_i is a bool array, every certified rank is an int, and
+    every rank and kernel of `certified_kernel` is an int and an integer
+    array.  With every certificate failing, the Bareiss fallback builds
+    ExactMatrix objects, which hold only Python ints and Fractions, and
+    the bases stay integer arrays."""
     kernels = []
     real_kernel = linalg.certified_kernel
 
@@ -202,20 +308,16 @@ def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
     fam = build_alpha_family(gc)
     verify_actions(ss, fam)
     verify_bases(nd, fam)
-    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "certified_kernel", real_kernel)
     assert kernels and None not in kernels
     assert any(kernel.size for _rank, kernel in kernels)
     for rank, kernel in kernels:
         assert type(rank) is int
-        assert kernel.dtype == np.int64 or (
-            kernel.dtype == object and all(type(v) is int for v in kernel.flat)
-        ), kernel.dtype
+        assert is_integer_array(kernel), kernel.dtype
     assert ss.checks.ok and nd.checks.ok and fam.checks.ok
-    assert built_matrices
-    for obj in built_matrices:
-        bad = {type(v).__name__ for v in obj.a.flat if type(v) not in (int, Fraction)}
-        assert not bad, f"ExactMatrix of shape {obj.a.shape} holds {bad}"
-    assert all(any(basis is obj for obj in built_matrices) for basis in nd.bases)
+    assert built_matrices == []
+    assert all(is_integer_array(basis) for basis in nd.bases)
+    assert is_integer_array(nd.combined_basis())
     for name in ("vee", "meet", "zeta"):
         assert getattr(fam, name).dtype == bool, name
     assert all(gc.inclusion(i).dtype == bool for i in range(gc.d))
@@ -227,6 +329,15 @@ def test_exact_objects_hold_int_or_fraction(built_matrices, monkeypatch):
     ]
     assert len(certified) == 2 * (gc.d + 1) + gc.d
     assert all(type(r) is int for r in certified), certified
+
+    monkeypatch.setattr(linalg, "certified_kernel", lambda m, p=None: None)
+    fallback = compute_nucleus(ss)
+    verify_bases(fallback, fam).require()
+    assert fallback.checks.ok and built_matrices
+    for obj in built_matrices:
+        bad = {type(v).__name__ for v in obj.a.flat if type(v) not in (int, Fraction)}
+        assert not bad, f"ExactMatrix of shape {obj.a.shape} holds {bad}"
+    assert all(is_integer_array(basis) for basis in fallback.bases)
 
 
 def test_poset_operators_are_integer():

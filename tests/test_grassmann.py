@@ -33,10 +33,10 @@ from qgrass.grassmann import (
     tmodule_condition_violations,
     tmodule_intersection_numbers,
 )
-from qgrass.linalg import ExactMatrix
 from qgrass.report import CheckSet
-from qgrass.subspaces import count_dims, dim_of_mask
+from qgrass.subspaces import count_dims
 
+from oracles import layer_of, mask_dim, meet_dim_by_rank
 from strategies import instances_with_base_vertex
 
 J252_THETA = [42, 11, -3]
@@ -54,8 +54,8 @@ def count_common_neighbors(gc, a: int, b: int) -> int:
         if w in (a, b):
             continue
         if (
-            dim_of_mask(masks[w] & masks[a], gc.q) == d - 1
-            and dim_of_mask(masks[w] & masks[b], gc.q) == d - 1
+            mask_dim(masks[w] & masks[a], gc.q) == d - 1
+            and mask_dim(masks[w] & masks[b], gc.q) == d - 1
         ):
             total += 1
     return total
@@ -138,21 +138,20 @@ def test_sphere_layer_check_matches_per_vertex_loop(monkeypatch, q, n, d):
     oracle = next(
         f"vertex {y.rows}"
         for k, y in enumerate(gc.vertices)
-        if geometry.pij(y) != (d - int(gc.dist[gc.x_index, k]), int(gc.dist[gc.x_index, k]))
+        if layer_of(y, geometry.x) != (d - int(gc.dist[gc.x_index, k]), int(gc.dist[gc.x_index, k]))
     )
     assert not verdict.passed and verdict.witness == oracle
 
 
 def test_j252_distance_against_intersection(j252):
-    # independent distance route: subspace intersection via nullspace
-    from qgrass.subspaces import intersect
-
+    # independent distance route: dim of the meet from the rank of the
+    # stacked echelon rows
     rng = random.Random(11)
     n = j252.n_vertices
     for _ in range(60):
         a, b = rng.randrange(n), rng.randrange(n)
-        meet = intersect(j252.vertices[a], j252.vertices[b])
-        assert int(j252.dist[a, b]) == j252.d - meet.dim
+        meet = meet_dim_by_rank(j252.vertices[a], j252.vertices[b])
+        assert int(j252.dist[a, b]) == j252.d - meet
 
 
 def test_j252_intersection_numbers(j252):
@@ -176,7 +175,7 @@ def test_j252_common_neighbor_counts(j252):
                 1
                 for w in range(j252.n_vertices)
                 if w != x
-                and dim_of_mask(
+                and mask_dim(
                     j252.vertices[w].mask & j252.vertices[x].mask, j252.q
                 )
                 == j252.d - 1
@@ -282,8 +281,35 @@ def test_structure_constants_cached(j252):
     assert p1 is p2
 
 
+def test_class_numerator_gathers_integer_class_values(j252_spectral):
+    # sum_h c_h A_h as den times the coefficients, gathered by dist: an
+    # int64 array while the values fit the product guard, Python ints
+    # past it
+    ss = j252_spectral
+    dist = ss.gc.dist
+    for coeffs in ss.e_coeffs:
+        num, den = ss.class_numerator(coeffs)
+        values = [c * den for c in coeffs]
+        assert all(v.denominator == 1 for v in values)
+        assert num.dtype == np.int64 and num.shape == dist.shape
+        assert (num == np.array([int(v) for v in values])[dist]).all()
+    num, den = ss.class_numerator([Fraction(2**70, 3), Fraction(-1), Fraction(1, 3)])
+    assert den == 3 and num.dtype == object
+    assert all(type(v) is int for v in num.flat)
+    assert (num == np.array([2**70, -3, 1], dtype=object)[dist]).all()
+
+
 # ---------------------------------------------------------------------------
 # dense oracle for the distance-algebra checks
+
+
+def exact_matmul(a, b):
+    """a @ b of integer arrays, exactly: in int64 while no dot product
+    can reach 2^62, in numpy object arrays of Python ints otherwise."""
+    bound = a.shape[1] * max(int(np.abs(a).max()), 1) * max(int(np.abs(b).max()), 1)
+    if bound < 2**62:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
 
 def dense_spectral_oracle(ss):
@@ -292,20 +318,20 @@ def dense_spectral_oracle(ss):
     matrix, and idempotency and orthogonality of the materialized
     idempotents.  Returns the three verdicts."""
     gc, theta, d = ss.gc, ss.theta, ss.gc.d
-    eye = ExactMatrix.identity(gc.n_vertices)
-    adj = ExactMatrix.from_class_values(gc.dist, {h: int(h == 1) for h in range(d + 1)})
+    eye = np.eye(gc.n_vertices, dtype=np.int64)
+    adj = (gc.dist == 1).astype(np.int64)
     prod = adj - theta[0] * eye
     for t in theta[1:]:
-        prod = prod @ (adj - t * eye)
+        prod = exact_matmul(prod, adj - t * eye)
     nums = [ss.idempotent_numerator(i) for i in range(d + 1)]
-    idem = all((m @ m).equals(den * m) for m, den in nums)
+    idem = all((exact_matmul(m, m) == den * m).all() for m, den in nums)
     orth = all(
-        (nums[i][0] @ nums[j][0]).is_zero()
+        not exact_matmul(nums[i][0], nums[j][0]).any()
         for i in range(d + 1)
         for j in range(i + 1, d + 1)
     )
     return {
-        "minimal_polynomial_vanishes": prod.is_zero(),
+        "minimal_polynomial_vanishes": not prod.any(),
         "idempotency": idem,
         "orthogonality": orth,
     }
@@ -511,7 +537,7 @@ def test_tmodule_eigenvalue_oracle(q, n, d):
 
 
 def pair_loop_distances(gc):
-    """Test-only oracle: the distance matrix from one dim_of_mask call
+    """Test-only oracle: the distance matrix from one mask_dim call
     per vertex pair, as build_graph computed it before the point
     incidence product."""
     masks = [v.mask for v in gc.vertices]
@@ -519,7 +545,7 @@ def pair_loop_distances(gc):
     dist = np.zeros((nv, nv), dtype=np.int16)
     for a in range(nv):
         for b in range(a + 1, nv):
-            dist[a, b] = dist[b, a] = gc.d - dim_of_mask(masks[a] & masks[b], gc.q)
+            dist[a, b] = dist[b, a] = gc.d - mask_dim(masks[a] & masks[b], gc.q)
     return dist
 
 

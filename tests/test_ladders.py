@@ -22,8 +22,9 @@ from qgrass.ladders import (
 )
 from qgrass.qarith import SqrtQScalar, q_binomial, q_int
 from qgrass.linalg import exact_int_product, row_blocks
-from qgrass.subspaces import CoverType, GeometryContext, mask_words
+from qgrass.subspaces import GeometryContext, mask_words
 
+from oracles import cover_kind, layer_of
 from strategies import instances_with_base_vertex
 from test_grassmann import J252_ADMISSIBLE, admissible_quadruples
 
@@ -87,7 +88,7 @@ def test_lowering_lands_one_layer_up(poset25):
     # a line inside x sits in layer (1, 0); its slash covers must all
     # lie in layer (2, 0), which is the single vertex x
     geometry = poset25.geometry
-    line = next(u for u in geometry.table(1) if geometry.pij(u) == (1, 0))
+    line = next(u for u in geometry.table(1) if layer_of(u, geometry.x) == (1, 0))
     g = poset25.global_index(line)
     row = pair_set_csr(poset25, poset25.L1).getrow(g)
     assert row.nnz == 1
@@ -359,9 +360,10 @@ def test_changed_pair_verdicts_match_sparse_checks(poset25, poset342_partial, fu
 
 def pair_scan_oracle(pm):
     """Test-only oracle: the cover relations as build_poset_matrices
-    found them before the incidence products, by one is_subspace_of
-    test per pair of consecutive layers and cover_type per cover, with
-    the raising pairs from a second scan from above.  Returns sets of
+    found them before the incidence products, by one subset test of the
+    point masks per pair of consecutive layers and a point-count
+    classification per cover (`oracles.cover_kind`), with the raising
+    pairs from a second scan from above.  Returns sets of
     global index pairs keyed like the PosetMatrices fields."""
     geometry = pm.geometry
     out = {name: set() for name in ("L1", "L2", "R1", "R2", "cover")}
@@ -372,15 +374,15 @@ def pair_scan_oracle(pm):
         lower, upper = list(geometry.table(l)), list(geometry.table(l + 1))
         for a, u in enumerate(lower):
             for b, v in enumerate(upper):
-                if not u.is_subspace_of(v):
+                if u.mask & v.mask != u.mask:
                     continue
                 out["cover"].add((off_lo + a, off_hi + b))
-                kind = "L1" if geometry.cover_type(u, v) is CoverType.SLASH else "L2"
+                kind = "L1" if cover_kind(u, v, geometry.x) == "slash" else "L2"
                 out[kind].add((off_lo + a, off_hi + b))
         for b, v in enumerate(upper):
             for a, w in enumerate(lower):
-                if w.is_subspace_of(v):
-                    kind = "R1" if geometry.cover_type(w, v) is CoverType.SLASH else "R2"
+                if w.mask & v.mask == w.mask:
+                    kind = "R1" if cover_kind(w, v, geometry.x) == "slash" else "R2"
                     out[kind].add((off_hi + b, off_lo + a))
     return out
 
@@ -389,7 +391,7 @@ def assert_layers_match_objects(pm):
     """(i, j) of every materialized subspace, from its own object."""
     geometry = pm.geometry
     assert [(int(i), int(j)) for i, j in zip(pm.ivec, pm.jvec)] == [
-        geometry.pij(u) for l in pm.dims for u in geometry.table(l)
+        layer_of(u, geometry.x) for l in pm.dims for u in geometry.table(l)
     ]
 
 

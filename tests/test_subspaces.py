@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 
 from qgrass import subspaces
 from qgrass.errors import InvalidParameters, SizeCapExceeded, StaleCache
+from qgrass.ladders import build_poset_matrices
 from qgrass.qarith import q_binomial, q_int
 from qgrass.subspaces import (
     CanonicalSubspace,
-    CoverType,
     GeometryContext,
-    dim_meet,
     enumerate_subspaces,
-    intersect,
     load_table,
     rref_mod,
     save_table,
     subspace_from_rows,
     vector_index,
 )
+
+from oracles import cover_kind, layer_of, mask_dim, meet_dim_by_rank
 
 
 def enumeration_loop_oracle(q, n, l):
@@ -187,13 +187,23 @@ class TestEnumeration:
             assert s.mask.bit_count() == 9
 
 
+def meet_from_points(u, v):
+    """The span of the common points of u and v, as a subspace."""
+    q, n = u.q, u.ambient
+    common = u.mask & v.mask
+    rows = [[p // q**c % q for c in range(n)] for p in range(q**n) if common >> p & 1]
+    return subspace_from_rows(q, n, rows)
+
+
 class TestIntersect:
+    """The meet of two subspaces from their common points (the masks the
+    tables hold) against dim u + dim v - rank of the stacked rows."""
+
     def test_two_distinct_lines_meet_trivially(self):
         lines = enumerate_subspaces(2, 5, 1)
         u, v = lines[0], lines[7]
         assert u != v
-        w = intersect(u, v)
-        assert w.dim == 0
+        assert meet_dim_by_rank(u, v) == 0
         # brute-force common-vector scan
         assert (u.mask & v.mask).bit_count() == 1  # only the zero vector
 
@@ -201,8 +211,9 @@ class TestIntersect:
         q, n = 2, 4
         full = enumerate_subspaces(q, n, n)[0]
         for s in enumerate_subspaces(q, n, 2)[:5]:
-            assert intersect(s, s) == s
-            assert intersect(s, full) == s
+            assert meet_from_points(s, s) == s
+            assert meet_from_points(s, full) == s
+            assert meet_dim_by_rank(s, s) == meet_dim_by_rank(s, full) == 2
 
     def test_against_mask_oracle_and_dim_formula(self):
         rng = random.Random(7)
@@ -212,15 +223,14 @@ class TestIntersect:
         for _ in range(120):
             u = rng.choice(planes)
             v = rng.choice(triples)
-            w = intersect(u, v)
-            # oracle 1: point sets intersect as sets
+            w = meet_from_points(u, v)
+            # oracle 1: the common points are closed, a subspace
             assert w.mask == u.mask & v.mask
-            assert w.dim == dim_meet(u, v)
+            assert w.dim == mask_dim(u.mask & v.mask, q)
             # oracle 2: dim u + dim v = dim meet + rank of the stacked rows
-            _, pivots = rref_mod(list(u.rows) + list(v.rows), q)
-            assert u.dim + v.dim == w.dim + len(pivots)
+            assert w.dim == meet_dim_by_rank(u, v)
             # symmetry
-            assert intersect(v, u) == w
+            assert meet_dim_by_rank(v, u) == w.dim
 
     def test_q3_samples(self):
         rng = random.Random(11)
@@ -229,14 +239,9 @@ class TestIntersect:
         for _ in range(60):
             u = rng.choice(lines)
             v = rng.choice(planes)
-            w = intersect(u, v)
+            w = meet_from_points(u, v)
             assert w.mask == u.mask & v.mask
-
-    def test_rejects_mixed_ambient(self):
-        u = enumerate_subspaces(2, 4, 1)[0]
-        v = enumerate_subspaces(2, 5, 1)[0]
-        with pytest.raises(InvalidParameters):
-            intersect(u, v)
+            assert w.dim == meet_dim_by_rank(u, v)
 
 
 class TestCanonicalForm:
@@ -269,56 +274,82 @@ class TestGeometryContext:
 
     def test_pij_of_base_vertex(self):
         ctx = GeometryContext(2, 5, 2)
-        assert ctx.pij(ctx.x) == (2, 0)
+        pm = build_poset_matrices(ctx)
+        g = pm.global_index(ctx.x)
+        assert (pm.ivec[g], pm.jvec[g]) == layer_of(ctx.x, ctx.x) == (2, 0)
 
     def test_census_frozen_counts(self):
-        ctx = GeometryContext(2, 5, 2)
-        cs = ctx.census()
-        assert cs.ok, cs.failures()
-        counts = cs.values["layer_counts"]
+        pm = build_poset_matrices(GeometryContext(2, 5, 2))
+        assert pm.checks.ok, pm.checks.failures()
+        counts = pm.checks.values["layer_sizes"]
         assert counts["1,1"] == 42
         assert counts["2,0"] == 1
         assert counts["0,0"] == 1
         # vertices split by meet dimension with x: 1 + 42 + 112 = 155
         assert counts["2,0"] + counts["1,1"] + counts["0,2"] == 155
         assert counts["0,2"] == 112
-        assert cs.values["layer_count_formula_matches"] is True
+        # the layers of each dimension add up to its table
+        for l in range(6):
+            total = sum(c for key, c in counts.items() if sum(map(int, key.split(","))) == l)
+            assert total == q_binomial(5, l, 2)
+        formula = next(c for c in pm.checks.checks if c.name == "layer_sizes_product_formula")
+        assert formula.passed and formula.observed == counts
 
     def test_covered_count_oracle(self):
         # any 3-dimensional subspace over F_2 covers exactly [3] = 7 planes
         ctx = GeometryContext(2, 5, 2)
         u = ctx.table(3)[0]
-        covered = [w for w in ctx.table(2) if w.is_subspace_of(u)]
+        covered = [w for w in ctx.table(2) if w.mask & u.mask == w.mask]
         assert len(covered) == 7 == q_int(3, 2)
 
     def test_cover_type_examples(self):
         ctx = GeometryContext(2, 5, 2)
+        pm = build_poset_matrices(ctx)
         x = ctx.x
+
+        def kinds(u, v):
+            key = pm.global_index(u) * pm.size + pm.global_index(v)
+            return {name for name in ("L1", "L2", "cover") if key in getattr(pm, name)}
+
         # a line inside x is slash-covered by x
         line_in_x = subspace_from_rows(2, 5, [(1, 0, 0, 0, 0)])
-        assert ctx.cover_type(line_in_x, x) is CoverType.SLASH
+        assert kinds(line_in_x, x) == {"L1", "cover"}
+        assert cover_kind(line_in_x, x, x) == "slash"
         # x is backslash-covered by any 3-space through it
         triple = subspace_from_rows(
             2, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
         )
-        assert ctx.cover_type(x, triple) is CoverType.BACKSLASH
-        assert ctx.cover_type(x, x) is CoverType.NOT_COVER
-        assert ctx.cover_type(triple, x) is CoverType.NOT_COVER
+        assert kinds(x, triple) == {"L2", "cover"}
+        assert cover_kind(x, triple, x) == "backslash"
+        assert kinds(x, x) == set()
+        assert kinds(triple, x) == set()
 
     def test_cover_dichotomy_sampled(self):
         ctx = GeometryContext(3, 4, 2)
+        pm = build_poset_matrices(ctx)
+        rows, cols = pm.pairs(pm.cover)
+        slash = set(pm.L1.tolist())
+        everything = [u for l in pm.dims for u in ctx.table(l)]
         rng = random.Random(3)
         planes = ctx.table(2)
         for _ in range(40):
             u = rng.choice(planes)
-            for v in ctx.covers_of(u):
-                assert ctx.cover_type(u, v) in (CoverType.SLASH, CoverType.BACKSLASH)
+            g = pm.global_index(u)
+            covers = cols[rows == g]
+            # [N - l]_q covers, each slash exactly when it is in L1
+            assert len(covers) == q_int(2, 3)
+            for c in covers.tolist():
+                kind = cover_kind(u, everything[c], ctx.x)
+                assert (kind == "slash") == (g * pm.size + c in slash)
 
     def test_poset_cap(self):
+        # past the cap the full poset is not materialized: the ladder
+        # operators take the window of layers D-1..D+1 instead
         ctx = GeometryContext(2, 5, 2, poset_cap=100)
-        with pytest.raises(SizeCapExceeded) as ei:
-            ctx.build_all_tables()
-        assert ei.value.projected == sum(q_binomial(5, l, 2) for l in range(6))
+        assert ctx.poset_size() == sum(q_binomial(5, l, 2) for l in range(6)) > 100
+        pm = build_poset_matrices(ctx)
+        assert pm.partial and pm.dims == [1, 2, 3]
+        assert pm.checks.values["poset_size"] == ctx.poset_size()
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(InvalidParameters):
