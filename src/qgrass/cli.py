@@ -11,14 +11,14 @@ decided ("elimination": certified mod p, certificate failed, Bareiss
 eliminations run; see `linalg.elimination_counts`).
 
 Exit status: 0 when every executed check passes, 1 when any check
-fails, 2 for unusable parameters or a size cap hit.
+fails, 2 for unusable parameters (among them an unwritable --out path)
+or a size cap hit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -79,13 +79,17 @@ FAMILY_SUITES = ["actions", "bases", "gamma"]
 IDENTITIES_LMAX = 12
 
 
-def _parse_x_rows(text: str, n: int) -> tuple:
+def _parse_x_rows(text: str, q: int, n: int) -> tuple:
+    """Rows of the base vertex from 'r1;r2;...': each row exactly n of
+    the ASCII digits 0..q-1, so no row is reduced mod q behind the
+    report's back."""
+    digits = "0123456789"[:q]
     rows = []
     for part in text.split(";"):
         part = part.strip()
-        if len(part) != n or not part.isdigit():
+        if len(part) != n or not all(ch in digits for ch in part):
             raise InvalidParameters(
-                f"x row {part!r} must be exactly {n} digits"
+                f"x row {part!r} must be exactly {n} digits in 0..{q - 1}"
             )
         rows.append(tuple(int(ch) for ch in part))
     return tuple(rows)
@@ -94,12 +98,11 @@ def _parse_x_rows(text: str, n: int) -> tuple:
 class _Pipeline:
     """Lazily built shared objects for one (q, N, D, x) configuration."""
 
-    def __init__(self, q, n, d, x_rows, table_cap, poset_cap, cache_dir):
+    def __init__(self, q, n, d, x_rows, table_cap, poset_cap):
         self.q, self.n, self.d = q, n, d
         self.x_rows = x_rows
         self.table_cap = table_cap
         self.poset_cap = poset_cap
-        self.cache_dir = cache_dir
         self._gc = None
         self._nums = None
         self._nums_checks = None
@@ -117,7 +120,6 @@ class _Pipeline:
                 x_rows=self.x_rows,
                 table_cap=self.table_cap,
                 poset_cap=self.poset_cap,
-                cache_dir=self.cache_dir,
             )
         return self._gc
 
@@ -204,9 +206,7 @@ def _run_suite(
         # itself when N = 2D
         bp = pipe
         if pipe.n != 2 * pipe.d:
-            bp = _Pipeline(
-                pipe.q, 2 * pipe.d, pipe.d, None, pipe.table_cap, pipe.poset_cap, pipe.cache_dir
-            )
+            bp = _Pipeline(pipe.q, 2 * pipe.d, pipe.d, None, pipe.table_cap, pipe.poset_cap)
         doc = boundary_case_report(bp.spectral(), bp.nucleus(), bp.family(), bp.gamma())
         meta["nucleus_paths"]["boundary"] = doc.pop("nucleus_paths")
         for flag in (
@@ -270,9 +270,12 @@ def _finish(report: dict, out_path: str | None, stream) -> int:
     report["ok"] = all(e["passed"] for e in report["suites"].values())
     _print_summary(report, stream)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise InvalidParameters(f"cannot write report {out_path}: {exc}") from exc
         print(f"report written to {out_path}", file=stream)
     return 0 if report["ok"] else 1
 
@@ -282,8 +285,7 @@ def _cmd_verify(args) -> int:
     if "all" in requested:
         requested = list(SUITE_ORDER)
     to_run = _suite_closure(requested)
-    cache_dir = args.cache_dir or os.environ.get("QGRASS_CACHE_DIR")
-    x_rows = _parse_x_rows(args.x_rows, args.n) if args.x_rows else None
+    x_rows = _parse_x_rows(args.x_rows, args.q, args.n) if args.x_rows else None
 
     pipe = _Pipeline(
         args.q,
@@ -292,7 +294,6 @@ def _cmd_verify(args) -> int:
         x_rows,
         args.max_vertices,
         args.max_poset,
-        cache_dir,
     )
     report = {
         "config": {
@@ -386,10 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--out", help="write the JSON report to this path")
     v.add_argument(
-        "--cache-dir",
-        help="subspace table cache directory (default $QGRASS_CACHE_DIR)",
-    )
-    v.add_argument(
         "--max-vertices",
         type=int,
         default=DEFAULT_TABLE_CAP,
@@ -403,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument(
         "--x-rows",
-        help="base vertex as semicolon-separated digit rows, e.g. '10000;01000'",
+        help="base vertex as semicolon-separated rows of digits 0..q-1, e.g. '10000;01000'",
     )
     v.set_defaults(func=_cmd_verify)
 

@@ -9,11 +9,6 @@ class InvalidParameters(QgrassError):
     """Raised when (q, N, D) or another configuration value is unusable."""
 
 
-class StaleCache(InvalidParameters):
-    """Raised for a cache file written in an older format; the caller
-    rebuilds it instead of reporting it."""
-
-
 class SizeCapExceeded(QgrassError):
     """Raised before an enumeration whose projected size exceeds a cap.
 

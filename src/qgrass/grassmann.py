@@ -191,7 +191,6 @@ def build_graph(
     x_rows=None,
     table_cap: int = DEFAULT_TABLE_CAP,
     poset_cap: int = DEFAULT_POSET_CAP,
-    cache_dir: str | None = None,
 ) -> GraphContext:
     """Build J_q(N, D) with its exact distance matrix.
 
@@ -209,9 +208,7 @@ def build_graph(
         raise InvalidParameters(
             f"N={n} < 2D={2 * d}; use the complement parameters (N, N-D)=({n},{n - d})"
         )
-    geometry = GeometryContext(
-        q, n, d, x_rows=x_rows, table_cap=table_cap, poset_cap=poset_cap, cache_dir=cache_dir
-    )
+    geometry = GeometryContext(q, n, d, x_rows=x_rows, table_cap=table_cap, poset_cap=poset_cap)
     vertices = geometry.table(d)
     nv = len(vertices)
     # common point counts are q^dim(y meet z), the 0/1 product of the

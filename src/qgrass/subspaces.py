@@ -13,25 +13,23 @@ q^dim of their meet (`count_dims`), and the layers P_{i,j} and covers
 around a base vertex x are the arrays of `ladders.build_poset_matrices`.
 A single subspace is a CanonicalSubspace carrying the same mask as a
 Python int; the verifier makes one only for x, the subspaces of x and
-witnesses.  `GeometryContext` holds x and builds, caps and caches the
-tables.
+witnesses.  `GeometryContext` holds x and builds each table once per
+run, under its size cap; tables live only in memory, since building
+one costs less than reading and checking a stored copy would.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidParameters, SizeCapExceeded, StaleCache
+from .errors import InvalidParameters, SizeCapExceeded
 from .linalg import row_blocks
 from .qarith import FieldContext, q_binomial
 
 DEFAULT_TABLE_CAP = 20000
 DEFAULT_POSET_CAP = 60000
-# cache files start with the token "v<CACHE_FORMAT>"; version 1 had none
-CACHE_FORMAT = 2
 
 
 def rref_mod(rows, q: int):
@@ -392,153 +390,11 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
     return SubspaceTable(q, ambient, dim, rows)
 
 
-def save_table(path: str, q: int, ambient: int, dim: int, table: SubspaceTable) -> None:
-    """Write a subspace table: header 'v<CACHE_FORMAT> q ambient dim
-    count', then one line per subspace with its dimension and row-major
-    digits.
-
-    The table goes to a temporary file in the same directory, which
-    replaces `path` only once it is complete and on disk, so a write
-    that fails or is killed part way never leaves a truncated table at
-    `path`.
-    """
-    if q >= 10:
-        raise InvalidParameters("digit cache format supports q < 10 only")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"v{CACHE_FORMAT} {q} {ambient} {dim} {len(table)}\n")
-            digits = table.rows.reshape(len(table), dim * ambient) + ord("0")
-            prefix = f"{dim} ".encode("ascii")
-            fh.write(b"".join(prefix + row.tobytes() + b"\n" for row in digits).decode("ascii"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):  # a failed open made none; its error is the one to raise
-            os.unlink(tmp)
-        raise
-
-
-def _first_non_echelon(rows: np.ndarray):
-    """Index of the first entry of `rows` (count, l, N) that is not a
-    reduced echelon basis (a zero row, pivots out of order, or a pivot
-    column other than a unit vector), or None."""
-    count, l, _ = rows.shape
-    nonzero = rows != 0
-    pivots = nonzero.argmax(axis=2)
-    at_pivots = np.take_along_axis(rows, np.broadcast_to(pivots[:, None, :], (count, l, l)), axis=2)
-    ok = (
-        nonzero.any(axis=2).all(axis=1)
-        & (np.diff(pivots, axis=1) > 0).all(axis=1)
-        & (at_pivots == np.eye(l, dtype=rows.dtype)).all(axis=(1, 2))
-    )
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else None
-
-
-def _first_descent(flat: np.ndarray):
-    """Index k of the first pair of rows with flat[k + 1] not
-    lexicographically greater than flat[k], or None."""
-    if len(flat) < 2:
-        return None
-    diff = flat[1:].astype(np.int64) - flat[:-1]
-    first = (diff != 0).argmax(axis=1)
-    bad = np.flatnonzero(diff[np.arange(len(diff)), first] <= 0)
-    return int(bad[0]) if bad.size else None
-
-
-def _header_fields(header: list[str], path: str) -> list[str]:
-    """The fields after the format token of a cache header.  Raises
-    StaleCache for an older format (a 'v<k>' token with k below
-    CACHE_FORMAT, or the four bare numbers of version 1), and
-    InvalidParameters for any other first field."""
-    token = header[0] if header else ""
-    if len(header) == 4 and all(f.isdecimal() for f in header):
-        version = 1
-    elif token[:1] == "v" and token[1:].isdecimal():
-        version = int(token[1:])
-    else:
-        raise InvalidParameters(f"malformed cache header in {path}")
-    if version < CACHE_FORMAT:
-        raise StaleCache(f"cache {path} has format version {version}, not {CACHE_FORMAT}")
-    if version > CACHE_FORMAT:
-        raise InvalidParameters(
-            f"cache {path} has format version {version}, newer than {CACHE_FORMAT}"
-        )
-    return header[1:]
-
-
-def load_table(path: str, q: int, ambient: int, dim: int) -> SubspaceTable:
-    """Read a table written by save_table and rebuild it as arrays.
-
-    A file of an older format raises StaleCache (an InvalidParameters),
-    which `GeometryContext.table` answers by rebuilding the file.  In
-    the current format the header must match (q, ambient, dim) and
-    count q_binomial(ambient, dim, q) subspaces; every line must hold
-    that many digits below q, in reduced echelon form, and the lines
-    must be strictly increasing in table order.  Distinct echelon bases are distinct subspaces, so those
-    checks make the file the full table, in order; a line duplicated
-    over another, or two lines swapped, is refused.  Any unparsable
-    header or line (a non-numeric field, a byte outside ASCII) raises
-    InvalidParameters, like every other malformed cache.
-    """
-    width = dim * ambient
-    try:
-        with open(path, encoding="ascii") as fh:
-            header = _header_fields(fh.readline().split(), path)
-            if len(header) != 4:
-                raise InvalidParameters(f"malformed cache header in {path}")
-            hq, hn, hl, hcount = (int(v) for v in header)
-            if (hq, hn, hl) != (q, ambient, dim):
-                raise InvalidParameters(
-                    f"cache {path} is for q={hq} n={hn} l={hl}, wanted q={q} n={ambient} l={dim}"
-                )
-            expected = q_binomial(ambient, dim, q)
-            if hcount != expected:
-                raise InvalidParameters(
-                    f"cache header count {hcount} disagrees with q_binomial {expected}"
-                )
-            digits = []
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                d = int(parts[0])
-                text = parts[1] if len(parts) > 1 else ""
-                if d != dim or len(text) != width or len(parts) > 2:
-                    raise InvalidParameters(f"malformed cache line in {path}: {line!r}")
-                digits.append(text)
-    except (OSError, ValueError) as exc:
-        raise InvalidParameters(f"unreadable cache file {path}: {exc}") from exc
-    if len(digits) != expected:
-        raise InvalidParameters(
-            f"cache {path} holds {len(digits)} subspaces, expected {expected}"
-        )
-    flat = np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8).reshape(
-        len(digits), width
-    ) - ord("0")
-    if (flat >= q).any():
-        raise InvalidParameters(f"cache digit out of range in {path}")
-    rows = flat.astype(_digit_dtype(q)).reshape(len(digits), dim, ambient)
-    bad = _first_non_echelon(rows)
-    if bad is not None:
-        raise InvalidParameters(
-            f"cache {path} line {bad + 2} is not in reduced echelon form"
-        )
-    bad = _first_descent(flat)
-    if bad is not None:
-        raise InvalidParameters(
-            f"cache {path} line {bad + 3} is not after line {bad + 2} in table order"
-        )
-    return SubspaceTable(q, ambient, dim, rows)
-
-
 class GeometryContext:
     """Subspace tables of F_q^N around a base vertex x of dimension D.
 
     Tables are built lazily per dimension, subject to a per-table cap,
-    and can be persisted to a cache directory; `poset_cap` bounds the
+    and kept for the life of the context; `poset_cap` bounds the
     full poset that `ladders.build_poset_matrices` materializes, which
     splits it into the layers P_{i,j} (dim(u meet x) = i, dim u = i + j).
     """
@@ -551,7 +407,6 @@ class GeometryContext:
         x_rows=None,
         table_cap: int = DEFAULT_TABLE_CAP,
         poset_cap: int = DEFAULT_POSET_CAP,
-        cache_dir: str | None = None,
     ):
         FieldContext(q)
         if not (1 <= d < ambient):
@@ -561,7 +416,6 @@ class GeometryContext:
         self.d = d
         self.table_cap = table_cap
         self.poset_cap = poset_cap
-        self.cache_dir = cache_dir
         if x_rows is None:
             rows = tuple(
                 tuple(1 if c == i else 0 for c in range(ambient)) for i in range(d)
@@ -575,31 +429,9 @@ class GeometryContext:
                 )
         self._tables: dict[int, SubspaceTable] = {}
 
-    def _cache_path(self, dim: int) -> str | None:
-        if self.cache_dir is None or self.q >= 10:
-            return None
-        return os.path.join(
-            self.cache_dir, f"subspaces_q{self.q}_n{self.ambient}_l{dim}.txt"
-        )
-
     def table(self, dim: int) -> SubspaceTable:
         if dim not in self._tables:
-            path = self._cache_path(dim)
-            tab = None
-            if path is not None and os.path.exists(path):
-                try:
-                    tab = load_table(path, self.q, self.ambient, dim)
-                except StaleCache:
-                    pass  # an older format: rebuilt and replaced below
-            if tab is None:
-                tab = enumerate_subspaces(self.q, self.ambient, dim, self.table_cap)
-                if path is not None:
-                    try:
-                        os.makedirs(self.cache_dir, exist_ok=True)
-                        save_table(path, self.q, self.ambient, dim, tab)
-                    except OSError as exc:
-                        raise InvalidParameters(f"cannot write cache {path}: {exc}") from exc
-            self._tables[dim] = tab
+            self._tables[dim] = enumerate_subspaces(self.q, self.ambient, dim, self.table_cap)
         return self._tables[dim]
 
     def index_of(self, s: CanonicalSubspace) -> int:

@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,64 +277,6 @@ def test_invalid_parameters_exit_two(capsys):
     assert "complement" in err
 
 
-@pytest.mark.parametrize("corrupt", ["truncate", "non_numeric", "duplicate_line", "newer_format"])
-def test_bad_cache_file_exit_two(tmp_path, capsys, corrupt):
-    argv = ["verify", "--q", "2", "--n", "4", "--d", "1", "--suite", "geometry",
-            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "r.json")]
-    assert main(argv) == 0
-    (path,) = (tmp_path / "cache").iterdir()
-    text = path.read_text()
-    if corrupt == "truncate":
-        path.write_text(text[: len(text) // 2])
-    elif corrupt == "non_numeric":
-        path.write_text(text.replace("1 ", "x ", 1))
-    elif corrupt == "newer_format":
-        path.write_text(text.replace("v2 ", "v3 ", 1))
-    else:
-        # one subspace written over another: every line parses and the
-        # count holds, but the table is no longer the full one in order
-        lines = text.splitlines(keepends=True)
-        path.write_text("".join(lines[:3] + [lines[1]] + lines[4:]))
-    capsys.readouterr()
-    # every later run reports the bad file instead of dying on it
-    for _ in range(2):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "invalid parameters" in err and str(path) in err
-        assert "Traceback" not in err
-
-
-def test_old_format_cache_file_is_replaced(tmp_path, capsys):
-    # a table cached before the format had a version is rebuilt and
-    # written again in the current format, and the run passes
-    argv = ["verify", "--q", "2", "--n", "4", "--d", "1", "--suite", "geometry",
-            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "r.json")]
-    assert main(argv) == 0
-    (path,) = (tmp_path / "cache").iterdir()
-    text = path.read_text()
-    assert text.startswith("v2 ")
-    path.write_text(text[len("v2 "):])
-    assert main(argv) == 0
-    assert list((tmp_path / "cache").iterdir()) == [path] and path.read_text() == text
-
-
-@pytest.mark.parametrize("blocked", ["cache_dir_is_a_file", "table_is_a_directory"])
-def test_unusable_cache_path_exit_two(tmp_path, capsys, blocked):
-    cache = tmp_path / "cache"
-    if blocked == "cache_dir_is_a_file":
-        cache.write_text("")
-        blocker = cache
-    else:
-        blocker = cache / "subspaces_q2_n4_l2.txt"
-        blocker.mkdir(parents=True)
-    argv = ["verify", "--q", "2", "--n", "4", "--d", "2", "--suite", "geometry",
-            "--cache-dir", str(cache)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "invalid parameters" in err and str(blocker) in err
-    assert "Traceback" not in err
-
-
 def test_verify_builds_objects_only_for_the_alphas(monkeypatch, capsys):
     # the verify path keeps subspace tables as arrays: CanonicalSubspace
     # objects (and their span walks) are made for x and the subspaces of
@@ -407,8 +353,38 @@ def test_x_rows_override(tmp_path, capsys):
 
 
 def test_x_rows_malformed(capsys):
-    rc = main(
-        ["verify", "--q", "2", "--n", "5", "--d", "2", "--x-rows", "001;01"]
+    # a short row, a digit outside ASCII that str.isdigit accepts, and a
+    # digit of q or more, which is refused rather than reduced mod q
+    for q, x_rows in [("2", "001;01"), ("2", "1000\u00b2;01000"), ("2", "12000;01000"),
+                      ("3", "10000;01300")]:
+        rc = main(["verify", "--q", q, "--n", "5", "--d", "2", "--x-rows", x_rows])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid parameters" in err and "Traceback" not in err
+
+
+def test_unwritable_out_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    argv = ["verify", "--q", "2", "--n", "4", "--d", "1", "--suite", "geometry", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and str(out) in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def test_verify_writes_no_table_files(tmp_path):
+    # subspace tables are never stored: a run in a fresh interpreter with
+    # QGRASS_CACHE_DIR set, as older versions read it, leaves it untouched
+    cache = tmp_path / "cache"
+    env = dict(os.environ, QGRASS_CACHE_DIR=str(cache))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
-    assert rc == 2
-    capsys.readouterr()
+    argv = ["verify", "--q", "2", "--n", "4", "--d", "1", "--suite", "geometry"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgrass.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not cache.exists() or not any(cache.iterdir())

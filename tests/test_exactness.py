@@ -168,7 +168,7 @@ def test_verify_run_loads_no_scipy(tmp_path):
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
         "      sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "QGRASS_CACHE_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(qgrass.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )

@@ -7,16 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrass import subspaces
-from qgrass.errors import InvalidParameters, SizeCapExceeded, StaleCache
+from qgrass.errors import InvalidParameters, SizeCapExceeded
 from qgrass.ladders import build_poset_matrices
 from qgrass.qarith import q_binomial, q_int
 from qgrass.subspaces import (
     CanonicalSubspace,
     GeometryContext,
     enumerate_subspaces,
-    load_table,
     rref_mod,
-    save_table,
     subspace_from_rows,
     vector_index,
 )
@@ -359,154 +357,3 @@ class TestGeometryContext:
         with pytest.raises(InvalidParameters):
             GeometryContext(6, 5, 2)
 
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        tab = enumerate_subspaces(3, 4, 2)
-        path = tmp_path / "t.txt"
-        save_table(str(path), 3, 4, 2, tab)
-        back = load_table(str(path), 3, 4, 2)
-        assert back == tab
-
-    def test_count_validation(self, tmp_path):
-        tab = enumerate_subspaces(2, 4, 1)
-        path = tmp_path / "t.txt"
-        save_table(str(path), 2, 4, 1, tab)
-        text = path.read_text().splitlines()
-        path.write_text("\n".join(text[:-1]) + "\n")  # drop one subspace
-        with pytest.raises(InvalidParameters):
-            load_table(str(path), 2, 4, 1)
-
-    def test_header_validation(self, tmp_path):
-        tab = enumerate_subspaces(2, 4, 1)
-        path = tmp_path / "t.txt"
-        save_table(str(path), 2, 4, 1, tab)
-        with pytest.raises(InvalidParameters):
-            load_table(str(path), 2, 4, 2)
-
-    @pytest.mark.parametrize("old", ["no_token", "v1"])
-    def test_older_format_is_stale(self, tmp_path, old):
-        tab = enumerate_subspaces(2, 4, 1)
-        path = tmp_path / "t.txt"
-        save_table(str(path), 2, 4, 1, tab)
-        header, body = path.read_text().split("\n", 1)
-        assert header == f"v{subspaces.CACHE_FORMAT} 2 4 1 15"
-        token = "" if old == "no_token" else "v1 "
-        path.write_text(f"{token}2 4 1 15\n{body}")
-        with pytest.raises(StaleCache, match="format version 1"):
-            load_table(str(path), 2, 4, 1)
-
-    @pytest.mark.parametrize("header", ["v3 2 4 1 15", "x2 2 4 1 15", "v 2 4 1 15", "v2 2 4 1"])
-    def test_bad_format_token_is_invalid(self, tmp_path, header):
-        tab = enumerate_subspaces(2, 4, 1)
-        path = tmp_path / "t.txt"
-        save_table(str(path), 2, 4, 1, tab)
-        body = path.read_text().split("\n", 1)[1]
-        path.write_text(f"{header}\n{body}")
-        with pytest.raises(InvalidParameters) as info:
-            load_table(str(path), 2, 4, 1)
-        assert not isinstance(info.value, StaleCache)
-
-    @pytest.mark.parametrize("old", ["whole", "truncated"])
-    def test_context_rebuilds_older_format(self, tmp_path, old):
-        # a file in the format before versions is rebuilt and replaced,
-        # whatever it holds; the replacement loads as the table
-        ctx = GeometryContext(2, 5, 2, cache_dir=str(tmp_path))
-        tab = ctx.table(2)
-        (path,) = tmp_path.iterdir()
-        text = path.read_text()
-        stale = text.split(" ", 1)[1]
-        path.write_text(stale if old == "whole" else stale[: len(stale) // 2])
-        assert GeometryContext(2, 5, 2, cache_dir=str(tmp_path)).table(2) == tab
-        assert list(tmp_path.iterdir()) == [path] and path.read_text() == text
-        assert load_table(str(path), 2, 5, 2) == tab
-
-    def test_context_uses_cache(self, tmp_path):
-        ctx = GeometryContext(2, 5, 2, cache_dir=str(tmp_path))
-        tab = ctx.table(2)
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        ctx2 = GeometryContext(2, 5, 2, cache_dir=str(tmp_path))
-        assert ctx2.table(2) == tab
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda text: text.replace("1 ", "x ", 1),  # non-numeric dimension
-            lambda text: text.replace("0", "a", 1),  # non-numeric digit
-            lambda text: "2 4 1 1x\n" + text.split("\n", 1)[1],  # header
-            lambda text: text[: len(text) // 2] + "\xe9",  # non-ASCII byte
-        ],
-        ids=["dimension", "digit", "header", "non_ascii"],
-    )
-    def test_unparsable_fields(self, tmp_path, corrupt):
-        tab = enumerate_subspaces(2, 4, 1)
-        path = tmp_path / "t.txt"
-        save_table(str(path), 2, 4, 1, tab)
-        path.write_text(corrupt(path.read_text()), encoding="latin-1")
-        with pytest.raises(InvalidParameters):
-            load_table(str(path), 2, 4, 1)
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda lines: lines[:3] + [lines[1]] + lines[4:],  # line 1 over line 3
-            lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],  # swapped
-            lambda lines: lines[:-1] + [lines[-2]],  # last line repeated
-            lambda lines: lines[:2] + ["2 01100110"] + lines[3:],  # not reduced
-            lambda lines: lines[:2] + ["2 00000001"] + lines[3:],  # zero row
-        ],
-        ids=["duplicate", "swapped", "repeated_last", "not_reduced", "zero_row"],
-    )
-    def test_rejects_lines_out_of_table_order(self, tmp_path, corrupt):
-        # the count and every digit stay valid; only the set or the order
-        # of the subspaces is wrong
-        tab = enumerate_subspaces(2, 4, 2)
-        path = tmp_path / "t.txt"
-        save_table(str(path), 2, 4, 2, tab)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(corrupt(lines)) + "\n")
-        with pytest.raises(InvalidParameters, match="table order|echelon"):
-            load_table(str(path), 2, 4, 2)
-
-    def test_load_builds_no_object_per_line(self, tmp_path, monkeypatch):
-        tab = enumerate_subspaces(2, 5, 2)
-        path = tmp_path / "t.txt"
-        save_table(str(path), 2, 5, 2, tab)
-        calls = []
-        monkeypatch.setattr(subspaces, "_span_mask", lambda *a: calls.append(a))
-        back = load_table(str(path), 2, 5, 2)
-        assert back == tab and np.array_equal(back.words, tab.words)
-        assert calls == []
-
-    def test_failed_save_leaves_no_file(self, tmp_path):
-        tab = enumerate_subspaces(2, 4, 1)
-        path = tmp_path / "t.txt"
-        broken = tab[:5] + [None] + tab[5:]  # no table: the write dies after the header
-        with pytest.raises(AttributeError):
-            save_table(str(path), 2, 4, 1, broken)
-        assert list(tmp_path.iterdir()) == []
-        # a failed rewrite keeps the complete table that was there
-        save_table(str(path), 2, 4, 1, tab)
-        with pytest.raises(AttributeError):
-            save_table(str(path), 2, 4, 1, broken)
-        assert list(tmp_path.iterdir()) == [path]
-        assert load_table(str(path), 2, 4, 1) == tab
-
-    @pytest.mark.parametrize("parent", ["missing", "regular_file"])
-    def test_failed_open_raises_its_own_error(self, tmp_path, parent):
-        # no temporary file was made, so no cleanup error may replace the
-        # error of the open
-        tab = enumerate_subspaces(2, 4, 1)
-        if parent == "regular_file":
-            (tmp_path / "parent").write_text("")
-        path = tmp_path / "parent" / "t.txt"
-        with pytest.raises(OSError) as info:
-            save_table(str(path), 2, 4, 1, tab)
-        assert info.value.filename.startswith(str(path))
-        assert info.value.__context__ is None
-
-    def test_digit_format_needs_small_q(self, tmp_path):
-        tab = enumerate_subspaces(11, 2, 1)
-        with pytest.raises(InvalidParameters):
-            save_table(str(tmp_path / "t.txt"), 11, 2, 1, tab)
