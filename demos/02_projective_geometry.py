@@ -25,8 +25,8 @@ for l in range(n + 1):
 lines = enumerate_subspaces(q, n, 1)
 print()
 print("every 1-dimensional subspace, by its echelon basis row:")
-for s in lines:
-    print(f"  {''.join(str(v) for v in s.rows[0])}")
+for row in lines.rows[:, 0].tolist():
+    print(f"  {''.join(str(v) for v in row)}")
 
 geometry = GeometryContext(q, n, d)
 pm = build_poset_matrices(geometry)
@@ -45,8 +45,8 @@ print(f"  total {pm.size} subspaces")
 print()
 # the first line of the table in layer (1, 0), that is inside x
 g = int(pm.layer_indicator(1, 0).argmax())
-line = geometry.table(1)[g - pm.offsets[1]]
-print(f"covers of the line {line.rows[0]} inside x, classified by")
+line = tuple(geometry.table(1).rows[g - pm.offsets[1], 0].tolist())
+print(f"covers of the line {line} inside x, classified by")
 print("whether the meet with x grows (slash) or not (backslash):")
 kinds = {
     kind: int((pm.pairs(keys)[0] == g).sum())

@@ -29,8 +29,8 @@ fam = build_alpha_family(gc)
 fam.checks.require()
 print()
 print("the five subspaces alpha of x index both families:")
-for a, h, g in zip(fam.alphas, fam.h_sizes, fam.g_sizes):
-    print(f"  dim {a.dim}: |H_alpha| = {h:>3}   |G_alpha| = {g:>3}")
+for dim, h, g in zip(fam.dims.tolist(), fam.h_sizes, fam.g_sizes):
+    print(f"  dim {dim}: |H_alpha| = {h:>3}   |G_alpha| = {g:>3}")
 
 cs = verify_actions(ss, fam)
 cs.require()

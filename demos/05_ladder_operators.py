@@ -26,7 +26,7 @@ print(f"cover relation: {pm.cover.size} pairs = {pm.L1.size} slash + {pm.L2.size
 print("verified: R1 = L1^T, R2 = L2^T, layer projections sum to the")
 print("identity, and every support-shift identity holds exactly")
 
-x_entry = pm.k1_entry(pm.global_index(pm.geometry.x))
+x_entry = pm.k1_entry(pm.offsets[d] + pm.geometry.x_index)
 print(f"grading K1 at the base vertex: {x_entry.as_fraction()} = q^(-D/2)")
 
 print()

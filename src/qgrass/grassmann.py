@@ -42,7 +42,6 @@ from .subspaces import (
     DEFAULT_TABLE_CAP,
     GeometryContext,
     count_dims,
-    mask_words,
 )
 
 RANK_VERIFY_LIMIT = 60
@@ -61,7 +60,7 @@ class GraphContext:
         self.vertices = geometry.table(geometry.d)
         self.n_vertices = len(self.vertices)
         self.dist = dist
-        self.x_index = geometry.index_of(geometry.x)
+        self.x_index = geometry.x_index
         self.boundary = geometry.ambient == 2 * geometry.d
         self.build_checks = checks
         self._inclusion: dict[int, np.ndarray] = {}
@@ -231,11 +230,12 @@ def build_graph(
         _bfs_full_check(gc, cs)
     # the distance-i sphere around x is exactly the layer P_{D-i, i}:
     # every vertex meets x in dimension D - dist(x, y)
-    x_words = mask_words([geometry.x], npoints)
-    meet_x = meet_dims(exact_int_product(words, x_words, npoints)[:, 0])
+    meet_x = meet_dims(exact_int_product(words, geometry.x_words, npoints)[:, 0])
     off_layer = np.flatnonzero(meet_x != d - dist[gc.x_index])
     layer_ok = not off_layer.size
-    witness = None if layer_ok else f"vertex {vertices[int(off_layer[0])].rows}"
+    witness = None
+    if not layer_ok:
+        witness = f"vertex {tuple(map(tuple, vertices.rows[int(off_layer[0])].tolist()))}"
     cs.check_true("sphere_equals_layer", layer_ok, witness)
     return gc
 

@@ -38,7 +38,6 @@ from .subspaces import (
     all_vectors,
     count_dims,
     find_sorted,
-    mask_words,
     pack_points,
     projective_points,
     span_points,
@@ -78,9 +77,6 @@ class PosetMatrices:
     @property
     def size(self) -> int:
         return len(self.ivec)
-
-    def global_index(self, u) -> int:
-        return self.offsets[u.dim] + self.geometry.index_of(u)
 
     def pairs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row and column arrays (r, c) of a pair set, in key order."""
@@ -263,14 +259,12 @@ def _operator_checks(pm: PosetMatrices, failures: dict) -> dict[str, tuple[bool,
     return out
 
 
-def build_poset_matrices(
-    geometry: GeometryContext, force_partial: bool = False
-) -> PosetMatrices:
+def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
     """Build the layer projections and ladder operators, with checks.
 
-    When the full poset exceeds the poset cap (or partial mode is
-    forced), only the dimensions D-1, D, D+1 are materialized; every
-    relation below restricts consistently to that window.
+    When the full poset exceeds the poset cap, only the dimensions D-1,
+    D, D+1 are materialized; every relation below restricts
+    consistently to that window.
 
     Proof obligation for the cover relation.  It is generated twice,
     from below (`_covers_from_below`: L1, L2, cover) and from above
@@ -300,7 +294,7 @@ def build_poset_matrices(
     """
     q, n, d = geometry.q, geometry.ambient, geometry.d
     total = geometry.poset_size()
-    partial = force_partial or total > geometry.poset_cap
+    partial = total > geometry.poset_cap
     dims = [d - 1, d, d + 1] if partial else list(range(n + 1))
     tables = {l: geometry.table(l) for l in dims}
     offsets = {}
@@ -308,7 +302,7 @@ def build_poset_matrices(
     for l in dims:
         offsets[l] = m
         m += len(tables[l])
-    x_words = mask_words([geometry.x], q**n)[0]
+    x_words = geometry.x_words[0]
     # i = dim(u meet x) from the common point count q^i
     meet_dims = count_dims(q, d)
     ivec = np.concatenate([
@@ -377,7 +371,7 @@ def build_poset_matrices(
     cs.check("layer_projection_ranks_match_sizes", expected, ranks)
     cs.record("layer_sizes", counts)
 
-    xg = pm.global_index(geometry.x)
+    xg = offsets[d] + geometry.x_index
     cs.check("base_vertex_k1_entry", SqrtQScalar.of(q, 1, -d), pm.k1_entry(xg))
     cs.check(
         "base_vertex_k2_entry", SqrtQScalar.of(q, 1, n - d), pm.k2_entry(xg)

@@ -408,16 +408,14 @@ def _nullspace_from_echelon(ech: np.ndarray, rank: int, pivots: list[int], ncols
     return ExactMatrix(out)
 
 
-def column_space_ops(
-    m: ExactMatrix, want_nullspace: bool = True, check_nullspace: bool = True
-) -> ColumnSpaceResult:
+def column_space_ops(m: ExactMatrix, want_nullspace: bool = True) -> ColumnSpaceResult:
     """Rank, pivot columns, and an integer nullspace basis, by Bareiss
     elimination: the fallback where `certified_kernel` fails, and the
     oracle it is tested against.
 
     The original columns of m at the pivot positions are a basis of its
     column space.  The nullspace basis is verified against m exactly,
-    by one product, unless check_nullspace is False.
+    by one product.
     """
     _count("bareiss")
     scaled, _den = m.to_int_scaled()
@@ -426,7 +424,7 @@ def column_space_ops(
     nullspace = ExactMatrix.zeros(0, m.shape[1])
     if want_nullspace:
         nullspace = _nullspace_from_echelon(work, rank, pivots, m.shape[1])
-        if check_nullspace and not (m @ nullspace.T).is_zero():
+        if not (m @ nullspace.T).is_zero():
             raise ArithmeticError("nullspace vector fails m @ v = 0")
     return ColumnSpaceResult(rank, list(pivots), nullspace)
 
@@ -482,10 +480,13 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return (a % p).astype(np.int64, copy=False)
 
 
-def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool) -> list[int]:
+def echelon_mod_p(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     """In place: the row echelon form over F_p of an int64 array of
     residues in [0, p), each pivot scaled to 1, and reduced (zero above
-    every pivot as well) when `reduced`.  Returns the pivot columns.
+    every pivot as well) when `reduced`.  Returns the pivot columns;
+    the rows past their count end zero.  The reduced form is unique to
+    the row space, which is how `subspaces.GeometryContext` brings the
+    base vertex to its table rows (p = q).
 
     Entries stay in [0, p) after each step, and (p - 1)^2 + p < 2^63
     for p < 2^31, so the int64 updates cannot overflow."""
@@ -525,7 +526,7 @@ def rank_mod_prime(m, p: int = RANK_CERT_PRIME) -> int:
     argument that promotes it to equality (reduction mod p can only
     collapse rows).  m is a bool, integer or Python-int object array.
     """
-    return len(_echelon_mod_p(_residues(int_operand(m)[0], p), p, reduced=False))
+    return len(echelon_mod_p(_residues(int_operand(m)[0], p), p, reduced=False))
 
 
 def _reconstruct(x: np.ndarray, p: int):
@@ -584,7 +585,7 @@ def certified_kernel(m, p: int = RANK_CERT_PRIME):
     vectors; None when the certificate below fails, and then the caller
     falls back to Bareiss (`column_space_ops`).  m is a bool, integer or
     Python-int object array, and p a prime below 2^31, so that
-    `_echelon_mod_p` cannot overflow.
+    `echelon_mod_p` cannot overflow.
 
     The reduced row echelon form of m mod p gives rank_p and, for each
     free (non-pivot) column f, the kernel vector mod p that is 1 on f, 0
@@ -608,7 +609,7 @@ def certified_kernel(m, p: int = RANK_CERT_PRIME):
     ints, amax = int_operand(m)
     n = ints.shape[1]
     ech = _residues(ints, p)
-    pivots = _echelon_mod_p(ech, p, reduced=True)
+    pivots = echelon_mod_p(ech, p, reduced=True)
     rank = len(pivots)
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False

@@ -43,22 +43,17 @@ from .linalg import (
 )
 from .qarith import q_binomial, q_int
 from .report import CheckSet
-from .subspaces import (
-    CanonicalSubspace,
-    enumerate_subspaces,
-    mask_words,
-    subspace_from_rows,
-)
+from .subspaces import enumerate_subspaces, span_words
 
 
-def containment_vectors(gc: GraphContext, alphas: list[CanonicalSubspace]) -> np.ndarray:
+def containment_vectors(gc: GraphContext, words: np.ndarray) -> np.ndarray:
     """Vee vectors: row a is the 0/1 indicator of the vertices containing
-    alphas[a], by a subset test of its point mask against the vertex
-    words."""
+    the subspace with point words words[a], by a subset test of those
+    words against the vertex words."""
     vwords = gc.vertices.words
     return np.array(
-        [((vwords & aw) == aw).all(axis=1) for aw in mask_words(alphas, gc.q**gc.n)], dtype=bool
-    ).reshape(len(alphas), gc.n_vertices)
+        [((vwords & aw) == aw).all(axis=1) for aw in words], dtype=bool
+    ).reshape(len(words), gc.n_vertices)
 
 
 @dataclass
@@ -242,12 +237,14 @@ def _inclusion_piece(gc: GraphContext, i: int) -> tuple[np.ndarray, str]:
 
 @dataclass
 class AlphaFamily:
-    """Both families as p x |X| 0/1 arrays, row a for alphas[a], and the
-    containment order of the alphas as a p x p 0/1 matrix: zeta[a, b]
-    when alphas[a] is a subspace of alphas[b]."""
+    """The p subspaces alpha of x as their dimensions and packed point
+    words (`subspaces_of_base`), both families as p x |X| 0/1 arrays,
+    row a for alpha #a, and the containment order of the alphas as a
+    p x p 0/1 matrix: zeta[a, b] when alpha #a is a subspace of alpha #b."""
 
     gc: GraphContext
-    alphas: list[CanonicalSubspace]
+    dims: np.ndarray
+    words: np.ndarray = field(repr=False)
     by_dim: dict[int, list[int]]
     vee: np.ndarray = field(repr=False)
     meet: np.ndarray = field(repr=False)
@@ -256,40 +253,34 @@ class AlphaFamily:
     g_sizes: list[int] = field(default_factory=list)
     checks: CheckSet = None
 
-    @property
-    def dims(self) -> np.ndarray:
-        return np.array([a.dim for a in self.alphas])
 
+def subspaces_of_base(gc: GraphContext) -> tuple[np.ndarray, np.ndarray]:
+    """(dims, words): the dimension and the packed point words of every
+    subspace of the base vertex, ordered by dimension, then by index in
+    the table of its dimension, that is by its reduced echelon rows.
 
-def subspaces_of_base(gc: GraphContext) -> list[CanonicalSubspace]:
-    """All subspaces of the base vertex, embedded in the ambient space,
-    ordered by dimension then canonical rows."""
+    The rows of x are independent, so the l-subspaces of F_q^D, mapped
+    through them (one product mod q), are the l-subspaces of x, each
+    once; each is found in the l-subspace table by its point words."""
     geometry = gc.geometry
-    q, d, n = gc.q, gc.d, gc.n
-    x_rows = [list(r) for r in geometry.x.rows]
-    out = []
+    q, d = gc.q, gc.d
+    x_rows = geometry.x_rows.astype(np.int64)
+    dims, words = [], []
     for l in range(d + 1):
         small = enumerate_subspaces(q, d, l, geometry.table_cap)
-        embedded = []
-        for s in small:
-            rows = []
-            for srow in s.rows:
-                row = [0] * n
-                for c, coef in enumerate(srow):
-                    if coef:
-                        for k in range(n):
-                            row[k] = (row[k] + coef * x_rows[c][k]) % q
-                rows.append(tuple(row))
-            embedded.append(subspace_from_rows(q, n, rows))
-        embedded.sort(key=lambda s: s.rows)
-        out.extend(embedded)
-    return out
+        table = geometry.table(l)
+        found = np.sort(table.find_masks(span_words(small.rows @ x_rows % q, q)))
+        if (found < 0).any():
+            raise ArithmeticError(f"a {l}-subspace of x is missing from its table")
+        dims.append(np.full(len(found), l))
+        words.append(table.words[found])
+    return np.concatenate(dims), np.concatenate(words)
 
 
 def _mobius(zeta: np.ndarray, dims: np.ndarray, q: int) -> np.ndarray:
     """The q-Moebius function of the subspace lattice of x as a p x p
     object matrix: (-1)^g q^(g(g-1)/2), g = dim b - dim a, at every pair
-    with alphas[a] a subspace of alphas[b], and 0 elsewhere."""
+    with alpha #a a subspace of alpha #b, and 0 elsewhere."""
     out = np.full(zeta.shape, 0, dtype=object)
     for a, b in zip(*np.nonzero(zeta)):
         gap = int(dims[b] - dims[a])
@@ -319,11 +310,9 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     """
     q, d = gc.q, gc.d
     nv = gc.n_vertices
-    alphas = subspaces_of_base(gc)
-    p = len(alphas)
-    by_dim: dict[int, list[int]] = {l: [] for l in range(d + 1)}
-    for idx, a in enumerate(alphas):
-        by_dim[a.dim].append(idx)
+    dims, words = subspaces_of_base(gc)
+    p = len(dims)
+    by_dim = {l: np.flatnonzero(dims == l).tolist() for l in range(d + 1)}
     cs = CheckSet(f"alpha family q={q} N={gc.n} D={d}")
     cs.check(
         "alpha_count",
@@ -331,24 +320,21 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
         p,
     )
 
-    vee = containment_vectors(gc, alphas)
+    vee = containment_vectors(gc, words)
     # the meet vector of alpha: the vertices y with y meet x = alpha
-    vx = gc.vertices.words & mask_words([gc.geometry.x], gc.q**gc.n)
-    meet = np.array(
-        [(vx == aw).all(axis=1) for aw in mask_words(alphas, gc.q**gc.n)], dtype=bool
-    ).reshape(p, nv)
+    vx = gc.vertices.words & gc.geometry.x_words
+    meet = np.array([(vx == aw).all(axis=1) for aw in words], dtype=bool).reshape(p, nv)
     h_sizes = vee.sum(axis=1).tolist()
     g_sizes = meet.sum(axis=1).tolist()
 
     n_, d_ = gc.n, gc.d
     cs.check(
         "containment_counts",
-        [q_binomial(n_ - a.dim, d_ - a.dim, q) for a in alphas],
+        [q_binomial(n_ - l, d_ - l, q) for l in dims.tolist()],
         h_sizes,
     )
     fiber_expected = []
-    for a in alphas:
-        l = a.dim
+    for l in dims.tolist():
         # vertices meeting x exactly in alpha: q^((D-l)^2) binom(N-D, D-l)
         fiber_expected.append(q ** ((d_ - l) ** 2) * q_binomial(n_ - d_, d_ - l, q))
     cs.check("fiber_counts", fiber_expected, g_sizes)
@@ -359,10 +345,7 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     )
 
     # triangular relations between the two families
-    zeta = np.array(
-        [[(a.mask | b.mask) == b.mask for b in alphas] for a in alphas], dtype=bool
-    ).reshape(p, p)
-    dims = np.array([a.dim for a in alphas])
+    zeta = ((words[:, None] | words[None, :]) == words[None, :]).all(axis=2)
     _check_rows(
         cs, "vee_expands_over_meets", exact_int_product(zeta, meet, p), vee, _alpha_label
     )
@@ -381,7 +364,8 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
 
     return AlphaFamily(
         gc=gc,
-        alphas=alphas,
+        dims=dims,
+        words=words,
         by_dim=by_dim,
         vee=vee,
         meet=meet,
@@ -396,7 +380,7 @@ def transition_matrices(fam: AlphaFamily):
     """The two triangular change-of-basis matrices over the subspace
     poset of x, zeta and its q-Moebius function, verified to be mutually
     inverse."""
-    p = len(fam.alphas)
+    p = len(fam.dims)
     t_vee = fam.zeta.astype(np.int64)
     t_meet = _mobius(fam.zeta, fam.dims, fam.gc.q)
     ident = np.eye(p, dtype=np.int64)
@@ -438,10 +422,10 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
     nv = gc.n_vertices
-    p = len(fam.alphas)
+    p = len(fam.dims)
     dims = fam.dims
     cs = CheckSet(f"operator actions q={q} N={n} D={d}")
-    # lower[a, b]: alphas[b] is a hyperplane of alphas[a].  Two distinct
+    # lower[a, b]: alpha #b is a hyperplane of alpha #a.  Two distinct
     # alphas of one dimension meet in a hyperplane of both exactly when
     # they cover a common subspace, which is then their meet.
     lower = fam.zeta.T & (dims[:, None] == dims[None, :] + 1)
@@ -511,7 +495,7 @@ def verify_bases(nucleus: NucleusResult, fam: AlphaFamily) -> CheckSet:
     gc = nucleus.gc
     d = gc.d
     cs = CheckSet("nucleus bases")
-    p = len(fam.alphas)
+    p = len(fam.dims)
     if nucleus.boundary:
         # away from the boundary the family spans the nucleus; at
         # N = 2D it stays independent and contained but falls short,
@@ -533,7 +517,7 @@ def verify_bases(nucleus: NucleusResult, fam: AlphaFamily) -> CheckSet:
     witness = None
     if outside:
         a = max(outside)
-        witness = f"alpha #{a} not in piece {d - fam.alphas[a].dim}"
+        witness = f"alpha #{a} not in piece {d - fam.dims[a]}"
     cs.check_true("vee_vectors_lie_in_their_piece", not outside, witness)
 
     last = _last_outside(nucleus.combined_basis(), fam.meet, list(range(p)))
@@ -617,7 +601,7 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     npoints = q**gc.n
     # the packed points of each vertex inside x, so the Gram product of
     # two rows counts the points of y meet z meet x, q^dim
-    inside_x = gc.vertices.words & mask_words([gc.geometry.x], npoints)
+    inside_x = gc.vertices.words & gc.geometry.x_words
     xrow = gc.dist[gc.x_index]
     counts = []
     sizes_per_i = []
@@ -709,7 +693,7 @@ def nucleus_report_json(
         doc["boundary"] = True
     if fam is not None:
         doc["family"] = {
-            "count": len(fam.alphas),
+            "count": len(fam.dims),
             "containment_sizes": list(fam.h_sizes),
             "fiber_sizes": list(fam.g_sizes),
         }

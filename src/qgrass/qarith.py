@@ -29,7 +29,8 @@ def is_prime(n: int) -> bool:
 
 
 class FieldContext:
-    """Arithmetic of the prime field Z/qZ with elements 0..q-1."""
+    """The prime field Z/qZ with elements 0..q-1; making one checks that
+    q is prime."""
 
     __slots__ = ("q",)
 
@@ -37,15 +38,6 @@ class FieldContext:
         if not isinstance(q, int) or not is_prime(q):
             raise InvalidParameters(f"q must be a prime integer, got {q!r}")
         self.q = q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.q - 2, self.q)
 
     def __repr__(self) -> str:
         return f"FieldContext(q={self.q})"

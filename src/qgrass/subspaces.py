@@ -1,21 +1,22 @@
-"""Subspaces of F_q^N in canonical form and the tables the verifier
-reads them from.
+"""Subspaces of F_q^N as rows of the tables the verifier reads them
+from.
 
-Every subspace is stored as its reduced row echelon basis, so equality
-is tuple equality.  A whole table of subspaces of one dimension is a
-SubspaceTable: its echelon rows as one small-int array and its point
-masks (bit p set when vector p lies in the subspace) packed into uint64
-words, computed for all entries at once from one product of the rows
-with the coefficient vectors.  Tables are the one representation of the
-geometry P_q(N): pair relations become 0/1 products of their words
-(`linalg.product_blocks`), the common point count of two subspaces is
-q^dim of their meet (`count_dims`), and the layers P_{i,j} and covers
-around a base vertex x are the arrays of `ladders.build_poset_matrices`.
-A single subspace is a CanonicalSubspace carrying the same mask as a
-Python int; the verifier makes one only for x, the subspaces of x and
-witnesses.  `GeometryContext` holds x and builds each table once per
-run, under its size cap; tables live only in memory, since building
-one costs less than reading and checking a stored copy would.
+A SubspaceTable holds every subspace of one dimension: its reduced row
+echelon basis, unique to the subspace, as one small-int array sorted by
+the flattened rows, and its point mask (bit p set when vector p lies in
+the subspace) packed into uint64 words, computed for all entries at
+once from one product of the rows with the coefficient vectors.  That
+is the one representation of the geometry P_q(N).  A subspace is a
+table row: it is found by its echelon rows (`find_rows`) or by its
+point words (`find_masks`).  Pair relations become 0/1 products of the
+words (`linalg.product_blocks`), the common point count of two
+subspaces is q^dim of their meet (`count_dims`), and the layers P_{i,j}
+and covers around a base vertex x are the arrays of
+`ladders.build_poset_matrices`.  `GeometryContext` holds x as its
+echelon rows, its words and its index in the table of D-subspaces, and
+builds each table once per run, under its size cap; tables live only
+in memory, since building one costs less than reading and checking a
+stored copy would.
 """
 
 from __future__ import annotations
@@ -25,113 +26,11 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidParameters, SizeCapExceeded
-from .linalg import row_blocks
+from .linalg import echelon_mod_p, row_blocks
 from .qarith import FieldContext, q_binomial
 
 DEFAULT_TABLE_CAP = 20000
 DEFAULT_POSET_CAP = 60000
-
-
-def rref_mod(rows, q: int):
-    """Reduced row echelon form over Z/qZ.  Returns (rows, pivots) as
-    tuples, with zero rows dropped."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return (), ()
-    n = len(mat[0])
-    fc = FieldContext(q)
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % q:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = fc.inv(mat[r][c])
-        mat[r] = [(v * inv) % q for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % q:
-                f = mat[i][c] % q
-                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    rows_out = tuple(tuple(v % q for v in mat[i]) for i in range(r))
-    return rows_out, tuple(pivots)
-
-
-def vector_index(vec, q: int) -> int:
-    idx = 0
-    for i, v in enumerate(vec):
-        idx += (v % q) * q**i
-    return idx
-
-
-def _span_mask(rows, q: int, n: int) -> int:
-    """Bitmask over vector indices of every point in the row span, by
-    walking the q^l points one at a time.  Only single objects (the base
-    vertex, the subspaces of x) take this path; tables use `span_words`."""
-    points = [(0,) * n]
-    for row in rows:
-        new = []
-        for c in range(q):
-            shifted = tuple((c * v) % q for v in row)
-            for p in points:
-                new.append(tuple((a + b) % q for a, b in zip(p, shifted)))
-        points = new
-    mask = 0
-    for p in points:
-        mask |= 1 << vector_index(p, q)
-    return mask
-
-
-class CanonicalSubspace:
-    """A subspace of F_q^N held in reduced row echelon form."""
-
-    __slots__ = ("q", "ambient", "rows", "pivots", "mask")
-
-    def __init__(self, q: int, ambient: int, rows, pivots=None, mask=None):
-        self.q = q
-        self.ambient = ambient
-        self.rows = tuple(tuple(v % q for v in r) for r in rows)
-        if pivots is None:
-            canon, pivots = rref_mod(self.rows, q)
-            if canon != self.rows:
-                raise InvalidParameters("rows are not in reduced echelon form")
-        self.pivots = tuple(pivots)
-        self.mask = _span_mask(self.rows, q, ambient) if mask is None else mask
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CanonicalSubspace)
-            and self.q == other.q
-            and self.ambient == other.ambient
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.ambient, self.rows))
-
-    def __repr__(self) -> str:
-        return f"CanonicalSubspace(q={self.q}, ambient={self.ambient}, rows={self.rows})"
-
-
-def subspace_from_rows(q: int, ambient: int, rows) -> CanonicalSubspace:
-    """Canonicalize arbitrary spanning rows (zero rows allowed)."""
-    for r in rows:
-        if len(r) != ambient:
-            raise InvalidParameters("row length does not match ambient dimension")
-    canon, piv = rref_mod(rows, q)
-    return CanonicalSubspace(q, ambient, canon, piv)
 
 
 def count_dims(q: int, top: int):
@@ -163,23 +62,6 @@ def count_dims(q: int, top: int):
 
 def _words_per_mask(npoints: int) -> int:
     return -(-npoints // 64)
-
-
-def _masks_to_words(subspaces, npoints: int) -> np.ndarray:
-    """Masks of CanonicalSubspace objects as rows of uint64 words."""
-    width = 8 * _words_per_mask(npoints)
-    buf = b"".join(s.mask.to_bytes(width, "little") for s in subspaces)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(subspaces), width // 8)
-
-
-def mask_words(subspaces, npoints: int) -> np.ndarray:
-    """Point masks as rows of uint64 words over the npoints = q^N vector
-    indices; bit p of a row is set when vector p lies in the subspace.
-    A SubspaceTable hands over its own words; a sequence of
-    CanonicalSubspace objects is packed from their masks."""
-    if isinstance(subspaces, SubspaceTable):
-        return subspaces.words
-    return _masks_to_words(subspaces, npoints)
 
 
 def all_vectors(q: int, k: int) -> np.ndarray:
@@ -268,10 +150,7 @@ class SubspaceTable:
     - rows: (count, dim, ambient) small ints, the reduced echelon basis;
     - pivots: (count, dim), the pivot column of each row;
     - words: (count, W) uint64, the packed point mask over the q^ambient
-      vector indices (`vector_index` order).
-
-    Indexing builds one CanonicalSubspace on demand, with its pivots and
-    mask handed over, so no per-entry elimination or span walk runs.
+      vector indices (vector v has index sum_i v_i q^i).
     """
 
     def __init__(self, q: int, ambient: int, dim: int, rows: np.ndarray):
@@ -286,28 +165,6 @@ class SubspaceTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        if k < 0:
-            k += len(self)
-        mask = int.from_bytes(self.words[k].tobytes(), "little")
-        rows = tuple(map(tuple, self.rows[k].tolist()))
-        return CanonicalSubspace(self.q, self.ambient, rows, self.pivots[k].tolist(), mask)
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubspaceTable)
-            and (self.q, self.ambient, self.dim) == (other.q, other.ambient, other.dim)
-            and np.array_equal(self.rows, other.rows)
-        )
-
-    __hash__ = None
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Table index of each reduced echelon basis in `rows` (k, dim,
@@ -417,16 +274,17 @@ class GeometryContext:
         self.table_cap = table_cap
         self.poset_cap = poset_cap
         if x_rows is None:
-            rows = tuple(
-                tuple(1 if c == i else 0 for c in range(ambient)) for i in range(d)
-            )
-            self.x = CanonicalSubspace(q, ambient, rows)
-        else:
-            self.x = subspace_from_rows(q, ambient, x_rows)
-            if self.x.dim != d:
-                raise InvalidParameters(
-                    f"x has dimension {self.x.dim}, expected D={d}"
-                )
+            x_rows = np.eye(d, ambient, dtype=np.int64)
+        if any(len(row) != ambient for row in x_rows):
+            raise InvalidParameters("row length does not match ambient dimension")
+        # the reduced echelon form is unique to the row space, so x gets
+        # the rows its table entry has, whatever rows span it
+        ech = np.array(x_rows, dtype=np.int64).reshape(len(x_rows), ambient) % q
+        rank = len(echelon_mod_p(ech, q, reduced=True))
+        if rank != d:
+            raise InvalidParameters(f"x has dimension {rank}, expected D={d}")
+        self.x_rows = ech[:d].astype(_digit_dtype(q))
+        self.x_words = span_words(self.x_rows[None], q)
         self._tables: dict[int, SubspaceTable] = {}
 
     def table(self, dim: int) -> SubspaceTable:
@@ -434,13 +292,10 @@ class GeometryContext:
             self._tables[dim] = enumerate_subspaces(self.q, self.ambient, dim, self.table_cap)
         return self._tables[dim]
 
-    def index_of(self, s: CanonicalSubspace) -> int:
-        tab = self.table(s.dim)
-        rows = np.array(s.rows, dtype=tab.rows.dtype).reshape(1, s.dim, self.ambient)
-        k = int(tab.find_rows(rows)[0])
-        if k < 0:
-            raise KeyError(s.rows)
-        return k
+    @property
+    def x_index(self) -> int:
+        """The index of x in the table of D-subspaces."""
+        return int(self.table(self.d).find_rows(self.x_rows[None])[0])
 
     def poset_size(self) -> int:
         return sum(q_binomial(self.ambient, l, self.q) for l in range(self.ambient + 1))

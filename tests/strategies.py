@@ -3,7 +3,7 @@
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from qgrass.subspaces import subspace_from_rows
+from oracles import rref_mod
 
 
 @st.composite
@@ -12,5 +12,5 @@ def instances_with_base_vertex(draw):
     q, n, d = draw(st.sampled_from([(2, 4, 2), (2, 5, 2), (2, 5, 1), (3, 4, 1), (3, 4, 2)]))
     row = st.tuples(*[st.integers(0, q - 1)] * n)
     rows = draw(st.lists(row, min_size=d, max_size=d))
-    assume(subspace_from_rows(q, n, rows).dim == d)
+    assume(len(rref_mod(rows, q)[1]) == d)
     return q, n, d, tuple(rows)

@@ -90,7 +90,7 @@ def test_criterion_03_action_identities(criterion, j252, j252_spectral):
     with criterion(3, "J_2(5,2) all four operator actions, zero residuals"):
         fam = build_alpha_family(j252)
         fam.checks.require()
-        assert len(fam.alphas) == 5
+        assert len(fam.dims) == 5
         cs = verify_actions(j252_spectral, fam)
         cs.require()
         assert {c.name for c in cs.checks} == {

@@ -10,10 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from qgrass import cli, linalg, nucleus, subspaces
+from qgrass import cli, linalg, nucleus
 from qgrass.cli import SUITE_ORDER, _finish, main
 from qgrass.grassmann import RANK_VERIFY_LIMIT, SpectralSystem, build_graph
-from qgrass.qarith import q_binomial
 from qgrass.report import CheckSet
 
 
@@ -277,32 +276,6 @@ def test_invalid_parameters_exit_two(capsys):
     assert "complement" in err
 
 
-def test_verify_builds_objects_only_for_the_alphas(monkeypatch, capsys):
-    # the verify path keeps subspace tables as arrays: CanonicalSubspace
-    # objects (and their span walks) are made for x and the subspaces of
-    # x, a bounded number per alpha, never one per table entry
-    calls = {"span": 0, "init": 0}
-    span_mask, init = subspaces._span_mask, subspaces.CanonicalSubspace.__init__
-
-    def counted_span(*args):
-        calls["span"] += 1
-        return span_mask(*args)
-
-    def counted_init(self, *args, **kwargs):
-        calls["init"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(subspaces, "_span_mask", counted_span)
-    monkeypatch.setattr(subspaces.CanonicalSubspace, "__init__", counted_init)
-    assert main(["verify", "--q", "2", "--n", "5", "--d", "2", "--suite", "all"]) == 0
-    capsys.readouterr()
-    # J_2(5,2) and the boundary suite's J_2(4,2) have 5 alphas each; one
-    # object per table entry would be at least the 374 subspaces of F_2^5
-    alphas = 2 * sum(q_binomial(2, l, 2) for l in range(3))
-    assert calls["span"] <= 3 * alphas
-    assert calls["init"] <= 5 * alphas < 374
-
-
 def test_size_cap_exit_two(capsys):
     rc = main(["verify", "--q", "2", "--n", "5", "--d", "2", "--max-vertices", "10"])
     assert rc == 2
@@ -350,6 +323,21 @@ def test_x_rows_override(tmp_path, capsys):
     doc = _load(out)
     assert doc["config"]["x_rows"] == ["00100", "00010"]
     assert doc["artifacts"]["nucleus"]["nucleus_dims"] == [1, 3, 1]
+
+
+def test_x_rows_spanning_set_gives_the_same_report(tmp_path, capsys):
+    # three rows that span the plane 10000;01100 give the report of its
+    # reduced echelon rows, outside meta and the echoed config.x_rows
+    docs = []
+    for k, x_rows in enumerate(["11100;01100;10000", "10000;01100"]):
+        out = tmp_path / f"x{k}.json"
+        argv = ["verify", "--q", "2", "--n", "5", "--d", "2", "--x-rows", x_rows]
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = _load(out)
+        del doc["config"]["x_rows"]
+        docs.append(_without_meta(doc))
+    capsys.readouterr()
+    assert docs[0] == docs[1]
 
 
 def test_x_rows_malformed(capsys):

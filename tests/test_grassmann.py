@@ -36,7 +36,7 @@ from qgrass.grassmann import (
 from qgrass.report import CheckSet
 from qgrass.subspaces import count_dims
 
-from oracles import layer_of, mask_dim, meet_dim_by_rank
+from oracles import base_vertex, entries, layer_of, mask_dim, meet_dim_by_rank
 from strategies import instances_with_base_vertex
 
 J252_THETA = [42, 11, -3]
@@ -47,7 +47,7 @@ J252_THETA_STAR = [Fraction(30), Fraction(55, 7), Fraction(-45, 14)]
 def count_common_neighbors(gc, a: int, b: int) -> int:
     """Brute-force count of w adjacent to both a and b, straight from
     the subspace masks."""
-    masks = [v.mask for v in gc.vertices]
+    masks = [v.mask for v in entries(gc.vertices)]
     d = gc.d
     total = 0
     for w in range(gc.n_vertices):
@@ -128,17 +128,17 @@ def test_sphere_layer_check_matches_per_vertex_loop(monkeypatch, q, n, d):
     # distances read from the wrong row (x's table index shifted by one):
     # the vectorized check must fail with the witness of the per-vertex
     # pij loop it replaced, the first vertex off its layer
-    real = grassmann.GeometryContext.index_of
+    real = grassmann.GeometryContext.x_index
     monkeypatch.setattr(
-        grassmann.GeometryContext, "index_of", lambda self, s: real(self, s) + 1
+        grassmann.GeometryContext, "x_index", property(lambda self: real.fget(self) + 1)
     )
     gc = build_graph(q, n, d)
     verdict = next(c for c in gc.build_checks.checks if c.name == "sphere_equals_layer")
-    geometry = gc.geometry
+    x = base_vertex(gc.geometry)
     oracle = next(
         f"vertex {y.rows}"
-        for k, y in enumerate(gc.vertices)
-        if layer_of(y, geometry.x) != (d - int(gc.dist[gc.x_index, k]), int(gc.dist[gc.x_index, k]))
+        for k, y in enumerate(entries(gc.vertices))
+        if layer_of(y, x) != (d - int(gc.dist[gc.x_index, k]), int(gc.dist[gc.x_index, k]))
     )
     assert not verdict.passed and verdict.witness == oracle
 
@@ -148,9 +148,10 @@ def test_j252_distance_against_intersection(j252):
     # stacked echelon rows
     rng = random.Random(11)
     n = j252.n_vertices
+    verts = entries(j252.vertices)
     for _ in range(60):
         a, b = rng.randrange(n), rng.randrange(n)
-        meet = meet_dim_by_rank(j252.vertices[a], j252.vertices[b])
+        meet = meet_dim_by_rank(verts[a], verts[b])
         assert int(j252.dist[a, b]) == j252.d - meet
 
 
@@ -166,6 +167,7 @@ def test_j252_intersection_numbers(j252):
 def test_j252_common_neighbor_counts(j252):
     # representative pair per distance class, counted from masks alone
     x = j252.x_index
+    verts = entries(j252.vertices)
     expected = {0: 42, 1: 17, 2: 9}
     for h, want in expected.items():
         if h == 0:
@@ -175,10 +177,7 @@ def test_j252_common_neighbor_counts(j252):
                 1
                 for w in range(j252.n_vertices)
                 if w != x
-                and mask_dim(
-                    j252.vertices[w].mask & j252.vertices[x].mask, j252.q
-                )
-                == j252.d - 1
+                and mask_dim(verts[w].mask & verts[x].mask, j252.q) == j252.d - 1
             )
         else:
             y = int(np.flatnonzero(j252.dist[x] == h)[0])
@@ -540,7 +539,7 @@ def pair_loop_distances(gc):
     """Test-only oracle: the distance matrix from one mask_dim call
     per vertex pair, as build_graph computed it before the point
     incidence product."""
-    masks = [v.mask for v in gc.vertices]
+    masks = [v.mask for v in entries(gc.vertices)]
     nv = len(masks)
     dist = np.zeros((nv, nv), dtype=np.int16)
     for a in range(nv):

@@ -22,9 +22,9 @@ from qgrass.ladders import (
 )
 from qgrass.qarith import SqrtQScalar, q_binomial, q_int
 from qgrass.linalg import exact_int_product, row_blocks
-from qgrass.subspaces import GeometryContext, mask_words
+from qgrass.subspaces import DEFAULT_POSET_CAP, GeometryContext
 
-from oracles import cover_kind, layer_of
+from oracles import base_vertex, cover_kind, entries, global_index, layer_of, mask_words
 from strategies import instances_with_base_vertex
 from test_grassmann import J252_ADMISSIBLE, admissible_quadruples
 
@@ -88,18 +88,18 @@ def test_lowering_lands_one_layer_up(poset25):
     # a line inside x sits in layer (1, 0); its slash covers must all
     # lie in layer (2, 0), which is the single vertex x
     geometry = poset25.geometry
-    line = next(u for u in geometry.table(1) if layer_of(u, geometry.x) == (1, 0))
-    g = poset25.global_index(line)
+    x = base_vertex(geometry)
+    line = next(u for u in entries(geometry.table(1)) if layer_of(u, x) == (1, 0))
+    g = global_index(poset25, line)
     row = pair_set_csr(poset25, poset25.L1).getrow(g)
     assert row.nnz == 1
     (col,) = row.indices
     assert poset25.ivec[col] == 2 and poset25.jvec[col] == 0
-    assert col == poset25.global_index(geometry.x)
+    assert col == global_index(poset25, x)
 
 
 def test_grading_entries(poset25):
-    x = poset25.geometry.x
-    at_x = poset25.k1_entry(poset25.global_index(x))
+    at_x = poset25.k1_entry(global_index(poset25, base_vertex(poset25.geometry)))
     assert at_x.is_rational() and at_x.as_fraction() == Fraction(1, 2)
     zero_g = poset25.offsets[0]
     k2 = poset25.k2_entry(zero_g)
@@ -109,7 +109,7 @@ def test_grading_entries(poset25):
 
 
 def test_partial_mode_forced():
-    pm = build_poset_matrices(GeometryContext(2, 5, 2), force_partial=True)
+    pm = build_poset_matrices(GeometryContext(2, 5, 2, poset_cap=0))
     pm.checks.require()
     assert pm.partial
     assert pm.dims == [1, 2, 3]
@@ -242,7 +242,7 @@ def sparse_shift_oracle(pm):
 
 @pytest.fixture(scope="module")
 def poset342_partial():
-    pm = build_poset_matrices(GeometryContext(3, 4, 2), force_partial=True)
+    pm = build_poset_matrices(GeometryContext(3, 4, 2, poset_cap=0))
     pm.checks.require()
     return pm
 
@@ -366,23 +366,24 @@ def pair_scan_oracle(pm):
     pairs from a second scan from above.  Returns sets of
     global index pairs keyed like the PosetMatrices fields."""
     geometry = pm.geometry
+    x = base_vertex(geometry)
     out = {name: set() for name in ("L1", "L2", "R1", "R2", "cover")}
     for l in pm.dims:
         if l + 1 not in pm.offsets:
             continue
         off_lo, off_hi = pm.offsets[l], pm.offsets[l + 1]
-        lower, upper = list(geometry.table(l)), list(geometry.table(l + 1))
+        lower, upper = entries(geometry.table(l)), entries(geometry.table(l + 1))
         for a, u in enumerate(lower):
             for b, v in enumerate(upper):
                 if u.mask & v.mask != u.mask:
                     continue
                 out["cover"].add((off_lo + a, off_hi + b))
-                kind = "L1" if cover_kind(u, v, geometry.x) == "slash" else "L2"
+                kind = "L1" if cover_kind(u, v, x) == "slash" else "L2"
                 out[kind].add((off_lo + a, off_hi + b))
         for b, v in enumerate(upper):
             for a, w in enumerate(lower):
                 if w.mask & v.mask == w.mask:
-                    kind = "R1" if cover_kind(w, v, geometry.x) == "slash" else "R2"
+                    kind = "R1" if cover_kind(w, v, x) == "slash" else "R2"
                     out[kind].add((off_hi + b, off_lo + a))
     return out
 
@@ -390,9 +391,17 @@ def pair_scan_oracle(pm):
 def assert_layers_match_objects(pm):
     """(i, j) of every materialized subspace, from its own object."""
     geometry = pm.geometry
+    x = base_vertex(geometry)
     assert [(int(i), int(j)) for i, j in zip(pm.ivec, pm.jvec)] == [
-        layer_of(u, geometry.x) for l in pm.dims for u in geometry.table(l)
+        layer_of(u, x) for l in pm.dims for u in entries(geometry.table(l))
     ]
+
+
+def window(q, n, d, partial, x_rows=None):
+    """The geometry of J_q(N, D), with a poset cap of 0 when `partial`,
+    so that only the window of dimensions D-1..D+1 is materialized."""
+    cap = 0 if partial else DEFAULT_POSET_CAP
+    return GeometryContext(q, n, d, x_rows=x_rows, poset_cap=cap)
 
 
 def nonzero_pairs(pm, keys):
@@ -411,7 +420,7 @@ def nonzero_pairs(pm, keys):
 def test_incidence_covers_match_pair_scan(q, n, d, partial):
     # F_3^4 (81 points) and F_2^7 (128) take two 64-bit words per mask;
     # over F_2 no point has a scalar multiple in the other word
-    pm = build_poset_matrices(GeometryContext(q, n, d), force_partial=partial)
+    pm = build_poset_matrices(window(q, n, d, partial))
     pm.checks.require()
     oracle = pair_scan_oracle(pm)
     for name, pairs in oracle.items():
@@ -423,19 +432,18 @@ def test_incidence_covers_match_pair_scan(q, n, d, partial):
 @given(instances_with_base_vertex(), st.booleans())
 def test_incidence_covers_match_pair_scan_at_random_base_vertex(instance, partial):
     q, n, d, x_rows = instance
-    geometry = GeometryContext(q, n, d, x_rows=x_rows)
-    pm = build_poset_matrices(geometry, force_partial=partial)
+    pm = build_poset_matrices(window(q, n, d, partial, x_rows))
     pm.checks.require()
     for name, pairs in pair_scan_oracle(pm).items():
         assert nonzero_pairs(pm, getattr(pm, name)) == pairs, name
     assert_layers_match_objects(pm)
 
 
-def point_incidence(subspaces, npoints):
+def point_incidence(table, npoints):
     """Test-only: the bool point-incidence matrix of a table, entry
     (r, p) set when vector p lies in subspace r, unpacked from its
     words."""
-    words = np.ascontiguousarray(mask_words(subspaces, npoints))
+    words = np.ascontiguousarray(table.words)
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     return bits[:, :npoints].astype(bool)
 
@@ -477,11 +485,11 @@ def _raising_pairs(words_lo, words_hi, x_words):
 def test_generated_covers_match_quadratic_scans(q, n, d, partial):
     # the two quadratic scans the generators replaced, as oracles for
     # every relation built from below (cover, L1, L2) and above (R1, R2)
-    geometry = GeometryContext(q, n, d)
-    pm = build_poset_matrices(geometry, force_partial=partial)
+    geometry = window(q, n, d, partial)
+    pm = build_poset_matrices(geometry)
     pm.checks.require()
     npoints = q**n
-    x_words = mask_words([geometry.x], npoints)[0]
+    x_words = mask_words(base_vertex(geometry).mask, npoints)
     want = {name: set() for name in ("L1", "L2", "R1", "R2", "cover")}
     for l in pm.dims[:-1]:
         lo, hi = geometry.table(l), geometry.table(l + 1)
@@ -504,7 +512,7 @@ def _verdicts(pm):
 
 
 def _kinds_from_above(geometry, lo, hi, b, a):
-    x_words = mask_words([geometry.x], geometry.q**geometry.ambient)[0]
+    x_words = mask_words(base_vertex(geometry).mask, geometry.q**geometry.ambient)
     return (hi.words[b] & x_words & ~lo.words[a]).any(axis=1)
 
 
@@ -547,7 +555,7 @@ def test_dropped_cover_from_below_fails_count_certificate(monkeypatch, slash):
 
     def lossy(lo, hi):
         a, b = real(lo, hi)
-        x_words = mask_words([geometry.x], 16)[0]
+        x_words = mask_words(base_vertex(geometry).mask, 16)
         grows = np.bitwise_count(hi.words[b] & x_words).sum(axis=1) > np.bitwise_count(
             lo.words[a] & x_words
         ).sum(axis=1)

@@ -32,7 +32,7 @@ from qgrass.nucleus import (
 )
 from qgrass.report import CheckSet
 
-from oracles import mask_dim
+from oracles import base_vertex, entries, mask_dim
 from strategies import instances_with_base_vertex
 
 
@@ -275,10 +275,17 @@ def test_multiplicities_match_alpha_dominant(nucleus252):
 
 
 def test_subspaces_of_base_cover_x(j252):
-    alphas = subspaces_of_base(j252)
-    assert [a.dim for a in alphas] == [0, 1, 1, 1, 2]
-    assert all(a.mask & j252.geometry.x.mask == a.mask for a in alphas)
-    assert alphas[-1].mask == j252.geometry.x.mask
+    dims, words = subspaces_of_base(j252)
+    masks = [int.from_bytes(w.tobytes(), "little") for w in words]
+    x = base_vertex(j252.geometry)
+    assert dims.tolist() == [0, 1, 1, 1, 2]
+    assert all(m & x.mask == m for m in masks)
+    assert masks[-1] == x.mask
+    # oracle: the table entries inside x, by dimension then table order
+    inside = [
+        u for l in range(3) for u in entries(j252.geometry.table(l)) if u.mask & x.mask == u.mask
+    ]
+    assert masks == [u.mask for u in inside]
 
 
 def test_family_sizes_frozen(fam252):
@@ -333,7 +340,7 @@ def test_bases_of_nucleus(nucleus252, fam252):
 def test_transition_entries(fam252):
     t_vee, t_meet, cs = transition_matrices(fam252)
     cs.require()
-    p = len(fam252.alphas)
+    p = len(fam252.dims)
     # containment pattern: zero subspace under everything, x over all
     assert all(t_vee[0][j] == 1 for j in range(p))
     assert [t_vee[i][p - 1] for i in range(p)] == [1, 1, 1, 1, 1]
@@ -367,8 +374,8 @@ def pair_loop_fibers(gc):
     adjacent pair as gamma_components computed them before the
     incidence product."""
     q, d = gc.q, gc.d
-    xmask = gc.geometry.x.mask
-    masks = [v.mask for v in gc.vertices]
+    xmask = base_vertex(gc.geometry).mask
+    masks = [v.mask for v in entries(gc.vertices)]
     xrow = gc.dist[gc.x_index]
     fibers, full_counts, dichotomy = [], [], True
     for i in range(d + 1):
@@ -411,8 +418,7 @@ def test_gamma_components_match_pair_loop(q, n, d):
     for i in range(d + 1):
         meet_sets = sorted(
             tuple(int(v) for v in np.flatnonzero(fam.meet[ia]))
-            for ia, a in enumerate(fam.alphas)
-            if a.dim == d - i
+            for ia in np.flatnonzero(fam.dims == d - i)
         )
         assert fibers[i] == meet_sets
 
@@ -618,7 +624,7 @@ def test_corrupt_vee_entry(j252, j252_spectral, nucleus252, monkeypatch):
     monkeypatch.setattr(
         qgrass.nucleus,
         "containment_vectors",
-        lambda gc, alphas: flipped(real(gc, alphas), 2, gc.x_index),
+        lambda gc, words: flipped(real(gc, words), 2, gc.x_index),
     )
     fam = build_alpha_family(j252)
     assert failing(fam.checks) == {

@@ -9,24 +9,33 @@ from hypothesis import strategies as st
 from qgrass import subspaces
 from qgrass.errors import InvalidParameters, SizeCapExceeded
 from qgrass.ladders import build_poset_matrices
+from qgrass.linalg import echelon_mod_p
 from qgrass.qarith import q_binomial, q_int
-from qgrass.subspaces import (
-    CanonicalSubspace,
-    GeometryContext,
-    enumerate_subspaces,
+from qgrass.subspaces import GeometryContext, enumerate_subspaces
+
+from oracles import (
+    Subspace,
+    base_vertex,
+    cover_kind,
+    entries,
+    global_index,
+    layer_of,
+    mask_dim,
+    mask_words,
+    meet_dim_by_rank,
     rref_mod,
-    subspace_from_rows,
+    span_mask,
+    subspace,
+    table_index,
     vector_index,
 )
-
-from oracles import cover_kind, layer_of, mask_dim, meet_dim_by_rank
 
 
 def enumeration_loop_oracle(q, n, l):
     """Test-only oracle: the object-per-subspace enumeration the array
     tables replaced.  Walks pivot patterns, fills the free cells with
-    itertools.product, builds one CanonicalSubspace per filling (its
-    mask from _span_mask) and sorts by rows."""
+    itertools.product, builds one Subspace per filling (its mask from
+    walking its points) and sorts by rows."""
     out = []
     for pivots in combinations(range(n), l):
         free_cells = [
@@ -38,7 +47,8 @@ def enumeration_loop_oracle(q, n, l):
                 rows[i][p] = 1
             for (i, c), val in zip(free_cells, assignment):
                 rows[i][c] = val
-            out.append(CanonicalSubspace(q, n, tuple(tuple(r) for r in rows), pivots))
+            rows = tuple(tuple(r) for r in rows)
+            out.append(Subspace(q, n, rows, pivots, span_mask(rows, q, n)))
     out.sort(key=lambda s: s.rows)
     return out
 
@@ -65,10 +75,6 @@ def test_array_table_matches_enumeration_loop(params):
     assert tab.pivots.tolist() == [list(s.pivots) for s in oracle]
     masks = [int.from_bytes(w.tobytes(), "little") for w in tab.words]
     assert masks == [s.mask for s in oracle]
-    # objects built on demand carry the same rows, pivots and mask
-    for k in {0, len(tab) // 2, len(tab) - 1}:
-        assert tab[k] == oracle[k]
-        assert (tab[k].pivots, tab[k].mask) == (oracle[k].pivots, oracle[k].mask)
 
 
 def test_lookups_by_rows_and_by_mask():
@@ -81,11 +87,10 @@ def test_lookups_by_rows_and_by_mask():
     rows[0, 1] = rows[0, 0]
     assert tab.find_rows(rows).tolist() == [-1]
     assert tab.find_masks(tab.words[:1] ^ tab.words[1:2]).tolist() == [-1]
-    ctx = GeometryContext(3, 4, 2)
-    with pytest.raises(KeyError):
-        # rows that are not reduced: no table entry has them
-        ctx.index_of(CanonicalSubspace(3, 4, ((1, 1, 0, 0), (0, 1, 0, 0)), (0, 1), 0))
-    assert ctx.index_of(tab[5]) == 5
+    # x given by rows that span entry 5 but are not reduced is found there
+    top, bottom = tab.rows[5].astype(int)
+    ctx = GeometryContext(3, 4, 2, x_rows=[(top + bottom) % 3, 2 * bottom % 3])
+    assert ctx.x_index == 5 and (ctx.x_rows == tab.rows[5]).all()
 
 
 @pytest.mark.parametrize(
@@ -161,18 +166,18 @@ class TestEnumeration:
 
     def test_sorted_unique_canonical(self):
         tab = enumerate_subspaces(2, 4, 2)
-        keys = [s.rows for s in tab]
+        keys = [tuple(map(tuple, rows)) for rows in tab.rows.tolist()]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys) == q_binomial(4, 2, 2)
-        for s in tab:
-            canon, piv = rref_mod(s.rows, 2)
-            assert canon == s.rows and piv == s.pivots
+        for rows, pivots in zip(keys, tab.pivots.tolist()):
+            canon, piv = rref_mod(rows, 2)
+            assert canon == rows and list(piv) == pivots
 
     def test_extreme_dimensions(self):
         zero = enumerate_subspaces(3, 4, 0)
-        assert len(zero) == 1 and zero[0].dim == 0
+        assert len(zero) == 1 and zero.rows.shape == (1, 0, 4)
         full = enumerate_subspaces(2, 3, 3)
-        assert len(full) == 1 and full[0].mask.bit_count() == 8
+        assert len(full) == 1 and np.bitwise_count(full.words).sum() == 8
 
     def test_cap_enforced_with_projection(self):
         with pytest.raises(SizeCapExceeded) as ei:
@@ -181,8 +186,8 @@ class TestEnumeration:
         assert ei.value.cap == 100
 
     def test_masks_have_power_of_q_points(self):
-        for s in enumerate_subspaces(3, 3, 2):
-            assert s.mask.bit_count() == 9
+        tab = enumerate_subspaces(3, 3, 2)
+        assert (np.bitwise_count(tab.words).sum(axis=1) == 9).all()
 
 
 def meet_from_points(u, v):
@@ -190,7 +195,7 @@ def meet_from_points(u, v):
     q, n = u.q, u.ambient
     common = u.mask & v.mask
     rows = [[p // q**c % q for c in range(n)] for p in range(q**n) if common >> p & 1]
-    return subspace_from_rows(q, n, rows)
+    return subspace(q, n, rows)
 
 
 class TestIntersect:
@@ -198,7 +203,7 @@ class TestIntersect:
     tables hold) against dim u + dim v - rank of the stacked rows."""
 
     def test_two_distinct_lines_meet_trivially(self):
-        lines = enumerate_subspaces(2, 5, 1)
+        lines = entries(enumerate_subspaces(2, 5, 1))
         u, v = lines[0], lines[7]
         assert u != v
         assert meet_dim_by_rank(u, v) == 0
@@ -207,8 +212,8 @@ class TestIntersect:
 
     def test_meet_with_self_and_full_space(self):
         q, n = 2, 4
-        full = enumerate_subspaces(q, n, n)[0]
-        for s in enumerate_subspaces(q, n, 2)[:5]:
+        full = entries(enumerate_subspaces(q, n, n))[0]
+        for s in entries(enumerate_subspaces(q, n, 2))[:5]:
             assert meet_from_points(s, s) == s
             assert meet_from_points(s, full) == s
             assert meet_dim_by_rank(s, s) == meet_dim_by_rank(s, full) == 2
@@ -216,8 +221,8 @@ class TestIntersect:
     def test_against_mask_oracle_and_dim_formula(self):
         rng = random.Random(7)
         q, n = 2, 5
-        planes = enumerate_subspaces(q, n, 2)
-        triples = enumerate_subspaces(q, n, 3)
+        planes = entries(enumerate_subspaces(q, n, 2))
+        triples = entries(enumerate_subspaces(q, n, 3))
         for _ in range(120):
             u = rng.choice(planes)
             v = rng.choice(triples)
@@ -232,8 +237,8 @@ class TestIntersect:
 
     def test_q3_samples(self):
         rng = random.Random(11)
-        lines = enumerate_subspaces(3, 4, 1)
-        planes = enumerate_subspaces(3, 4, 2)
+        lines = entries(enumerate_subspaces(3, 4, 1))
+        planes = entries(enumerate_subspaces(3, 4, 2))
         for _ in range(60):
             u = rng.choice(lines)
             v = rng.choice(planes)
@@ -244,37 +249,65 @@ class TestIntersect:
 
 class TestCanonicalForm:
     def test_subspace_from_rows_canonicalizes(self):
-        s = subspace_from_rows(2, 4, [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)])
-        assert s.dim == 2
-        canon, _ = rref_mod(s.rows, 2)
-        assert canon == s.rows
+        # the base vertex takes the reduced echelon rows of its span
+        rows = [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)]
+        ctx = GeometryContext(2, 4, 2, x_rows=rows)
+        canon, _ = rref_mod(rows, 2)
+        assert ctx.x_rows.tolist() == [list(r) for r in canon]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(0, 5), st.integers(1, 6), st.data())
+    def test_echelon_mod_q_matches_python_rref(self, q, rows, cols, data):
+        # one elimination, in linalg, against the Python reference
+        row = st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols)
+        mat = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        ech = np.array(mat, dtype=np.int64).reshape(rows, cols)
+        pivots = echelon_mod_p(ech, q, reduced=True)
+        canon, piv = rref_mod(mat, q)
+        assert tuple(pivots) == piv
+        assert ech[: len(piv)].tolist() == [list(r) for r in canon]
+        assert not ech[len(piv):].any()
 
     def test_non_canonical_rows_rejected(self):
-        with pytest.raises(InvalidParameters):
-            CanonicalSubspace(2, 4, ((1, 1, 0, 0), (1, 0, 0, 0)))
+        # rows that are not in reduced echelon form name no table entry
+        tab = enumerate_subspaces(2, 4, 2)
+        rows = np.array([[(1, 1, 0, 0), (1, 0, 0, 0)]], dtype=tab.rows.dtype)
+        assert tab.find_rows(rows).tolist() == [-1]
 
     def test_vector_index_is_injective(self):
         q, n = 3, 3
         seen = {vector_index(v, q) for v in product(range(q), repeat=n)}
         assert len(seen) == q**n
+        # the tables index a point the same way: the combinations of the
+        # unit rows are the vectors themselves
+        vecs = subspaces.all_vectors(q, n)
+        unit = np.eye(n, dtype=vecs.dtype)[None]
+        found = subspaces.span_points(vecs, unit, q)[0]
+        assert found.tolist() == [vector_index(v, q) for v in vecs.tolist()]
 
 
 class TestGeometryContext:
     def test_standard_base_vertex(self):
         ctx = GeometryContext(2, 5, 2)
-        assert ctx.x.rows == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+        assert ctx.x_rows.tolist() == [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
+        x = base_vertex(ctx)
+        assert (ctx.x_words[0] == mask_words(x.mask, 32)).all()
+        assert ctx.x_index == table_index(ctx.table(2), x)
 
     def test_explicit_base_vertex(self):
         ctx = GeometryContext(2, 5, 2, x_rows=[(0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
-        assert ctx.x.dim == 2
-        with pytest.raises(InvalidParameters):
+        assert ctx.x_rows.tolist() == [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+        with pytest.raises(InvalidParameters, match="x has dimension 1, expected D=2"):
             GeometryContext(2, 5, 2, x_rows=[(0, 0, 1, 0, 0)])
+        with pytest.raises(InvalidParameters, match="row length"):
+            GeometryContext(2, 5, 2, x_rows=[(0, 0, 1, 0, 0), (0, 0, 0, 1)])
 
     def test_pij_of_base_vertex(self):
         ctx = GeometryContext(2, 5, 2)
         pm = build_poset_matrices(ctx)
-        g = pm.global_index(ctx.x)
-        assert (pm.ivec[g], pm.jvec[g]) == layer_of(ctx.x, ctx.x) == (2, 0)
+        x = base_vertex(ctx)
+        g = global_index(pm, x)
+        assert (pm.ivec[g], pm.jvec[g]) == layer_of(x, x) == (2, 0)
 
     def test_census_frozen_counts(self):
         pm = build_poset_matrices(GeometryContext(2, 5, 2))
@@ -296,27 +329,25 @@ class TestGeometryContext:
     def test_covered_count_oracle(self):
         # any 3-dimensional subspace over F_2 covers exactly [3] = 7 planes
         ctx = GeometryContext(2, 5, 2)
-        u = ctx.table(3)[0]
-        covered = [w for w in ctx.table(2) if w.mask & u.mask == w.mask]
+        u = entries(ctx.table(3))[0]
+        covered = [w for w in entries(ctx.table(2)) if w.mask & u.mask == w.mask]
         assert len(covered) == 7 == q_int(3, 2)
 
     def test_cover_type_examples(self):
         ctx = GeometryContext(2, 5, 2)
         pm = build_poset_matrices(ctx)
-        x = ctx.x
+        x = base_vertex(ctx)
 
         def kinds(u, v):
-            key = pm.global_index(u) * pm.size + pm.global_index(v)
+            key = global_index(pm, u) * pm.size + global_index(pm, v)
             return {name for name in ("L1", "L2", "cover") if key in getattr(pm, name)}
 
         # a line inside x is slash-covered by x
-        line_in_x = subspace_from_rows(2, 5, [(1, 0, 0, 0, 0)])
+        line_in_x = subspace(2, 5, [(1, 0, 0, 0, 0)])
         assert kinds(line_in_x, x) == {"L1", "cover"}
         assert cover_kind(line_in_x, x, x) == "slash"
         # x is backslash-covered by any 3-space through it
-        triple = subspace_from_rows(
-            2, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
-        )
+        triple = subspace(2, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)])
         assert kinds(x, triple) == {"L2", "cover"}
         assert cover_kind(x, triple, x) == "backslash"
         assert kinds(x, x) == set()
@@ -327,17 +358,18 @@ class TestGeometryContext:
         pm = build_poset_matrices(ctx)
         rows, cols = pm.pairs(pm.cover)
         slash = set(pm.L1.tolist())
-        everything = [u for l in pm.dims for u in ctx.table(l)]
+        everything = [u for l in pm.dims for u in entries(ctx.table(l))]
+        x = base_vertex(ctx)
         rng = random.Random(3)
-        planes = ctx.table(2)
+        planes = entries(ctx.table(2))
         for _ in range(40):
             u = rng.choice(planes)
-            g = pm.global_index(u)
+            g = global_index(pm, u)
             covers = cols[rows == g]
             # [N - l]_q covers, each slash exactly when it is in L1
             assert len(covers) == q_int(2, 3)
             for c in covers.tolist():
-                kind = cover_kind(u, everything[c], ctx.x)
+                kind = cover_kind(u, everything[c], x)
                 assert (kind == "slash") == (g * pm.size + c in slash)
 
     def test_poset_cap(self):
