@@ -6,9 +6,13 @@ standalone q-arithmetic identity suite.  Every value in a report is
 exact; timings and the timestamp live under "meta" so that reports for
 identical configurations are byte-identical outside that key.  The meta
 key also records how each nucleus piece was certified
-("nucleus_paths") and how the exact ranks and kernels of the run were
-decided ("elimination": certified mod p, certificate failed, Bareiss
-eliminations run; see `linalg.elimination_counts`).
+("nucleus_paths"), how the distance-algebra certificates of each built
+graph were decided ("certificate_paths": "automorphism" or "dense", for
+the graph of the run, "main", and for the J_q(2D, D) of the boundary
+suite when N != 2D; see `grassmann.GraphContext`) and how the exact
+ranks and kernels of the run were decided ("elimination": certified mod
+p, certificate failed, Bareiss eliminations run; see
+`linalg.elimination_counts`).
 
 Exit status: 0 when every executed check passes, 1 when any check
 fails, 2 for unusable parameters (among them an unwritable --out path)
@@ -209,6 +213,8 @@ def _run_suite(
             bp = _Pipeline(pipe.q, 2 * pipe.d, pipe.d, None, pipe.table_cap, pipe.poset_cap)
         doc = boundary_case_report(bp.spectral(), bp.nucleus(), bp.family(), bp.gamma())
         meta["nucleus_paths"]["boundary"] = doc.pop("nucleus_paths")
+        if bp is not pipe:
+            meta["certificate_paths"]["boundary"] = bp.gc().certificate_path
         for flag in (
             "build_ok",
             "spectral_ok",
@@ -317,6 +323,7 @@ def _cmd_verify(args) -> int:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "timings": {},
             "nucleus_paths": {},
+            "certificate_paths": {},
         },
     }
     family_owner = next((s for s in to_run if s in FAMILY_SUITES), None)
@@ -331,6 +338,8 @@ def _cmd_verify(args) -> int:
             entry["requested"] = name in requested
             report["suites"][name] = entry
     report["meta"]["elimination"] = counts
+    if pipe._gc is not None:
+        report["meta"]["certificate_paths"]["main"] = pipe._gc.certificate_path
     # the artifact covers the suites run on their own account, not what
     # the boundary suite built on the same pipeline
     if "nucleus" in to_run:

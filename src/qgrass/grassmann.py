@@ -2,19 +2,32 @@
 
 Vertices are the D-dimensional subspaces of F_q^N, adjacent when they
 meet in dimension D - 1, so graph distance is D - dim(y meet z).  The
-module builds the distance matrix from the Gram product of the packed
-point masks (common point counts q^dim(y meet z)), verifies the D
-0/1 products A_1 A_g in row blocks, and keeps their intersection matrix L
-(multiplication by A_1 on coefficient vectors over A_0..A_D), which, being
-tridiagonal with every c_t > 0, also certifies the graph metric.  Every
-spectral claim is then checked in that (D+1)-dimensional distance
-(Bose-Mesner) algebra: the minimal polynomial of the closed-form
-eigenvalues, idempotency and orthogonality of the primitive idempotents
-as polynomials in L, and the dual system at the base vertex.  The
-multiplicities are certified by the inclusion matrices W_i of the
-i-subspaces in the vertices (i < D), which are [N,i]_q x |X| 0/1
-arrays; no |X| x |X| matrix of the algebra is materialized for them.
-All arithmetic is exact.
+module builds the distance matrix (int8) from the Gram product of the
+packed point masks (common point counts q^dim(y meet z)); on a passing
+run that is the one |X| x |X| product.
+
+J_q(N, D) is distance-transitive under GL(N, q) (Brouwer-Cohen-Neumaier,
+Section 9.3), and the verifier uses it.  `_group_action` turns a few
+explicit matrices of GL(N, q) into permutations of the vertices and of
+each i-subspace table, and checks on the stored arrays that they
+preserve dist and the inclusion matrices, that the generated group is
+transitive on the vertices and on each table, and that the part fixing
+the base vertex x has one orbit per sphere of x.  Every matrix of the
+distance algebra, every product of such matrices and every Gram product
+W_i^T W_i then commutes with the group, so the identities between them
+are read from row x, one column per orbit.  That gives the intersection
+matrix L (multiplication by A_1 on coefficient vectors over A_0..A_D),
+which, being tridiagonal with every c_t > 0, also certifies the graph
+metric.  Where a premise fails, the dense products of the same
+identities decide, as they did before the action was used; they stay as
+the tests' oracle.  Every spectral claim is then checked in that
+(D+1)-dimensional distance (Bose-Mesner) algebra: the minimal polynomial
+of the closed-form eigenvalues, idempotency and orthogonality of the
+primitive idempotents as polynomials in L, and the dual system at the
+base vertex.  The multiplicities are certified by the inclusion matrices
+W_i of the i-subspaces in the vertices (i < D), which are [N,i]_q x |X|
+0/1 arrays; no |X| x |X| matrix of the algebra is materialized for
+them.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import numpy as np
 
 from .errors import EigenvalueCollision, InvalidParameters, InvalidQuadruple
 from .linalg import (
+    echelon_mod_p,
     exact_int_product,
     int_operand,
     invert_fraction_matrix,
@@ -41,6 +55,8 @@ from .subspaces import (
     DEFAULT_POSET_CAP,
     DEFAULT_TABLE_CAP,
     GeometryContext,
+    SubspaceTable,
+    all_vectors,
     count_dims,
 )
 
@@ -49,8 +65,12 @@ RANK_VERIFY_LIMIT = 60
 
 class GraphContext:
     """A built Grassmann graph: vertex table, exact distance matrix and,
-    built on demand and cached, the inclusion matrices W_i and their
-    Gram products W_i^T W_i."""
+    built on demand and cached, the inclusion matrices W_i.
+
+    `certificate_path` says how the distance-algebra certificates of this
+    graph were decided: "automorphism" when every one of them read row x
+    under the verified group action, "dense" when any of them fell back
+    to the dense products."""
 
     def __init__(self, geometry: GeometryContext, dist: np.ndarray, checks: CheckSet):
         self.geometry = geometry
@@ -64,8 +84,11 @@ class GraphContext:
         self.boundary = geometry.ambient == 2 * geometry.d
         self.build_checks = checks
         self._inclusion: dict[int, np.ndarray] = {}
-        self._gram: dict[int, np.ndarray] = {}
         self._L = None  # (L, checks) of `structure_constants`
+        # the GroupAction that `structure_constants` verified along with
+        # _L, or None where it decided on the dense products
+        self._action = None
+        self.certificate_path = None
 
     def inclusion(self, i: int) -> np.ndarray:
         """W_i: the [N,i]_q x |X| bool inclusion matrix, row u (in the
@@ -85,18 +108,17 @@ class GraphContext:
         return self._inclusion[i]
 
     def gram(self, i: int) -> np.ndarray:
-        """W_i^T W_i: entry (y, z) counts the i-subspaces of y meet z.
-        A 0/1 product is at most its inner dimension, the row count of
-        W_i, so the smallest unsigned dtype holding that count holds
-        every entry exactly."""
-        if i not in self._gram:
-            w = self.inclusion(i)
-            n = self.n_vertices
-            out = np.empty((n, n), dtype=np.min_scalar_type(w.shape[0]))
-            for rows, block in product_blocks(w.T, w, w.shape[0]):
-                out[rows] = block
-            self._gram[i] = out
-        return self._gram[i]
+        """W_i^T W_i, for the dense path: entry (y, z) counts the
+        i-subspaces of y meet z.  A 0/1 product is at most its inner
+        dimension, the row count of W_i, so the smallest unsigned dtype
+        holding that count holds every entry exactly.  Not cached: a
+        passing run reads row x of it instead (`_gram_row`)."""
+        w = self.inclusion(i)
+        n = self.n_vertices
+        out = np.empty((n, n), dtype=np.min_scalar_type(w.shape[0]))
+        for rows, block in product_blocks(w.T, w, w.shape[0]):
+            out[rows] = block
+        return out
 
     def adjacency(self) -> np.ndarray:
         """Bool adjacency by a route independent of dist: y ~ z exactly
@@ -142,7 +164,7 @@ def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
     n = gc.n_vertices
     adj = gc.adjacency()
     cur = np.eye(n, dtype=bool)
-    bfs = np.full((n, n), -1, dtype=np.int16)
+    bfs = np.full((n, n), -1, dtype=np.int8)
     np.fill_diagonal(bfs, 0)
     for t in range(1, gc.d + 1):
         nxt = cur.copy()
@@ -172,15 +194,44 @@ def _metric_certificate(gc: GraphContext) -> bool:
     is class 1, and A_1 A_g (1 <= g <= t) lies on the classes h with
     L[h][g] > 0 by (2), all h <= g + 1 by (3), with h = t + 1 among them
     for g = t by (4); so T_{t+1} = B_{t+1}.  So a pair at distance h is
-    first reached at step h, and T_D = B_D holds every pair by (2)."""
+    first reached at step h, and T_D = B_D holds every pair by (2).
+
+    (1) is read from row x (`_edges_match`) when `structure_constants`
+    verified its group action and that action also preserves W_{D-1}."""
     d = gc.d
     L, lcs = structure_constants(gc)
     return (
         lcs.ok
         and all(L[h][g] == 0 for h in range(d + 1) for g in range(d + 1) if abs(h - g) >= 2)
         and all(L[t][t - 1] > 0 for t in range(1, d + 1))
-        and bool((gc.adjacency() == (gc.dist == 1)).all())
+        and _edges_match(gc)
     )
+
+
+def _edges_match(gc: GraphContext) -> bool:
+    """adjacency() == (dist == 1), premise (1) of `_metric_certificate`.
+
+    Under a verified action that preserves dist and W_{D-1}, both sides
+    commute with every vertex permutation of the group: the adjacency
+    is a function of W_{D-1}^T W_{D-1}, with the diagonal, which every
+    permutation keeps, cleared.  A matrix M with M[p[y], p[z]] = M[y, z]
+    for a group transitive on the vertices has every row a permutation
+    of row x, so the two sides agree once row x does.  Row x of the Gram
+    product is `_gram_row`.  Otherwise the dense adjacency is compared
+    with dist."""
+    x, w = gc.x_index, gc.inclusion(gc.d - 1)
+    if gc._action is not None and gc._action.preserves(w, gc.d - 1):
+        adj = _gram_row(w, x) == 1
+        adj[x] = False
+        return bool((adj == (gc.dist[x] == 1)).all())
+    gc.certificate_path = "dense"
+    return bool((gc.adjacency() == (gc.dist == 1)).all())
+
+
+def _gram_row(w: np.ndarray, x: int) -> np.ndarray:
+    """Row x of W^T W for a 0/1 inclusion matrix W: entry z counts the
+    rows u (subspaces) with u in x and u in z, exactly, as int64."""
+    return w[w[:, x]].sum(axis=0)
 
 
 def build_graph(
@@ -214,7 +265,7 @@ def build_graph(
     # packed point masks with themselves; any other count raises
     npoints = q**n
     words = vertices.words
-    dist = np.empty((nv, nv), dtype=np.int16)
+    dist = np.empty((nv, nv), dtype=np.int8)
     meet_dims = count_dims(q, d)
     for rows, counts in product_blocks(words, words, npoints):
         dist[rows] = d - meet_dims(counts)
@@ -242,13 +293,9 @@ def build_graph(
 
 def structure_constants(gc: GraphContext):
     """Intersection matrix of the distance algebra: integers L[h][g] =
-    p^h_{1g} with A_1 A_g = sum_h L[h][g] A_h, extracted from the D exact
-    products A_1 A_g (g = 1..D) and verified class by class.  Column 0
-    is A_1 A_0 = A_1, which needs no product once A_0 = I is checked.
-
-    A_g is the bool matrix dist == g, so the products are streamed in
-    row blocks by `product_blocks`.  Each pair has one distance, so the
-    classes partition the pairs once every entry of dist lies in 0..D.
+    p^h_{1g} with A_1 A_g = sum_h L[h][g] A_h, read off the products A_1
+    A_g (g = 1..D) and verified class by class.  Column 0 is A_1 A_0 =
+    A_1, which needs no product once A_0 = I is checked.
 
     L is multiplication by A_1 on coefficient vectors over A_0..A_D.
     The classes partition the pairs (checked) and are nonempty in a
@@ -261,27 +308,71 @@ def structure_constants(gc: GraphContext):
     three-term recurrence, so the span of A_0..A_D is closed under
     multiplication and the full table p^h_{ij} follows from L.
 
-    Cached on the graph context after the first call.
+    Two paths decide the checks, with the same names, witnesses and L.
+    When `_group_action` verifies its premises, every check reads row x
+    of dist and of the products; otherwise A_0 = I and the partition
+    are checked on all of dist, and the products are streamed in row
+    blocks by `product_blocks` (the dense path, also the tests' oracle).
+
+    Proof obligation of the row path.  The premises give permutations p
+    of the vertices, one per generator, with dist[p][:, p] == dist; they
+    generate a group G transitive on X, and its part H fixing x has one
+    orbit per sphere S_h = {z : dist(x, z) = h}, h = 0..D, each
+    nonempty.  Then G is transitive on the ordered pairs at each
+    distance: a pair (y, z) at distance h goes to (x, z') by some g with
+    g y = x, z' lies in S_h since g preserves dist, and H moves z' to any
+    other vertex of S_h while fixing x.  A matrix M is G-invariant when
+    M[p[y], p[z]] = M[y, z] for every generator; every A_h is, by the
+    invariance of dist; so are products and integer combinations of
+    G-invariant matrices, A_1 A_g and sum_h c_h A_h with any
+    coefficients, right or wrong, among them.  A G-invariant matrix is
+    constant on each distance class, with the value it takes at (x, z)
+    for any z in S_h.  Hence: dist == 0 exactly on the diagonal iff row
+    x is 0 exactly at x, and dist lies in 0..D iff row x does (every
+    pair is the image of a pair in row x); A_1 A_g is constant on every
+    class iff row x of it is constant on every sphere, with those
+    values as L[.][g].  Row x of A_1 A_g counts, for each z, the
+    neighbours w of x with dist(w, z) = g: a column sum over the rows of
+    dist at the neighbours of x, |S_1| x |X| entries instead of |X|^3.
+
+    Cached on the graph context after the first call, with the action
+    it verified (`_action`), which `_metric_certificate` and
+    `_inclusion_certificate` read.
     """
     if gc._L is not None:
         return gc._L
     d = gc.d
     n = gc.n_vertices
     dist = gc.dist
+    action = gc._action = _group_action(gc)
+    gc.certificate_path = "dense" if action is None else "automorphism"
     cs = CheckSet("distance algebra structure constants")
-    cs.check_true("a0_is_identity", bool(((dist == 0) == np.eye(n, dtype=bool)).all()))
-    cs.check_true("classes_partition_pairs", bool(((dist >= 0) & (dist <= d)).all()))
+    if action is None:
+        cs.check_true("a0_is_identity", bool(((dist == 0) == np.eye(n, dtype=bool)).all()))
+        cs.check_true("classes_partition_pairs", bool(((dist >= 0) & (dist <= d)).all()))
+        adj = dist == 1
+
+        def blocks(g):
+            for rows, prod in product_blocks(adj, dist == g, n):
+                yield dist[rows], prod
+
+    else:
+        xrow = dist[gc.x_index]
+        cs.check_true("a0_is_identity", np.flatnonzero(xrow == 0).tolist() == [gc.x_index])
+        cs.check_true("classes_partition_pairs", bool(((xrow >= 0) & (xrow <= d)).all()))
+        near = dist[xrow == 1]
+
+        def blocks(g):
+            yield xrow, (near == g).sum(axis=0)
+
     L = [[1 if (h, g) == (1, 0) else 0 for g in range(d + 1)] for h in range(d + 1)]
-    adj = dist == 1
     ok = True
     witness = None
     for g in range(1, d + 1):
-        ag = dist == g
         # an empty class has a zero matrix, so any coefficient works;
         # zero keeps the table well defined
         first = [None] * (d + 1)
-        for rows, prod in product_blocks(adj, ag, n):
-            classes = dist[rows]
+        for classes, prod in blocks(g):
             for h in range(d + 1):
                 vals = prod[classes == h]
                 if not vals.size:
@@ -296,6 +387,222 @@ def structure_constants(gc: GraphContext):
     cs.check_true("products_constant_on_classes", ok, witness)
     gc._L = L, cs
     return gc._L
+
+
+# ---------------------------------------------------------------------------
+# the automorphism certificate: a verified action of GL(N, q) on X
+
+
+@dataclass
+class GroupAction:
+    """Permutations verified by `_group_action`, one row per generator:
+    `vertex` of the vertex table and `tables[i]` of the table of
+    i-subspaces for 0 <= i < D (the single zero subspace for i = 0)."""
+
+    vertex: np.ndarray
+    tables: dict
+
+    def preserves(self, w: np.ndarray, i: int) -> bool:
+        """Whether W_i[pi][:, p] == W_i for every generator, with pi and
+        p its permutations of table(i) and of the vertices, on the
+        stored array and its shape: then every u in y maps to pi[u] in
+        p[y] and nothing else does."""
+        perms = self.tables[i]
+        if w.shape != (perms.shape[1], self.vertex.shape[1]):
+            return False
+        return all((w[pi][:, p] == w).all() for pi, p in zip(perms, self.vertex))
+
+
+def _primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group of F_q, q prime."""
+    return next(w for w in range(1, q) if len({pow(w, e, q) for e in range(q - 1)}) == q - 1)
+
+
+def _block_generators(q: int, k: int) -> list[np.ndarray]:
+    """Generators of GL(k, q), rows acting by v -> vM: the cyclic shift
+    and the swap of the first two coordinates (together the symmetric
+    group), the transvection e_0 -> e_0 + e_1 (with the symmetric group
+    every elementary matrix, which generate SL(k, q) for q prime) and,
+    when q > 2, diag(w, 1, ..., 1) for a primitive root w (every
+    determinant)."""
+    eye = np.eye(k, dtype=np.int64)
+    gens = []
+    if k > 2:  # for k = 2 the shift is the swap
+        gens.append(np.roll(eye, 1, axis=1))
+    if k > 1:
+        trans = eye.copy()
+        trans[0, 1] = 1
+        gens += [eye[[1, 0, *range(2, k)]], trans]
+    if q > 2:
+        scale = eye.copy()
+        scale[0, 0] = _primitive_root(q)
+        gens.append(scale)
+    return gens
+
+
+def _x0_generators(q: int, n: int, d: int):
+    """(mats, f): matrices of GL(N, q) stacked (g, N, N), rows acting by
+    v -> vM.  The first f fix x0 = span(e_0..e_{D-1}) (no entry in the
+    top-right D x (N-D) block): generators of GL(D) and GL(N-D) on the
+    diagonal blocks and the link transvection e_D -> e_D + e_0, which
+    together generate the stabilizer of x0.  The last one, the swap of
+    e_0 and e_D, moves x0."""
+    eye = np.eye(n, dtype=np.int64)
+    fixing = []
+    for lo, k in ((0, d), (d, n - d)):
+        for blk in _block_generators(q, k):
+            m = eye.copy()
+            m[lo : lo + k, lo : lo + k] = blk
+            fixing.append(m)
+    link = eye.copy()
+    link[d, 0] = 1
+    fixing.append(link)
+    mover = eye[[d, *range(1, d), 0, *range(d + 1, n)]]
+    return np.stack(fixing + [mover]), len(fixing)
+
+
+def _conjugated(mats: np.ndarray, x_rows: np.ndarray, q: int) -> np.ndarray:
+    """B^-1 M B mod q for each matrix M, with B the rows of x followed
+    by e_j for each non-pivot column j of x: x0 B = x, so B^-1 M B fixes
+    x when M fixes x0.  B^-1 is the right half of the reduced echelon
+    form of [B | I] mod q."""
+    n = mats.shape[1]
+    free = np.ones(n, dtype=bool)
+    free[(x_rows != 0).argmax(axis=1)] = False
+    eye = np.eye(n, dtype=np.int64)
+    basis = np.concatenate([x_rows.astype(np.int64), eye[free]])
+    aug = np.concatenate([basis, eye], axis=1)
+    echelon_mod_p(aug, q, reduced=True)
+    return aug[:, n:] @ mats @ basis % q
+
+
+def _inverse_point_maps(q: int, n: int, mats: np.ndarray):
+    """The inverses of the point maps sigma(v) = vM of the matrices, as
+    a (g, q^N) array of vector indices (vector v has index sum_i v_i
+    q^i), from one product of every vector with the stacked matrices;
+    None when some sigma is not a bijection."""
+    g = len(mats)
+    npoints = q**n
+    vecs = all_vectors(q, n)[:, ::-1].astype(np.int64)
+    images = vecs @ mats.transpose(1, 0, 2).reshape(n, g * n) % q
+    sigma = (images.reshape(npoints, g, n) @ q ** np.arange(n)).T
+    inv = np.full((g, npoints), -1, dtype=np.intp)
+    inv[np.arange(g)[:, None], sigma] = np.arange(npoints)
+    return None if (inv < 0).any() else inv
+
+
+def _image_words(words: np.ndarray, inv: np.ndarray, npoints: int) -> np.ndarray:
+    """Packed point masks of the images of every table entry under every
+    point map, (g, count, W): bit b of the image of S is bit sigma^-1(b)
+    of S.  Per block of entries, one gather of the unpacked bits, with
+    the zero padding past `npoints` mapped to itself, and one packbits;
+    a block holds at most _BLOCK_BYTES / 8 unpacked bits."""
+    count, width = words.shape
+    g = len(inv)
+    pad = np.broadcast_to(np.arange(npoints, 64 * width), (g, 64 * width - npoints))
+    full = np.concatenate([inv, pad], axis=1)
+    out = np.empty((count, g, width), dtype=np.uint64)
+    for rows in row_blocks(count, g * 64 * width):
+        bits = np.unpackbits(words[rows].view(np.uint8), axis=1, bitorder="little")
+        packed = np.packbits(bits.take(full, axis=1).ravel(), bitorder="little")
+        out[rows] = packed.view("<u8").reshape(-1, g, width)
+    return out.transpose(1, 0, 2)
+
+
+def _table_perms(table: SubspaceTable, inv: np.ndarray, npoints: int):
+    """(g, count): the table index of the image of each entry under each
+    point map, found by its point set; None unless every image is a
+    table entry and every row is a bijection of the table."""
+    images = _image_words(table.words, inv, npoints)
+    perms = table.find_masks(images.reshape(-1, images.shape[2])).reshape(images.shape[:2])
+    if (perms < 0).any():
+        return None
+    seen = np.zeros(perms.shape, dtype=bool)
+    seen[np.arange(len(perms))[:, None], perms] = True
+    return perms if seen.all() else None
+
+
+def _orbit_count(perms: np.ndarray) -> int:
+    """The number of orbits of the group generated by the rows of a
+    (g, count) array of bijections of 0..count-1, by min-label
+    propagation along the permutations: a round gives every point the
+    least label among its own and those of its images, then jumps
+    pointers, lab = lab[lab]; rounds repeat until no label changes.
+
+    Proof obligation.  A label is always a point of the same orbit, and
+    lab[lab[y]] <= lab[y] holds throughout (the pull keeps it, and the
+    jump then too), so labels never rise and the rounds end.  At the
+    end lab[y] <= lab[p(y)] for every generator p; following p around
+    its cycle through y returns to y, so lab is constant along every
+    generator step and hence on every orbit.  The least point m of an
+    orbit can only carry label m, so that constant is m, and the roots
+    (lab == arange) are one per orbit.  The bijections come first:
+    `_table_perms` returns nothing else.  Unlike the edge lists of
+    `linalg.component_labels`, nothing of size g x count is sorted, and
+    the largest temporary is one gather lab[perms]."""
+    lab = np.arange(perms.shape[1])
+    while True:
+        new = np.minimum(lab, lab[perms].min(axis=0))
+        new = new[new]
+        if (new == lab).all():
+            return int((lab == np.arange(len(lab))).sum())
+        lab = new
+
+
+def _preserves_dist(dist: np.ndarray, perms: np.ndarray) -> bool:
+    """dist[p][:, p] == dist for every permutation p, one row block at
+    a time so that no |X| x |X| temporary is held."""
+    n = len(dist)
+    return all(
+        (dist[p[rows]][:, p] == dist[rows]).all() for p in perms for rows in row_blocks(n, n)
+    )
+
+
+def _group_action(gc: GraphContext):
+    """The GroupAction of the matrices of `_x0_generators`, conjugated to
+    fix x, or None when one of its premises fails:
+
+    1. each point map is a bijection of F_q^N;
+    2. every image of a vertex, and of an i-subspace for 1 <= i < D, is
+       a table entry, and each table permutation is a bijection;
+    3. dist[p][:, p] == dist for every vertex permutation p, on the
+       stored array (the inclusion matrices are checked where they are
+       used, `GroupAction.preserves`);
+    4. the generators meant to fix x fix x_index;
+    5. the group has one orbit (`_orbit_count`) on the vertices and on
+       each table(i), 1 <= i < D, and the part fixing x has exactly
+       D + 1 orbits, one per sphere of x: row x of dist lies in 0..D,
+       every sphere is nonempty, and an orbit of that part lies in one
+       sphere because its generators fix x and preserve dist.
+
+    A permutation is defined through point sets and then checked on the
+    arrays, so nothing rests on the matrices themselves; a generating
+    set that is too small shows as extra orbits."""
+    q, n, d, x = gc.q, gc.n, gc.d, gc.x_index
+    mats, fixing = _x0_generators(q, n, d)
+    inv = _inverse_point_maps(q, n, _conjugated(mats, gc.geometry.x_rows, q))
+    if inv is None:
+        return None
+    npoints = q**n
+    perms = [_table_perms(gc.vertices, inv, npoints)]
+    perms += [_table_perms(gc.geometry.table(i), inv, npoints) for i in range(1, d)]
+    if any(p is None for p in perms):
+        return None
+    vertex = perms[0]
+    xrow = gc.dist[x]
+    if (vertex[:fixing, x] != x).any() or xrow.min() < 0 or xrow.max() > d:
+        return None
+    orbits = [_orbit_count(p) for p in (vertex[:fixing], *perms)]
+    # the fixing part keeps x and (premise 3, below) dist, so each of its
+    # orbits lies in one sphere; D + 1 orbits and D + 1 nonempty spheres
+    # make them equal
+    if orbits != [d + 1] + [1] * d or not np.bincount(xrow, minlength=d + 1).all():
+        return None
+    if not _preserves_dist(gc.dist, vertex):
+        return None
+    tables = {0: np.zeros((len(mats), 1), dtype=np.intp)}
+    tables.update(enumerate(perms[1:], start=1))
+    return GroupAction(vertex, tables)
 
 
 @dataclass
@@ -404,13 +711,42 @@ class SpectralSystem:
 def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempotent):
     """rank F'_i for F'_i = E_0 + ... + E_i, i = 0..D, each None when
     its certificate fails, and the failed sub-checks, each named (a),
-    (b) or (c) as in `spectral_system`."""
+    (b) or (c) as in `spectral_system`.
+
+    Where the action that `structure_constants` verified also preserves
+    every W_i, (b) and (c) read one column and one row.  F'_i and
+    G_i - sum_h [D-h, i]_q A_h commute with every vertex permutation p of
+    the group (they are combinations of the A_h, and W_i[pi][:, p] ==
+    W_i makes G_i = W_i^T W_i invariant too), so (c) holds once row x of
+    it does (`_gram_row`; every row is a permuted copy of row x).  Column
+    u of W_i^T is row u of W_i, and row pi[u] is row u moved by p; so if
+    F'_i w_u = w_u then F'_i w_{pi[u]} = F'_i P w_u = P F'_i w_u =
+    w_{pi[u]} for the permutation matrix P of p, and the group is
+    transitive on table(i): (b) holds once it holds for entry 0, one
+    `class_sums` call with an |X| x D bool right side.  Otherwise the
+    dense checks decide: (b) on every column of every W_i^T and (c) on
+    the whole Gram product."""
     q, n, d = gc.q, gc.n, gc.d
     ws = [gc.inclusion(i) for i in range(d)]
     scaled = [integer_coeffs(ss.partial_coeffs(i)) for i in range(d)]
-    # (b): one kernel product per class against all the W_i^T side by side
-    sums = gc.class_sums([v for v, _den in scaled], np.concatenate([w.T for w in ws], axis=1))
-    start = 0
+    action = gc._action
+    if action is not None and all(action.preserves(w, i) for i, w in enumerate(ws)):
+        # (b): the column of table(i) entry 0 of each W_i^T, side by side
+        right = np.stack([w[0] for w in ws], axis=1)
+        sums = gc.class_sums([v for v, _den in scaled], right)
+        images = [(s[:, i], right[:, i]) for i, s in enumerate(sums)]
+        xrow = gc.dist[gc.x_index]
+        gram_ok = [
+            bool((_gram_row(w, gc.x_index) == _gram_classes(gc, i)[xrow]).all())
+            for i, w in enumerate(ws)
+        ]
+    else:
+        gc.certificate_path = "dense"
+        # (b): one kernel product per class against all the W_i^T side by side
+        sums = gc.class_sums([v for v, _den in scaled], np.concatenate([w.T for w in ws], axis=1))
+        bounds = np.cumsum([0] + [w.shape[0] for w in ws])
+        images = [(s[:, lo:hi], w.T) for s, lo, hi, w in zip(sums, bounds, bounds[1:], ws)]
+        gram_ok = [_gram_is_class_sum(gc, i) for i in range(d)]
     ranks = []
     faults = []
     for i, w in enumerate(ws):
@@ -419,12 +755,11 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
         rank = rank_mod_prime(w)
         if w.shape[0] != rows or rank != rows:
             faults.append(f"(a) W_{i} has rank_p {rank} on {w.shape[0]} rows, not {rows}")
-        image = sums[i][:, start : start + w.shape[0]]
-        start += w.shape[0]
+        image, right = images[i]
         den = scaled[i][1]
-        if not ((image[w.T] == den).all() and not image[~w.T].any()):
+        if not ((image[right] == den).all() and not image[~right].any()):
             faults.append(f"(b) F'_{i} W_{i}^T != W_{i}^T")
-        if not _gram_is_class_sum(gc, i):
+        if not gram_ok[i]:
             faults.append(f"(c) W_{i}^T W_{i} != sum_h [D-h,{i}]_q A_h")
         elif not _gram_spans_partial_sum(ss, i, apply_idempotent):
             faults.append(f"(c) F'_{i} != G Q_{i}(G) for G = W_{i}^T W_{i}")
@@ -439,12 +774,17 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     return ranks, faults
 
 
+def _gram_classes(gc: GraphContext, i: int) -> np.ndarray:
+    """[D-h, i]_q for h = 0..D: a pair at distance h meets in dimension
+    D - h, which holds that many i-subspaces."""
+    return np.array([q_binomial(gc.d - h, i, gc.q) for h in range(gc.d + 1)], dtype=np.int64)
+
+
 def _gram_is_class_sum(gc: GraphContext, i: int) -> bool:
-    """W_i^T W_i = sum_h [D-h, i]_q A_h, class by class: a pair at
-    distance h meets in dimension D - h, which holds [D-h, i]_q
-    i-subspaces."""
+    """W_i^T W_i = sum_h [D-h, i]_q A_h, class by class, on the dense
+    Gram product."""
     d, n = gc.d, gc.n_vertices
-    lut = np.array([q_binomial(d - h, i, gc.q) for h in range(d + 1)], dtype=np.int64)
+    lut = _gram_classes(gc, i)
     gram = gc.gram(i)
     for rows in row_blocks(n, n):
         classes = gc.dist[rows]
@@ -491,10 +831,12 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     and are nonempty, so the A_h have disjoint 0/1 supports and are
     linearly independent: a matrix of the algebra is zero exactly when
     its coefficient vector is, and two are equal exactly when their
-    vectors are.  Each product A_1 A_g is verified on the dense matrices
-    to equal sum_h L[h][g] A_h, so applying L is exact multiplication by
-    A_1, and applying a polynomial P(L) is exact multiplication by
-    P(A_1).  Hence:
+    vectors are.  `structure_constants` verifies each product A_1 A_g to
+    equal sum_h L[h][g] A_h, on row x under its verified group action or
+    on the dense products where a premise of the action fails (its
+    docstring carries both proofs), so applying L is exact
+    multiplication by A_1, and applying a polynomial P(L) is exact
+    multiplication by P(A_1).  Hence:
 
     - the minimal polynomial prod_i (A_1 - theta_i I) vanishes iff the
       product of (L - theta_i) applied to the vector of A_0 is zero;
@@ -519,11 +861,18 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     - (b) F'_i W_i^T = W_i^T, evaluated as sum_h c_h (A_h W_i^T) with
       one 0/1 kernel product per class, c the coefficients of F'_i.  So
       col(W_i^T) lies in col(F'_i), and rank F'_i >= [N,i]_q.
-    - (c) G_i = sum_h [D-h, i]_q A_h entry by entry (one kernel product,
-      compared class by class), so G_i lies in the algebra; and
-      F'_i = G_i Q_i(G_i) on coefficient vectors, Q_i interpolating
-      1/lambda on the nonzero eigenvalues of G_i.  So col(F'_i) lies in
-      col(G_i), inside col(W_i^T), and rank F'_i <= [N,i]_q.
+    - (c) G_i = sum_h [D-h, i]_q A_h entry by entry, so G_i lies in the
+      algebra; and F'_i = G_i Q_i(G_i) on coefficient vectors, Q_i
+      interpolating 1/lambda on the nonzero eigenvalues of G_i.  So
+      col(F'_i) lies in col(G_i), inside col(W_i^T), and
+      rank F'_i <= [N,i]_q.
+
+    Where the group action of `structure_constants` also preserves every
+    W_i, (b) is evaluated on the column of one i-subspace and the
+    identity of (c) on row x, both of which the action carries to every
+    other column and row (`_inclusion_certificate`); otherwise (b) runs
+    on every column and (c) on the whole Gram product (one kernel
+    product, compared class by class).
 
     Hence rank F'_i = [N,i]_q.  The E_j are orthogonal idempotents, so
     rank F'_i = m_0 + ... + m_i, and the certified multiplicities are

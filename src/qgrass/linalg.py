@@ -26,8 +26,10 @@ Basis vectors are primitive integer vectors either way.  ExactMatrix,
 Python ints and Fractions in an object array, is the operand type of
 that Bareiss fallback (`column_space_ops`) and of the test-only
 `intersect_column_spaces`; no ExactMatrix is built on the verify path
-unless a certificate or a spectral check fails.  No floating point
-anywhere.
+unless a certificate or a spectral check fails.  The connected
+components of a graph given by its edge list (`component_labels`, read
+by the sphere fibrations of `nucleus`) are labelled here too.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -687,6 +689,44 @@ def in_span(basis: np.ndarray, vectors: np.ndarray) -> bool:
     """Whether every row of `vectors` lies in the row span of `basis`,
     by one rank comparison."""
     return span_rank(basis) == span_rank(basis, vectors)
+
+
+def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label of each vertex 0..n-1 of the graph with edges (a[e], b[e]):
+    the least vertex of its component, by min-label propagation.
+
+    The edges are read both ways and sorted by source once.  A round
+    gives every vertex the least label among its own and its
+    neighbours' (one `np.minimum.reduceat` over the sorted edges), then
+    jumps pointers, lab = lab[lab], until they settle; rounds repeat
+    until no label changes.
+
+    Proof obligation.  A label is always a vertex of the same component
+    (so is a neighbour's label, and a label's label), and labels never
+    rise, so the rounds end.  At the end no edge joins two labels, so
+    the label is constant on a component; its least vertex m can only
+    carry label m, so that constant is m.  Hence the roots, the vertices
+    with lab == arange, are one per component.
+    """
+    lab = np.arange(n)
+    if not len(a):
+        return lab
+    src = np.concatenate([a, b])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], np.concatenate([b, a])[order]
+    starts = np.flatnonzero(np.concatenate([[True], src[1:] != src[:-1]]))
+    owners = src[starts]
+    while True:
+        new = lab.copy()
+        new[owners] = np.minimum(lab[owners], np.minimum.reduceat(lab[dst], starts))
+        while True:
+            jumped = new[new]
+            if (jumped == new).all():
+                break
+            new = jumped
+        if (new == lab).all():
+            return lab
+        lab = new
 
 
 def invert_fraction_matrix(rows: list[list]) -> list[list[Fraction]]:

@@ -33,6 +33,7 @@ from .grassmann import GraphContext, SpectralSystem, integer_coeffs
 from .linalg import (
     ExactMatrix,
     column_space_ops,
+    component_labels,
     exact_int_product,
     in_span,
     nullspace,
@@ -539,44 +540,6 @@ class GammaReport:
     counts: list[int]
     component_sizes: list[list[int]]
     checks: CheckSet = field(repr=False)
-
-
-def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Label of each vertex 0..n-1 of the graph with edges (a[e], b[e]):
-    the least vertex of its component, by min-label propagation.
-
-    The edges are read both ways and sorted by source once.  A round
-    gives every vertex the least label among its own and its
-    neighbours' (one `np.minimum.reduceat` over the sorted edges), then
-    jumps pointers, lab = lab[lab], until they settle; rounds repeat
-    until no label changes.
-
-    Proof obligation.  A label is always a vertex of the same component
-    (so is a neighbour's label, and a label's label), and labels never
-    rise, so the rounds end.  At the end no edge joins two labels, so
-    the label is constant on a component; its least vertex m can only
-    carry label m, so that constant is m.  Hence the roots, the vertices
-    with lab == arange, are one per component.
-    """
-    lab = np.arange(n)
-    if not len(a):
-        return lab
-    src = np.concatenate([a, b])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], np.concatenate([b, a])[order]
-    starts = np.flatnonzero(np.concatenate([[True], src[1:] != src[:-1]]))
-    owners = src[starts]
-    while True:
-        new = lab.copy()
-        new[owners] = np.minimum(lab[owners], np.minimum.reduceat(lab[dst], starts))
-        while True:
-            jumped = new[new]
-            if (jumped == new).all():
-                break
-            new = jumped
-        if (new == lab).all():
-            return lab
-        lab = new
 
 
 def _components(labels: np.ndarray, members: np.ndarray) -> list[np.ndarray]:

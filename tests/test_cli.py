@@ -376,3 +376,22 @@ def test_verify_writes_no_table_files(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,paths",
+    [
+        (["--q", "2", "--n", "5", "--d", "2", "--suite", "all"],
+         {"main": "automorphism", "boundary": "automorphism"}),
+        (["--q", "3", "--n", "4", "--d", "2", "--suite", "all"], {"main": "automorphism"}),
+        (["--q", "2", "--n", "5", "--d", "2", "--suite", "boundary"], {"boundary": "automorphism"}),
+        (["--q", "2", "--n", "5", "--d", "2", "--suite", "identities"], {}),
+    ],
+)
+def test_meta_records_certificate_paths(tmp_path, capsys, argv, paths):
+    # one entry per built graph: the run's own, and J_q(2D, D) when the
+    # boundary suite builds it
+    out = tmp_path / "r.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _load(out)["meta"]["certificate_paths"] == paths

@@ -7,6 +7,7 @@ module intersection numbers are validated through the characteristic
 polynomial of the tridiagonal matrix they define.
 """
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -33,6 +34,7 @@ from qgrass.grassmann import (
     tmodule_condition_violations,
     tmodule_intersection_numbers,
 )
+from qgrass.qarith import q_binomial
 from qgrass.report import CheckSet
 from qgrass.subspaces import count_dims
 
@@ -876,3 +878,232 @@ def test_class_sums_hold_no_square_integer_array(j252, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < nv * nv * 8 // 4, peak
+
+
+# ---------------------------------------------------------------------------
+# the automorphism certificate: row x under a verified GL(N, q) action,
+# against the dense products it replaces
+
+
+def certified(q, n, d, x_rows=None, dense=False):
+    """(gc, ss) of one instance, on the automorphism path or, with
+    `dense`, with every premise refused so that the dense products
+    decide."""
+    with pytest.MonkeyPatch.context() as mp:
+        if dense:
+            mp.setattr(grassmann, "_group_action", lambda gc: None)
+        gc = build_graph(q, n, d, x_rows=x_rows)
+        ss = spectral_system(gc)
+    return gc, ss
+
+
+def check_table(cs):
+    return [(c.name, c.passed, c.witness, c.expected, c.observed) for c in cs.checks]
+
+
+@settings(max_examples=10, deadline=None)
+@given(instances_with_base_vertex())
+def test_automorphism_path_matches_dense_oracle(instance):
+    q, n, d, x_rows = instance
+    fast, fast_ss = certified(q, n, d, x_rows)
+    slow, slow_ss = certified(q, n, d, x_rows, dense=True)
+    assert (fast.certificate_path, slow.certificate_path) == ("automorphism", "dense")
+    assert structure_constants(fast)[0] == structure_constants(slow)[0]
+    assert check_table(fast.build_checks) == check_table(slow.build_checks)
+    assert check_table(fast_ss.checks) == check_table(slow_ss.checks)
+    assert fast_ss.partial_ranks == slow_ss.partial_ranks
+    fast_ss.checks.require()
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
+def test_invariant_corruption_fails_both_paths_alike(q, n, d, monkeypatch):
+    # the complement of W_1 is preserved by every permutation that
+    # preserves W_1, so the action's premises hold and the row checks
+    # themselves must see the fault, with the dense verdicts and witnesses
+    real = grassmann.GraphContext.inclusion
+    monkeypatch.setattr(
+        grassmann.GraphContext, "inclusion", lambda gc, i: ~real(gc, i) if i == 1 else real(gc, i)
+    )
+    fast, fast_ss = certified(q, n, d)
+    slow, slow_ss = certified(q, n, d, dense=True)
+    assert (fast.certificate_path, slow.certificate_path) == ("automorphism", "dense")
+    assert check_table(fast.build_checks) == check_table(slow.build_checks)
+    assert check_table(fast_ss.checks) == check_table(slow_ss.checks)
+    assert fast_ss.partial_ranks == slow_ss.partial_ranks
+    assert "bfs_distances_match_meet_formula" in failing(fast.build_checks)
+    assert "(c) W_1^T W_1 != sum_h [D-h,1]_q A_h" in failing(fast_ss.checks)["rank_certificate"]
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 1), (2, 5, 2), (3, 4, 2)])
+def test_invariant_relabeling_of_dist_fails_both_paths_alike(q, n, d):
+    # dist rewritten as D - dist keeps every premise of the action (a
+    # relabeling of the classes is as invariant as they are), so the row
+    # checks must fail A_0 = I and the metric where the dense ones do
+    verdicts = []
+    for dense in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if dense:
+                mp.setattr(grassmann, "_group_action", lambda gc: None)
+            gc = build_graph(q, n, d)
+            gc.dist[:] = d - gc.dist
+            gc._L = None
+            L, cs = structure_constants(gc)
+            verdicts.append((gc.certificate_path, L, check_table(cs), grassmann._metric_certificate(gc)))
+    (fast_path, *fast), (slow_path, *slow) = verdicts
+    assert (fast_path, slow_path) == ("automorphism", "dense")
+    assert fast == slow
+    assert "a0_is_identity" in failing(cs)
+    assert not fast[2]
+
+
+def square_products(monkeypatch):
+    """Sizes n of the n x n 0/1 products streamed while the test runs,
+    in order, from every caller of the kernel."""
+    sizes = []
+    real = linalg._stream
+
+    def stream(pa, pb, inner):
+        if pa.shape[0] == pb.shape[1]:
+            sizes.append(pa.shape[0])
+        return real(pa, pb, inner)
+
+    monkeypatch.setattr(linalg, "_stream", stream)
+    return sizes
+
+
+def test_passing_run_makes_one_square_product(monkeypatch, capsys, tmp_path):
+    # J_2(6,2) verify --suite all: the distance build of the graph (651
+    # vertices) and of its boundary J_2(4,2) (35) are the only |X| x |X|
+    # products; no A_1 A_g, no Gram product W_i^T W_i
+    from qgrass.cli import main
+
+    sizes = square_products(monkeypatch)
+    out = tmp_path / "r.json"
+    argv = ["verify", "--q", "2", "--n", "6", "--d", "2", "--suite", "all", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sorted(s for s in sizes if s in (35, 651)) == [35, 651]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["meta"]["certificate_paths"] == {"main": "automorphism", "boundary": "automorphism"}
+
+
+def _drop_link(mp):
+    real = grassmann._x0_generators
+
+    def gens(q, n, d):
+        mats, fixing = real(q, n, d)
+        return np.delete(mats, fixing - 1, axis=0), fixing - 1
+
+    mp.setattr(grassmann, "_x0_generators", gens)
+
+
+def _swap_vertex_images(mp):
+    real = grassmann._table_perms
+
+    def perms(table, inv, npoints):
+        p = real(table, inv, npoints)
+        if p is not None and table.dim == 2:
+            p[0, [0, 1]] = p[0, [1, 0]]
+        return p
+
+    mp.setattr(grassmann, "_table_perms", perms)
+
+
+def _mask_outside_table(mp):
+    real = grassmann._image_words
+
+    def words(table_words, inv, npoints):
+        out = real(table_words, inv, npoints).copy()
+        out[0, 0] = 0  # the empty point set: no subspace, not even {0}
+        return out
+
+    mp.setattr(grassmann, "_image_words", words)
+
+
+def _singular_generator(mp):
+    real = grassmann._x0_generators
+
+    def gens(q, n, d):
+        mats, fixing = real(q, n, d)
+        mats = mats.copy()
+        mats[0, 0] = 0
+        return mats, fixing
+
+    mp.setattr(grassmann, "_x0_generators", gens)
+
+
+def _fixing_generator_moves_x(mp):
+    real = grassmann._x0_generators
+
+    def gens(q, n, d):
+        mats, fixing = real(q, n, d)
+        mats = mats.copy()
+        mats[0] = mats[-1]
+        return mats, fixing
+
+    mp.setattr(grassmann, "_x0_generators", gens)
+
+
+MUTATIONS = {
+    "drop_link_transvection": _drop_link,
+    "swap_two_vertex_images": _swap_vertex_images,
+    "image_mask_outside_table": _mask_outside_table,
+    "singular_generator": _singular_generator,
+    "fixing_generator_moves_x": _fixing_generator_moves_x,
+}
+
+
+def verify_report(q, n, d, out, mutate=None):
+    """(report, square product sizes) of `verify --suite all`, with the
+    mutation applied to the automorphism certificate."""
+    from qgrass.cli import main
+
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = square_products(mp)
+        if mutate is not None:
+            mutate(mp)
+        argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]
+        assert main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8")), sizes
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_broken_premise_runs_dense_with_the_same_report(q, n, d, mutation, tmp_path, capsys):
+    # each fault of the certificate sends every graph of the run to the
+    # dense products, which then decide the same report
+    good, good_sizes = verify_report(q, n, d, tmp_path / "good.json")
+    bad, bad_sizes = verify_report(q, n, d, tmp_path / "bad.json", MUTATIONS[mutation])
+    capsys.readouterr()
+    nv = q_binomial(n, d, q)
+    assert good_sizes.count(nv) == 1
+    # the distance build, the D products A_1 A_g and the Gram products
+    assert bad_sizes.count(nv) >= 1 + d + 1
+    assert set(bad["meta"]["certificate_paths"].values()) == {"dense"}
+    assert set(good["meta"]["certificate_paths"].values()) == {"automorphism"}
+    bad.pop("meta")
+    good.pop("meta")
+    assert bad == good
+
+
+def test_action_checks_inclusion_matrices_on_the_stored_array(j252):
+    action = j252._action
+    assert action is not None
+    w = j252.inclusion(1)
+    assert action.preserves(w, 1)
+    assert action.preserves(j252.inclusion(0), 0)
+    flipped = w.copy()
+    flipped[0, 0] = not flipped[0, 0]
+    assert not action.preserves(flipped, 1)
+    assert not action.preserves(w[1:], 1)
+    assert not action.preserves(np.concatenate([w, w[:1]]), 1)
+
+
+def test_dense_path_caches_no_gram_product(j252):
+    # the Gram product is built for the dense path only, and not kept
+    assert j252.gram(1) is not j252.gram(1)
+
+
+def test_distance_matrix_is_int8(j252):
+    assert j252.dist.dtype == np.int8
+    assert count_dims(2, 3)(np.array([1, 2, 4, 8])).dtype == np.int8
