@@ -14,20 +14,21 @@ preserve dist and the inclusion matrices, that the generated group is
 transitive on the vertices and on each table, and that the part fixing
 the base vertex x has one orbit per sphere of x.  Every matrix of the
 distance algebra, every product of such matrices and every Gram product
-W_i^T W_i then commutes with the group, so the identities between them
-are read from row x, one column per orbit.  That gives the intersection
-matrix L (multiplication by A_1 on coefficient vectors over A_0..A_D),
-which, being tridiagonal with every c_t > 0, also certifies the graph
-metric.  Where a premise fails, the dense products of the same
-identities decide, as they did before the action was used; they stay as
-the tests' oracle.  Every spectral claim is then checked in that
-(D+1)-dimensional distance (Bose-Mesner) algebra: the minimal polynomial
-of the closed-form eigenvalues, idempotency and orthogonality of the
-primitive idempotents as polynomials in L, and the dual system at the
-base vertex.  The multiplicities are certified by the inclusion matrices
-W_i of the i-subspaces in the vertices (i < D), which are [N,i]_q x |X|
-0/1 arrays; no |X| x |X| matrix of the algebra is materialized for
-them.  All arithmetic is exact.
+W_i^T W_i then commutes with the group, so an identity between them
+holds once it holds on one row per orbit: row x, and entry 0 of each
+table.  Where a premise fails the group is trivial, and the same code
+reads every row and every entry (`GraphContext.representatives`; the
+proof is in `structure_constants`).  That gives the intersection matrix
+L (multiplication by A_1 on coefficient vectors over A_0..A_D), which,
+being tridiagonal with every c_t > 0, also certifies the graph metric.
+Every spectral claim is then checked in that (D+1)-dimensional distance
+(Bose-Mesner) algebra: the minimal polynomial of the closed-form
+eigenvalues, idempotency and orthogonality of the primitive idempotents
+as polynomials in L, and the dual system at the base vertex.  The
+multiplicities are certified by the inclusion matrices W_i of the
+i-subspaces in the vertices (i < D), which are [N,i]_q x |X| 0/1
+arrays; no |X| x |X| matrix of the algebra is materialized for them.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .linalg import (
     exact_int_product,
     int_operand,
     invert_fraction_matrix,
+    pack_words,
     product_blocks,
     rank_exact,
     rank_mod_prime,
@@ -68,9 +70,9 @@ class GraphContext:
     built on demand and cached, the inclusion matrices W_i.
 
     `certificate_path` says how the distance-algebra certificates of this
-    graph were decided: "automorphism" when every one of them read row x
-    under the verified group action, "dense" when any of them fell back
-    to the dense products."""
+    graph were decided: "automorphism" when `structure_constants`
+    verified a group action and they read one representative per orbit,
+    "dense" when they read every vertex and every table entry."""
 
     def __init__(self, geometry: GeometryContext, dist: np.ndarray, checks: CheckSet):
         self.geometry = geometry
@@ -86,7 +88,7 @@ class GraphContext:
         self._inclusion: dict[int, np.ndarray] = {}
         self._L = None  # (L, checks) of `structure_constants`
         # the GroupAction that `structure_constants` verified along with
-        # _L, or None where it decided on the dense products
+        # _L, or None: the trivial group
         self._action = None
         self.certificate_path = None
 
@@ -107,53 +109,72 @@ class GraphContext:
             self._inclusion[i] = w
         return self._inclusion[i]
 
-    def gram(self, i: int) -> np.ndarray:
-        """W_i^T W_i, for the dense path: entry (y, z) counts the
-        i-subspaces of y meet z.  A 0/1 product is at most its inner
-        dimension, the row count of W_i, so the smallest unsigned dtype
-        holding that count holds every entry exactly.  Not cached: a
-        passing run reads row x of it instead (`_gram_row`)."""
+    def representatives(self, count: int, first: int = 0) -> np.ndarray:
+        """One point per orbit of the verified group on `count` points
+        (the vertices, with `first` = x, or an i-subspace table): `first`
+        alone under the transitive action of `structure_constants`, and
+        every point under the trivial group when no action was verified."""
+        return np.array([first]) if self._action is not None else np.arange(count)
+
+    def gram_rows(self, i: int, rows: np.ndarray):
+        """Rows `rows` of W_i^T W_i as the (slice of `rows`, block) pairs
+        of `product_blocks`: entry (y, z) counts the i-subspaces of
+        y meet z.  No row outside `rows` is computed."""
         w = self.inclusion(i)
-        n = self.n_vertices
-        out = np.empty((n, n), dtype=np.min_scalar_type(w.shape[0]))
-        for rows, block in product_blocks(w.T, w, w.shape[0]):
-            out[rows] = block
-        return out
+        return product_blocks(w.T[rows], w, w.shape[0])
 
     def adjacency(self) -> np.ndarray:
         """Bool adjacency by a route independent of dist: y ~ z exactly
         when y != z and one (D-1)-subspace lies in both, that is
         (W_{D-1}^T W_{D-1})[y, z] = [dim(y meet z), D-1]_q = 1."""
-        adj = self.gram(self.d - 1) == 1
+        n = self.n_vertices
+        adj = np.empty((n, n), dtype=bool)
+        for rows, gram in self.gram_rows(self.d - 1, np.arange(n)):
+            adj[rows] = gram == 1
         np.fill_diagonal(adj, False)
         return adj
 
-    def class_sums(self, coeff_rows: list[list[int]], right: np.ndarray) -> list[np.ndarray]:
-        """sum_h c[h] (A_h @ right) for every integer row c of coeff_rows,
-        exactly, for a bool or integer `right` with |X| rows.
+    def class_sum_blocks(self, coeff_rows: list[list[int]], right: np.ndarray):
+        """(rows, sums) over row blocks of dist: sums[r] is those rows of
+        sum_h c_r[h] (A_h @ right), exactly, for each integer row c_r of
+        coeff_rows and a bool or integer `right` with |X| rows.
 
-        A 0/1 `right` meets each class A_h = (dist == h) in the 0/1
-        kernel, which streams the product through `product_blocks`.  An
-        integer `right` meets A_h one `row_blocks` slice of dist at a
-        time, on the int64 branch of `exact_int_product` (Python ints
-        when its guard fails), so no |X| x |X| integer array is built.
-        The combinations are one more product of the coefficient rows
-        with those D+1 results stacked, through the same kernel."""
+        Per block, the D+1 class products A_h[rows] @ right are combined
+        with the coefficient rows by one `exact_int_product`, its guard
+        fed the bounds max |c| and |X| max |right|, so every block takes
+        the same int64 or object branch.  A 0/1 `right` is packed once,
+        and so is each class (dist == h), one row block of dist at a time
+        (`pack_words`); the D+1 products stream in step.  An integer
+        `right` meets one `row_blocks` slice of dist at a time.  No
+        |X| x |X| array is built."""
         n, d = self.n_vertices, self.d
         if right.dtype == bool:
-            prods = [exact_int_product(self.dist == h, right, n) for h in range(d + 1)]
+            words = pack_words(right.T)
+            streams = [product_blocks(pack_words(self.dist, h), words, n) for h in range(d + 1)]
+            blocks = ((step[0][0], [p for _rows, p in step]) for step in zip(*streams))
+            bmax = n
         else:
-            right, bmax = int_operand(right)
-            prods = [
-                np.concatenate([
-                    exact_int_product(self.dist[rows] == h, right, n, 1, bmax)
-                    for rows in row_blocks(n, n)
-                ])
-                for h in range(d + 1)
-            ]
-        stacked = np.stack([p.reshape(-1) for p in prods])
-        sums = exact_int_product(np.array(coeff_rows, dtype=object), stacked, d + 1)
-        return [row.reshape(prods[0].shape) for row in sums]
+            right, rmax = int_operand(right)
+            blocks = (
+                (rows, [exact_int_product(self.dist[rows] == h, right, n, 1, rmax) for h in range(d + 1)])
+                for rows in row_blocks(n, n)
+            )
+            bmax = n * rmax
+        coeffs, amax = int_operand(np.array(coeff_rows, dtype=object))
+        for rows, prods in blocks:
+            stacked = np.stack([p.reshape(-1) for p in prods])
+            sums = exact_int_product(coeffs, stacked, d + 1, amax, bmax)
+            yield rows, sums.reshape(len(coeffs), -1, right.shape[1])
+
+    def class_sums(self, coeff_rows: list[list[int]], right: np.ndarray) -> list[np.ndarray]:
+        """sum_h c[h] (A_h @ right) for every integer row c of coeff_rows,
+        exactly, assembled from the blocks of `class_sum_blocks`."""
+        out = None
+        for rows, sums in self.class_sum_blocks(coeff_rows, right):
+            if out is None:
+                out = np.empty((len(sums), self.n_vertices, right.shape[1]), dtype=sums.dtype)
+            out[:, rows] = sums
+        return list(out)
 
 
 def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
@@ -195,9 +216,7 @@ def _metric_certificate(gc: GraphContext) -> bool:
     L[h][g] > 0 by (2), all h <= g + 1 by (3), with h = t + 1 among them
     for g = t by (4); so T_{t+1} = B_{t+1}.  So a pair at distance h is
     first reached at step h, and T_D = B_D holds every pair by (2).
-
-    (1) is read from row x (`_edges_match`) when `structure_constants`
-    verified its group action and that action also preserves W_{D-1}."""
+    (1) is `_edges_match`."""
     d = gc.d
     L, lcs = structure_constants(gc)
     return (
@@ -209,29 +228,18 @@ def _metric_certificate(gc: GraphContext) -> bool:
 
 
 def _edges_match(gc: GraphContext) -> bool:
-    """adjacency() == (dist == 1), premise (1) of `_metric_certificate`.
-
-    Under a verified action that preserves dist and W_{D-1}, both sides
-    commute with every vertex permutation of the group: the adjacency
-    is a function of W_{D-1}^T W_{D-1}, with the diagonal, which every
-    permutation keeps, cleared.  A matrix M with M[p[y], p[z]] = M[y, z]
-    for a group transitive on the vertices has every row a permutation
-    of row x, so the two sides agree once row x does.  Row x of the Gram
-    product is `_gram_row`.  Otherwise the dense adjacency is compared
-    with dist."""
-    x, w = gc.x_index, gc.inclusion(gc.d - 1)
-    if gc._action is not None and gc._action.preserves(w, gc.d - 1):
-        adj = _gram_row(w, x) == 1
-        adj[x] = False
-        return bool((adj == (gc.dist[x] == 1)).all())
-    gc.certificate_path = "dense"
-    return bool((gc.adjacency() == (gc.dist == 1)).all())
-
-
-def _gram_row(w: np.ndarray, x: int) -> np.ndarray:
-    """Row x of W^T W for a 0/1 inclusion matrix W: entry z counts the
-    rows u (subspaces) with u in x and u in z, exactly, as int64."""
-    return w[w[:, x]].sum(axis=0)
+    """adjacency() == (dist == 1), premise (1) of `_metric_certificate`,
+    read at the representative vertices (`structure_constants`): both
+    sides are G-invariant, the adjacency as a function of W_{D-1}^T
+    W_{D-1} with the diagonal cleared."""
+    rows = gc.representatives(gc.n_vertices, gc.x_index)
+    for blk, gram in gc.gram_rows(gc.d - 1, rows):
+        ys = rows[blk]
+        adj = gram == 1
+        adj[np.arange(len(ys)), ys] = False
+        if not (adj == (gc.dist[ys] == 1)).all():
+            return False
+    return True
 
 
 def build_graph(
@@ -308,82 +316,62 @@ def structure_constants(gc: GraphContext):
     three-term recurrence, so the span of A_0..A_D is closed under
     multiplication and the full table p^h_{ij} follows from L.
 
-    Two paths decide the checks, with the same names, witnesses and L.
-    When `_group_action` verifies its premises, every check reads row x
-    of dist and of the products; otherwise A_0 = I and the partition
-    are checked on all of dist, and the products are streamed in row
-    blocks by `product_blocks` (the dense path, also the tests' oracle).
-
-    Proof obligation of the row path.  The premises give permutations p
-    of the vertices, one per generator, with dist[p][:, p] == dist; they
-    generate a group G transitive on X, and its part H fixing x has one
-    orbit per sphere S_h = {z : dist(x, z) = h}, h = 0..D, each
-    nonempty.  Then G is transitive on the ordered pairs at each
-    distance: a pair (y, z) at distance h goes to (x, z') by some g with
-    g y = x, z' lies in S_h since g preserves dist, and H moves z' to any
-    other vertex of S_h while fixing x.  A matrix M is G-invariant when
-    M[p[y], p[z]] = M[y, z] for every generator; every A_h is, by the
-    invariance of dist; so are products and integer combinations of
-    G-invariant matrices, A_1 A_g and sum_h c_h A_h with any
-    coefficients, right or wrong, among them.  A G-invariant matrix is
-    constant on each distance class, with the value it takes at (x, z)
-    for any z in S_h.  Hence: dist == 0 exactly on the diagonal iff row
-    x is 0 exactly at x, and dist lies in 0..D iff row x does (every
-    pair is the image of a pair in row x); A_1 A_g is constant on every
-    class iff row x of it is constant on every sphere, with those
-    values as L[.][g].  Row x of A_1 A_g counts, for each z, the
-    neighbours w of x with dist(w, z) = g: a column sum over the rows of
-    dist at the neighbours of x, |S_1| x |X| entries instead of |X|^3.
+    Proof obligation of the representative rows, which every certificate
+    of this module reads.  Let G be the group generated by the vertex
+    permutations that `_group_action` verifies, or the trivial group
+    where a premise fails, and R the rows of
+    `GraphContext.representatives`: {x}, or all of X.  M is G-invariant
+    when M[p[y], p[z]] = M[y, z] for every generator p.  Every A_h is,
+    by the invariance of dist; so are products and integer combinations
+    of G-invariant matrices (A_1 A_g, and sum_h c_h A_h with any
+    coefficients, right or wrong), and each W_i^T W_i, as the premises
+    preserve every W_i (i < D).  Claim: G-invariant M and M' are equal
+    iff their rows in R are, and M is constant on each distance class
+    iff each row r in R is constant on each sphere S_h(r) = {z :
+    dist(r, z) = h}, with one value per h for all r.  For R = X that is
+    the definition.  For R = {x}: G is transitive on X, so every row
+    (and row sum) of M is row x permuted; the part H of G fixing x has
+    one orbit per sphere S_h(x), each nonempty, so a pair (y, z) at
+    distance h goes to (x, z') by some g with g y = x, z' in S_h(x), and
+    H moves z' to any vertex of S_h(x); so M is constant on each class,
+    with its value at any (x, z), z in S_h(x).  Hence dist == 0 exactly
+    on the diagonal, and dist lies in 0..D, iff that holds on the rows
+    in R, and A_1 A_g is constant on every class iff its rows in R are
+    constant on the spheres of their vertex, with those values as
+    L[.][g].  Row r of A_1 A_g counts, for each z, the neighbours w of r
+    with dist(w, z) = g: a column sum over the rows of dist at the
+    neighbours of r, |S_1(r)| x |X| entries, not |X|^2.
 
     Cached on the graph context after the first call, with the action
-    it verified (`_action`), which `_metric_certificate` and
-    `_inclusion_certificate` read.
+    it verified (`_action`), which sets the representatives of every
+    later certificate of the graph.
     """
     if gc._L is not None:
         return gc._L
-    d = gc.d
-    n = gc.n_vertices
-    dist = gc.dist
+    d, dist = gc.d, gc.dist
     action = gc._action = _group_action(gc)
     gc.certificate_path = "dense" if action is None else "automorphism"
-    cs = CheckSet("distance algebra structure constants")
-    if action is None:
-        cs.check_true("a0_is_identity", bool(((dist == 0) == np.eye(n, dtype=bool)).all()))
-        cs.check_true("classes_partition_pairs", bool(((dist >= 0) & (dist <= d)).all()))
-        adj = dist == 1
-
-        def blocks(g):
-            for rows, prod in product_blocks(adj, dist == g, n):
-                yield dist[rows], prod
-
-    else:
-        xrow = dist[gc.x_index]
-        cs.check_true("a0_is_identity", np.flatnonzero(xrow == 0).tolist() == [gc.x_index])
-        cs.check_true("classes_partition_pairs", bool(((xrow >= 0) & (xrow <= d)).all()))
-        near = dist[xrow == 1]
-
-        def blocks(g):
-            yield xrow, (near == g).sum(axis=0)
-
-    L = [[1 if (h, g) == (1, 0) else 0 for g in range(d + 1)] for h in range(d + 1)]
-    ok = True
+    identity = partition = ok = True
     witness = None
-    for g in range(1, d + 1):
-        # an empty class has a zero matrix, so any coefficient works;
-        # zero keeps the table well defined
-        first = [None] * (d + 1)
-        for classes, prod in blocks(g):
+    first = {}  # (h, g): the value of A_1 A_g first read on class h
+    for y in gc.representatives(gc.n_vertices, gc.x_index):
+        row = dist[y]
+        identity = identity and np.flatnonzero(row == 0).tolist() == [y]
+        partition = partition and bool(((row >= 0) & (row <= d)).all())
+        near = dist[row == 1]
+        for g in range(1, d + 1):
+            prod = (near == g).sum(axis=0)
             for h in range(d + 1):
-                vals = prod[classes == h]
-                if not vals.size:
-                    continue
-                if first[h] is None:
-                    first[h] = int(vals[0])
-                if not (vals == first[h]).all():
+                vals = prod[row == h]
+                if vals.size and not (vals == first.setdefault((h, g), int(vals[0]))).all():
                     ok = False
                     witness = f"A_1A_{g} not constant on class {h}"
-        for h in range(d + 1):
-            L[h][g] = first[h] if first[h] is not None else 0
+    # an empty class has a zero matrix, so any coefficient works; zero
+    # keeps the table well defined
+    L = [[first.get((h, g), int((h, g) == (1, 0))) for g in range(d + 1)] for h in range(d + 1)]
+    cs = CheckSet("distance algebra structure constants")
+    cs.check_true("a0_is_identity", identity)
+    cs.check_true("classes_partition_pairs", partition)
     cs.check_true("products_constant_on_classes", ok, witness)
     gc._L = L, cs
     return gc._L
@@ -565,9 +553,9 @@ def _group_action(gc: GraphContext):
     1. each point map is a bijection of F_q^N;
     2. every image of a vertex, and of an i-subspace for 1 <= i < D, is
        a table entry, and each table permutation is a bijection;
-    3. dist[p][:, p] == dist for every vertex permutation p, on the
-       stored array (the inclusion matrices are checked where they are
-       used, `GroupAction.preserves`);
+    3. dist[p][:, p] == dist for every vertex permutation p, and
+       W_i[pi][:, p] == W_i for every i < D (`GroupAction.preserves`),
+       on the stored arrays;
     4. the generators meant to fix x fix x_index;
     5. the group has one orbit (`_orbit_count`) on the vertices and on
        each table(i), 1 <= i < D, and the part fixing x has exactly
@@ -602,7 +590,10 @@ def _group_action(gc: GraphContext):
         return None
     tables = {0: np.zeros((len(mats), 1), dtype=np.intp)}
     tables.update(enumerate(perms[1:], start=1))
-    return GroupAction(vertex, tables)
+    action = GroupAction(vertex, tables)
+    if not all(action.preserves(gc.inclusion(i), i) for i in range(d)):
+        return None
+    return action
 
 
 @dataclass
@@ -635,8 +626,9 @@ def intersection_numbers(gc: GraphContext):
     counted_c = [L[i][i - 1] if i > 0 else 0 for i in range(d + 1)]
     counted_a = [L[i][i] for i in range(d + 1)]
     k_counted = L[0][1]
-    rows = (gc.dist == 1).sum(axis=1)
-    cs.check_true("valency_constant_rows", bool((rows == k_counted).all()))
+    # row sums of A_1 at the representative vertices (`structure_constants`)
+    reps = gc.representatives(gc.n_vertices, gc.x_index)
+    cs.check_true("valency_constant_rows", all((gc.dist[y] == 1).sum() == k_counted for y in reps))
     forms = intersection_number_formulas(q, n, d)
     cs.check("valency", forms.k, k_counted)
     for i in range(d + 1):
@@ -713,40 +705,30 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     its certificate fails, and the failed sub-checks, each named (a),
     (b) or (c) as in `spectral_system`.
 
-    Where the action that `structure_constants` verified also preserves
-    every W_i, (b) and (c) read one column and one row.  F'_i and
-    G_i - sum_h [D-h, i]_q A_h commute with every vertex permutation p of
-    the group (they are combinations of the A_h, and W_i[pi][:, p] ==
-    W_i makes G_i = W_i^T W_i invariant too), so (c) holds once row x of
-    it does (`_gram_row`; every row is a permuted copy of row x).  Column
-    u of W_i^T is row u of W_i, and row pi[u] is row u moved by p; so if
-    F'_i w_u = w_u then F'_i w_{pi[u]} = F'_i P w_u = P F'_i w_u =
-    w_{pi[u]} for the permutation matrix P of p, and the group is
-    transitive on table(i): (b) holds once it holds for entry 0, one
-    `class_sums` call with an |X| x D bool right side.  Otherwise the
-    dense checks decide: (b) on every column of every W_i^T and (c) on
-    the whole Gram product."""
+    (b) and (c) read the representatives of `GraphContext.representatives`
+    (the proof obligation is in `structure_constants`).  (c): G_i -
+    sum_h [D-h, i]_q A_h is G-invariant, so it vanishes iff its rows at
+    the representative vertices do (`GraphContext.gram_rows`).  (b):
+    column u of W_i^T is row u of W_i, and row pi[u] is row u moved by p
+    for each generator (premise 3 of `_group_action`); so if F'_i w_u =
+    w_u then F'_i w_{pi[u]} = F'_i P w_u = P F'_i w_u = w_{pi[u]} for the
+    permutation matrix P of p, F'_i being G-invariant.  (b) therefore
+    holds on every column once it holds at one entry per orbit of
+    table(i): the columns at the representative entries, side by side,
+    are one `class_sum_blocks` right side, each block checked against
+    den and 0 as it streams."""
     q, n, d = gc.q, gc.n, gc.d
     ws = [gc.inclusion(i) for i in range(d)]
     scaled = [integer_coeffs(ss.partial_coeffs(i)) for i in range(d)]
-    action = gc._action
-    if action is not None and all(action.preserves(w, i) for i, w in enumerate(ws)):
-        # (b): the column of table(i) entry 0 of each W_i^T, side by side
-        right = np.stack([w[0] for w in ws], axis=1)
-        sums = gc.class_sums([v for v, _den in scaled], right)
-        images = [(s[:, i], right[:, i]) for i, s in enumerate(sums)]
-        xrow = gc.dist[gc.x_index]
-        gram_ok = [
-            bool((_gram_row(w, gc.x_index) == _gram_classes(gc, i)[xrow]).all())
-            for i, w in enumerate(ws)
-        ]
-    else:
-        gc.certificate_path = "dense"
-        # (b): one kernel product per class against all the W_i^T side by side
-        sums = gc.class_sums([v for v, _den in scaled], np.concatenate([w.T for w in ws], axis=1))
-        bounds = np.cumsum([0] + [w.shape[0] for w in ws])
-        images = [(s[:, lo:hi], w.T) for s, lo, hi, w in zip(sums, bounds, bounds[1:], ws)]
-        gram_ok = [_gram_is_class_sum(gc, i) for i in range(d)]
+    columns = [w[gc.representatives(len(w))] for w in ws]
+    right = np.concatenate(columns).T
+    bounds = np.cumsum([0] + [len(c) for c in columns])
+    fixed = [True] * d
+    for rows, sums in gc.class_sum_blocks([v for v, _den in scaled], right):
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            image, cols = sums[i][:, lo:hi], right[rows, lo:hi]
+            fixed[i] = fixed[i] and (image[cols] == scaled[i][1]).all() and not image[~cols].any()
+    vertices = gc.representatives(gc.n_vertices, gc.x_index)
     ranks = []
     faults = []
     for i, w in enumerate(ws):
@@ -755,11 +737,9 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
         rank = rank_mod_prime(w)
         if w.shape[0] != rows or rank != rows:
             faults.append(f"(a) W_{i} has rank_p {rank} on {w.shape[0]} rows, not {rows}")
-        image, right = images[i]
-        den = scaled[i][1]
-        if not ((image[right] == den).all() and not image[~right].any()):
+        if not fixed[i]:
             faults.append(f"(b) F'_{i} W_{i}^T != W_{i}^T")
-        if not gram_ok[i]:
+        if not _gram_rows_are_class_sums(gc, i, vertices):
             faults.append(f"(c) W_{i}^T W_{i} != sum_h [D-h,{i}]_q A_h")
         elif not _gram_spans_partial_sum(ss, i, apply_idempotent):
             faults.append(f"(c) F'_{i} != G Q_{i}(G) for G = W_{i}^T W_{i}")
@@ -774,23 +754,15 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     return ranks, faults
 
 
-def _gram_classes(gc: GraphContext, i: int) -> np.ndarray:
-    """[D-h, i]_q for h = 0..D: a pair at distance h meets in dimension
-    D - h, which holds that many i-subspaces."""
-    return np.array([q_binomial(gc.d - h, i, gc.q) for h in range(gc.d + 1)], dtype=np.int64)
-
-
-def _gram_is_class_sum(gc: GraphContext, i: int) -> bool:
-    """W_i^T W_i = sum_h [D-h, i]_q A_h, class by class, on the dense
-    Gram product."""
-    d, n = gc.d, gc.n_vertices
-    lut = _gram_classes(gc, i)
-    gram = gc.gram(i)
-    for rows in row_blocks(n, n):
-        classes = gc.dist[rows]
-        if not ((classes >= 0) & (classes <= d)).all():
-            return False
-        if not (gram[rows] == lut[classes]).all():
+def _gram_rows_are_class_sums(gc: GraphContext, i: int, vertices: np.ndarray) -> bool:
+    """Rows `vertices` of W_i^T W_i = sum_h [D-h, i]_q A_h, class by
+    class: a pair at distance h meets in dimension D - h, which holds
+    [D-h, i]_q i-subspaces."""
+    d = gc.d
+    classes = np.array([q_binomial(d - h, i, gc.q) for h in range(d + 1)], dtype=np.int64)
+    for blk, gram in gc.gram_rows(i, vertices):
+        row = gc.dist[vertices[blk]]
+        if not ((row >= 0) & (row <= d)).all() or not (gram == classes[row]).all():
             return False
     return True
 
@@ -832,10 +804,8 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     linearly independent: a matrix of the algebra is zero exactly when
     its coefficient vector is, and two are equal exactly when their
     vectors are.  `structure_constants` verifies each product A_1 A_g to
-    equal sum_h L[h][g] A_h, on row x under its verified group action or
-    on the dense products where a premise of the action fails (its
-    docstring carries both proofs), so applying L is exact
-    multiplication by A_1, and applying a polynomial P(L) is exact
+    equal sum_h L[h][g] A_h, on its representative rows (its docstring
+    carries the proof), so applying L is exact multiplication by A_1, and applying a polynomial P(L) is exact
     multiplication by P(A_1).  Hence:
 
     - the minimal polynomial prod_i (A_1 - theta_i I) vanishes iff the
@@ -859,20 +829,17 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
       is never above the rank over Q, nor is the row count, so W_i has
       full row rank over Q and W_i^T is injective.
     - (b) F'_i W_i^T = W_i^T, evaluated as sum_h c_h (A_h W_i^T) with
-      one 0/1 kernel product per class, c the coefficients of F'_i.  So
-      col(W_i^T) lies in col(F'_i), and rank F'_i >= [N,i]_q.
-    - (c) G_i = sum_h [D-h, i]_q A_h entry by entry, so G_i lies in the
-      algebra; and F'_i = G_i Q_i(G_i) on coefficient vectors, Q_i
-      interpolating 1/lambda on the nonzero eigenvalues of G_i.  So
-      col(F'_i) lies in col(G_i), inside col(W_i^T), and
-      rank F'_i <= [N,i]_q.
+      one 0/1 kernel product per class, c the coefficients of F'_i, at
+      one column per orbit of the group on table(i).  So col(W_i^T)
+      lies in col(F'_i), and rank F'_i >= [N,i]_q.
+    - (c) G_i = sum_h [D-h, i]_q A_h entry by entry, read on the
+      representative rows, so G_i lies in the algebra; and F'_i =
+      G_i Q_i(G_i) on coefficient vectors, Q_i interpolating 1/lambda on
+      the nonzero eigenvalues of G_i.  So col(F'_i) lies in col(G_i),
+      inside col(W_i^T), and rank F'_i <= [N,i]_q.
 
-    Where the group action of `structure_constants` also preserves every
-    W_i, (b) is evaluated on the column of one i-subspace and the
-    identity of (c) on row x, both of which the action carries to every
-    other column and row (`_inclusion_certificate`); otherwise (b) runs
-    on every column and (c) on the whole Gram product (one kernel
-    product, compared class by class).
+    `_inclusion_certificate` carries (b) and (c) from the representatives
+    to every column and row.
 
     Hence rank F'_i = [N,i]_q.  The E_j are orthogonal idempotents, so
     rank F'_i = m_0 + ... + m_i, and the certified multiplicities are

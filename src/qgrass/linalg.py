@@ -6,9 +6,11 @@ would not fit the int64 guard.  Integer products go through one kernel,
 `exact_int_product`, which checks that both operands have the stated
 inner dimension on every branch.  A 0/1 product (bool arrays, or uint64
 words already packed) is blocked in one place, `product_blocks`: each
-operand is packed once into zero-padded uint64 words, and the popcounts
-of row & column words are summed, one block of rows at a time, into the
-smallest unsigned dtype that holds the inner dimension.  The product is
+operand is packed once into zero-padded uint64 words (`pack_words`,
+which also packs a class labels == value of an integer matrix one row
+block at a time), and the popcounts of row & column words are summed,
+one block of rows at a time, into the smallest unsigned dtype that
+holds the inner dimension.  The product is
 exact because padding bits are zero, every entry is at most the inner
 dimension, and the blocks cover every row; callers reduce each block as
 it streams, and `exact_int_product` assembles the blocks into an int64
@@ -77,15 +79,26 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
-def _pack_rows(m: np.ndarray) -> np.ndarray:
-    """Rows of a bool matrix as zero-padded uint64 words."""
-    rows, cols = m.shape
-    words = -(-cols // 64)
-    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(
-        np.ascontiguousarray(m), axis=1, bitorder="little"
-    )
+def _pack_rows(m) -> np.ndarray:
+    """Rows of a bool matrix, or of the 0/1 class (labels == value) for
+    m = (labels, value), as zero-padded uint64 words.  A class is
+    compared and packed one row block at a time, so it is never held as
+    a whole bool matrix."""
+    labels, value = m if isinstance(m, tuple) else (m, None)
+    rows, cols = labels.shape
+    nbytes = -(-cols // 8)
+    packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
+    for blk in [slice(None)] if value is None else row_blocks(rows, nbytes):
+        bits = labels[blk] if value is None else labels[blk] == value
+        packed[blk, :nbytes] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
     return packed.view(np.uint64)
+
+
+def pack_words(m: np.ndarray, value=None) -> np.ndarray:
+    """The packed words that `product_blocks` takes for an operand: the
+    rows of a bool matrix, or of the class (m == value) of an integer
+    matrix, packed once."""
+    return _pack_rows(m if value is None else (m, value))
 
 
 def _packed_operand(m: np.ndarray, inner: int, side: str) -> np.ndarray:

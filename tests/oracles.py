@@ -132,3 +132,47 @@ def meet_dim_by_rank(u, v) -> int:
     the rank of the stacked echelon rows (`rref_mod`)."""
     _rows, pivots = rref_mod(list(u.rows) + list(v.rows), u.q)
     return u.dim + v.dim - len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# dense certificate oracles: plain int64 products of whole arrays, coded
+# apart from the representative rows that the verifier reads
+
+
+def gaussian_binomial(m: int, k: int, q: int) -> int:
+    """[m, k]_q by the product formula; 0 when k < 0 or k > m."""
+    if not 0 <= k <= m:
+        return 0
+    num = den = 1
+    for j in range(k):
+        num *= q ** (m - j) - 1
+        den *= q ** (j + 1) - 1
+    return num // den
+
+
+def dense_adjacency(gc) -> np.ndarray:
+    """y ~ z when (W_{D-1}^T W_{D-1})[y, z] = 1 and y != z, from one int64
+    product of the whole inclusion matrix."""
+    w = gc.inclusion(gc.d - 1).astype(np.int64)
+    adj = w.T @ w == 1
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def dense_certificate_verdicts(gc, ss) -> dict:
+    """Verdicts of certificates (b) and (c) for each i < D and of the edge
+    premise, each from int64 products of the whole arrays:
+    (b) F'_i W_i^T = W_i^T, with F'_i = M / den from `class_numerator`;
+    (c) W_i^T W_i = sum_h [D-h, i]_q A_h, entry by entry;
+    edges: `dense_adjacency` equals dist == 1."""
+    d, dist = gc.d, gc.dist
+    in_range = bool(((dist >= 0) & (dist <= d)).all())
+    b, c = [], []
+    for i in range(d):
+        w = gc.inclusion(i).astype(np.int64)
+        m, den = ss.class_numerator(ss.partial_coeffs(i))
+        b.append(bool((m.astype(np.int64) @ w.T == den * w.T).all()))
+        lut = np.array([gaussian_binomial(d - h, i, gc.q) for h in range(d + 1)])
+        c.append(in_range and bool((w.T @ w == lut[np.clip(dist, 0, d)]).all()))
+    edges = bool((dense_adjacency(gc) == (dist == 1)).all())
+    return {"b": b, "c": c, "edges": edges}

@@ -6,11 +6,13 @@ exact arithmetic; the two large-instance criteria also enforce their
 wall-clock budgets.
 """
 
+import json
 import time
 from contextlib import contextmanager
 
 import pytest
 
+from qgrass.cli import main
 from qgrass.grassmann import (
     build_graph,
     intersection_numbers,
@@ -226,3 +228,29 @@ def test_criterion_11_trivial_module_numbers(criterion, j252):
         assert a == nums.a
         assert b == nums.b
         assert c == nums.c
+
+
+@pytest.mark.parametrize(
+    "q,n,d,vertices,mult,nucleus_dims",
+    [
+        (3, 5, 2, 1210, [1, 120, 1089], [1, 4, 1]),
+        (2, 7, 2, 2667, [1, 126, 2540], [1, 3, 1]),
+    ],
+    ids=["J_3(5,2)", "J_2(7,2)"],
+)
+def test_criterion_12_verify_all_past_a_thousand_vertices(
+    criterion, tmp_path, q, n, d, vertices, mult, nucleus_dims
+):
+    with criterion(12, f"J_{q}({n},{d}) verify --suite all on the automorphism path"):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["ok"] is True
+        assert all(result["passed"] for result in doc["suites"].values())
+        counts = [c["observed"] for c in doc["suites"]["geometry"]["checks"] if c["name"] == "vertex_count"]
+        assert counts == [vertices]
+        assert doc["artifacts"]["spectrum"]["mult"] == mult
+        assert doc["artifacts"]["nucleus"]["nucleus_dims"] == nucleus_dims
+        assert doc["artifacts"]["nucleus"]["dimension"] == sum(nucleus_dims)
+        assert doc["meta"]["certificate_paths"] == {"main": "automorphism", "boundary": "automorphism"}

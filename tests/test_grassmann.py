@@ -38,7 +38,15 @@ from qgrass.qarith import q_binomial
 from qgrass.report import CheckSet
 from qgrass.subspaces import count_dims
 
-from oracles import base_vertex, entries, layer_of, mask_dim, meet_dim_by_rank
+from oracles import (
+    base_vertex,
+    dense_adjacency,
+    dense_certificate_verdicts,
+    entries,
+    layer_of,
+    mask_dim,
+    meet_dim_by_rank,
+)
 from strategies import instances_with_base_vertex
 
 J252_THETA = [42, 11, -3]
@@ -880,6 +888,24 @@ def test_class_sums_hold_no_square_integer_array(j252, monkeypatch):
     assert peak < nv * nv * 8 // 4, peak
 
 
+def test_class_sums_hold_no_square_bool_array(monkeypatch):
+    # a 0/1 right side meets each class A_h = (dist == h) packed one row
+    # block of dist at a time: the largest allocation stays below one
+    # |X| x |X| bool array, which a whole class would be
+    gc = build_graph(2, 6, 2)
+    nv = gc.n_vertices
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * nv * 8)
+    right = np.random.default_rng(3).integers(0, 2, size=(nv, 3)).astype(bool)
+    gc.class_sums([[1, 2, 3]], right)
+    tracemalloc.start()
+    try:
+        gc.class_sums([[1, 2, 3]], right)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nv * nv, peak
+
+
 # ---------------------------------------------------------------------------
 # the automorphism certificate: row x under a verified GL(N, q) action,
 # against the dense products it replaces
@@ -954,6 +980,63 @@ def test_invariant_relabeling_of_dist_fails_both_paths_alike(q, n, d):
     assert fast == slow
     assert "a0_is_identity" in failing(cs)
     assert not fast[2]
+
+
+def program_verdicts(gc, ss):
+    """The verifier's verdicts on what `dense_certificate_verdicts`
+    decides: (b) and (c) from the witness of `rank_certificate`, the
+    edges from `_edges_match`."""
+    witness = next(c for c in ss.checks.checks if c.name == "rank_certificate").witness or ""
+    return {
+        "b": [f"(b) F'_{i} W_{i}^T != W_{i}^T" not in witness for i in range(gc.d)],
+        "c": [f"(c) W_{i}^T W_{i} != sum_h [D-h,{i}]_q A_h" not in witness for i in range(gc.d)],
+        "edges": grassmann._edges_match(gc),
+    }
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["representatives", "every_row"])
+@pytest.mark.parametrize("corruption", ["none", "complement_of_w", "flip_w_entry", "dist_pair"])
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 5, 1)])
+def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
+    # the complement of W_{D-1} (W_1 at D = 2) keeps every premise of
+    # the action; one entry of W_{D-1} flipped, off row x of its Gram
+    # product when D = 2, breaks the W premise, and a rewritten dist pair
+    # the dist premise
+    real = grassmann.GraphContext.inclusion
+
+    def flipped(gc, i):
+        w = real(gc, i)
+        if i != gc.d - 1:
+            return w
+        u = int(np.flatnonzero(~w[:, gc.x_index])[-1]) if len(w) > 1 else 0
+        w = w.copy()
+        w[u, -1] = not w[u, -1]
+        return w
+
+    with pytest.MonkeyPatch.context() as mp:
+        if dense:
+            mp.setattr(grassmann, "_group_action", lambda gc: None)
+        if corruption == "complement_of_w":
+            mp.setattr(
+                grassmann.GraphContext,
+                "inclusion",
+                lambda gc, i: ~real(gc, i) if i == gc.d - 1 else real(gc, i),
+            )
+        if corruption == "flip_w_entry":
+            mp.setattr(grassmann.GraphContext, "inclusion", flipped)
+        gc = build_graph(q, n, d)
+        if corruption == "dist_pair":
+            b = int(np.flatnonzero(gc.dist[0] == d)[0])
+            gc.dist[0, b] = gc.dist[b, 0] = d - 1
+            gc._L = None
+        ss = spectral_system(gc)
+        want = dense_certificate_verdicts(gc, ss)
+        assert program_verdicts(gc, ss) == want
+        assert (gc.adjacency() == dense_adjacency(gc)).all()
+    path = "dense" if dense or corruption in ("flip_w_entry", "dist_pair") else "automorphism"
+    assert gc.certificate_path == path
+    verdicts = [*want["b"], *want["c"], want["edges"]]
+    assert all(verdicts) == (corruption == "none")
 
 
 def square_products(monkeypatch):
@@ -1099,9 +1182,35 @@ def test_action_checks_inclusion_matrices_on_the_stored_array(j252):
     assert not action.preserves(np.concatenate([w, w[:1]]), 1)
 
 
-def test_dense_path_caches_no_gram_product(j252):
-    # the Gram product is built for the dense path only, and not kept
-    assert j252.gram(1) is not j252.gram(1)
+def held_arrays(obj, seen=None):
+    """Every numpy array reachable from obj through the attributes of
+    qgrass objects and through dicts, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    elif type(obj).__module__.startswith("qgrass") and hasattr(obj, "__dict__"):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [a for item in items for a in held_arrays(item, seen)]
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
+def test_dense_path_keeps_no_square_array_but_dist(q, n, d):
+    # the dense path reads every row of the Gram products and of the
+    # class sums as they stream; of the |X| x |X| arrays only dist stays
+    gc, _ss = certified(q, n, d, dense=True)
+    assert gc.certificate_path == "dense"
+    nv = gc.n_vertices
+    square = [a for a in held_arrays(gc) if a.ndim == 2 and a.shape[0] == a.shape[1] == nv]
+    assert len(square) == 1 and square[0] is gc.dist
 
 
 def test_distance_matrix_is_int8(j252):
