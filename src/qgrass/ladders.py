@@ -6,13 +6,14 @@ either grows the meet with x (slash) or not (backslash), and the two
 cover relations give two independent lowering operators L1, L2 with
 raising partners R1, R2 and grading operators K1, K2 whose diagonal
 entries are half-integer powers of q.  The cover relation is generated
-twice and each copy is certified: from below (u + <p> for the
-projective points p of a coordinate complement of u, giving L1, L2 and
-the plain cover matrix) and from above (the kernels of the functionals
-on each v, giving R1, R2), every pair by a subset test on packed point
-masks and every element by the closed-form number of its covers of
-each kind.  The two are compared as transposes; the plain cover matrix
-must split exactly as L1 + L2.
+once per pair of consecutive dimensions, from above (the hyperplanes of
+each v, giving R1, R2); P_q(N) is self-dual, and the correlation
+sigma(u) = reverse(u^perp) carries those pairs onto the lowering pairs
+of the dual dimensions (L1, L2 and the plain cover matrix).  Each
+relation is certified, every pair by a subset test on packed point
+masks and every element by the closed-form number of its covers of each
+kind.  The two are compared as transposes; the plain cover matrix must
+split exactly as L1 + L2.
 
 Every operator is a 0/1 matrix on the m materialized subspaces, held as
 its pair set: the sorted, distinct int64 keys row * m + col of its
@@ -35,12 +36,9 @@ from .report import CheckSet
 from .subspaces import (
     GeometryContext,
     SubspaceTable,
-    all_vectors,
     count_dims,
     find_sorted,
-    pack_points,
     projective_points,
-    span_points,
 )
 
 
@@ -104,68 +102,65 @@ class PosetMatrices:
         return SqrtQScalar.of(self.geometry.q, 1, int(self.k2_half_exponents()[g]))
 
 
-def _covers_from_below(lo: SubspaceTable, hi: SubspaceTable):
-    """Index arrays (a, b) of the covers u_a < v_b, generated from below:
-    b = -1 where a generated basis is missing from `hi`.
+def _dual_rows(t: SubspaceTable) -> np.ndarray:
+    """Reduced echelon rows (count, N - l, N) of sigma(u) = reverse(u^perp)
+    for every u in `t`: the correlation of P_q(N), an involution that
+    reverses inclusion.
 
-    F_q^N = u + W for W the coordinate subspace on the N - l non-pivot
-    columns of u, so the covers of u are u + <p> for p running over one
-    representative of each projective point of W: [N - l]_q covers, all
-    distinct.  With p's leading entry 1 in column c, subtracting R[c] p
-    from every echelon row R of u clears column c and keeps u's pivot
-    columns and leading zeros (p vanishes on the pivots and before c),
-    so those rows with p slotted in at its pivot position are the
-    reduced echelon basis of u + <p>, found in `hi` by binary search.
+    u^perp has the basis e_f - sum_j R[j, f] e_(p_j) over the non-pivot
+    columns f of u's echelon rows R (pivots p_j), as row j of R holds 1
+    at p_j and 0 at the other pivots.  Reversed, that row has its
+    leading 1 at N - 1 - f and -R[j, f] only further right (R[j, f] = 0
+    unless f > p_j), at no other row's pivot; with f descending the rows
+    are reduced echelon as built.
     """
-    q, n, l = lo.q, lo.ambient, lo.dim
-    pts = projective_points(q, n - l)
-    npts = len(pts)
-    lead_at = (pts != 0).argmax(axis=1)
-    acc = np.min_scalar_type(q * q)
-    found = []
-    for blk in row_blocks(len(lo), npts * (l + 1) * n):
-        rows, piv = lo.rows[blk], lo.pivots[blk]
-        c = len(rows)
-        at, kt = np.arange(c)[:, None, None], np.arange(npts)[None, :, None]
-        free = np.ones((c, n), dtype=bool)
-        free[np.arange(c)[:, None], piv] = False
-        cols = np.nonzero(free)[1].reshape(c, n - l)
-        p = np.zeros((c, npts, n), dtype=rows.dtype)
-        p[at, kt, cols[:, None, :]] = pts
-        lead = cols[:, lead_at]
-        coef = rows[at, np.arange(l)[None, None, :], lead[:, :, None]].astype(acc)
-        reduced = (rows[:, None].astype(acc) + (q - coef)[..., None] * p[:, :, None, :]) % q
-        pos = (piv[:, None, :] < lead[..., None]).sum(axis=2)
-        new = np.empty((c, npts, l + 1, n), dtype=rows.dtype)
-        new[at, kt, np.arange(l) + (np.arange(l) >= pos[..., None])] = reduced
-        new[at[..., 0], kt[..., 0], pos] = p
-        found.append(hi.find_rows(new.reshape(c * npts, l + 1, n)))
-    return np.repeat(np.arange(len(lo)), npts), np.concatenate(found)
+    q, n, l = t.q, t.ambient, t.dim
+    c = len(t)
+    free = np.ones((c, n), dtype=bool)
+    free[np.arange(c)[:, None], t.pivots] = False
+    cols = np.nonzero(free)[1].reshape(c, n - l)[:, ::-1]
+    at, rt = np.arange(c)[:, None, None], np.arange(n - l)[None, :, None]
+    out = np.zeros((c, n - l, n), dtype=t.rows.dtype)
+    out[at[..., 0], rt[..., 0], n - 1 - cols] = 1
+    coef = t.rows[at, np.arange(l)[None, None, :], cols[:, :, None]]
+    out[at, rt, n - 1 - t.pivots[:, None, :]] = (q - coef) % q
+    return out
+
+
+def _hyperplane_words(q: int, n: int, width: int) -> np.ndarray:
+    """Packed point masks (`width` words each) of ker g = {w : g . w = 0}
+    for every vector g of F_q^N, row g for the vector of index sum_i g_i
+    q^i, computed in row blocks of g."""
+    npoints = q**n
+    vecs = (np.arange(npoints)[:, None] // q ** np.arange(n) % q).astype(
+        np.min_scalar_type(max(n, 1) * (q - 1) ** 2)
+    )
+    out = np.empty((npoints, width), dtype=np.uint64)
+    for blk in row_blocks(npoints, 16 * width):
+        bits = np.zeros((blk.stop - blk.start, 64 * width), dtype=bool)
+        bits[:, :npoints] = vecs[blk] @ vecs.T % q == 0
+        out[blk] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return out
 
 
 def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable):
     """Index arrays (b, a) of the covers w_a < v_b, generated from above:
-    a = -1 where a generated point set is missing from `lo`.
+    a = -1 where a generated mask is missing from `lo`.
 
-    Write the points of v as c R over the coefficient vectors c of
-    F_q^(l+1), R the echelon rows of v.  The hyperplanes of v are the
-    kernels of the [l+1]_q nonzero functionals f up to scalars, and
-    kernel f holds the points c R with f . c = 0, so its mask packs
-    those q^l points; distinct functionals give distinct kernels.  Each
-    mask is found in `lo` by binary search over its sorted masks.
+    The hyperplanes of v are the kernels of the [l+1]_q functionals f on
+    its coefficients up to scalars, all distinct.  v's echelon rows R
+    hold 1 at their own pivot p_j and 0 at the others, so f . c = g .
+    (c R) for g = sum_j f_j e_(p_j): kernel f is v meet ker g, whose mask
+    is v's words AND those of ker g, found in `lo` by binary search.
     """
-    q, n, k = hi.q, hi.ambient, hi.dim
-    coeffs = all_vectors(q, k)
-    funcs = projective_points(q, k)
-    acc = np.min_scalar_type(max(k, 1) * (q - 1) ** 2)
-    values = coeffs.astype(acc) @ funcs.T.astype(acc) % q
-    kernels = np.nonzero(values.T == 0)[1].reshape(len(funcs), -1)
-    npoints = q**n
-    width = len(funcs) * (kernels.shape[1] + 8 * hi.words.shape[1]) + len(coeffs) * n
+    q, k, width = hi.q, hi.dim, hi.words.shape[1]
+    funcs = projective_points(q, k).astype(np.int64)
+    kernel_words = _hyperplane_words(q, hi.ambient, width)
+    g = (q ** hi.pivots.astype(np.int64)) @ funcs.T
     found = []
-    for blk in row_blocks(len(hi), width):
-        points = span_points(coeffs, hi.rows[blk], q)[:, kernels]
-        found.append(lo.find_masks(pack_points(points.reshape(-1, kernels.shape[1]), npoints)))
+    for blk in row_blocks(len(hi), len(funcs) * (2 * width + 1)):
+        masks = hi.words[blk, None, :] & kernel_words[g[blk]]
+        found.append(lo.find_masks(masks.reshape(-1, width)))
     return np.repeat(np.arange(len(hi)), len(funcs)), np.concatenate(found)
 
 
@@ -266,15 +261,23 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
     D, D+1 are materialized; every relation below restricts
     consistently to that window.
 
-    Proof obligation for the cover relation.  It is generated twice,
-    from below (`_covers_from_below`: L1, L2, cover) and from above
-    (`_covers_from_above`: R1, R2), and each generated relation is
-    certified on its own:
+    Proof obligation for the cover relation.  `_covers_from_above` runs
+    once for each dimension pair (k, k+1) the window needs, and each raw
+    list is used, then dropped: as the raising pairs w < v (R1, R2) when
+    (k, k+1) is materialized, and through sigma (`_dual_rows`, one
+    `find_rows` per table entry) as the lowering pairs sigma(v) <
+    sigma(w) of (N-k-1, N-k) (L1, L2, cover) when that is; with N != 2D
+    a partial window reads the three dual tables N-D-1..N-D+1, of the
+    window's sizes.  A bijection that reverses inclusion maps covers
+    onto covers, but that is not taken on trust: each relation is
+    certified on its own, in order of k, raising pairs first, so a wrong
+    or missing (-1) sigma entry fails from below with the first bad
+    pair as witness:
 
-    - inclusion: every generated pair passes a subset test on the two
-      point masks, so it is a cover (consecutive dimensions); a pair
-      that fails, or names a subspace missing from its table, is
-      dropped and fails the certificate;
+    - inclusion: every generated or transported pair passes a subset
+      test on the two point masks, so it is a cover (consecutive
+      dimensions); a pair that fails, or names a subspace missing from
+      its table, is dropped and fails the certificate;
     - completeness: every u of dimension l with meet dimension i below
       a materialized layer has exactly [D-i]_q distinct slash covers
       (u + <y>, y in x outside u) and [N-l]_q - [D-i]_q backslash ones,
@@ -312,19 +315,31 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
     jvec = dimvec - ivec
 
     failures = {"slash": [], "backslash": []}
+    pairs = [l for l in dims if l + 1 in offsets]
+    sigma = {}  # l -> table(N - l) index of sigma(u) for each u in table(l)
     lo, hi, up, down, up_slash = [], [], [], [], []
-    for l in dims:
-        if l + 1 not in offsets:
-            continue
-        t_lo, t_hi = tables[l], tables[l + 1]
-        a, b = _keep_covers("from below", t_lo, t_hi, *_covers_from_below(t_lo, t_hi), failures)
-        lo.append(offsets[l] + a)
-        hi.append(offsets[l + 1] + b)
+    for k in sorted(set(pairs) | {n - 1 - l for l in pairs}):
+        t_lo, t_hi = geometry.table(k), geometry.table(k + 1)
         b, a = _covers_from_above(t_lo, t_hi)
-        a, b = _keep_covers("from above", t_lo, t_hi, a, b, failures)
-        up.append(offsets[l + 1] + b)
-        down.append(offsets[l] + a)
-        up_slash.append((t_hi.words[b] & x_words & ~t_lo.words[a]).any(axis=1))
+        if k in pairs:
+            w, v = _keep_covers("from above", t_lo, t_hi, a, b, failures)
+            up.append(offsets[k + 1] + v)
+            down.append(offsets[k] + w)
+            up_slash.append((t_hi.words[v] & x_words & ~t_lo.words[w]).any(axis=1))
+        l = n - 1 - k
+        if l in pairs:
+            for s in (k, k + 1):
+                if s not in sigma:
+                    sigma[s] = geometry.table(n - s).find_rows(_dual_rows(geometry.table(s)))
+            # w_a < v_b gives the cover sigma(v_b) < sigma(w_a) of dims l, l + 1
+            u, v = _keep_covers(
+                "from below", tables[l], tables[l + 1],
+                sigma[k + 1][b], np.where(a >= 0, sigma[k][a], -1), failures,
+            )
+            lo.append(offsets[l] + u)
+            hi.append(offsets[l + 1] + v)
+        del a, b
+    del sigma
     lo, hi, up, down, up_slash = (np.concatenate(v) for v in (lo, hi, up, down, up_slash))
     # a cover grows the meet with x by one (slash) or not (backslash)
     step = ivec[hi] - ivec[lo]
@@ -344,6 +359,8 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
         cover=pair_keys(lo, hi, m),
         partial=partial,
     )
+    # the checks below peak on their own temporaries
+    del lo, hi, up, down, up_slash, step
 
     cs = CheckSet(f"ladder operators q={q} N={n} D={d}" + (" (partial)" if partial else ""))
     layers = [

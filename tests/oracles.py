@@ -1,11 +1,16 @@
 """Test-only geometry oracles on single subspaces, independent of the
 table and poset arrays the verifier reads: a Python Gaussian elimination
 mod q, point masks from walking every point of a span, dimensions from
-point counts and meets from one echelon form of the stacked rows."""
+point counts, meets from one echelon form of the stacked rows and the
+correlation of P_q(N) from point sets.  Below them, the cover generator
+that the verifier replaced, and the dense certificate oracles."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from qgrass.linalg import row_blocks
+from qgrass.subspaces import all_vectors, pack_points, projective_points, span_points
 
 
 def rref_mod(rows, q: int):
@@ -132,6 +137,96 @@ def meet_dim_by_rank(u, v) -> int:
     the rank of the stacked echelon rows (`rref_mod`)."""
     _rows, pivots = rref_mod(list(u.rows) + list(v.rows), u.q)
     return u.dim + v.dim - len(pivots)
+
+
+def vector_of(index: int, q: int, n: int) -> tuple:
+    """The vector of F_q^n with index sum_i v_i q^i (`vector_index`)."""
+    return tuple(index // q**i % q for i in range(n))
+
+
+def reversed_perp_mask(u) -> int:
+    """Point mask of reverse(u^perp), from point sets alone: every vector
+    w of F_q^N with w . p = 0 for each point p of u's mask, its
+    coordinates reversed."""
+    q, n = u.q, u.ambient
+    points = [vector_of(p, q, n) for p in range(q**n) if u.mask >> p & 1]
+    mask = 0
+    for index in range(q**n):
+        w = vector_of(index, q, n)
+        if all(sum(a * b for a, b in zip(w, p)) % q == 0 for p in points):
+            mask |= 1 << vector_index(w[::-1], q)
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# the cover generators the verifier replaced: from below, now the
+# correlation of P_q(N), and from above by walking every point of v
+
+
+def covers_from_below(lo, hi):
+    """Index arrays (a, b) of the covers u_a < v_b between the tables `lo`
+    (dimension l) and `hi` (l + 1), generated from below: b = -1 where a
+    generated basis is missing from `hi`.
+
+    F_q^N = u + W for W the coordinate subspace on the N - l non-pivot
+    columns of u, so the covers of u are u + <p> for p running over one
+    representative of each projective point of W: [N - l]_q covers, all
+    distinct.  With p's leading entry 1 in column c, subtracting R[c] p
+    from every echelon row R of u clears column c and keeps u's pivot
+    columns and leading zeros (p vanishes on the pivots and before c),
+    so those rows with p slotted in at its pivot position are the
+    reduced echelon basis of u + <p>, found in `hi` by binary search.
+    """
+    q, n, l = lo.q, lo.ambient, lo.dim
+    pts = projective_points(q, n - l)
+    npts = len(pts)
+    lead_at = (pts != 0).argmax(axis=1)
+    acc = np.min_scalar_type(q * q)
+    found = []
+    for blk in row_blocks(len(lo), npts * (l + 1) * n):
+        rows, piv = lo.rows[blk], lo.pivots[blk]
+        c = len(rows)
+        at, kt = np.arange(c)[:, None, None], np.arange(npts)[None, :, None]
+        free = np.ones((c, n), dtype=bool)
+        free[np.arange(c)[:, None], piv] = False
+        cols = np.nonzero(free)[1].reshape(c, n - l)
+        p = np.zeros((c, npts, n), dtype=rows.dtype)
+        p[at, kt, cols[:, None, :]] = pts
+        lead = cols[:, lead_at]
+        coef = rows[at, np.arange(l)[None, None, :], lead[:, :, None]].astype(acc)
+        reduced = (rows[:, None].astype(acc) + (q - coef)[..., None] * p[:, :, None, :]) % q
+        pos = (piv[:, None, :] < lead[..., None]).sum(axis=2)
+        new = np.empty((c, npts, l + 1, n), dtype=rows.dtype)
+        new[at, kt, np.arange(l) + (np.arange(l) >= pos[..., None])] = reduced
+        new[at[..., 0], kt[..., 0], pos] = p
+        found.append(hi.find_rows(new.reshape(c * npts, l + 1, n)))
+    return np.repeat(np.arange(len(lo)), npts), np.concatenate(found)
+
+
+def covers_from_above_by_spans(lo, hi):
+    """Index arrays (b, a) of the covers w_a < v_b, generated from above
+    by spans: a = -1 where a generated point set is missing from `lo`.
+
+    Write the points of v as c R over the coefficient vectors c of
+    F_q^(l+1), R the echelon rows of v.  The hyperplanes of v are the
+    kernels of the [l+1]_q nonzero functionals f up to scalars, and
+    kernel f holds the points c R with f . c = 0, so its mask packs
+    those q^l points; distinct functionals give distinct kernels.  Each
+    mask is found in `lo` by binary search over its sorted masks.
+    """
+    q, n, k = hi.q, hi.ambient, hi.dim
+    coeffs = all_vectors(q, k)
+    funcs = projective_points(q, k)
+    acc = np.min_scalar_type(max(k, 1) * (q - 1) ** 2)
+    values = coeffs.astype(acc) @ funcs.T.astype(acc) % q
+    kernels = np.nonzero(values.T == 0)[1].reshape(len(funcs), -1)
+    npoints = q**n
+    width = len(funcs) * (kernels.shape[1] + 8 * hi.words.shape[1]) + len(coeffs) * n
+    found = []
+    for blk in row_blocks(len(hi), width):
+        points = span_points(coeffs, hi.rows[blk], q)[:, kernels]
+        found.append(lo.find_masks(pack_points(points.reshape(-1, kernels.shape[1]), npoints)))
+    return np.repeat(np.arange(len(hi)), len(funcs)), np.concatenate(found)
 
 
 # ---------------------------------------------------------------------------

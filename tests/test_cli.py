@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qgrass import cli, linalg, nucleus
+from qgrass import cli, ladders, linalg, nucleus
 from qgrass.cli import SUITE_ORDER, _finish, main
 from qgrass.grassmann import RANK_VERIFY_LIMIT, SpectralSystem, build_graph
 from qgrass.report import CheckSet
@@ -295,6 +295,19 @@ def test_failed_check_maps_to_exit_one(capsys):
     }
     assert _finish(report, None, io.StringIO()) == 1
     capsys.readouterr()
+
+
+def test_library_arithmetic_error_maps_to_exit_one(capsys, monkeypatch):
+    # a point count that no subspace can have (the meet dimensions read
+    # with a lookup one dimension short) raises ArithmeticError inside
+    # the halgebra suite; it is reported like any other falsified fact
+    real = ladders.count_dims
+    monkeypatch.setattr(ladders, "count_dims", lambda q, top: real(q, top - 1))
+    rc = main(["verify", "--q", "2", "--n", "4", "--d", "2", "--suite", "halgebra"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "verification error: point count 4 is not a power of 2 up to 2^1\n"
+    assert captured.out == ""
 
 
 def test_identities_command(tmp_path, capsys):
