@@ -9,6 +9,7 @@ every closed-form identity involved in integer and rational arithmetic.
 from .errors import (
     DimensionMismatch,
     EigenvalueCollision,
+    FalsifiedFact,
     InvalidParameters,
     InvalidQuadruple,
     InvalidType,
@@ -22,6 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DimensionMismatch",
     "EigenvalueCollision",
+    "FalsifiedFact",
     "FieldContext",
     "InvalidParameters",
     "InvalidQuadruple",

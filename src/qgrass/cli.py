@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     except InvalidParameters as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (QgrassError, ArithmeticError) as exc:
+    except QgrassError as exc:
         # anything else from the library falsifies an expected fact
         print(f"verification error: {exc}", file=sys.stderr)
         return 1

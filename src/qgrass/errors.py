@@ -34,6 +34,13 @@ class InvalidType(QgrassError):
     """Raised for a module type (alpha, beta, rho) outside the admissible range."""
 
 
+class FalsifiedFact(QgrassError, ArithmeticError):
+    """Raised when a computed arithmetic fact that the mathematics
+    guarantees comes out false, such as a point count that is no power
+    of q, a cover that breaks the slash/backslash dichotomy or a
+    subspace of x missing from its table."""
+
+
 class InvalidQuadruple(QgrassError):
     """Raised for a parameter quadruple (r, t, d, e) violating the
     admissibility conditions."""

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EigenvalueCollision, InvalidParameters, InvalidQuadruple
+from .errors import EigenvalueCollision, FalsifiedFact, InvalidParameters, InvalidQuadruple
 from .linalg import (
     echelon_mod_p,
     exact_int_product,
@@ -1059,9 +1059,9 @@ def tmodule_intersection_numbers(q: int, n: int, d: int, r: int, t: int, dw: int
         b.append(bi)
         c.append(ci)
     if b[dw] != 0:
-        raise ArithmeticError("b_d must vanish")
+        raise FalsifiedFact("b_d must vanish")
     if c[0] != 0:
-        raise ArithmeticError("c_0 must vanish")
+        raise FalsifiedFact("c_0 must vanish")
     a = [base - b[i] - c[i] for i in range(dw + 1)]
     return a, b, c
 

@@ -7,13 +7,12 @@ cover relations give two independent lowering operators L1, L2 with
 raising partners R1, R2 and grading operators K1, K2 whose diagonal
 entries are half-integer powers of q.  The cover relation is generated
 once per pair of consecutive dimensions, from above (the hyperplanes of
-each v, giving R1, R2); P_q(N) is self-dual, and the correlation
-sigma(u) = reverse(u^perp) carries those pairs onto the lowering pairs
-of the dual dimensions (L1, L2 and the plain cover matrix).  Each
-relation is certified, every pair by a subset test on packed point
+each v), and certified: every pair by a subset test on packed point
 masks and every element by the closed-form number of its covers of each
-kind.  The two are compared as transposes; the plain cover matrix must
-split exactly as L1 + L2.
+kind.  Its pairs w < v are the raising pairs (R1, R2, split by a bit
+test) and, swapped, the lowering pairs (L1, L2 and the plain cover
+matrix, split by meet dimensions); the two are compared as transposes
+and the plain cover matrix must split exactly as L1 + L2.
 
 Every operator is a 0/1 matrix on the m materialized subspaces, held as
 its pair set: the sorted, distinct int64 keys row * m + col of its
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidType
+from .errors import FalsifiedFact, InvalidType
 from .linalg import row_blocks
 from .qarith import SqrtQScalar, q_binomial, q_int
 from .report import CheckSet
@@ -102,31 +101,6 @@ class PosetMatrices:
         return SqrtQScalar.of(self.geometry.q, 1, int(self.k2_half_exponents()[g]))
 
 
-def _dual_rows(t: SubspaceTable) -> np.ndarray:
-    """Reduced echelon rows (count, N - l, N) of sigma(u) = reverse(u^perp)
-    for every u in `t`: the correlation of P_q(N), an involution that
-    reverses inclusion.
-
-    u^perp has the basis e_f - sum_j R[j, f] e_(p_j) over the non-pivot
-    columns f of u's echelon rows R (pivots p_j), as row j of R holds 1
-    at p_j and 0 at the other pivots.  Reversed, that row has its
-    leading 1 at N - 1 - f and -R[j, f] only further right (R[j, f] = 0
-    unless f > p_j), at no other row's pivot; with f descending the rows
-    are reduced echelon as built.
-    """
-    q, n, l = t.q, t.ambient, t.dim
-    c = len(t)
-    free = np.ones((c, n), dtype=bool)
-    free[np.arange(c)[:, None], t.pivots] = False
-    cols = np.nonzero(free)[1].reshape(c, n - l)[:, ::-1]
-    at, rt = np.arange(c)[:, None, None], np.arange(n - l)[None, :, None]
-    out = np.zeros((c, n - l, n), dtype=t.rows.dtype)
-    out[at[..., 0], rt[..., 0], n - 1 - cols] = 1
-    coef = t.rows[at, np.arange(l)[None, None, :], cols[:, :, None]]
-    out[at, rt, n - 1 - t.pivots[:, None, :]] = (q - coef) % q
-    return out
-
-
 def _hyperplane_words(q: int, n: int, width: int) -> np.ndarray:
     """Packed point masks (`width` words each) of ker g = {w : g . w = 0}
     for every vector g of F_q^N, row g for the vector of index sum_i g_i
@@ -164,7 +138,7 @@ def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable):
     return np.repeat(np.arange(len(hi)), len(funcs)), np.concatenate(found)
 
 
-def _keep_covers(side: str, lo: SubspaceTable, hi: SubspaceTable, a, b, failures: dict):
+def _keep_covers(lo: SubspaceTable, hi: SubspaceTable, a, b, failures: dict):
     """The generated pairs (a, b) that name two table entries with no
     point of lo[a] outside hi[b], which makes them covers (consecutive
     dimensions).  The first pair that fails fails both kinds."""
@@ -172,7 +146,7 @@ def _keep_covers(side: str, lo: SubspaceTable, hi: SubspaceTable, a, b, failures
     ok[ok] = ~(lo.words[a[ok]] & ~hi.words[b[ok]]).any(axis=1)
     if not ok.all():
         k = int(np.flatnonzero(~ok)[0])
-        witness = f"{side}: pair ({int(a[k])}, {int(b[k])}) of dims {lo.dim}, {hi.dim} is not a cover"
+        witness = f"from above: pair ({int(a[k])}, {int(b[k])}) of dims {lo.dim}, {hi.dim} is not a cover"
         for kind in failures:
             failures[kind].append(witness)
     return a[ok], b[ok]
@@ -262,38 +236,34 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
     consistently to that window.
 
     Proof obligation for the cover relation.  `_covers_from_above` runs
-    once for each dimension pair (k, k+1) the window needs, and each raw
-    list is used, then dropped: as the raising pairs w < v (R1, R2) when
-    (k, k+1) is materialized, and through sigma (`_dual_rows`, one
-    `find_rows` per table entry) as the lowering pairs sigma(v) <
-    sigma(w) of (N-k-1, N-k) (L1, L2, cover) when that is; with N != 2D
-    a partial window reads the three dual tables N-D-1..N-D+1, of the
-    window's sizes.  A bijection that reverses inclusion maps covers
-    onto covers, but that is not taken on trust: each relation is
-    certified on its own, in order of k, raising pairs first, so a wrong
-    or missing (-1) sigma entry fails from below with the first bad
-    pair as witness:
+    once for each materialized dimension pair (l, l+1); its pairs w < v
+    are the raising pairs (R1, R2) and, swapped, the lowering pairs (L1,
+    L2, cover).  They are certified:
 
-    - inclusion: every generated or transported pair passes a subset
-      test on the two point masks, so it is a cover (consecutive
-      dimensions); a pair that fails, or names a subspace missing from
-      its table, is dropped and fails the certificate;
-    - completeness: every u of dimension l with meet dimension i below
-      a materialized layer has exactly [D-i]_q distinct slash covers
-      (u + <y>, y in x outside u) and [N-l]_q - [D-i]_q backslash ones,
-      and every v of dimension l + 1 in layer (i, j) above one has
-      [j]_q backslash hyperplanes (those containing v meet x) and
-      [l+1]_q - [j]_q slash ones.  Those are all the covers of each
-      kind, so a relation of distinct true covers with those counts is
-      the whole relation of that kind.
+    - inclusion: every generated pair passes a subset test on the two
+      point masks, so it is a cover (consecutive dimensions); a pair
+      that fails, or names a subspace missing from its table, is
+      dropped and fails the certificate;
+    - completeness from above: every v of dimension l + 1 in layer
+      (i, j) above a materialized layer has [j]_q backslash hyperplanes
+      (those containing v meet x) and [l+1]_q - [j]_q slash ones, and
+      no others.  A relation of distinct true covers with those counts
+      at every such v is the whole cover relation of that kind, so the
+      swapped pairs are the whole lowering relation and need no second
+      generator;
+    - counts from below: every u of dimension l with meet dimension i
+      below a materialized layer has [D-i]_q distinct slash covers
+      (u + <y>, y in x outside u) and [N-l]_q - [D-i]_q backslash ones.
+      Given completeness this checks the meet dimensions, and a pair
+      lost before the split leaves both of its ends short.
 
     A failed certificate of a kind fails the transpose check of that
     kind, with the first failure as witness.  The slash kind is read
-    from the meet dimensions (ivec) from below and from a bit test (v
-    meets x in a point outside w) from above, so the transpose checks
-    compare two independent classifications as well.  Every step is
-    linear in the number of subspaces and covers, up to the sorting of
-    the lookups and of the pair keys.
+    from the meet dimensions (ivec) for the lowering pairs and from a
+    bit test (v meets x in a point outside w) for the raising ones, so
+    the transpose checks compare two independent classifications of the
+    one relation.  Every step is linear in the number of subspaces and
+    covers, up to the sorting of the lookups and of the pair keys.
     """
     q, n, d = geometry.q, geometry.ambient, geometry.d
     total = geometry.poset_size()
@@ -315,36 +285,20 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
     jvec = dimvec - ivec
 
     failures = {"slash": [], "backslash": []}
-    pairs = [l for l in dims if l + 1 in offsets]
-    sigma = {}  # l -> table(N - l) index of sigma(u) for each u in table(l)
-    lo, hi, up, down, up_slash = [], [], [], [], []
-    for k in sorted(set(pairs) | {n - 1 - l for l in pairs}):
-        t_lo, t_hi = geometry.table(k), geometry.table(k + 1)
+    lo, hi, up_slash = [], [], []
+    for l in dims[:-1]:
+        t_lo, t_hi = tables[l], tables[l + 1]
         b, a = _covers_from_above(t_lo, t_hi)
-        if k in pairs:
-            w, v = _keep_covers("from above", t_lo, t_hi, a, b, failures)
-            up.append(offsets[k + 1] + v)
-            down.append(offsets[k] + w)
-            up_slash.append((t_hi.words[v] & x_words & ~t_lo.words[w]).any(axis=1))
-        l = n - 1 - k
-        if l in pairs:
-            for s in (k, k + 1):
-                if s not in sigma:
-                    sigma[s] = geometry.table(n - s).find_rows(_dual_rows(geometry.table(s)))
-            # w_a < v_b gives the cover sigma(v_b) < sigma(w_a) of dims l, l + 1
-            u, v = _keep_covers(
-                "from below", tables[l], tables[l + 1],
-                sigma[k + 1][b], np.where(a >= 0, sigma[k][a], -1), failures,
-            )
-            lo.append(offsets[l] + u)
-            hi.append(offsets[l + 1] + v)
+        w, v = _keep_covers(t_lo, t_hi, a, b, failures)
         del a, b
-    del sigma
-    lo, hi, up, down, up_slash = (np.concatenate(v) for v in (lo, hi, up, down, up_slash))
+        lo.append(offsets[l] + w)
+        hi.append(offsets[l + 1] + v)
+        up_slash.append((t_hi.words[v] & x_words & ~t_lo.words[w]).any(axis=1))
+    lo, hi, up_slash = (np.concatenate(v) for v in (lo, hi, up_slash))
     # a cover grows the meet with x by one (slash) or not (backslash)
     step = ivec[hi] - ivec[lo]
     if not ((step == 0) | (step == 1)).all():
-        raise ArithmeticError("cover meet dimensions violate the cover dichotomy")
+        raise FalsifiedFact("cover meet dimensions violate the cover dichotomy")
 
     pm = PosetMatrices(
         geometry=geometry,
@@ -354,13 +308,13 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
         jvec=jvec,
         L1=pair_keys(lo[step == 1], hi[step == 1], m),
         L2=pair_keys(lo[step == 0], hi[step == 0], m),
-        R1=pair_keys(up[up_slash], down[up_slash], m),
-        R2=pair_keys(up[~up_slash], down[~up_slash], m),
+        R1=pair_keys(hi[up_slash], lo[up_slash], m),
+        R2=pair_keys(hi[~up_slash], lo[~up_slash], m),
         cover=pair_keys(lo, hi, m),
         partial=partial,
     )
     # the checks below peak on their own temporaries
-    del lo, hi, up, down, up_slash, step
+    del lo, hi, up_slash, step
 
     cs = CheckSet(f"ladder operators q={q} N={n} D={d}" + (" (partial)" if partial else ""))
     layers = [

@@ -45,7 +45,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FalsifiedFact
 
 _INT64_BOUND = 2**62
 
@@ -440,7 +440,7 @@ def column_space_ops(m: ExactMatrix, want_nullspace: bool = True) -> ColumnSpace
     if want_nullspace:
         nullspace = _nullspace_from_echelon(work, rank, pivots, m.shape[1])
         if not (m @ nullspace.T).is_zero():
-            raise ArithmeticError("nullspace vector fails m @ v = 0")
+            raise FalsifiedFact("nullspace vector fails m @ v = 0")
     return ColumnSpaceResult(rank, list(pivots), nullspace)
 
 

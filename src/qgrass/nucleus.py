@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import FalsifiedFact
 from .grassmann import GraphContext, SpectralSystem, integer_coeffs
 from .linalg import (
     ExactMatrix,
@@ -272,7 +273,7 @@ def subspaces_of_base(gc: GraphContext) -> tuple[np.ndarray, np.ndarray]:
         table = geometry.table(l)
         found = np.sort(table.find_masks(span_words(small.rows @ x_rows % q, q)))
         if (found < 0).any():
-            raise ArithmeticError(f"a {l}-subspace of x is missing from its table")
+            raise FalsifiedFact(f"a {l}-subspace of x is missing from its table")
         dims.append(np.full(len(found), l))
         words.append(table.words[found])
     return np.concatenate(dims), np.concatenate(words)

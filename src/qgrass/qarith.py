@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameters
+from .errors import FalsifiedFact, InvalidParameters
 from .report import CheckSet
 
 
@@ -73,7 +73,7 @@ def q_binomial(l: int, n: int, q: int) -> int:
         den *= q_int(t, q)
     quotient, remainder = divmod(num, den)
     if remainder:
-        raise ArithmeticError("q-binomial did not divide exactly")
+        raise FalsifiedFact("q-binomial did not divide exactly")
     return quotient
 
 

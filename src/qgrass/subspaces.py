@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidParameters, SizeCapExceeded
+from .errors import FalsifiedFact, InvalidParameters, SizeCapExceeded
 from .linalg import echelon_mod_p, row_blocks
 from .qarith import FieldContext, q_binomial
 
@@ -36,7 +36,7 @@ DEFAULT_POSET_CAP = 60000
 def count_dims(q: int, top: int):
     """Dimensions from point counts, for subspaces of dimension at most
     `top`: a function taking point counts to the dimensions k with
-    count == q^k, elementwise, raising ArithmeticError (with the first
+    count == q^k, elementwise, raising FalsifiedFact (with the first
     bad count) when a count is no such power.  Its lookup is built once,
     here, so a caller classifying a streamed product builds it once per
     product; each call is one clipped gather, into int8 (the dtype of
@@ -54,7 +54,7 @@ def count_dims(q: int, top: int):
         bad = out < 0
         if bad.any():
             first = int(counts.flat[int(bad.argmax(axis=None))])
-            raise ArithmeticError(f"point count {first} is not a power of {q} up to {q}^{top}")
+            raise FalsifiedFact(f"point count {first} is not a power of {q} up to {q}^{top}")
         return out
 
     return dims
@@ -240,7 +240,7 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
         )
     rows = np.concatenate(list(_echelon_blocks(q, ambient, dim)))
     if len(rows) != projected:
-        raise ArithmeticError(
+        raise FalsifiedFact(
             f"enumeration produced {len(rows)} subspaces, expected {projected}"
         )
     rows = rows[np.argsort(_keys(rows.reshape(len(rows), -1), q), kind="stable")]

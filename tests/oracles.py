@@ -1,9 +1,9 @@
 """Test-only geometry oracles on single subspaces, independent of the
 table and poset arrays the verifier reads: a Python Gaussian elimination
 mod q, point masks from walking every point of a span, dimensions from
-point counts, meets from one echelon form of the stacked rows and the
-correlation of P_q(N) from point sets.  Below them, the cover generator
-that the verifier replaced, and the dense certificate oracles."""
+point counts and meets from one echelon form of the stacked rows.
+Below them, the cover generators that the verifier replaced, and the
+dense certificate oracles."""
 
 from dataclasses import dataclass
 
@@ -139,28 +139,9 @@ def meet_dim_by_rank(u, v) -> int:
     return u.dim + v.dim - len(pivots)
 
 
-def vector_of(index: int, q: int, n: int) -> tuple:
-    """The vector of F_q^n with index sum_i v_i q^i (`vector_index`)."""
-    return tuple(index // q**i % q for i in range(n))
-
-
-def reversed_perp_mask(u) -> int:
-    """Point mask of reverse(u^perp), from point sets alone: every vector
-    w of F_q^N with w . p = 0 for each point p of u's mask, its
-    coordinates reversed."""
-    q, n = u.q, u.ambient
-    points = [vector_of(p, q, n) for p in range(q**n) if u.mask >> p & 1]
-    mask = 0
-    for index in range(q**n):
-        w = vector_of(index, q, n)
-        if all(sum(a * b for a, b in zip(w, p)) % q == 0 for p in points):
-            mask |= 1 << vector_index(w[::-1], q)
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # the cover generators the verifier replaced: from below, now the
-# correlation of P_q(N), and from above by walking every point of v
+# raising pairs swapped, and from above by walking every point of v
 
 
 def covers_from_below(lo, hi):

@@ -297,10 +297,10 @@ def test_failed_check_maps_to_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_library_arithmetic_error_maps_to_exit_one(capsys, monkeypatch):
+def test_falsified_fact_maps_to_exit_one(capsys, monkeypatch):
     # a point count that no subspace can have (the meet dimensions read
-    # with a lookup one dimension short) raises ArithmeticError inside
-    # the halgebra suite; it is reported like any other falsified fact
+    # with a lookup one dimension short) raises FalsifiedFact inside the
+    # halgebra suite; it is reported like any other falsified fact
     real = ladders.count_dims
     monkeypatch.setattr(ladders, "count_dims", lambda q, top: real(q, top - 1))
     rc = main(["verify", "--q", "2", "--n", "4", "--d", "2", "--suite", "halgebra"])
@@ -308,6 +308,18 @@ def test_library_arithmetic_error_maps_to_exit_one(capsys, monkeypatch):
     assert rc == 1
     assert captured.err == "verification error: point count 4 is not a power of 2 up to 2^1\n"
     assert captured.out == ""
+
+
+def test_program_arithmetic_error_is_not_a_verdict(monkeypatch):
+    # an ArithmeticError that is no library fact (here a division by
+    # zero) is a program fault: main lets it through with its traceback
+    # instead of reporting it as a falsified fact
+    def broken(geometry):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "build_poset_matrices", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["verify", "--q", "2", "--n", "4", "--d", "2", "--suite", "halgebra"])
 
 
 def test_identities_command(tmp_path, capsys):
