@@ -38,7 +38,7 @@ class FalsifiedFact(QgrassError, ArithmeticError):
     """Raised when a computed arithmetic fact that the mathematics
     guarantees comes out false, such as a point count that is no power
     of q, a cover that breaks the slash/backslash dichotomy or a
-    subspace of x missing from its table."""
+    table that holds the wrong number of subspaces."""
 
 
 class InvalidQuadruple(QgrassError):

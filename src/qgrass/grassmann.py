@@ -51,7 +51,7 @@ from .linalg import (
     rank_mod_prime,
     row_blocks,
 )
-from .qarith import q_binomial, q_int
+from .qarith import q_binomial, q_int, q_power
 from .report import CheckSet
 from .subspaces import (
     DEFAULT_POSET_CAP,
@@ -289,7 +289,7 @@ def build_graph(
         _bfs_full_check(gc, cs)
     # the distance-i sphere around x is exactly the layer P_{D-i, i}:
     # every vertex meets x in dimension D - dist(x, y)
-    meet_x = meet_dims(exact_int_product(words, geometry.x_words, npoints)[:, 0])
+    meet_x = meet_dims(np.bitwise_count(words & geometry.x_words).sum(axis=1))
     off_layer = np.flatnonzero(meet_x != d - dist[gc.x_index])
     layer_ok = not off_layer.size
     witness = None
@@ -1027,12 +1027,6 @@ def tmodule_condition_violations(n: int, d: int, r: int, t: int, dw: int, e: int
     return bad
 
 
-def _qpow(q: int, e: int):
-    if e >= 0:
-        return q**e
-    return Fraction(1, q**-e)
-
-
 def tmodule_intersection_numbers(q: int, n: int, d: int, r: int, t: int, dw: int, e: int):
     """Intersection numbers of the irreducible module with parameters
     (r, t, dw, e): lists a, b, c of length dw + 1.
@@ -1051,11 +1045,11 @@ def tmodule_intersection_numbers(q: int, n: int, d: int, r: int, t: int, dw: int
     c = []
     for i in range(dw + 1):
         bi = (
-            _qpow(q, 2 * i + 1 + r + half_minus)
+            q_power(q, 2 * i + 1 + r + half_minus)
             * q_int(dw - i, q)
             * q_int(n - i - r - t + half_plus, q)
         )
-        ci = _qpow(q, t) * q_int(i, q) * q_int(i + r - t + half_minus, q)
+        ci = q_power(q, t) * q_int(i, q) * q_int(i + r - t + half_minus, q)
         b.append(bi)
         c.append(ci)
     if b[dw] != 0:

@@ -7,9 +7,9 @@ cover relations give two independent lowering operators L1, L2 with
 raising partners R1, R2 and grading operators K1, K2 whose diagonal
 entries are half-integer powers of q.  The cover relation is generated
 once per pair of consecutive dimensions, from above (the hyperplanes of
-each v), and certified: every pair by a subset test on packed point
-masks and every element by the closed-form number of its covers of each
-kind.  Its pairs w < v are the raising pairs (R1, R2, split by a bit
+each v, each mask v's words AND one row of `subspaces.kernel_words`),
+and certified: every pair by a subset test on packed point masks and
+every element by the closed-form number of its covers of each kind.  Its pairs w < v are the raising pairs (R1, R2, split by a bit
 test) and, swapped, the lowering pairs (L1, L2 and the plain cover
 matrix, split by meet dimensions); the two are compared as transposes
 and the plain cover matrix must split exactly as L1 + L2.
@@ -37,6 +37,7 @@ from .subspaces import (
     SubspaceTable,
     count_dims,
     find_sorted,
+    kernel_words,
     projective_points,
 )
 
@@ -101,22 +102,6 @@ class PosetMatrices:
         return SqrtQScalar.of(self.geometry.q, 1, int(self.k2_half_exponents()[g]))
 
 
-def _hyperplane_words(q: int, n: int, width: int) -> np.ndarray:
-    """Packed point masks (`width` words each) of ker g = {w : g . w = 0}
-    for every vector g of F_q^N, row g for the vector of index sum_i g_i
-    q^i, computed in row blocks of g."""
-    npoints = q**n
-    vecs = (np.arange(npoints)[:, None] // q ** np.arange(n) % q).astype(
-        np.min_scalar_type(max(n, 1) * (q - 1) ** 2)
-    )
-    out = np.empty((npoints, width), dtype=np.uint64)
-    for blk in row_blocks(npoints, 16 * width):
-        bits = np.zeros((blk.stop - blk.start, 64 * width), dtype=bool)
-        bits[:, :npoints] = vecs[blk] @ vecs.T % q == 0
-        out[blk] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    return out
-
-
 def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable):
     """Index arrays (b, a) of the covers w_a < v_b, generated from above:
     a = -1 where a generated mask is missing from `lo`.
@@ -125,15 +110,16 @@ def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable):
     its coefficients up to scalars, all distinct.  v's echelon rows R
     hold 1 at their own pivot p_j and 0 at the others, so f . c = g .
     (c R) for g = sum_j f_j e_(p_j): kernel f is v meet ker g, whose mask
-    is v's words AND those of ker g, found in `lo` by binary search.
+    is v's words AND those of ker g (`kernel_words`), found in `lo` by
+    binary search.
     """
     q, k, width = hi.q, hi.dim, hi.words.shape[1]
     funcs = projective_points(q, k).astype(np.int64)
-    kernel_words = _hyperplane_words(q, hi.ambient, width)
+    kernels = kernel_words(q, hi.ambient)
     g = (q ** hi.pivots.astype(np.int64)) @ funcs.T
     found = []
     for blk in row_blocks(len(hi), len(funcs) * (2 * width + 1)):
-        masks = hi.words[blk, None, :] & kernel_words[g[blk]]
+        masks = hi.words[blk, None, :] & kernels[g[blk]]
         found.append(lo.find_masks(masks.reshape(-1, width)))
     return np.repeat(np.arange(len(hi)), len(funcs)), np.concatenate(found)
 

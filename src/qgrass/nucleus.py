@@ -29,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FalsifiedFact
 from .grassmann import GraphContext, SpectralSystem, integer_coeffs
 from .linalg import (
     ExactMatrix,
@@ -43,9 +42,8 @@ from .linalg import (
     rank_mod_prime,
     span_rank,
 )
-from .qarith import q_binomial, q_int
+from .qarith import q_binomial, q_int, q_power
 from .report import CheckSet
-from .subspaces import enumerate_subspaces, span_words
 
 
 def containment_vectors(gc: GraphContext, words: np.ndarray) -> np.ndarray:
@@ -261,21 +259,17 @@ def subspaces_of_base(gc: GraphContext) -> tuple[np.ndarray, np.ndarray]:
     subspace of the base vertex, ordered by dimension, then by index in
     the table of its dimension, that is by its reduced echelon rows.
 
-    The rows of x are independent, so the l-subspaces of F_q^D, mapped
-    through them (one product mod q), are the l-subspaces of x, each
-    once; each is found in the l-subspace table by its point words."""
+    A subspace lies in x exactly when none of its points lies outside x,
+    so the l-subspaces of x are the entries of the l-subspace table
+    whose words have no bit outside x's words.  `build_alpha_family`
+    checks their number against the Gaussian binomials."""
     geometry = gc.geometry
-    q, d = gc.q, gc.d
-    x_rows = geometry.x_rows.astype(np.int64)
     dims, words = [], []
-    for l in range(d + 1):
-        small = enumerate_subspaces(q, d, l, geometry.table_cap)
+    for l in range(gc.d + 1):
         table = geometry.table(l)
-        found = np.sort(table.find_masks(span_words(small.rows @ x_rows % q, q)))
-        if (found < 0).any():
-            raise FalsifiedFact(f"a {l}-subspace of x is missing from its table")
-        dims.append(np.full(len(found), l))
-        words.append(table.words[found])
+        inside = table.words[~(table.words & ~geometry.x_words).any(axis=1)]
+        dims.append(np.full(len(inside), l))
+        words.append(inside)
     return np.concatenate(dims), np.concatenate(words)
 
 
@@ -447,13 +441,13 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
         c_vee[a, a] = ss.theta[i]
         c_vee[a, lower[a]] = q_int(d - i + 1, q)
         c_meet[a, a] = q_int(d - i, q) * (q * nd - q_int(d - i, q))
-        c_meet[a, upper[a]] = _qpow_fraction(q, 2 * d - 2 * i - 1) * q_int(n - 2 * d + i + 1, q)
-        c_meet[a, sideways[a]] = _qpow_fraction(q, d - i)
+        c_meet[a, upper[a]] = q_power(q, 2 * d - 2 * i - 1) * q_int(n - 2 * d + i + 1, q)
+        c_meet[a, sideways[a]] = q_power(q, d - i)
         c_meet[a, lower[a]] = q_int(d - i + 1, q)
         c_dual_meet[a, a] = ss.theta_star[d - i]
         c_dual_vee[a, a] = ss.theta_star[d - i]
-        c_dual_vee[a, upper[a]] = (
-            _qpow_fraction(q, -d + i + 1) * q_int(n, q) * q_int(n - 1, q) / (dd * nd)
+        c_dual_vee[a, upper[a]] = Fraction(
+            q_power(q, -d + i + 1) * q_int(n, q) * q_int(n - 1, q), dd * nd
         )
 
     coeffs = [c_vee, c_meet, c_dual_meet, c_dual_vee]
@@ -472,12 +466,6 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
         rhs = exact_int_product(_integral(c, den), family, p)
         _check_rows(cs, name, lhs, rhs, lambda a: f"dim {dims[a]} alpha #{a}")
     return cs
-
-
-def _qpow_fraction(q: int, e: int):
-    if e >= 0:
-        return Fraction(q**e)
-    return Fraction(1, q**-e)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,13 @@ def q_int(l: int, q: int):
     return Fraction(Fraction(q) ** l - 1, q - 1)
 
 
+def q_power(q: int, e: int):
+    """q^e: an int for e >= 0 and a Fraction for e < 0."""
+    if e >= 0:
+        return q**e
+    return Fraction(1, q**-e)
+
+
 def q_binomial(l: int, n: int, q: int) -> int:
     """Gaussian binomial coefficient: the number of n-dimensional
     subspaces of an l-dimensional space over a field with q elements.

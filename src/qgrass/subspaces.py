@@ -4,11 +4,14 @@ from.
 A SubspaceTable holds every subspace of one dimension: its reduced row
 echelon basis, unique to the subspace, as one small-int array sorted by
 the flattened rows, and its point mask (bit p set when vector p lies in
-the subspace) packed into uint64 words, computed for all entries at
-once from one product of the rows with the coefficient vectors.  That
-is the one representation of the geometry P_q(N).  A subspace is a
-table row: it is found by its echelon rows (`find_rows`) or by its
-point words (`find_masks`).  Pair relations become 0/1 products of the
+the subspace) packed into uint64 words.  That is the one
+representation of the geometry P_q(N), and this module is the one
+place that turns echelon rows into point masks: a mask is the AND of
+the kernels of N - l functionals read off the rows (`echelon_words`),
+each a row of one array per (q, N), the kernel words of every
+functional of F_q^N (`kernel_words`), which the cover generator of
+`ladders` reads too.  A subspace is a table row: it is found by its
+echelon rows (`find_rows`) or by its point words (`find_masks`).  Pair relations become 0/1 products of the
 words (`linalg.product_blocks`), the common point count of two
 subspaces is q^dim of their meet (`count_dims`), and the layers P_{i,j}
 and covers around a base vertex x are the arrays of
@@ -21,6 +24,7 @@ stored copy would.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 
 import numpy as np
@@ -85,38 +89,52 @@ def _digit_dtype(q: int):
     return np.min_scalar_type(q - 1)
 
 
-def span_points(coeffs: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray:
-    """Vector indices of the combinations coeffs @ rows mod q: entry
-    (r, c) is the index of sum_i coeffs[c, i] rows[r, i], for rows of
-    shape (count, l, N) and coeffs of shape (s, l).  The product runs in
-    the smallest unsigned type that holds l (q-1)^2, so no entry wraps
-    before the reduction mod q."""
-    l, n = rows.shape[1], rows.shape[2]
-    acc = np.min_scalar_type(max(l, 1) * (q - 1) ** 2)
-    vecs = np.matmul(coeffs.astype(acc), rows.astype(acc)) % q
-    powers = q ** np.arange(n, dtype=np.min_scalar_type(q**n - 1))
-    return vecs @ powers
-
-
-def pack_points(points: np.ndarray, npoints: int) -> np.ndarray:
-    """Rows of vector indices as packed uint64 point masks: bit p of row
-    r is set when p appears in points[r]."""
-    rows = len(points)
-    bits = np.zeros((rows, 64 * _words_per_mask(npoints)), dtype=bool)
-    bits[np.arange(rows)[:, None], points] = True
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
-
-
-def span_words(rows: np.ndarray, q: int) -> np.ndarray:
-    """Packed point masks of the row spans of `rows` (count, l, N): the
-    q^l points of each span come from one product with every
-    coefficient vector of F_q^l, in row blocks."""
-    count, l, n = rows.shape
+@functools.cache
+def kernel_words(q: int, n: int) -> np.ndarray:
+    """Packed point masks of ker g = {w : g . w = 0} for every functional
+    g of F_q^N, row g for the vector of index sum_i g_i q^i, as a
+    read-only (q^N, W) uint64 array built once per (q, N), in row blocks
+    of g.  Row 0, the zero functional, is every point with zero padding."""
     npoints = q**n
-    coeffs = all_vectors(q, l)
-    out = np.empty((count, _words_per_mask(npoints)), dtype=np.uint64)
-    for blk in row_blocks(count, max(len(coeffs) * n, 8 * out.shape[1])):
-        out[blk] = pack_points(span_points(coeffs, rows[blk], q), npoints)
+    width = _words_per_mask(npoints)
+    vecs = all_vectors(q, n)[:, ::-1].astype(np.min_scalar_type(max(n, 1) * (q - 1) ** 2))
+    out = np.empty((npoints, width), dtype=np.uint64)
+    for blk in row_blocks(npoints, 16 * width):
+        bits = np.zeros((blk.stop - blk.start, 64 * width), dtype=bool)
+        bits[:, :npoints] = vecs[blk] @ vecs.T % q == 0
+        out[blk] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    out.flags.writeable = False
+    return out
+
+
+def _functionals(q: int, rows: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """(count, N - l): the index of g_f = e_f - sum_j R[j, f] e_(p_j) for
+    each non-pivot column f of the echelon rows R (count, l, N) with
+    pivots p (count, l), in increasing order of f."""
+    count, l, n = rows.shape
+    free = np.ones((count, n), dtype=bool)
+    free[np.arange(count)[:, None], pivots] = False
+    cols = np.nonzero(free)[1].reshape(count, n - l)
+    coeffs = np.take_along_axis(rows, cols[:, None, :], axis=2).astype(np.int64)
+    return q**cols + ((q**pivots)[:, None, :] @ (-coeffs % q))[:, 0]
+
+
+def echelon_words(q: int, rows: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Packed point masks of the row spans u of reduced echelon rows R
+    (count, l, N) with pivots p (count, l): the AND of the kernel words
+    (`kernel_words`) of the zero functional and of the N - l functionals
+    g_f of `_functionals`, one per non-pivot column f.  When l = N there
+    is no g_f, and the mask is every point, with zero padding.
+
+    Proof: R[j] holds 1 at its own pivot p_j and 0 at the others, so
+    g_f . R[j] = R[j, f] - R[j, f] = 0 and every g_f vanishes on u.
+    g_f holds 1 at f and 0 at every other non-pivot column, so the N - l
+    functionals are independent and their common kernel has dimension
+    l.  It contains u, of dimension l, so it is u."""
+    kernels = kernel_words(q, rows.shape[2])
+    out = np.repeat(kernels[:1], len(rows), axis=0)
+    for g in _functionals(q, rows, pivots).T:
+        out &= kernels[g]
     return out
 
 
@@ -150,7 +168,10 @@ class SubspaceTable:
     - rows: (count, dim, ambient) small ints, the reduced echelon basis;
     - pivots: (count, dim), the pivot column of each row;
     - words: (count, W) uint64, the packed point mask over the q^ambient
-      vector indices (vector v has index sum_i v_i q^i).
+      vector indices (vector v has index sum_i v_i q^i), each the AND
+      of the kernel words of N - dim functionals that vanish on the
+      rows (`echelon_words`, with the proof that their common kernel is
+      the subspace).
     """
 
     def __init__(self, q: int, ambient: int, dim: int, rows: np.ndarray):
@@ -159,7 +180,7 @@ class SubspaceTable:
         self.dim = dim
         self.rows = rows
         self.pivots = (rows != 0).argmax(axis=2)
-        self.words = span_words(rows, q)
+        self.words = echelon_words(q, rows, self.pivots)
         self._row_keys = None
         self._mask_order = None
 
@@ -231,8 +252,8 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
     the rows produced.
     """
     FieldContext(q)
-    if dim < 0 or dim > ambient:
-        return []
+    if not 0 <= dim <= ambient:
+        raise InvalidParameters(f"need 0 <= dim <= ambient, got dim={dim} ambient={ambient}")
     projected = q_binomial(ambient, dim, q)
     if cap is not None and projected > cap:
         raise SizeCapExceeded(
@@ -280,11 +301,11 @@ class GeometryContext:
         # the reduced echelon form is unique to the row space, so x gets
         # the rows its table entry has, whatever rows span it
         ech = np.array(x_rows, dtype=np.int64).reshape(len(x_rows), ambient) % q
-        rank = len(echelon_mod_p(ech, q, reduced=True))
-        if rank != d:
-            raise InvalidParameters(f"x has dimension {rank}, expected D={d}")
+        pivots = echelon_mod_p(ech, q, reduced=True)
+        if len(pivots) != d:
+            raise InvalidParameters(f"x has dimension {len(pivots)}, expected D={d}")
         self.x_rows = ech[:d].astype(_digit_dtype(q))
-        self.x_words = span_words(self.x_rows[None], q)
+        self.x_words = echelon_words(q, self.x_rows[None], np.array([pivots]))
         self._tables: dict[int, SubspaceTable] = {}
 
     def table(self, dim: int) -> SubspaceTable:

@@ -2,15 +2,15 @@
 table and poset arrays the verifier reads: a Python Gaussian elimination
 mod q, point masks from walking every point of a span, dimensions from
 point counts and meets from one echelon form of the stacked rows.
-Below them, the cover generators that the verifier replaced, and the
-dense certificate oracles."""
+Below them, the array span walk and the cover generators that the
+verifier replaced, and the dense certificate oracles."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from qgrass.linalg import row_blocks
-from qgrass.subspaces import all_vectors, pack_points, projective_points, span_points
+from qgrass.subspaces import all_vectors, projective_points
 
 
 def rref_mod(rows, q: int):
@@ -182,6 +182,42 @@ def covers_from_below(lo, hi):
         new[at[..., 0], kt[..., 0], pos] = p
         found.append(hi.find_rows(new.reshape(c * npts, l + 1, n)))
     return np.repeat(np.arange(len(lo)), npts), np.concatenate(found)
+
+
+def span_points(coeffs: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray:
+    """Vector indices of the combinations coeffs @ rows mod q: entry
+    (r, c) is the index of sum_i coeffs[c, i] rows[r, i], for rows of
+    shape (count, l, N) and coeffs of shape (s, l).  The product runs in
+    the smallest unsigned type that holds l (q-1)^2, so no entry wraps
+    before the reduction mod q."""
+    l, n = rows.shape[1], rows.shape[2]
+    acc = np.min_scalar_type(max(l, 1) * (q - 1) ** 2)
+    vecs = np.matmul(coeffs.astype(acc), rows.astype(acc)) % q
+    powers = q ** np.arange(n, dtype=np.min_scalar_type(q**n - 1))
+    return vecs @ powers
+
+
+def pack_points(points: np.ndarray, npoints: int) -> np.ndarray:
+    """Rows of vector indices as packed uint64 point masks: bit p of row
+    r is set when p appears in points[r]."""
+    rows = len(points)
+    bits = np.zeros((rows, 64 * -(-npoints // 64)), dtype=bool)
+    bits[np.arange(rows)[:, None], points] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def span_words(rows: np.ndarray, q: int) -> np.ndarray:
+    """Packed point masks of the row spans of `rows` (count, l, N), from
+    walking the q^l points of each span: one product with every
+    coefficient vector of F_q^l, in row blocks.  The tables built their
+    masks this way before they became ANDs of kernel words."""
+    count, l, n = rows.shape
+    npoints = q**n
+    coeffs = all_vectors(q, l)
+    out = np.empty((count, -(-npoints // 64)), dtype=np.uint64)
+    for blk in row_blocks(count, max(len(coeffs) * n, 8 * out.shape[1])):
+        out[blk] = pack_points(span_points(coeffs, rows[blk], q), npoints)
+    return out
 
 
 def covers_from_above_by_spans(lo, hi):

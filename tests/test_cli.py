@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qgrass import cli, ladders, linalg, nucleus
+from qgrass import cli, grassmann, ladders, linalg, nucleus, subspaces
 from qgrass.cli import SUITE_ORDER, _finish, main
 from qgrass.grassmann import RANK_VERIFY_LIMIT, SpectralSystem, build_graph
 from qgrass.report import CheckSet
@@ -308,6 +308,25 @@ def test_falsified_fact_maps_to_exit_one(capsys, monkeypatch):
     assert rc == 1
     assert captured.err == "verification error: point count 4 is not a power of 2 up to 2^1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
+def test_verify_enumerates_no_table_of_the_base_dimension(q, n, d, monkeypatch, capsys):
+    # the subspaces of x are read from the tables of F_q^N (the boundary
+    # suite's own graph is J_q(2D, D)); nothing enumerates F_q^D again
+    calls = []
+    real = subspaces.enumerate_subspaces
+
+    def counting(q, ambient, dim, *args, **kwargs):
+        calls.append((ambient, dim))
+        return real(q, ambient, dim, *args, **kwargs)
+
+    for module in (subspaces, grassmann, ladders, nucleus, cli):
+        if hasattr(module, "enumerate_subspaces"):
+            monkeypatch.setattr(module, "enumerate_subspaces", counting)
+    assert main(["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert calls and {ambient for ambient, _dim in calls} <= {n, 2 * d}
 
 
 def test_program_arithmetic_error_is_not_a_verdict(monkeypatch):

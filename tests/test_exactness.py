@@ -79,6 +79,75 @@ def test_math_module_has_no_float(module):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
+# The functions allowed to do arithmetic in F_q: the kernel words and
+# the functionals of the table masks, the digits of `all_vectors`, the
+# echelon form of x, and the generator matrices of the automorphism
+# certificate.  Every other site would have to change again before F_q
+# can be a field of prime-power order.
+FIELD_SITES = {
+    "subspaces": {"kernel_words", "_functionals", "all_vectors", "GeometryContext.__init__"},
+    "grassmann": {"_primitive_root", "_conjugated", "_inverse_point_maps"},
+}
+
+
+def field_arithmetic_sites(source: str) -> list[tuple[str, int]]:
+    """(enclosing definition, line) of every reduction mod q: a `% q`
+    or `%= q`, np.mod or np.remainder by q, and a three-argument pow
+    with modulus q.  The definition is qualified as `Class.method`, and
+    is "<module>" at the top level."""
+    found = []
+
+    def is_q(node):
+        return isinstance(node, ast.Name) and node.id == "q"
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+            hit = is_q(node.right if isinstance(node, ast.BinOp) else node.value)
+        elif isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            hit = (name in ("mod", "remainder") and len(node.args) == 2 and is_q(node.args[1])) or (
+                name == "pow" and len(node.args) == 3 and is_q(node.args[2])
+            )
+        else:
+            hit = False
+        if hit:
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_field_scanner_sees_every_kind():
+    bad = """
+a = b % q
+class Box:
+    def go(self, v):
+        v %= q
+        return np.mod(v, q) + np.remainder(v, q)
+def f(w, e):
+    def inner():
+        return pow(w, e, q)
+    return inner() + w % p + pow(w, e) + np.mod(w, 2)
+"""
+    assert field_arithmetic_sites(bad) == [
+        ("<module>", 2), ("Box.go", 5), ("Box.go", 6), ("Box.go", 6), ("f.inner", 9)
+    ]
+
+
+@pytest.mark.parametrize("module", MATH_MODULES)
+def test_field_arithmetic_stays_in_its_sites(module):
+    path = Path(qgrass.__file__).with_name(f"{module}.py")
+    sites = field_arithmetic_sites(path.read_text(encoding="utf-8"))
+    allowed = FIELD_SITES.get(module, set())
+    assert [site for site in sites if site[0] not in allowed] == []
+    # a listed site that no longer reduces mod q leaves the list
+    assert {where for where, _line in sites} == allowed
+
+
 def random_uses(source: str) -> list[str]:
     """Line of every import of the random module and every use of
     numpy.random: a check holds on every pair, never on a sample."""

@@ -11,6 +11,7 @@ from qgrass.qarith import (
     is_prime,
     q_binomial,
     q_int,
+    q_power,
     verify_q_identities,
 )
 
@@ -52,6 +53,16 @@ class TestQInt:
         for q in (2, 3, 5):
             for l in range(-5, 0):
                 assert q_int(l, q) == Fraction(Fraction(q) ** l - 1, q - 1)
+
+
+def test_q_power_is_int_or_fraction():
+    # an int for e >= 0, as q_int is, and an exact Fraction below
+    for q in (2, 3, 5):
+        for e in range(0, 6):
+            assert type(q_power(q, e)) is int and q_power(q, e) == q**e
+        for e in range(-5, 0):
+            got = q_power(q, e)
+            assert type(got) is Fraction and got == Fraction(q) ** e and got * q**-e == 1
 
 
 class TestQBinomial:

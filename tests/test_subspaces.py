@@ -25,6 +25,7 @@ from oracles import (
     meet_dim_by_rank,
     rref_mod,
     span_mask,
+    span_words,
     subspace,
     table_index,
     vector_index,
@@ -179,6 +180,11 @@ class TestEnumeration:
         full = enumerate_subspaces(2, 3, 3)
         assert len(full) == 1 and np.bitwise_count(full.words).sum() == 8
 
+    def test_dimension_outside_the_space_is_rejected(self):
+        for dim in (-1, 5):
+            with pytest.raises(InvalidParameters, match="0 <= dim <= ambient"):
+                enumerate_subspaces(2, 4, dim)
+
     def test_cap_enforced_with_projection(self):
         with pytest.raises(SizeCapExceeded) as ei:
             enumerate_subspaces(2, 5, 2, cap=100)
@@ -188,6 +194,72 @@ class TestEnumeration:
     def test_masks_have_power_of_q_points(self):
         tab = enumerate_subspaces(3, 3, 2)
         assert (np.bitwise_count(tab.words).sum(axis=1) == 9).all()
+
+
+MASK_SPACES = [(2, 6), (3, 4), (3, 5)]
+
+
+def _tables(q, n):
+    return [enumerate_subspaces(q, n, l, cap=None) for l in range(n + 1)]
+
+
+@pytest.mark.parametrize("q,n", MASK_SPACES)
+def test_kernel_word_masks_match_span_walk(q, n):
+    # every table mask, the AND of the kernel words of its functionals,
+    # equals the mask from walking every point of its span, and so do
+    # the words of x
+    for tab in _tables(q, n):
+        assert np.array_equal(tab.words, span_words(tab.rows, q)), tab.dim
+    ctx = GeometryContext(q, n, 2, x_rows=[[1] * n, [0, 1, 2 % q] + [0] * (n - 3)])
+    assert np.array_equal(ctx.x_words, span_words(ctx.x_rows[None], q))
+    kernels = subspaces.kernel_words(q, n)
+    assert kernels is subspaces.kernel_words(q, n) and not kernels.flags.writeable
+
+
+def _masks_under(q, n, monkeypatch, name, mutant):
+    """Every table mask of F_q^N with subspaces.<name> replaced by
+    mutant(real)."""
+    monkeypatch.setattr(subspaces, name, mutant(getattr(subspaces, name)))
+    tables = _tables(q, n)
+    monkeypatch.undo()
+    return tables
+
+
+# mutant name -> (subspaces attribute, wrapper of the real one)
+MUTANTS = {
+    # g_f = e_f + sum_j R[j, f] e_(p_j), the sign of R dropped: the real
+    # functionals of -R
+    "no_negation": ("_functionals", lambda real: lambda q, rows, piv: real(q, (q - rows) % q, piv)),
+    # the last non-pivot column gets no functional
+    "dropped_free_column": ("_functionals", lambda real: lambda q, rows, piv: real(q, rows, piv)[:, :-1]),
+    # the AND starts from all ones, padding bits included
+    "padding_set": ("kernel_words", lambda real: lambda q, n: np.concatenate(
+        [np.full((1, real(q, n).shape[1]), ~np.uint64(0)), real(q, n)[1:]])),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize("q,n", [(3, 4), (3, 5)])
+def test_mask_mutants_fail_the_span_walk(q, n, mutant, monkeypatch):
+    name, make = MUTANTS[mutant]
+    wrong = [
+        tab.dim for tab in _masks_under(q, n, monkeypatch, name, make)
+        if not np.array_equal(tab.words, span_words(tab.rows, q))
+    ]
+    # the sign changes every table with a free entry, a dropped column
+    # every table below the top, the padding only the whole space
+    expected = {
+        "no_negation": list(range(1, n)),
+        "dropped_free_column": list(range(n)),
+        "padding_set": [n],
+    }[mutant]
+    assert wrong == expected
+
+
+def test_sign_of_the_functionals_is_free_at_q2(monkeypatch):
+    name, make = MUTANTS["no_negation"]
+    for tab in _masks_under(2, 6, monkeypatch, name, make):
+        assert np.array_equal(tab.words, span_words(tab.rows, 2))
 
 
 def meet_from_points(u, v):
@@ -278,12 +350,12 @@ class TestCanonicalForm:
         q, n = 3, 3
         seen = {vector_index(v, q) for v in product(range(q), repeat=n)}
         assert len(seen) == q**n
-        # the tables index a point the same way: the combinations of the
-        # unit rows are the vectors themselves
-        vecs = subspaces.all_vectors(q, n)
-        unit = np.eye(n, dtype=vecs.dtype)[None]
-        found = subspaces.span_points(vecs, unit, q)[0]
-        assert found.tolist() == [vector_index(v, q) for v in vecs.tolist()]
+        # the tables index a point the same way: row vector_index(g) of
+        # the kernel words has bit vector_index(w) set when g . w = 0
+        kernels = subspaces.kernel_words(q, n)
+        for g, w in product(product(range(q), repeat=n), repeat=2):
+            bit = kernels[vector_index(g, q)] >> np.uint64(vector_index(w, q))
+            assert bool(bit[0] & np.uint64(1)) == (np.dot(g, w) % q == 0)
 
 
 class TestGeometryContext:
