@@ -102,7 +102,7 @@ class PosetMatrices:
         return SqrtQScalar.of(self.geometry.q, 1, int(self.k2_half_exponents()[g]))
 
 
-def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable):
+def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable, kernels: np.ndarray):
     """Index arrays (b, a) of the covers w_a < v_b, generated from above:
     a = -1 where a generated mask is missing from `lo`.
 
@@ -110,12 +110,11 @@ def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable):
     its coefficients up to scalars, all distinct.  v's echelon rows R
     hold 1 at their own pivot p_j and 0 at the others, so f . c = g .
     (c R) for g = sum_j f_j e_(p_j): kernel f is v meet ker g, whose mask
-    is v's words AND those of ker g (`kernel_words`), found in `lo` by
-    binary search.
+    is v's words AND row g of `kernels` (`kernel_words`), found in `lo`
+    by binary search.
     """
     q, k, width = hi.q, hi.dim, hi.words.shape[1]
     funcs = projective_points(q, k).astype(np.int64)
-    kernels = kernel_words(q, hi.ambient)
     g = (q ** hi.pivots.astype(np.int64)) @ funcs.T
     found = []
     for blk in row_blocks(len(hi), len(funcs) * (2 * width + 1)):
@@ -272,9 +271,10 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
 
     failures = {"slash": [], "backslash": []}
     lo, hi, up_slash = [], [], []
+    kernels = kernel_words(q, n)
     for l in dims[:-1]:
         t_lo, t_hi = tables[l], tables[l + 1]
-        b, a = _covers_from_above(t_lo, t_hi)
+        b, a = _covers_from_above(t_lo, t_hi, kernels)
         w, v = _keep_covers(t_lo, t_hi, a, b, failures)
         del a, b
         lo.append(offsets[l] + w)

@@ -8,9 +8,9 @@ the subspace) packed into uint64 words.  That is the one
 representation of the geometry P_q(N), and this module is the one
 place that turns echelon rows into point masks: a mask is the AND of
 the kernels of N - l functionals read off the rows (`echelon_words`),
-each a row of one array per (q, N), the kernel words of every
-functional of F_q^N (`kernel_words`), which the cover generator of
-`ladders` reads too.  A subspace is a table row: it is found by its
+each a row of the kernel words of every functional of F_q^N
+(`kernel_words`), an array that the cover generator of `ladders` reads
+too.  A subspace is a table row: it is found by its
 echelon rows (`find_rows`) or by its point words (`find_masks`).  Pair relations become 0/1 products of the
 words (`linalg.product_blocks`), the common point count of two
 subspaces is q^dim of their meet (`count_dims`), and the layers P_{i,j}
@@ -64,10 +64,6 @@ def count_dims(q: int, top: int):
     return dims
 
 
-def _words_per_mask(npoints: int) -> int:
-    return -(-npoints // 64)
-
-
 def all_vectors(q: int, k: int) -> np.ndarray:
     """Every vector of F_q^k as a row of a (q^k, k) small-int array, in
     the order of itertools.product(range(q), repeat=k)."""
@@ -89,21 +85,23 @@ def _digit_dtype(q: int):
     return np.min_scalar_type(q - 1)
 
 
-@functools.cache
 def kernel_words(q: int, n: int) -> np.ndarray:
     """Packed point masks of ker g = {w : g . w = 0} for every functional
     g of F_q^N, row g for the vector of index sum_i g_i q^i, as a
-    read-only (q^N, W) uint64 array built once per (q, N), in row blocks
-    of g.  Row 0, the zero functional, is every point with zero padding."""
-    npoints = q**n
-    width = _words_per_mask(npoints)
-    vecs = all_vectors(q, n)[:, ::-1].astype(np.min_scalar_type(max(n, 1) * (q - 1) ** 2))
+    (q^N, W) uint64 array built in row blocks of g; row 0 is every point
+    with zero padding.  g . w is the product of the low N // 2
+    coordinates plus that of the rest, so each bit is one comparison of
+    an entry of the low products with one of the negated high products."""
+    npoints, h = q**n, n // 2
+    width = -(-npoints // 64)
+    low, high = (all_vectors(q, k)[:, ::-1].astype(np.int64) for k in (h, n - h))
+    low, neg_high = low @ low.T % q, -(high @ high.T) % q
     out = np.empty((npoints, width), dtype=np.uint64)
     for blk in row_blocks(npoints, 16 * width):
-        bits = np.zeros((blk.stop - blk.start, 64 * width), dtype=bool)
-        bits[:, :npoints] = vecs[blk] @ vecs.T % q == 0
+        g = np.arange(blk.start, blk.stop)
+        bits = np.zeros((len(g), 64 * width), dtype=bool)
+        bits[:, :npoints] = (low[g % q**h, None] == neg_high[g // q**h, :, None]).reshape(len(g), -1)
         out[blk] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    out.flags.writeable = False
     return out
 
 
@@ -305,13 +303,18 @@ class GeometryContext:
         if len(pivots) != d:
             raise InvalidParameters(f"x has dimension {len(pivots)}, expected D={d}")
         self.x_rows = ech[:d].astype(_digit_dtype(q))
-        self.x_words = echelon_words(q, self.x_rows[None], np.array([pivots]))
         self._tables: dict[int, SubspaceTable] = {}
 
     def table(self, dim: int) -> SubspaceTable:
         if dim not in self._tables:
             self._tables[dim] = enumerate_subspaces(self.q, self.ambient, dim, self.table_cap)
         return self._tables[dim]
+
+    @functools.cached_property
+    def x_words(self) -> np.ndarray:
+        """x's point words, (1, W), from its table entry, after that table's cap check."""
+        table = self.table(self.d)
+        return table.words[table.find_rows(self.x_rows[None])]
 
     @property
     def x_index(self) -> int:

@@ -282,6 +282,17 @@ def test_size_cap_exit_two(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_size_cap_is_checked_before_the_kernel_words(capsys, monkeypatch):
+    # the kernel words of F_2^20 would take 128 GiB: an oversized
+    # request must stop at the table cap before anything of size q^N
+    def refuse(q, n):
+        raise AssertionError(f"kernel words of F_{q}^{n} built before the cap")
+
+    monkeypatch.setattr(subspaces, "kernel_words", refuse)
+    assert main(["verify", "--q", "2", "--n", "20", "--d", "2"]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
 def test_failed_check_maps_to_exit_one(capsys):
     cs = CheckSet("spectrum")
     cs.check("demo", 1, 2)

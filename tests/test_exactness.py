@@ -83,7 +83,11 @@ def test_math_module_has_no_float(module):
 # the functionals of the table masks, the digits of `all_vectors`, the
 # echelon form of x, and the generator matrices of the automorphism
 # certificate.  These are the sites that must change before F_q can be
-# a field of prime-power order, so a new one fails the scan.
+# a field of prime-power order, so a new one fails the scan.  The scan
+# keys on a modulus spelled `q` or `<anything>.q`; the helpers of
+# `linalg` that reduce mod a prime argument p (`echelon_mod_p`,
+# `rank_mod_prime`, `_reconstruct`) are outside it, and the echelon of
+# x is listed at its caller, which passes p = q.
 FIELD_SITES = {
     "subspaces": {"kernel_words", "_functionals", "all_vectors", "GeometryContext.__init__"},
     "grassmann": {"_primitive_root", "_conjugated", "_inverse_point_maps"},
@@ -93,12 +97,15 @@ FIELD_SITES = {
 def field_arithmetic_sites(source: str) -> list[tuple[str, int]]:
     """(enclosing definition, line) of every reduction mod q: a `% q`
     or `%= q`, np.mod or np.remainder by q, and a three-argument pow
-    with modulus q.  The definition is qualified as `Class.method`, and
-    is "<module>" at the top level."""
+    with modulus q, where q is the name `q` or any attribute `.q`.  The
+    definition is qualified as `Class.method`, and is "<module>" at the
+    top level."""
     found = []
 
     def is_q(node):
-        return isinstance(node, ast.Name) and node.id == "q"
+        return (isinstance(node, ast.Name) and node.id == "q") or (
+            isinstance(node, ast.Attribute) and node.attr == "q"
+        )
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -131,10 +138,13 @@ class Box:
 def f(w, e):
     def inner():
         return pow(w, e, q)
-    return inner() + w % p + pow(w, e) + np.mod(w, 2)
+    return inner() + w % p + pow(w, e) + np.mod(w, 2) + w % q.size
+def g(gc, self, v):
+    return v % gc.q + np.mod(v, self.geometry.q) + pow(v, 2, gc.q)
 """
     assert field_arithmetic_sites(bad) == [
-        ("<module>", 2), ("Box.go", 5), ("Box.go", 6), ("Box.go", 6), ("f.inner", 9)
+        ("<module>", 2), ("Box.go", 5), ("Box.go", 6), ("Box.go", 6), ("f.inner", 9),
+        ("g", 12), ("g", 12), ("g", 12),
     ]
 
 

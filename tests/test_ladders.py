@@ -22,7 +22,7 @@ from qgrass.ladders import (
 )
 from qgrass.qarith import SqrtQScalar, q_binomial, q_int
 from qgrass.linalg import exact_int_product, row_blocks
-from qgrass.subspaces import DEFAULT_POSET_CAP, GeometryContext
+from qgrass.subspaces import DEFAULT_POSET_CAP, GeometryContext, kernel_words
 
 from oracles import (
     base_vertex,
@@ -562,8 +562,8 @@ def dropping(select, dropped):
     (l, w, v) of the lost cover w < v in `dropped`."""
     real = ladders._covers_from_above
 
-    def lossy(lo, hi):
-        b, a = real(lo, hi)
+    def lossy(lo, hi, kernels):
+        b, a = real(lo, hi, kernels)
         hits = np.flatnonzero(select(lo, hi, b, a))
         if dropped or not hits.size:
             return b, a
@@ -633,8 +633,8 @@ def test_bad_generated_pair_fails_certificate(monkeypatch, below, fault):
     real = ladders._covers_from_above
     touched, lost = [], []
 
-    def faulty(lo, hi):
-        b, a = real(lo, hi)
+    def faulty(lo, hi, kernels):
+        b, a = real(lo, hi, kernels)
         if touched or lo.dim != 1:
             return b, a
         b, a = b.copy(), a.copy()
@@ -674,7 +674,7 @@ def test_generators_count_and_agree_over_f3():
     for l in range(2, 4):
         lo, hi = geometry.table(l), geometry.table(l + 1)
         failures = {"slash": [], "backslash": []}
-        b, a = ladders._covers_from_above(lo, hi)
+        b, a = ladders._covers_from_above(lo, hi, kernel_words(3, 5))
         assert [v.size for v in ladders._keep_covers(lo, hi, a, b, failures)] == [a.size] * 2
         assert failures == {"slash": [], "backslash": []}
         assert np.bincount(b).tolist() == [q_int(l + 1, 3)] * len(hi)
@@ -707,7 +707,7 @@ def test_generators_match_the_replaced_ones(q, n, d, partial):
     keys = []
     for l in pm.dims[:-1]:
         lo, hi = geometry.table(l), geometry.table(l + 1)
-        b2, a2 = ladders._covers_from_above(lo, hi)
+        b2, a2 = ladders._covers_from_above(lo, hi, kernel_words(q, n))
         for new, old in zip((b2, a2), covers_from_above_by_spans(lo, hi)):
             assert np.array_equal(new, old)
         a, b = covers_from_below(lo, hi)

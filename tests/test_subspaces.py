@@ -212,8 +212,6 @@ def test_kernel_word_masks_match_span_walk(q, n):
         assert np.array_equal(tab.words, span_words(tab.rows, q)), tab.dim
     ctx = GeometryContext(q, n, 2, x_rows=[[1] * n, [0, 1, 2 % q] + [0] * (n - 3)])
     assert np.array_equal(ctx.x_words, span_words(ctx.x_rows[None], q))
-    kernels = subspaces.kernel_words(q, n)
-    assert kernels is subspaces.kernel_words(q, n) and not kernels.flags.writeable
 
 
 def _masks_under(q, n, monkeypatch, name, mutant):
@@ -351,11 +349,13 @@ class TestCanonicalForm:
         seen = {vector_index(v, q) for v in product(range(q), repeat=n)}
         assert len(seen) == q**n
         # the tables index a point the same way: row vector_index(g) of
-        # the kernel words has bit vector_index(w) set when g . w = 0
-        kernels = subspaces.kernel_words(q, n)
-        for g, w in product(product(range(q), repeat=n), repeat=2):
-            bit = kernels[vector_index(g, q)] >> np.uint64(vector_index(w, q))
-            assert bool(bit[0] & np.uint64(1)) == (np.dot(g, w) % q == 0)
+        # the kernel words has bit vector_index(w) set when g . w = 0,
+        # with the coordinates split into halves of equal and unequal size
+        for q, n in [(3, 3), (2, 4), (5, 2), (2, 1)]:
+            kernels = subspaces.kernel_words(q, n)
+            for g, w in product(product(range(q), repeat=n), repeat=2):
+                bit = kernels[vector_index(g, q)] >> np.uint64(vector_index(w, q))
+                assert bool(bit[0] & np.uint64(1)) == (np.dot(g, w) % q == 0)
 
 
 class TestGeometryContext:
