@@ -95,7 +95,7 @@ def kernel_words(q: int, n: int) -> np.ndarray:
     npoints, h = q**n, n // 2
     width = -(-npoints // 64)
     low, high = (all_vectors(q, k)[:, ::-1].astype(np.int64) for k in (h, n - h))
-    low, neg_high = low @ low.T % q, -(high @ high.T) % q
+    low, neg_high = low @ low.T % q, (q - high @ high.T % q) % q
     out = np.empty((npoints, width), dtype=np.uint64)
     for blk in row_blocks(npoints, 16 * width):
         g = np.arange(blk.start, blk.stop)
@@ -114,7 +114,7 @@ def _functionals(q: int, rows: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     free[np.arange(count)[:, None], pivots] = False
     cols = np.nonzero(free)[1].reshape(count, n - l)
     coeffs = np.take_along_axis(rows, cols[:, None, :], axis=2).astype(np.int64)
-    return q**cols + ((q**pivots)[:, None, :] @ (-coeffs % q))[:, 0]
+    return q**cols + ((q**pivots)[:, None, :] @ ((q - coeffs) % q))[:, 0]
 
 
 def echelon_words(q: int, rows: np.ndarray, pivots: np.ndarray) -> np.ndarray:
