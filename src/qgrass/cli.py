@@ -114,6 +114,7 @@ class _Pipeline:
         self._nd = None
         self._fam = None
         self._gamma = None
+        self._actions = None
 
     def gc(self):
         if self._gc is None:
@@ -152,6 +153,11 @@ class _Pipeline:
             self._gamma = gamma_components(self.gc(), self.family())
         return self._gamma
 
+    def actions(self):
+        if self._actions is None:
+            self._actions = verify_actions(self.spectral(), self.family())
+        return self._actions
+
 
 def _run_suite(
     name: str, pipe: _Pipeline, artifacts: dict, meta: dict, family_checks: bool
@@ -178,7 +184,7 @@ def _run_suite(
         if family_checks:
             cs.extend(fam.checks)
         if name == "actions":
-            cs.extend(verify_actions(pipe.spectral(), fam))
+            cs.extend(pipe.actions())
         elif name == "bases":
             cs.extend(verify_bases(pipe.nucleus(), fam))
         else:
@@ -211,7 +217,7 @@ def _run_suite(
         bp = pipe
         if pipe.n != 2 * pipe.d:
             bp = _Pipeline(pipe.q, 2 * pipe.d, pipe.d, None, pipe.table_cap, pipe.poset_cap)
-        doc = boundary_case_report(bp.spectral(), bp.nucleus(), bp.family(), bp.gamma())
+        doc = boundary_case_report(bp.spectral(), bp.nucleus(), bp.family(), bp.gamma(), bp.actions())
         meta["nucleus_paths"]["boundary"] = doc.pop("nucleus_paths")
         if bp is not pipe:
             meta["certificate_paths"]["boundary"] = bp.gc().certificate_path

@@ -669,6 +669,28 @@ def integer_coeffs(coeffs) -> tuple[list[int], int]:
     return [int(c * den) for c in coeffs], den
 
 
+def _lagrange_numerators(L, theta) -> list[tuple[list[list[int]], int]]:
+    """(P, den) for each i with P_i(L) = P / den, for the Lagrange
+    polynomial P_i(x) = prod_{j != i} (x - theta_j) / (theta_i - theta_j)
+    of integer theta and an integer square matrix L: P is the integer
+    matrix prod_{j != i} (L - theta_j I) and den the integer
+    prod_{j != i} (theta_i - theta_j)."""
+    size = len(L)
+    out = []
+    for i, ti in enumerate(theta):
+        num = [[int(h == g) for g in range(size)] for h in range(size)]
+        den = 1
+        for j, tj in enumerate(theta):
+            if j != i:
+                num = [
+                    [sum(L[h][k] * num[k][g] for k in range(size)) - tj * num[h][g] for g in range(size)]
+                    for h in range(size)
+                ]
+                den *= ti - tj
+        out.append((num, den))
+    return out
+
+
 @dataclass
 class SpectralSystem:
     gc: GraphContext
@@ -703,7 +725,8 @@ class SpectralSystem:
 def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempotent):
     """rank F'_i for F'_i = E_0 + ... + E_i, i = 0..D, each None when
     its certificate fails, and the failed sub-checks, each named (a),
-    (b) or (c) as in `spectral_system`.
+    (b) or (c) as in `spectral_system`.  (a) is `_full_rank_by_inverse`,
+    and `rank_mod_prime` where that check fails.
 
     (b) and (c) read the representatives of `GraphContext.representatives`
     (the proof obligation is in `structure_constants`).  (c): G_i -
@@ -734,7 +757,7 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     for i, w in enumerate(ws):
         found = len(faults)
         rows = q_binomial(n, i, q)
-        rank = rank_mod_prime(w)
+        rank = rows if _full_rank_by_inverse(gc, i, w) else rank_mod_prime(w)
         if w.shape[0] != rows or rank != rows:
             faults.append(f"(a) W_{i} has rank_p {rank} on {w.shape[0]} rows, not {rows}")
         if not fixed[i]:
@@ -752,6 +775,88 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
         ranks.append(None)
         faults.append(f"F'_{d} != I")
     return ranks, faults
+
+
+def _inverse_class_sum(q: int, n: int, d: int, i: int):
+    """(coeffs, den): integers d_h and den > 0 with sum_h d_h A_h = den
+    M^-1 in the Bose-Mesner algebra of J_q(N, i), for the class sum
+    M = sum_h [N-i-h, D-i-h]_q A_h; None when the closed forms give no
+    inverse.
+
+    From the closed forms of J_q(N, i) alone: its intersection matrix L
+    (A_1 A_h = b_{h-1} A_{h-1} + a_h A_h + c_{h+1} A_{h+1}) and its
+    eigenvalues theta_j.  M acts on the eigenspace of theta_j by
+    lambda_j = sum_h m_h v_h(theta_j), v_h the distance polynomials of the
+    three-term recurrence, and M^-1 = sum_j E_j / lambda_j, where the
+    vector of E_j = P_j(A_1) is column 0 of P_j(L).  The result is only a
+    candidate: `_full_rank_by_inverse` checks it against the stored W_i."""
+    forms = intersection_number_formulas(q, n, i)
+    theta = eigenvalue_formulas(q, n, i)
+    if len(set(theta)) != i + 1 or 0 in forms.c[1:]:
+        return None
+    m = [q_binomial(n - i - h, d - i - h, q) for h in range(i + 1)]
+    lam = []
+    for t in theta:
+        v = [Fraction(1), Fraction(t)][: i + 1]
+        for h in range(1, i):
+            v.append(((t - forms.a[h]) * v[h] - forms.b[h - 1] * v[h - 1]) / forms.c[h + 1])
+        lam.append(sum(mh * vh for mh, vh in zip(m, v)))
+    if 0 in lam:
+        return None
+    band = {-1: forms.c, 0: forms.a, 1: forms.b}
+    L = [[band[g - h][h] if abs(g - h) <= 1 else 0 for g in range(i + 1)] for h in range(i + 1)]
+    lagrange = _lagrange_numerators(L, theta)
+    inverse = [
+        sum(Fraction(num[h][0], den) / lj for (num, den), lj in zip(lagrange, lam))
+        for h in range(i + 1)
+    ]
+    return integer_coeffs(inverse)
+
+
+def _full_rank_by_inverse(gc: GraphContext, i: int, w: np.ndarray) -> bool:
+    """Certificate (a) by a checked inverse: whether W_i has [N,i]_q rows
+    and M C = den I holds on the rows `GraphContext.representatives` of
+    table(i), for M = W_i W_i^T read from the stored W_i and C = sum_h
+    d_h A_h^(i) with the integers (d_h, den) of `_inverse_class_sum`.
+    Row u of M is W_i[u] W_i^T, the sum of the columns of W_i at the
+    vertices holding u; row u of M C needs only the rows of C where that
+    row is nonzero, each C[u', u''] = d_h for u' and u'' at distance h
+    in J_q(N, i), read from the point counts q^(i-h) of their words.
+
+    Proof obligation.  Let G be the group of `structure_constants`, its
+    permutations pi of table(i) and p of the vertices.  M is G-invariant
+    by premise 3 of `_group_action`: W_i[pi][:, p] = W_i gives
+    M[pi][:, pi] = W_i[pi][:, p] (W_i[pi][:, p])^T = M.  C is G-invariant:
+    each pi maps point sets onto point sets under a bijection of F_q^N
+    (premises 1 and 2), which keeps every common point count.  So
+    M C - den I is G-invariant, and G is transitive on table(i) by
+    premise 5 (on the one entry of table(0) trivially), so every row of
+    it is the row at the representative entry permuted, and M C = den I
+    holds everywhere once it holds there.  Under the trivial group every
+    row is read.  Then M is invertible (den > 0), rank W_i >= rank M =
+    [N,i]_q, the row count, and W_i has full row rank over Q.  Nothing
+    rests on the candidate C: a wrong one fails the check, and
+    `rank_mod_prime` then decides as before."""
+    q, n = gc.q, gc.n
+    size = q_binomial(n, i, q)
+    candidate = _inverse_class_sum(q, n, gc.d, i)
+    if candidate is None or w.shape[0] != size:
+        return False
+    coeffs, den = candidate
+    table, cmax = int_operand(np.array(coeffs, dtype=object))
+    meet_dims = count_dims(q, i)
+    for u in gc.representatives(size):
+        m_row = w[:, w[u]].sum(axis=1)
+        support = np.flatnonzero(m_row)
+        classes = np.zeros((len(support), size), dtype=np.int8)
+        if i:  # table(0), the zero subspace alone, is never built
+            words = gc.geometry.table(i).words
+            for blk, counts in product_blocks(words[support], words, q**n):
+                classes[blk] = i - meet_dims(counts)
+        row = exact_int_product(m_row[None, support], table[classes], len(support), bmax=cmax)[0]
+        if row[u] != den or np.count_nonzero(row) != 1:
+            return False
+    return True
 
 
 def _gram_rows_are_class_sums(gc: GraphContext, i: int, vertices: np.ndarray) -> bool:
@@ -814,6 +919,8 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
       vector is P_i(L) applied to that of A_0, and E_i M for any M in
       the algebra is P_i(L) applied to the vector of M, which gives
       idempotency (E_i E_i = E_i) and orthogonality (E_i E_j = 0).
+      Each P_i(L) is built once, an integer matrix over one integer
+      denominator (`_lagrange_numerators`).
 
     Only closure under A_1 is used; `structure_constants` explains why
     the whole span is closed.  The idempotents are then checked for
@@ -825,9 +932,12 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     be the [N,i]_q x |X| 0/1 matrix of the i-subspaces u in the
     vertices y (u in y), F'_i = E_0 + ... + E_i, and G_i = W_i^T W_i.
 
-    - (a) W_i has [N,i]_q rows and rank_p W_i = [N,i]_q.  A rank mod p
-      is never above the rank over Q, nor is the row count, so W_i has
-      full row rank over Q and W_i^T is injective.
+    - (a) W_i has [N,i]_q rows and full row rank over Q, so W_i^T is
+      injective: W_i W_i^T C = den I for an integer class sum C of the
+      (i+1)-dimensional Bose-Mesner algebra of J_q(N, i)
+      (`_full_rank_by_inverse` carries the proof), or, where that check
+      fails, rank_p W_i = [N,i]_q: a rank mod p is never above the rank
+      over Q, nor is the row count.
     - (b) F'_i W_i^T = W_i^T, evaluated as sum_h c_h (A_h W_i^T) with
       one 0/1 kernel product per class, c the coefficients of F'_i, at
       one column per orbit of the group on table(i).  So col(W_i^T)
@@ -849,7 +959,8 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     witness naming (a), (b) or (c).  `partial_ranks` keeps rank F'_i
     for the nucleus.  Kantor (Math. Z. 1972) proves W_i of full rank,
     and Delsarte (JCTA 1976) identifies its row space with
-    V_0 + ... + V_i; the checks above verify both facts on the instance.
+    V_0 + ... + V_i and puts W_i W_i^T in the Bose-Mesner algebra of
+    J_q(N, i); the checks above verify these facts on the instance.
     """
     q, n, d = gc.q, gc.n, gc.d
     nv = gc.n_vertices
@@ -870,15 +981,14 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
         v = [a - t * b for a, b in zip(apply_l(v), v)]
     cs.check_true("minimal_polynomial_vanishes", not any(v))
 
+    lagrange = _lagrange_numerators(L, theta)
+
     def apply_idempotent(i, coef):
-        """P_i(L) coef: the vector of E_i M when coef is that of M."""
-        for j in range(d + 1):
-            if j == i:
-                continue
-            lc = apply_l(coef)
-            scale = Fraction(1, theta[i] - theta[j])
-            coef = [(a - theta[j] * b) * scale for a, b in zip(lc, coef)]
-        return coef
+        """P_i(L) coef: the vector of E_i M when coef is that of M, one
+        integer matrix-vector product over the common denominator."""
+        num, den = lagrange[i]
+        values, cden = integer_coeffs(coef)
+        return [Fraction(sum(a * v for a, v in zip(row, values)), den * cden) for row in num]
 
     e_coeffs = [apply_idempotent(i, ident) for i in range(d + 1)]
     total = [sum(e_coeffs[i][h] for i in range(d + 1)) for h in range(d + 1)]

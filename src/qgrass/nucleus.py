@@ -595,7 +595,8 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
         cs.check_true(f"components_match_meet_vectors_{i}", comp_sets == meet_sets)
         cs.check(f"component_count_{i}", q_binomial(d, i, q), roots)
         if i == d:
-            full = component_labels(len(sphere), ka, kb)
+            # every edge is same-fibre there when the dichotomy holds
+            full = fiber if same.all() else component_labels(len(sphere), ka, kb)
             cs.check("outer_sphere_connected", 1, int((full == np.arange(len(sphere))).sum()))
     cs.check_true("edge_meets_obey_cover_dichotomy", dichotomy_ok)
 
@@ -610,11 +611,16 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
 
 
 def boundary_case_report(
-    ss: SpectralSystem, nucleus: NucleusResult, fam: AlphaFamily, gamma: GammaReport
+    ss: SpectralSystem,
+    nucleus: NucleusResult,
+    fam: AlphaFamily,
+    gamma: GammaReport,
+    actions: CheckSet,
 ) -> dict:
     """Report what holds on J_q(2D, D) from its built spectral system,
-    nucleus, alpha family and sphere fibrations; the dimension claims
-    are recorded, not asserted, in this regime."""
+    nucleus, alpha family, sphere fibrations and the checks of
+    `verify_actions` on them; the dimension claims are recorded, not
+    asserted, in this regime."""
     gc = ss.gc
     doc = nucleus_report_json(nucleus, fam, gamma)
     doc["boundary"] = True
@@ -625,7 +631,7 @@ def boundary_case_report(
     doc["build_ok"] = gc.build_checks.ok
     doc["spectral_ok"] = ss.checks.ok
     doc["structure_ok"] = nucleus.checks.ok and fam.checks.ok
-    doc["actions_ok"] = verify_actions(ss, fam).ok
+    doc["actions_ok"] = actions.ok
     doc["fibration_ok"] = gamma.checks.ok
     return doc
 

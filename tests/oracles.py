@@ -3,9 +3,11 @@ table and poset arrays the verifier reads: a Python Gaussian elimination
 mod q, point masks from walking every point of a span, dimensions from
 point counts and meets from one echelon form of the stacked rows.
 Below them, the array span walk and the cover generators that the
-verifier replaced, and the dense certificate oracles."""
+verifier replaced, the dense certificate oracles and the step-by-step
+idempotent application of the spectral system."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -288,3 +290,17 @@ def dense_certificate_verdicts(gc, ss) -> dict:
         c.append(in_range and bool((w.T @ w == lut[np.clip(dist, 0, d)]).all()))
     edges = bool((dense_adjacency(gc) == (dist == 1)).all())
     return {"b": b, "c": c, "edges": edges}
+
+
+def idempotent_by_steps(L, theta, i: int, coef):
+    """P_i(L) coef, the vector of E_i M when coef is that of M, as the
+    spectral system once applied it: D Fraction steps, each one product
+    with L, then the shift by theta_j and the scale 1/(theta_i - theta_j)
+    for every j != i."""
+    for j, tj in enumerate(theta):
+        if j == i:
+            continue
+        lc = [sum(row[g] * coef[g] for g in range(len(coef))) for row in L]
+        scale = Fraction(1, theta[i] - tj)
+        coef = [(a - tj * b) * scale for a, b in zip(lc, coef)]
+    return coef

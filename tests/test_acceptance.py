@@ -204,7 +204,9 @@ def test_criterion_10_boundary_mode(criterion):
         gc = build_graph(2, 4, 2)
         ss = spectral_system(gc)
         fam = build_alpha_family(gc)
-        doc = boundary_case_report(ss, compute_nucleus(ss), fam, gamma_components(gc, fam))
+        doc = boundary_case_report(
+            ss, compute_nucleus(ss), fam, gamma_components(gc, fam), verify_actions(ss, fam)
+        )
         assert doc["boundary"] is True
         assert doc["params"] == {"q": 2, "N": 4, "D": 2}
         for flag in (

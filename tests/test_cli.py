@@ -191,6 +191,30 @@ def test_boundary_suite_reuses_the_verified_graph(monkeypatch, capsys, q, n, d, 
     assert calls[-1][1:] == (2 * d, d)
 
 
+@pytest.mark.parametrize(
+    "q,n,d,suites,graphs",
+    [(3, 4, 2, ["all"], [4]), (3, 4, 2, ["boundary"], [4]), (2, 5, 2, ["all"], [5, 4])],
+)
+def test_operator_actions_checked_once_per_graph(monkeypatch, capsys, q, n, d, suites, graphs):
+    # at N = 2D the boundary suite reads the actions suite's checks; the
+    # J_q(2D, D) of an N != 2D run is a second graph with its own
+    seen = []
+    real = nucleus.verify_actions
+
+    def spy(ss, fam):
+        seen.append(ss.gc.n)
+        return real(ss, fam)
+
+    monkeypatch.setattr(cli, "verify_actions", spy)
+    monkeypatch.setattr(nucleus, "verify_actions", spy)
+    argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d)]
+    for s in suites:
+        argv += ["--suite", s]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen == graphs
+
+
 FAMILY_CHECKS = {
     "alpha_count",
     "containment_counts",

@@ -43,6 +43,7 @@ from oracles import (
     dense_adjacency,
     dense_certificate_verdicts,
     entries,
+    idempotent_by_steps,
     layer_of,
     mask_dim,
     meet_dim_by_rank,
@@ -792,6 +793,199 @@ def test_corrupted_distance_fails_certificate_c():
         "dual_eigenvalue_closed_form",
     }
     assert "(c) W_1^T W_1 != sum_h [D-h,1]_q A_h" in bad["rank_certificate"]
+
+
+# ---------------------------------------------------------------------------
+# certificate (a) by a checked inverse of W_i W_i^T in the algebra of J_q(N, i)
+
+
+def step_a_calls(monkeypatch):
+    """(inverse, ranks): the verdict of every `_full_rank_by_inverse` call
+    as (i, verdict), and the shape of every matrix `rank_mod_prime`
+    ranks for the spectral system, in order."""
+    inverse, ranks = [], []
+    real_inverse, real_rank = grassmann._full_rank_by_inverse, grassmann.rank_mod_prime
+
+    def spy_inverse(gc, i, w):
+        inverse.append((i, real_inverse(gc, i, w)))
+        return inverse[-1][1]
+
+    def spy_rank(m):
+        ranks.append(m.shape)
+        return real_rank(m)
+
+    monkeypatch.setattr(grassmann, "_full_rank_by_inverse", spy_inverse)
+    monkeypatch.setattr(grassmann, "rank_mod_prime", spy_rank)
+    return inverse, ranks
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 6, 3)])
+def test_checked_inverse_agrees_with_rank_mod_p(q, n, d):
+    gc = build_graph(q, n, d)
+    assert gc.certificate_path == "automorphism"
+    for dense in (False, True):
+        if dense:  # the trivial group: every row of M C is read
+            gc._action = None
+        for i in range(d):
+            w = gc.inclusion(i)
+            full = linalg.rank_mod_prime(w) == q_binomial(n, i, q) == len(w)
+            assert grassmann._full_rank_by_inverse(gc, i, w) == full
+            assert full
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
+def test_inverse_candidate_is_the_algebra_inverse(q, n, d):
+    # sum_h d_h A_h is den times the inverse of sum_h [N-i-h, D-i-h]_q A_h
+    # in J_q(N, i): multiplied out with the products of the algebra, read
+    # from the recurrence of its closed-form intersection matrix
+    for i in range(d):
+        forms = intersection_number_formulas(q, n, i)
+        L = [
+            [{h - 1: forms.c[h], h: forms.a[h], h + 1: forms.b[h]}.get(g, 0) for g in range(i + 1)]
+            for h in range(i + 1)
+        ]
+        p = table_from_recurrence(L)
+        m = [q_binomial(n - i - h, d - i - h, q) for h in range(i + 1)]
+        coeffs, den = grassmann._inverse_class_sum(q, n, d, i)
+        prod = [
+            sum(m[a] * coeffs[b] * p[h][a][b] for a in range(i + 1) for b in range(i + 1))
+            for h in range(i + 1)
+        ]
+        assert prod == [den] + [0] * i
+        assert den > 0
+
+
+def test_duplicated_row_fails_the_inverse_and_certificate_a(monkeypatch):
+    real = grassmann.GraphContext.inclusion
+    monkeypatch.setattr(
+        grassmann.GraphContext,
+        "inclusion",
+        lambda gc, i: np.concatenate([real(gc, i), real(gc, i)[:1]]) if i == 1 else real(gc, i),
+    )
+    gc = build_graph(2, 5, 2)
+    inverse, ranks = step_a_calls(monkeypatch)
+    ss = spectral_system(gc)
+    assert inverse == [(0, True), (1, False)]
+    assert ranks == [(32, 155)]
+    assert failing(ss.checks)["rank_certificate"].startswith("(a) W_1 has rank_p 31 on 32 rows, not 31")
+
+
+@pytest.mark.parametrize("corruption", ["complement", "flip_entry"])
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
+def test_corrupted_w_fails_the_inverse_and_falls_back(q, n, d, corruption, monkeypatch):
+    # the complement of W_{D-1} keeps every premise of the action, one
+    # flipped entry breaks premise 3; either way M C != den I, and the
+    # elimination then finds the corrupted matrix of full rank still
+    real = grassmann.GraphContext.inclusion
+
+    def corrupted(gc, i):
+        w = real(gc, i)
+        if i != gc.d - 1:
+            return w
+        if corruption == "complement":
+            return ~w
+        w = w.copy()
+        w[-1, -1] = not w[-1, -1]
+        return w
+
+    monkeypatch.setattr(grassmann.GraphContext, "inclusion", corrupted)
+    gc = build_graph(q, n, d)
+    w = gc.inclusion(d - 1)
+    assert linalg.rank_mod_prime(w) == len(w)
+    inverse, ranks = step_a_calls(monkeypatch)
+    ss = spectral_system(gc)
+    assert inverse == [(i, i != d - 1) for i in range(d)]
+    assert ranks == [w.shape]
+    witness = failing(ss.checks)["rank_certificate"]
+    assert "(a)" not in witness
+    assert f"W_{d - 1}^T W_{d - 1} != sum_h" in witness
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["representatives", "every_row"])
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
+def test_one_coefficient_off_by_one_fails_the_inverse(q, n, d, dense):
+    gc = build_graph(q, n, d)
+    if dense:
+        gc._action = None
+    real = grassmann._inverse_class_sum
+    for i in range(d):
+        coeffs, den = real(q, n, d, i)
+        for h in range(i + 1):
+            off = [c + (g == h) for g, c in enumerate(coeffs)]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(grassmann, "_inverse_class_sum", lambda *_: (off, den))
+                assert not grassmann._full_rank_by_inverse(gc, i, gc.inclusion(i))
+        assert grassmann._full_rank_by_inverse(gc, i, gc.inclusion(i))
+
+
+def test_failed_inverse_keeps_the_verdicts(monkeypatch):
+    # with every candidate wrong, the elimination decides each W_i as
+    # before, and the checks are those of the passing run
+    want = check_table(spectral_system(build_graph(2, 5, 2)).checks)
+    monkeypatch.setattr(grassmann, "_inverse_class_sum", lambda q, n, d, i: ([0] * (i + 1), 1))
+    inverse, ranks = step_a_calls(monkeypatch)
+    assert check_table(spectral_system(build_graph(2, 5, 2)).checks) == want
+    assert inverse == [(0, False), (1, False)]
+    assert ranks == [(1, 155), (31, 155)]
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 6, 2), (3, 4, 2), (2, 6, 3)])
+def test_passing_verify_eliminates_no_inclusion_matrix(q, n, d, monkeypatch, capsys):
+    from qgrass.cli import main
+
+    inverse, ranks = step_a_calls(monkeypatch)
+    assert main(["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]) == 0
+    # the main graph and, when N != 2D, the boundary graph J_q(2D, D)
+    graphs = 1 if n == 2 * d else 2
+    assert len(inverse) == d * graphs and all(ok for _i, ok in inverse)
+    assert ranks == []
+
+
+# ---------------------------------------------------------------------------
+# the primitive idempotents as precomputed Lagrange matrices P_i(L)
+
+
+def apply_lagrange(lagrange, i, coef):
+    num, den = lagrange[i]
+    return [sum(Fraction(a, den) * v for a, v in zip(row, coef)) for row in num]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda size: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=size, max_size=size), min_size=size, max_size=size),
+        st.lists(st.integers(-40, 40), min_size=size, max_size=size, unique=True),
+        st.lists(st.fractions(max_denominator=30), min_size=size, max_size=size),
+    )
+))
+def test_lagrange_matrices_match_the_step_loop(args):
+    L, theta, coef = args
+    lagrange = grassmann._lagrange_numerators(L, theta)
+    for i in range(len(theta)):
+        assert apply_lagrange(lagrange, i, coef) == idempotent_by_steps(L, theta, i, coef)
+
+
+@pytest.mark.parametrize("theta_off", [0, 1], ids=["closed_form", "wrong_theta"])
+@pytest.mark.parametrize("q,n,d", [(2, 5, 1), (2, 5, 2), (3, 4, 2), (2, 6, 3)])
+def test_idempotent_checks_match_the_step_loop(q, n, d, theta_off, monkeypatch):
+    theta = eigenvalue_formulas(q, n, d)
+    theta[1] += theta_off
+    monkeypatch.setattr(grassmann, "eigenvalue_formulas", lambda *_: list(theta))
+    ss = spectral_system(build_graph(q, n, d))
+    L, _ = structure_constants(ss.gc)
+    ident = [Fraction(int(h == 0)) for h in range(d + 1)]
+    e = [idempotent_by_steps(L, theta, i, ident) for i in range(d + 1)]
+    assert ss.e_coeffs == e
+    idem = [idempotent_by_steps(L, theta, i, e[i]) == e[i] for i in range(d + 1)]
+    orth = [
+        not any(idempotent_by_steps(L, theta, i, e[j]))
+        for i in range(d + 1)
+        for j in range(i + 1, d + 1)
+    ]
+    verdicts = {c.name: c.passed for c in ss.checks.checks}
+    assert verdicts["idempotency"] == all(idem)
+    assert verdicts["orthogonality"] == all(orth)
+    assert all(idem + orth) == (theta_off == 0)
 
 
 def test_point_count_not_power_of_q_raises(monkeypatch):

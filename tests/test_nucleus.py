@@ -351,6 +351,21 @@ def test_transition_entries(fam252):
     assert t_meet[0][0] == 1
 
 
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
+def test_gamma_labels_each_sphere_once(q, n, d, monkeypatch):
+    # every edge of the outer sphere is same-fibre, so its fibre labels
+    # already say whether it is connected
+    calls = []
+    real = qgrass.nucleus.component_labels
+    monkeypatch.setattr(
+        qgrass.nucleus, "component_labels", lambda k, a, b: calls.append(k) or real(k, a, b)
+    )
+    gc = build_graph(q, n, d)
+    rep = gamma_components(gc, build_alpha_family(gc))
+    rep.checks.require()
+    assert calls == np.bincount(gc.dist[gc.x_index]).tolist()
+
+
 def test_gamma_components_frozen(j252, fam252):
     rep = gamma_components(j252, fam252)
     rep.checks.require()
@@ -545,7 +560,9 @@ def test_boundary_report():
     gc = build_graph(2, 4, 2)
     ss = spectral_system(gc)
     fam = build_alpha_family(gc)
-    doc = boundary_case_report(ss, compute_nucleus(ss), fam, gamma_components(gc, fam))
+    doc = boundary_case_report(
+        ss, compute_nucleus(ss), fam, gamma_components(gc, fam), verify_actions(ss, fam)
+    )
     assert doc["boundary"] is True
     assert doc["params"] == {"q": 2, "N": 4, "D": 2}
     # at N = 2D the generic dimension formula genuinely fails: the
