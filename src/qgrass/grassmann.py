@@ -385,10 +385,13 @@ def structure_constants(gc: GraphContext):
 class GroupAction:
     """Permutations verified by `_group_action`, one row per generator:
     `vertex` of the vertex table and `tables[i]` of the table of
-    i-subspaces for 0 <= i < D (the single zero subspace for i = 0)."""
+    i-subspaces for 0 <= i < D (the single zero subspace for i = 0).
+    The first `fixing` generators fix x; their part of the group has one
+    orbit per sphere of x (premise 5)."""
 
     vertex: np.ndarray
     tables: dict
+    fixing: int
 
     def preserves(self, w: np.ndarray, i: int) -> bool:
         """Whether W_i[pi][:, p] == W_i for every generator, with pi and
@@ -590,7 +593,7 @@ def _group_action(gc: GraphContext):
         return None
     tables = {0: np.zeros((len(mats), 1), dtype=np.intp)}
     tables.update(enumerate(perms[1:], start=1))
-    action = GroupAction(vertex, tables)
+    action = GroupAction(vertex, tables, fixing)
     if not all(action.preserves(gc.inclusion(i), i) for i in range(d)):
         return None
     return action

@@ -81,24 +81,34 @@ def row_blocks(rows: int, width: int):
 
 def _pack_rows(m) -> np.ndarray:
     """Rows of a bool matrix, or of the 0/1 class (labels == value) for
-    m = (labels, value), as zero-padded uint64 words.  A class is
-    compared and packed one row block at a time, so it is never held as
-    a whole bool matrix."""
-    labels, value = m if isinstance(m, tuple) else (m, None)
-    rows, cols = labels.shape
-    nbytes = -(-cols // 8)
-    packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
-    for blk in [slice(None)] if value is None else row_blocks(rows, nbytes):
-        bits = labels[blk] if value is None else labels[blk] == value
+    m = (labels, value, rows, cols), as zero-padded uint64 words: on all
+    of labels when rows is None, else on labels[rows], cut to the
+    columns cols unless that is None.  A class is gathered, compared and
+    packed one row block at a time, so it is never held as a whole bool
+    matrix."""
+    labels, value, rows, cols = m if isinstance(m, tuple) else (m, None, None, None)
+    count = labels.shape[0] if rows is None else len(rows)
+    width = labels.shape[1] if cols is None else len(cols)
+    nbytes = -(-width // 8)
+    packed = np.zeros((count, 8 * -(-width // 64)), dtype=np.uint8)
+    for blk in [slice(None)] if value is None else row_blocks(count, nbytes):
+        if value is None:
+            bits = labels
+        elif rows is None:
+            bits = labels[blk] == value
+        else:
+            picked = labels[rows[blk]] if cols is None else labels[np.ix_(rows[blk], cols)]
+            bits = picked == value
         packed[blk, :nbytes] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
     return packed.view(np.uint64)
 
 
-def pack_words(m: np.ndarray, value=None) -> np.ndarray:
+def pack_words(m: np.ndarray, value=None, rows=None, cols=None) -> np.ndarray:
     """The packed words that `product_blocks` takes for an operand: the
     rows of a bool matrix, or of the class (m == value) of an integer
-    matrix, packed once."""
-    return _pack_rows(m if value is None else (m, value))
+    matrix, packed once; with an index array `rows`, of the class on
+    m[rows], and with `cols` as well, on m[rows][:, cols]."""
+    return _pack_rows(m if value is None else (m, value, rows, cols))
 
 
 def _packed_operand(m: np.ndarray, inner: int, side: str) -> np.ndarray:

@@ -36,10 +36,12 @@ from .linalg import (
     component_labels,
     exact_int_product,
     in_span,
+    int_operand,
     nullspace,
-    product_blocks,
+    pack_words,
     rank_exact,
     rank_mod_prime,
+    row_blocks,
     span_rank,
 )
 from .qarith import q_binomial, q_int, q_power
@@ -124,10 +126,18 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     built only on this fallback.
 
     The layer dimensions on the eigenspace side are the ranks of
-    E_r applied to the combined basis, evaluated as sum_h c_h (A_h B^T)
-    with one kernel product per class.  Every exact rank here (the sum
-    of the pieces, both kinds of layer dimensions) is certified mod p by
-    `certified_kernel`, with Bareiss elimination as the fallback.
+    E_r B^T, B the combined basis (p rows).  When the spectral checks
+    pass they are read from the p x p matrices B E_r B^T
+    (`layer_grams`): E_r = P_r(A_1) is a polynomial in the symmetric A_1,
+    so it is real and symmetric, and it is idempotent (checked), so with
+    M = E_r B^T, M^T M = B E_r^T E_r B^T = B E_r B^T, and over the reals,
+    hence over Q, rank(M^T M) = rank(M).  Scaling E_r by its
+    denominator keeps the rank.  When a spectral check fails, the images
+    E_r B^T themselves are formed, sum_h c_h (A_h B^T) with one kernel
+    product per class over every row of dist (`GraphContext.class_sums`).
+    Every exact rank here (the sum of the pieces, both kinds of layer
+    dimensions) is certified mod p by `certified_kernel`, with Bareiss
+    elimination as the fallback.
     """
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
@@ -174,7 +184,11 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     # combined basis cut to each sphere, and of its image under each E_r
     combined = np.concatenate(bases)
     estar_dims = [rank_exact(combined[:, xrow == r]) for r in range(d + 1)]
-    images = gc.class_sums([integer_coeffs(e)[0] for e in ss.e_coeffs], combined.T)
+    coeff_rows = [integer_coeffs(e)[0] for e in ss.e_coeffs]
+    if premise:
+        images = layer_grams(gc, combined, coeff_rows)
+    else:
+        images = gc.class_sums(coeff_rows, combined.T)
     e_dims = [rank_exact(image) for image in images]
     cs.check("layer_dimensions_agree", estar_dims, e_dims)
     if not gc.boundary:
@@ -216,6 +230,63 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     )
 
 
+def layer_grams(gc: GraphContext, basis: np.ndarray, coeff_rows) -> list[np.ndarray]:
+    """sum_h c[h] (B A_h B^T) for each integer row c of coeff_rows, as
+    p x p integer arrays, with B = basis (p rows over X);
+    `compute_nucleus` reads den_r B E_r B^T off it.
+
+    Proof obligation.  Entry (a, b) of B A_h B^T is
+    sum_{y,z} B[a,y] B[b,z] [dist(y, z) = h].
+    - Between two rows that are not constant it needs y and z only in S,
+      the union of the supports of those rows, so it is read on S x S:
+      the class (dist == h) on S x S times those rows, one packed 0/1
+      product when they are 0/1 on S (every squeeze piece; the class is
+      gathered and packed one row block at a time), an exact integer
+      product per row block of S otherwise.
+    - A constant row c 1 (the piece i = D) needs no read: A_h 1 = k_h 1,
+      so the entry against row a is c k_h (row sum of a).  A_h 1 = k_h 1
+      holds once the spectral checks pass: the classes are symmetric
+      (dist is a Gram product), A_1 A_h lies in their span, so it is
+      symmetric and A_1 commutes with A_h; J = |X| E_0 is a polynomial in
+      A_1 (`e0_is_all_ones_over_size`), so A_h J = J A_h, and the row sums
+      of A_h are all equal, to its row sum at x, the sphere size k_h
+      (`sphere_sizes`).
+    The combination over h is exact in Python ints."""
+    p = basis.shape[0]
+    const = (basis == basis[:, :1]).all(axis=1)
+    rows = basis[~const]
+    support = np.flatnonzero((rows != 0).any(axis=0))
+    rows = rows[:, support]
+    width = len(support)
+    left = int_operand(rows)[0]
+    if ((rows == 0) | (rows == 1)).all():
+        words = pack_words(rows.astype(bool))
+
+        def on_support(h):  # A_h[S, S] rows^T
+            return exact_int_product(pack_words(gc.dist, h, support, support), words, width)
+
+    else:
+
+        def on_support(h):
+            blocks = [
+                exact_int_product(gc.dist[np.ix_(support[blk], support)] == h, left.T, width)
+                for blk in row_blocks(width, width)
+            ]
+            return np.concatenate(blocks)
+
+    sizes = np.bincount(gc.dist[gc.x_index], minlength=gc.d + 1).tolist()
+    sums = basis.sum(axis=1).astype(object)
+    level = basis[const, 0].astype(object)
+    classes = []
+    for h, size in enumerate(sizes):
+        gram = np.full((p, p), 0, dtype=object)
+        gram[np.ix_(~const, ~const)] = exact_int_product(left, on_support(h), width)
+        gram[:, const] = size * np.outer(sums, level)
+        gram[np.ix_(const, ~const)] = gram[np.ix_(~const, const)].T
+        classes.append(gram)
+    return [int_operand(sum(c * g for c, g in zip(row, classes)))[0] for row in coeff_rows]
+
+
 def _inclusion_piece(gc: GraphContext, i: int) -> tuple[np.ndarray, str]:
     """A basis of N_i = W^T ker(off^T) for W = W_{D-i} and `off` its
     columns outside the ball B_i, with the path that found it; see
@@ -237,14 +308,16 @@ def _inclusion_piece(gc: GraphContext, i: int) -> tuple[np.ndarray, str]:
 
 @dataclass
 class AlphaFamily:
-    """The p subspaces alpha of x as their dimensions and packed point
-    words (`subspaces_of_base`), both families as p x |X| 0/1 arrays,
-    row a for alpha #a, and the containment order of the alphas as a
-    p x p 0/1 matrix: zeta[a, b] when alpha #a is a subspace of alpha #b."""
+    """The p subspaces alpha of x as their dimensions, packed point words
+    and table entries (`subspaces_of_base`), both families as p x |X|
+    0/1 arrays, row a for alpha #a, and the containment order of the
+    alphas as a p x p 0/1 matrix: zeta[a, b] when alpha #a is a subspace
+    of alpha #b."""
 
     gc: GraphContext
     dims: np.ndarray
     words: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(repr=False)
     by_dim: dict[int, list[int]]
     vee: np.ndarray = field(repr=False)
     meet: np.ndarray = field(repr=False)
@@ -254,23 +327,25 @@ class AlphaFamily:
     checks: CheckSet = None
 
 
-def subspaces_of_base(gc: GraphContext) -> tuple[np.ndarray, np.ndarray]:
-    """(dims, words): the dimension and the packed point words of every
-    subspace of the base vertex, ordered by dimension, then by index in
-    the table of its dimension, that is by its reduced echelon rows.
+def subspaces_of_base(gc: GraphContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dims, words, entries): the dimension, the packed point words and
+    the index in the table of its dimension of every subspace of the
+    base vertex, ordered by dimension, then by that index, that is by
+    its reduced echelon rows.
 
     A subspace lies in x exactly when none of its points lies outside x,
     so the l-subspaces of x are the entries of the l-subspace table
     whose words have no bit outside x's words.  `build_alpha_family`
     checks their number against the Gaussian binomials."""
     geometry = gc.geometry
-    dims, words = [], []
+    dims, entries = [], []
     for l in range(gc.d + 1):
         table = geometry.table(l)
-        inside = table.words[~(table.words & ~geometry.x_words).any(axis=1)]
+        inside = np.flatnonzero(~(table.words & ~geometry.x_words).any(axis=1))
         dims.append(np.full(len(inside), l))
-        words.append(inside)
-    return np.concatenate(dims), np.concatenate(words)
+        entries.append(inside)
+    words = np.concatenate([geometry.table(l).words[e] for l, e in enumerate(entries)])
+    return np.concatenate(dims), words, np.concatenate(entries)
 
 
 def _mobius(zeta: np.ndarray, dims: np.ndarray, q: int) -> np.ndarray:
@@ -306,7 +381,7 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     """
     q, d = gc.q, gc.d
     nv = gc.n_vertices
-    dims, words = subspaces_of_base(gc)
+    dims, words, entries = subspaces_of_base(gc)
     p = len(dims)
     by_dim = {l: np.flatnonzero(dims == l).tolist() for l in range(d + 1)}
     cs = CheckSet(f"alpha family q={q} N={gc.n} D={d}")
@@ -362,6 +437,7 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
         gc=gc,
         dims=dims,
         words=words,
+        entries=entries,
         by_dim=by_dim,
         vee=vee,
         meet=meet,
@@ -402,25 +478,14 @@ def _integral(arr: np.ndarray, den: int) -> np.ndarray:
     )
 
 
-def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
-    """The four operator identities, asserted with zero residual for
-    every subspace of the base vertex.
-
-    Each is one identity of p x |X| arrays, op F = C F, with F a family
-    (one row per alpha) and C a p x p coefficient matrix over the
-    subspaces of x, built from the closed forms.  The left sides under
-    A are one 0/1 product of dist == 1 with both families.  A* is
-    diagonal, theta*_h at the vertices at distance h from x, so A* F
-    scales the columns of F.  Both sides are multiplied by den, the
-    least common denominator of the coefficients and the theta*, and
-    compared as integers.
-    """
+def _action_coefficients(ss: SpectralSystem, fam: AlphaFamily) -> list[np.ndarray]:
+    """The p x p coefficient matrices C of the four identities op F = C F
+    of `verify_actions`, in its order, from the closed forms: object
+    arrays of ints and Fractions."""
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
-    nv = gc.n_vertices
     p = len(fam.dims)
     dims = fam.dims
-    cs = CheckSet(f"operator actions q={q} N={n} D={d}")
     # lower[a, b]: alpha #b is a hyperplane of alpha #a.  Two distinct
     # alphas of one dimension meet in a hyperplane of both exactly when
     # they cover a common subspace, which is then their meet.
@@ -449,22 +514,118 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
         c_dual_vee[a, upper[a]] = Fraction(
             q_power(q, -d + i + 1) * q_int(n, q) * q_int(n - 1, q), dd * nd
         )
+    return [c_vee, c_meet, c_dual_meet, c_dual_vee]
 
-    coeffs = [c_vee, c_meet, c_dual_meet, c_dual_vee]
+
+def _label_perms(gc: GraphContext, fam: AlphaFamily):
+    """(h, p): for each generator of the verified action that fixes x,
+    the permutation pi of the alpha labels it induces, read from the
+    table permutations: alpha #a of dimension l < D, entry t of
+    table(l), goes to the alpha at entry tables[l][g, t], and x stays.
+    None under the trivial group, or unless every pi is a bijection of
+    the alphas."""
+    action = gc._action
+    if action is None:
+        return None
+    p = len(fam.dims)
+    perms = np.tile(np.arange(p), (action.fixing, 1))
+    for l in range(gc.d):
+        alphas = np.array(fam.by_dim[l])
+        label = np.full(action.tables[l].shape[1], -1)
+        label[fam.entries[alphas]] = alphas
+        perms[:, alphas] = label[action.tables[l][: action.fixing][:, fam.entries[alphas]]]
+    if (np.sort(perms, axis=1) != np.arange(p)).any():
+        return None
+    return perms
+
+
+def _adjacent_counts(gc: GraphContext, family: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(F A)[:, cols] for a 0/1 family F, one row per alpha: entry (a, j)
+    counts the neighbours of vertex cols[j] in the support of row a.  A
+    is symmetric, so column y of F A reads row y of dist only; the rows
+    at cols are packed one block at a time."""
+    nv = gc.n_vertices
+    words = pack_words(family)
+    return exact_int_product(words, pack_words(gc.dist, 1, cols), nv)
+
+
+def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
+    """The four operator identities, asserted with zero residual for
+    every subspace of the base vertex.
+
+    Each is one identity of p x |X| arrays, op F = C F, with F a family
+    (one row per alpha), op = A or A* acting on the columns, and C a
+    p x p coefficient matrix over the subspaces of x, built from the
+    closed forms (`_action_coefficients`).  Column y of A F is read from
+    row y of dist (`_adjacent_counts`).  A* is diagonal, theta*_h at the
+    vertices at distance h from x, so A* F scales the columns of F.
+    Both sides are multiplied by den, the least common denominator of
+    the coefficients and the theta*, and compared as integers.  The
+    witness of a failed identity is the last alpha whose row differs.
+
+    Proof obligation of the columns read.  Let H be the group generated
+    by the vertex permutations v of the verified action that fix x
+    (`GroupAction.fixing`), and pi the label permutation of each
+    (`_label_perms`).  Two premises are checked per generator:
+    F[pi][:, v] == F for both families, and C[pi][:, pi] == C for all
+    four C.  The action preserves dist (premise 3 of `_group_action`)
+    and fixes x, so op[v][:, v] == op for op = A and A*.  Then the
+    residual R = F op - C F obeys R[pi(a), v(y)] = R[a, y]:
+    sum_z F[pi a, z] op[z, v y] = sum_z F[pi a, v z] op[v z, v y] =
+    (F op)[a, y], and sum_b C[pi a, b] F[b, v y] =
+    sum_b C[pi a, pi b] F[pi b, v y] = (C F)[a, y].  So column v(y) of
+    R vanishes when column y does, and row pi(a) when row a does.  H has
+    one orbit per sphere of x (premise 5), so R = 0 once its columns at
+    one vertex per sphere are zero; and the rows of R that are nonzero
+    anywhere are the orbit closure, under the pi, of the rows nonzero at
+    those columns (R[a, h y] = R[h^-1 a, y]), so the witness is the last
+    row of that closure, the row every column names.  Under the trivial
+    group, or where a premise fails, every column is read."""
+    gc = ss.gc
+    q, n, d = gc.q, gc.n, gc.d
+    p = len(fam.dims)
+    dims = fam.dims
+    cs = CheckSet(f"operator actions q={q} N={n} D={d}")
+    coeffs = _action_coefficients(ss, fam)
     values = [*ss.theta_star, *np.concatenate([c.ravel() for c in coeffs])]
     den = math.lcm(*(v.denominator for v in values))
+    scaled = [int_operand(_integral(c, den))[0] for c in coeffs]
+    xrow = gc.dist[gc.x_index]
+
     both = np.concatenate([fam.vee, fam.meet])
-    adj = _integral(exact_int_product(gc.dist == 1, both.T, nv).T, den)
-    star = _integral(np.array(ss.theta_star, dtype=object), den)[gc.dist[gc.x_index]]
+    perms = _label_perms(gc, fam)
+    invariant = perms is not None
+    if invariant:
+        vertex = gc._action.vertex[: gc._action.fixing]
+        # pi on the rows of both families at once, per generator, then on
+        # the four p x p coefficient matrices under every generator at once
+        twice = np.concatenate([perms, perms + p], axis=1)
+        stacked = np.stack(scaled)
+        invariant = all((both[t][:, v] == both).all() for t, v in zip(twice, vertex)) and bool(
+            (stacked[:, perms[:, :, None], perms[:, None, :]] == stacked[:, None]).all()
+        )
+    if invariant:
+        cols = np.unique(xrow, return_index=True)[1]
+        orbit = component_labels(p, np.tile(np.arange(p), len(perms)), perms.ravel())
+    else:
+        cols = np.arange(gc.n_vertices)
+        orbit = np.arange(p)
+
+    vee, meet = fam.vee[:, cols], fam.meet[:, cols]
+    adj = _integral(_adjacent_counts(gc, both, cols), den)
+    star = _integral(np.array(ss.theta_star, dtype=object), den)[xrow[cols]]
     identities = [
-        ("adjacency_on_vee", adj[:p], c_vee, fam.vee),
-        ("adjacency_on_meet", adj[p:], c_meet, fam.meet),
-        ("dual_adjacency_on_meet", np.where(fam.meet, star, 0), c_dual_meet, fam.meet),
-        ("dual_adjacency_on_vee", np.where(fam.vee, star, 0), c_dual_vee, fam.vee),
+        ("adjacency_on_vee", adj[:p], scaled[0], vee),
+        ("adjacency_on_meet", adj[p:], scaled[1], meet),
+        ("dual_adjacency_on_meet", np.where(meet, star, 0), scaled[2], meet),
+        ("dual_adjacency_on_vee", np.where(vee, star, 0), scaled[3], vee),
     ]
     for name, lhs, c, family in identities:
-        rhs = exact_int_product(_integral(c, den), family, p)
-        _check_rows(cs, name, lhs, rhs, lambda a: f"dim {dims[a]} alpha #{a}")
+        rhs = exact_int_product(c, family, p)
+        bad = (lhs != rhs).any(axis=1)
+        rows = np.flatnonzero(np.isin(orbit, orbit[bad]))
+        witness = f"dim {dims[rows[-1]]} alpha #{rows[-1]}" if rows.size else None
+        cs.check_true(name, not rows.size, witness)
     return cs
 
 
@@ -539,6 +700,12 @@ def _components(labels: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
     return np.split(members[order], np.flatnonzero(np.diff(labels[order])) + 1)
 
 
+def _edge_meets(words: np.ndarray, ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """Per edge e, the number of bits set in both words[ka[e]] and
+    words[kb[e]]: one popcount of their AND, summed over the words."""
+    return np.bitwise_count(words[ka] & words[kb]).sum(axis=1, dtype=np.int64)
+
+
 def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     """Components of the distance spheres around x under same-fiber
     edges, compared with the meet-vector fibers.
@@ -547,12 +714,17 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     exactly when y and z meet x in the same (D-i)-dimensional subspace;
     those components must be the fibers themselves, each connected, and
     the full sphere at distance D must be connected with all its edges.
+
+    The edges of a sphere are read from the rows of dist at that sphere,
+    one row block at a time and above the diagonal only (dist is
+    symmetric, so each edge once).  The points of y meet z meet x are
+    the bits set in both inside-x words of y and z, so their number,
+    q^dim, is one popcount per edge (`_edge_meets`); no sphere x sphere
+    product is formed.
     """
     q, d = gc.q, gc.d
     cs = CheckSet(f"sphere fibrations q={q} N={gc.n} D={d}")
-    npoints = q**gc.n
-    # the packed points of each vertex inside x, so the Gram product of
-    # two rows counts the points of y meet z meet x, q^dim
+    # the packed points of each vertex inside x
     inside_x = gc.vertices.words & gc.geometry.x_words
     xrow = gc.dist[gc.x_index]
     counts = []
@@ -561,14 +733,15 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     for i in range(d + 1):
         sphere = np.flatnonzero(xrow == i)
         rows_x = inside_x[sphere]
-        # (a, b, same fiber) per block; an empty sphere streams no block
+        # (a, b, same fiber) per block; an empty sphere reads no block
         edges = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, bool))]
-        for blk, meets in product_blocks(rows_x, rows_x, npoints):
-            ka, kb = np.nonzero(gc.dist[np.ix_(sphere[blk], sphere)] == 1)
-            meet = meets[ka, kb]
+        for blk in row_blocks(len(sphere), len(sphere)):
+            ka, kb = np.nonzero(gc.dist[np.ix_(sphere[blk], sphere[blk.start :])] == 1)
             ka += blk.start
+            kb += blk.start
             keep = ka < kb
-            ka, kb, meet = ka[keep], kb[keep], meet[keep]
+            ka, kb = ka[keep], kb[keep]
+            meet = _edge_meets(rows_x, ka, kb)
             # the meet of adjacent same-sphere vertices cuts x in
             # dimension D-i (same fiber) or D-i-1, nothing else; the
             # classification is shared by both endpoints by symmetry

@@ -2,8 +2,7 @@
 
 q-integers [l] = (q^l - 1)/(q - 1), Gaussian binomials, prime field
 helpers, and scalars of the form c * q^(e/2) with c rational.  All
-results are exact; q-integers with negative index and alternating-sum
-identities produce Fractions.
+results are exact; q-integers with negative index produce Fractions.
 """
 
 from __future__ import annotations
@@ -155,17 +154,24 @@ def verify_q_identities(l_max: int, q: int) -> CheckSet:
     """Check the Pascal-type recurrence and the two alternating-sum
     identities for all admissible l <= l_max, exactly.
 
-    Records the first counterexample, if any, as the check witness.
+    All three are checked in integers against one table of Gaussian
+    binomials, binom[l][j] = q_binomial(l, j, q) for 0 <= j <= l and 0
+    outside, built once per call.  The shifted sum has exponents
+    binom(j, 2) - j >= -1, so it is checked multiplied by q; a Fraction
+    is built only to write its witness.  Records the first
+    counterexample, if any, as the check witness.
     """
     cs = CheckSet(f"q-identities q={q} l_max={l_max}")
+    binom = [[q_binomial(l, j, q) for j in range(l + 1)] for l in range(l_max + 1)]
+
+    def entry(l: int, j: int) -> int:
+        return binom[l][j] if 0 <= j <= l else 0
 
     bad = None
-    for l in range(0, l_max + 1):
-        for j in range(0, l + 1):
-            if l == 0 and j == 0:
-                continue
-            lhs = q_binomial(l, j, q)
-            rhs = q**j * q_binomial(l - 1, j, q) + q_binomial(l - 1, j - 1, q)
+    for l in range(1, l_max + 1):
+        for j in range(l + 1):
+            lhs = binom[l][j]
+            rhs = q**j * entry(l - 1, j) + entry(l - 1, j - 1)
             if lhs != rhs:
                 bad = f"l={l} j={j}: {lhs} != {rhs}"
                 break
@@ -173,27 +179,22 @@ def verify_q_identities(l_max: int, q: int) -> CheckSet:
             break
     cs.check("pascal_recurrence", None, bad, witness=bad)
 
+    signed = [(-1) ** j * q ** _ordinary_binom2(j) for j in range(l_max + 1)]
     bad = None
-    for l in range(0, l_max + 1):
-        total = sum(
-            (-1) ** j * q ** _ordinary_binom2(j) * q_binomial(l, j, q) for j in range(l + 1)
-        )
-        want = 1 if l == 0 else 0
-        if total != want:
+    for l in range(l_max + 1):
+        total = sum(signed[j] * binom[l][j] for j in range(l + 1))
+        if total != (1 if l == 0 else 0):
             bad = f"l={l}: sum={total}"
             break
     cs.check("alternating_sum", None, bad, witness=bad)
 
+    # q * (-1)^j q^(binom(j, 2) - j), every exponent >= 0
+    shifted = [(-1) ** j * q ** (_ordinary_binom2(j) - j + 1) for j in range(l_max + 1)]
     bad = None
     for l in range(2, l_max + 1):
-        total = sum(
-            (-1) ** j
-            * Fraction(q) ** (_ordinary_binom2(j) - j)
-            * q_binomial(l, j, q)
-            for j in range(l + 1)
-        )
+        total = sum(shifted[j] * binom[l][j] for j in range(l + 1))
         if total != 0:
-            bad = f"l={l}: sum={total}"
+            bad = f"l={l}: sum={Fraction(total, q)}"
             break
     cs.check("alternating_sum_shifted", None, bad, witness=bad)
 

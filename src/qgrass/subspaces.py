@@ -255,7 +255,10 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
     projected = q_binomial(ambient, dim, q)
     if cap is not None and projected > cap:
         raise SizeCapExceeded(
-            f"enumeration of {projected} subspaces exceeds cap {cap}", projected, cap
+            f"enumeration of {projected} {dim}-subspaces of F_{q}^{ambient} exceeds cap {cap}"
+            " (--max-vertices)",
+            projected,
+            cap,
         )
     rows = np.concatenate(list(_echelon_blocks(q, ambient, dim)))
     if len(rows) != projected:

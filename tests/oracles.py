@@ -304,3 +304,94 @@ def idempotent_by_steps(L, theta, i: int, coef):
         scale = Fraction(1, theta[i] - tj)
         coef = [(a - tj * b) * scale for a, b in zip(lc, coef)]
     return coef
+
+
+def q_identities_by_fractions(l_max: int, q: int):
+    """The q-identity suite as `qarith.verify_q_identities` ran before
+    its integer table: a fresh `q_binomial` call per term (looked up on
+    the module, so a monkeypatched one is seen) and the shifted sum in
+    Fractions."""
+    from qgrass import qarith
+    from qgrass.report import CheckSet
+
+    binom = lambda l, j: qarith.q_binomial(l, j, q)  # noqa: E731
+    half = lambda j: j * (j - 1) // 2  # noqa: E731
+    cs = CheckSet(f"q-identities q={q} l_max={l_max}")
+
+    bad = None
+    for l in range(0, l_max + 1):
+        for j in range(0, l + 1):
+            if l == 0 and j == 0:
+                continue
+            lhs = binom(l, j)
+            rhs = q**j * binom(l - 1, j) + binom(l - 1, j - 1)
+            if lhs != rhs:
+                bad = f"l={l} j={j}: {lhs} != {rhs}"
+                break
+        if bad:
+            break
+    cs.check("pascal_recurrence", None, bad, witness=bad)
+
+    bad = None
+    for l in range(0, l_max + 1):
+        total = sum((-1) ** j * q ** half(j) * binom(l, j) for j in range(l + 1))
+        if total != (1 if l == 0 else 0):
+            bad = f"l={l}: sum={total}"
+            break
+    cs.check("alternating_sum", None, bad, witness=bad)
+
+    bad = None
+    for l in range(2, l_max + 1):
+        total = sum(
+            (-1) ** j * Fraction(q) ** (half(j) - j) * binom(l, j) for j in range(l + 1)
+        )
+        if total != 0:
+            bad = f"l={l}: sum={total}"
+            break
+    cs.check("alternating_sum_shifted", None, bad, witness=bad)
+
+    cs.record("l_max", l_max)
+    cs.record("q", q)
+    return cs
+
+
+def actions_by_dense_adjacency(ss, fam):
+    """The four identities of `nucleus.verify_actions` as it checked them
+    before it read one column per sphere: every column, with the A side
+    one 0/1 product of the dense |X| x |X| `dist == 1` with both
+    families, and as witness the last alpha whose row differs anywhere.
+    The coefficient matrices come from `nucleus._action_coefficients`
+    (looked up on the module, so a monkeypatched one is seen)."""
+    import math
+
+    from qgrass import nucleus
+    from qgrass.linalg import exact_int_product
+    from qgrass.report import CheckSet
+
+    gc = ss.gc
+    nv, p, dims = gc.n_vertices, len(fam.dims), fam.dims
+    coeffs = nucleus._action_coefficients(ss, fam)
+    values = [*ss.theta_star, *np.concatenate([c.ravel() for c in coeffs])]
+    den = math.lcm(*(v.denominator for v in values))
+
+    def integral(arr):
+        return np.array([int(den * v) for v in arr.ravel().tolist()], dtype=object).reshape(
+            arr.shape
+        )
+
+    both = np.concatenate([fam.vee, fam.meet])
+    adj = integral(exact_int_product(gc.dist == 1, both.T, nv).T)
+    star = integral(np.array(ss.theta_star, dtype=object))[gc.dist[gc.x_index]]
+    identities = [
+        ("adjacency_on_vee", adj[:p], coeffs[0], fam.vee),
+        ("adjacency_on_meet", adj[p:], coeffs[1], fam.meet),
+        ("dual_adjacency_on_meet", np.where(fam.meet, star, 0), coeffs[2], fam.meet),
+        ("dual_adjacency_on_vee", np.where(fam.vee, star, 0), coeffs[3], fam.vee),
+    ]
+    cs = CheckSet(f"operator actions q={gc.q} N={gc.n} D={gc.d}")
+    for name, lhs, c, family in identities:
+        rhs = exact_int_product(integral(c), family, p)
+        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        witness = f"dim {dims[bad[-1]]} alpha #{bad[-1]}" if bad.size else None
+        cs.check_true(name, not bad.size, witness)
+    return cs

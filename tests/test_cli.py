@@ -306,6 +306,18 @@ def test_size_cap_exit_two(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_window_cap_names_the_table_and_the_flag(capsys):
+    # the vertex table (651 entries) is under the cap, and the nucleus
+    # suite passes; the halgebra window's table of 3-subspaces (1,395)
+    # is not, and the message names that table and the flag
+    caps = ["--q", "2", "--n", "6", "--d", "2", "--max-vertices", "700", "--max-poset", "100"]
+    assert main(["verify", *caps, "--suite", "nucleus"]) == 0
+    capsys.readouterr()
+    assert main(["verify", *caps, "--suite", "all"]) == 2
+    err = capsys.readouterr().err
+    assert "enumeration of 1395 3-subspaces of F_2^6 exceeds cap 700 (--max-vertices)" in err
+
+
 def test_size_cap_is_checked_before_the_kernel_words(capsys, monkeypatch):
     # the kernel words of F_2^20 would take 128 GiB: an oversized
     # request must stop at the table cap before anything of size q^N

@@ -1376,6 +1376,15 @@ def test_action_checks_inclusion_matrices_on_the_stored_array(j252):
     assert not action.preserves(np.concatenate([w, w[:1]]), 1)
 
 
+def test_action_records_the_generators_that_fix_x(j252):
+    # the first `fixing` generators fix x, the last one moves it
+    action = j252._action
+    x = j252.x_index
+    assert 0 < action.fixing < len(action.vertex)
+    assert (action.vertex[: action.fixing, x] == x).all()
+    assert (action.vertex[action.fixing :, x] != x).all()
+
+
 def held_arrays(obj, seen=None):
     """Every numpy array reachable from obj through the attributes of
     qgrass objects and through dicts, lists and tuples."""

@@ -268,6 +268,21 @@ class TestStreamedProduct:
         for left, right in [(wa, b), (a, wb), (wa, wb)]:
             assert (exact_int_product(left, right, inner) == want).all()
 
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 130])
+    def test_class_words_on_a_submatrix(self, size, monkeypatch):
+        # the class of labels[rows][:, cols], gathered and packed a few
+        # rows at a time, is the class of that submatrix packed whole
+        rng = np.random.default_rng(size)
+        labels = rng.integers(0, 3, size=(size, size), dtype=np.int8)
+        rows = rng.permutation(size)[: max(1, size // 2)]
+        cols = rng.permutation(size)[: max(1, size // 3)]
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * 8)
+        assert len(list(linalg.row_blocks(len(rows), 1))) == -(-len(rows) // 8)
+        by_rows = linalg.pack_words(labels, 1, rows)
+        by_both = linalg.pack_words(labels, 1, rows, cols)
+        assert (by_rows == linalg.pack_words(labels[rows] == 1)).all()
+        assert (by_both == linalg.pack_words(labels[rows][:, cols] == 1)).all()
+
     def test_table_words_are_point_incidence(self):
         # a table's own words give the common point counts q^dim(meet)
         table = enumerate_subspaces(2, 5, 2)

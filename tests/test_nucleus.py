@@ -1,20 +1,23 @@
 """Nucleus computation, the two vector families, and sphere fibrations."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qgrass.cli
 import qgrass.nucleus
-from qgrass.grassmann import GraphContext, build_graph, spectral_system
+from qgrass.grassmann import GraphContext, build_graph, integer_coeffs, spectral_system
 from qgrass.ladders import alpha_dominant_multiplicity
 from qgrass.linalg import (
     ExactMatrix,
     column_space_ops,
     elimination_counts,
     intersect_column_spaces,
+    rank_exact,
     rank_mod_prime,
     span_rank,
 )
@@ -24,6 +27,7 @@ from qgrass.nucleus import (
     component_labels,
     compute_nucleus,
     gamma_components,
+    layer_grams,
     nucleus_report_json,
     subspaces_of_base,
     transition_matrices,
@@ -32,7 +36,7 @@ from qgrass.nucleus import (
 )
 from qgrass.report import CheckSet
 
-from oracles import base_vertex, entries, mask_dim
+from oracles import actions_by_dense_adjacency, base_vertex, entries, mask_dim
 from strategies import instances_with_base_vertex
 
 
@@ -275,8 +279,11 @@ def test_multiplicities_match_alpha_dominant(nucleus252):
 
 
 def test_subspaces_of_base_cover_x(j252):
-    dims, words = subspaces_of_base(j252)
+    dims, words, at = subspaces_of_base(j252)
     masks = [int.from_bytes(w.tobytes(), "little") for w in words]
+    # each alpha's words are those of its entry in the table of its dimension
+    for l in range(3):
+        assert (j252.geometry.table(l).words[at[dims == l]] == words[dims == l]).all()
     x = base_vertex(j252.geometry)
     assert dims.tolist() == [0, 1, 1, 1, 2]
     assert all(m & x.mask == m for m in masks)
@@ -521,17 +528,18 @@ def test_component_labels_on_long_paths(n):
 
 @pytest.mark.parametrize("outer", [False, True], ids=["inner-spheres", "outer-sphere"])
 def test_meet_count_off_the_dichotomy_fails(monkeypatch, outer):
-    # meet counts that are neither q^(D-i) nor q^(D-i-1): inner spheres
-    # inflated by q^2, or the outer sphere (where every count is 1) by 3
-    real = qgrass.nucleus.product_blocks
+    # per-edge meet counts that are neither q^(D-i) nor q^(D-i-1): inner
+    # spheres inflated by q^2, or the outer sphere (where every count is
+    # 1) by 3
+    real = qgrass.nucleus._edge_meets
 
-    def inflate(a, b, inner):
-        for rows, out in real(a, b, inner):
-            if (out.max(initial=0) <= 1) == outer:
-                out = out * (3 if outer else 4)
-            yield rows, out
+    def inflate(words, ka, kb):
+        out = real(words, ka, kb)
+        if out.size and (out.max() <= 1) == outer:
+            out = out * (3 if outer else 4)
+        return out
 
-    monkeypatch.setattr(qgrass.nucleus, "product_blocks", inflate)
+    monkeypatch.setattr(qgrass.nucleus, "_edge_meets", inflate)
     gc = build_graph(2, 4, 2)
     rep = gamma_components(gc, build_alpha_family(gc))
     verdicts = {c.name: c.passed for c in rep.checks.checks}
@@ -673,3 +681,201 @@ def test_corrupt_meet_entry(j252, j252_spectral, nucleus252, fam252):
         "components_match_meet_vectors_1": None,
         "fiber_vectors_supported_on_sphere": None,
     }
+
+
+# ---------------------------------------------------------------------------
+# layer dimensions from p x p Gram matrices
+
+
+@pytest.fixture(scope="module", params=[(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 6, 3)], ids=str)
+def layered(request):
+    """(ss, nucleus, coefficient rows of the E_r)."""
+    q, n, d = request.param
+    ss = spectral_system(build_graph(q, n, d))
+    ss.checks.require()
+    nd = compute_nucleus(ss)
+    nd.checks.require()
+    return ss, nd, [integer_coeffs(e)[0] for e in ss.e_coeffs]
+
+
+def test_layer_grams_match_class_sums_oracle(layered):
+    # B (den E_r B^T), with the images from every row of dist, is the
+    # Gram route's matrix entry for entry, and both give e_dims
+    ss, nd, coeffs = layered
+    basis = nd.combined_basis()
+    images = ss.gc.class_sums(coeffs, basis.T)
+    grams = layer_grams(ss.gc, basis, coeffs)
+    for gram, image in zip(grams, images):
+        assert gram.shape == (len(basis), len(basis))
+        assert (gram.astype(object) == np.dot(basis.astype(object), image.astype(object))).all()
+    assert nd.e_dims == [rank_exact(g) for g in grams] == [rank_exact(i) for i in images]
+
+
+@pytest.mark.parametrize("mutation", ["coefficient", "row"])
+def test_layer_gram_mutations_break_the_agreement(layered, mutation, monkeypatch):
+    # a wrong c_h, or one basis row shifted by a vertex, on the Gram side
+    # only: its ranks leave those of the class-sums images, and the
+    # layer dimensions no longer agree
+    ss, nd, coeffs = layered
+    images = ss.gc.class_sums(coeffs, nd.combined_basis().T)
+    real = qgrass.nucleus.layer_grams
+
+    def mutated(gc, basis, coeff_rows):
+        if mutation == "coefficient":
+            coeff_rows = [list(row) for row in coeff_rows]
+            coeff_rows[1][0] += 1
+        else:
+            basis = basis.copy()
+            basis[1] = np.roll(basis[1], 1)
+        return real(gc, basis, coeff_rows)
+
+    monkeypatch.setattr(qgrass.nucleus, "layer_grams", mutated)
+    got = compute_nucleus(ss)
+    assert got.e_dims != [rank_exact(i) for i in images] == nd.e_dims
+    assert "layer_dimensions_agree" in failing(got.checks)
+
+
+def test_unverified_spectrum_reads_the_class_sums(j252_spectral, nucleus252, monkeypatch):
+    # with a spectral check failing, the images E_r B^T are formed from
+    # every row of dist, and the layer checks read as before
+    calls = []
+    real = GraphContext.class_sums
+    monkeypatch.setattr(
+        GraphContext, "class_sums", lambda gc, c, r: calls.append(r.shape) or real(gc, c, r)
+    )
+    monkeypatch.setattr(qgrass.nucleus, "layer_grams", None)
+    failed = CheckSet("spectral system")
+    failed.extend(j252_spectral.checks)
+    failed.check("forced_failure", True, False)
+    nd = compute_nucleus(dataclasses.replace(j252_spectral, checks=failed))
+    assert calls == [(j252_spectral.gc.n_vertices, 5)]
+    assert nd.e_dims == nucleus252.e_dims
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 6, 2), (3, 4, 2), (2, 6, 3)])
+def test_passing_run_reads_no_class_sums(q, n, d, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("class_sums called on a passing run")
+
+    monkeypatch.setattr(GraphContext, "class_sums", refuse)
+    argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all",
+            "--out", str(tmp_path / "report.json")]
+    assert qgrass.cli.main(argv) == 0
+
+
+# ---------------------------------------------------------------------------
+# operator actions at one column per sphere
+
+
+@pytest.fixture(scope="module", params=[(2, 5, 2), (3, 4, 2)], ids=str)
+def acting(request):
+    gc = build_graph(*request.param)
+    ss = spectral_system(gc)
+    ss.checks.require()
+    fam = build_alpha_family(gc)
+    fam.checks.require()
+    return ss, fam
+
+
+def verdicts(cs):
+    return [(c.name, c.passed, c.witness) for c in cs.checks]
+
+
+def one_entry(coeffs, fam):
+    coeffs[1][1, 2] += 1
+
+
+def one_class(coeffs, fam):
+    # every diagonal entry of the dimension-1 alphas: invariant
+    for a in fam.by_dim[1]:
+        coeffs[0][a, a] += 1
+
+
+def one_row(fam):
+    meet = fam.meet.copy()
+    meet[1] = fam.vee[1]
+    return dataclasses.replace(fam, meet=meet)
+
+
+def one_dimension(fam):
+    # the meet rows of every dimension-1 alpha: invariant
+    meet = fam.meet.copy()
+    meet[fam.by_dim[1]] = fam.vee[fam.by_dim[1]]
+    return dataclasses.replace(fam, meet=meet)
+
+
+@pytest.mark.parametrize("trivial", [False, True], ids=["action", "trivial-group"])
+@pytest.mark.parametrize(
+    "coeff_change,family_change,reduced",
+    [
+        (None, None, True),
+        (one_entry, None, False),
+        (one_class, None, True),
+        (None, one_row, False),
+        (None, one_dimension, True),
+    ],
+    ids=["none", "coefficient-entry", "coefficient-class", "family-row", "family-dimension"],
+)
+def test_actions_match_all_columns_oracle(
+    acting, coeff_change, family_change, reduced, trivial, monkeypatch
+):
+    # the same verdicts and witnesses as every column of the dense
+    # product; one column per sphere is read exactly when the group is
+    # verified and the change keeps both invariance premises
+    ss, fam = acting
+    if family_change is not None:
+        fam = family_change(fam)
+    real = qgrass.nucleus._action_coefficients
+
+    def coefficients(ss, fam):
+        coeffs = real(ss, fam)
+        if coeff_change is not None:
+            coeff_change(coeffs, fam)
+        return coeffs
+
+    monkeypatch.setattr(qgrass.nucleus, "_action_coefficients", coefficients)
+    if trivial:
+        monkeypatch.setattr(ss.gc, "_action", None)
+    read = []
+    counts = qgrass.nucleus._adjacent_counts
+    monkeypatch.setattr(
+        qgrass.nucleus,
+        "_adjacent_counts",
+        lambda gc, f, cols: read.append(len(cols)) or counts(gc, f, cols),
+    )
+    got = verdicts(verify_actions(ss, fam))
+    assert got == verdicts(actions_by_dense_adjacency(ss, fam))
+    assert all(passed for _n, passed, _w in got) == (coeff_change is family_change is None)
+    assert read == [ss.gc.d + 1 if reduced and not trivial else ss.gc.n_vertices]
+
+
+def test_actions_hold_no_square_array(monkeypatch):
+    # a passing run reads D + 1 rows of dist; under the trivial group the
+    # rows at every column are packed a block at a time, |X|^2 / 8 bytes
+    # in all, and no |X| x |X| bool is held either way
+    gc = build_graph(2, 6, 2)
+    ss = spectral_system(gc)
+    fam = build_alpha_family(gc)
+    nv = gc.n_vertices
+    monkeypatch.setattr(qgrass.linalg, "_BLOCK_BYTES", 8 * nv * 8)
+    for action in (gc._action, None):
+        monkeypatch.setattr(gc, "_action", action)
+        verify_actions(ss, fam).require()
+        tracemalloc.start()
+        try:
+            verify_actions(ss, fam)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nv * nv // (8 if action is not None else 1), peak
+
+
+def test_gamma_forms_no_product(monkeypatch):
+    gc = build_graph(2, 6, 2)
+    fam = build_alpha_family(gc)
+
+    def refuse(*args):
+        raise AssertionError("a 0/1 product streamed in gamma_components")
+
+    monkeypatch.setattr(qgrass.linalg, "_stream", refuse)
+    gamma_components(gc, fam).checks.require()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgrass import qarith
 from qgrass.errors import InvalidParameters
 from qgrass.qarith import (
     FieldContext,
@@ -14,6 +15,8 @@ from qgrass.qarith import (
     q_power,
     verify_q_identities,
 )
+
+from oracles import q_identities_by_fractions
 
 
 def geometric_sum(l, q):
@@ -131,6 +134,41 @@ class TestIdentitySuite:
             for j in range(l + 1)
         )
         assert total == 0
+
+
+def verdicts(cs):
+    return [(c.name, c.passed, c.witness) for c in cs.checks]
+
+
+# wrong Gaussian binomials, each wrong only inside 0 <= n <= l, where
+# both suites read the same entries
+WRONG_BINOMIALS = {
+    "one entry off by one": lambda real: lambda l, n, q: real(l, n, q) + ((l, n) == (5, 2)),
+    "a row doubled": lambda real: lambda l, n, q: real(l, n, q) * (2 if l == 9 else 1),
+    "the end of a row zeroed": lambda real: lambda l, n, q: (
+        0 if (l, n) == (7, 7) else real(l, n, q)
+    ),
+    "negated past the middle": lambda real: lambda l, n, q: (
+        real(l, n, q) * (-1 if 2 * n > l + 3 else 1)
+    ),
+}
+
+
+class TestIdentitiesAgainstFractionOracle:
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_same_verdicts_on_the_true_binomials(self, q):
+        for l_max in range(0, 15):
+            assert verdicts(verify_q_identities(l_max, q)) == verdicts(
+                q_identities_by_fractions(l_max, q)
+            )
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("wrong", list(WRONG_BINOMIALS))
+    def test_wrong_binomial_fails_alike(self, monkeypatch, wrong, q):
+        monkeypatch.setattr(qarith, "q_binomial", WRONG_BINOMIALS[wrong](qarith.q_binomial))
+        got = verdicts(verify_q_identities(12, q))
+        assert got == verdicts(q_identities_by_fractions(12, q))
+        assert not all(passed for _name, passed, _witness in got)
 
 
 class TestFieldContext:
