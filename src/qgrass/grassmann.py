@@ -2,15 +2,18 @@
 
 Vertices are the D-dimensional subspaces of F_q^N, adjacent when they
 meet in dimension D - 1, so graph distance is D - dim(y meet z).  The
-module builds the distance matrix (int8) from the Gram product of the
-packed point masks (common point counts q^dim(y meet z)); on a passing
-run that is the one |X| x |X| product.
+graph is held as one representation, the packed point masks of its
+vertices: y and z have q^dim(y meet z) common points, one popcount of
+their masks, and `GraphContext.distances` reads any block of distances
+from those counts.  No |X| x |X| distance matrix is stored; row x is
+read once, at build.
 
 J_q(N, D) is distance-transitive under GL(N, q) (Brouwer-Cohen-Neumaier,
 Section 9.3), and the verifier uses it.  `_group_action` turns a few
 explicit matrices of GL(N, q) into permutations of the vertices and of
-each i-subspace table, and checks on the stored arrays that they
-preserve dist and the inclusion matrices, that the generated group is
+each i-subspace table, read off the images of their point masks, so
+that every distance is preserved.  It checks on the stored arrays that
+they preserve the inclusion matrices, that the generated group is
 transitive on the vertices and on each table, and that the part fixing
 the base vertex x has one orbit per sphere of x.  Every matrix of the
 distance algebra, every product of such matrices and every Gram product
@@ -41,6 +44,7 @@ import numpy as np
 
 from .errors import EigenvalueCollision, FalsifiedFact, InvalidParameters, InvalidQuadruple
 from .linalg import (
+    component_labels,
     echelon_mod_p,
     exact_int_product,
     int_operand,
@@ -66,31 +70,49 @@ RANK_VERIFY_LIMIT = 60
 
 
 class GraphContext:
-    """A built Grassmann graph: vertex table, exact distance matrix and,
-    built on demand and cached, the inclusion matrices W_i.
+    """A built Grassmann graph: vertex table, row x of the distances and,
+    built on demand and cached, the inclusion matrices W_i.  Every other
+    distance is read from the vertex masks when needed (`distances`).
 
     `certificate_path` says how the distance-algebra certificates of this
     graph were decided: "automorphism" when `structure_constants`
     verified a group action and they read one representative per orbit,
     "dense" when they read every vertex and every table entry."""
 
-    def __init__(self, geometry: GeometryContext, dist: np.ndarray, checks: CheckSet):
+    def __init__(self, geometry: GeometryContext, checks: CheckSet):
         self.geometry = geometry
         self.q = geometry.q
         self.n = geometry.ambient
         self.d = geometry.d
         self.vertices = geometry.table(geometry.d)
         self.n_vertices = len(self.vertices)
-        self.dist = dist
         self.x_index = geometry.x_index
         self.boundary = geometry.ambient == 2 * geometry.d
         self.build_checks = checks
+        self._meet_dims = count_dims(self.q, self.vertices.dim)
+        self.xrow = self.distances([self.x_index])[0]
         self._inclusion: dict[int, np.ndarray] = {}
         self._L = None  # (L, checks) of `structure_constants`
         # the GroupAction that `structure_constants` verified along with
         # _L, or None: the trivial group
         self._action = None
         self.certificate_path = None
+
+    def distances(self, rows, cols=None) -> np.ndarray:
+        """The int8 block of graph distances D - dim(y meet z), y over
+        the vertices `rows` and z over `cols` (every vertex when None),
+        each any index of the vertex table.  y and z have q^dim(y meet z)
+        common points, so the block is the 0/1 product of their packed
+        point masks (`product_blocks`), classified by `count_dims`, which
+        raises on any count outside q^0..q^D.  This is the only code that
+        turns masks into distances."""
+        words = self.vertices.words
+        left = words[rows]
+        right = words if cols is None else words[cols]
+        out = np.empty((len(left), len(right)), dtype=np.int8)
+        for blk, counts in product_blocks(left, right, self.q**self.n):
+            out[blk] = self.vertices.dim - self._meet_dims(counts)
+        return out
 
     def inclusion(self, i: int) -> np.ndarray:
         """W_i: the [N,i]_q x |X| bool inclusion matrix, row u (in the
@@ -124,8 +146,8 @@ class GraphContext:
         return product_blocks(w.T[rows], w, w.shape[0])
 
     def adjacency(self) -> np.ndarray:
-        """Bool adjacency by a route independent of dist: y ~ z exactly
-        when y != z and one (D-1)-subspace lies in both, that is
+        """Bool adjacency by a route independent of the distances: y ~ z
+        exactly when y != z and one (D-1)-subspace lies in both, that is
         (W_{D-1}^T W_{D-1})[y, z] = [dim(y meet z), D-1]_q = 1."""
         n = self.n_vertices
         adj = np.empty((n, n), dtype=bool)
@@ -135,36 +157,29 @@ class GraphContext:
         return adj
 
     def class_sum_blocks(self, coeff_rows: list[list[int]], right: np.ndarray):
-        """(rows, sums) over row blocks of dist: sums[r] is those rows of
-        sum_h c_r[h] (A_h @ right), exactly, for each integer row c_r of
-        coeff_rows and a bool or integer `right` with |X| rows.
+        """(rows, sums) over row blocks of the vertices: sums[r] is those
+        rows of sum_h c_r[h] (A_h @ right), exactly, for each integer row
+        c_r of coeff_rows and a bool or integer `right` with |X| rows.
 
-        Per block, the D+1 class products A_h[rows] @ right are combined
-        with the coefficient rows by one `exact_int_product`, its guard
-        fed the bounds max |c| and |X| max |right|, so every block takes
-        the same int64 or object branch.  A 0/1 `right` is packed once,
-        and so is each class (dist == h), one row block of dist at a time
-        (`pack_words`); the D+1 products stream in step.  An integer
-        `right` meets one `row_blocks` slice of dist at a time.  No
-        |X| x |X| array is built."""
+        Per block, the distances of its rows are read (`distances`), and
+        the D+1 class products A_h[rows] @ right are combined with the
+        coefficient rows by one `exact_int_product`, its guard fed the
+        bounds max |c| and |X| max |right|, so every block takes the same
+        int64 or object branch.  A 0/1 `right` is packed once, and each
+        class of a block meets it as one 0/1 product; an integer `right`
+        meets each class as an int64 array, so its blocks are eight times
+        shorter.  No |X| x |X| array is built."""
         n, d = self.n_vertices, self.d
-        if right.dtype == bool:
-            words = pack_words(right.T)
-            streams = [product_blocks(pack_words(self.dist, h), words, n) for h in range(d + 1)]
-            blocks = ((step[0][0], [p for _rows, p in step]) for step in zip(*streams))
-            bmax = n
-        else:
-            right, rmax = int_operand(right)
-            blocks = (
-                (rows, [exact_int_product(self.dist[rows] == h, right, n, 1, rmax) for h in range(d + 1)])
-                for rows in row_blocks(n, n)
-            )
-            bmax = n * rmax
+        width = right.shape[1]
+        zero_one = right.dtype == bool
+        right, rmax = (pack_words(right.T), 1) if zero_one else int_operand(right)
         coeffs, amax = int_operand(np.array(coeff_rows, dtype=object))
-        for rows, prods in blocks:
+        for rows in row_blocks(n, n, 1 if zero_one else 8):
+            block = self.distances(rows)
+            prods = [exact_int_product(block == h, right, n, 1, rmax) for h in range(d + 1)]
             stacked = np.stack([p.reshape(-1) for p in prods])
-            sums = exact_int_product(coeffs, stacked, d + 1, amax, bmax)
-            yield rows, sums.reshape(len(coeffs), -1, right.shape[1])
+            sums = exact_int_product(coeffs, stacked, d + 1, amax, n * rmax)
+            yield rows, sums.reshape(len(coeffs), -1, width)
 
     def class_sums(self, coeff_rows: list[list[int]], right: np.ndarray) -> list[np.ndarray]:
         """sum_h c[h] (A_h @ right) for every integer row c of coeff_rows,
@@ -180,8 +195,8 @@ class GraphContext:
 def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
     """All-pairs breadth-first distances by repeated boolean expansion
     (0/1 products with the adjacency matrix of `GraphContext.adjacency`,
-    which does not read dist), compared with the meet-dimension
-    distances."""
+    which does not read the distances), compared with the meet-dimension
+    distances of every row."""
     n = gc.n_vertices
     adj = gc.adjacency()
     cur = np.eye(n, dtype=bool)
@@ -197,7 +212,7 @@ def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
         bfs[newly] = t
         cur = nxt
     cs.check_true("bfs_reaches_every_pair", bool(cur.all()))
-    cs.check_true("bfs_distances_match_meet_formula", bool((bfs == gc.dist).all()))
+    cs.check_true("bfs_distances_match_meet_formula", bool((bfs == gc.distances(slice(None))).all()))
 
 
 def _metric_certificate(gc: GraphContext) -> bool:
@@ -237,7 +252,7 @@ def _edges_match(gc: GraphContext) -> bool:
         ys = rows[blk]
         adj = gram == 1
         adj[np.arange(len(ys)), ys] = False
-        if not (adj == (gc.dist[ys] == 1)).all():
+        if not (adj == (gc.distances(ys) == 1)).all():
             return False
     return True
 
@@ -250,10 +265,20 @@ def build_graph(
     table_cap: int = DEFAULT_TABLE_CAP,
     poset_cap: int = DEFAULT_POSET_CAP,
 ) -> GraphContext:
-    """Build J_q(N, D) with its exact distance matrix.
+    """Build J_q(N, D) from its vertex masks, with row x of its
+    distances.
 
     Distances are compared with breadth-first ones by `_metric_certificate`,
     or by the all-pairs expansion of `_bfs_full_check` where that fails.
+
+    `distance_range` and `distance_symmetric` read row x and column x,
+    two products of the vertex masks with the operands in swapped order.
+    Proof obligation for every other pair: each distance, wherever
+    `GraphContext.distances` reads it, is D minus `count_dims` of the
+    popcount of the AND of two table masks.  `count_dims` raises on any
+    count outside q^0..q^D, so every distance returned lies in 0..D; the
+    AND and its popcount are commutative, so (y, z) and (z, y) are read
+    from the same count and agree.
 
     Requires N > D >= 1 and N >= 2D; N = 2D is allowed and flagged as
     the boundary regime.  For N < 2D the dimension-complement
@@ -267,21 +292,13 @@ def build_graph(
             f"N={n} < 2D={2 * d}; use the complement parameters (N, N-D)=({n},{n - d})"
         )
     geometry = GeometryContext(q, n, d, x_rows=x_rows, table_cap=table_cap, poset_cap=poset_cap)
-    vertices = geometry.table(d)
-    nv = len(vertices)
-    # common point counts are q^dim(y meet z), the 0/1 product of the
-    # packed point masks with themselves; any other count raises
-    npoints = q**n
-    words = vertices.words
-    dist = np.empty((nv, nv), dtype=np.int8)
-    meet_dims = count_dims(q, d)
-    for rows, counts in product_blocks(words, words, npoints):
-        dist[rows] = d - meet_dims(counts)
     cs = CheckSet(f"graph build q={q} N={n} D={d}")
-    cs.check("vertex_count", q_binomial(n, d, q), nv)
-    cs.check_true("distance_range", bool(((dist >= 0) & (dist <= d)).all()))
-    cs.check_true("distance_symmetric", bool((dist == dist.T).all()))
-    gc = GraphContext(geometry, dist, cs)
+    gc = GraphContext(geometry, cs)
+    xrow = gc.xrow
+    cs.check("vertex_count", q_binomial(n, d, q), gc.n_vertices)
+    cs.check_true("distance_range", bool(((xrow >= 0) & (xrow <= d)).all()))
+    column = gc.distances(slice(None), [gc.x_index])[:, 0]
+    cs.check_true("distance_symmetric", bool((xrow == column).all()))
     if _metric_certificate(gc):
         cs.check_true("bfs_reaches_every_pair", True)
         cs.check_true("bfs_distances_match_meet_formula", True)
@@ -289,12 +306,13 @@ def build_graph(
         _bfs_full_check(gc, cs)
     # the distance-i sphere around x is exactly the layer P_{D-i, i}:
     # every vertex meets x in dimension D - dist(x, y)
-    meet_x = meet_dims(np.bitwise_count(words & geometry.x_words).sum(axis=1))
-    off_layer = np.flatnonzero(meet_x != d - dist[gc.x_index])
+    inside_x = np.bitwise_count(gc.vertices.words & geometry.x_words).sum(axis=1)
+    meet_x = count_dims(q, d)(inside_x)
+    off_layer = np.flatnonzero(meet_x != d - xrow)
     layer_ok = not off_layer.size
     witness = None
     if not layer_ok:
-        witness = f"vertex {tuple(map(tuple, vertices.rows[int(off_layer[0])].tolist()))}"
+        witness = f"vertex {tuple(map(tuple, gc.vertices.rows[int(off_layer[0])].tolist()))}"
     cs.check_true("sphere_equals_layer", layer_ok, witness)
     return gc
 
@@ -322,25 +340,27 @@ def structure_constants(gc: GraphContext):
     where a premise fails, and R the rows of
     `GraphContext.representatives`: {x}, or all of X.  M is G-invariant
     when M[p[y], p[z]] = M[y, z] for every generator p.  Every A_h is,
-    by the invariance of dist; so are products and integer combinations
-    of G-invariant matrices (A_1 A_g, and sum_h c_h A_h with any
-    coefficients, right or wrong), and each W_i^T W_i, as the premises
-    preserve every W_i (i < D).  Claim: G-invariant M and M' are equal
-    iff their rows in R are, and M is constant on each distance class
-    iff each row r in R is constant on each sphere S_h(r) = {z :
-    dist(r, z) = h}, with one value per h for all r.  For R = X that is
-    the definition.  For R = {x}: G is transitive on X, so every row
-    (and row sum) of M is row x permuted; the part H of G fixing x has
-    one orbit per sphere S_h(x), each nonempty, so a pair (y, z) at
-    distance h goes to (x, z') by some g with g y = x, z' in S_h(x), and
-    H moves z' to any vertex of S_h(x); so M is constant on each class,
-    with its value at any (x, z), z in S_h(x).  Hence dist == 0 exactly
+    as every distance is invariant (`_group_action`); so are products
+    and integer combinations of G-invariant matrices (A_1 A_g, and
+    sum_h c_h A_h with any coefficients, right or wrong), and each
+    W_i^T W_i, as the premises preserve every W_i (i < D).  Claim:
+    G-invariant M and M' are equal iff their rows in R are, and M is
+    constant on each distance class iff each row r in R is constant on
+    each sphere S_h(r) = {z : dist(r, z) = h}, with one value per h for
+    all r.  For R = X that is the definition.  For R = {x}: G is
+    transitive on X, so every row (and row sum) of M is row x permuted;
+    the part H of G fixing x has one orbit per sphere S_h(x), each
+    nonempty, so a pair (y, z) at distance h goes to (x, z') by some g
+    with g y = x, z' in S_h(x), and H moves z' to any vertex of S_h(x);
+    so M is constant on each class, with its value at any (x, z), z in
+    S_h(x).  Hence dist == 0 exactly
     on the diagonal, and dist lies in 0..D, iff that holds on the rows
     in R, and A_1 A_g is constant on every class iff its rows in R are
     constant on the spheres of their vertex, with those values as
     L[.][g].  Row r of A_1 A_g counts, for each z, the neighbours w of r
-    with dist(w, z) = g: a column sum over the rows of dist at the
-    neighbours of r, |S_1(r)| x |X| entries, not |X|^2.
+    with dist(w, z) = g: a column sum over the rows of the distances at
+    the neighbours of r, |S_1(r)| x |X| entries read from the vertex
+    masks (`GraphContext.distances`), not |X|^2.
 
     Cached on the graph context after the first call, with the action
     it verified (`_action`), which sets the representatives of every
@@ -348,17 +368,17 @@ def structure_constants(gc: GraphContext):
     """
     if gc._L is not None:
         return gc._L
-    d, dist = gc.d, gc.dist
+    d = gc.d
     action = gc._action = _group_action(gc)
     gc.certificate_path = "dense" if action is None else "automorphism"
     identity = partition = ok = True
     witness = None
     first = {}  # (h, g): the value of A_1 A_g first read on class h
     for y in gc.representatives(gc.n_vertices, gc.x_index):
-        row = dist[y]
+        row = gc.distances([y])[0]
         identity = identity and np.flatnonzero(row == 0).tolist() == [y]
         partition = partition and bool(((row >= 0) & (row <= d)).all())
-        near = dist[row == 1]
+        near = gc.distances(row == 1)
         for g in range(1, d + 1):
             prod = (near == g).sum(axis=0)
             for h in range(d + 1):
@@ -513,62 +533,37 @@ def _table_perms(table: SubspaceTable, inv: np.ndarray, npoints: int):
     return perms if seen.all() else None
 
 
-def _orbit_count(perms: np.ndarray) -> int:
-    """The number of orbits of the group generated by the rows of a
-    (g, count) array of bijections of 0..count-1, by min-label
-    propagation along the permutations: a round gives every point the
-    least label among its own and those of its images, then jumps
-    pointers, lab = lab[lab]; rounds repeat until no label changes.
-
-    Proof obligation.  A label is always a point of the same orbit, and
-    lab[lab[y]] <= lab[y] holds throughout (the pull keeps it, and the
-    jump then too), so labels never rise and the rounds end.  At the
-    end lab[y] <= lab[p(y)] for every generator p; following p around
-    its cycle through y returns to y, so lab is constant along every
-    generator step and hence on every orbit.  The least point m of an
-    orbit can only carry label m, so that constant is m, and the roots
-    (lab == arange) are one per orbit.  The bijections come first:
-    `_table_perms` returns nothing else.  Unlike the edge lists of
-    `linalg.component_labels`, nothing of size g x count is sorted, and
-    the largest temporary is one gather lab[perms]."""
-    lab = np.arange(perms.shape[1])
-    while True:
-        new = np.minimum(lab, lab[perms].min(axis=0))
-        new = new[new]
-        if (new == lab).all():
-            return int((lab == np.arange(len(lab))).sum())
-        lab = new
-
-
-def _preserves_dist(dist: np.ndarray, perms: np.ndarray) -> bool:
-    """dist[p][:, p] == dist for every permutation p, one row block at
-    a time so that no |X| x |X| temporary is held."""
-    n = len(dist)
-    return all(
-        (dist[p[rows]][:, p] == dist[rows]).all() for p in perms for rows in row_blocks(n, n)
-    )
-
-
 def _group_action(gc: GraphContext):
     """The GroupAction of the matrices of `_x0_generators`, conjugated to
     fix x, or None when one of its premises fails:
 
-    1. each point map is a bijection of F_q^N;
+    1. each point map sigma is a bijection of F_q^N;
     2. every image of a vertex, and of an i-subspace for 1 <= i < D, is
        a table entry, and each table permutation is a bijection;
-    3. dist[p][:, p] == dist for every vertex permutation p, and
-       W_i[pi][:, p] == W_i for every i < D (`GroupAction.preserves`),
+    3. W_i[pi][:, p] == W_i for every i < D (`GroupAction.preserves`),
        on the stored arrays;
     4. the generators meant to fix x fix x_index;
-    5. the group has one orbit (`_orbit_count`) on the vertices and on
-       each table(i), 1 <= i < D, and the part fixing x has exactly
-       D + 1 orbits, one per sphere of x: row x of dist lies in 0..D,
-       every sphere is nonempty, and an orbit of that part lies in one
-       sphere because its generators fix x and preserve dist.
+    5. the group has one orbit on the vertices and on each table(i),
+       1 <= i < D, and the part fixing x has exactly D + 1 orbits, one
+       per sphere of x: row x lies in 0..D, every sphere is nonempty,
+       and an orbit of that part lies in one sphere because its
+       generators fix x and preserve every distance.
 
     A permutation is defined through point sets and then checked on the
     arrays, so nothing rests on the matrices themselves; a generating
-    set that is too small shows as extra orbits."""
+    set that is too small shows as extra orbits.  They are counted as
+    the components of the edges joining each point to its images
+    (`linalg.component_labels`): a generator's inverse is one of its
+    powers, so these components are the orbits.
+
+    Proof obligation for the distances, which need no check of their
+    own.  By premise 2, p(y) is the table entry whose point mask is
+    sigma(mask(y)), the image `_image_words` reads, and sigma is a
+    bijection by premise 1.  So mask(p y) & mask(p z) = sigma(mask(y) &
+    mask(z)), and p y and p z have as many common points as y and z.
+    `GraphContext.distances`, the only code that turns masks into
+    distances, reads each distance from that count alone, so dist(p y,
+    p z) = dist(y, z) for every pair."""
     q, n, d, x = gc.q, gc.n, gc.d, gc.x_index
     mats, fixing = _x0_generators(q, n, d)
     inv = _inverse_point_maps(q, n, _conjugated(mats, gc.geometry.x_rows, q))
@@ -580,16 +575,20 @@ def _group_action(gc: GraphContext):
     if any(p is None for p in perms):
         return None
     vertex = perms[0]
-    xrow = gc.dist[x]
+    xrow = gc.xrow
     if (vertex[:fixing, x] != x).any() or xrow.min() < 0 or xrow.max() > d:
         return None
-    orbits = [_orbit_count(p) for p in (vertex[:fixing], *perms)]
-    # the fixing part keeps x and (premise 3, below) dist, so each of its
-    # orbits lies in one sphere; D + 1 orbits and D + 1 nonempty spheres
-    # make them equal
-    if orbits != [d + 1] + [1] * d or not np.bincount(xrow, minlength=d + 1).all():
-        return None
-    if not _preserves_dist(gc.dist, vertex):
+
+    def orbits(p):
+        count = p.shape[1]
+        labels = component_labels(count, np.tile(np.arange(count), len(p)), p.ravel())
+        return int((labels == np.arange(count)).sum())
+
+    # the fixing part keeps x and every distance, so each of its orbits
+    # lies in one sphere; D + 1 orbits and D + 1 nonempty spheres make
+    # them equal
+    counts = [orbits(p) for p in (vertex[:fixing], *perms)]
+    if counts != [d + 1] + [1] * d or not np.bincount(xrow, minlength=d + 1).all():
         return None
     tables = {0: np.zeros((len(mats), 1), dtype=np.intp)}
     tables.update(enumerate(perms[1:], start=1))
@@ -631,7 +630,8 @@ def intersection_numbers(gc: GraphContext):
     k_counted = L[0][1]
     # row sums of A_1 at the representative vertices (`structure_constants`)
     reps = gc.representatives(gc.n_vertices, gc.x_index)
-    cs.check_true("valency_constant_rows", all((gc.dist[y] == 1).sum() == k_counted for y in reps))
+    valency_ok = all((gc.distances([y]) == 1).sum() == k_counted for y in reps)
+    cs.check_true("valency_constant_rows", valency_ok)
     forms = intersection_number_formulas(q, n, d)
     cs.check("valency", forms.k, k_counted)
     for i in range(d + 1):
@@ -717,12 +717,13 @@ class SpectralSystem:
     def class_numerator(self, coeffs: list[Fraction]):
         """(M, den) with sum_h coeffs[h] A_h = M / den, M integral and
         den the least common denominator of the coefficients: a dense
-        |X| x |X| integer array, the integer class values gathered by
-        `dist` (int64, or Python ints past the product guard), for the
-        fallback paths and small |X|."""
+        |X| x |X| integer array, the integer class values gathered by the
+        distances of every row (`GraphContext.distances`; int64, or
+        Python ints past the product guard), for the fallback paths and
+        small |X|."""
         values, den = integer_coeffs(coeffs)
         table, _amax = int_operand(np.array(values, dtype=object))
-        return table[self.gc.dist], den
+        return table[self.gc.distances(slice(None))], den
 
 
 def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempotent):
@@ -869,7 +870,7 @@ def _gram_rows_are_class_sums(gc: GraphContext, i: int, vertices: np.ndarray) ->
     d = gc.d
     classes = np.array([q_binomial(d - h, i, gc.q) for h in range(d + 1)], dtype=np.int64)
     for blk, gram in gc.gram_rows(i, vertices):
-        row = gc.dist[vertices[blk]]
+        row = gc.distances(vertices[blk])
         if not ((row >= 0) & (row <= d)).all() or not (gram == classes[row]).all():
             return False
     return True
@@ -1055,7 +1056,7 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     cs.check("dual_eigenvalue_closed_form", theta_star, observed_star)
     cs.check_true("dual_eigenvalues_distinct", len(set(theta_star)) == d + 1)
     ss.theta_star = theta_star
-    counts = np.bincount(gc.dist[gc.x_index], minlength=d + 1)
+    counts = np.bincount(gc.xrow, minlength=d + 1)
     cs.check_true("dual_idempotents_partition", int(counts.sum()) == nv)
     cs.check(
         "sphere_sizes",

@@ -7,14 +7,12 @@ would not fit the int64 guard.  Integer products go through one kernel,
 inner dimension on every branch.  A 0/1 product (bool arrays, or uint64
 words already packed) is blocked in one place, `product_blocks`: each
 operand is packed once into zero-padded uint64 words (`pack_words`,
-which also packs a class labels == value of an integer matrix one row
-block at a time), and the popcounts of row & column words are summed,
-one block of rows at a time, into the smallest unsigned dtype that
-holds the inner dimension.  The product is
-exact because padding bits are zero, every entry is at most the inner
-dimension, and the blocks cover every row; callers reduce each block as
-it streams, and `exact_int_product` assembles the blocks into an int64
-array.  Other integer products take a checked int64 fast path when the
+the one packer of bool rows), and the popcounts of row & column words
+are summed, one block of rows at a time, into the smallest unsigned
+dtype that holds the inner dimension.  The product is exact because
+padding bits are zero, every entry is at most the inner dimension, and
+the blocks cover every row; callers reduce each block as it streams,
+and `exact_int_product` assembles the blocks into an int64 array.  Other integer products take a checked int64 fast path when the
 worst-case dot product provably fits in 63 bits, otherwise
 arbitrary-precision object arithmetic.
 Exact ranks, span tests and nullspaces are decided by one int64
@@ -71,44 +69,23 @@ def _abs_max(arr: np.ndarray) -> int:
 _BLOCK_BYTES = 1 << 20
 
 
-def row_blocks(rows: int, width: int):
-    """Slices of `rows` rows such that a block of `width` 8-byte entries
-    per row stays within _BLOCK_BYTES (at least one row per block)."""
-    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+def row_blocks(rows: int, width: int, itemsize: int = 8):
+    """Slices of `rows` rows such that a block of `width` entries of
+    `itemsize` bytes per row stays within _BLOCK_BYTES (at least one row
+    per block)."""
+    step = max(1, _BLOCK_BYTES // (itemsize * max(width, 1)))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
 
 
-def _pack_rows(m) -> np.ndarray:
-    """Rows of a bool matrix, or of the 0/1 class (labels == value) for
-    m = (labels, value, rows, cols), as zero-padded uint64 words: on all
-    of labels when rows is None, else on labels[rows], cut to the
-    columns cols unless that is None.  A class is gathered, compared and
-    packed one row block at a time, so it is never held as a whole bool
-    matrix."""
-    labels, value, rows, cols = m if isinstance(m, tuple) else (m, None, None, None)
-    count = labels.shape[0] if rows is None else len(rows)
-    width = labels.shape[1] if cols is None else len(cols)
+def pack_words(m: np.ndarray) -> np.ndarray:
+    """The rows of a bool matrix as zero-padded uint64 words, the packed
+    operand that `product_blocks` takes."""
+    width = m.shape[1]
     nbytes = -(-width // 8)
-    packed = np.zeros((count, 8 * -(-width // 64)), dtype=np.uint8)
-    for blk in [slice(None)] if value is None else row_blocks(count, nbytes):
-        if value is None:
-            bits = labels
-        elif rows is None:
-            bits = labels[blk] == value
-        else:
-            picked = labels[rows[blk]] if cols is None else labels[np.ix_(rows[blk], cols)]
-            bits = picked == value
-        packed[blk, :nbytes] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
+    packed = np.zeros((m.shape[0], 8 * -(-width // 64)), dtype=np.uint8)
+    packed[:, :nbytes] = np.packbits(np.ascontiguousarray(m), axis=1, bitorder="little")
     return packed.view(np.uint64)
-
-
-def pack_words(m: np.ndarray, value=None, rows=None, cols=None) -> np.ndarray:
-    """The packed words that `product_blocks` takes for an operand: the
-    rows of a bool matrix, or of the class (m == value) of an integer
-    matrix, packed once; with an index array `rows`, of the class on
-    m[rows], and with `cols` as well, on m[rows][:, cols]."""
-    return _pack_rows(m if value is None else (m, value, rows, cols))
 
 
 def _packed_operand(m: np.ndarray, inner: int, side: str) -> np.ndarray:
@@ -127,7 +104,7 @@ def _packed_operand(m: np.ndarray, inner: int, side: str) -> np.ndarray:
         return m
     if (m.shape[1] if side == "a" else m.shape[0]) != inner:
         raise DimensionMismatch(f"{side} of shape {m.shape} with inner {inner}")
-    return _pack_rows(m if side == "a" else m.T)
+    return pack_words(m if side == "a" else m.T)
 
 
 def _packed_pair(a: np.ndarray, b: np.ndarray, inner: int):
@@ -172,7 +149,7 @@ def product_blocks(a: np.ndarray, b: np.ndarray, inner: int):
     is a bool (inner, m) matrix or the packed words of its columns, so a
     point-incidence Gram product takes one table's words twice.  Packed
     words are uint64 arrays of shape (count, ceil(inner / 64)), bit t of
-    a row in bit t % 64 of word t // 64, as `_pack_rows` and
+    a row in bit t % 64 of word t // 64, as `pack_words` and
     `SubspaceTable.words` lay them out.  Shapes are checked and each
     operand is packed once, when this is called; the words of b are
     held contiguous per word, (words, m).
@@ -180,7 +157,7 @@ def product_blocks(a: np.ndarray, b: np.ndarray, inner: int):
     Proof obligation.  For 0/1 entries bit t of row & col is set exactly
     when both factors of the t-th term of the dot product are 1, so the
     popcount summed over the words is the dot product, provided:
-    - padding bits are zero: `_pack_rows` pads with zero bytes, and a
+    - padding bits are zero: `pack_words` pads with zero bytes, and a
       packed operand with a bit set past `inner` is refused;
     - every entry fits the accumulator: an entry counts at most `inner`
       terms, the accumulator is the smallest unsigned dtype holding

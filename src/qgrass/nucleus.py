@@ -134,7 +134,8 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     hence over Q, rank(M^T M) = rank(M).  Scaling E_r by its
     denominator keeps the rank.  When a spectral check fails, the images
     E_r B^T themselves are formed, sum_h c_h (A_h B^T) with one kernel
-    product per class over every row of dist (`GraphContext.class_sums`).
+    product per class over every row block of the distances
+    (`GraphContext.class_sums`).
     Every exact rank here (the sum of the pieces, both kinds of layer
     dimensions) is certified mod p by `certified_kernel`, with Bareiss
     elimination as the fallback.
@@ -143,7 +144,7 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     q, n, d = gc.q, gc.n, gc.d
     nv = gc.n_vertices
     cs = CheckSet(f"nucleus q={q} N={n} D={d}")
-    xrow = gc.dist[gc.x_index]
+    xrow = gc.xrow
     premise = ss.checks.ok
 
     base_vertex = np.zeros((1, nv), dtype=np.int64)
@@ -239,16 +240,18 @@ def layer_grams(gc: GraphContext, basis: np.ndarray, coeff_rows) -> list[np.ndar
     sum_{y,z} B[a,y] B[b,z] [dist(y, z) = h].
     - Between two rows that are not constant it needs y and z only in S,
       the union of the supports of those rows, so it is read on S x S:
-      the class (dist == h) on S x S times those rows, one packed 0/1
-      product when they are 0/1 on S (every squeeze piece; the class is
-      gathered and packed one row block at a time), an exact integer
-      product per row block of S otherwise.
+      the distances on S x S, read from the vertex masks one row block
+      of S at a time (`GraphContext.distances`), and per block the class
+      (distance == h) times those rows, one packed 0/1 product when they
+      are 0/1 on S (every squeeze piece), an exact integer product
+      otherwise.
     - A constant row c 1 (the piece i = D) needs no read: A_h 1 = k_h 1,
       so the entry against row a is c k_h (row sum of a).  A_h 1 = k_h 1
       holds once the spectral checks pass: the classes are symmetric
-      (dist is a Gram product), A_1 A_h lies in their span, so it is
-      symmetric and A_1 commutes with A_h; J = |X| E_0 is a polynomial in
-      A_1 (`e0_is_all_ones_over_size`), so A_h J = J A_h, and the row sums
+      (every distance is read from a commutative count, `build_graph`),
+      A_1 A_h lies in their span, so it is symmetric and A_1 commutes
+      with A_h; J = |X| E_0 is a polynomial in A_1
+      (`e0_is_all_ones_over_size`), so A_h J = J A_h, and the row sums
       of A_h are all equal, to its row sum at x, the sphere size k_h
       (`sphere_sizes`).
     The combination over h is exact in Python ints."""
@@ -259,28 +262,21 @@ def layer_grams(gc: GraphContext, basis: np.ndarray, coeff_rows) -> list[np.ndar
     rows = rows[:, support]
     width = len(support)
     left = int_operand(rows)[0]
-    if ((rows == 0) | (rows == 1)).all():
-        words = pack_words(rows.astype(bool))
-
-        def on_support(h):  # A_h[S, S] rows^T
-            return exact_int_product(pack_words(gc.dist, h, support, support), words, width)
-
-    else:
-
-        def on_support(h):
-            blocks = [
-                exact_int_product(gc.dist[np.ix_(support[blk], support)] == h, left.T, width)
-                for blk in row_blocks(width, width)
-            ]
-            return np.concatenate(blocks)
-
-    sizes = np.bincount(gc.dist[gc.x_index], minlength=gc.d + 1).tolist()
+    zero_one = ((rows == 0) | (rows == 1)).all()
+    right = pack_words(rows.astype(bool)) if zero_one else left.T
+    on_support = [[] for _ in range(gc.d + 1)]  # blocks of A_h[S, S] rows^T
+    # a packed class holds a bit per pair, an int64 one eight bytes
+    for blk in row_blocks(width, width, 1 if zero_one else 8):
+        block = gc.distances(support[blk], support)
+        for h, parts in enumerate(on_support):
+            parts.append(exact_int_product(block == h, right, width))
+    sizes = np.bincount(gc.xrow, minlength=gc.d + 1).tolist()
     sums = basis.sum(axis=1).astype(object)
     level = basis[const, 0].astype(object)
     classes = []
-    for h, size in enumerate(sizes):
+    for parts, size in zip(on_support, sizes):
         gram = np.full((p, p), 0, dtype=object)
-        gram[np.ix_(~const, ~const)] = exact_int_product(left, on_support(h), width)
+        gram[np.ix_(~const, ~const)] = exact_int_product(left, np.concatenate(parts), width)
         gram[:, const] = size * np.outer(sums, level)
         gram[np.ix_(const, ~const)] = gram[np.ix_(~const, const)].T
         classes.append(gram)
@@ -294,7 +290,7 @@ def _inclusion_piece(gc: GraphContext, i: int) -> tuple[np.ndarray, str]:
     from `nullspace`: certified mod p, or by Bareiss elimination when
     the certificate fails."""
     w = gc.inclusion(gc.d - i)
-    off = w[:, gc.dist[gc.x_index] > i]
+    off = w[:, gc.xrow > i]
     free = ~off.any(axis=1)
     if rank_mod_prime(off[~free]) == int((~free).sum()):
         return w[free].astype(np.int64), "squeeze"
@@ -429,7 +425,7 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     )
 
     # the meet vector is the distance-sphere cut of the vee vector
-    xrow = gc.dist[gc.x_index]
+    xrow = gc.xrow
     cut = vee & (xrow[None, :] == d - dims[:, None])
     _check_rows(cs, "meet_is_sphere_cut_of_vee", cut, meet, _alpha_label)
 
@@ -539,14 +535,17 @@ def _label_perms(gc: GraphContext, fam: AlphaFamily):
     return perms
 
 
-def _adjacent_counts(gc: GraphContext, family: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(F A)[:, cols] for a 0/1 family F, one row per alpha: entry (a, j)
-    counts the neighbours of vertex cols[j] in the support of row a.  A
-    is symmetric, so column y of F A reads row y of dist only; the rows
-    at cols are packed one block at a time."""
+def _adjacent_counts(gc: GraphContext, words: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(F A)[:, cols] for a 0/1 family F given by the packed words of its
+    rows (`pack_words`), one row per alpha: entry (a, j) counts the
+    neighbours of vertex cols[j] in the support of row a.  A is
+    symmetric, so column y of F A reads row y of the distances only,
+    read from the vertex masks one block of cols at a time."""
     nv = gc.n_vertices
-    words = pack_words(family)
-    return exact_int_product(words, pack_words(gc.dist, 1, cols), nv)
+    out = np.empty((len(words), len(cols)), dtype=np.int64)
+    for blk in row_blocks(len(cols), nv):
+        out[:, blk] = exact_int_product(words, (gc.distances(cols[blk]) == 1).T, nv)
+    return out
 
 
 def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
@@ -557,8 +556,9 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     (one row per alpha), op = A or A* acting on the columns, and C a
     p x p coefficient matrix over the subspaces of x, built from the
     closed forms (`_action_coefficients`).  Column y of A F is read from
-    row y of dist (`_adjacent_counts`).  A* is diagonal, theta*_h at the
-    vertices at distance h from x, so A* F scales the columns of F.
+    row y of the distances (`_adjacent_counts`).  A* is diagonal,
+    theta*_h at the vertices at distance h from x, so A* F scales the
+    columns of F.
     Both sides are multiplied by den, the least common denominator of
     the coefficients and the theta*, and compared as integers.  The
     witness of a failed identity is the last alpha whose row differs.
@@ -568,8 +568,8 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     (`GroupAction.fixing`), and pi the label permutation of each
     (`_label_perms`).  Two premises are checked per generator:
     F[pi][:, v] == F for both families, and C[pi][:, pi] == C for all
-    four C.  The action preserves dist (premise 3 of `_group_action`)
-    and fixes x, so op[v][:, v] == op for op = A and A*.  Then the
+    four C.  The action preserves every distance (`_group_action`) and
+    fixes x, so op[v][:, v] == op for op = A and A*.  Then the
     residual R = F op - C F obeys R[pi(a), v(y)] = R[a, y]:
     sum_z F[pi a, z] op[z, v y] = sum_z F[pi a, v z] op[v z, v y] =
     (F op)[a, y], and sum_b C[pi a, b] F[b, v y] =
@@ -590,20 +590,18 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     values = [*ss.theta_star, *np.concatenate([c.ravel() for c in coeffs])]
     den = math.lcm(*(v.denominator for v in values))
     scaled = [int_operand(_integral(c, den))[0] for c in coeffs]
-    xrow = gc.dist[gc.x_index]
+    xrow = gc.xrow
 
-    both = np.concatenate([fam.vee, fam.meet])
     perms = _label_perms(gc, fam)
     invariant = perms is not None
     if invariant:
         vertex = gc._action.vertex[: gc._action.fixing]
-        # pi on the rows of both families at once, per generator, then on
-        # the four p x p coefficient matrices under every generator at once
-        twice = np.concatenate([perms, perms + p], axis=1)
+        # pi on the rows of each family, per generator, then on the four
+        # p x p coefficient matrices under every generator at once
         stacked = np.stack(scaled)
-        invariant = all((both[t][:, v] == both).all() for t, v in zip(twice, vertex)) and bool(
-            (stacked[:, perms[:, :, None], perms[:, None, :]] == stacked[:, None]).all()
-        )
+        invariant = all(
+            (f[pi][:, v] == f).all() for pi, v in zip(perms, vertex) for f in (fam.vee, fam.meet)
+        ) and bool((stacked[:, perms[:, :, None], perms[:, None, :]] == stacked[:, None]).all())
     if invariant:
         cols = np.unique(xrow, return_index=True)[1]
         orbit = component_labels(p, np.tile(np.arange(p), len(perms)), perms.ravel())
@@ -612,15 +610,21 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
         orbit = np.arange(p)
 
     vee, meet = fam.vee[:, cols], fam.meet[:, cols]
-    adj = _integral(_adjacent_counts(gc, both, cols), den)
-    star = _integral(np.array(ss.theta_star, dtype=object), den)[xrow[cols]]
+    # den (F A)[:, cols], int64 while its entries, at most k den, fit the
+    # product guard
+    scale, smax = int_operand(np.array([[den]], dtype=object))
+    adj = _adjacent_counts(gc, pack_words(np.concatenate([fam.vee, fam.meet])), cols)
+    adj = exact_int_product(adj.reshape(-1, 1), scale, 1, bmax=smax).reshape(2 * p, len(cols))
+    star = int_operand(_integral(np.array(ss.theta_star, dtype=object), den))[0][xrow[cols]]
     identities = [
         ("adjacency_on_vee", adj[:p], scaled[0], vee),
         ("adjacency_on_meet", adj[p:], scaled[1], meet),
-        ("dual_adjacency_on_meet", np.where(meet, star, 0), scaled[2], meet),
-        ("dual_adjacency_on_vee", np.where(vee, star, 0), scaled[3], vee),
+        ("dual_adjacency_on_meet", None, scaled[2], meet),
+        ("dual_adjacency_on_vee", None, scaled[3], vee),
     ]
     for name, lhs, c, family in identities:
+        if lhs is None:  # A* F: F with column y scaled by theta*_dist(x, y)
+            lhs = np.where(family, star, 0)
         rhs = exact_int_product(c, family, p)
         bad = (lhs != rhs).any(axis=1)
         rows = np.flatnonzero(np.isin(orbit, orbit[bad]))
@@ -715,28 +719,45 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
     those components must be the fibers themselves, each connected, and
     the full sphere at distance D must be connected with all its edges.
 
-    The edges of a sphere are read from the rows of dist at that sphere,
-    one row block at a time and above the diagonal only (dist is
-    symmetric, so each edge once).  The points of y meet z meet x are
+    The edges of a sphere are read from the distances on that sphere,
+    one row block at a time and above the diagonal only (the distances
+    are symmetric, so each edge once), from the vertex masks
+    (`GraphContext.distances`).  The points of y meet z meet x are
     the bits set in both inside-x words of y and z, so their number,
     q^dim, is one popcount per edge (`_edge_meets`); no sphere x sphere
     product is formed.
+
+    The labels are merged block by block, so no edge list of a whole
+    sphere is held.  Proof obligation: label[y] stays the least vertex
+    of y's component under the edges read so far (y itself at the
+    start).  `linalg.component_labels` on a block's edges, each end
+    replaced by its label, gives each label the least label of its
+    merged class, the least vertex of the merged component, and every
+    vertex takes the new label of its old one.  The edges across fibers
+    of the outer sphere, none when the dichotomy holds, are merged into
+    its fiber labels at the end.
     """
     q, d = gc.q, gc.d
     cs = CheckSet(f"sphere fibrations q={q} N={gc.n} D={d}")
     # the packed points of each vertex inside x
     inside_x = gc.vertices.words & gc.geometry.x_words
-    xrow = gc.dist[gc.x_index]
+    xrow = gc.xrow
     counts = []
     sizes_per_i = []
     dichotomy_ok = True
+
+    def merged(labels, a, b):
+        return component_labels(len(labels), labels[a], labels[b])[labels]
+
     for i in range(d + 1):
         sphere = np.flatnonzero(xrow == i)
         rows_x = inside_x[sphere]
-        # (a, b, same fiber) per block; an empty sphere reads no block
-        edges = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, bool))]
+        fiber = np.arange(len(sphere))
+        # the edges across fibers of the outer sphere, none when the
+        # dichotomy holds
+        across = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
         for blk in row_blocks(len(sphere), len(sphere)):
-            ka, kb = np.nonzero(gc.dist[np.ix_(sphere[blk], sphere[blk.start :])] == 1)
+            ka, kb = np.nonzero(gc.distances(sphere[blk], sphere[blk.start :]) == 1)
             ka += blk.start
             kb += blk.start
             keep = ka < kb
@@ -750,10 +771,8 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
                 dichotomy_ok &= bool((same | (meet == q ** (d - i - 1))).all())
             else:
                 dichotomy_ok &= bool(same.all())
-            edges.append((ka, kb, same))
-        ka, kb, same = (np.concatenate(part) for part in zip(*edges))
-
-        fiber = component_labels(len(sphere), ka[same], kb[same])
+                across.append((ka[~same], kb[~same]))
+            fiber = merged(fiber, ka[same], kb[same])
         comp = _components(fiber, sphere)
         roots = int((fiber == np.arange(len(sphere))).sum())
         counts.append(roots)
@@ -768,8 +787,8 @@ def gamma_components(gc: GraphContext, fam: AlphaFamily) -> GammaReport:
         cs.check_true(f"components_match_meet_vectors_{i}", comp_sets == meet_sets)
         cs.check(f"component_count_{i}", q_binomial(d, i, q), roots)
         if i == d:
-            # every edge is same-fibre there when the dichotomy holds
-            full = fiber if same.all() else component_labels(len(sphere), ka, kb)
+            ka, kb = (np.concatenate(part) for part in zip(*across))
+            full = merged(fiber, ka, kb) if len(ka) else fiber
             cs.check("outer_sphere_connected", 1, int((full == np.arange(len(sphere))).sum()))
     cs.check_true("edge_meets_obey_cover_dichotomy", dichotomy_ok)
 

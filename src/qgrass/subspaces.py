@@ -44,10 +44,10 @@ def count_dims(q: int, top: int):
     bad count) when a count is no such power.  Its lookup is built once,
     here, so a caller classifying a streamed product builds it once per
     product; each call is one clipped gather, into int8 (the dtype of
-    the distance matrix).  Entry c of the lookup is k for c = q^k and -1
-    elsewhere, including 0, which no subspace counts, and one entry past
-    q^top, so clipping sends every count out of range (negative or
-    above q^top) to a -1."""
+    `GraphContext.distances`).  Entry c of the lookup is k for c = q^k
+    and -1 elsewhere, including 0, which no subspace counts, and one
+    entry past q^top, so clipping sends every count out of range
+    (negative or above q^top) to a -1."""
     lookup = np.full(q**top + 2, -1, dtype=np.int8)
     for k in range(top + 1):
         lookup[q**k] = k

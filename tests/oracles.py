@@ -279,7 +279,7 @@ def dense_certificate_verdicts(gc, ss) -> dict:
     (b) F'_i W_i^T = W_i^T, with F'_i = M / den from `class_numerator`;
     (c) W_i^T W_i = sum_h [D-h, i]_q A_h, entry by entry;
     edges: `dense_adjacency` equals dist == 1."""
-    d, dist = gc.d, gc.dist
+    d, dist = gc.d, gc.distances(slice(None))
     in_range = bool(((dist >= 0) & (dist <= d)).all())
     b, c = [], []
     for i in range(d):
@@ -380,8 +380,8 @@ def actions_by_dense_adjacency(ss, fam):
         )
 
     both = np.concatenate([fam.vee, fam.meet])
-    adj = integral(exact_int_product(gc.dist == 1, both.T, nv).T)
-    star = integral(np.array(ss.theta_star, dtype=object))[gc.dist[gc.x_index]]
+    adj = integral(exact_int_product(gc.distances(slice(None)) == 1, both.T, nv).T)
+    star = integral(np.array(ss.theta_star, dtype=object))[gc.xrow]
     identities = [
         ("adjacency_on_vee", adj[:p], coeffs[0], fam.vee),
         ("adjacency_on_meet", adj[p:], coeffs[1], fam.meet),

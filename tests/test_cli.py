@@ -149,7 +149,7 @@ def dense_shapes(q, n, d, ball_sizes):
     gc = build_graph(q, n, d)
     nv = gc.n_vertices
     assert nv > RANK_VERIFY_LIMIT
-    xrow = gc.dist[gc.x_index]
+    xrow = gc.xrow
     wide = {nv} | {int((xrow <= i).sum()) for i in range(1, gc.d + 1)}
     assert wide == ball_sizes
     return {(nv, w) for w in wide}

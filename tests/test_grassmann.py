@@ -128,7 +128,7 @@ def test_boundary_flag():
 def test_j252_shape(j252):
     assert j252.n_vertices == 155
     assert not j252.boundary
-    assert int(j252.dist[j252.x_index, j252.x_index]) == 0
+    assert int(j252.xrow[j252.x_index]) == 0
     names = {c.name for c in j252.build_checks.checks}
     assert "bfs_distances_match_meet_formula" in names
     assert "sphere_equals_layer" in names
@@ -149,7 +149,7 @@ def test_sphere_layer_check_matches_per_vertex_loop(monkeypatch, q, n, d):
     oracle = next(
         f"vertex {y.rows}"
         for k, y in enumerate(entries(gc.vertices))
-        if layer_of(y, x) != (d - int(gc.dist[gc.x_index, k]), int(gc.dist[gc.x_index, k]))
+        if layer_of(y, x) != (d - int(gc.xrow[k]), int(gc.xrow[k]))
     )
     assert not verdict.passed and verdict.witness == oracle
 
@@ -163,7 +163,7 @@ def test_j252_distance_against_intersection(j252):
     for _ in range(60):
         a, b = rng.randrange(n), rng.randrange(n)
         meet = meet_dim_by_rank(verts[a], verts[b])
-        assert int(j252.dist[a, b]) == j252.d - meet
+        assert int(j252.distances([a], [b])[0, 0]) == j252.d - meet
 
 
 def test_j252_intersection_numbers(j252):
@@ -191,7 +191,7 @@ def test_j252_common_neighbor_counts(j252):
                 and mask_dim(verts[w].mask & verts[x].mask, j252.q) == j252.d - 1
             )
         else:
-            y = int(np.flatnonzero(j252.dist[x] == h)[0])
+            y = int(np.flatnonzero(j252.xrow == h)[0])
             got = count_common_neighbors(j252, x, y)
         assert got == want, f"class {h}"
 
@@ -219,7 +219,7 @@ def test_theta_star_independent_oracle(j252):
     """Rebuild E_1 coefficients from counted common neighbors through
     (A^2 - 39A - 126I) / -434 and compare the scaled values."""
     x = j252.x_index
-    reps = [int(np.flatnonzero(j252.dist[x] == h)[0]) for h in (1, 2)]
+    reps = [int(np.flatnonzero(j252.xrow == h)[0]) for h in (1, 2)]
     a2 = {0: 42, 1: count_common_neighbors(j252, x, reps[0]), 2: count_common_neighbors(j252, x, reps[1])}
     t0, t1, t2 = J252_THETA
     den = (t1 - t0) * (t1 - t2)
@@ -256,7 +256,7 @@ def test_j252_krein(j252_spectral):
 def test_j341_complete_graph(j341):
     assert j341.n_vertices == 40
     off = ~np.eye(40, dtype=bool)
-    assert (j341.dist[off] == 1).all()
+    assert (j341.distances(slice(None))[off] == 1).all()
     ss = spectral_system(j341)
     ss.checks.require()
     assert ss.theta == [39, -1]
@@ -296,7 +296,7 @@ def test_class_numerator_gathers_integer_class_values(j252_spectral):
     # int64 array while the values fit the product guard, Python ints
     # past it
     ss = j252_spectral
-    dist = ss.gc.dist
+    dist = ss.gc.distances(slice(None))
     for coeffs in ss.e_coeffs:
         num, den = ss.class_numerator(coeffs)
         values = [c * den for c in coeffs]
@@ -329,7 +329,8 @@ def dense_spectral_oracle(ss):
     idempotents.  Returns the three verdicts."""
     gc, theta, d = ss.gc, ss.theta, ss.gc.d
     eye = np.eye(gc.n_vertices, dtype=np.int64)
-    adj = (gc.dist == 1).astype(np.int64)
+    dist = gc.distances(slice(None))
+    adj = (dist == 1).astype(np.int64)
     prod = adj - theta[0] * eye
     for t in theta[1:]:
         prod = exact_matmul(prod, adj - t * eye)
@@ -351,13 +352,14 @@ def dense_product_table(gc):
     """p[h][i][j] from all (D+1)(D+2)/2 dense products A_i A_j, as plain
     int64 matmuls (entries at most |X|, far from overflow)."""
     d = gc.d
-    a64 = [(gc.dist == i).astype(np.int64) for i in range(d + 1)]
+    dist = gc.distances(slice(None))
+    a64 = [(dist == i).astype(np.int64) for i in range(d + 1)]
     p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(i, d + 1):
             prod = a64[i] @ a64[j]
             for h in range(d + 1):
-                vals = prod[gc.dist == h]
+                vals = prod[dist == h]
                 assert (vals == vals[0]).all()
                 p[h][i][j] = p[h][j][i] = int(vals[0])
     return p
@@ -563,7 +565,7 @@ def pair_loop_distances(gc):
 def test_incidence_distances_match_pair_loop(q, n, d):
     gc = build_graph(q, n, d)
     gc.build_checks.require()
-    assert (gc.dist == pair_loop_distances(gc)).all()
+    assert (gc.distances(np.arange(gc.n_vertices)) == pair_loop_distances(gc)).all()
 
 
 @settings(max_examples=6, deadline=None)
@@ -572,16 +574,37 @@ def test_incidence_distances_match_pair_loop_at_random_base_vertex(instance):
     q, n, d, x_rows = instance
     gc = build_graph(q, n, d, x_rows=x_rows)
     gc.build_checks.require()
-    assert (gc.dist == pair_loop_distances(gc)).all()
+    assert (gc.distances(np.arange(gc.n_vertices)) == pair_loop_distances(gc)).all()
+
+
+def corrupt_pair(mp, a: int, b: int, value: int) -> None:
+    """Make every block that `GraphContext.distances` reads carry `value`
+    at the pairs (a, b) and (b, a)."""
+    real = grassmann.GraphContext.distances
+
+    def distances(gc, rows, cols=None):
+        block = real(gc, rows, cols)
+        ys = np.arange(gc.n_vertices)[rows]
+        zs = np.arange(gc.n_vertices)[slice(None) if cols is None else cols]
+        for y, z in ((a, b), (b, a)):
+            block[np.ix_(ys == y, zs == z)] = value
+        return block
+
+    mp.setattr(grassmann.GraphContext, "distances", distances)
+
+
+def read_every_row(mp) -> None:
+    """Refuse the group action, so that the certificates read every row."""
+    mp.setattr(grassmann, "_group_action", lambda gc: None)
 
 
 @pytest.mark.parametrize("true_dist", [1, 2])
-def test_corrupted_distance_fails_bfs_check(true_dist):
+def test_corrupted_distance_fails_bfs_check(true_dist, monkeypatch):
     # the expansion takes its edges from the inclusion matrix W_1, not
-    # from dist, so a distinct pair rewritten as 0 shows as a mismatch
+    # from the distances, so a distinct pair read as 0 shows as a mismatch
     gc = build_graph(2, 4, 2)
-    a, b = 0, int(np.flatnonzero(gc.dist[0] == true_dist)[0])
-    gc.dist[a, b] = gc.dist[b, a] = 0
+    b = int(np.flatnonzero(gc.distances([0])[0] == true_dist)[0])
+    corrupt_pair(monkeypatch, 0, b, 0)
     cs = CheckSet("bfs")
     _bfs_full_check(gc, cs)
     verdicts = {c.name: c.passed for c in cs.checks}
@@ -591,13 +614,14 @@ def test_corrupted_distance_fails_bfs_check(true_dist):
     }
 
 
-def test_distance_two_rewritten_as_one_fails_bfs_check():
-    # on a graph of diameter 2 a distance-2 pair rewritten as 1 is still
-    # the metric of the edges dist == 1; the edges from W_1 see it, and
-    # so do the distance-algebra checks
+def test_distance_two_rewritten_as_one_fails_bfs_check(monkeypatch):
+    # on a graph of diameter 2 a distance-2 pair read as 1 is still the
+    # metric of the edges dist == 1; the edges from W_1 see it, and so
+    # do the distance-algebra checks on every row
     gc = build_graph(2, 4, 2)
-    a, b = 0, int(np.flatnonzero(gc.dist[0] == 2)[0])
-    gc.dist[a, b] = gc.dist[b, a] = 1
+    b = int(np.flatnonzero(gc.distances([0])[0] == 2)[0])
+    corrupt_pair(monkeypatch, 0, b, 1)
+    read_every_row(monkeypatch)
     gc._L = None
     cs = CheckSet("bfs")
     _bfs_full_check(gc, cs)
@@ -614,7 +638,7 @@ def test_bfs_edges_come_from_the_inclusion_matrix():
     # that is dist == 1, read from a product that never sees dist
     gc = build_graph(2, 5, 2)
     assert gc.inclusion(1).shape == (31, 155)
-    assert (gc.adjacency() == (gc.dist == 1)).all()
+    assert (gc.adjacency() == (gc.distances(slice(None)) == 1)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -654,16 +678,19 @@ def test_metric_certificate_matches_full_bfs_at_random_base_vertex(instance):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 34), st.integers(0, 34), st.integers(0, 2))
 def test_metric_certificate_never_passes_a_broken_metric(a, b, value):
-    # one pair of J_2(4,2) rewritten: the certificate holds only on the
-    # true metric, and never where the all-pairs expansion fails
+    # one pair of J_2(4,2) read wrong, every row read: the certificate
+    # holds only on the true metric, and never where the all-pairs
+    # expansion fails
     gc = build_graph(2, 4, 2)
-    unchanged = int(gc.dist[a, b]) == value
-    gc.dist[a, b] = gc.dist[b, a] = value
-    gc._L = None
-    certified = grassmann._metric_certificate(gc)
-    assert certified == unchanged
-    if not all(ok for _name, ok, _witness in full_bfs_verdicts(gc)):
-        assert not certified
+    unchanged = int(gc.distances([a], [b])[0, 0]) == value
+    with pytest.MonkeyPatch.context() as mp:
+        corrupt_pair(mp, a, b, value)
+        read_every_row(mp)
+        gc._L = None
+        certified = grassmann._metric_certificate(gc)
+        assert certified == unchanged
+        if not all(ok for _name, ok, _witness in full_bfs_verdicts(gc)):
+            assert not certified
 
 
 def test_certified_build_runs_no_all_pairs_expansion(monkeypatch):
@@ -772,10 +799,11 @@ def test_wrong_theta_fails_certificate_b(monkeypatch):
     assert "(b) F'_1 W_1^T != W_1^T" in bad["rank_certificate"]
 
 
-def test_corrupted_distance_fails_certificate_c():
+def test_corrupted_distance_fails_certificate_c(monkeypatch):
     gc = build_graph(2, 5, 2)
-    a, b = 0, int(np.flatnonzero(gc.dist[0] == 2)[0])
-    gc.dist[a, b] = gc.dist[b, a] = 1
+    b = int(np.flatnonzero(gc.distances([0])[0] == 2)[0])
+    corrupt_pair(monkeypatch, 0, b, 1)
+    read_every_row(monkeypatch)
     gc._L = None
     bad = failing(spectral_system(gc).checks)
     assert set(bad) == {
@@ -1037,7 +1065,8 @@ def test_count_dims_gathers_every_count():
 def dense_class_sums(gc, coeff_rows, right):
     """The oracle: every class as a dense |X| x |X| array of Python ints,
     combined entry by entry."""
-    classes = [(gc.dist == h).astype(object) for h in range(gc.d + 1)]
+    dist = gc.distances(slice(None))
+    classes = [(dist == h).astype(object) for h in range(gc.d + 1)]
     r = right.astype(object)
     return [sum(c * np.dot(a, r) for c, a in zip(row, classes)) for row in coeff_rows]
 
@@ -1111,7 +1140,7 @@ def certified(q, n, d, x_rows=None, dense=False):
     decide."""
     with pytest.MonkeyPatch.context() as mp:
         if dense:
-            mp.setattr(grassmann, "_group_action", lambda gc: None)
+            read_every_row(mp)
         gc = build_graph(q, n, d, x_rows=x_rows)
         ss = spectral_system(gc)
     return gc, ss
@@ -1156,17 +1185,19 @@ def test_invariant_corruption_fails_both_paths_alike(q, n, d, monkeypatch):
 
 @pytest.mark.parametrize("q,n,d", [(2, 5, 1), (2, 5, 2), (3, 4, 2)])
 def test_invariant_relabeling_of_dist_fails_both_paths_alike(q, n, d):
-    # dist rewritten as D - dist keeps every premise of the action (a
-    # relabeling of the classes is as invariant as they are), so the row
-    # checks must fail A_0 = I and the metric where the dense ones do
+    # every distance read as D - dist keeps every premise of the action
+    # (a relabeling of the classes is as invariant as they are), so the
+    # row checks must fail A_0 = I and the metric where the dense ones do
+    real = grassmann.GraphContext.distances
     verdicts = []
     for dense in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             if dense:
-                mp.setattr(grassmann, "_group_action", lambda gc: None)
+                read_every_row(mp)
+            mp.setattr(
+                grassmann.GraphContext, "distances", lambda gc, *args: d - real(gc, *args)
+            )
             gc = build_graph(q, n, d)
-            gc.dist[:] = d - gc.dist
-            gc._L = None
             L, cs = structure_constants(gc)
             verdicts.append((gc.certificate_path, L, check_table(cs), grassmann._metric_certificate(gc)))
     (fast_path, *fast), (slow_path, *slow) = verdicts
@@ -1189,14 +1220,22 @@ def program_verdicts(gc, ss):
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["representatives", "every_row"])
-@pytest.mark.parametrize("corruption", ["none", "complement_of_w", "flip_w_entry", "dist_pair"])
+@pytest.mark.parametrize("corruption", ["none", "complement_of_w", "flip_w_entry", "copied_words"])
 @pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 5, 1)])
 def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
     # the complement of W_{D-1} (W_1 at D = 2) keeps every premise of
     # the action; one entry of W_{D-1} flipped, off row x of its Gram
-    # product when D = 2, breaks the W premise, and a rewritten dist pair
-    # the dist premise
+    # product when D = 2, breaks the W premise; and vertex 0 given the
+    # point words of the last vertex, the data every distance is read
+    # from, leaves two vertices with one image, so no vertex permutation
     real = grassmann.GraphContext.inclusion
+    real_table = grassmann.GeometryContext.table
+
+    def copied(geometry, dim):
+        table = real_table(geometry, dim)
+        if dim == geometry.d:
+            table.words[0] = table.words[-1]
+        return table
 
     def flipped(gc, i):
         w = real(gc, i)
@@ -1209,7 +1248,7 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
 
     with pytest.MonkeyPatch.context() as mp:
         if dense:
-            mp.setattr(grassmann, "_group_action", lambda gc: None)
+            read_every_row(mp)
         if corruption == "complement_of_w":
             mp.setattr(
                 grassmann.GraphContext,
@@ -1218,16 +1257,16 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
             )
         if corruption == "flip_w_entry":
             mp.setattr(grassmann.GraphContext, "inclusion", flipped)
+        if corruption == "copied_words":
+            mp.setattr(grassmann.GeometryContext, "table", copied)
         gc = build_graph(q, n, d)
-        if corruption == "dist_pair":
-            b = int(np.flatnonzero(gc.dist[0] == d)[0])
-            gc.dist[0, b] = gc.dist[b, 0] = d - 1
-            gc._L = None
         ss = spectral_system(gc)
         want = dense_certificate_verdicts(gc, ss)
         assert program_verdicts(gc, ss) == want
         assert (gc.adjacency() == dense_adjacency(gc)).all()
-    path = "dense" if dense or corruption in ("flip_w_entry", "dist_pair") else "automorphism"
+    if corruption == "copied_words":
+        assert "a0_is_identity" in failing(ss.checks)
+    path = "dense" if dense or corruption in ("flip_w_entry", "copied_words") else "automorphism"
     assert gc.certificate_path == path
     verdicts = [*want["b"], *want["c"], want["edges"]]
     assert all(verdicts) == (corruption == "none")
@@ -1235,23 +1274,33 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
 
 def square_products(monkeypatch):
     """Sizes n of the n x n 0/1 products streamed while the test runs,
-    in order, from every caller of the kernel."""
-    sizes = []
-    real = linalg._stream
+    in order, from every caller of the kernel but the distance reads of
+    `GraphContext.distances`: the products of the algebra."""
+    sizes, reading = [], []
+    real_stream, real_distances = linalg._stream, grassmann.GraphContext.distances
 
     def stream(pa, pb, inner):
-        if pa.shape[0] == pb.shape[1]:
+        if pa.shape[0] == pb.shape[1] and not reading:
             sizes.append(pa.shape[0])
-        return real(pa, pb, inner)
+        return real_stream(pa, pb, inner)
+
+    def distances(gc, *args):
+        reading.append(True)
+        try:
+            return real_distances(gc, *args)
+        finally:
+            reading.pop()
 
     monkeypatch.setattr(linalg, "_stream", stream)
+    monkeypatch.setattr(grassmann.GraphContext, "distances", distances)
     return sizes
 
 
-def test_passing_run_makes_one_square_product(monkeypatch, capsys, tmp_path):
-    # J_2(6,2) verify --suite all: the distance build of the graph (651
-    # vertices) and of its boundary J_2(4,2) (35) are the only |X| x |X|
-    # products; no A_1 A_g, no Gram product W_i^T W_i
+def test_passing_run_makes_no_square_product(monkeypatch, capsys, tmp_path):
+    # J_2(6,2) verify --suite all: no |X| x |X| product of the algebra,
+    # neither of the graph (651 vertices) nor of its boundary J_2(4,2)
+    # (35): no A_1 A_g, no Gram product W_i^T W_i.  Distances are read
+    # from the vertex masks (`GraphContext.distances`), not multiplied
     from qgrass.cli import main
 
     sizes = square_products(monkeypatch)
@@ -1259,7 +1308,7 @@ def test_passing_run_makes_one_square_product(monkeypatch, capsys, tmp_path):
     argv = ["verify", "--q", "2", "--n", "6", "--d", "2", "--suite", "all", "--out", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert sorted(s for s in sizes if s in (35, 651)) == [35, 651]
+    assert [s for s in sizes if s in (35, 651)] == []
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["meta"]["certificate_paths"] == {"main": "automorphism", "boundary": "automorphism"}
 
@@ -1353,9 +1402,9 @@ def test_broken_premise_runs_dense_with_the_same_report(q, n, d, mutation, tmp_p
     bad, bad_sizes = verify_report(q, n, d, tmp_path / "bad.json", MUTATIONS[mutation])
     capsys.readouterr()
     nv = q_binomial(n, d, q)
-    assert good_sizes.count(nv) == 1
-    # the distance build, the D products A_1 A_g and the Gram products
-    assert bad_sizes.count(nv) >= 1 + d + 1
+    assert good_sizes.count(nv) == 0
+    # the Gram products W_i^T W_i and the edge check on every row
+    assert bad_sizes.count(nv) >= d + 1
     assert set(bad["meta"]["certificate_paths"].values()) == {"dense"}
     assert set(good["meta"]["certificate_paths"].values()) == {"automorphism"}
     bad.pop("meta")
@@ -1406,16 +1455,17 @@ def held_arrays(obj, seen=None):
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
-def test_dense_path_keeps_no_square_array_but_dist(q, n, d):
-    # the dense path reads every row of the Gram products and of the
-    # class sums as they stream; of the |X| x |X| arrays only dist stays
+def test_dense_path_keeps_no_square_array(q, n, d):
+    # the dense path reads every row of the Gram products, of the
+    # distances and of the class sums as they stream, and keeps none
     gc, _ss = certified(q, n, d, dense=True)
     assert gc.certificate_path == "dense"
     nv = gc.n_vertices
     square = [a for a in held_arrays(gc) if a.ndim == 2 and a.shape[0] == a.shape[1] == nv]
-    assert len(square) == 1 and square[0] is gc.dist
+    assert square == []
 
 
 def test_distance_matrix_is_int8(j252):
-    assert j252.dist.dtype == np.int8
+    assert j252.xrow.dtype == np.int8
+    assert j252.distances([0, 1], [2]).dtype == np.int8
     assert count_dims(2, 3)(np.array([1, 2, 4, 8])).dtype == np.int8

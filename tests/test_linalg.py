@@ -263,25 +263,10 @@ class TestStreamedProduct:
         rng = random.Random(seed)
         a = random_bool_matrix(rng, 6, inner)
         b = random_bool_matrix(rng, inner, 5)
-        wa, wb = linalg._pack_rows(a), linalg._pack_rows(b.T)
+        wa, wb = linalg.pack_words(a), linalg.pack_words(b.T)
         want = int64_oracle(a, b)
         for left, right in [(wa, b), (a, wb), (wa, wb)]:
             assert (exact_int_product(left, right, inner) == want).all()
-
-    @pytest.mark.parametrize("size", [1, 63, 64, 65, 130])
-    def test_class_words_on_a_submatrix(self, size, monkeypatch):
-        # the class of labels[rows][:, cols], gathered and packed a few
-        # rows at a time, is the class of that submatrix packed whole
-        rng = np.random.default_rng(size)
-        labels = rng.integers(0, 3, size=(size, size), dtype=np.int8)
-        rows = rng.permutation(size)[: max(1, size // 2)]
-        cols = rng.permutation(size)[: max(1, size // 3)]
-        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * 8)
-        assert len(list(linalg.row_blocks(len(rows), 1))) == -(-len(rows) // 8)
-        by_rows = linalg.pack_words(labels, 1, rows)
-        by_both = linalg.pack_words(labels, 1, rows, cols)
-        assert (by_rows == linalg.pack_words(labels[rows] == 1)).all()
-        assert (by_both == linalg.pack_words(labels[rows][:, cols] == 1)).all()
 
     def test_table_words_are_point_incidence(self):
         # a table's own words give the common point counts q^dim(meet)
@@ -310,7 +295,7 @@ class TestStreamedProduct:
             for _ in range(4):
                 dirty = np.full((5, 8 * words), 255, dtype=np.uint8)
                 del dirty
-            packed = linalg._pack_rows(np.ones((5, cols), dtype=bool))
+            packed = linalg.pack_words(np.ones((5, cols), dtype=bool))
             assert (np.bitwise_count(packed).sum(axis=1) == cols).all()
 
 
@@ -612,16 +597,18 @@ class TestHelpers:
 
 
 def verify_pack_counts(monkeypatch, tmp_path, budget):
-    """Calls of `_pack_rows`, products started and blocks streamed during
-    one `verify --suite all` run at J_2(5,2), with blocks of at most
-    `budget` bytes."""
+    """Calls of `pack_words` and the bits they pack, products started and
+    blocks streamed during one `verify --suite all` run at J_2(5,2),
+    with blocks of at most `budget` bytes."""
+    from qgrass import grassmann, nucleus
     from qgrass.cli import main
 
-    counts = {"packs": 0, "products": 0, "blocks": 0}
-    real_pack, real_pair, real_stream = linalg._pack_rows, linalg._packed_pair, linalg._stream
+    counts = {"packs": 0, "bits": 0, "products": 0, "blocks": 0}
+    real_pack, real_pair, real_stream = linalg.pack_words, linalg._packed_pair, linalg._stream
 
     def pack(m):
         counts["packs"] += 1
+        counts["bits"] += m.size
         return real_pack(m)
 
     def pair(a, b, inner):
@@ -634,7 +621,8 @@ def verify_pack_counts(monkeypatch, tmp_path, budget):
             yield item
 
     with monkeypatch.context() as mp:
-        mp.setattr(linalg, "_pack_rows", pack)
+        for module in (linalg, grassmann, nucleus):
+            mp.setattr(module, "pack_words", pack)
         mp.setattr(linalg, "_packed_pair", pair)
         mp.setattr(linalg, "_stream", stream)
         mp.setattr(linalg, "_BLOCK_BYTES", budget)
@@ -645,10 +633,13 @@ def verify_pack_counts(monkeypatch, tmp_path, budget):
 
 
 def test_verify_packs_each_operand_once_per_product(monkeypatch, tmp_path):
-    # cutting every product into many more blocks packs nothing more:
-    # each operand is packed at most once per product, not per block
+    # cutting the run into many more blocks packs nothing more: each
+    # operand is packed at most once per product, not per block, and the
+    # callers that read distances a row block at a time (one product per
+    # block) pack each class of a block once, so the bits packed stay
     wide = verify_pack_counts(monkeypatch, tmp_path, 1 << 20)
     narrow = verify_pack_counts(monkeypatch, tmp_path, 1 << 12)
-    assert narrow["blocks"] > 2 * narrow["products"] > 0
-    assert narrow["products"] == wide["products"]
-    assert narrow["packs"] == wide["packs"] <= 2 * wide["products"]
+    assert narrow["blocks"] > 2 * wide["blocks"] > 0
+    assert narrow["bits"] == wide["bits"] > 0
+    for counts in (wide, narrow):
+        assert counts["packs"] <= 2 * counts["products"]

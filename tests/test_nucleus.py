@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import qgrass.cli
 import qgrass.nucleus
-from qgrass.grassmann import GraphContext, build_graph, integer_coeffs, spectral_system
+from qgrass.grassmann import (
+    GraphContext,
+    build_graph,
+    integer_coeffs,
+    intersection_numbers,
+    spectral_system,
+)
 from qgrass.ladders import alpha_dominant_multiplicity
 from qgrass.linalg import (
     ExactMatrix,
@@ -47,7 +53,7 @@ def dense_oracle_pieces(ss):
     is an object array of Python ints whose rows are a basis."""
     gc = ss.gc
     d, nv = gc.d, gc.n_vertices
-    xrow = gc.dist[gc.x_index]
+    xrow = gc.xrow
     pieces = []
     for i in range(d + 1):
         coords = ExactMatrix.from_int_array(np.eye(nv, dtype=np.int64)[:, xrow <= i])
@@ -58,7 +64,7 @@ def dense_oracle_pieces(ss):
             [sum(ss.e_coeffs[t][h] for t in range(d - i + 1)) for h in range(d + 1)],
             dtype=object,
         )
-        f_mat = ExactMatrix(values[gc.dist])
+        f_mat = ExactMatrix(values[gc.distances(slice(None))])
         pivots = column_space_ops(f_mat, want_nullspace=False).pivot_columns
         pieces.append(intersect_column_spaces(coords, ExactMatrix(f_mat.a[:, pivots])).T.a)
     return pieces
@@ -186,7 +192,7 @@ def test_corrupted_free_row_fails_layers_and_bases():
     ss = spectral_system(gc)
     ss.checks.require()
     w = gc.inclusion(1)
-    xrow = gc.dist[gc.x_index]
+    xrow = gc.xrow
     u = int(np.flatnonzero(~w[:, xrow > 1].any(axis=1))[0])
     y = int(np.flatnonzero(w[u] & (xrow == 1))[0])
     w[u, y] = False
@@ -361,7 +367,8 @@ def test_transition_entries(fam252):
 @pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
 def test_gamma_labels_each_sphere_once(q, n, d, monkeypatch):
     # every edge of the outer sphere is same-fibre, so its fibre labels
-    # already say whether it is connected
+    # already say whether it is connected: one labelling pass per sphere,
+    # one merge per row block of its edges
     calls = []
     real = qgrass.nucleus.component_labels
     monkeypatch.setattr(
@@ -370,7 +377,10 @@ def test_gamma_labels_each_sphere_once(q, n, d, monkeypatch):
     gc = build_graph(q, n, d)
     rep = gamma_components(gc, build_alpha_family(gc))
     rep.checks.require()
-    assert calls == np.bincount(gc.dist[gc.x_index]).tolist()
+    sizes = np.bincount(gc.xrow).tolist()
+    assert calls == [k for k in sizes for _blk in qgrass.linalg.row_blocks(k, k)]
+    if (q, n, d) == (2, 6, 3):  # its spheres of 784 and 512 take several blocks
+        assert len(calls) > len(sizes)
 
 
 def test_gamma_components_frozen(j252, fam252):
@@ -398,7 +408,8 @@ def pair_loop_fibers(gc):
     q, d = gc.q, gc.d
     xmask = base_vertex(gc.geometry).mask
     masks = [v.mask for v in entries(gc.vertices)]
-    xrow = gc.dist[gc.x_index]
+    xrow = gc.xrow
+    dist = gc.distances(slice(None))
     fibers, full_counts, dichotomy = [], [], True
     for i in range(d + 1):
         sphere = [int(v) for v in np.flatnonzero(xrow == i)]
@@ -413,7 +424,7 @@ def pair_loop_fibers(gc):
 
         for ka, a in enumerate(sphere):
             for b in sphere[ka + 1:]:
-                if gc.dist[a, b] != 1:
+                if dist[a, b] != 1:
                     continue
                 join(full, a, b)
                 dmx = mask_dim(masks[a] & masks[b] & xmask, q)
@@ -443,6 +454,26 @@ def test_gamma_components_match_pair_loop(q, n, d):
             for ia in np.flatnonzero(fam.dims == d - i)
         )
         assert fibers[i] == meet_sets
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
+def test_gamma_merges_labels_across_row_blocks(q, n, d, monkeypatch):
+    # one sphere row per block: the labels merged block by block are the
+    # pair-loop fibres; with every outer-sphere edge read as crossing
+    # fibres, the outer sphere is still connected through those edges
+    gc = build_graph(q, n, d)
+    fam = build_alpha_family(gc)
+    fibers, _full_counts, _dichotomy = pair_loop_fibers(gc)
+    monkeypatch.setattr(qgrass.linalg, "_BLOCK_BYTES", 8)
+    rep = gamma_components(gc, fam)
+    rep.checks.require()
+    assert rep.component_sizes == [sorted(len(c) for c in f) for f in fibers]
+    real = qgrass.nucleus._edge_meets
+    monkeypatch.setattr(qgrass.nucleus, "_edge_meets", lambda *args: real(*args) + 1)
+    verdicts = {c.name: c.passed for c in gamma_components(gc, fam).checks.checks}
+    assert not verdicts["edge_meets_obey_cover_dichotomy"]
+    assert not verdicts[f"component_count_{d}"]
+    assert verdicts["outer_sphere_connected"]
 
 
 @settings(max_examples=6, deadline=None)
@@ -668,7 +699,7 @@ def test_corrupt_vee_entry(j252, j252_spectral, nucleus252, monkeypatch):
 
 def test_corrupt_meet_entry(j252, j252_spectral, nucleus252, fam252):
     # a vertex on the outer sphere, so the corrupted row leaves the nucleus
-    y = int(np.flatnonzero(j252.dist[j252.x_index] == 2)[0])
+    y = int(np.flatnonzero(j252.xrow == 2)[0])
     fam = dataclasses.replace(fam252, meet=flipped(fam252.meet, 1, y))
     assert failing(verify_actions(j252_spectral, fam)) == {
         "adjacency_on_meet": "dim 2 alpha #4",
@@ -850,9 +881,11 @@ def test_actions_match_all_columns_oracle(
 
 
 def test_actions_hold_no_square_array(monkeypatch):
-    # a passing run reads D + 1 rows of dist; under the trivial group the
-    # rows at every column are packed a block at a time, |X|^2 / 8 bytes
-    # in all, and no |X| x |X| bool is held either way
+    # a passing run reads D + 1 rows of the distances; under the trivial
+    # group every row is read, a block at a time, and the p x |X| counts
+    # are scaled in int64 (a peak of 181 KB at J_2(6,2), against 293 KB
+    # for Python ints), below |X|^2 / 2 bytes; no |X| x |X| bool is held
+    # either way
     gc = build_graph(2, 6, 2)
     ss = spectral_system(gc)
     fam = build_alpha_family(gc)
@@ -867,15 +900,62 @@ def test_actions_hold_no_square_array(monkeypatch):
             _now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < nv * nv // (8 if action is not None else 1), peak
+        assert peak < nv * nv // (8 if action is not None else 2), peak
+
+
+def test_passing_run_allocates_no_square_array():
+    # J_2(7,2), 2667 vertices, from the build through the sphere
+    # fibrations: the traced peak stays below |X|^2 bytes (7.1 MB), the
+    # size of one int8 |X| x |X| distance matrix
+    tracemalloc.start()
+    try:
+        gc = build_graph(2, 7, 2)
+        _nums, ncs = intersection_numbers(gc)
+        ss = spectral_system(gc)
+        nd = compute_nucleus(ss)
+        fam = build_alpha_family(gc)
+        checks = [gc.build_checks, ncs, ss.checks, nd.checks, fam.checks]
+        checks += [verify_actions(ss, fam), verify_bases(nd, fam), gamma_components(gc, fam).checks]
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for cs in checks:
+        cs.require()
+    assert gc.certificate_path == "automorphism"
+    assert peak < gc.n_vertices**2, peak
 
 
 def test_gamma_forms_no_product(monkeypatch):
+    # the only 0/1 products of gamma_components are the distance reads of
+    # the sphere blocks, each on vertices of one sphere, each row once;
+    # the meet counts of every block come from `_edge_meets`
     gc = build_graph(2, 6, 2)
     fam = build_alpha_family(gc)
+    real_distances, real_stream = GraphContext.distances, qgrass.linalg._stream
+    real_meets = qgrass.nucleus._edge_meets
+    vertices = np.arange(gc.n_vertices)
+    inside, reads, meets = [], [], []
 
-    def refuse(*args):
-        raise AssertionError("a 0/1 product streamed in gamma_components")
+    def distances(self, rows, cols=None):
+        reads.append((vertices[rows], vertices if cols is None else vertices[cols]))
+        inside.append(True)
+        try:
+            return real_distances(self, rows, cols)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(qgrass.linalg, "_stream", refuse)
+    def stream(pa, pb, inner):
+        if not inside:
+            raise AssertionError("a 0/1 product streamed in gamma_components")
+        return real_stream(pa, pb, inner)
+
+    monkeypatch.setattr(GraphContext, "distances", distances)
+    monkeypatch.setattr(qgrass.linalg, "_stream", stream)
+    monkeypatch.setattr(
+        qgrass.nucleus, "_edge_meets", lambda *args: meets.append(1) or real_meets(*args)
+    )
     gamma_components(gc, fam).checks.require()
+    assert len(meets) == len(reads) > 0
+    for ys, zs in reads:
+        assert len(set(gc.xrow[np.concatenate([ys, zs])].tolist())) == 1
+    assert sorted(np.concatenate([ys for ys, _zs in reads]).tolist()) == vertices.tolist()
