@@ -49,7 +49,6 @@ from .linalg import (
     exact_int_product,
     int_operand,
     invert_fraction_matrix,
-    pack_words,
     product_blocks,
     rank_exact,
     rank_mod_prime,
@@ -156,39 +155,30 @@ class GraphContext:
         np.fill_diagonal(adj, False)
         return adj
 
-    def class_sum_blocks(self, coeff_rows: list[list[int]], right: np.ndarray):
-        """(rows, sums) over row blocks of the vertices: sums[r] is those
-        rows of sum_h c_r[h] (A_h @ right), exactly, for each integer row
-        c_r of coeff_rows and a bool or integer `right` with |X| rows.
+    def class_sums(self, coeff_rows: list[list[int]], right: np.ndarray) -> list[np.ndarray]:
+        """sum_h c[h] (A_h @ right) for every integer row c of coeff_rows,
+        exactly, for a bool or integer `right` with |X| rows: the dense
+        fallback of `compute_nucleus` when a spectral check fails.
 
-        Per block, the distances of its rows are read (`distances`), and
-        the D+1 class products A_h[rows] @ right are combined with the
-        coefficient rows by one `exact_int_product`, its guard fed the
-        bounds max |c| and |X| max |right|, so every block takes the same
-        int64 or object branch.  A 0/1 `right` is packed once, and each
-        class of a block meets it as one 0/1 product; an integer `right`
-        meets each class as an int64 array, so its blocks are eight times
-        shorter.  No |X| x |X| array is built."""
+        Per row block of the vertices, the distances of its rows are read
+        (`distances`), and the D+1 class products A_h[rows] @ right are
+        combined with the coefficient rows by one `exact_int_product`,
+        its guard fed the bounds max |c| and |X| max |right|, so every
+        block takes the same int64 or object branch.  No |X| x |X| array
+        is built."""
         n, d = self.n_vertices, self.d
         width = right.shape[1]
-        zero_one = right.dtype == bool
-        right, rmax = (pack_words(right.T), 1) if zero_one else int_operand(right)
+        right, rmax = int_operand(right)
         coeffs, amax = int_operand(np.array(coeff_rows, dtype=object))
-        for rows in row_blocks(n, n, 1 if zero_one else 8):
+        out = None
+        for rows in row_blocks(n, n):
             block = self.distances(rows)
             prods = [exact_int_product(block == h, right, n, 1, rmax) for h in range(d + 1)]
             stacked = np.stack([p.reshape(-1) for p in prods])
             sums = exact_int_product(coeffs, stacked, d + 1, amax, n * rmax)
-            yield rows, sums.reshape(len(coeffs), -1, width)
-
-    def class_sums(self, coeff_rows: list[list[int]], right: np.ndarray) -> list[np.ndarray]:
-        """sum_h c[h] (A_h @ right) for every integer row c of coeff_rows,
-        exactly, assembled from the blocks of `class_sum_blocks`."""
-        out = None
-        for rows, sums in self.class_sum_blocks(coeff_rows, right):
             if out is None:
-                out = np.empty((len(sums), self.n_vertices, right.shape[1]), dtype=sums.dtype)
-            out[:, rows] = sums
+                out = np.empty((len(coeffs), n, width), dtype=sums.dtype)
+            out[:, rows] = sums.reshape(len(coeffs), -1, width)
         return list(out)
 
 
@@ -730,50 +720,44 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     """rank F'_i for F'_i = E_0 + ... + E_i, i = 0..D, each None when
     its certificate fails, and the failed sub-checks, each named (a),
     (b) or (c) as in `spectral_system`.  (a) is `_full_rank_by_inverse`,
-    and `rank_mod_prime` where that check fails.
+    and `rank_mod_prime` where that check fails.  (c) reads the
+    representatives of `GraphContext.representatives` (the proof
+    obligation is in `structure_constants`): G_i - sum_h [D-h, i]_q A_h
+    is G-invariant, so it vanishes iff its rows at the representative
+    vertices do (`GraphContext.gram_rows`).  No other distance is read.
 
-    (b) and (c) read the representatives of `GraphContext.representatives`
-    (the proof obligation is in `structure_constants`).  (c): G_i -
-    sum_h [D-h, i]_q A_h is G-invariant, so it vanishes iff its rows at
-    the representative vertices do (`GraphContext.gram_rows`).  (b):
-    column u of W_i^T is row u of W_i, and row pi[u] is row u moved by p
-    for each generator (premise 3 of `_group_action`); so if F'_i w_u =
-    w_u then F'_i w_{pi[u]} = F'_i P w_u = P F'_i w_u = w_{pi[u]} for the
-    permutation matrix P of p, F'_i being G-invariant.  (b) therefore
-    holds on every column once it holds at one entry per orbit of
-    table(i): the columns at the representative entries, side by side,
-    are one `class_sum_blocks` right side, each block checked against
-    den and 0 as it streams."""
+    Proof obligation of (b), F'_i W_i^T = W_i^T, which follows from (a)
+    and (c) once the idempotents sum to I (the one premise it adds,
+    checked here as F'_D = I).  (c) gives G = W_i^T W_i in the algebra
+    with E_j G = lambda_j E_j for every j, and F'_i the sum of the E_j
+    with lambda_j != 0.  With sum_j E_j = I, G = sum_j E_j G = sum_j
+    lambda_j E_j, and F'_i G = sum_{lambda_j != 0} lambda_j E_j = G.  So
+    (F'_i W_i^T - W_i^T) W_i W_i^T = (F'_i G - G) W_i^T = 0.  (a) makes
+    W_i W_i^T invertible over Q: by the checked inverse M C = den I, or,
+    W_i having full row rank after a full rank mod p, as rank W_i W_i^T
+    = rank W_i over the reals.  Hence F'_i W_i^T = W_i^T."""
     q, n, d = gc.q, gc.n, gc.d
-    ws = [gc.inclusion(i) for i in range(d)]
-    scaled = [integer_coeffs(ss.partial_coeffs(i)) for i in range(d)]
-    columns = [w[gc.representatives(len(w))] for w in ws]
-    right = np.concatenate(columns).T
-    bounds = np.cumsum([0] + [len(c) for c in columns])
-    fixed = [True] * d
-    for rows, sums in gc.class_sum_blocks([v for v, _den in scaled], right):
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            image, cols = sums[i][:, lo:hi], right[rows, lo:hi]
-            fixed[i] = fixed[i] and (image[cols] == scaled[i][1]).all() and not image[~cols].any()
+    unit = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
+    unit_sum = ss.partial_coeffs(d) == unit
     vertices = gc.representatives(gc.n_vertices, gc.x_index)
     ranks = []
     faults = []
-    for i, w in enumerate(ws):
+    for i in range(d):
+        w = gc.inclusion(i)
         found = len(faults)
         rows = q_binomial(n, i, q)
         rank = rows if _full_rank_by_inverse(gc, i, w) else rank_mod_prime(w)
         if w.shape[0] != rows or rank != rows:
             faults.append(f"(a) W_{i} has rank_p {rank} on {w.shape[0]} rows, not {rows}")
-        if not fixed[i]:
-            faults.append(f"(b) F'_{i} W_{i}^T != W_{i}^T")
+        if not unit_sum:
+            faults.append(f"(b) sum_j E_j != I, so F'_{i} W_{i}^T = W_{i}^T does not follow")
         if not _gram_rows_are_class_sums(gc, i, vertices):
             faults.append(f"(c) W_{i}^T W_{i} != sum_h [D-h,{i}]_q A_h")
         elif not _gram_spans_partial_sum(ss, i, apply_idempotent):
             faults.append(f"(c) F'_{i} != G Q_{i}(G) for G = W_{i}^T W_{i}")
         ranks.append(rows if len(faults) == found else None)
     # F'_D = I
-    unit = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
-    if ss.partial_coeffs(d) == unit:
+    if unit_sum:
         ranks.append(gc.n_vertices)
     else:
         ranks.append(None)
@@ -942,18 +926,18 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
       (`_full_rank_by_inverse` carries the proof), or, where that check
       fails, rank_p W_i = [N,i]_q: a rank mod p is never above the rank
       over Q, nor is the row count.
-    - (b) F'_i W_i^T = W_i^T, evaluated as sum_h c_h (A_h W_i^T) with
-      one 0/1 kernel product per class, c the coefficients of F'_i, at
-      one column per orbit of the group on table(i).  So col(W_i^T)
-      lies in col(F'_i), and rank F'_i >= [N,i]_q.
+    - (b) F'_i W_i^T = W_i^T, so col(W_i^T) lies in col(F'_i), and
+      rank F'_i >= [N,i]_q.  It is not evaluated: it follows from (a)
+      and (c) once the idempotents sum to I, which is checked
+      (`_inclusion_certificate` carries the proof).
     - (c) G_i = sum_h [D-h, i]_q A_h entry by entry, read on the
       representative rows, so G_i lies in the algebra; and F'_i =
       G_i Q_i(G_i) on coefficient vectors, Q_i interpolating 1/lambda on
       the nonzero eigenvalues of G_i.  So col(F'_i) lies in col(G_i),
       inside col(W_i^T), and rank F'_i <= [N,i]_q.
 
-    `_inclusion_certificate` carries (b) and (c) from the representatives
-    to every column and row.
+    `_inclusion_certificate` carries (c) from the representatives to
+    every row.
 
     Hence rank F'_i = [N,i]_q.  The E_j are orthogonal idempotents, so
     rank F'_i = m_0 + ... + m_i, and the certified multiplicities are

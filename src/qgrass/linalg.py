@@ -477,8 +477,19 @@ def int_operand(m: np.ndarray):
     return m.astype(np.int64, copy=False), amax
 
 
+def _elimination_operand(m: np.ndarray):
+    """(a, amax) as `int_operand` gives them, but a bool array kept as
+    it is, with amax 1: `_residues` converts it once, and
+    `exact_int_product` takes it."""
+    return (m, 1) if m.dtype == bool else int_operand(m)
+
+
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
-    """The entries of an integer array mod p, as a fresh int64 array."""
+    """The entries of an `_elimination_operand` mod p, as a fresh int64
+    array and the only copy made: 0/1 entries lie in [0, p) already, so
+    a bool array is converted once and not reduced."""
+    if a.dtype == bool:
+        return a.astype(np.int64)
     return (a % p).astype(np.int64, copy=False)
 
 
@@ -528,7 +539,7 @@ def rank_mod_prime(m, p: int = RANK_CERT_PRIME) -> int:
     argument that promotes it to equality (reduction mod p can only
     collapse rows).  m is a bool, integer or Python-int object array.
     """
-    return len(echelon_mod_p(_residues(int_operand(m)[0], p), p, reduced=False))
+    return len(echelon_mod_p(_residues(_elimination_operand(m)[0], p), p, reduced=False))
 
 
 def _reconstruct(x: np.ndarray, p: int):
@@ -608,7 +619,7 @@ def certified_kernel(m, p: int = RANK_CERT_PRIME):
     a minor, or a rebuilt fraction that is not the rational entry)
     returns None; no wrong rank or kernel is ever returned.
     """
-    ints, amax = int_operand(m)
+    ints, amax = _elimination_operand(m)
     n = ints.shape[1]
     ech = _residues(ints, p)
     pivots = echelon_mod_p(ech, p, reduced=True)
@@ -619,6 +630,7 @@ def certified_kernel(m, p: int = RANK_CERT_PRIME):
     if not free.size:
         return rank, np.zeros((0, n), dtype=np.int64)
     fractions = _reconstruct((p - ech[:rank, free].T) % p, p)
+    del ech  # a bool m is converted again for the product: one copy at a time
     if fractions is None:
         return None
     kernel = _kernel_rows(*fractions, pivots, free, n)

@@ -133,8 +133,8 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     M = E_r B^T, M^T M = B E_r^T E_r B^T = B E_r B^T, and over the reals,
     hence over Q, rank(M^T M) = rank(M).  Scaling E_r by its
     denominator keeps the rank.  When a spectral check fails, the images
-    E_r B^T themselves are formed, sum_h c_h (A_h B^T) with one kernel
-    product per class over every row block of the distances
+    E_r B^T themselves are formed, sum_h c_h (A_h B^T) with one exact
+    product per class and row block of the distances
     (`GraphContext.class_sums`).
     Every exact rank here (the sum of the pieces, both kinds of layer
     dimensions) is certified mod p by `certified_kernel`, with Bareiss

@@ -776,7 +776,10 @@ def test_bad_row_count_of_w1_fails_certificate_a(corrupt, monkeypatch):
     assert cert.observed == [1, None, None]
 
 
-def test_wrong_theta_fails_certificate_b(monkeypatch):
+def test_wrong_theta_fails_certificate_c(monkeypatch):
+    # (b) is derived from (a) and (c), so the wrong idempotents are seen
+    # by (c): E_j G = lambda_j E_j fails, and no F'_i with i < D is
+    # certified
     right = eigenvalue_formulas(2, 5, 2)
     wrong = [right[0], right[1] + 1, right[2]]
     monkeypatch.setattr(grassmann, "eigenvalue_formulas", lambda *_: list(wrong))
@@ -796,7 +799,56 @@ def test_wrong_theta_fails_certificate_b(monkeypatch):
         "rank_certificate",
         "dual_eigenvalue_closed_form",
     }
-    assert "(b) F'_1 W_1^T != W_1^T" in bad["rank_certificate"]
+    assert "(c) F'_1 != G Q_1(G) for G = W_1^T W_1" in bad["rank_certificate"]
+    assert "(b)" not in bad["rank_certificate"]
+    assert ss.partial_ranks == [None, None, 155]
+    cert = next(c for c in ss.checks.checks if c.name == "rank_certificate")
+    assert cert.observed == [None, None, None]
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 5, 1)])
+def test_unit_sum_gates_the_derived_certificate_b(q, n, d, monkeypatch):
+    # E_0 halved, so the idempotents do not sum to I and F'_i W_i^T =
+    # W_i^T is false for every i, with (c) forced to pass and (a)
+    # untouched: the unit sum alone keeps every rank uncertified
+    real = grassmann._lagrange_numerators
+
+    def halved(L, theta):
+        (num, den), *rest = real(L, theta)
+        return [(num, 2 * den), *rest]
+
+    monkeypatch.setattr(grassmann, "_lagrange_numerators", halved)
+    monkeypatch.setattr(grassmann, "_gram_spans_partial_sum", lambda *_: True)
+    gc = build_graph(q, n, d)
+    ss = spectral_system(gc)
+    assert not any(dense_certificate_verdicts(gc, ss)["b"])
+    bad = failing(ss.checks)
+    assert "idempotents_sum_to_identity" in bad
+    assert ss.partial_ranks == [None] * (d + 1)
+    for i in range(d):
+        assert f"(b) sum_j E_j != I, so F'_{i} W_{i}^T" in bad["rank_certificate"]
+        assert f"(a) W_{i}" not in bad["rank_certificate"]
+        assert f"(c) W_{i}" not in bad["rank_certificate"]
+
+
+def test_spectral_system_reads_few_distances(monkeypatch):
+    # (b) is derived from (a) and (c), not evaluated, so a passing
+    # spectral system at J_2(7,2) reads the distances of the
+    # representative rows of (c) and no row block of every vertex
+    gc = build_graph(2, 7, 2)
+    real = grassmann.GraphContext.distances
+    pairs = []
+
+    def counting(self, rows, cols=None):
+        block = real(self, rows, cols)
+        pairs.append(block.size)
+        return block
+
+    monkeypatch.setattr(grassmann.GraphContext, "distances", counting)
+    ss = spectral_system(gc)
+    ss.checks.require()
+    assert gc.certificate_path == "automorphism"
+    assert sum(pairs) < gc.n_vertices**2 // 100, sum(pairs)
 
 
 def test_corrupted_distance_fails_certificate_c(monkeypatch):
@@ -1112,9 +1164,10 @@ def test_class_sums_hold_no_square_integer_array(j252, monkeypatch):
 
 
 def test_class_sums_hold_no_square_bool_array(monkeypatch):
-    # a 0/1 right side meets each class A_h = (dist == h) packed one row
-    # block of dist at a time: the largest allocation stays below one
-    # |X| x |X| bool array, which a whole class would be
+    # a 0/1 right side, taken as int64, meets each class A_h = (dist ==
+    # h) one row block of the distances at a time: the largest
+    # allocation stays below one |X| x |X| bool array, which a whole
+    # class would be
     gc = build_graph(2, 6, 2)
     nv = gc.n_vertices
     monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * nv * 8)
@@ -1209,11 +1262,10 @@ def test_invariant_relabeling_of_dist_fails_both_paths_alike(q, n, d):
 
 def program_verdicts(gc, ss):
     """The verifier's verdicts on what `dense_certificate_verdicts`
-    decides: (b) and (c) from the witness of `rank_certificate`, the
-    edges from `_edges_match`."""
+    decides but (b), which it derives and does not evaluate: (c) from
+    the witness of `rank_certificate`, the edges from `_edges_match`."""
     witness = next(c for c in ss.checks.checks if c.name == "rank_certificate").witness or ""
     return {
-        "b": [f"(b) F'_{i} W_{i}^T != W_{i}^T" not in witness for i in range(gc.d)],
         "c": [f"(c) W_{i}^T W_{i} != sum_h [D-h,{i}]_q A_h" not in witness for i in range(gc.d)],
         "edges": grassmann._edges_match(gc),
     }
@@ -1262,7 +1314,11 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
         gc = build_graph(q, n, d)
         ss = spectral_system(gc)
         want = dense_certificate_verdicts(gc, ss)
-        assert program_verdicts(gc, ss) == want
+        assert program_verdicts(gc, ss) == {"c": want["c"], "edges": want["edges"]}
+        # a certified rank rests on (b), which the dense product decides
+        for i in range(d):
+            if ss.partial_ranks[i] is not None:
+                assert want["b"][i], i
         assert (gc.adjacency() == dense_adjacency(gc)).all()
     if corruption == "copied_words":
         assert "a0_is_identity" in failing(ss.checks)

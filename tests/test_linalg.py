@@ -600,7 +600,7 @@ def verify_pack_counts(monkeypatch, tmp_path, budget):
     """Calls of `pack_words` and the bits they pack, products started and
     blocks streamed during one `verify --suite all` run at J_2(5,2),
     with blocks of at most `budget` bytes."""
-    from qgrass import grassmann, nucleus
+    from qgrass import nucleus
     from qgrass.cli import main
 
     counts = {"packs": 0, "bits": 0, "products": 0, "blocks": 0}
@@ -621,7 +621,7 @@ def verify_pack_counts(monkeypatch, tmp_path, budget):
             yield item
 
     with monkeypatch.context() as mp:
-        for module in (linalg, grassmann, nucleus):
+        for module in (linalg, nucleus):
             mp.setattr(module, "pack_words", pack)
         mp.setattr(linalg, "_packed_pair", pair)
         mp.setattr(linalg, "_stream", stream)

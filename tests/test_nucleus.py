@@ -20,6 +20,7 @@ from qgrass.grassmann import (
 from qgrass.ladders import alpha_dominant_multiplicity
 from qgrass.linalg import (
     ExactMatrix,
+    certified_kernel,
     column_space_ops,
     elimination_counts,
     intersect_column_spaces,
@@ -923,6 +924,31 @@ def test_passing_run_allocates_no_square_array():
         cs.require()
     assert gc.certificate_path == "automorphism"
     assert peak < gc.n_vertices**2, peak
+
+
+def test_squeeze_rank_copies_its_rows_once():
+    # the squeeze rows of J_2(7,2) at i = 1 (124 x 2480, bool) become
+    # one int64 array of residues, 0/1 needing no reduction: the traced
+    # peak of `rank_mod_prime` is that copy and the elimination's row
+    # temporaries.  `certified_kernel` of the transpose adds the reduced
+    # form's column blocks, below one more copy
+    gc = build_graph(2, 7, 2)
+    w = gc.inclusion(gc.d - 1)
+    off = w[:, gc.xrow > 1]
+    rows = off[off.any(axis=1)]
+    assert rows.shape == (124, 2480)
+    copy = rows.size * 8
+    for elimination, operand, bound in (
+        (rank_mod_prime, rows, 1.25 * copy),
+        (certified_kernel, rows.T, 2 * copy),
+    ):
+        tracemalloc.start()
+        try:
+            elimination(operand)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (elimination.__name__, peak, copy)
 
 
 def test_gamma_forms_no_product(monkeypatch):
