@@ -86,14 +86,15 @@ IDENTITIES_LMAX = 12
 def _parse_x_rows(text: str, q: int, n: int) -> tuple:
     """Rows of the base vertex from 'r1;r2;...': each row exactly n of
     the ASCII digits 0..q-1, so no row is reduced mod q behind the
-    report's back."""
+    report's back.  An entry is one digit, so for q >= 11 only the
+    entries 0..9 can be given."""
     digits = "0123456789"[:q]
     rows = []
     for part in text.split(";"):
         part = part.strip()
         if len(part) != n or not all(ch in digits for ch in part):
             raise InvalidParameters(
-                f"x row {part!r} must be exactly {n} digits in 0..{q - 1}"
+                f"x row {part!r} must be exactly {n} digits in 0..{len(digits) - 1}"
             )
         rows.append(tuple(int(ch) for ch in part))
     return tuple(rows)
@@ -415,7 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument(
         "--x-rows",
-        help="base vertex as semicolon-separated rows of digits 0..q-1, e.g. '10000;01000'",
+        help=(
+            "base vertex as semicolon-separated rows of digits 0..q-1 "
+            "(0..9 for q >= 11), e.g. '10000;01000'"
+        ),
     )
     v.set_defaults(func=_cmd_verify)
 

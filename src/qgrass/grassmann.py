@@ -30,8 +30,11 @@ eigenvalues, idempotency and orthogonality of the primitive idempotents
 as polynomials in L, and the dual system at the base vertex.  The
 multiplicities are certified by the inclusion matrices W_i of the
 i-subspaces in the vertices (i < D), which are [N,i]_q x |X| 0/1
-arrays; no |X| x |X| matrix of the algebra is materialized for them.
-All arithmetic is exact.
+arrays: W_i^T W_i is checked to be a class sum whose spectral
+decomposition gives back E_0 + ... + E_i, so that sum has the row
+space of W_i, and its exact trace gives W_i full row rank.  No
+|X| x |X| matrix of the algebra is materialized for them, and no matrix
+is eliminated.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .linalg import (
     invert_fraction_matrix,
     product_blocks,
     rank_exact,
-    rank_mod_prime,
     row_blocks,
 )
 from .qarith import q_binomial, q_int, q_power
@@ -716,26 +718,45 @@ class SpectralSystem:
         return table[self.gc.distances(slice(None))], den
 
 
-def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempotent):
+def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempotent, premises):
     """rank F'_i for F'_i = E_0 + ... + E_i, i = 0..D, each None when
     its certificate fails, and the failed sub-checks, each named (a),
-    (b) or (c) as in `spectral_system`.  (a) is `_full_rank_by_inverse`,
-    and `rank_mod_prime` where that check fails.  (c) reads the
-    representatives of `GraphContext.representatives` (the proof
+    (b) or (c) as in `spectral_system`.  `premises` names the failed
+    checks among those the trace argument of (a) rests on.  (c) reads
+    the representatives of `GraphContext.representatives` (the proof
     obligation is in `structure_constants`): G_i - sum_h [D-h, i]_q A_h
     is G-invariant, so it vanishes iff its rows at the representative
-    vertices do (`GraphContext.gram_rows`).  No other distance is read.
+    vertices do (`GraphContext.gram_rows`).  No other distance is read,
+    and no matrix is eliminated.
 
-    Proof obligation of (b), F'_i W_i^T = W_i^T, which follows from (a)
-    and (c) once the idempotents sum to I (the one premise it adds,
-    checked here as F'_D = I).  (c) gives G = W_i^T W_i in the algebra
-    with E_j G = lambda_j E_j for every j, and F'_i the sum of the E_j
-    with lambda_j != 0.  With sum_j E_j = I, G = sum_j E_j G = sum_j
-    lambda_j E_j, and F'_i G = sum_{lambda_j != 0} lambda_j E_j = G.  So
-    (F'_i W_i^T - W_i^T) W_i W_i^T = (F'_i G - G) W_i^T = 0.  (a) makes
-    W_i W_i^T invertible over Q: by the checked inverse M C = den I, or,
-    W_i having full row rank after a full rank mod p, as rank W_i W_i^T
-    = rank W_i over the reals.  Hence F'_i W_i^T = W_i^T."""
+    Proof obligation of (a) and (b), which follow from (c), the traces
+    and the unit sum.  Write G = G_i = W_i^T W_i.
+
+    - Column spaces.  col(W^T) = col(W^T W) over the reals (W^T W v = 0
+      gives |W v|^2 = 0), hence over Q.  (c) checks E_j G = lambda_j E_j
+      for every j and F'_i = sum of the E_j with lambda_j != 0; each
+      such E_j = G E_j / lambda_j, so col(F'_i) lies in col(G).  With
+      the unit sum sum_j E_j = I (checked as F'_D = I), G = sum_j E_j G
+      = sum_j lambda_j E_j, so F'_i G = G and F'_i = G Q_i(G): col(F'_i)
+      = col(G) = col(W_i^T), and rank F'_i = rank W_i.
+    - Ranks.  F'_i is a sum of orthogonal idempotents, so it is
+      idempotent and rank F'_i = tr F'_i = |X| times its coefficient on
+      A_0 (A_0 = I, and every other A_h is zero on the diagonal), the
+      exact Fraction m_0 + ... + m_i, not the truncated multiplicities.
+      This needs the E_j to be the matrices P_j(A_1): L acts as A_1 and
+      A_0 = I (`structure_constants`), and the `idempotency` and
+      `orthogonality` checks.  Where one of them fails, (a) fails.
+    - Verdict (a).  W_i has full row rank, so W_i^T is injective, as the
+      nucleus needs, exactly when W_i has [N,i]_q rows and tr F'_i =
+      [N,i]_q.  Only one direction is used, and it needs no unit sum:
+      rank W_i >= rank F'_i = [N,i]_q, the row count.
+    - (b) F'_i W_i^T = W_i^T.  Every column of W_i^T is G u for some u,
+      and F'_i G u = G u, so (b) follows from (c) once the idempotents
+      sum to I, the one premise it adds.
+
+    A rank is certified when (a), (b) and (c) all pass; (a) is derived
+    only where (c) holds, but its own conditions are reported for every
+    i."""
     q, n, d = gc.q, gc.n, gc.d
     unit = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
     unit_sum = ss.partial_coeffs(d) == unit
@@ -743,12 +764,16 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     ranks = []
     faults = []
     for i in range(d):
-        w = gc.inclusion(i)
         found = len(faults)
         rows = q_binomial(n, i, q)
-        rank = rows if _full_rank_by_inverse(gc, i, w) else rank_mod_prime(w)
-        if w.shape[0] != rows or rank != rows:
-            faults.append(f"(a) W_{i} has rank_p {rank} on {w.shape[0]} rows, not {rows}")
+        stored = gc.inclusion(i).shape[0]
+        trace = gc.n_vertices * ss.partial_coeffs(i)[0]
+        if stored != rows:
+            faults.append(f"(a) W_{i} has {stored} rows, not {rows}")
+        elif premises:
+            faults.append(f"(a) rank W_{i} = tr F'_{i} does not follow: {', '.join(premises)} failed")
+        elif trace != rows:
+            faults.append(f"(a) tr F'_{i} = {trace}, not the {rows} rows of W_{i}")
         if not unit_sum:
             faults.append(f"(b) sum_j E_j != I, so F'_{i} W_{i}^T = W_{i}^T does not follow")
         if not _gram_rows_are_class_sums(gc, i, vertices):
@@ -763,88 +788,6 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
         ranks.append(None)
         faults.append(f"F'_{d} != I")
     return ranks, faults
-
-
-def _inverse_class_sum(q: int, n: int, d: int, i: int):
-    """(coeffs, den): integers d_h and den > 0 with sum_h d_h A_h = den
-    M^-1 in the Bose-Mesner algebra of J_q(N, i), for the class sum
-    M = sum_h [N-i-h, D-i-h]_q A_h; None when the closed forms give no
-    inverse.
-
-    From the closed forms of J_q(N, i) alone: its intersection matrix L
-    (A_1 A_h = b_{h-1} A_{h-1} + a_h A_h + c_{h+1} A_{h+1}) and its
-    eigenvalues theta_j.  M acts on the eigenspace of theta_j by
-    lambda_j = sum_h m_h v_h(theta_j), v_h the distance polynomials of the
-    three-term recurrence, and M^-1 = sum_j E_j / lambda_j, where the
-    vector of E_j = P_j(A_1) is column 0 of P_j(L).  The result is only a
-    candidate: `_full_rank_by_inverse` checks it against the stored W_i."""
-    forms = intersection_number_formulas(q, n, i)
-    theta = eigenvalue_formulas(q, n, i)
-    if len(set(theta)) != i + 1 or 0 in forms.c[1:]:
-        return None
-    m = [q_binomial(n - i - h, d - i - h, q) for h in range(i + 1)]
-    lam = []
-    for t in theta:
-        v = [Fraction(1), Fraction(t)][: i + 1]
-        for h in range(1, i):
-            v.append(((t - forms.a[h]) * v[h] - forms.b[h - 1] * v[h - 1]) / forms.c[h + 1])
-        lam.append(sum(mh * vh for mh, vh in zip(m, v)))
-    if 0 in lam:
-        return None
-    band = {-1: forms.c, 0: forms.a, 1: forms.b}
-    L = [[band[g - h][h] if abs(g - h) <= 1 else 0 for g in range(i + 1)] for h in range(i + 1)]
-    lagrange = _lagrange_numerators(L, theta)
-    inverse = [
-        sum(Fraction(num[h][0], den) / lj for (num, den), lj in zip(lagrange, lam))
-        for h in range(i + 1)
-    ]
-    return integer_coeffs(inverse)
-
-
-def _full_rank_by_inverse(gc: GraphContext, i: int, w: np.ndarray) -> bool:
-    """Certificate (a) by a checked inverse: whether W_i has [N,i]_q rows
-    and M C = den I holds on the rows `GraphContext.representatives` of
-    table(i), for M = W_i W_i^T read from the stored W_i and C = sum_h
-    d_h A_h^(i) with the integers (d_h, den) of `_inverse_class_sum`.
-    Row u of M is W_i[u] W_i^T, the sum of the columns of W_i at the
-    vertices holding u; row u of M C needs only the rows of C where that
-    row is nonzero, each C[u', u''] = d_h for u' and u'' at distance h
-    in J_q(N, i), read from the point counts q^(i-h) of their words.
-
-    Proof obligation.  Let G be the group of `structure_constants`, its
-    permutations pi of table(i) and p of the vertices.  M is G-invariant
-    by premise 3 of `_group_action`: W_i[pi][:, p] = W_i gives
-    M[pi][:, pi] = W_i[pi][:, p] (W_i[pi][:, p])^T = M.  C is G-invariant:
-    each pi maps point sets onto point sets under a bijection of F_q^N
-    (premises 1 and 2), which keeps every common point count.  So
-    M C - den I is G-invariant, and G is transitive on table(i) by
-    premise 5 (on the one entry of table(0) trivially), so every row of
-    it is the row at the representative entry permuted, and M C = den I
-    holds everywhere once it holds there.  Under the trivial group every
-    row is read.  Then M is invertible (den > 0), rank W_i >= rank M =
-    [N,i]_q, the row count, and W_i has full row rank over Q.  Nothing
-    rests on the candidate C: a wrong one fails the check, and
-    `rank_mod_prime` then decides as before."""
-    q, n = gc.q, gc.n
-    size = q_binomial(n, i, q)
-    candidate = _inverse_class_sum(q, n, gc.d, i)
-    if candidate is None or w.shape[0] != size:
-        return False
-    coeffs, den = candidate
-    table, cmax = int_operand(np.array(coeffs, dtype=object))
-    meet_dims = count_dims(q, i)
-    for u in gc.representatives(size):
-        m_row = w[:, w[u]].sum(axis=1)
-        support = np.flatnonzero(m_row)
-        classes = np.zeros((len(support), size), dtype=np.int8)
-        if i:  # table(0), the zero subspace alone, is never built
-            words = gc.geometry.table(i).words
-            for blk, counts in product_blocks(words[support], words, q**n):
-                classes[blk] = i - meet_dims(counts)
-        row = exact_int_product(m_row[None, support], table[classes], len(support), bmax=cmax)[0]
-        if row[u] != den or np.count_nonzero(row) != 1:
-            return False
-    return True
 
 
 def _gram_rows_are_class_sums(gc: GraphContext, i: int, vertices: np.ndarray) -> bool:
@@ -915,32 +858,30 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     unit sum, E_0 = J/|X| and reconstruction of A_1; multiplicities are
     their traces.
 
-    Rank certificate.  The traces are compared with ranks certified
-    independently by the inclusion matrices.  For 0 <= i < D let W_i
-    be the [N,i]_q x |X| 0/1 matrix of the i-subspaces u in the
-    vertices y (u in y), F'_i = E_0 + ... + E_i, and G_i = W_i^T W_i.
+    Rank certificate.  The inclusion matrices tie the traces to row
+    spaces.  For 0 <= i < D let W_i be the [N,i]_q x |X| 0/1 matrix of
+    the i-subspaces u in the vertices y (u in y), F'_i = E_0 + ... +
+    E_i, and G_i = W_i^T W_i.
 
     - (a) W_i has [N,i]_q rows and full row rank over Q, so W_i^T is
-      injective: W_i W_i^T C = den I for an integer class sum C of the
-      (i+1)-dimensional Bose-Mesner algebra of J_q(N, i)
-      (`_full_rank_by_inverse` carries the proof), or, where that check
-      fails, rank_p W_i = [N,i]_q: a rank mod p is never above the rank
-      over Q, nor is the row count.
-    - (b) F'_i W_i^T = W_i^T, so col(W_i^T) lies in col(F'_i), and
-      rank F'_i >= [N,i]_q.  It is not evaluated: it follows from (a)
-      and (c) once the idempotents sum to I, which is checked
-      (`_inclusion_certificate` carries the proof).
+      injective.  It is not evaluated by an elimination: rank W_i >=
+      rank F'_i by (c), and rank F'_i = tr F'_i, the exact trace, which
+      must equal [N,i]_q.  Its premises are the structure constants
+      (L acts as A_1, and A_0 = I), `idempotency` and `orthogonality`.
+    - (b) F'_i W_i^T = W_i^T, so col(W_i^T) lies in col(F'_i).  It is
+      not evaluated: it follows from (c) once the idempotents sum to I,
+      which is checked.
     - (c) G_i = sum_h [D-h, i]_q A_h entry by entry, read on the
       representative rows, so G_i lies in the algebra; and F'_i =
       G_i Q_i(G_i) on coefficient vectors, Q_i interpolating 1/lambda on
       the nonzero eigenvalues of G_i.  So col(F'_i) lies in col(G_i),
-      inside col(W_i^T), and rank F'_i <= [N,i]_q.
+      which is col(W_i^T).
 
-    `_inclusion_certificate` carries (c) from the representatives to
-    every row.
+    `_inclusion_certificate` carries the proofs of (a) and (b), and (c)
+    from the representatives to every row.
 
-    Hence rank F'_i = [N,i]_q.  The E_j are orthogonal idempotents, so
-    rank F'_i = m_0 + ... + m_i, and the certified multiplicities are
+    Hence col(F'_i) = col(W_i^T) and rank F'_i = [N,i]_q = m_0 + ... +
+    m_i, and the certified multiplicities are
     m_i = [N,i]_q - [N,i-1]_q for i < D and m_D = |X| - [N,D-1]_q, since
     F'_D = I.  They enter `rank_certificate` and its total; a failed
     sub-check leaves the entries it touches uncertified (None), with a
@@ -1018,7 +959,10 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
         mults.append(int(tr))
     cs.check("multiplicities_sum", nv, sum(mults))
     cs.check("m_0", 1, mults[0])
-    partial, faults = _inclusion_certificate(gc, ss, apply_idempotent)
+    # the checks the trace argument of certificate (a) rests on
+    trace_premises = {c.name for c in lcs.checks} | {"idempotency", "orthogonality"}
+    premises = [c.name for c in cs.failures() if c.name in trace_premises]
+    partial, faults = _inclusion_certificate(gc, ss, apply_idempotent, premises)
     certified = [
         None if r is None or below is None else r - below
         for r, below in zip(partial, [0] + partial[:-1])

@@ -31,8 +31,6 @@ import numpy as np
 
 from .grassmann import GraphContext, SpectralSystem, integer_coeffs
 from .linalg import (
-    ExactMatrix,
-    column_space_ops,
     component_labels,
     exact_int_product,
     in_span,
@@ -93,10 +91,11 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     B_i for the vertices within distance i of x, and W = W_{D-i} for the
     [N,D-i]_q x |X| inclusion matrix.  When the spectral checks pass,
     the rank certificate of `spectral_system` holds for F_i = F'_{D-i}:
-    W has full row rank (a) and col(F_i) = col(W^T) (b, c), so
-    rank F_i = [N,D-i]_q, the eigenspace-side rank, and W^T is
-    injective.  A vector of col(F_i) is W^T c for exactly one c, and it
-    lies in B_i exactly when W^T c vanishes on the vertices outside B_i.
+    col(F_i) = col(W^T) by (b) and (c), and W has full row rank by (a),
+    derived from (c) and the exact trace of F_i.  So rank F_i =
+    [N,D-i]_q, the eigenspace-side rank, and W^T is injective.  A
+    vector of col(F_i) is W^T c for exactly one c, and it lies in B_i
+    exactly when W^T c vanishes on the vertices outside B_i.
     With `off` the columns of W outside B_i, that is
 
         N_i = {W^T c : off^T c = 0} = W^T ker(off^T),
@@ -122,7 +121,9 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     |X| x |B_i| integer matrix den (I - F_i) on the columns of B_i, with
     F_i = Fnum / den ("bareiss"): a vector supported in B_i lies in N_i
     exactly when its restriction to B_i lies in ker M_i, and the
-    eigenspace-side rank is the exact rank of Fnum.  The dense Fnum is
+    eigenspace-side rank is the exact rank of Fnum.  That nullspace is
+    certified mod p by `nullspace` (Bareiss elimination when the
+    certificate fails); the path keeps its name.  The dense Fnum is
     built only on this fallback.
 
     The layer dimensions on the eigenspace side are the ranks of
@@ -161,9 +162,9 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
             ball = np.flatnonzero(xrow <= i)
             m_a = -f_num[:, ball].astype(object)
             m_a[ball, np.arange(ball.size)] += den
-            null = column_space_ops(ExactMatrix(m_a)).nullspace_basis
+            null = nullspace(m_a)
             basis = np.zeros((null.shape[0], nv), dtype=object)
-            basis[:, ball] = null.a
+            basis[:, ball] = null
             path = "bareiss"
         cs.check(f"eigenspace_side_rank_{i}", sum(ss.m[: d - i + 1]), side_rank)
         bases.append(basis)

@@ -6,6 +6,7 @@ Below them, the array span walk and the cover generators that the
 verifier replaced, the dense certificate oracles and the step-by-step
 idempotent application of the spectral system."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -273,23 +274,46 @@ def dense_adjacency(gc) -> np.ndarray:
     return adj
 
 
+def rank_over_q(m) -> int:
+    """Rank over Q of an integer array, by fraction-free Gaussian
+    elimination in Python ints, each updated row divided by its gcd."""
+    rows = [[int(v) for v in row] for row in np.asarray(m)]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                new = [top[c] * a - rows[r][c] * b for a, b in zip(rows[r], top)]
+                g = math.gcd(*new)
+                rows[r] = [v // g for v in new] if g else new
+        rank += 1
+    return rank
+
+
 def dense_certificate_verdicts(gc, ss) -> dict:
-    """Verdicts of certificates (b) and (c) for each i < D and of the edge
-    premise, each from int64 products of the whole arrays:
-    (b) F'_i W_i^T = W_i^T, with F'_i = M / den from `class_numerator`;
-    (c) W_i^T W_i = sum_h [D-h, i]_q A_h, entry by entry;
+    """Verdicts of certificates (a), (b) and (c) for each i < D and of
+    the edge premise, each from the whole arrays:
+    (a) the exact rank of W_i over Q is its row count (`rank_over_q`);
+    (b) F'_i W_i^T = W_i^T, with F'_i = M / den from `class_numerator`,
+    an int64 product;
+    (c) W_i^T W_i = sum_h [D-h, i]_q A_h, entry by entry, int64;
     edges: `dense_adjacency` equals dist == 1."""
     d, dist = gc.d, gc.distances(slice(None))
     in_range = bool(((dist >= 0) & (dist <= d)).all())
-    b, c = [], []
+    a, b, c = [], [], []
     for i in range(d):
         w = gc.inclusion(i).astype(np.int64)
+        a.append(rank_over_q(w) == len(w))
         m, den = ss.class_numerator(ss.partial_coeffs(i))
         b.append(bool((m.astype(np.int64) @ w.T == den * w.T).all()))
         lut = np.array([gaussian_binomial(d - h, i, gc.q) for h in range(d + 1)])
         c.append(in_range and bool((w.T @ w == lut[np.clip(dist, 0, d)]).all()))
     edges = bool((dense_adjacency(gc) == (dist == 1)).all())
-    return {"b": b, "c": c, "edges": edges}
+    return {"a": a, "b": b, "c": c, "edges": edges}
 
 
 def idempotent_by_steps(L, theta, i: int, coef):

@@ -133,7 +133,6 @@ def dense_operands(monkeypatch, capsys, q, n, d, premise=True):
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "certified_kernel", kernel)
         mp.setattr(linalg, "column_space_ops", bareiss)
-        mp.setattr(nucleus, "column_space_ops", bareiss)
         mp.setattr(SpectralSystem, "class_numerator", numerator)
         if not premise:
             mp.setattr(cli, "spectral_system", failing_spectral)
@@ -440,6 +439,17 @@ def test_x_rows_malformed(capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert "invalid parameters" in err and "Traceback" not in err
+
+
+def test_x_rows_message_names_the_accepted_digits_past_q_ten(capsys):
+    # an entry is one ASCII digit, so at q = 11 only 0..9 can be given,
+    # and the message names that range, not 0..10
+    for x_rows in ["1a0", "1,10,0"]:
+        rc = main(["verify", "--q", "11", "--n", "3", "--d", "1", "--x-rows", x_rows])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid parameters" in err and "Traceback" not in err
+        assert "digits in 0..9" in err and "0..10" not in err
 
 
 def test_unwritable_out_exit_two(tmp_path, capsys):

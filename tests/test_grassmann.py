@@ -770,7 +770,7 @@ def test_bad_row_count_of_w1_fails_certificate_a(corrupt, monkeypatch):
     bad = failing(ss.checks)
     assert set(bad) == {"rank_certificate_total", "rank_certificate"}
     rows = 30 if corrupt == "drop" else 32
-    assert bad["rank_certificate"].startswith(f"(a) W_1 has rank_p {min(rows, 31)} on {rows} rows")
+    assert bad["rank_certificate"].startswith(f"(a) W_1 has {rows} rows, not 31")
     assert ss.partial_ranks == [1, None, 155]
     cert = next(c for c in ss.checks.checks if c.name == "rank_certificate")
     assert cert.observed == [1, None, None]
@@ -809,8 +809,9 @@ def test_wrong_theta_fails_certificate_c(monkeypatch):
 @pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 5, 1)])
 def test_unit_sum_gates_the_derived_certificate_b(q, n, d, monkeypatch):
     # E_0 halved, so the idempotents do not sum to I and F'_i W_i^T =
-    # W_i^T is false for every i, with (c) forced to pass and (a)
-    # untouched: the unit sum alone keeps every rank uncertified
+    # W_i^T is false for every i, with (c) forced to pass: the unit sum
+    # names (b) for every i.  E_0^2 != E_0 too, and (a), derived from the
+    # traces of the idempotents, names that premise
     real = grassmann._lagrange_numerators
 
     def halved(L, theta):
@@ -827,7 +828,7 @@ def test_unit_sum_gates_the_derived_certificate_b(q, n, d, monkeypatch):
     assert ss.partial_ranks == [None] * (d + 1)
     for i in range(d):
         assert f"(b) sum_j E_j != I, so F'_{i} W_{i}^T" in bad["rank_certificate"]
-        assert f"(a) W_{i}" not in bad["rank_certificate"]
+        assert f"(a) rank W_{i} = tr F'_{i} does not follow: idempotency failed" in bad["rank_certificate"]
         assert f"(c) W_{i}" not in bad["rank_certificate"]
 
 
@@ -876,66 +877,43 @@ def test_corrupted_distance_fails_certificate_c(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# certificate (a) by a checked inverse of W_i W_i^T in the algebra of J_q(N, i)
+# certificate (a) derived from (c) and the exact traces, with no elimination
 
 
-def step_a_calls(monkeypatch):
-    """(inverse, ranks): the verdict of every `_full_rank_by_inverse` call
-    as (i, verdict), and the shape of every matrix `rank_mod_prime`
-    ranks for the spectral system, in order."""
-    inverse, ranks = [], []
-    real_inverse, real_rank = grassmann._full_rank_by_inverse, grassmann.rank_mod_prime
+def elimination_operands(monkeypatch):
+    """Copies of the operands of every elimination in `linalg` while the
+    test runs, in order: each `echelon_mod_p` (the ranks and kernels mod
+    p) and each Bareiss `column_space_ops`."""
+    operands = []
+    real_echelon, real_bareiss = linalg.echelon_mod_p, linalg.column_space_ops
 
-    def spy_inverse(gc, i, w):
-        inverse.append((i, real_inverse(gc, i, w)))
-        return inverse[-1][1]
+    def echelon(a, *args, **kwargs):
+        operands.append(a.copy())
+        return real_echelon(a, *args, **kwargs)
 
-    def spy_rank(m):
-        ranks.append(m.shape)
-        return real_rank(m)
+    def bareiss(m, *args, **kwargs):
+        operands.append(m.a.copy())
+        return real_bareiss(m, *args, **kwargs)
 
-    monkeypatch.setattr(grassmann, "_full_rank_by_inverse", spy_inverse)
-    monkeypatch.setattr(grassmann, "rank_mod_prime", spy_rank)
-    return inverse, ranks
-
-
-@pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 6, 3)])
-def test_checked_inverse_agrees_with_rank_mod_p(q, n, d):
-    gc = build_graph(q, n, d)
-    assert gc.certificate_path == "automorphism"
-    for dense in (False, True):
-        if dense:  # the trivial group: every row of M C is read
-            gc._action = None
-        for i in range(d):
-            w = gc.inclusion(i)
-            full = linalg.rank_mod_prime(w) == q_binomial(n, i, q) == len(w)
-            assert grassmann._full_rank_by_inverse(gc, i, w) == full
-            assert full
+    monkeypatch.setattr(linalg, "echelon_mod_p", echelon)
+    monkeypatch.setattr(linalg, "column_space_ops", bareiss)
+    return operands
 
 
-@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
-def test_inverse_candidate_is_the_algebra_inverse(q, n, d):
-    # sum_h d_h A_h is den times the inverse of sum_h [N-i-h, D-i-h]_q A_h
-    # in J_q(N, i): multiplied out with the products of the algebra, read
-    # from the recurrence of its closed-form intersection matrix
-    for i in range(d):
-        forms = intersection_number_formulas(q, n, i)
-        L = [
-            [{h - 1: forms.c[h], h: forms.a[h], h + 1: forms.b[h]}.get(g, 0) for g in range(i + 1)]
-            for h in range(i + 1)
-        ]
-        p = table_from_recurrence(L)
-        m = [q_binomial(n - i - h, d - i - h, q) for h in range(i + 1)]
-        coeffs, den = grassmann._inverse_class_sum(q, n, d, i)
-        prod = [
-            sum(m[a] * coeffs[b] * p[h][a][b] for a in range(i + 1) for b in range(i + 1))
-            for h in range(i + 1)
-        ]
-        assert prod == [den] + [0] * i
-        assert den > 0
+def test_passing_spectral_system_runs_no_elimination(monkeypatch):
+    # J_2(6,2) has 651 vertices, past the exact idempotent ranks of
+    # small |X|: every W_i is certified from (c) and the traces
+    gc = build_graph(2, 6, 2)
+    assert gc.n_vertices > grassmann.RANK_VERIFY_LIMIT
+    operands = elimination_operands(monkeypatch)
+    ss = spectral_system(gc)
+    ss.checks.require()
+    assert ss.partial_ranks == [1, 63, 651]
+    assert operands == []
 
 
 def test_duplicated_row_fails_the_inverse_and_certificate_a(monkeypatch):
+    # the row count alone decides: no elimination of the corrupted W_1
     real = grassmann.GraphContext.inclusion
     monkeypatch.setattr(
         grassmann.GraphContext,
@@ -943,19 +921,20 @@ def test_duplicated_row_fails_the_inverse_and_certificate_a(monkeypatch):
         lambda gc, i: np.concatenate([real(gc, i), real(gc, i)[:1]]) if i == 1 else real(gc, i),
     )
     gc = build_graph(2, 5, 2)
-    inverse, ranks = step_a_calls(monkeypatch)
+    operands = elimination_operands(monkeypatch)
     ss = spectral_system(gc)
-    assert inverse == [(0, True), (1, False)]
-    assert ranks == [(32, 155)]
-    assert failing(ss.checks)["rank_certificate"].startswith("(a) W_1 has rank_p 31 on 32 rows, not 31")
+    assert operands == []
+    assert failing(ss.checks)["rank_certificate"].startswith("(a) W_1 has 32 rows, not 31")
+    assert ss.partial_ranks == [1, None, 155]
 
 
 @pytest.mark.parametrize("corruption", ["complement", "flip_entry"])
 @pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
 def test_corrupted_w_fails_the_inverse_and_falls_back(q, n, d, corruption, monkeypatch):
     # the complement of W_{D-1} keeps every premise of the action, one
-    # flipped entry breaks premise 3; either way M C != den I, and the
-    # elimination then finds the corrupted matrix of full rank still
+    # flipped entry breaks premise 3; the corrupted matrix still has full
+    # rank, and the traces are right, so (a) holds and (c) names the
+    # fault, with no elimination
     real = grassmann.GraphContext.inclusion
 
     def corrupted(gc, i):
@@ -972,53 +951,76 @@ def test_corrupted_w_fails_the_inverse_and_falls_back(q, n, d, corruption, monke
     gc = build_graph(q, n, d)
     w = gc.inclusion(d - 1)
     assert linalg.rank_mod_prime(w) == len(w)
-    inverse, ranks = step_a_calls(monkeypatch)
+    operands = elimination_operands(monkeypatch)
     ss = spectral_system(gc)
-    assert inverse == [(i, i != d - 1) for i in range(d)]
-    assert ranks == [w.shape]
+    assert operands == []
+    assert ss.partial_ranks[d - 1] is None
     witness = failing(ss.checks)["rank_certificate"]
     assert "(a)" not in witness
     assert f"W_{d - 1}^T W_{d - 1} != sum_h" in witness
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["representatives", "every_row"])
-@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
-def test_one_coefficient_off_by_one_fails_the_inverse(q, n, d, dense):
-    gc = build_graph(q, n, d)
-    if dense:
-        gc._action = None
-    real = grassmann._inverse_class_sum
+@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 5, 1)])
+def test_broken_idempotency_fails_derived_certificate_a(q, n, d, which, monkeypatch):
+    # one Lagrange denominator doubled halves E_0 or E_D, so E^2 != E,
+    # with (c) forced to pass.  Halving E_D leaves every tr F'_i with
+    # i < D exact: only the idempotency premise names (a) there
+    real = grassmann._lagrange_numerators
+    k = 0 if which == "first" else d
+
+    def doubled(L, theta):
+        out = real(L, theta)
+        num, den = out[k]
+        out[k] = (num, 2 * den)
+        return out
+
+    monkeypatch.setattr(grassmann, "_lagrange_numerators", doubled)
+    monkeypatch.setattr(grassmann, "_gram_spans_partial_sum", lambda *_: True)
+    ss = spectral_system(build_graph(q, n, d))
+    bad = failing(ss.checks)
+    assert "idempotency" in bad
+    assert ss.partial_ranks[:d] == [None] * d
     for i in range(d):
-        coeffs, den = real(q, n, d, i)
-        for h in range(i + 1):
-            off = [c + (g == h) for g, c in enumerate(coeffs)]
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(grassmann, "_inverse_class_sum", lambda *_: (off, den))
-                assert not grassmann._full_rank_by_inverse(gc, i, gc.inclusion(i))
-        assert grassmann._full_rank_by_inverse(gc, i, gc.inclusion(i))
+        assert f"(a) rank W_{i} = tr F'_{i} does not follow: idempotency failed" in bad["rank_certificate"]
 
 
-def test_failed_inverse_keeps_the_verdicts(monkeypatch):
-    # with every candidate wrong, the elimination decides each W_i as
-    # before, and the checks are those of the passing run
-    want = check_table(spectral_system(build_graph(2, 5, 2)).checks)
-    monkeypatch.setattr(grassmann, "_inverse_class_sum", lambda q, n, d, i: ([0] * (i + 1), 1))
-    inverse, ranks = step_a_calls(monkeypatch)
-    assert check_table(spectral_system(build_graph(2, 5, 2)).checks) == want
-    assert inverse == [(0, False), (1, False)]
-    assert ranks == [(1, 155), (31, 155)]
+def test_certificate_a_reads_the_exact_trace(monkeypatch):
+    # tr F'_1 moved by 1/2 while every premise holds: the truncated
+    # multiplicities would still sum to the 31 rows of W_1
+    gc = build_graph(2, 5, 2)
+    ss = spectral_system(gc)
+    real = ss.partial_coeffs
+    half = Fraction(1, 2 * gc.n_vertices)
+
+    def shifted(i):
+        coeffs = real(i)
+        return [coeffs[0] + half, *coeffs[1:]] if i == 1 else coeffs
+
+    monkeypatch.setattr(ss, "partial_coeffs", shifted)
+    monkeypatch.setattr(grassmann, "_gram_spans_partial_sum", lambda *_: True)
+    ranks, faults = grassmann._inclusion_certificate(gc, ss, None, [])
+    assert int(gc.n_vertices * shifted(1)[0]) == 31
+    assert ranks == [1, None, 155]
+    assert faults == ["(a) tr F'_1 = 63/2, not the 31 rows of W_1"]
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 6, 2), (3, 4, 2), (2, 6, 3)])
 def test_passing_verify_eliminates_no_inclusion_matrix(q, n, d, monkeypatch, capsys):
     from qgrass.cli import main
 
-    inverse, ranks = step_a_calls(monkeypatch)
+    operands = elimination_operands(monkeypatch)
     assert main(["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]) == 0
-    # the main graph and, when N != 2D, the boundary graph J_q(2D, D)
-    graphs = 1 if n == 2 * d else 2
-    assert len(inverse) == d * graphs and all(ok for _i, ok in inverse)
-    assert ranks == []
+    # W_i, 0 < i < D, of the main graph and, when N != 2D, of the
+    # boundary graph J_q(2D, D), neither as it is nor transposed; W_0 is
+    # the all-ones row, which the bases suite ranks as the constant piece
+    inclusion = []
+    for gn in {n, 2 * d}:
+        gc = build_graph(q, gn, d)
+        inclusion += [w for i in range(1, d) for w in (gc.inclusion(i), gc.inclusion(i).T)]
+    assert operands, "the nucleus squeeze ranks are eliminations"
+    for a in operands:
+        assert not any(a.shape == w.shape and (a == w).all() for w in inclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -1315,16 +1317,17 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
         ss = spectral_system(gc)
         want = dense_certificate_verdicts(gc, ss)
         assert program_verdicts(gc, ss) == {"c": want["c"], "edges": want["edges"]}
-        # a certified rank rests on (b), which the dense product decides
+        # a certified rank rests on (a) and (b), which the exact rank of
+        # W_i and the dense product decide
         for i in range(d):
             if ss.partial_ranks[i] is not None:
-                assert want["b"][i], i
+                assert want["a"][i] and want["b"][i], i
         assert (gc.adjacency() == dense_adjacency(gc)).all()
     if corruption == "copied_words":
         assert "a0_is_identity" in failing(ss.checks)
     path = "dense" if dense or corruption in ("flip_w_entry", "copied_words") else "automorphism"
     assert gc.certificate_path == path
-    verdicts = [*want["b"], *want["c"], want["edges"]]
+    verdicts = [*want["a"], *want["b"], *want["c"], want["edges"]]
     assert all(verdicts) == (corruption == "none")
 
 
