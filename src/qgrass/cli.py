@@ -9,9 +9,9 @@ key also records how each nucleus piece was certified
 ("nucleus_paths"), how the distance-algebra certificates of each built
 graph were decided ("certificate_paths": "automorphism" or "dense", for
 the graph of the run, "main", and for the J_q(2D, D) of the boundary
-suite when N != 2D; see `grassmann.GraphContext`) and how the exact
-ranks and kernels of the run were decided ("elimination": certified mod
-p, certificate failed, Bareiss eliminations run; see
+suite when N != 2D; see `grassmann.GraphContext.certificate_path`) and
+how the exact ranks and kernels of the run were decided ("elimination":
+certified mod p, certificate failed, Bareiss eliminations run; see
 `linalg.elimination_counts`).
 
 Exit status: 0 when every executed check passes, 1 when any check
@@ -26,6 +26,7 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
+from functools import cached_property
 
 from .errors import InvalidParameters, QgrassError, SizeCapExceeded
 from .grassmann import (
@@ -101,63 +102,49 @@ def _parse_x_rows(text: str, q: int, n: int) -> tuple:
 
 
 class _Pipeline:
-    """Lazily built shared objects for one (q, N, D, x) configuration."""
+    """Lazily built shared objects for one (q, N, D, x) configuration;
+    `name in vars(pipe)` tells whether one was built."""
 
     def __init__(self, q, n, d, x_rows, table_cap, poset_cap):
         self.q, self.n, self.d = q, n, d
         self.x_rows = x_rows
         self.table_cap = table_cap
         self.poset_cap = poset_cap
-        self._gc = None
-        self._nums = None
-        self._nums_checks = None
-        self._ss = None
-        self._nd = None
-        self._fam = None
-        self._gamma = None
-        self._actions = None
 
+    @cached_property
     def gc(self):
-        if self._gc is None:
-            self._gc = build_graph(
-                self.q,
-                self.n,
-                self.d,
-                x_rows=self.x_rows,
-                table_cap=self.table_cap,
-                poset_cap=self.poset_cap,
-            )
-        return self._gc
+        return build_graph(
+            self.q,
+            self.n,
+            self.d,
+            x_rows=self.x_rows,
+            table_cap=self.table_cap,
+            poset_cap=self.poset_cap,
+        )
 
+    @cached_property
     def nums(self):
-        if self._nums is None:
-            self._nums, self._nums_checks = intersection_numbers(self.gc())
-        return self._nums, self._nums_checks
+        return intersection_numbers(self.gc)
 
+    @cached_property
     def spectral(self):
-        if self._ss is None:
-            self._ss = spectral_system(self.gc())
-        return self._ss
+        return spectral_system(self.gc)
 
+    @cached_property
     def nucleus(self):
-        if self._nd is None:
-            self._nd = compute_nucleus(self.spectral())
-        return self._nd
+        return compute_nucleus(self.spectral)
 
+    @cached_property
     def family(self):
-        if self._fam is None:
-            self._fam = build_alpha_family(self.gc())
-        return self._fam
+        return build_alpha_family(self.gc)
 
+    @cached_property
     def gamma(self):
-        if self._gamma is None:
-            self._gamma = gamma_components(self.gc(), self.family())
-        return self._gamma
+        return gamma_components(self.gc, self.family)
 
+    @cached_property
     def actions(self):
-        if self._actions is None:
-            self._actions = verify_actions(self.spectral(), self.family())
-        return self._actions
+        return verify_actions(self.spectral, self.family)
 
 
 def _run_suite(
@@ -167,43 +154,43 @@ def _run_suite(
     to its entry."""
     cs = CheckSet(name)
     if name == "geometry":
-        cs.extend(pipe.gc().build_checks)
-        _nums, ncs = pipe.nums()
+        cs.extend(pipe.gc.build_checks)
+        _nums, ncs = pipe.nums
         cs.extend(ncs)
     elif name == "spectrum":
-        ss = pipe.spectral()
+        ss = pipe.spectral
         cs.extend(ss.checks)
-        nums, _ = pipe.nums()
-        artifacts["spectrum"] = spectrum_json(pipe.gc(), ss, nums)
+        nums, _ = pipe.nums
+        artifacts["spectrum"] = spectrum_json(pipe.gc, ss, nums)
     elif name == "krein":
-        _kp, kcs = krein_parameters(pipe.spectral())
+        _kp, kcs = krein_parameters(pipe.spectral)
         cs.extend(kcs)
     elif name == "nucleus":
-        cs.extend(pipe.nucleus().checks)
+        cs.extend(pipe.nucleus.checks)
     elif name in FAMILY_SUITES:
-        fam = pipe.family()
+        fam = pipe.family
         if family_checks:
             cs.extend(fam.checks)
         if name == "actions":
-            cs.extend(pipe.actions())
+            cs.extend(pipe.actions)
         elif name == "bases":
-            cs.extend(verify_bases(pipe.nucleus(), fam))
+            cs.extend(verify_bases(pipe.nucleus, fam))
         else:
-            cs.extend(pipe.gamma().checks)
+            cs.extend(pipe.gamma.checks)
     elif name == "halgebra":
-        pm = build_poset_matrices(pipe.gc().geometry)
+        pm = build_poset_matrices(pipe.gc.geometry)
         cs.extend(pm.checks)
         q, n, d = pipe.q, pipe.n, pipe.d
         mu = [alpha_dominant_multiplicity(q, d, r) for r in range(d // 2 + 1)]
-        if pipe.nucleus().boundary:
+        if pipe.nucleus.boundary:
             # the multiplicity formula needs N > 2D; observe, never assert
             cs.record("alpha_dominant_multiplicities_generic", mu)
-            cs.record("nucleus_endpoint_multiplicities", pipe.nucleus().mult_r)
+            cs.record("nucleus_endpoint_multiplicities", pipe.nucleus.mult_r)
         else:
             cs.check(
                 "alpha_dominant_multiplicities_match_nucleus",
                 mu,
-                pipe.nucleus().mult_r,
+                pipe.nucleus.mult_r,
             )
         type_map = {
             f"({mt.alpha},{mt.beta},{mt.rho})": list(type_to_parameters(n, d, mt))
@@ -218,10 +205,10 @@ def _run_suite(
         bp = pipe
         if pipe.n != 2 * pipe.d:
             bp = _Pipeline(pipe.q, 2 * pipe.d, pipe.d, None, pipe.table_cap, pipe.poset_cap)
-        doc = boundary_case_report(bp.spectral(), bp.nucleus(), bp.family(), bp.gamma(), bp.actions())
+        doc = boundary_case_report(bp.spectral, bp.nucleus, bp.family, bp.gamma, bp.actions)
         meta["nucleus_paths"]["boundary"] = doc.pop("nucleus_paths")
         if bp is not pipe:
-            meta["certificate_paths"]["boundary"] = bp.gc().certificate_path
+            meta["certificate_paths"]["boundary"] = bp.gc.certificate_path
         for flag in (
             "build_ok",
             "spectral_ok",
@@ -345,17 +332,17 @@ def _cmd_verify(args) -> int:
             entry["requested"] = name in requested
             report["suites"][name] = entry
     report["meta"]["elimination"] = counts
-    if pipe._gc is not None:
-        report["meta"]["certificate_paths"]["main"] = pipe._gc.certificate_path
+    if "gc" in vars(pipe):
+        report["meta"]["certificate_paths"]["main"] = pipe.gc.certificate_path
     # the artifact covers the suites run on their own account, not what
     # the boundary suite built on the same pipeline
     if "nucleus" in to_run:
         report["artifacts"]["nucleus"] = nucleus_report_json(
-            pipe._nd,
-            pipe._fam if family_owner else None,
-            pipe._gamma if "gamma" in to_run else None,
+            pipe.nucleus,
+            pipe.family if family_owner else None,
+            pipe.gamma if "gamma" in to_run else None,
         )
-        report["meta"]["nucleus_paths"]["nucleus"] = list(pipe._nd.paths)
+        report["meta"]["nucleus_paths"]["nucleus"] = list(pipe.nucleus.paths)
     return _finish(report, args.out, sys.stdout)
 
 

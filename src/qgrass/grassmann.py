@@ -14,16 +14,17 @@ explicit matrices of GL(N, q) into permutations of the vertices and of
 each i-subspace table, read off the images of their point masks, so
 that every distance is preserved.  It checks on the stored arrays that
 they preserve the inclusion matrices, that the generated group is
-transitive on the vertices and on each table, and that the part fixing
-the base vertex x has one orbit per sphere of x.  Every matrix of the
-distance algebra, every product of such matrices and every Gram product
-W_i^T W_i then commutes with the group, so an identity between them
-holds once it holds on one row per orbit: row x, and entry 0 of each
-table.  Where a premise fails the group is trivial, and the same code
-reads every row and every entry (`GraphContext.representatives`; the
-proof is in `structure_constants`).  That gives the intersection matrix
-L (multiplication by A_1 on coefficient vectors over A_0..A_D), which,
+transitive on the vertices, and that the part fixing the base vertex x
+has one orbit per sphere of x.  Every matrix of the distance algebra,
+every product of such matrices and every Gram product W_i^T W_i then
+commutes with the group, so an identity between them holds once it
+holds on row x.  Where a premise fails the group is trivial, and the
+same code reads every row (`GraphContext.representatives`; the proof is
+in `structure_constants`).  That gives the intersection matrix L
+(multiplication by A_1 on coefficient vectors over A_0..A_D), which,
 being tridiagonal with every c_t > 0, also certifies the graph metric.
+`build_graph` verifies the action and L once and stores both on the
+graph; every later certificate reads them there.
 Every spectral claim is then checked in that (D+1)-dimensional distance
 (Bose-Mesner) algebra: the minimal polynomial of the closed-form
 eigenvalues, idempotency and orthogonality of the primitive idempotents
@@ -46,10 +47,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EigenvalueCollision, FalsifiedFact, InvalidParameters, InvalidQuadruple
+# exact_int_product has no caller here; the benchmark tracer finds the
+# kernel it wraps as grassmann.exact_int_product
 from .linalg import (
     component_labels,
     echelon_mod_p,
-    exact_int_product,
+    exact_int_product,  # noqa: F401
     int_operand,
     invert_fraction_matrix,
     product_blocks,
@@ -75,10 +78,10 @@ class GraphContext:
     built on demand and cached, the inclusion matrices W_i.  Every other
     distance is read from the vertex masks when needed (`distances`).
 
-    `certificate_path` says how the distance-algebra certificates of this
-    graph were decided: "automorphism" when `structure_constants`
-    verified a group action and they read one representative per orbit,
-    "dense" when they read every vertex and every table entry."""
+    `build_graph` sets the verified state once: `action`, the GroupAction
+    of `_group_action` or None for the trivial group, and then `L` and
+    `structure_checks`, the intersection matrix and its checks
+    (`structure_constants`)."""
 
     def __init__(self, geometry: GeometryContext, checks: CheckSet):
         self.geometry = geometry
@@ -93,11 +96,13 @@ class GraphContext:
         self._meet_dims = count_dims(self.q, self.vertices.dim)
         self.xrow = self.distances([self.x_index])[0]
         self._inclusion: dict[int, np.ndarray] = {}
-        self._L = None  # (L, checks) of `structure_constants`
-        # the GroupAction that `structure_constants` verified along with
-        # _L, or None: the trivial group
-        self._action = None
-        self.certificate_path = None
+
+    @property
+    def certificate_path(self) -> str:
+        """How the distance-algebra certificates of this graph were
+        decided: "automorphism" when a group action was verified and they
+        read row x alone, "dense" when they read every vertex."""
+        return "dense" if self.action is None else "automorphism"
 
     def distances(self, rows, cols=None) -> np.ndarray:
         """The int8 block of graph distances D - dim(y meet z), y over
@@ -132,12 +137,13 @@ class GraphContext:
             self._inclusion[i] = w
         return self._inclusion[i]
 
-    def representatives(self, count: int, first: int = 0) -> np.ndarray:
-        """One point per orbit of the verified group on `count` points
-        (the vertices, with `first` = x, or an i-subspace table): `first`
-        alone under the transitive action of `structure_constants`, and
-        every point under the trivial group when no action was verified."""
-        return np.array([first]) if self._action is not None else np.arange(count)
+    def representatives(self) -> np.ndarray:
+        """One vertex per orbit of the verified group: x alone under the
+        transitive `action`, and every vertex under the trivial group
+        when no action was verified."""
+        if self.action is not None:
+            return np.array([self.x_index])
+        return np.arange(self.n_vertices)
 
     def gram_rows(self, i: int, rows: np.ndarray):
         """Rows `rows` of W_i^T W_i as the (slice of `rows`, block) pairs
@@ -156,32 +162,6 @@ class GraphContext:
             adj[rows] = gram == 1
         np.fill_diagonal(adj, False)
         return adj
-
-    def class_sums(self, coeff_rows: list[list[int]], right: np.ndarray) -> list[np.ndarray]:
-        """sum_h c[h] (A_h @ right) for every integer row c of coeff_rows,
-        exactly, for a bool or integer `right` with |X| rows: the dense
-        fallback of `compute_nucleus` when a spectral check fails.
-
-        Per row block of the vertices, the distances of its rows are read
-        (`distances`), and the D+1 class products A_h[rows] @ right are
-        combined with the coefficient rows by one `exact_int_product`,
-        its guard fed the bounds max |c| and |X| max |right|, so every
-        block takes the same int64 or object branch.  No |X| x |X| array
-        is built."""
-        n, d = self.n_vertices, self.d
-        width = right.shape[1]
-        right, rmax = int_operand(right)
-        coeffs, amax = int_operand(np.array(coeff_rows, dtype=object))
-        out = None
-        for rows in row_blocks(n, n):
-            block = self.distances(rows)
-            prods = [exact_int_product(block == h, right, n, 1, rmax) for h in range(d + 1)]
-            stacked = np.stack([p.reshape(-1) for p in prods])
-            sums = exact_int_product(coeffs, stacked, d + 1, amax, n * rmax)
-            if out is None:
-                out = np.empty((len(coeffs), n, width), dtype=sums.dtype)
-            out[:, rows] = sums.reshape(len(coeffs), -1, width)
-        return list(out)
 
 
 def _bfs_full_check(gc: GraphContext, cs: CheckSet) -> None:
@@ -225,9 +205,9 @@ def _metric_certificate(gc: GraphContext) -> bool:
     first reached at step h, and T_D = B_D holds every pair by (2).
     (1) is `_edges_match`."""
     d = gc.d
-    L, lcs = structure_constants(gc)
+    L = gc.L
     return (
-        lcs.ok
+        gc.structure_checks.ok
         and all(L[h][g] == 0 for h in range(d + 1) for g in range(d + 1) if abs(h - g) >= 2)
         and all(L[t][t - 1] > 0 for t in range(1, d + 1))
         and _edges_match(gc)
@@ -239,7 +219,7 @@ def _edges_match(gc: GraphContext) -> bool:
     read at the representative vertices (`structure_constants`): both
     sides are G-invariant, the adjacency as a function of W_{D-1}^T
     W_{D-1} with the diagonal cleared."""
-    rows = gc.representatives(gc.n_vertices, gc.x_index)
+    rows = gc.representatives()
     for blk, gram in gc.gram_rows(gc.d - 1, rows):
         ys = rows[blk]
         adj = gram == 1
@@ -260,8 +240,11 @@ def build_graph(
     """Build J_q(N, D) from its vertex masks, with row x of its
     distances.
 
-    Distances are compared with breadth-first ones by `_metric_certificate`,
-    or by the all-pairs expansion of `_bfs_full_check` where that fails.
+    The group action (`_group_action`) and the intersection matrix with
+    its checks (`structure_constants`) are verified here, once, and
+    stored on the graph.  Distances are compared with breadth-first ones
+    by `_metric_certificate`, or by the all-pairs expansion of
+    `_bfs_full_check` where that fails.
 
     `distance_range` and `distance_symmetric` read row x and column x,
     two products of the vertex masks with the operands in swapped order.
@@ -291,6 +274,8 @@ def build_graph(
     cs.check_true("distance_range", bool(((xrow >= 0) & (xrow <= d)).all()))
     column = gc.distances(slice(None), [gc.x_index])[:, 0]
     cs.check_true("distance_symmetric", bool((xrow == column).all()))
+    gc.action = _group_action(gc)
+    gc.L, gc.structure_checks = structure_constants(gc)
     if _metric_certificate(gc):
         cs.check_true("bfs_reaches_every_pair", True)
         cs.check_true("bfs_distances_match_meet_formula", True)
@@ -328,8 +313,8 @@ def structure_constants(gc: GraphContext):
 
     Proof obligation of the representative rows, which every certificate
     of this module reads.  Let G be the group generated by the vertex
-    permutations that `_group_action` verifies, or the trivial group
-    where a premise fails, and R the rows of
+    permutations of `GraphContext.action`, verified by `_group_action`,
+    or the trivial group where a premise fails, and R the rows of
     `GraphContext.representatives`: {x}, or all of X.  M is G-invariant
     when M[p[y], p[z]] = M[y, z] for every generator p.  Every A_h is,
     as every distance is invariant (`_group_action`); so are products
@@ -354,19 +339,15 @@ def structure_constants(gc: GraphContext):
     the neighbours of r, |S_1(r)| x |X| entries read from the vertex
     masks (`GraphContext.distances`), not |X|^2.
 
-    Cached on the graph context after the first call, with the action
-    it verified (`_action`), which sets the representatives of every
-    later certificate of the graph.
+    The rows read are set by `gc.action`; nothing is written to the
+    graph.  `build_graph` stores the result as `gc.L` and
+    `gc.structure_checks`.
     """
-    if gc._L is not None:
-        return gc._L
     d = gc.d
-    action = gc._action = _group_action(gc)
-    gc.certificate_path = "dense" if action is None else "automorphism"
     identity = partition = ok = True
     witness = None
     first = {}  # (h, g): the value of A_1 A_g first read on class h
-    for y in gc.representatives(gc.n_vertices, gc.x_index):
+    for y in gc.representatives():
         row = gc.distances([y])[0]
         identity = identity and np.flatnonzero(row == 0).tolist() == [y]
         partition = partition and bool(((row >= 0) & (row <= d)).all())
@@ -385,8 +366,7 @@ def structure_constants(gc: GraphContext):
     cs.check_true("a0_is_identity", identity)
     cs.check_true("classes_partition_pairs", partition)
     cs.check_true("products_constant_on_classes", ok, witness)
-    gc._L = L, cs
-    return gc._L
+    return L, cs
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +515,11 @@ def _group_action(gc: GraphContext):
     3. W_i[pi][:, p] == W_i for every i < D (`GroupAction.preserves`),
        on the stored arrays;
     4. the generators meant to fix x fix x_index;
-    5. the group has one orbit on the vertices and on each table(i),
-       1 <= i < D, and the part fixing x has exactly D + 1 orbits, one
-       per sphere of x: row x lies in 0..D, every sphere is nonempty,
-       and an orbit of that part lies in one sphere because its
-       generators fix x and preserve every distance.
+    5. the group has one orbit on the vertices, and the part fixing x
+       has exactly D + 1 orbits on them, one per sphere of x: row x lies
+       in 0..D, every sphere is nonempty, and an orbit of that part
+       lies in one sphere because its generators fix x and preserve
+       every distance.
 
     A permutation is defined through point sets and then checked on the
     arrays, so nothing rests on the matrices themselves; a generating
@@ -579,8 +559,8 @@ def _group_action(gc: GraphContext):
     # the fixing part keeps x and every distance, so each of its orbits
     # lies in one sphere; D + 1 orbits and D + 1 nonempty spheres make
     # them equal
-    counts = [orbits(p) for p in (vertex[:fixing], *perms)]
-    if counts != [d + 1] + [1] * d or not np.bincount(xrow, minlength=d + 1).all():
+    counts = [orbits(p) for p in (vertex[:fixing], vertex)]
+    if counts != [d + 1, 1] or not np.bincount(xrow, minlength=d + 1).all():
         return None
     tables = {0: np.zeros((len(mats), 1), dtype=np.intp)}
     tables.update(enumerate(perms[1:], start=1))
@@ -613,15 +593,15 @@ def intersection_numbers(gc: GraphContext):
     (k = L[0][1], a_i = L[i][i], b_i = L[i][i+1], c_i = L[i][i-1]) and
     compare them with the closed forms, exactly."""
     q, n, d = gc.q, gc.n, gc.d
-    L, lcs = structure_constants(gc)
+    L = gc.L
     cs = CheckSet(f"intersection numbers q={q} N={n} D={d}")
-    cs.extend(lcs)
+    cs.extend(gc.structure_checks)
     counted_b = [L[i][i + 1] if i < d else 0 for i in range(d + 1)]
     counted_c = [L[i][i - 1] if i > 0 else 0 for i in range(d + 1)]
     counted_a = [L[i][i] for i in range(d + 1)]
     k_counted = L[0][1]
     # row sums of A_1 at the representative vertices (`structure_constants`)
-    reps = gc.representatives(gc.n_vertices, gc.x_index)
+    reps = gc.representatives()
     valency_ok = all((gc.distances([y]) == 1).sum() == k_counted for y in reps)
     cs.check_true("valency_constant_rows", valency_ok)
     forms = intersection_number_formulas(q, n, d)
@@ -760,7 +740,7 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     q, n, d = gc.q, gc.n, gc.d
     unit = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
     unit_sum = ss.partial_coeffs(d) == unit
-    vertices = gc.representatives(gc.n_vertices, gc.x_index)
+    vertices = gc.representatives()
     ranks = []
     faults = []
     for i in range(d):
@@ -897,7 +877,7 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     if len(set(theta)) != d + 1:
         raise EigenvalueCollision(f"eigenvalues collide: {theta}")
     cs = CheckSet(f"spectral system q={q} N={n} D={d}")
-    L, lcs = structure_constants(gc)
+    L, lcs = gc.L, gc.structure_checks
     cs.extend(lcs)
 
     def apply_l(coef):

@@ -134,9 +134,9 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     M = E_r B^T, M^T M = B E_r^T E_r B^T = B E_r B^T, and over the reals,
     hence over Q, rank(M^T M) = rank(M).  Scaling E_r by its
     denominator keeps the rank.  When a spectral check fails, the images
-    E_r B^T themselves are formed, sum_h c_h (A_h B^T) with one exact
-    product per class and row block of the distances
-    (`GraphContext.class_sums`).
+    E_r B^T themselves are formed, each one exact product of the dense
+    numerator of E_r (`SpectralSystem.idempotent_numerator`) with B^T,
+    as the pieces of that path already read dense numerators.
     Every exact rank here (the sum of the pieces, both kinds of layer
     dimensions) is certified mod p by `certified_kernel`, with Bareiss
     elimination as the fallback.
@@ -186,11 +186,12 @@ def compute_nucleus(ss: SpectralSystem) -> NucleusResult:
     # combined basis cut to each sphere, and of its image under each E_r
     combined = np.concatenate(bases)
     estar_dims = [rank_exact(combined[:, xrow == r]) for r in range(d + 1)]
-    coeff_rows = [integer_coeffs(e)[0] for e in ss.e_coeffs]
     if premise:
-        images = layer_grams(gc, combined, coeff_rows)
+        images = layer_grams(gc, combined, [integer_coeffs(e)[0] for e in ss.e_coeffs])
     else:
-        images = gc.class_sums(coeff_rows, combined.T)
+        images = [
+            exact_int_product(ss.idempotent_numerator(r)[0], combined.T, nv) for r in range(d + 1)
+        ]
     e_dims = [rank_exact(image) for image in images]
     cs.check("layer_dimensions_agree", estar_dims, e_dims)
     if not gc.boundary:
@@ -521,7 +522,7 @@ def _label_perms(gc: GraphContext, fam: AlphaFamily):
     table(l), goes to the alpha at entry tables[l][g, t], and x stays.
     None under the trivial group, or unless every pi is a bijection of
     the alphas."""
-    action = gc._action
+    action = gc.action
     if action is None:
         return None
     p = len(fam.dims)
@@ -596,7 +597,7 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     perms = _label_perms(gc, fam)
     invariant = perms is not None
     if invariant:
-        vertex = gc._action.vertex[: gc._action.fixing]
+        vertex = gc.action.vertex[: gc.action.fixing]
         # pi on the rows of each family, per generator, then on the four
         # p x p coefficient matrices under every generator at once
         stacked = np.stack(scaled)

@@ -124,14 +124,6 @@ class SqrtQScalar:
             raise InvalidParameters("cannot add scalars with mixed q^(1/2) parity")
         return SqrtQScalar.of(self.q, self.coeff + other.coeff, self.half)
 
-    def inv(self) -> "SqrtQScalar":
-        if self.coeff == 0:
-            raise ZeroDivisionError("zero SqrtQScalar has no inverse")
-        # 1 / (c q^(1/2)) = (1/(c q)) q^(1/2)
-        if self.half:
-            return SqrtQScalar.of(self.q, 1 / (self.coeff * self.q), 1)
-        return SqrtQScalar.of(self.q, 1 / self.coeff, 0)
-
     def is_rational(self) -> bool:
         return self.half == 0
 

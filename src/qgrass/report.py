@@ -65,12 +65,10 @@ class CheckSet:
     def record(self, name: str, value) -> None:
         self.values[name] = jsonable(value)
 
-    def extend(self, other: "CheckSet", prefix: str = "") -> None:
+    def extend(self, other: "CheckSet") -> None:
         for c in other.checks:
-            name = prefix + c.name if prefix else c.name
-            self.checks.append(Check(name, c.expected, c.observed, c.passed, c.witness))
-        for k, v in other.values.items():
-            self.values[prefix + k if prefix else k] = v
+            self.checks.append(Check(c.name, c.expected, c.observed, c.passed, c.witness))
+        self.values.update(other.values)
 
     @property
     def ok(self) -> bool:

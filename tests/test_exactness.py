@@ -271,35 +271,44 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module, strings: bool):
-    """(line, name) of every ast.Name and ast.Attribute, and with
-    `strings` of every part of a dotted string constant, the way the
-    benchmark tracer names the functions it wraps."""
+    """(line, name, dotted) of every ast.Name and ast.Attribute, and with
+    `strings` of every part of a string constant, the way the benchmark
+    tracer names the functions it wraps.  `dotted` holds for an
+    attribute and for a part of a string with a dot: only those can
+    name a method, while a bare name can be any local variable."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.lineno, node.id
+            yield node.lineno, node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.lineno, node.attr
+            yield node.lineno, node.attr, True
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield from ((node.lineno, part) for part in node.value.split("."))
+            parts = node.value.split(".")
+            yield from ((node.lineno, part, len(parts) > 1) for part in parts)
 
 
 def unreferenced_definitions(package: dict, readers: list) -> list[str]:
     """`module.name` of every definition of the `package` sources
     (module name -> source; see `_definitions`) that nothing references:
     no ast.Name or ast.Attribute of the package outside the definition
-    itself, and no name or dotted string constant of the `readers`
-    sources (the demos and the benchmark tracer)."""
+    itself, and no name or string constant of the `readers` sources (the
+    demos and the benchmark tracer).  A method counts as referenced only
+    through an attribute or a dotted string (`_references`)."""
     trees = {mod: ast.parse(src) for mod, src in package.items()}
     refs = {mod: list(_references(tree, strings=False)) for mod, tree in trees.items()}
-    outside = {name for src in readers for _line, name in _references(ast.parse(src), True)}
+    outside = [ref for src in readers for ref in _references(ast.parse(src), True)]
     dead = []
     for mod, tree in trees.items():
         for qualname, node in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            used = name in outside or any(
-                name == ref and (other != mod or not node.lineno <= line <= node.end_lineno)
+            method = "." in qualname
+            used = any(
+                ref == name and (dotted or not method) for _line, ref, dotted in outside
+            ) or any(
+                ref == name
+                and (dotted or not method)
+                and (other != mod or not node.lineno <= line <= node.end_lineno)
                 for other, found in refs.items()
-                for line, ref in found
+                for line, ref, dotted in found
             )
             if not used:
                 dead.append(f"{mod}.{qualname}")
@@ -321,9 +330,12 @@ class Box:
     def method(self):
         return self.helper()
     def helper(self):
-        return used()
+        inv = used()
+        return inv
     def orphan(self):
         return Box()
+    def inv(self):
+        return 4
     def __len__(self):
         return 0
 class Traced:
@@ -335,9 +347,14 @@ class Lonely:
 """,
         "b": "from a import Box\nx = Box().method()\n",
     }
-    readers = ["from a import shown\nshown()\n", 'TRACED = {"k": ("a", "Traced.go")}\n']
+    # a bare name never reaches a method: the local `inv` of Box.helper
+    # and of a reader leave Box.inv dead, and so does the plain string
+    readers = [
+        "from a import shown\ninv = shown()\nNAME = 'inv'\n",
+        'TRACED = {"k": ("a", "Traced.go")}\n',
+    ]
     assert unreferenced_definitions(package, readers) == [
-        "a.unused", "a.recursive", "a.Box.orphan", "a.Lonely", "a.Lonely.make"
+        "a.unused", "a.recursive", "a.Box.orphan", "a.Box.inv", "a.Lonely", "a.Lonely.make"
     ]
 
 

@@ -9,7 +9,6 @@ polynomial of the tridiagonal matrix they define.
 
 import json
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -277,18 +276,12 @@ def test_structure_constants_empty_class():
     # the intersection matrix is zero rather than an index error
     gc = build_graph(3, 4, 1)
     gc.d = 2
-    gc._L = None
+    gc.action = None  # verified for D = 1; every row is read
     L, cs = structure_constants(gc)
     assert cs.ok
     assert L[2] == [0, 0, 0]
     assert L[0][1] == 39
     assert L[1] == [1, 38, 0]
-
-
-def test_structure_constants_cached(j252):
-    p1, _ = structure_constants(j252)
-    p2, _ = structure_constants(j252)
-    assert p1 is p2
 
 
 def test_class_numerator_gathers_integer_class_values(j252_spectral):
@@ -426,8 +419,7 @@ def test_wrong_eigenvalues_fail_both_paths(q, n, d, monkeypatch):
 @pytest.mark.parametrize("q,n,d", [(2, 4, 2), (2, 5, 2), (3, 4, 2)])
 def test_corrupt_intersection_matrix_fails(q, n, d):
     gc = build_graph(q, n, d)
-    L, _ = structure_constants(gc)
-    L[1][1] += 1
+    gc.L[1][1] += 1
     ss = spectral_system(gc)
     algebra, dense = _verdicts(ss), dense_spectral_oracle(ss)
     assert not algebra["minimal_polynomial_vanishes"]
@@ -598,6 +590,13 @@ def read_every_row(mp) -> None:
     mp.setattr(grassmann, "_group_action", lambda gc: None)
 
 
+def reverify(gc) -> None:
+    """Verify the action and the intersection matrix of a built graph
+    again, as `build_graph` does, after a test changed what they read."""
+    gc.action = grassmann._group_action(gc)
+    gc.L, gc.structure_checks = structure_constants(gc)
+
+
 @pytest.mark.parametrize("true_dist", [1, 2])
 def test_corrupted_distance_fails_bfs_check(true_dist, monkeypatch):
     # the expansion takes its edges from the inclusion matrix W_1, not
@@ -622,7 +621,7 @@ def test_distance_two_rewritten_as_one_fails_bfs_check(monkeypatch):
     b = int(np.flatnonzero(gc.distances([0])[0] == 2)[0])
     corrupt_pair(monkeypatch, 0, b, 1)
     read_every_row(monkeypatch)
-    gc._L = None
+    reverify(gc)
     cs = CheckSet("bfs")
     _bfs_full_check(gc, cs)
     assert {c.name for c in cs.failures()} == {"bfs_distances_match_meet_formula"}
@@ -686,7 +685,7 @@ def test_metric_certificate_never_passes_a_broken_metric(a, b, value):
     with pytest.MonkeyPatch.context() as mp:
         corrupt_pair(mp, a, b, value)
         read_every_row(mp)
-        gc._L = None
+        reverify(gc)
         certified = grassmann._metric_certificate(gc)
         assert certified == unchanged
         if not all(ok for _name, ok, _witness in full_bfs_verdicts(gc)):
@@ -857,7 +856,7 @@ def test_corrupted_distance_fails_certificate_c(monkeypatch):
     b = int(np.flatnonzero(gc.distances([0])[0] == 2)[0])
     corrupt_pair(monkeypatch, 0, b, 1)
     read_every_row(monkeypatch)
-    gc._L = None
+    reverify(gc)
     bad = failing(spectral_system(gc).checks)
     assert set(bad) == {
         "products_constant_on_classes",
@@ -1116,74 +1115,6 @@ def test_count_dims_gathers_every_count():
             dims(arr)
 
 
-def dense_class_sums(gc, coeff_rows, right):
-    """The oracle: every class as a dense |X| x |X| array of Python ints,
-    combined entry by entry."""
-    dist = gc.distances(slice(None))
-    classes = [(dist == h).astype(object) for h in range(gc.d + 1)]
-    r = right.astype(object)
-    return [sum(c * np.dot(a, r) for c, a in zip(row, classes)) for row in coeff_rows]
-
-
-@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
-def test_class_sums_match_dense_oracle(q, n, d, monkeypatch):
-    gc = build_graph(q, n, d)
-    rng = np.random.default_rng(7)
-    coeffs = [[3, -1, 2], [0, 5, -7], [2**40, 1, -(2**41)]]
-    rights = {
-        "bool": rng.integers(0, 2, size=(gc.n_vertices, 4)).astype(bool),
-        "int64": rng.integers(-50, 50, size=(gc.n_vertices, 3)),
-        "object": np.array(
-            [[int(v) * 2**61 for v in row] for row in rng.integers(-3, 4, size=(gc.n_vertices, 2))],
-            dtype=object,
-        ),
-    }
-    # many row blocks per class
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * gc.n_vertices * 7)
-    assert len(list(linalg.row_blocks(gc.n_vertices, gc.n_vertices))) > 10
-    for name, right in rights.items():
-        got = gc.class_sums(coeffs, right)
-        want = dense_class_sums(gc, coeffs, right)
-        for g, w in zip(got, want):
-            assert g.shape == right.shape, name
-            assert (g.astype(object) == w).all(), name
-
-
-def test_class_sums_hold_no_square_integer_array(j252, monkeypatch):
-    # an integer right side meets one slice of dist at a time: the
-    # largest allocation stays far below one |X| x |X| int64 array
-    nv = j252.n_vertices
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * nv * 8)
-    right = np.arange(nv * 3, dtype=np.int64).reshape(nv, 3) - nv
-    j252.class_sums([[1, 2, 3]], right)
-    tracemalloc.start()
-    try:
-        j252.class_sums([[1, 2, 3]], right)
-        _now, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < nv * nv * 8 // 4, peak
-
-
-def test_class_sums_hold_no_square_bool_array(monkeypatch):
-    # a 0/1 right side, taken as int64, meets each class A_h = (dist ==
-    # h) one row block of the distances at a time: the largest
-    # allocation stays below one |X| x |X| bool array, which a whole
-    # class would be
-    gc = build_graph(2, 6, 2)
-    nv = gc.n_vertices
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * nv * 8)
-    right = np.random.default_rng(3).integers(0, 2, size=(nv, 3)).astype(bool)
-    gc.class_sums([[1, 2, 3]], right)
-    tracemalloc.start()
-    try:
-        gc.class_sums([[1, 2, 3]], right)
-        _now, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < nv * nv, peak
-
-
 # ---------------------------------------------------------------------------
 # the automorphism certificate: row x under a verified GL(N, q) action,
 # against the dense products it replaces
@@ -1372,6 +1303,35 @@ def test_passing_run_makes_no_square_product(monkeypatch, capsys, tmp_path):
     assert doc["meta"]["certificate_paths"] == {"main": "automorphism", "boundary": "automorphism"}
 
 
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (2, 4, 2)])
+def test_verify_checks_the_action_and_constants_once_per_graph(q, n, d, monkeypatch, capsys, tmp_path):
+    # `build_graph` verifies the group action and the intersection
+    # matrix, and every later certificate reads them from the graph: one
+    # call of each per graph built, J_q(N, D) and, when N != 2D, the
+    # boundary graph J_q(2D, D)
+    import qgrass.cli
+
+    built = []
+    calls = {"_group_action": [], "structure_constants": []}
+    real_build = qgrass.cli.build_graph
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def counted(real, seen):
+        return lambda gc: seen.append(gc) or real(gc)
+
+    monkeypatch.setattr(qgrass.cli, "build_graph", build)
+    for name, seen in calls.items():
+        monkeypatch.setattr(grassmann, name, counted(getattr(grassmann, name), seen))
+    argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]
+    assert qgrass.cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert len(built) == (1 if n == 2 * d else 2)
+    assert calls == {name: built for name in calls}
+
+
 def _drop_link(mp):
     real = grassmann._x0_generators
 
@@ -1472,7 +1432,7 @@ def test_broken_premise_runs_dense_with_the_same_report(q, n, d, mutation, tmp_p
 
 
 def test_action_checks_inclusion_matrices_on_the_stored_array(j252):
-    action = j252._action
+    action = j252.action
     assert action is not None
     w = j252.inclusion(1)
     assert action.preserves(w, 1)
@@ -1486,7 +1446,7 @@ def test_action_checks_inclusion_matrices_on_the_stored_array(j252):
 
 def test_action_records_the_generators_that_fix_x(j252):
     # the first `fixing` generators fix x, the last one moves it
-    action = j252._action
+    action = j252.action
     x = j252.x_index
     assert 0 < action.fixing < len(action.vertex)
     assert (action.vertex[: action.fixing, x] == x).all()

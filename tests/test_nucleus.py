@@ -12,6 +12,7 @@ import qgrass.cli
 import qgrass.nucleus
 from qgrass.grassmann import (
     GraphContext,
+    SpectralSystem,
     build_graph,
     integer_coeffs,
     intersection_numbers,
@@ -23,6 +24,7 @@ from qgrass.linalg import (
     certified_kernel,
     column_space_ops,
     elimination_counts,
+    exact_int_product,
     intersect_column_spaces,
     rank_exact,
     rank_mod_prime,
@@ -721,21 +723,25 @@ def test_corrupt_meet_entry(j252, j252_spectral, nucleus252, fam252):
 
 @pytest.fixture(scope="module", params=[(2, 4, 2), (2, 5, 2), (3, 4, 2), (2, 6, 3)], ids=str)
 def layered(request):
-    """(ss, nucleus, coefficient rows of the E_r)."""
+    """(ss, nucleus, coefficient rows of the E_r, the images den_r E_r B^T
+    of the combined basis B from the dense numerators of the E_r)."""
     q, n, d = request.param
     ss = spectral_system(build_graph(q, n, d))
     ss.checks.require()
     nd = compute_nucleus(ss)
     nd.checks.require()
-    return ss, nd, [integer_coeffs(e)[0] for e in ss.e_coeffs]
+    basis_t = nd.combined_basis().T
+    nv = ss.gc.n_vertices
+    images = [exact_int_product(ss.idempotent_numerator(r)[0], basis_t, nv) for r in range(d + 1)]
+    return ss, nd, [integer_coeffs(e)[0] for e in ss.e_coeffs], images
 
 
 def test_layer_grams_match_class_sums_oracle(layered):
-    # B (den E_r B^T), with the images from every row of dist, is the
-    # Gram route's matrix entry for entry, and both give e_dims
-    ss, nd, coeffs = layered
+    # B (den E_r B^T), with the images from the dense numerators of the
+    # E_r, is the Gram route's matrix entry for entry, and both give
+    # e_dims
+    ss, nd, coeffs, images = layered
     basis = nd.combined_basis()
-    images = ss.gc.class_sums(coeffs, basis.T)
     grams = layer_grams(ss.gc, basis, coeffs)
     for gram, image in zip(grams, images):
         assert gram.shape == (len(basis), len(basis))
@@ -746,10 +752,9 @@ def test_layer_grams_match_class_sums_oracle(layered):
 @pytest.mark.parametrize("mutation", ["coefficient", "row"])
 def test_layer_gram_mutations_break_the_agreement(layered, mutation, monkeypatch):
     # a wrong c_h, or one basis row shifted by a vertex, on the Gram side
-    # only: its ranks leave those of the class-sums images, and the
-    # layer dimensions no longer agree
-    ss, nd, coeffs = layered
-    images = ss.gc.class_sums(coeffs, nd.combined_basis().T)
+    # only: its ranks leave those of the dense images, and the layer
+    # dimensions no longer agree
+    ss, nd, coeffs, images = layered
     real = qgrass.nucleus.layer_grams
 
     def mutated(gc, basis, coeff_rows):
@@ -769,30 +774,19 @@ def test_layer_gram_mutations_break_the_agreement(layered, mutation, monkeypatch
 
 def test_unverified_spectrum_reads_the_class_sums(j252_spectral, nucleus252, monkeypatch):
     # with a spectral check failing, the images E_r B^T are formed from
-    # every row of dist, and the layer checks read as before
+    # the dense numerators of the E_r, and the layer checks read as before
     calls = []
-    real = GraphContext.class_sums
+    real = SpectralSystem.idempotent_numerator
     monkeypatch.setattr(
-        GraphContext, "class_sums", lambda gc, c, r: calls.append(r.shape) or real(gc, c, r)
+        SpectralSystem, "idempotent_numerator", lambda ss, r: calls.append(r) or real(ss, r)
     )
     monkeypatch.setattr(qgrass.nucleus, "layer_grams", None)
     failed = CheckSet("spectral system")
     failed.extend(j252_spectral.checks)
     failed.check("forced_failure", True, False)
     nd = compute_nucleus(dataclasses.replace(j252_spectral, checks=failed))
-    assert calls == [(j252_spectral.gc.n_vertices, 5)]
+    assert calls == [0, 1, 2]
     assert nd.e_dims == nucleus252.e_dims
-
-
-@pytest.mark.parametrize("q,n,d", [(2, 6, 2), (3, 4, 2), (2, 6, 3)])
-def test_passing_run_reads_no_class_sums(q, n, d, monkeypatch, tmp_path):
-    def refuse(*args):
-        raise AssertionError("class_sums called on a passing run")
-
-    monkeypatch.setattr(GraphContext, "class_sums", refuse)
-    argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all",
-            "--out", str(tmp_path / "report.json")]
-    assert qgrass.cli.main(argv) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +861,7 @@ def test_actions_match_all_columns_oracle(
 
     monkeypatch.setattr(qgrass.nucleus, "_action_coefficients", coefficients)
     if trivial:
-        monkeypatch.setattr(ss.gc, "_action", None)
+        monkeypatch.setattr(ss.gc, "action", None)
     read = []
     counts = qgrass.nucleus._adjacent_counts
     monkeypatch.setattr(
@@ -892,8 +886,8 @@ def test_actions_hold_no_square_array(monkeypatch):
     fam = build_alpha_family(gc)
     nv = gc.n_vertices
     monkeypatch.setattr(qgrass.linalg, "_BLOCK_BYTES", 8 * nv * 8)
-    for action in (gc._action, None):
-        monkeypatch.setattr(gc, "_action", action)
+    for action in (gc.action, None):
+        monkeypatch.setattr(gc, "action", action)
         verify_actions(ss, fam).require()
         tracemalloc.start()
         try:
