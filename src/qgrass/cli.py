@@ -15,8 +15,8 @@ certified mod p, certificate failed, Bareiss eliminations run; see
 `linalg.elimination_counts`).
 
 Exit status: 0 when every executed check passes, 1 when any check
-fails, 2 for unusable parameters (among them an unwritable --out path)
-or a size cap hit.
+fails, 2 for unusable parameters (among them an unwritable --out path),
+a size cap hit or an allocation the machine cannot serve.
 """
 
 from __future__ import annotations
@@ -434,6 +434,11 @@ def main(argv=None) -> int:
         # anything else from the library falsifies an expected fact
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # an instance too large for this machine is refused like one past
+        # a size cap, not ended in a traceback
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,11 +11,13 @@ read once, at build.
 J_q(N, D) is distance-transitive under GL(N, q) (Brouwer-Cohen-Neumaier,
 Section 9.3), and the verifier uses it.  `_group_action` turns a few
 explicit matrices of GL(N, q) into permutations of the vertices and of
-each i-subspace table, read off the images of their point masks, so
-that every distance is preserved.  It checks on the stored arrays that
-they preserve the inclusion matrices, that the generated group is
-transitive on the vertices, and that the part fixing the base vertex x
-has one orbit per sphere of x.  Every matrix of the distance algebra,
+each i-subspace table, read off the images of their point masks, and
+checks on the stored permutations that each entry goes to the entry
+with its image mask.  A bijection of the points keeps every common
+point count, so every distance and every inclusion matrix is
+preserved.  It also checks that the generated group is transitive on
+the vertices, and that the part fixing the base vertex x has one orbit
+per sphere of x.  Every matrix of the distance algebra,
 every product of such matrices and every Gram product W_i^T W_i then
 commutes with the group, so an identity between them holds once it
 holds on row x.  Where a premise fails the group is trivial, and the
@@ -320,7 +322,8 @@ def structure_constants(gc: GraphContext):
     as every distance is invariant (`_group_action`); so are products
     and integer combinations of G-invariant matrices (A_1 A_g, and
     sum_h c_h A_h with any coefficients, right or wrong), and each
-    W_i^T W_i, as the premises preserve every W_i (i < D).  Claim:
+    W_i^T W_i, as every W_i (i < D) is invariant by the lemma of
+    `_group_action`.  Claim:
     G-invariant M and M' are equal iff their rows in R are, and M is
     constant on each distance class iff each row r in R is constant on
     each sphere S_h(r) = {z : dist(r, z) = h}, with one value per h for
@@ -379,21 +382,13 @@ class GroupAction:
     `vertex` of the vertex table and `tables[i]` of the table of
     i-subspaces for 0 <= i < D (the single zero subspace for i = 0).
     The first `fixing` generators fix x; their part of the group has one
-    orbit per sphere of x (premise 5)."""
+    orbit per sphere of x (premise 4).  Every distance and every W_i
+    (i < D) is invariant under these permutations, by the lemma of
+    `_group_action`."""
 
     vertex: np.ndarray
     tables: dict
     fixing: int
-
-    def preserves(self, w: np.ndarray, i: int) -> bool:
-        """Whether W_i[pi][:, p] == W_i for every generator, with pi and
-        p its permutations of table(i) and of the vertices, on the
-        stored array and its shape: then every u in y maps to pi[u] in
-        p[y] and nothing else does."""
-        perms = self.tables[i]
-        if w.shape != (perms.shape[1], self.vertex.shape[1]):
-            return False
-        return all((w[pi][:, p] == w).all() for pi, p in zip(perms, self.vertex))
 
 
 def _primitive_root(q: int) -> int:
@@ -493,16 +488,18 @@ def _image_words(words: np.ndarray, inv: np.ndarray, npoints: int) -> np.ndarray
 
 
 def _table_perms(table: SubspaceTable, inv: np.ndarray, npoints: int):
-    """(g, count): the table index of the image of each entry under each
-    point map, found by its point set; None unless every image is a
-    table entry and every row is a bijection of the table."""
+    """(perms, images): the (g, count, W) point masks of the images of
+    every entry under every point map (`_image_words`), and (g, count)
+    the table index of each image, found by its point set; None unless
+    every image is a table entry and every row is a bijection of the
+    table."""
     images = _image_words(table.words, inv, npoints)
     perms = table.find_masks(images.reshape(-1, images.shape[2])).reshape(images.shape[:2])
     if (perms < 0).any():
         return None
     seen = np.zeros(perms.shape, dtype=bool)
     seen[np.arange(len(perms))[:, None], perms] = True
-    return perms if seen.all() else None
+    return (perms, images) if seen.all() else None
 
 
 def _group_action(gc: GraphContext):
@@ -511,11 +508,11 @@ def _group_action(gc: GraphContext):
 
     1. each point map sigma is a bijection of F_q^N;
     2. every image of a vertex, and of an i-subspace for 1 <= i < D, is
-       a table entry, and each table permutation is a bijection;
-    3. W_i[pi][:, p] == W_i for every i < D (`GroupAction.preserves`),
-       on the stored arrays;
-    4. the generators meant to fix x fix x_index;
-    5. the group has one orbit on the vertices, and the part fixing x
+       a table entry, each table permutation is a bijection, and on the
+       stored permutations mask(p t) = sigma(mask t) for every entry t,
+       against the image masks that `_image_words` reads;
+    3. the generators meant to fix x fix x_index;
+    4. the group has one orbit on the vertices, and the part fixing x
        has exactly D + 1 orbits on them, one per sphere of x: row x lies
        in 0..D, every sphere is nonempty, and an orbit of that part
        lies in one sphere because its generators fix x and preserve
@@ -528,24 +525,40 @@ def _group_action(gc: GraphContext):
     (`linalg.component_labels`): a generator's inverse is one of its
     powers, so these components are the orbits.
 
-    Proof obligation for the distances, which need no check of their
-    own.  By premise 2, p(y) is the table entry whose point mask is
-    sigma(mask(y)), the image `_image_words` reads, and sigma is a
-    bijection by premise 1.  So mask(p y) & mask(p z) = sigma(mask(y) &
-    mask(z)), and p y and p z have as many common points as y and z.
-    `GraphContext.distances`, the only code that turns masks into
-    distances, reads each distance from that count alone, so dist(p y,
-    p z) = dist(y, z) for every pair."""
+    Lemma (invariance), which the distances and the inclusion matrices
+    rest on and which needs no check of its own.  By premise 1 sigma is
+    a bijection of the points, so it commutes with AND, sigma(a & b) =
+    sigma(a) & sigma(b), and keeps every popcount.  By premise 2,
+    mask(p t) = sigma(mask t) for every entry t of every stored table,
+    with p the generator's permutation of that table.  So for entries s
+    and t of any two stored tables, mask(p s) & mask(p t) = sigma(mask s
+    & mask t) has the popcount of mask s & mask t, and a relation read
+    from that popcount alone holds at (p s, p t) exactly when it holds
+    at (s, t).  Two such relations:
+    - `GraphContext.distances`, the only code that turns masks into
+      distances, reads dist(y, z) from the count of y and z, so
+      dist(p y, p z) = dist(y, z) for every pair;
+    - `GraphContext.inclusion` reads W_i[u, y] = [popcount(mask u &
+      mask y) = q^i], with len(table(i)) rows by construction, so
+      W_i[pi][:, p] == W_i for every i < D, with pi the permutation of
+      table(i).  W_0 is one row of ones, kept by the zero permutation
+      of table(0)."""
     q, n, d, x = gc.q, gc.n, gc.d, gc.x_index
     mats, fixing = _x0_generators(q, n, d)
     inv = _inverse_point_maps(q, n, _conjugated(mats, gc.geometry.x_rows, q))
     if inv is None:
         return None
     npoints = q**n
-    perms = [_table_perms(gc.vertices, inv, npoints)]
-    perms += [_table_perms(gc.geometry.table(i), inv, npoints) for i in range(1, d)]
-    if any(p is None for p in perms):
+    stored = [gc.vertices, *(gc.geometry.table(i) for i in range(1, d))]
+    found = [_table_perms(table, inv, npoints) for table in stored]
+    if any(f is None for f in found):
         return None
+    # premise 2 on the stored permutations: entry p[t] has the image mask
+    # of entry t, one generator at a time
+    for table, (perms, images) in zip(stored, found):
+        if any((table.words[p] != image).any() for p, image in zip(perms, images)):
+            return None
+    perms = [f[0] for f in found]
     vertex = perms[0]
     xrow = gc.xrow
     if (vertex[:fixing, x] != x).any() or xrow.min() < 0 or xrow.max() > d:
@@ -564,10 +577,7 @@ def _group_action(gc: GraphContext):
         return None
     tables = {0: np.zeros((len(mats), 1), dtype=np.intp)}
     tables.update(enumerate(perms[1:], start=1))
-    action = GroupAction(vertex, tables, fixing)
-    if not all(action.preserves(gc.inclusion(i), i) for i in range(d)):
-        return None
-    return action
+    return GroupAction(vertex, tables, fixing)
 
 
 @dataclass

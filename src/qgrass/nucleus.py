@@ -577,7 +577,7 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     (F op)[a, y], and sum_b C[pi a, b] F[b, v y] =
     sum_b C[pi a, pi b] F[pi b, v y] = (C F)[a, y].  So column v(y) of
     R vanishes when column y does, and row pi(a) when row a does.  H has
-    one orbit per sphere of x (premise 5), so R = 0 once its columns at
+    one orbit per sphere of x (premise 4), so R = 0 once its columns at
     one vertex per sphere are zero; and the rows of R that are nonzero
     anywhere are the orbit closure, under the pi, of the rows nonzero at
     those columns (R[a, h y] = R[h^-1 a, y]), so the witness is the last

@@ -387,6 +387,19 @@ def test_program_arithmetic_error_is_not_a_verdict(monkeypatch):
         main(["verify", "--q", "2", "--n", "4", "--d", "2", "--suite", "halgebra"])
 
 
+def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch):
+    # an allocation the machine cannot serve, as numpy raises it for an
+    # operand too large for memory, ends in exit 2 and one line on
+    # stderr, not a traceback
+    def build(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.73 GiB for an array with shape (10998, 33372)")
+
+    monkeypatch.setattr(cli, "build_graph", build)
+    assert main(["verify", "--q", "2", "--n", "5", "--d", "2", "--suite", "geometry"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["out of memory: Unable to allocate 2.73 GiB for an array with shape (10998, 33372)"]
+
+
 def test_identities_command(tmp_path, capsys):
     out = tmp_path / "i.json"
     rc = main(["identities", "--q", "3", "--lmax", "12", "--out", str(out)])

@@ -764,8 +764,11 @@ def test_bad_row_count_of_w1_fails_certificate_a(corrupt, monkeypatch):
     monkeypatch.setattr(grassmann.GraphContext, "inclusion", inclusion)
     gc = build_graph(2, 5, 2)
     ss = spectral_system(gc)
-    # the breadth-first edges come from W_1 too
-    assert set(failing(gc.build_checks)) == {"bfs_distances_match_meet_formula"}
+    # the action reads no W_i and the distances come from the vertex
+    # masks, so the build passes on the automorphism path; (a) alone
+    # sees the row count
+    assert gc.certificate_path == "automorphism"
+    assert failing(gc.build_checks) == {}
     bad = failing(ss.checks)
     assert set(bad) == {"rank_certificate_total", "rank_certificate"}
     rows = 30 if corrupt == "drop" else 32
@@ -927,13 +930,15 @@ def test_duplicated_row_fails_the_inverse_and_certificate_a(monkeypatch):
     assert ss.partial_ranks == [1, None, 155]
 
 
-@pytest.mark.parametrize("corruption", ["complement", "flip_entry"])
+@pytest.mark.parametrize("corruption", ["complement", "lower_threshold"])
 @pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
 def test_corrupted_w_fails_the_inverse_and_falls_back(q, n, d, corruption, monkeypatch):
-    # the complement of W_{D-1} keeps every premise of the action, one
-    # flipped entry breaks premise 3; the corrupted matrix still has full
-    # rank, and the traces are right, so (a) holds and (c) names the
-    # fault, with no elimination
+    # W_{D-1} read with a wrong popcount rule: its complement, or
+    # u and y meeting in q^(i-1) points in place of q^i.  Either is kept
+    # by the action as W_{D-1} is (the lemma of `_group_action`), so
+    # the run stays on the automorphism path; the corrupted matrix
+    # still has full rank, and the traces are right, so (a) holds and
+    # (c) names the fault at row x, with no elimination
     real = grassmann.GraphContext.inclusion
 
     def corrupted(gc, i):
@@ -942,12 +947,15 @@ def test_corrupted_w_fails_the_inverse_and_falls_back(q, n, d, corruption, monke
             return w
         if corruption == "complement":
             return ~w
-        w = w.copy()
-        w[-1, -1] = not w[-1, -1]
+        sub = gc.geometry.table(i).words
+        w = np.empty_like(w)
+        for rows, counts in linalg.product_blocks(sub, gc.vertices.words, gc.q**gc.n):
+            w[rows] = counts == gc.q ** (i - 1)
         return w
 
     monkeypatch.setattr(grassmann.GraphContext, "inclusion", corrupted)
     gc = build_graph(q, n, d)
+    assert gc.certificate_path == "automorphism"
     w = gc.inclusion(d - 1)
     assert linalg.rank_mod_prime(w) == len(w)
     operands = elimination_operands(monkeypatch)
@@ -1152,9 +1160,10 @@ def test_automorphism_path_matches_dense_oracle(instance):
 
 @pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2)])
 def test_invariant_corruption_fails_both_paths_alike(q, n, d, monkeypatch):
-    # the complement of W_1 is preserved by every permutation that
-    # preserves W_1, so the action's premises hold and the row checks
-    # themselves must see the fault, with the dense verdicts and witnesses
+    # the complement of W_1 is a popcount rule, [popcount != q], so the
+    # action keeps it as it keeps W_1 (the lemma of `_group_action`):
+    # the row checks themselves must see the fault, with the dense
+    # verdicts and witnesses
     real = grassmann.GraphContext.inclusion
     monkeypatch.setattr(
         grassmann.GraphContext, "inclusion", lambda gc, i: ~real(gc, i) if i == 1 else real(gc, i)
@@ -1204,15 +1213,24 @@ def program_verdicts(gc, ss):
     }
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["representatives", "every_row"])
-@pytest.mark.parametrize("corruption", ["none", "complement_of_w", "flip_w_entry", "copied_words"])
+@pytest.mark.parametrize(
+    "corruption,dense",
+    [
+        pytest.param(corruption, dense, id=f"{corruption}-{'every_row' if dense else 'representatives'}")
+        for dense in (False, True)
+        for corruption in ("none", "complement_of_w", "flip_w_entry", "copied_words")
+        if dense or corruption != "flip_w_entry"
+    ],
+)
 @pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 5, 1)])
 def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
-    # the complement of W_{D-1} (W_1 at D = 2) keeps every premise of
-    # the action; one entry of W_{D-1} flipped, off row x of its Gram
-    # product when D = 2, breaks the W premise; and vertex 0 given the
-    # point words of the last vertex, the data every distance is read
-    # from, leaves two vertices with one image, so no vertex permutation
+    # the complement of W_{D-1} (W_1 at D = 2) is a popcount rule, so
+    # the action keeps it (the lemma of `_group_action`); one entry of
+    # W_{D-1} flipped, off row x of its Gram product when D = 2, is no
+    # popcount rule, so only the run that reads every row is held to see
+    # it; and vertex 0 given the point words of the last vertex, the
+    # data every distance is read from, leaves two vertices with one
+    # image, so no vertex permutation
     real = grassmann.GraphContext.inclusion
     real_table = grassmann.GeometryContext.table
 
@@ -1256,7 +1274,7 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
         assert (gc.adjacency() == dense_adjacency(gc)).all()
     if corruption == "copied_words":
         assert "a0_is_identity" in failing(ss.checks)
-    path = "dense" if dense or corruption in ("flip_w_entry", "copied_words") else "automorphism"
+    path = "dense" if dense or corruption == "copied_words" else "automorphism"
     assert gc.certificate_path == path
     verdicts = [*want["a"], *want["b"], *want["c"], want["edges"]]
     assert all(verdicts) == (corruption == "none")
@@ -1342,16 +1360,25 @@ def _drop_link(mp):
     mp.setattr(grassmann, "_x0_generators", gens)
 
 
-def _swap_vertex_images(mp):
-    real = grassmann._table_perms
+def _swap_images(dim):
+    """A mutation that swaps two images in the stored permutation of
+    the table of dim-subspaces under the first generator, after the
+    lookup: still a bijection of the table, but entries 0 and 1 no
+    longer go to the entries with their image masks."""
 
-    def perms(table, inv, npoints):
-        p = real(table, inv, npoints)
-        if p is not None and table.dim == 2:
-            p[0, [0, 1]] = p[0, [1, 0]]
-        return p
+    def mutate(mp):
+        real = grassmann._table_perms
 
-    mp.setattr(grassmann, "_table_perms", perms)
+        def perms(table, inv, npoints):
+            found = real(table, inv, npoints)
+            if found is not None and table.dim == dim:
+                p = found[0]
+                p[0, [0, 1]] = p[0, [1, 0]]
+            return found
+
+        mp.setattr(grassmann, "_table_perms", perms)
+
+    return mutate
 
 
 def _mask_outside_table(mp):
@@ -1391,7 +1418,8 @@ def _fixing_generator_moves_x(mp):
 
 MUTATIONS = {
     "drop_link_transvection": _drop_link,
-    "swap_two_vertex_images": _swap_vertex_images,
+    "swap_two_vertex_images": _swap_images(2),
+    "swap_two_line_images": _swap_images(1),
     "image_mask_outside_table": _mask_outside_table,
     "singular_generator": _singular_generator,
     "fixing_generator_moves_x": _fixing_generator_moves_x,
@@ -1431,17 +1459,31 @@ def test_broken_premise_runs_dense_with_the_same_report(q, n, d, mutation, tmp_p
     assert bad == good
 
 
-def test_action_checks_inclusion_matrices_on_the_stored_array(j252):
-    action = j252.action
-    assert action is not None
-    w = j252.inclusion(1)
-    assert action.preserves(w, 1)
-    assert action.preserves(j252.inclusion(0), 0)
-    flipped = w.copy()
-    flipped[0, 0] = not flipped[0, 0]
-    assert not action.preserves(flipped, 1)
-    assert not action.preserves(w[1:], 1)
-    assert not action.preserves(np.concatenate([w, w[:1]]), 1)
+def test_action_certificate_builds_no_inclusion_matrix(monkeypatch):
+    # the invariance of every W_i is derived, not checked (the lemma of
+    # `_group_action`): at J_2(6,3), where W_1 and W_2 are the largest
+    # arrays of the build, no `GraphContext.inclusion` call comes from
+    # inside the action certificate
+    real_action, real_inclusion = grassmann._group_action, grassmann.GraphContext.inclusion
+    inside, calls = [], []
+
+    def action(gc):
+        inside.append(True)
+        try:
+            return real_action(gc)
+        finally:
+            inside.pop()
+
+    def inclusion(gc, i):
+        if inside:
+            calls.append(i)
+        return real_inclusion(gc, i)
+
+    monkeypatch.setattr(grassmann, "_group_action", action)
+    monkeypatch.setattr(grassmann.GraphContext, "inclusion", inclusion)
+    gc = build_graph(2, 6, 3)
+    assert gc.certificate_path == "automorphism"
+    assert calls == []
 
 
 def test_action_records_the_generators_that_fix_x(j252):
