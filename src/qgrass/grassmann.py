@@ -32,12 +32,13 @@ Every spectral claim is then checked in that (D+1)-dimensional distance
 eigenvalues, idempotency and orthogonality of the primitive idempotents
 as polynomials in L, and the dual system at the base vertex.  The
 multiplicities are certified by the inclusion matrices W_i of the
-i-subspaces in the vertices (i < D), which are [N,i]_q x |X| 0/1
-arrays: W_i^T W_i is checked to be a class sum whose spectral
-decomposition gives back E_0 + ... + E_i, so that sum has the row
-space of W_i, and its exact trace gives W_i full row rank.  No
-|X| x |X| matrix of the algebra is materialized for them, and no matrix
-is eliminated.  All arithmetic is exact.
+i-subspaces in the vertices (i < D): W_i^T W_i is checked to be a class
+sum whose spectral decomposition gives back E_0 + ... + E_i, so that sum
+has the row space of W_i, and its exact trace gives W_i full row rank.
+That check reads row x of W_i^T W_i, the sum of the [D,i]_q rows of W_i
+at the i-subspaces of x (`GraphContext.gram_rows`), so neither W_i nor
+any |X| x |X| matrix of the algebra is materialized for it, and no
+matrix is eliminated.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ RANK_VERIFY_LIMIT = 60
 
 
 class GraphContext:
-    """A built Grassmann graph: vertex table, row x of the distances and,
-    built on demand and cached, the inclusion matrices W_i.  Every other
-    distance is read from the vertex masks when needed (`distances`).
+    """A built Grassmann graph: vertex table and row x of the distances.
+    Every other distance, and every block of an inclusion matrix W_i, is
+    read from the table masks when needed (`distances`, `inclusion`);
+    row x of W_i^T W_i reads only the rows of W_i at the i-subspaces of
+    x (`gram_rows`).
 
     `build_graph` sets the verified state once: `action`, the GroupAction
     of `_group_action` or None for the trivial group, and then `L` and
@@ -97,7 +100,6 @@ class GraphContext:
         self.build_checks = checks
         self._meet_dims = count_dims(self.q, self.vertices.dim)
         self.xrow = self.distances([self.x_index])[0]
-        self._inclusion: dict[int, np.ndarray] = {}
 
     @property
     def certificate_path(self) -> str:
@@ -122,22 +124,22 @@ class GraphContext:
             out[blk] = self.vertices.dim - self._meet_dims(counts)
         return out
 
-    def inclusion(self, i: int) -> np.ndarray:
-        """W_i: the [N,i]_q x |X| bool inclusion matrix, row u (in the
-        order of the i-subspace table) marking the vertices that contain
-        u.  u lies in y exactly when y holds all q^i points of u, so W_i
-        is one 0/1 product of the two tables' packed point masks.  W_0
-        needs none: the zero subspace lies in every vertex, and its
-        table stays unbuilt (and uncached)."""
-        if i == 0:
-            return np.ones((1, self.n_vertices), dtype=bool)
-        if i not in self._inclusion:
-            sub = self.geometry.table(i).words
-            w = np.empty((len(sub), self.n_vertices), dtype=bool)
-            for rows, counts in product_blocks(sub, self.vertices.words, self.q**self.n):
-                w[rows] = counts == self.q**i
-            self._inclusion[i] = w
-        return self._inclusion[i]
+    def inclusion(self, i: int, rows=None, cols=None) -> np.ndarray:
+        """The bool block of W_i, the inclusion matrix of the i-subspaces
+        in the vertices: u over the entries `rows` of the i-subspace
+        table and y over the vertices `cols` (every one when None), True
+        where u lies in y.  u lies in y exactly when y holds all q^i
+        points of u, so the block is one 0/1 product of the two tables'
+        packed point masks, as in `distances`.  Nothing is cached: each
+        call reads the masks again and returns a fresh array."""
+        sub = self.geometry.table(i).words
+        words = self.vertices.words
+        left = sub if rows is None else sub[rows]
+        right = words if cols is None else words[cols]
+        out = np.empty((len(left), len(right)), dtype=bool)
+        for blk, counts in product_blocks(left, right, self.q**self.n):
+            out[blk] = counts == self.q**i
+        return out
 
     def representatives(self) -> np.ndarray:
         """One vertex per orbit of the verified group: x alone under the
@@ -150,9 +152,13 @@ class GraphContext:
     def gram_rows(self, i: int, rows: np.ndarray):
         """Rows `rows` of W_i^T W_i as the (slice of `rows`, block) pairs
         of `product_blocks`: entry (y, z) counts the i-subspaces of
-        y meet z.  No row outside `rows` is computed."""
-        w = self.inclusion(i)
-        return product_blocks(w.T[rows], w, w.shape[0])
+        y meet z.  Row y is the sum of the rows of W_i at the
+        i-subspaces u of y, so only the i-subspaces of the vertices
+        `rows` are read: [D,i]_q rows of W_i for one vertex, all of W_i
+        when `rows` is every vertex."""
+        under = self.inclusion(i, cols=rows)
+        sub = np.flatnonzero(under.any(axis=1))
+        return product_blocks(under[sub].T, self.inclusion(i, rows=sub), len(sub))
 
     def adjacency(self) -> np.ndarray:
         """Bool adjacency by a route independent of the distances: y ~ z
@@ -541,8 +547,8 @@ def _group_action(gc: GraphContext):
     - `GraphContext.inclusion` reads W_i[u, y] = [popcount(mask u &
       mask y) = q^i], with len(table(i)) rows by construction, so
       W_i[pi][:, p] == W_i for every i < D, with pi the permutation of
-      table(i).  W_0 is one row of ones, kept by the zero permutation
-      of table(0)."""
+      table(i).  W_0, read from table(0) by the same rule, is one row
+      of ones: the zero subspace lies in every vertex."""
     q, n, d, x = gc.q, gc.n, gc.d, gc.x_index
     mats, fixing = _x0_generators(q, n, d)
     inv = _inverse_point_maps(q, n, _conjugated(mats, gc.geometry.x_rows, q))
@@ -739,7 +745,10 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     - Verdict (a).  W_i has full row rank, so W_i^T is injective, as the
       nucleus needs, exactly when W_i has [N,i]_q rows and tr F'_i =
       [N,i]_q.  Only one direction is used, and it needs no unit sum:
-      rank W_i >= rank F'_i = [N,i]_q, the row count.
+      rank W_i >= rank F'_i = [N,i]_q, the row count.  W_i has one row
+      per entry of the i-subspace table by construction
+      (`GraphContext.inclusion`), so its row count is read as that
+      table's length, and no W_i is built for it.
     - (b) F'_i W_i^T = W_i^T.  Every column of W_i^T is G u for some u,
       and F'_i G u = G u, so (b) follows from (c) once the idempotents
       sum to I, the one premise it adds.
@@ -756,7 +765,7 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     for i in range(d):
         found = len(faults)
         rows = q_binomial(n, i, q)
-        stored = gc.inclusion(i).shape[0]
+        stored = len(gc.geometry.table(i))
         trace = gc.n_vertices * ss.partial_coeffs(i)[0]
         if stored != rows:
             faults.append(f"(a) W_{i} has {stored} rows, not {rows}")

@@ -46,16 +46,6 @@ from .qarith import q_binomial, q_int, q_power
 from .report import CheckSet
 
 
-def containment_vectors(gc: GraphContext, words: np.ndarray) -> np.ndarray:
-    """Vee vectors: row a is the 0/1 indicator of the vertices containing
-    the subspace with point words words[a], by a subset test of those
-    words against the vertex words."""
-    vwords = gc.vertices.words
-    return np.array(
-        [((vwords & aw) == aw).all(axis=1) for aw in words], dtype=bool
-    ).reshape(len(words), gc.n_vertices)
-
-
 @dataclass
 class NucleusResult:
     gc: GraphContext
@@ -370,7 +360,11 @@ def _alpha_label(a: int) -> str:
 
 def build_alpha_family(gc: GraphContext) -> AlphaFamily:
     """Indicator vectors of both families, with the counting and
-    change-of-basis identities verified on the spot.
+    change-of-basis identities verified on the spot.  The vee vector of
+    an l-dimensional alpha is the row of W_l at alpha's table entry
+    (`GraphContext.inclusion`), so the vee family is read as the rows of
+    each W_l at the alphas of dimension l, and no W_l is built whole;
+    `subspaces_of_base` orders the alphas by dimension, then by entry.
 
     A vertex contains alpha exactly when its meet with x does, so the
     vee vector of alpha is the sum of the meet vectors of the subspaces
@@ -389,7 +383,8 @@ def build_alpha_family(gc: GraphContext) -> AlphaFamily:
         p,
     )
 
-    vee = containment_vectors(gc, words)
+    # the vee vector of alpha: row alpha of W_l, l = dim alpha
+    vee = np.concatenate([gc.inclusion(l, rows=entries[dims == l]) for l in range(d + 1)])
     # the meet vector of alpha: the vertices y with y meet x = alpha
     vx = gc.vertices.words & gc.geometry.x_words
     meet = np.array([(vx == aw).all(axis=1) for aw in words], dtype=bool).reshape(p, nv)

@@ -3,8 +3,11 @@ table and poset arrays the verifier reads: a Python Gaussian elimination
 mod q, point masks from walking every point of a span, dimensions from
 point counts and meets from one echelon form of the stacked rows.
 Below them, the array span walk and the cover generators that the
-verifier replaced, the dense certificate oracles and the step-by-step
-idempotent application of the spectral system."""
+verifier replaced, the dense certificate oracles, the whole-matrix
+inclusion oracles (the subset test of the vee vectors and the full Gram
+product), two patches that corrupt what the verifier reads (every block
+of W_i from a corrupted whole W_i, or an edited subspace table) and the
+step-by-step idempotent application of the spectral system."""
 
 import math
 from dataclasses import dataclass
@@ -12,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from qgrass import subspaces
+from qgrass.grassmann import GraphContext
 from qgrass.linalg import row_blocks
 from qgrass.subspaces import all_vectors, projective_points
 
@@ -272,6 +277,52 @@ def dense_adjacency(gc) -> np.ndarray:
     adj = w.T @ w == 1
     np.fill_diagonal(adj, False)
     return adj
+
+
+def containment_vectors(gc, words: np.ndarray) -> np.ndarray:
+    """Vee vectors by a subset test: row a is the 0/1 indicator of the
+    vertices whose point words hold every bit of words[a]."""
+    vwords = gc.vertices.words
+    return np.array(
+        [((vwords & aw) == aw).all(axis=1) for aw in words], dtype=bool
+    ).reshape(len(words), gc.n_vertices)
+
+
+def gram_rows_by_product(gc, i: int, rows) -> np.ndarray:
+    """Rows `rows` of W_i^T W_i from one int64 product of the whole W_i,
+    held sparse (scipy.sparse, exact in int64 and many times faster
+    than a dense integer product at J_2(6,3))."""
+    from scipy import sparse
+
+    w = sparse.csr_array(gc.inclusion(i), dtype=np.int64)
+    return (w.T[rows] @ w).toarray()
+
+
+def patch_inclusion(mp, corrupt) -> None:
+    """Patch `GraphContext.inclusion` so that every block it returns is
+    read from corrupt(gc, i, w), w the whole W_i: its rows `rows` and
+    columns `cols`, each all when None, as the accessor selects them."""
+    real = GraphContext.inclusion
+
+    def inclusion(gc, i, rows=None, cols=None):
+        w = corrupt(gc, i, real(gc, i))
+        w = w if rows is None else w[rows]
+        return w if cols is None else w[:, cols]
+
+    mp.setattr(GraphContext, "inclusion", inclusion)
+
+
+def patch_table(mp, dim, edit) -> None:
+    """Patch the enumeration so that the table of dim-subspaces is built
+    from edit(rows), rows the reduced echelon bases of the true table in
+    its order; a drop or duplicate changes W_dim's row count."""
+    real = subspaces.enumerate_subspaces
+
+    def enumerate_subspaces(q, ambient, k, *args, **kwargs):
+        table = real(q, ambient, k, *args, **kwargs)
+        return subspaces.SubspaceTable(q, ambient, k, edit(table.rows)) if k == dim else table
+
+    mp.setattr(subspaces, "enumerate_subspaces", enumerate_subspaces)
 
 
 def rank_over_q(m) -> int:

@@ -1,7 +1,8 @@
 """Slow gates outside tier-1, at the D = 3 frontier: `verify --suite
 all` at J_2(7,3), 11,811 vertices, the first D = 3 instance off the
-boundary, and the graph build of J_3(6,3), 33,880 vertices, a boundary
-instance past the default table cap.  Deselected by default (pyproject
+boundary; the graph build of J_3(6,3), 33,880 vertices, a boundary
+instance past the default table cap; and the build and spectral system
+of J_2(8,3), 97,155 vertices.  Deselected by default (pyproject
 `addopts`); run them with
 
     PYTHONPATH=src python -m pytest -m slow tests/test_frontier.py
@@ -64,7 +65,8 @@ def test_j2_7_3_verify_all_within_budget(tmp_path):
 def test_j3_6_3_build_within_budget():
     # the build alone: the action certificate and the structure
     # constants at row x, and the metric certificate.  The action reads
-    # no inclusion matrix, so the build stays under 1 GiB
+    # no inclusion matrix, and the edge premise reads the 13 rows of W_2
+    # at the lines of x, not all 11,011, so the build stays under 512 MiB
     code = (
         "import json; from qgrass.grassmann import build_graph; "
         "gc = build_graph(3, 6, 3, table_cap=300000); "
@@ -74,5 +76,24 @@ def test_j3_6_3_build_within_budget():
     returncode, out, wall, rss = run_child(code)
     assert returncode == 0
     assert json.loads(out) == ["automorphism", 9, []]
-    assert rss < 1024 * 1024, rss
+    assert rss < 512 * 1024, rss
+    assert wall < MAX_WALL_S, wall
+
+
+@pytest.mark.slow
+def test_j2_8_3_build_and_spectral_within_budget():
+    # the build and the spectral system, whose rank certificate reads
+    # row x of each W_i^T W_i from the [3,i]_2 rows of W_i at the
+    # i-subspaces of x: no W_i is built whole (W_2 would be 10,795 x
+    # 97,155)
+    code = (
+        "import json; from qgrass.grassmann import build_graph, spectral_system; "
+        "gc = build_graph(2, 8, 3, table_cap=300000); ss = spectral_system(gc); "
+        "checks = [*gc.build_checks.checks, *gc.structure_checks.checks, *ss.checks.checks]; "
+        "print(json.dumps([gc.certificate_path, [c.name for c in checks if not c.passed], ss.partial_ranks]))"
+    )
+    returncode, out, wall, rss = run_child(code)
+    assert returncode == 0
+    assert json.loads(out) == ["automorphism", [], [1, 255, 10795, 97155]]
+    assert rss < 512 * 1024, rss
     assert wall < MAX_WALL_S, wall

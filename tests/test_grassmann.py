@@ -9,6 +9,7 @@ polynomial of the tridiagonal matrix they define.
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,8 @@ from oracles import (
     layer_of,
     mask_dim,
     meet_dim_by_rank,
+    patch_inclusion,
+    patch_table,
 )
 from strategies import instances_with_base_vertex
 
@@ -751,24 +754,23 @@ def failing(*checksets):
     return {c.name: c.witness for cs in checksets for c in cs.checks if not c.passed}
 
 
+ROW_EDITS = {
+    "drop": lambda rows: rows[1:],
+    "duplicate": lambda rows: np.concatenate([rows, rows[:1]]),
+}
+
+
 @pytest.mark.parametrize("corrupt", ["drop", "duplicate"])
 def test_bad_row_count_of_w1_fails_certificate_a(corrupt, monkeypatch):
-    real = grassmann.GraphContext.inclusion
-
-    def inclusion(gc, i):
-        w = real(gc, i)
-        if i != 1:
-            return w
-        return w[1:] if corrupt == "drop" else np.concatenate([w, w[:1]])
-
-    monkeypatch.setattr(grassmann.GraphContext, "inclusion", inclusion)
+    # one entry of table(1) dropped or duplicated: W_1 has one row per
+    # entry, so (a) sees the row count.  The action finds an image mask
+    # missing from table(1), or two entries with one mask, so the run
+    # takes the dense path, whose edges through that line are wrong
+    patch_table(monkeypatch, 1, ROW_EDITS[corrupt])
     gc = build_graph(2, 5, 2)
     ss = spectral_system(gc)
-    # the action reads no W_i and the distances come from the vertex
-    # masks, so the build passes on the automorphism path; (a) alone
-    # sees the row count
-    assert gc.certificate_path == "automorphism"
-    assert failing(gc.build_checks) == {}
+    assert gc.certificate_path == "dense"
+    assert "bfs_distances_match_meet_formula" in failing(gc.build_checks)
     bad = failing(ss.checks)
     assert set(bad) == {"rank_certificate_total", "rank_certificate"}
     rows = 30 if corrupt == "drop" else 32
@@ -916,13 +918,9 @@ def test_passing_spectral_system_runs_no_elimination(monkeypatch):
 
 def test_duplicated_row_fails_the_inverse_and_certificate_a(monkeypatch):
     # the row count alone decides: no elimination of the corrupted W_1
-    real = grassmann.GraphContext.inclusion
-    monkeypatch.setattr(
-        grassmann.GraphContext,
-        "inclusion",
-        lambda gc, i: np.concatenate([real(gc, i), real(gc, i)[:1]]) if i == 1 else real(gc, i),
-    )
+    patch_table(monkeypatch, 1, ROW_EDITS["duplicate"])
     gc = build_graph(2, 5, 2)
+    assert gc.certificate_path == "dense"
     operands = elimination_operands(monkeypatch)
     ss = spectral_system(gc)
     assert operands == []
@@ -939,10 +937,7 @@ def test_corrupted_w_fails_the_inverse_and_falls_back(q, n, d, corruption, monke
     # the run stays on the automorphism path; the corrupted matrix
     # still has full rank, and the traces are right, so (a) holds and
     # (c) names the fault at row x, with no elimination
-    real = grassmann.GraphContext.inclusion
-
-    def corrupted(gc, i):
-        w = real(gc, i)
+    def corrupted(gc, i, w):
         if i != gc.d - 1:
             return w
         if corruption == "complement":
@@ -953,7 +948,7 @@ def test_corrupted_w_fails_the_inverse_and_falls_back(q, n, d, corruption, monke
             w[rows] = counts == gc.q ** (i - 1)
         return w
 
-    monkeypatch.setattr(grassmann.GraphContext, "inclusion", corrupted)
+    patch_inclusion(monkeypatch, corrupted)
     gc = build_graph(q, n, d)
     assert gc.certificate_path == "automorphism"
     w = gc.inclusion(d - 1)
@@ -1164,10 +1159,7 @@ def test_invariant_corruption_fails_both_paths_alike(q, n, d, monkeypatch):
     # action keeps it as it keeps W_1 (the lemma of `_group_action`):
     # the row checks themselves must see the fault, with the dense
     # verdicts and witnesses
-    real = grassmann.GraphContext.inclusion
-    monkeypatch.setattr(
-        grassmann.GraphContext, "inclusion", lambda gc, i: ~real(gc, i) if i == 1 else real(gc, i)
-    )
+    patch_inclusion(monkeypatch, lambda gc, i, w: ~w if i == 1 else w)
     fast, fast_ss = certified(q, n, d)
     slow, slow_ss = certified(q, n, d, dense=True)
     assert (fast.certificate_path, slow.certificate_path) == ("automorphism", "dense")
@@ -1231,7 +1223,6 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
     # it; and vertex 0 given the point words of the last vertex, the
     # data every distance is read from, leaves two vertices with one
     # image, so no vertex permutation
-    real = grassmann.GraphContext.inclusion
     real_table = grassmann.GeometryContext.table
 
     def copied(geometry, dim):
@@ -1240,8 +1231,7 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
             table.words[0] = table.words[-1]
         return table
 
-    def flipped(gc, i):
-        w = real(gc, i)
+    def flipped(gc, i, w):
         if i != gc.d - 1:
             return w
         u = int(np.flatnonzero(~w[:, gc.x_index])[-1]) if len(w) > 1 else 0
@@ -1253,13 +1243,9 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
         if dense:
             read_every_row(mp)
         if corruption == "complement_of_w":
-            mp.setattr(
-                grassmann.GraphContext,
-                "inclusion",
-                lambda gc, i: ~real(gc, i) if i == gc.d - 1 else real(gc, i),
-            )
+            patch_inclusion(mp, lambda gc, i, w: ~w if i == gc.d - 1 else w)
         if corruption == "flip_w_entry":
-            mp.setattr(grassmann.GraphContext, "inclusion", flipped)
+            patch_inclusion(mp, flipped)
         if corruption == "copied_words":
             mp.setattr(grassmann.GeometryContext, "table", copied)
         gc = build_graph(q, n, d)
@@ -1474,16 +1460,55 @@ def test_action_certificate_builds_no_inclusion_matrix(monkeypatch):
         finally:
             inside.pop()
 
-    def inclusion(gc, i):
+    def inclusion(gc, i, rows=None, cols=None):
         if inside:
             calls.append(i)
-        return real_inclusion(gc, i)
+        return real_inclusion(gc, i, rows, cols)
 
     monkeypatch.setattr(grassmann, "_group_action", action)
     monkeypatch.setattr(grassmann.GraphContext, "inclusion", inclusion)
     gc = build_graph(2, 6, 3)
     assert gc.certificate_path == "automorphism"
     assert calls == []
+
+
+def test_build_and_spectral_read_inclusion_at_the_subspaces_of_x(monkeypatch):
+    # J_2(6,3): every block of W_i read by the build and the spectral
+    # system is one column (the i-subspaces of x, found on column x) or
+    # at most [D,i]_q rows (those subspaces), never the whole W_i
+    real = grassmann.GraphContext.inclusion
+    shapes = []
+
+    def inclusion(gc, i, rows=None, cols=None):
+        w = real(gc, i, rows, cols)
+        shapes.append((i, w.shape))
+        return w
+
+    monkeypatch.setattr(grassmann.GraphContext, "inclusion", inclusion)
+    gc = build_graph(2, 6, 3)
+    ss = spectral_system(gc)
+    ss.checks.require()
+    assert gc.certificate_path == "automorphism"
+    assert {i for i, _shape in shapes} == {0, 1, 2}
+    for i, (nrows, ncols) in shapes:
+        assert nrows <= q_binomial(3, i, 2) or ncols <= 1, (i, nrows, ncols)
+
+
+def test_build_and_spectral_hold_no_whole_inclusion_matrix():
+    # J_2(7,3), 11,811 vertices: the traced peak of the build and the
+    # spectral system stays below [N,D-1]_q x |X| bytes (31.5 MB), the
+    # size of W_{D-1} as bool
+    tracemalloc.start()
+    try:
+        gc = build_graph(2, 7, 3)
+        ss = spectral_system(gc)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gc.build_checks.require()
+    ss.checks.require()
+    assert gc.certificate_path == "automorphism"
+    assert peak < q_binomial(7, 2, 2) * gc.n_vertices, peak
 
 
 def test_action_records_the_generators_that_fix_x(j252):

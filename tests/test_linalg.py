@@ -638,7 +638,7 @@ def test_verify_packs_each_operand_once_per_product(monkeypatch, tmp_path):
     # callers that read distances a row block at a time (one product per
     # block) pack each class of a block once, so the bits packed stay
     wide = verify_pack_counts(monkeypatch, tmp_path, 1 << 20)
-    narrow = verify_pack_counts(monkeypatch, tmp_path, 1 << 12)
+    narrow = verify_pack_counts(monkeypatch, tmp_path, 1 << 11)
     assert narrow["blocks"] > 2 * wide["blocks"] > 0
     assert narrow["bits"] == wide["bits"] > 0
     for counts in (wide, narrow):

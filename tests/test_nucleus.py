@@ -45,7 +45,16 @@ from qgrass.nucleus import (
 )
 from qgrass.report import CheckSet
 
-from oracles import actions_by_dense_adjacency, base_vertex, entries, mask_dim
+from oracles import (
+    actions_by_dense_adjacency,
+    base_vertex,
+    containment_vectors,
+    entries,
+    gram_rows_by_product,
+    mask_dim,
+    patch_inclusion,
+    patch_table,
+)
 from strategies import instances_with_base_vertex
 
 
@@ -187,10 +196,11 @@ def test_forced_kernel_path(nucleus252, oracle252, j252_spectral, monkeypatch):
 
 
 def test_corrupted_free_row_fails_layers_and_bases():
-    # a free row of W_1 (a point of x) with one vertex of the sphere
+    # a free row of W_1 (a point u of x) with one vertex y of the sphere
     # B_1 - B_0 cleared stays free, so the squeeze hands it out as a
     # basis vector of N_1 although it has left F_1 V; the layer count
-    # and the vee family both see it
+    # sees it, and so does the vee family, read through the corrupted
+    # accessor (its count of vertices over u) and through the true one
     gc = build_graph(2, 5, 2)
     ss = spectral_system(gc)
     ss.checks.require()
@@ -198,8 +208,16 @@ def test_corrupted_free_row_fails_layers_and_bases():
     xrow = gc.xrow
     u = int(np.flatnonzero(~w[:, xrow > 1].any(axis=1))[0])
     y = int(np.flatnonzero(w[u] & (xrow == 1))[0])
-    w[u, y] = False
-    nd = compute_nucleus(ss)
+
+    def cleared(gc, i, w):
+        if i == 1:
+            w[u, y] = False
+        return w
+
+    with pytest.MonkeyPatch.context() as mp:
+        patch_inclusion(mp, cleared)
+        nd = compute_nucleus(ss)
+        assert "containment_counts" in failing(build_alpha_family(gc).checks)
     assert nd.paths == ["base_vertex", "squeeze", "squeeze"]
     assert "layer_dimensions_agree" in failing(nd.checks)
     fam = build_alpha_family(gc)
@@ -242,12 +260,9 @@ def test_unverified_spectrum_takes_no_shortcut(nucleus252, oracle252, j252_spect
 
 
 def test_failed_certificate_takes_no_shortcut(nucleus252, oracle252, monkeypatch):
-    # a dropped row of W_1 fails the rank certificate, and with it the
-    # premise of every shortcut
-    real = GraphContext.inclusion
-    monkeypatch.setattr(
-        GraphContext, "inclusion", lambda gc, i: real(gc, i)[1:] if i == 1 else real(gc, i)
-    )
+    # a dropped entry of table(1), so a dropped row of W_1, fails the
+    # rank certificate, and with it the premise of every shortcut
+    patch_table(monkeypatch, 1, lambda rows: rows[1:])
     ss = spectral_system(build_graph(2, 5, 2))
     assert {c.name for c in ss.checks.failures()} == {"rank_certificate_total", "rank_certificate"}
     nd = compute_nucleus(ss)
@@ -679,11 +694,10 @@ def test_corrupt_theta_star_fails_dual_adjacency_on_vee(j252_spectral, fam252):
 
 
 def test_corrupt_vee_entry(j252, j252_spectral, nucleus252, monkeypatch):
-    real = qgrass.nucleus.containment_vectors
-    monkeypatch.setattr(
-        qgrass.nucleus,
-        "containment_vectors",
-        lambda gc, words: flipped(real(gc, words), 2, gc.x_index),
+    # entry x of the row of W_1 at alpha #2, a point of x: its vee vector
+    _dims, _words, alphas = subspaces_of_base(j252)
+    patch_inclusion(
+        monkeypatch, lambda gc, i, w: flipped(w, alphas[2], gc.x_index) if i == 1 else w
     )
     fam = build_alpha_family(j252)
     assert failing(fam.checks) == {
@@ -698,6 +712,26 @@ def test_corrupt_vee_entry(j252, j252_spectral, nucleus252, monkeypatch):
     assert failing(verify_bases(nucleus252, fam)) == {
         "vee_vectors_lie_in_their_piece": "alpha #2 not in piece 1",
     }
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["representatives", "every_row"])
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
+def test_inclusion_reads_match_whole_matrix_oracles(q, n, d, dense):
+    # the vee family and the Gram rows read W_i at chosen rows only; the
+    # subset test and the product of the whole W_i give them back
+    with pytest.MonkeyPatch.context() as mp:
+        if dense:
+            mp.setattr(qgrass.grassmann, "_group_action", lambda gc: None)
+        gc = build_graph(q, n, d)
+    assert gc.certificate_path == ("dense" if dense else "automorphism")
+    fam = build_alpha_family(gc)
+    assert np.array_equal(fam.vee, containment_vectors(gc, fam.words))
+    for i in range(d):
+        for rows in (np.arange(gc.n_vertices), np.array([gc.x_index])):
+            got = np.empty((len(rows), gc.n_vertices), dtype=np.int64)
+            for blk, gram in gc.gram_rows(i, rows):
+                got[blk] = gram
+            assert np.array_equal(got, gram_rows_by_product(gc, i, rows)), (i, len(rows))
 
 
 def test_corrupt_meet_entry(j252, j252_spectral, nucleus252, fam252):
