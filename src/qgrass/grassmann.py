@@ -23,21 +23,25 @@ commutes with the group, so an identity between them holds once it
 holds on row x.  Where a premise fails the group is trivial, and the
 same code reads every row (`GraphContext.representatives`; the proof is
 in `structure_constants`).  That gives the intersection matrix L
-(multiplication by A_1 on coefficient vectors over A_0..A_D), which,
-being tridiagonal with every c_t > 0, also certifies the graph metric.
-`build_graph` verifies the action and L once and stores both on the
-graph; every later certificate reads them there.
+(multiplication by A_1 on coefficient vectors over A_0..A_D).  The Gram
+products of the inclusion matrices W_i of the i-subspaces in the
+vertices (i < D) are checked to be the class sums W_i^T W_i = sum_h
+[D-h, i]_q A_h on the same rows.  At i = D - 1 that sum is 1 exactly on
+the distance-1 pairs, so the edges are the pairs at distance 1, and L,
+being tridiagonal with every c_t > 0, then certifies the graph metric.
+`build_graph` verifies the action, L and the class sums once and stores
+them on the graph; every later certificate reads them there.
 Every spectral claim is then checked in that (D+1)-dimensional distance
 (Bose-Mesner) algebra: the minimal polynomial of the closed-form
 eigenvalues, idempotency and orthogonality of the primitive idempotents
 as polynomials in L, and the dual system at the base vertex.  The
-multiplicities are certified by the inclusion matrices W_i of the
-i-subspaces in the vertices (i < D): W_i^T W_i is checked to be a class
-sum whose spectral decomposition gives back E_0 + ... + E_i, so that sum
-has the row space of W_i, and its exact trace gives W_i full row rank.
-That check reads row x of W_i^T W_i, the sum of the [D,i]_q rows of W_i
-at the i-subspaces of x (`GraphContext.gram_rows`), so neither W_i nor
-any |X| x |X| matrix of the algebra is materialized for it, and no
+multiplicities are certified by the W_i: the spectral decomposition of
+the class sum W_i^T W_i gives back E_0 + ... + E_i, so that sum has the
+row space of W_i, and its exact trace gives W_i full row rank.  Under
+the action the build reads row x of W_i^T W_i alone, the sum of the
+[D,i]_q rows of W_i at the i-subspaces of x (`GraphContext.gram_rows`),
+so neither W_i nor any |X| x |X| matrix of the algebra is materialized;
+the spectral system reads no graph at all: it is algebra over L, and no
 matrix is eliminated.  All arithmetic is exact.
 """
 
@@ -57,7 +61,6 @@ from .linalg import (
     echelon_mod_p,
     exact_int_product,  # noqa: F401
     int_operand,
-    invert_fraction_matrix,
     product_blocks,
     rank_exact,
     row_blocks,
@@ -84,9 +87,12 @@ class GraphContext:
     x (`gram_rows`).
 
     `build_graph` sets the verified state once: `action`, the GroupAction
-    of `_group_action` or None for the trivial group, and then `L` and
+    of `_group_action` or None for the trivial group; then `L` and
     `structure_checks`, the intersection matrix and its checks
-    (`structure_constants`)."""
+    (`structure_constants`); then `gram_class_sums`, one bool for each
+    i < D, whether W_i^T W_i = sum_h [D-h, i]_q A_h on the representative
+    rows (`_gram_rows_are_class_sums`).  The class sums are no check of
+    their own: the metric certificate and certificate (c) read them."""
 
     def __init__(self, geometry: GeometryContext, checks: CheckSet):
         self.geometry = geometry
@@ -211,30 +217,25 @@ def _metric_certificate(gc: GraphContext) -> bool:
     L[h][g] > 0 by (2), all h <= g + 1 by (3), with h = t + 1 among them
     for g = t by (4); so T_{t+1} = B_{t+1}.  So a pair at distance h is
     first reached at step h, and T_D = B_D holds every pair by (2).
-    (1) is `_edges_match`."""
+
+    (1) follows from `gc.gram_class_sums[D - 1]` and (2).  The class sum
+    makes (W_{D-1}^T W_{D-1})[y, z] = [D - h, D - 1]_q for every pair at
+    distance h, which is 1 at h = 1 and 0 at h >= 2.  Off the diagonal
+    no pair is at distance 0, by A_0 = I in (2), so there the Gram entry
+    is 1 exactly at distance 1; at D = 1 the value at h = 0 is also 1,
+    which is why A_0 = I is needed.  On the diagonal, adjacency() is
+    cleared and dist == 0 by A_0 = I, so neither side has an entry.  The
+    implication runs one way only: where the class sum fails, the
+    certificate fails, and `_bfs_full_check`, whose verdict it only ever
+    predicts, decides."""
     d = gc.d
     L = gc.L
     return (
         gc.structure_checks.ok
         and all(L[h][g] == 0 for h in range(d + 1) for g in range(d + 1) if abs(h - g) >= 2)
         and all(L[t][t - 1] > 0 for t in range(1, d + 1))
-        and _edges_match(gc)
+        and gc.gram_class_sums[d - 1]
     )
-
-
-def _edges_match(gc: GraphContext) -> bool:
-    """adjacency() == (dist == 1), premise (1) of `_metric_certificate`,
-    read at the representative vertices (`structure_constants`): both
-    sides are G-invariant, the adjacency as a function of W_{D-1}^T
-    W_{D-1} with the diagonal cleared."""
-    rows = gc.representatives()
-    for blk, gram in gc.gram_rows(gc.d - 1, rows):
-        ys = rows[blk]
-        adj = gram == 1
-        adj[np.arange(len(ys)), ys] = False
-        if not (adj == (gc.distances(ys) == 1)).all():
-            return False
-    return True
 
 
 def build_graph(
@@ -248,10 +249,11 @@ def build_graph(
     """Build J_q(N, D) from its vertex masks, with row x of its
     distances.
 
-    The group action (`_group_action`) and the intersection matrix with
-    its checks (`structure_constants`) are verified here, once, and
-    stored on the graph.  Distances are compared with breadth-first ones
-    by `_metric_certificate`, or by the all-pairs expansion of
+    The group action (`_group_action`), the intersection matrix with
+    its checks (`structure_constants`) and the Gram class sums of every
+    W_i, i < D (`_gram_rows_are_class_sums`), are verified here, once,
+    and stored on the graph.  Distances are compared with breadth-first
+    ones by `_metric_certificate`, or by the all-pairs expansion of
     `_bfs_full_check` where that fails.
 
     `distance_range` and `distance_symmetric` read row x and column x,
@@ -284,6 +286,8 @@ def build_graph(
     cs.check_true("distance_symmetric", bool((xrow == column).all()))
     gc.action = _group_action(gc)
     gc.L, gc.structure_checks = structure_constants(gc)
+    reps = gc.representatives()
+    gc.gram_class_sums = [_gram_rows_are_class_sums(gc, i, reps) for i in range(d)]
     if _metric_certificate(gc):
         cs.check_true("bfs_reaches_every_pair", True)
         cs.check_true("bfs_distances_match_meet_formula", True)
@@ -688,11 +692,20 @@ class SpectralSystem:
     theta: list[int]
     theta_star: list[Fraction]
     m: list[int]
-    e_coeffs: list[list[Fraction]] = field(repr=False)
+    # (P, den) with P_i(L) = P / den for each i (`_lagrange_numerators`)
+    lagrange: list = field(repr=False)
     checks: CheckSet = field(repr=False)
+    e_coeffs: list[list[Fraction]] = field(default_factory=list, repr=False)
     # rank of E_0 + ... + E_i for i = 0..D as certified by the inclusion
     # matrices, None where the certificate failed
     partial_ranks: list = field(default_factory=list)
+
+    def apply_idempotent(self, i: int, coef) -> list[Fraction]:
+        """P_i(L) coef: the vector of E_i M when coef is that of M, one
+        integer matrix-vector product over the common denominator."""
+        num, den = self.lagrange[i]
+        values, cden = integer_coeffs(coef)
+        return [Fraction(sum(a * v for a, v in zip(row, values)), den * cden) for row in num]
 
     def partial_coeffs(self, i: int) -> list[Fraction]:
         """Coefficient vector of F'_i = E_0 + ... + E_i."""
@@ -714,16 +727,18 @@ class SpectralSystem:
         return table[self.gc.distances(slice(None))], den
 
 
-def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempotent, premises):
+def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, premises):
     """rank F'_i for F'_i = E_0 + ... + E_i, i = 0..D, each None when
     its certificate fails, and the failed sub-checks, each named (a),
     (b) or (c) as in `spectral_system`.  `premises` names the failed
-    checks among those the trace argument of (a) rests on.  (c) reads
-    the representatives of `GraphContext.representatives` (the proof
-    obligation is in `structure_constants`): G_i - sum_h [D-h, i]_q A_h
-    is G-invariant, so it vanishes iff its rows at the representative
-    vertices do (`GraphContext.gram_rows`).  No other distance is read,
-    and no matrix is eliminated.
+    checks among those the trace argument of (a) rests on.  The graph
+    half of (c), G_i = sum_h [D-h, i]_q A_h, is read from the build
+    (`gc.gram_class_sums`), which checked it on the representative rows
+    (the proof obligation is in `structure_constants`): G_i - sum_h
+    [D-h, i]_q A_h is G-invariant, so it vanishes iff its rows at the
+    representative vertices do.  Its algebra half is on coefficient
+    vectors (`_gram_spans_partial_sum`).  No distance is read, and no
+    matrix is eliminated.
 
     Proof obligation of (a) and (b), which follow from (c), the traces
     and the unit sum.  Write G = G_i = W_i^T W_i.
@@ -759,7 +774,6 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
     q, n, d = gc.q, gc.n, gc.d
     unit = [Fraction(1 if h == 0 else 0) for h in range(d + 1)]
     unit_sum = ss.partial_coeffs(d) == unit
-    vertices = gc.representatives()
     ranks = []
     faults = []
     for i in range(d):
@@ -775,9 +789,9 @@ def _inclusion_certificate(gc: GraphContext, ss: SpectralSystem, apply_idempoten
             faults.append(f"(a) tr F'_{i} = {trace}, not the {rows} rows of W_{i}")
         if not unit_sum:
             faults.append(f"(b) sum_j E_j != I, so F'_{i} W_{i}^T = W_{i}^T does not follow")
-        if not _gram_rows_are_class_sums(gc, i, vertices):
+        if not gc.gram_class_sums[i]:
             faults.append(f"(c) W_{i}^T W_{i} != sum_h [D-h,{i}]_q A_h")
-        elif not _gram_spans_partial_sum(ss, i, apply_idempotent):
+        elif not _gram_spans_partial_sum(ss, i):
             faults.append(f"(c) F'_{i} != G Q_{i}(G) for G = W_{i}^T W_{i}")
         ranks.append(rows if len(faults) == found else None)
     # F'_D = I
@@ -802,7 +816,7 @@ def _gram_rows_are_class_sums(gc: GraphContext, i: int, vertices: np.ndarray) ->
     return True
 
 
-def _gram_spans_partial_sum(ss: SpectralSystem, i: int, apply_idempotent) -> bool:
+def _gram_spans_partial_sum(ss: SpectralSystem, i: int) -> bool:
     """F'_i = G Q_i(G) on coefficient vectors, for G = sum_h [D-h, i]_q A_h
     and Q_i interpolating 1/lambda on the nonzero eigenvalues of G.
 
@@ -814,7 +828,7 @@ def _gram_spans_partial_sum(ss: SpectralSystem, i: int, apply_idempotent) -> boo
     g = [Fraction(q_binomial(d - h, i, ss.gc.q)) for h in range(d + 1)]
     support = []
     for j, e in enumerate(ss.e_coeffs):
-        eg = apply_idempotent(j, g)
+        eg = ss.apply_idempotent(j, g)
         if not e[0]:
             return False
         lam = eg[0] / e[0]
@@ -832,7 +846,10 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     Eigenvalues come from the closed form only, never from numerics.
     Every matrix of the algebra is a coefficient vector over A_0..A_D,
     and the only operation is "apply L", the intersection matrix of
-    `structure_constants`.
+    `structure_constants`.  The graph facts it rests on, L and the Gram
+    class sums, were verified by `build_graph`; above RANK_VERIFY_LIMIT
+    vertices, where no exact rank of an idempotent is taken, a passing
+    run reads no distance and no inclusion block.
 
     Proof obligation.  The distance classes partition the vertex pairs
     and are nonempty, so the A_h have disjoint 0/1 supports and are
@@ -840,8 +857,9 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     its coefficient vector is, and two are equal exactly when their
     vectors are.  `structure_constants` verifies each product A_1 A_g to
     equal sum_h L[h][g] A_h, on its representative rows (its docstring
-    carries the proof), so applying L is exact multiplication by A_1, and applying a polynomial P(L) is exact
-    multiplication by P(A_1).  Hence:
+    carries the proof), so applying L is exact multiplication by A_1,
+    and applying a polynomial P(L) is exact multiplication by P(A_1).
+    Hence:
 
     - the minimal polynomial prod_i (A_1 - theta_i I) vanishes iff the
       product of (L - theta_i) applied to the vector of A_0 is zero;
@@ -871,13 +889,14 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
       not evaluated: it follows from (c) once the idempotents sum to I,
       which is checked.
     - (c) G_i = sum_h [D-h, i]_q A_h entry by entry, read on the
-      representative rows, so G_i lies in the algebra; and F'_i =
-      G_i Q_i(G_i) on coefficient vectors, Q_i interpolating 1/lambda on
-      the nonzero eigenvalues of G_i.  So col(F'_i) lies in col(G_i),
+      representative rows by the build (`gc.gram_class_sums`), so G_i
+      lies in the algebra; and F'_i = G_i Q_i(G_i) on coefficient
+      vectors, Q_i interpolating 1/lambda on the nonzero eigenvalues of
+      G_i.  So col(F'_i) lies in col(G_i),
       which is col(W_i^T).
 
-    `_inclusion_certificate` carries the proofs of (a) and (b), and (c)
-    from the representatives to every row.
+    `_inclusion_certificate` carries the proofs of (a) and (b), and of
+    (c) from the representatives to every row.
 
     Hence col(F'_i) = col(W_i^T) and rank F'_i = [N,i]_q = m_0 + ... +
     m_i, and the certified multiplicities are
@@ -909,16 +928,10 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
         v = [a - t * b for a, b in zip(apply_l(v), v)]
     cs.check_true("minimal_polynomial_vanishes", not any(v))
 
-    lagrange = _lagrange_numerators(L, theta)
-
-    def apply_idempotent(i, coef):
-        """P_i(L) coef: the vector of E_i M when coef is that of M, one
-        integer matrix-vector product over the common denominator."""
-        num, den = lagrange[i]
-        values, cden = integer_coeffs(coef)
-        return [Fraction(sum(a * v for a, v in zip(row, values)), den * cden) for row in num]
-
-    e_coeffs = [apply_idempotent(i, ident) for i in range(d + 1)]
+    ss = SpectralSystem(
+        gc=gc, theta=theta, theta_star=[], m=[], lagrange=_lagrange_numerators(L, theta), checks=cs
+    )
+    e_coeffs = ss.e_coeffs = [ss.apply_idempotent(i, ident) for i in range(d + 1)]
     total = [sum(e_coeffs[i][h] for i in range(d + 1)) for h in range(d + 1)]
     cs.check("idempotents_sum_to_identity", ident, total)
     cs.check(
@@ -932,12 +945,10 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     ]
     cs.check("adjacency_reconstruction", adj_coeffs, recon)
 
-    ss = SpectralSystem(gc=gc, theta=theta, theta_star=[], m=[], e_coeffs=e_coeffs, checks=cs)
-
     ok = True
     witness = None
     for i in range(d + 1):
-        if apply_idempotent(i, e_coeffs[i]) != e_coeffs[i]:
+        if ss.apply_idempotent(i, e_coeffs[i]) != e_coeffs[i]:
             ok = False
             witness = f"E_{i}^2 != E_{i}"
     cs.check_true("idempotency", ok, witness)
@@ -945,7 +956,7 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     witness = None
     for i in range(d + 1):
         for j in range(i + 1, d + 1):
-            if any(apply_idempotent(i, e_coeffs[j])):
+            if any(ss.apply_idempotent(i, e_coeffs[j])):
                 ok = False
                 witness = f"E_{i}E_{j} != 0"
     cs.check_true("orthogonality", ok, witness)
@@ -961,7 +972,7 @@ def spectral_system(gc: GraphContext) -> SpectralSystem:
     # the checks the trace argument of certificate (a) rests on
     trace_premises = {c.name for c in lcs.checks} | {"idempotency", "orthogonality"}
     premises = [c.name for c in cs.failures() if c.name in trace_premises]
-    partial, faults = _inclusion_certificate(gc, ss, apply_idempotent, premises)
+    partial, faults = _inclusion_certificate(gc, ss, premises)
     certified = [
         None if r is None or below is None else r - below
         for r, below in zip(partial, [0] + partial[:-1])
@@ -1001,13 +1012,33 @@ def krein_parameters(ss: SpectralSystem):
     """Krein parameters from E_i (hadamard) E_j = (1/|X|) sum_h q^h_{ij} E_h,
     solved exactly in the class-coefficient algebra, plus the polynomial
     ordering conditions: q^h_{ij} vanishes when one of the three indices
-    exceeds the sum of the other two and is nonzero at equality."""
+    exceeds the sum of the other two and is nonzero at equality.
+
+    The hadamard product has coefficient vector s with s_g = (E_i)_g
+    (E_j)_g, and the system is solved by the first eigenmatrix, with no
+    elimination: A_g = sum_t P_t(g) E_t, where E_t A_g = P_t(g) E_t is
+    read as the coefficient on A_0 of P_t(L) applied to the vector of A_g,
+    over (E_t)_0 (`SpectralSystem.apply_idempotent`).  Where (E_t)_0 = 0
+    its column is zero; E_t then has trace 0, which
+    `multiplicity_t_integral` fails.
+
+    Proof obligation.  The E_t are orthogonal and nonzero, so they are
+    linearly independent, and the coefficients kp of s over them are
+    unique.  `krein_reconstruction` checks that kp solves the system,
+    sum_h kp[h][i][j] E_h / |X| = E_i (hadamard) E_j, so no step rests
+    on the eigenmatrix being right: a wrong eigenvalue fails that check,
+    and so does a singular coefficient matrix, which raises nothing."""
     gc = ss.gc
     d = gc.d
     nv = gc.n_vertices
     cs = CheckSet("krein parameters")
-    e_mat = [[ss.e_coeffs[t][h] for h in range(d + 1)] for t in range(d + 1)]
-    inv = invert_fraction_matrix(e_mat)  # inv[g][t]: A_g = sum_t inv[g][t] E_t
+    # inv[g][t] = P_t(g): A_g = sum_t inv[g][t] E_t
+    inv = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]
+    for t, e in enumerate(ss.e_coeffs):
+        if e[0]:
+            for g in range(d + 1):
+                unit = [Fraction(int(h == g)) for h in range(d + 1)]
+                inv[g][t] = ss.apply_idempotent(t, unit)[0] / e[0]
     kp = [[[Fraction(0)] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     recon_ok = True
     recon_witness = None

@@ -12,7 +12,8 @@ are summed, one block of rows at a time, into the smallest unsigned
 dtype that holds the inner dimension.  The product is exact because
 padding bits are zero, every entry is at most the inner dimension, and
 the blocks cover every row; callers reduce each block as it streams,
-and `exact_int_product` assembles the blocks into an int64 array.  Other integer products take a checked int64 fast path when the
+and `exact_int_product` assembles the blocks into an int64 array.
+Other integer products take a checked int64 fast path when the
 worst-case dot product provably fits in 63 bits, otherwise
 arbitrary-precision object arithmetic.
 Exact ranks, span tests and nullspaces are decided by one int64
@@ -739,23 +740,3 @@ def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if (new == lab).all():
             return lab
         lab = new
-
-
-def invert_fraction_matrix(rows: list[list]) -> list[list[Fraction]]:
-    """Exact inverse of a small square matrix by Gauss-Jordan over
-    Fractions.  Raises ArithmeticError when singular."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if p is None:
-            raise ArithmeticError("singular matrix")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]

@@ -6,8 +6,9 @@ Below them, the array span walk and the cover generators that the
 verifier replaced, the dense certificate oracles, the whole-matrix
 inclusion oracles (the subset test of the vee vectors and the full Gram
 product), two patches that corrupt what the verifier reads (every block
-of W_i from a corrupted whole W_i, or an edited subspace table) and the
-step-by-step idempotent application of the spectral system."""
+of W_i from a corrupted whole W_i, or an edited subspace table), the
+step-by-step idempotent application of the spectral system and the
+Gauss-Jordan inverse the Krein parameters were once solved with."""
 
 import math
 from dataclasses import dataclass
@@ -379,6 +380,27 @@ def idempotent_by_steps(L, theta, i: int, coef):
         scale = Fraction(1, theta[i] - tj)
         coef = [(a - tj * b) * scale for a, b in zip(lc, coef)]
     return coef
+
+
+def invert_fraction_matrix(rows: list[list]) -> list[list[Fraction]]:
+    """Exact inverse of a small square matrix by Gauss-Jordan over
+    Fractions, as `krein_parameters` once inverted the coefficient matrix
+    of the idempotents.  Raises ArithmeticError when singular."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if p is None:
+            raise ArithmeticError("singular matrix")
+        aug[c], aug[p] = aug[p], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [v * inv for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
 
 
 def q_identities_by_fractions(l_max: int, q: int):

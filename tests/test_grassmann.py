@@ -44,6 +44,7 @@ from oracles import (
     dense_certificate_verdicts,
     entries,
     idempotent_by_steps,
+    invert_fraction_matrix,
     layer_of,
     mask_dim,
     meet_dim_by_rank,
@@ -253,6 +254,67 @@ def test_j252_krein(j252_spectral):
         for j in range(3):
             assert kp[h][0][j] == (1 if h == j else 0)
     assert kp[1][1][2] == kp[1][2][1]
+
+
+KREIN_INSTANCES = [(2, 5, 1), (2, 5, 2), (3, 4, 2), (2, 6, 3)]
+
+
+def test_invert_fraction_matrix():
+    m = [[1, 2], [3, 4]]
+    inv = invert_fraction_matrix(m)
+    eye = [[sum(m[i][t] * inv[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
+    assert eye == [[1, 0], [0, 1]]
+    with pytest.raises(ArithmeticError):
+        invert_fraction_matrix([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("q,n,d", KREIN_INSTANCES)
+def test_krein_eigenmatrix_is_the_inverse_oracle(q, n, d, monkeypatch):
+    # the eigenvalues P_t(g) that `krein_parameters` reads through
+    # apply_idempotent are the entries of the inverse of the idempotent
+    # coefficient matrix, and the Krein parameters solved with that
+    # inverse are the same
+    ss = spectral_system(build_graph(q, n, d))
+    ss.checks.require()
+    e = ss.e_coeffs
+    inv = invert_fraction_matrix([[e[t][h] for h in range(d + 1)] for t in range(d + 1)])
+    real = ss.apply_idempotent
+    read = {}
+
+    def recording(t, coef):
+        out = real(t, coef)
+        read[coef.index(1), t] = out[0] / e[t][0]
+        return out
+
+    monkeypatch.setattr(ss, "apply_idempotent", recording)
+    kp, cs = krein_parameters(ss)
+    cs.require()
+    assert read == {(g, t): inv[g][t] for g in range(d + 1) for t in range(d + 1)}
+    nv = ss.gc.n_vertices
+    for i in range(d + 1):
+        for j in range(d + 1):
+            s = [e[i][g] * e[j][g] for g in range(d + 1)]
+            for h in range(d + 1):
+                assert kp[h][i][j] == nv * sum(s[g] * inv[g][h] for g in range(d + 1))
+
+
+@pytest.mark.parametrize(
+    "q,n,d,pair", [(*inst, pair) for inst, pair in zip(KREIN_INSTANCES, ["1,1", "2,2", "2,2", "3,3"])]
+)
+def test_wrong_eigenvalue_fails_krein_reconstruction(q, n, d, pair, monkeypatch):
+    # P_1(1), the eigenvalue of A_1 on V_1, doubled where the eigenmatrix
+    # is read: the solved parameters no longer give back the products
+    ss = spectral_system(build_graph(q, n, d))
+    real = ss.apply_idempotent
+    unit = [Fraction(int(h == 1)) for h in range(d + 1)]
+
+    def doubled(t, coef):
+        out = real(t, coef)
+        return [2 * v for v in out] if (t, coef) == (1, unit) else out
+
+    monkeypatch.setattr(ss, "apply_idempotent", doubled)
+    _kp, cs = krein_parameters(ss)
+    assert failing(cs)["krein_reconstruction"] == f"pair ({pair})"
 
 
 def test_j341_complete_graph(j341):
@@ -594,10 +656,28 @@ def read_every_row(mp) -> None:
 
 
 def reverify(gc) -> None:
-    """Verify the action and the intersection matrix of a built graph
-    again, as `build_graph` does, after a test changed what they read."""
+    """Verify the action, the intersection matrix and the Gram class
+    sums of a built graph again, as `build_graph` does, after a test
+    changed what they read."""
     gc.action = grassmann._group_action(gc)
     gc.L, gc.structure_checks = structure_constants(gc)
+    reps = gc.representatives()
+    gc.gram_class_sums = [grassmann._gram_rows_are_class_sums(gc, i, reps) for i in range(gc.d)]
+
+
+def test_reverify_refreshes_every_verified_attribute():
+    # the attributes `build_graph` sets beyond `GraphContext.__init__`
+    # are the verified state; `reverify` copies the build's sequence by
+    # hand, so each of them must be written again
+    gc = build_graph(2, 4, 2)
+    bare = grassmann.GraphContext(gc.geometry, CheckSet("bare"))
+    verified = set(vars(gc)) - set(vars(bare))
+    assert "gram_class_sums" in verified
+    sentinel = object()
+    for name in verified:
+        setattr(gc, name, sentinel)
+    reverify(gc)
+    assert [name for name in sorted(verified) if getattr(gc, name) is sentinel] == []
 
 
 @pytest.mark.parametrize("true_dist", [1, 2])
@@ -856,6 +936,53 @@ def test_spectral_system_reads_few_distances(monkeypatch):
     assert sum(pairs) < gc.n_vertices**2 // 100, sum(pairs)
 
 
+@pytest.mark.parametrize("q,n,d", [(2, 6, 2), (2, 6, 3)])
+def test_spectral_system_reads_no_graph(q, n, d, monkeypatch):
+    # past RANK_VERIFY_LIMIT a passing spectral system is algebra over L:
+    # the class sums of (c) were read at build, so no 0/1 product starts,
+    # neither a distance read nor a Gram product
+    gc = build_graph(q, n, d)
+    assert gc.n_vertices > grassmann.RANK_VERIFY_LIMIT
+    real = linalg._stream
+    streams = []
+
+    def stream(pa, pb, inner):
+        streams.append(pa.shape)
+        return real(pa, pb, inner)
+
+    monkeypatch.setattr(linalg, "_stream", stream)
+    ss = spectral_system(gc)
+    ss.checks.require()
+    assert streams == []
+
+
+@pytest.mark.parametrize("q,n,d", [(3, 4, 2), (2, 5, 2)])
+def test_verify_reads_each_gram_row_once_per_graph(q, n, d, monkeypatch, capsys, tmp_path):
+    # row x of W_i^T W_i is read by the build, once for each i < D, and
+    # the edge premise of the metric and certificate (c) both take it
+    # from there: one call per graph built and i
+    import qgrass.cli
+
+    built, calls = [], []
+    real_build, real_gram = qgrass.cli.build_graph, grassmann.GraphContext.gram_rows
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def gram_rows(gc, i, rows):
+        calls.append((id(gc), i))
+        return real_gram(gc, i, rows)
+
+    monkeypatch.setattr(qgrass.cli, "build_graph", build)
+    monkeypatch.setattr(grassmann.GraphContext, "gram_rows", gram_rows)
+    argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]
+    assert qgrass.cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert len(built) == (1 if n == 2 * d else 2)
+    assert sorted(calls) == sorted((id(gc), i) for gc in built for i in range(d))
+
+
 def test_corrupted_distance_fails_certificate_c(monkeypatch):
     gc = build_graph(2, 5, 2)
     b = int(np.flatnonzero(gc.distances([0])[0] == 2)[0])
@@ -1001,7 +1128,7 @@ def test_certificate_a_reads_the_exact_trace(monkeypatch):
 
     monkeypatch.setattr(ss, "partial_coeffs", shifted)
     monkeypatch.setattr(grassmann, "_gram_spans_partial_sum", lambda *_: True)
-    ranks, faults = grassmann._inclusion_certificate(gc, ss, None, [])
+    ranks, faults = grassmann._inclusion_certificate(gc, ss, [])
     assert int(gc.n_vertices * shifted(1)[0]) == 31
     assert ranks == [1, None, 155]
     assert faults == ["(a) tr F'_1 = 63/2, not the 31 rows of W_1"]
@@ -1197,11 +1324,14 @@ def test_invariant_relabeling_of_dist_fails_both_paths_alike(q, n, d):
 def program_verdicts(gc, ss):
     """The verifier's verdicts on what `dense_certificate_verdicts`
     decides but (b), which it derives and does not evaluate: (c) from
-    the witness of `rank_certificate`, the edges from `_edges_match`."""
+    the witness of `rank_certificate`, the edges from the premise that
+    `_metric_certificate` derives them from, the class sum of W_{D-1}
+    with A_0 = I."""
     witness = next(c for c in ss.checks.checks if c.name == "rank_certificate").witness or ""
+    a0 = "a0_is_identity" not in failing(gc.structure_checks)
     return {
         "c": [f"(c) W_{i}^T W_{i} != sum_h [D-h,{i}]_q A_h" not in witness for i in range(gc.d)],
-        "edges": grassmann._edges_match(gc),
+        "edges": gc.gram_class_sums[gc.d - 1] and a0,
     }
 
 
@@ -1251,7 +1381,14 @@ def test_certificates_match_dense_int64_oracles(q, n, d, corruption, dense):
         gc = build_graph(q, n, d)
         ss = spectral_system(gc)
         want = dense_certificate_verdicts(gc, ss)
-        assert program_verdicts(gc, ss) == {"c": want["c"], "edges": want["edges"]}
+        got = program_verdicts(gc, ss)
+        assert got["c"] == want["c"]
+        if "a0_is_identity" in failing(gc.structure_checks):
+            # the derived premise is refused, and the all-pairs expansion
+            # of `_bfs_full_check` decides the metric
+            assert not grassmann._metric_certificate(gc)
+        else:
+            assert got["edges"] == want["edges"]
         # a certified rank rests on (a) and (b), which the exact rank of
         # W_i and the dense product decide
         for i in range(d):
@@ -1436,8 +1573,9 @@ def test_broken_premise_runs_dense_with_the_same_report(q, n, d, mutation, tmp_p
     capsys.readouterr()
     nv = q_binomial(n, d, q)
     assert good_sizes.count(nv) == 0
-    # the Gram products W_i^T W_i and the edge check on every row
-    assert bad_sizes.count(nv) >= d + 1
+    # the Gram products W_i^T W_i on every row, one per i < D at build,
+    # from which the edges are derived
+    assert bad_sizes.count(nv) == d
     assert set(bad["meta"]["certificate_paths"].values()) == {"dense"}
     assert set(good["meta"]["certificate_paths"].values()) == {"automorphism"}
     bad.pop("meta")

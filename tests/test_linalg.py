@@ -18,7 +18,6 @@ from qgrass.linalg import (
     exact_int_product,
     in_span,
     intersect_column_spaces,
-    invert_fraction_matrix,
     nullspace,
     primitive_int_vector,
     rank_exact,
@@ -586,14 +585,6 @@ class TestHelpers:
         v = primitive_int_vector([-2, -4, 6])
         assert v.tolist() == [1, 2, -3]
         assert primitive_int_vector([0, 0]).tolist() == [0, 0]
-
-    def test_invert_fraction_matrix(self):
-        m = [[1, 2], [3, 4]]
-        inv = invert_fraction_matrix(m)
-        eye = naive_product(m, inv)
-        assert eye == [[1, 0], [0, 1]]
-        with pytest.raises(ArithmeticError):
-            invert_fraction_matrix([[1, 2], [2, 4]])
 
 
 def verify_pack_counts(monkeypatch, tmp_path, budget):
