@@ -10,14 +10,16 @@ read once, at build.
 
 J_q(N, D) is distance-transitive under GL(N, q) (Brouwer-Cohen-Neumaier,
 Section 9.3), and the verifier uses it.  `_group_action` turns a few
-explicit matrices of GL(N, q) into permutations of the vertices and of
-each i-subspace table, read off the images of their point masks, and
-checks on the stored permutations that each entry goes to the entry
-with its image mask.  A bijection of the points keeps every common
-point count, so every distance and every inclusion matrix is
-preserved.  It also checks that the generated group is transitive on
-the vertices, and that the part fixing the base vertex x has one orbit
-per sphere of x.  Every matrix of the distance algebra,
+explicit matrices of GL(N, q) into permutations of each i-subspace
+table, 0 <= i <= D (the vertices at i = D), read off the images of
+their point masks, and checks on the stored permutations that each
+entry goes to the entry with its image mask.  A bijection of the points
+keeps every common point count, so every distance and every inclusion
+matrix is preserved.  It also checks that the generated group is
+transitive on the vertices, and that the part fixing the base vertex x
+has one orbit per sphere of x.  `GroupAction` keeps those orbits, with
+the orbit operations every reader of representatives uses (`orbit_labels`,
+`induced`, `permutes`).  Every matrix of the distance algebra,
 every product of such matrices and every Gram product W_i^T W_i then
 commutes with the group, so an identity between them holds once it
 holds on row x.  Where a premise fails the group is trivial, and the
@@ -386,19 +388,53 @@ def structure_constants(gc: GraphContext):
 # the automorphism certificate: a verified action of GL(N, q) on X
 
 
+def orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """Each point labelled by the least point of its orbit under the
+    permutations `perms`, one row per generator (each point alone when
+    there is none): the components of the edges from each point to its
+    images (`linalg.component_labels`), which are the orbits, as a
+    generator's inverse is one of its powers."""
+    count = perms.shape[1]
+    return component_labels(count, np.tile(np.arange(count), len(perms)), perms.ravel())
+
+
 @dataclass
 class GroupAction:
     """Permutations verified by `_group_action`, one row per generator:
-    `vertex` of the vertex table and `tables[i]` of the table of
-    i-subspaces for 0 <= i < D (the single zero subspace for i = 0).
-    The first `fixing` generators fix x; their part of the group has one
+    `tables[i]` of the table of i-subspaces for 0 <= i <= D (the single
+    zero subspace for i = 0, the vertices for i = D).  The first
+    `fixing` generators fix x, and `spheres` labels the vertices by
+    their orbits under that part H of the group (`orbit_labels`), one
     orbit per sphere of x (premise 4).  Every distance and every W_i
     (i < D) is invariant under these permutations, by the lemma of
     `_group_action`."""
 
-    vertex: np.ndarray
-    tables: dict
+    tables: list
     fixing: int
+    spheres: np.ndarray
+
+    def sphere_representatives(self) -> np.ndarray:
+        """The least vertex of each sphere of x, in vertex order."""
+        return np.flatnonzero(self.spheres == np.arange(len(self.spheres)))
+
+    def induced(self, dims: np.ndarray, entries: np.ndarray):
+        """(h, p): the permutation of p labels under each of the h
+        generators that fix x, label a being entry entries[a] of
+        table(dims[a]): it goes to the label of entry tables[dims[a]][g,
+        entries[a]].  None unless each is a bijection of the labels."""
+        perms = np.empty((self.fixing, len(dims)), dtype=np.intp)
+        for dim, table in enumerate(self.tables):
+            members = np.flatnonzero(dims == dim)
+            label = np.full(table.shape[1], -1)
+            label[entries[members]] = members
+            perms[:, members] = label[table[: self.fixing, entries[members]]]
+        return perms if (np.sort(perms, axis=1) == np.arange(len(dims))).all() else None
+
+    @staticmethod
+    def permutes(family: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+        """Whether family[r][:, c] == family for each generator's rows
+        r of `rows` and c of `cols`."""
+        return all((family[r][:, c] == family).all() for r, c in zip(rows, cols))
 
 
 def _primitive_root(q: int) -> int:
@@ -505,11 +541,8 @@ def _table_perms(table: SubspaceTable, inv: np.ndarray, npoints: int):
     table."""
     images = _image_words(table.words, inv, npoints)
     perms = table.find_masks(images.reshape(-1, images.shape[2])).reshape(images.shape[:2])
-    if (perms < 0).any():
-        return None
-    seen = np.zeros(perms.shape, dtype=bool)
-    seen[np.arange(len(perms))[:, None], perms] = True
-    return (perms, images) if seen.all() else None
+    # a miss is -1, so each sorted row is 0..count-1 exactly for a bijection
+    return (perms, images) if (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all() else None
 
 
 def _group_action(gc: GraphContext):
@@ -517,23 +550,23 @@ def _group_action(gc: GraphContext):
     fix x, or None when one of its premises fails:
 
     1. each point map sigma is a bijection of F_q^N;
-    2. every image of a vertex, and of an i-subspace for 1 <= i < D, is
-       a table entry, each table permutation is a bijection, and on the
+    2. every image of an i-subspace, 1 <= i <= D (a vertex at D), is a
+       table entry, each table permutation is a bijection, and on the
        stored permutations mask(p t) = sigma(mask t) for every entry t,
        against the image masks that `_image_words` reads;
     3. the generators meant to fix x fix x_index;
     4. the group has one orbit on the vertices, and the part fixing x
        has exactly D + 1 orbits on them, one per sphere of x: row x lies
-       in 0..D, every sphere is nonempty, and an orbit of that part
-       lies in one sphere because its generators fix x and preserve
-       every distance.
+       in 0..D, the least vertices of the orbits lie one at each
+       distance 0..D, so every sphere is nonempty, and an orbit of that
+       part lies in one sphere because its generators fix x and
+       preserve every distance.
 
     A permutation is defined through point sets and then checked on the
     arrays, so nothing rests on the matrices themselves; a generating
-    set that is too small shows as extra orbits.  They are counted as
-    the components of the edges joining each point to its images
-    (`linalg.component_labels`): a generator's inverse is one of its
-    powers, so these components are the orbits.
+    set that is too small shows as extra orbits.  They are labelled by
+    `orbit_labels`, and the orbits of the fixing part, the spheres of x,
+    are kept as `GroupAction.spheres`.
 
     Lemma (invariance), which the distances and the inclusion matrices
     rest on and which needs no check of its own.  By premise 1 sigma is
@@ -559,7 +592,7 @@ def _group_action(gc: GraphContext):
     if inv is None:
         return None
     npoints = q**n
-    stored = [gc.vertices, *(gc.geometry.table(i) for i in range(1, d))]
+    stored = [gc.geometry.table(i) for i in range(1, d + 1)]
     found = [_table_perms(table, inv, npoints) for table in stored]
     if any(f is None for f in found):
         return None
@@ -568,26 +601,19 @@ def _group_action(gc: GraphContext):
     for table, (perms, images) in zip(stored, found):
         if any((table.words[p] != image).any() for p, image in zip(perms, images)):
             return None
-    perms = [f[0] for f in found]
-    vertex = perms[0]
+    tables = [np.zeros((len(mats), 1), dtype=np.intp), *(f[0] for f in found)]
+    vertex = tables[d]
     xrow = gc.xrow
     if (vertex[:fixing, x] != x).any() or xrow.min() < 0 or xrow.max() > d:
         return None
-
-    def orbits(p):
-        count = p.shape[1]
-        labels = component_labels(count, np.tile(np.arange(count), len(p)), p.ravel())
-        return int((labels == np.arange(count)).sum())
-
+    action = GroupAction(tables, fixing, orbit_labels(vertex[:fixing]))
     # the fixing part keeps x and every distance, so each of its orbits
-    # lies in one sphere; D + 1 orbits and D + 1 nonempty spheres make
-    # them equal
-    counts = [orbits(p) for p in (vertex[:fixing], vertex)]
-    if counts != [d + 1, 1] or not np.bincount(xrow, minlength=d + 1).all():
+    # lies in one sphere; D + 1 orbits, one at each distance 0..D, make
+    # the spheres nonempty and equal to the orbits
+    spread = np.sort(xrow[action.sphere_representatives()])
+    if spread.tolist() != list(range(d + 1)) or orbit_labels(vertex).any():
         return None
-    tables = {0: np.zeros((len(mats), 1), dtype=np.intp)}
-    tables.update(enumerate(perms[1:], start=1))
-    return GroupAction(vertex, tables, fixing)
+    return action
 
 
 @dataclass

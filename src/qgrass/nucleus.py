@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grassmann import GraphContext, SpectralSystem, integer_coeffs
+from .grassmann import GraphContext, SpectralSystem, integer_coeffs, orbit_labels
 from .linalg import (
     component_labels,
     exact_int_product,
@@ -510,28 +510,6 @@ def _action_coefficients(ss: SpectralSystem, fam: AlphaFamily) -> list[np.ndarra
     return [c_vee, c_meet, c_dual_meet, c_dual_vee]
 
 
-def _label_perms(gc: GraphContext, fam: AlphaFamily):
-    """(h, p): for each generator of the verified action that fixes x,
-    the permutation pi of the alpha labels it induces, read from the
-    table permutations: alpha #a of dimension l < D, entry t of
-    table(l), goes to the alpha at entry tables[l][g, t], and x stays.
-    None under the trivial group, or unless every pi is a bijection of
-    the alphas."""
-    action = gc.action
-    if action is None:
-        return None
-    p = len(fam.dims)
-    perms = np.tile(np.arange(p), (action.fixing, 1))
-    for l in range(gc.d):
-        alphas = np.array(fam.by_dim[l])
-        label = np.full(action.tables[l].shape[1], -1)
-        label[fam.entries[alphas]] = alphas
-        perms[:, alphas] = label[action.tables[l][: action.fixing][:, fam.entries[alphas]]]
-    if (np.sort(perms, axis=1) != np.arange(p)).any():
-        return None
-    return perms
-
-
 def _adjacent_counts(gc: GraphContext, words: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(F A)[:, cols] for a 0/1 family F given by the packed words of its
     rows (`pack_words`), one row per alpha: entry (a, j) counts the
@@ -562,22 +540,25 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
 
     Proof obligation of the columns read.  Let H be the group generated
     by the vertex permutations v of the verified action that fix x
-    (`GroupAction.fixing`), and pi the label permutation of each
-    (`_label_perms`).  Two premises are checked per generator:
-    F[pi][:, v] == F for both families, and C[pi][:, pi] == C for all
-    four C.  The action preserves every distance (`_group_action`) and
-    fixes x, so op[v][:, v] == op for op = A and A*.  Then the
-    residual R = F op - C F obeys R[pi(a), v(y)] = R[a, y]:
+    (`GroupAction.fixing`, table(D) of `GroupAction.tables`), and pi the
+    label permutation of each (`GroupAction.induced`).  Two premises are
+    checked per generator (`GroupAction.permutes`): F[pi][:, v] == F for
+    both families, and C[pi][:, pi] == C for all four C.  The action
+    preserves every distance (`_group_action`) and fixes x, so
+    op[v][:, v] == op for op = A and A*.  Then the residual R = F op -
+    C F obeys R[pi(a), v(y)] = R[a, y]:
     sum_z F[pi a, z] op[z, v y] = sum_z F[pi a, v z] op[v z, v y] =
     (F op)[a, y], and sum_b C[pi a, b] F[b, v y] =
     sum_b C[pi a, pi b] F[pi b, v y] = (C F)[a, y].  So column v(y) of
     R vanishes when column y does, and row pi(a) when row a does.  H has
-    one orbit per sphere of x (premise 4), so R = 0 once its columns at
-    one vertex per sphere are zero; and the rows of R that are nonzero
-    anywhere are the orbit closure, under the pi, of the rows nonzero at
-    those columns (R[a, h y] = R[h^-1 a, y]), so the witness is the last
-    row of that closure, the row every column names.  Under the trivial
-    group, or where a premise fails, every column is read."""
+    one orbit per sphere of x (premise 4, `GroupAction.spheres`), so R =
+    0 once its columns at one vertex per sphere are zero
+    (`GroupAction.sphere_representatives`); and the rows of R that are
+    nonzero anywhere are the orbit closure, under the pi, of the rows
+    nonzero at those columns (R[a, h y] = R[h^-1 a, y]; `orbit_labels`),
+    so the witness is the last row of that closure, the row every column
+    names.  Under the trivial group, or where a premise fails, every
+    column is read."""
     gc = ss.gc
     q, n, d = gc.q, gc.n, gc.d
     p = len(fam.dims)
@@ -587,24 +568,15 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     values = [*ss.theta_star, *np.concatenate([c.ravel() for c in coeffs])]
     den = math.lcm(*(v.denominator for v in values))
     scaled = [int_operand(_integral(c, den))[0] for c in coeffs]
-    xrow = gc.xrow
-
-    perms = _label_perms(gc, fam)
-    invariant = perms is not None
-    if invariant:
-        vertex = gc.action.vertex[: gc.action.fixing]
-        # pi on the rows of each family, per generator, then on the four
-        # p x p coefficient matrices under every generator at once
-        stacked = np.stack(scaled)
-        invariant = all(
-            (f[pi][:, v] == f).all() for pi, v in zip(perms, vertex) for f in (fam.vee, fam.meet)
-        ) and bool((stacked[:, perms[:, :, None], perms[:, None, :]] == stacked[:, None]).all())
-    if invariant:
-        cols = np.unique(xrow, return_index=True)[1]
-        orbit = component_labels(p, np.tile(np.arange(p), len(perms)), perms.ravel())
-    else:
-        cols = np.arange(gc.n_vertices)
-        orbit = np.arange(p)
+    action = gc.action
+    perms = None if action is None else action.induced(dims, fam.entries)
+    if perms is not None:
+        vertex = action.tables[d][: action.fixing]
+        pairs = [(fam.vee, vertex), (fam.meet, vertex), *((c, perms) for c in scaled)]
+        if not all(action.permutes(f, perms, moved) for f, moved in pairs):
+            perms = None
+    cols = np.arange(gc.n_vertices) if perms is None else action.sphere_representatives()
+    orbit = np.arange(p) if perms is None else orbit_labels(perms)
 
     vee, meet = fam.vee[:, cols], fam.meet[:, cols]
     # den (F A)[:, cols], int64 while its entries, at most k den, fit the
@@ -612,7 +584,7 @@ def verify_actions(ss: SpectralSystem, fam: AlphaFamily) -> CheckSet:
     scale, smax = int_operand(np.array([[den]], dtype=object))
     adj = _adjacent_counts(gc, pack_words(np.concatenate([fam.vee, fam.meet])), cols)
     adj = exact_int_product(adj.reshape(-1, 1), scale, 1, bmax=smax).reshape(2 * p, len(cols))
-    star = int_operand(_integral(np.array(ss.theta_star, dtype=object), den))[0][xrow[cols]]
+    star = int_operand(_integral(np.array(ss.theta_star, dtype=object), den))[0][gc.xrow[cols]]
     identities = [
         ("adjacency_on_vee", adj[:p], scaled[0], vee),
         ("adjacency_on_meet", adj[p:], scaled[1], meet),

@@ -1,14 +1,19 @@
 """Command-line interface: suites, report files, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrass import cli, grassmann, ladders, linalg, nucleus, subspaces
 from qgrass.cli import SUITE_ORDER, _finish, main
@@ -51,12 +56,24 @@ def test_full_verify_run(tmp_path, capsys):
     }
 
 
-# sha256 of the `verify --suite all` report minus `meta`, as written when
-# every nucleus piece came from dense Bareiss intersections; the faster
-# paths must reproduce it byte for byte
+# sha256 of the `verify --suite all` report minus `meta`.  J_2(5,2) and
+# J_3(4,2) were written when every nucleus piece came from dense Bareiss
+# intersections; the other nine are the reports of the automorphism path
+# before the orbit layer of `GroupAction`, the eleven instances a change
+# of any shortcut is compared on.  Every path must reproduce them byte
+# for byte
 PINNED_REPORTS = {
+    (2, 4, 2): "94f728b90a6dbc06dd9ebc1a3b89afbd78801f56903860fa351719c2d8332534",
+    (2, 5, 1): "018016c26a8a2e002aaadf9f5bd83dcc11c32789cb22d9ef10312ff72645d723",
     (2, 5, 2): "4a71325c2d1fef02348a72227742e3e2f0d7bc47c2136ea03f738c37d2af0a4f",
+    (2, 6, 1): "277910c25b52a0b288fcdfff7b5499ad6d7585069932204dce64fdab54db5cc4",
+    (2, 6, 2): "437d60913f70b64e80f9519665c07f217f132e56bc3110020bb042dd142c2e19",
+    (2, 6, 3): "27f86eeb2cd3970dfdd2e452c7f1d0eeabb9f2afa593dd876c2432cf19649e61",
+    (2, 7, 2): "3281e532dd6e86926fcfb0555c565fd9b3d31fa6d5dbb0eecafe7fb1d115bbdc",
+    (3, 4, 1): "1ec32af6ac29e0c64e68500f6ada9f45b6687106fe685cbe3d86fc60e6b2e678",
     (3, 4, 2): "0f0d667e9aa431b7dead093b568cb5ce7e133fa9854fc8a71aa0e9f14cfd78db",
+    (3, 5, 2): "5a470ba9ced43643dc2b5661e0422110b68be8ba48e48b1749553d0f1352d452",
+    (5, 3, 1): "f95c411ec6cb7d915af6843c1ad5f2ec2b69c288f45d5091b7d6f7e8ad9dff37",
 }
 
 
@@ -68,6 +85,83 @@ def test_report_outside_meta_pinned(tmp_path, capsys, q, n, d):
     capsys.readouterr()
     text = _without_meta(_load(out))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[(q, n, d)]
+
+
+def corrupt_permutation(mp, dim, g, t, v):
+    """After the lookup, entry t of the stored permutation of the first
+    dim-subspace table under generator g becomes v (each taken modulo
+    its range)."""
+    real = grassmann._table_perms
+    done = []
+
+    def perms(table, inv, npoints):
+        found = real(table, inv, npoints)
+        if found is not None and table.dim == dim and not done:
+            done.append(True)
+            p = found[0]
+            p[g % len(p), t % p.shape[1]] = v % p.shape[1]
+        return found
+
+    mp.setattr(grassmann, "_table_perms", perms)
+
+
+def flip_mask_bit(mp, dim, t, b):
+    """Bit b of the point mask of entry t of the first dim-subspace table
+    built is flipped (each taken modulo its range)."""
+    real = subspaces.SubspaceTable.__init__
+    done = []
+
+    def init(self, q, ambient, dim_, rows):
+        real(self, q, ambient, dim_, rows)
+        if dim_ == dim and not done:
+            done.append(True)
+            bit = b % q**ambient
+            self.words[t % len(self), bit // 64] ^= np.uint64(1 << (bit % 64))
+
+    mp.setattr(subspaces.SubspaceTable, "__init__", init)
+
+
+SOUNDNESS_INSTANCES = [(2, 4, 2), (2, 5, 2), (3, 4, 2)]
+CORRUPTIONS = {
+    "permutation_entry": (
+        corrupt_permutation,
+        st.tuples(st.integers(1, 2), *[st.integers(0, 10**6)] * 3),
+    ),
+    "mask_bit": (flip_mask_bit, st.tuples(st.integers(0, 4), *[st.integers(0, 10**6)] * 2)),
+}
+
+
+def corrupted_outcome(q, n, d, corrupt, args):
+    """(exit code, sha256 of the report outside `meta` or None) of one
+    in-process `verify --suite all` with one raw input corrupted."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        corrupt(mp, *args)
+        out = Path(tmp) / "r.json"
+        argv = ["verify", "--q", str(q), "--n", str(n), "--d", str(d), "--suite", "all"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv + ["--out", str(out)])
+        digest = None
+        if out.exists():
+            digest = hashlib.sha256(_without_meta(_load(out)).encode()).hexdigest()
+    return rc, digest
+
+
+@pytest.mark.parametrize("q,n,d", SOUNDNESS_INSTANCES)
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupted_input_never_passes(q, n, d, kind):
+    # one entry of one stored permutation, or one bit of one table mask:
+    # the run ends in exit 1 (a failing check or a falsified fact), exit
+    # 2, or exit 0 with the reference report; any other passing report,
+    # or a traceback, fails
+    corrupt, draw = CORRUPTIONS[kind]
+
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(draw)
+    def run(args):
+        rc, digest = corrupted_outcome(q, n, d, corrupt, args)
+        assert rc in (1, 2) or (rc, digest) == (0, PINNED_REPORTS[(q, n, d)]), (args, rc)
+
+    run()
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 6, 2), (3, 4, 2), (2, 6, 1)])

@@ -11,6 +11,7 @@ Each run is a fresh interpreter, so its peak RSS is its own: the
 child's `ru_maxrss` from `os.wait4`.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAX_WALL_S = 120.0
+# sha256 of the J_2(7,3) `verify --suite all` report minus `meta`
+J2_7_3_REPORT = "27584a21635ffe0b70299597eb6d752eedc182b7015716fefe7537a81781bf78"
 
 
 def run_child(code, *argv):
@@ -57,6 +60,11 @@ def test_j2_7_3_verify_all_within_budget(tmp_path):
     assert failed == []
     assert doc["artifacts"]["spectrum"]["mult"] == [1, 126, 2540, 9144]
     assert doc["artifacts"]["nucleus"]["nucleus_dims"] == [1, 7, 7, 1]
+    # the report outside `meta`, as pinned for the smaller instances in
+    # tests/test_cli.py
+    doc.pop("meta")
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == J2_7_3_REPORT
     assert rss < 2048 * 1024, rss
     assert wall < MAX_WALL_S, wall
 

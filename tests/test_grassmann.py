@@ -7,6 +7,7 @@ module intersection numbers are validated through the characteristic
 polynomial of the tridiagonal matrix they define.
 """
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgrass import grassmann, linalg
@@ -28,6 +29,7 @@ from qgrass.grassmann import (
     intersection_number_formulas,
     intersection_numbers,
     krein_parameters,
+    orbit_labels,
     spectral_system,
     spectrum_json,
     structure_constants,
@@ -1650,13 +1652,81 @@ def test_build_and_spectral_hold_no_whole_inclusion_matrix():
 
 
 def test_action_records_the_generators_that_fix_x(j252):
-    # the first `fixing` generators fix x, the last one moves it
+    # the first `fixing` generators fix x, the last one moves it; the
+    # vertex table is table(D)
     action = j252.action
     x = j252.x_index
-    assert 0 < action.fixing < len(action.vertex)
-    assert (action.vertex[: action.fixing, x] == x).all()
-    assert (action.vertex[action.fixing :, x] != x).all()
+    vertex = action.tables[j252.d]
+    assert vertex.shape[1] == j252.n_vertices
+    assert 0 < action.fixing < len(vertex)
+    assert (vertex[: action.fixing, x] == x).all()
+    assert (vertex[action.fixing :, x] != x).all()
 
+
+
+def orbit_closure(perms, point):
+    """The orbit of `point` under the permutations `perms`, by breadth-first
+    search over the images."""
+    orbit, frontier = {point}, [point]
+    while frontier:
+        frontier = [int(p[y]) for y in frontier for p in perms if int(p[y]) not in orbit]
+        orbit.update(frontier)
+    return orbit
+
+
+@settings(max_examples=60, deadline=None)
+@example((4, []))
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda ps: (n, ps))
+    )
+)
+def test_orbit_labels_match_orbit_closure(case):
+    # each point is labelled by the least point of its orbit, with no
+    # generator included: every point is then its own orbit
+    n, perms = case
+    labels = orbit_labels(np.array(perms, dtype=np.intp).reshape(len(perms), n))
+    assert labels.tolist() == [min(orbit_closure(perms, y)) for y in range(n)]
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (3, 4, 2), (2, 6, 3)])
+def test_spheres_are_the_distance_classes_of_x(q, n, d):
+    # the orbits of the part fixing x partition the vertices as row x
+    # does, each labelled by its least vertex
+    gc = build_graph(q, n, d)
+    action = gc.action
+    least = np.array([np.flatnonzero(gc.xrow == h)[0] for h in range(d + 1)])
+    assert (action.spheres == least[gc.xrow]).all()
+    assert action.sphere_representatives().tolist() == sorted(least.tolist())
+
+
+def test_induced_permutations_of_the_subspaces_of_x(j252):
+    # the subspaces of x, labelled as in the alpha family: every
+    # generator fixing x permutes them, and a table permutation that
+    # sends a point of x outside x leaves no bijection of the labels
+    from qgrass.nucleus import subspaces_of_base
+
+    dims, _words, entries = subspaces_of_base(j252)
+    action = j252.action
+    perms = action.induced(dims, entries)
+    assert perms.shape == (action.fixing, len(dims))
+    assert (np.sort(perms, axis=1) == np.arange(len(dims))).all()
+    assert (perms[:, dims == j252.d] == np.flatnonzero(dims == j252.d)).all()
+    lines = action.tables[1].copy()
+    inside = entries[dims == 1][0]
+    outside = np.setdiff1d(np.arange(lines.shape[1]), entries[dims == 1])[0]
+    lines[0, [inside, outside]] = lines[0, [outside, inside]]
+    tables = [*action.tables[:1], lines, *action.tables[2:]]
+    assert dataclasses.replace(action, tables=tables).induced(dims, entries) is None
+
+
+def test_permutes_reads_rows_and_columns_per_generator():
+    # family[r][:, c] == family for each generator's pair (r, c)
+    family = np.array([[1, 2], [2, 1]])
+    swap = np.array([[1, 0]])
+    assert grassmann.GroupAction.permutes(family, swap, swap)
+    assert not grassmann.GroupAction.permutes(family, swap, np.array([[0, 1]]))
+    assert grassmann.GroupAction.permutes(family, np.empty((0, 2), dtype=np.intp), swap[:0])
 
 def held_arrays(obj, seen=None):
     """Every numpy array reachable from obj through the attributes of

@@ -675,6 +675,18 @@ def flipped(rows, a, y):
     return out
 
 
+def columns_read(monkeypatch):
+    """The number of columns of each `_adjacent_counts` call, in order."""
+    read = []
+    counts = qgrass.nucleus._adjacent_counts
+    monkeypatch.setattr(
+        qgrass.nucleus,
+        "_adjacent_counts",
+        lambda gc, f, cols: read.append(len(cols)) or counts(gc, f, cols),
+    )
+    return read
+
+
 def test_corrupt_theta_fails_adjacency_on_vee(j252_spectral, fam252):
     theta = list(j252_spectral.theta)
     theta[1] += 1
@@ -734,14 +746,17 @@ def test_inclusion_reads_match_whole_matrix_oracles(q, n, d, dense):
             assert np.array_equal(got, gram_rows_by_product(gc, i, rows)), (i, len(rows))
 
 
-def test_corrupt_meet_entry(j252, j252_spectral, nucleus252, fam252):
-    # a vertex on the outer sphere, so the corrupted row leaves the nucleus
+def test_corrupt_meet_entry(j252, j252_spectral, nucleus252, fam252, monkeypatch):
+    # a vertex on the outer sphere, so the corrupted row leaves the nucleus;
+    # the meet family is no longer invariant, so every column is read
     y = int(np.flatnonzero(j252.xrow == 2)[0])
     fam = dataclasses.replace(fam252, meet=flipped(fam252.meet, 1, y))
+    read = columns_read(monkeypatch)
     assert failing(verify_actions(j252_spectral, fam)) == {
         "adjacency_on_meet": "dim 2 alpha #4",
         "dual_adjacency_on_meet": "dim 1 alpha #1",
     }
+    assert read == [j252.n_vertices]
     assert failing(verify_bases(nucleus252, fam)) == {
         "meet_vectors_lie_in_nucleus": "alpha #1",
     }
@@ -845,6 +860,17 @@ def one_entry(coeffs, fam):
     coeffs[1][1, 2] += 1
 
 
+def one_diagonal(k):
+    """The diagonal entry of one point of x in coefficient matrix k: the
+    points of x are one orbit, so the change breaks C[pi][:, pi] == C."""
+
+    def change(coeffs, fam):
+        a = fam.by_dim[1][0]
+        coeffs[k][a, a] += 1
+
+    return change
+
+
 def one_class(coeffs, fam):
     # every diagonal entry of the dimension-1 alphas: invariant
     for a in fam.by_dim[1]:
@@ -870,11 +896,19 @@ def one_dimension(fam):
     [
         (None, None, True),
         (one_entry, None, False),
+        *((one_diagonal(k), None, False) for k in range(4)),
         (one_class, None, True),
         (None, one_row, False),
         (None, one_dimension, True),
     ],
-    ids=["none", "coefficient-entry", "coefficient-class", "family-row", "family-dimension"],
+    ids=[
+        "none",
+        "coefficient-entry",
+        *(f"coefficient-diagonal-{k}" for k in range(4)),
+        "coefficient-class",
+        "family-row",
+        "family-dimension",
+    ],
 )
 def test_actions_match_all_columns_oracle(
     acting, coeff_change, family_change, reduced, trivial, monkeypatch
@@ -896,13 +930,7 @@ def test_actions_match_all_columns_oracle(
     monkeypatch.setattr(qgrass.nucleus, "_action_coefficients", coefficients)
     if trivial:
         monkeypatch.setattr(ss.gc, "action", None)
-    read = []
-    counts = qgrass.nucleus._adjacent_counts
-    monkeypatch.setattr(
-        qgrass.nucleus,
-        "_adjacent_counts",
-        lambda gc, f, cols: read.append(len(cols)) or counts(gc, f, cols),
-    )
+    read = columns_read(monkeypatch)
     got = verdicts(verify_actions(ss, fam))
     assert got == verdicts(actions_by_dense_adjacency(ss, fam))
     assert all(passed for _n, passed, _w in got) == (coeff_change is family_change is None)
