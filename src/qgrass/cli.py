@@ -272,8 +272,7 @@ def _finish(report: dict, out_path: str | None, stream) -> int:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             raise InvalidParameters(f"cannot write report {out_path}: {exc}") from exc
         print(f"report written to {out_path}", file=stream)

@@ -132,6 +132,13 @@ class GraphContext:
             out[blk] = self.vertices.dim - self._meet_dims(counts)
         return out
 
+    def rows(self, ys: np.ndarray) -> np.ndarray:
+        """The distance rows of the vertices `ys`: `xrow`, read at build,
+        when `ys` is x alone, else read by `distances`."""
+        if len(ys) == 1 and ys[0] == self.x_index:
+            return self.xrow[None]
+        return self.distances(ys)
+
     def inclusion(self, i: int, rows=None, cols=None) -> np.ndarray:
         """The bool block of W_i, the inclusion matrix of the i-subspaces
         in the vertices: u over the entries `rows` of the i-subspace
@@ -363,7 +370,7 @@ def structure_constants(gc: GraphContext):
     witness = None
     first = {}  # (h, g): the value of A_1 A_g first read on class h
     for y in gc.representatives():
-        row = gc.distances([y])[0]
+        row = gc.rows([y])[0]
         identity = identity and np.flatnonzero(row == 0).tolist() == [y]
         partition = partition and bool(((row >= 0) & (row <= d)).all())
         near = gc.distances(row == 1)
@@ -538,11 +545,20 @@ def _table_perms(table: SubspaceTable, inv: np.ndarray, npoints: int):
     every entry under every point map (`_image_words`), and (g, count)
     the table index of each image, found by its point set; None unless
     every image is a table entry and every row is a bijection of the
-    table."""
+    table.  For one-word masks each row is matched by one argsort
+    (`SubspaceTable.match_masks` with multiplicity 1): its sorted image
+    keys equal the table's sorted keys, all distinct, exactly when the
+    row is a bijection onto the table.  Longer masks are found by binary
+    search (`find_masks`) and a row passes when it sorts to 0..count-1,
+    which a miss (-1) cannot."""
     images = _image_words(table.words, inv, npoints)
-    perms = table.find_masks(images.reshape(-1, images.shape[2])).reshape(images.shape[:2])
-    # a miss is -1, so each sorted row is 0..count-1 exactly for a bijection
-    return (perms, images) if (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all() else None
+    if images.shape[2] == 1:
+        perms = [table.match_masks(image[:, 0], 1) for image in images]
+        ok = all(p is not None for p in perms)
+    else:
+        perms = table.find_masks(images.reshape(-1, images.shape[2])).reshape(images.shape[:2])
+        ok = (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all()
+    return (np.array(perms), images) if ok else None
 
 
 def _group_action(gc: GraphContext):
@@ -648,7 +664,7 @@ def intersection_numbers(gc: GraphContext):
     k_counted = L[0][1]
     # row sums of A_1 at the representative vertices (`structure_constants`)
     reps = gc.representatives()
-    valency_ok = all((gc.distances([y]) == 1).sum() == k_counted for y in reps)
+    valency_ok = all((gc.rows([y]) == 1).sum() == k_counted for y in reps)
     cs.check_true("valency_constant_rows", valency_ok)
     forms = intersection_number_formulas(q, n, d)
     cs.check("valency", forms.k, k_counted)
@@ -836,7 +852,7 @@ def _gram_rows_are_class_sums(gc: GraphContext, i: int, vertices: np.ndarray) ->
     d = gc.d
     classes = np.array([q_binomial(d - h, i, gc.q) for h in range(d + 1)], dtype=np.int64)
     for blk, gram in gc.gram_rows(i, vertices):
-        row = gc.distances(vertices[blk])
+        row = gc.rows(vertices[blk])
         if not ((row >= 0) & (row <= d)).all() or not (gram == classes[row]).all():
             return False
     return True

@@ -7,7 +7,8 @@ cover relations give two independent lowering operators L1, L2 with
 raising partners R1, R2 and grading operators K1, K2 whose diagonal
 entries are half-integer powers of q.  The cover relation is generated
 once per pair of consecutive dimensions, from above (the hyperplanes of
-each v, each mask v's words AND one row of `subspaces.kernel_words`),
+each v, each mask v's words AND one row of the geometry's kernel words,
+`GeometryContext.kernels`, matched to the table below by one sort),
 and certified: every pair by a subset test on packed point masks and
 every element by the closed-form number of its covers of each kind.  Its pairs w < v are the raising pairs (R1, R2, split by a bit
 test) and, swapped, the lowering pairs (L1, L2 and the plain cover
@@ -37,7 +38,6 @@ from .subspaces import (
     SubspaceTable,
     count_dims,
     find_sorted,
-    kernel_words,
     projective_points,
 )
 
@@ -78,7 +78,9 @@ class PosetMatrices:
 
     def pairs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row and column arrays (r, c) of a pair set, in key order."""
-        return np.divmod(keys, self.size)
+        rows = keys // self.size  # np.divmod takes about twice as long
+        return rows, keys - rows * self.size
+
 
     def layer_indicator(self, i: int, j: int) -> np.ndarray:
         return (self.ivec == i) & (self.jvec == j)
@@ -110,17 +112,31 @@ def _covers_from_above(lo: SubspaceTable, hi: SubspaceTable, kernels: np.ndarray
     its coefficients up to scalars, all distinct.  v's echelon rows R
     hold 1 at their own pivot p_j and 0 at the others, so f . c = g .
     (c R) for g = sum_j f_j e_(p_j): kernel f is v meet ker g, whose mask
-    is v's words AND row g of `kernels` (`kernel_words`), found in `lo`
-    by binary search.
+    is v's words AND row g of `kernels` (`kernel_words`).
+
+    Lookup certificate.  Counting the pairs (w, v) with w a hyperplane
+    of v both ways gives |lo| [N-l]_q = |hi| [l+1]_q, so the generated
+    masks, sorted, are the masks of `lo` each repeated [N-l]_q times
+    exactly when every w of `lo` is generated [N-l]_q times and nothing
+    else is.  One-word masks are matched so, by one argsort of the
+    generated keys (`SubspaceTable.match_masks`); where the sorted
+    arrays differ, and for masks of more than one word, each mask is
+    found in `lo` by binary search (`find_masks`), a miss giving -1.
+    Both give the same index for every mask of `lo`.
     """
     q, k, width = hi.q, hi.dim, hi.words.shape[1]
     funcs = projective_points(q, k).astype(np.int64)
     g = (q ** hi.pivots.astype(np.int64)) @ funcs.T
-    found = []
+    out = []
     for blk in row_blocks(len(hi), len(funcs) * (2 * width + 1)):
-        masks = hi.words[blk, None, :] & kernels[g[blk]]
-        found.append(lo.find_masks(masks.reshape(-1, width)))
-    return np.repeat(np.arange(len(hi)), len(funcs)), np.concatenate(found)
+        masks = (hi.words[blk, None, :] & kernels[g[blk]]).reshape(-1, width)
+        # a one-word mask is its own key, matched once all are generated
+        out.append(masks[:, 0] if width == 1 else lo.find_masks(masks))
+    b, out = np.repeat(np.arange(len(hi)), len(funcs)), np.concatenate(out)
+    if width > 1:
+        return b, out
+    found = lo.match_masks(out, q_int(hi.ambient - lo.dim, q))
+    return b, lo.find_masks(out[:, None]) if found is None else found
 
 
 def _keep_covers(lo: SubspaceTable, hi: SubspaceTable, a, b, failures: dict):
@@ -145,12 +161,22 @@ def _count_witness(side: str, kind: str, got, want, where) -> str | None:
     return f"{side}: element {g} has {int(got[g])} {kind} pairs, expected {int(want[g])}"
 
 
+# each ladder operator: its label and its layer shift s
+LADDERS = {
+    "L1": ("slash lowering", 1, 0),
+    "L2": ("backslash lowering", 0, 1),
+    "R1": ("slash raising", -1, 0),
+    "R2": ("backslash raising", 0, -1),
+}
+
+
 def _ladder_shift_witness(pm: PosetMatrices) -> str | None:
     """The last failing "<label> shift at layer (i,j)" of E*_{i,j} M =
     M E*_{(i,j)+s}, over the layers, then M = L1, L2, R1, R2 with s =
-    (1, 0), (0, 1), (-1, 0), (0, -1); None when all hold.  The left side
-    keeps the entries (r, c) of M with layer(r) = (i, j), the right those
-    with layer(c) - s = (i, j), so layer(r) != layer(c) - s breaks both."""
+    (1, 0), (0, 1), (-1, 0), (0, -1) (`LADDERS`); None when all hold.  The
+    left side keeps the entries (r, c) of M with layer(r) = (i, j), the
+    right those with layer(c) - s = (i, j), so layer(r) != layer(c) - s
+    breaks both."""
     d, width = pm.geometry.d, pm.geometry.ambient - pm.geometry.d + 1
 
     def code(i, j):  # rank in the order of the layers, -1 off them
@@ -158,10 +184,8 @@ def _ladder_shift_witness(pm: PosetMatrices) -> str | None:
         return np.where(on, i * width + j, -1)
 
     own, failed = code(pm.ivec, pm.jvec), []
-    ladders = [("slash lowering", pm.L1, 1, 0), ("backslash lowering", pm.L2, 0, 1),
-               ("slash raising", pm.R1, -1, 0), ("backslash raising", pm.R2, 0, -1)]
-    for k, (label, keys, di, dj) in enumerate(ladders):
-        r, c = pm.pairs(keys)
+    for k, (name, (label, di, dj)) in enumerate(LADDERS.items()):
+        r, c = pm.pairs(getattr(pm, name))
         left, right = own[r], code(pm.ivec - di, pm.jvec - dj)[c]
         diff = left != right
         failed.append((int(max(left[diff].max(initial=-1), right[diff].max(initial=-1))), k, label))
@@ -169,20 +193,36 @@ def _ladder_shift_witness(pm: PosetMatrices) -> str | None:
     return None if last < 0 else f"{label} shift at layer ({last // width},{last % width})"
 
 
+def _steps_hold(pm: PosetMatrices, name: str, r: np.ndarray, c: np.ndarray) -> bool:
+    """Whether every pair (r, c) of the ladder `name` steps by its shift
+    s: (i, j)(r) = (i, j)(c) - s, so that it lies on both sides of the
+    E*_{i,j} identity of `_ladder_shift_witness` or on neither."""
+    _label, di, dj = LADDERS[name]
+    ivec, jvec = pm.ivec, pm.jvec
+    return np.array_equal(ivec[r], ivec[c] - di) and np.array_equal(jvec[r], jvec[c] - dj)
+
+
 def _operator_checks(pm: PosetMatrices, failures: dict) -> dict[str, tuple[bool, str | None]]:
     """(verdict, witness) of each check on L1, L2, R1, R2 and cover, in
     report order, each one identity of sorted key arrays.  `failures`
     holds the generation failures of each kind; the closed-form cover
-    counts per element (a bincount of the rows) are added to them.
+    counts per element (a bincount of the rows) are added to them.  The
+    rows and columns of each of L1, L2, R1, R2 are read once, one pair
+    set at a time, for its count, its transpose and its shift.
 
     - raising_is_transpose_of_lowering_<kind>: no failure of the kind,
       and the raising keys equal the sorted swapped lowering keys;
     - cover_matrix_splits: the sorted concatenation of the L1 and L2
       keys equals the cover keys, so a pair in both, or a duplicate,
       fails it as an entry 2 of L1 + L2 would;
-    - cover_types_disjoint: no L1 key is found in the L2 keys (a binary
-      search; np.intersect1d would run np.unique on both first);
-    - ladder_support_shifts: `_ladder_shift_witness`.
+    - cover_types_disjoint: no L1 key is among the L2 keys.  When the
+      split holds and the cover keys strictly increase, the L1 and L2
+      keys together are distinct, which is the claim; otherwise each L1
+      key is looked up in the L2 keys (a binary search; np.intersect1d
+      would run np.unique on both first);
+    - ladder_support_shifts: every pair steps by its shift
+      (`_steps_hold`), or else `_ladder_shift_witness` names the last
+      failing layer, if any.
     """
     q, n, d, m = pm.geometry.q, pm.geometry.ambient, pm.geometry.d, pm.size
     qint = np.array([q_int(k, q) for k in range(n + 1)], dtype=np.int64)
@@ -192,23 +232,28 @@ def _operator_checks(pm: PosetMatrices, failures: dict) -> dict[str, tuple[bool,
     below["backslash"] = qint[n - dimvec] - below["slash"]
     above = {"backslash": qint[pm.jvec]}
     above["slash"] = qint[dimvec] - above["backslash"]
-    out = {}
-    for kind, lower, raising in (("slash", pm.L1, pm.R1), ("backslash", pm.L2, pm.R2)):
+    out, steps = {}, True
+    for kind, lower, raising in (("slash", "L1", "R1"), ("backslash", "L2", "R2")):
         found = list(failures[kind])
-        for side, keys, want, where in (
+        for side, name, want, where in (
             ("from below", lower, below[kind], has_up),
             ("from above", raising, above[kind], has_down),
         ):
-            got = np.bincount(keys // m, minlength=m)
-            found.append(_count_witness(side, kind, got, want, where))
+            r, c = pm.pairs(getattr(pm, name))
+            found.append(_count_witness(side, kind, np.bincount(r, minlength=m), want, where))
+            steps = steps and _steps_hold(pm, name, r, c)
+            if name == lower:
+                swapped = np.sort(c * m + r)
         witness = next((w for w in found if w), None)
-        r, c = pm.pairs(lower)
-        ok = witness is None and np.array_equal(raising, np.sort(c * m + r))
+        ok = witness is None and np.array_equal(getattr(pm, raising), swapped)
         out[f"raising_is_transpose_of_lowering_{kind}"] = (ok, witness)
-    split = np.sort(np.concatenate([pm.L1, pm.L2]))
-    out["cover_matrix_splits"] = (np.array_equal(pm.cover, split), None)
-    out["cover_types_disjoint"] = (not (find_sorted(pm.L2, None, pm.L1) >= 0).any(), None)
-    shift_witness = _ladder_shift_witness(pm)
+    # two sorted runs, which the stable sort merges
+    splits = np.array_equal(pm.cover, np.sort(np.concatenate([pm.L1, pm.L2]), kind="stable"))
+    out["cover_matrix_splits"] = (splits, None)
+    distinct = splits and bool((pm.cover[1:] > pm.cover[:-1]).all())
+    disjoint = distinct or not (find_sorted(pm.L2, None, pm.L1) >= 0).any()
+    out["cover_types_disjoint"] = (disjoint, None)
+    shift_witness = None if steps else _ladder_shift_witness(pm)
     out["ladder_support_shifts"] = (shift_witness is None, shift_witness)
     return out
 
@@ -225,6 +270,13 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
     are the raising pairs (R1, R2) and, swapped, the lowering pairs (L1,
     L2, cover).  They are certified:
 
+    - lookup: each generated mask is named by its index in the table
+      below.  One-word masks are matched by one sort: the sorted
+      generated masks equal the table's distinct masks each repeated
+      [N-l]_q times, which double counting predicts, so every mask is a
+      table entry and the sort gives its index.  Otherwise, and for
+      longer masks, each is found by binary search, a miss giving -1
+      (`_covers_from_above`);
     - inclusion: every generated pair passes a subset test on the two
       point masks, so it is a cover (consecutive dimensions); a pair
       that fails, or names a subspace missing from its table, is
@@ -271,7 +323,7 @@ def build_poset_matrices(geometry: GeometryContext) -> PosetMatrices:
 
     failures = {"slash": [], "backslash": []}
     lo, hi, up_slash = [], [], []
-    kernels = kernel_words(q, n)
+    kernels = geometry.kernels
     for l in dims[:-1]:
         t_lo, t_hi = tables[l], tables[l + 1]
         b, a = _covers_from_above(t_lo, t_hi, kernels)

@@ -9,9 +9,13 @@ representation of the geometry P_q(N), and this module is the one
 place that turns echelon rows into point masks: a mask is the AND of
 the kernels of N - l functionals read off the rows (`echelon_words`),
 each a row of the kernel words of every functional of F_q^N
-(`kernel_words`), an array that the cover generator of `ladders` reads
-too.  A subspace is a table row: it is found by its
-echelon rows (`find_rows`) or by its point words (`find_masks`).  Pair relations become 0/1 products of the
+(`kernel_words`).  A `GeometryContext` builds that array once, when its
+first table has passed its size cap check, and every table of the
+geometry and the cover generator of `ladders` read it.  A subspace is a
+table row: it is found by its echelon rows (`find_rows`) or by its
+point words, by binary search (`find_masks`) or, for a batch of
+one-word masks that holds every entry equally often, by one sort
+(`match_masks`).  Pair relations become 0/1 products of the
 words (`linalg.product_blocks`), the common point count of two
 subspaces is q^dim of their meet (`count_dims`), and the layers P_{i,j}
 and covers around a base vertex x are the arrays of
@@ -108,28 +112,29 @@ def kernel_words(q: int, n: int) -> np.ndarray:
 def _functionals(q: int, rows: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     """(count, N - l): the index of g_f = e_f - sum_j R[j, f] e_(p_j) for
     each non-pivot column f of the echelon rows R (count, l, N) with
-    pivots p (count, l), in increasing order of f."""
+    pivots p (count, l), in increasing order of f.  The index is summed
+    at every column f, one product with the rows, and read off at the
+    non-pivot ones."""
     count, l, n = rows.shape
     free = np.ones((count, n), dtype=bool)
     free[np.arange(count)[:, None], pivots] = False
-    cols = np.nonzero(free)[1].reshape(count, n - l)
-    coeffs = np.take_along_axis(rows, cols[:, None, :], axis=2).astype(np.int64)
-    return q**cols + ((q**pivots)[:, None, :] @ ((q - coeffs) % q))[:, 0]
+    every = q ** np.arange(n) + ((q**pivots)[:, None, :] @ ((q - rows.astype(np.int64)) % q))[:, 0]
+    return every[free].reshape(count, n - l)
 
 
-def echelon_words(q: int, rows: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+def echelon_words(q: int, rows: np.ndarray, pivots: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Packed point masks of the row spans u of reduced echelon rows R
     (count, l, N) with pivots p (count, l): the AND of the kernel words
-    (`kernel_words`) of the zero functional and of the N - l functionals
-    g_f of `_functionals`, one per non-pivot column f.  When l = N there
-    is no g_f, and the mask is every point, with zero padding.
+    `kernels` (`kernel_words(q, N)`) of the zero functional and of the
+    N - l functionals g_f of `_functionals`, one per non-pivot column f.
+    When l = N there is no g_f, and the mask is every point, with zero
+    padding.
 
     Proof: R[j] holds 1 at its own pivot p_j and 0 at the others, so
     g_f . R[j] = R[j, f] - R[j, f] = 0 and every g_f vanishes on u.
     g_f holds 1 at f and 0 at every other non-pivot column, so the N - l
     functionals are independent and their common kernel has dimension
     l.  It contains u, of dimension l, so it is u."""
-    kernels = kernel_words(q, rows.shape[2])
     out = np.repeat(kernels[:1], len(rows), axis=0)
     for g in _functionals(q, rows, pivots).T:
         out &= kernels[g]
@@ -167,18 +172,18 @@ class SubspaceTable:
     - pivots: (count, dim), the pivot column of each row;
     - words: (count, W) uint64, the packed point mask over the q^ambient
       vector indices (vector v has index sum_i v_i q^i), each the AND
-      of the kernel words of N - dim functionals that vanish on the
-      rows (`echelon_words`, with the proof that their common kernel is
-      the subspace).
+      of the kernel words `kernels` of N - dim functionals that vanish
+      on the rows (`echelon_words`, with the proof that their common
+      kernel is the subspace).
     """
 
-    def __init__(self, q: int, ambient: int, dim: int, rows: np.ndarray):
+    def __init__(self, q: int, ambient: int, dim: int, rows: np.ndarray, kernels: np.ndarray):
         self.q = q
         self.ambient = ambient
         self.dim = dim
         self.rows = rows
         self.pivots = (rows != 0).argmax(axis=2)
-        self.words = echelon_words(q, rows, self.pivots)
+        self.words = echelon_words(q, rows, self.pivots, kernels)
         self._row_keys = None
         self._mask_order = None
 
@@ -193,15 +198,43 @@ class SubspaceTable:
             self._row_keys = _keys(self.rows.reshape(len(self), -1), self.q)
         return find_sorted(self._row_keys, None, _keys(rows.reshape(len(rows), -1), self.q))
 
-    def find_masks(self, words: np.ndarray) -> np.ndarray:
-        """Table index of each packed point mask in `words`, or -1 where
-        no table entry has that point set."""
+    def _sorted_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, order): the mask keys in increasing order, and the
+        table index of each."""
         if self._mask_order is None:
             keys = _keys(self.words, 2**64)
             order = np.argsort(keys, kind="stable")
             self._mask_order = (keys[order], order)
-        keys, order = self._mask_order
+        return self._mask_order
+
+    def find_masks(self, words: np.ndarray) -> np.ndarray:
+        """Table index of each packed point mask in `words`, or -1 where
+        no table entry has that point set."""
+        keys, order = self._sorted_masks()
         return find_sorted(keys, order, _keys(words, 2**64))
+
+    def match_masks(self, keys: np.ndarray, mult: int):
+        """Table index of each one-word mask key in `keys` (uint64) when,
+        sorted, they are the table's distinct mask keys each repeated
+        `mult` times, from one argsort; None otherwise, and always for
+        masks of more than one word.
+
+        Lookup certificate: equal sorted arrays put every key on a table
+        key, and distinct table keys make that entry the only one with
+        the key, so each index is the one `find_masks` returns.  Every
+        entry is then hit exactly `mult` times, and at `mult` = 1 the
+        keys are a bijection onto the table."""
+        if self.words.shape[1] != 1 or len(keys) != mult * len(self):
+            return None
+        table_keys, order = self._sorted_masks()
+        if not (table_keys[1:] > table_keys[:-1]).all():
+            return None
+        by_key = np.argsort(keys)
+        if not np.array_equal(keys[by_key], np.repeat(table_keys, mult)):
+            return None
+        found = np.empty(len(keys), dtype=np.intp)
+        found[by_key] = np.repeat(order, mult)
+        return found
 
 
 def find_sorted(sorted_keys: np.ndarray, order, wanted: np.ndarray) -> np.ndarray:
@@ -219,8 +252,9 @@ def _echelon_blocks(q: int, ambient: int, dim: int):
     """Reduced echelon rows of every dim-subspace, one array per pivot
     pattern: the pivots hold 1, the free cells (right of a row's pivot,
     outside the pivot columns) take every assignment in F_q, and all
-    other cells are 0."""
+    other cells are 0.  The assignments of k cells are built once per k."""
     dtype = _digit_dtype(q)
+    fills = {}
     for pivots in combinations(range(ambient), dim):
         pivset = set(pivots)
         cells = [
@@ -229,7 +263,9 @@ def _echelon_blocks(q: int, ambient: int, dim: int):
             for c in range(pivots[i] + 1, ambient)
             if c not in pivset
         ]
-        fill = all_vectors(q, len(cells))
+        if len(cells) not in fills:
+            fills[len(cells)] = all_vectors(q, len(cells))
+        fill = fills[len(cells)]
         block = np.zeros((len(fill), dim, ambient), dtype=dtype)
         block[:, np.arange(dim), np.array(pivots, dtype=np.intp)] = 1
         if cells:
@@ -238,7 +274,9 @@ def _echelon_blocks(q: int, ambient: int, dim: int):
         yield block
 
 
-def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAULT_TABLE_CAP):
+def enumerate_subspaces(
+    q: int, ambient: int, dim: int, cap: int | None = DEFAULT_TABLE_CAP, kernels=None
+):
     """All dim-dimensional subspaces of F_q^ambient as a SubspaceTable,
     sorted by their flattened echelon rows.
 
@@ -247,7 +285,9 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
     echelon basis is unique to its row space, and every pattern with
     every filling is one.  The projected count q_binomial(ambient, dim,
     q) is checked against the cap before any work starts, and against
-    the rows produced.
+    the rows produced.  `kernels` is a function returning the kernel
+    words of F_q^ambient, called only after the cap check;
+    by default each call builds them (`kernel_words`).
     """
     FieldContext(q)
     if not 0 <= dim <= ambient:
@@ -266,7 +306,8 @@ def enumerate_subspaces(q: int, ambient: int, dim: int, cap: int | None = DEFAUL
             f"enumeration produced {len(rows)} subspaces, expected {projected}"
         )
     rows = rows[np.argsort(_keys(rows.reshape(len(rows), -1), q), kind="stable")]
-    return SubspaceTable(q, ambient, dim, rows)
+    words = kernel_words(q, ambient) if kernels is None else kernels()
+    return SubspaceTable(q, ambient, dim, rows, words)
 
 
 class GeometryContext:
@@ -310,8 +351,17 @@ class GeometryContext:
 
     def table(self, dim: int) -> SubspaceTable:
         if dim not in self._tables:
-            self._tables[dim] = enumerate_subspaces(self.q, self.ambient, dim, self.table_cap)
+            self._tables[dim] = enumerate_subspaces(
+                self.q, self.ambient, dim, self.table_cap, lambda: self.kernels
+            )
         return self._tables[dim]
+
+    @functools.cached_property
+    def kernels(self) -> np.ndarray:
+        """`kernel_words(q, N)`, built once for the context, when the
+        first table to need it has passed its cap check; every table and
+        the cover generator of `ladders` read it."""
+        return kernel_words(self.q, self.ambient)
 
     @functools.cached_property
     def x_words(self) -> np.ndarray:

@@ -321,7 +321,11 @@ def patch_table(mp, dim, edit) -> None:
 
     def enumerate_subspaces(q, ambient, k, *args, **kwargs):
         table = real(q, ambient, k, *args, **kwargs)
-        return subspaces.SubspaceTable(q, ambient, k, edit(table.rows)) if k == dim else table
+        if k != dim:
+            return table
+        return subspaces.SubspaceTable(
+            q, ambient, k, edit(table.rows), subspaces.kernel_words(q, ambient)
+        )
 
     mp.setattr(subspaces, "enumerate_subspaces", enumerate_subspaces)
 

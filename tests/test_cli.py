@@ -111,14 +111,32 @@ def flip_mask_bit(mp, dim, t, b):
     real = subspaces.SubspaceTable.__init__
     done = []
 
-    def init(self, q, ambient, dim_, rows):
-        real(self, q, ambient, dim_, rows)
+    def init(self, q, ambient, dim_, *rest):
+        real(self, q, ambient, dim_, *rest)
         if dim_ == dim and not done:
             done.append(True)
             bit = b % q**ambient
             self.words[t % len(self), bit // 64] ^= np.uint64(1 << (bit % 64))
 
     mp.setattr(subspaces.SubspaceTable, "__init__", init)
+
+
+def flip_kernel_bit(mp, g, b):
+    """Bit b of row g of the first kernel words built, those of the
+    run's geometry F_q^N that every one of its tables reads, is flipped
+    (each taken modulo q^N, so that no padding bit is)."""
+    real = subspaces.kernel_words
+    done = []
+
+    def kernel_words(q, n):
+        words = real(q, n)
+        if not done:
+            done.append(True)
+            bit = b % q**n
+            words[g % q**n, bit // 64] ^= np.uint64(1 << (bit % 64))
+        return words
+
+    mp.setattr(subspaces, "kernel_words", kernel_words)
 
 
 SOUNDNESS_INSTANCES = [(2, 4, 2), (2, 5, 2), (3, 4, 2)]
@@ -128,6 +146,7 @@ CORRUPTIONS = {
         st.tuples(st.integers(1, 2), *[st.integers(0, 10**6)] * 3),
     ),
     "mask_bit": (flip_mask_bit, st.tuples(st.integers(0, 4), *[st.integers(0, 10**6)] * 2)),
+    "kernel_bit": (flip_kernel_bit, st.tuples(*[st.integers(0, 10**6)] * 2)),
 }
 
 
@@ -149,10 +168,10 @@ def corrupted_outcome(q, n, d, corrupt, args):
 @pytest.mark.parametrize("q,n,d", SOUNDNESS_INSTANCES)
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 def test_corrupted_input_never_passes(q, n, d, kind):
-    # one entry of one stored permutation, or one bit of one table mask:
-    # the run ends in exit 1 (a failing check or a falsified fact), exit
-    # 2, or exit 0 with the reference report; any other passing report,
-    # or a traceback, fails
+    # one entry of one stored permutation, one bit of one table mask or
+    # one point bit of the geometry's kernel words: the run ends in exit
+    # 1 (a failing check or a falsified fact), exit 2, or exit 0 with the
+    # reference report; any other passing report, or a traceback, fails
     corrupt, draw = CORRUPTIONS[kind]
 
     @settings(max_examples=5, deadline=None, derandomize=True)
@@ -420,6 +439,37 @@ def test_size_cap_is_checked_before_the_kernel_words(capsys, monkeypatch):
     monkeypatch.setattr(subspaces, "kernel_words", refuse)
     assert main(["verify", "--q", "2", "--n", "20", "--d", "2"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_all_suites_build_kernel_words_once_per_geometry(capsys, monkeypatch):
+    # every table of a geometry reads the one array of kernel words of
+    # its context: J_2(6,2) builds those of F_2^6 and, for the boundary
+    # graph J_2(4,2), those of F_2^4, once each
+    built = []
+    real = subspaces.kernel_words
+    monkeypatch.setattr(subspaces, "kernel_words", lambda q, n: built.append((q, n)) or real(q, n))
+    assert main(["verify", "--q", "2", "--n", "6", "--d", "2", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert built == [(2, 6), (2, 4)]
+
+
+def test_report_file_is_one_json_text(tmp_path, capsys, monkeypatch):
+    # the file holds, byte for byte, the sorted indented JSON of the
+    # report and one newline
+    reports = []
+    real = cli._finish
+
+    def finish(report, out_path, stream):
+        reports.append(report)
+        return real(report, out_path, stream)
+
+    monkeypatch.setattr(cli, "_finish", finish)
+    out = tmp_path / "r.json"
+    argv = ["verify", "--q", "2", "--n", "4", "--d", "2", "--suite", "all", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    text = json.dumps(reports[0], indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == text.encode("utf-8")
 
 
 def test_failed_check_maps_to_exit_one(capsys):

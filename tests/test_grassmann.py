@@ -682,6 +682,25 @@ def test_reverify_refreshes_every_verified_attribute():
     assert [name for name in sorted(verified) if getattr(gc, name) is sentinel] == []
 
 
+def test_passing_geometry_run_reads_row_x_once(monkeypatch, capsys):
+    # the build reads row x into `xrow`; the intersection matrix, the
+    # valency check and the Gram class sums, whose only representative
+    # is x on the automorphism path, read it there
+    from qgrass.cli import main
+
+    real = grassmann.GraphContext.distances
+    rows_x = []
+
+    def distances(gc, rows, cols=None):
+        rows_x.append(np.arange(gc.n_vertices)[rows].tolist() == [gc.x_index])
+        return real(gc, rows, cols)
+
+    monkeypatch.setattr(grassmann.GraphContext, "distances", distances)
+    assert main(["verify", "--q", "2", "--n", "5", "--d", "2", "--suite", "geometry"]) == 0
+    capsys.readouterr()
+    assert sum(rows_x) == 1
+
+
 @pytest.mark.parametrize("true_dist", [1, 2])
 def test_corrupted_distance_fails_bfs_check(true_dist, monkeypatch):
     # the expansion takes its edges from the inclusion matrix W_1, not
@@ -1483,6 +1502,30 @@ def _drop_link(mp):
         return np.delete(mats, fixing - 1, axis=0), fixing - 1
 
     mp.setattr(grassmann, "_x0_generators", gens)
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (2, 6, 3), (3, 4, 2)])
+def test_table_perms_match_the_binary_search(q, n, d, monkeypatch):
+    # one-word masks (F_2^5, F_2^6) are matched by one sort per row, two
+    # words (F_3^4) by binary search: either way each row holds the
+    # table index of each image, and one repeated image refuses them
+    gc = build_graph(q, n, d)
+    mats, _fixing = grassmann._x0_generators(q, n, d)
+    inv = grassmann._inverse_point_maps(q, n, grassmann._conjugated(mats, gc.geometry.x_rows, q))
+    for i in range(1, d + 1):
+        table = gc.geometry.table(i)
+        perms, images = grassmann._table_perms(table, inv, q**n)
+        search = table.find_masks(images.reshape(-1, images.shape[2]))
+        assert np.array_equal(perms, search.reshape(images.shape[:2]))
+    real = grassmann._image_words
+
+    def repeated(table_words, inv, npoints):
+        out = real(table_words, inv, npoints).copy()
+        out[-1, 1] = out[-1, 0]
+        return out
+
+    monkeypatch.setattr(grassmann, "_image_words", repeated)
+    assert grassmann._table_perms(gc.geometry.table(d), inv, q**n) is None
 
 
 def _swap_images(dim):

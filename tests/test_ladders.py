@@ -22,7 +22,7 @@ from qgrass.ladders import (
 )
 from qgrass.qarith import SqrtQScalar, q_binomial, q_int
 from qgrass.linalg import exact_int_product, row_blocks
-from qgrass.subspaces import DEFAULT_POSET_CAP, GeometryContext, kernel_words
+from qgrass.subspaces import DEFAULT_POSET_CAP, GeometryContext, kernel_words, projective_points
 
 from oracles import (
     base_vertex,
@@ -682,6 +682,69 @@ def test_generators_count_and_agree_over_f3():
         assert len(set(zip(a.tolist(), b.tolist()))) == a.size
         a2, b2 = covers_from_below(lo, hi)
         assert set(zip(a.tolist(), b.tolist())) == set(zip(a2.tolist(), b2.tolist()))
+
+
+def covers_by_search(lo, hi, kernels):
+    """Test-only oracle: the pairs (b, a) of `_covers_from_above` with
+    every generated mask found in `lo` by binary search (`find_masks`),
+    as before the merge."""
+    q, k, width = hi.q, hi.dim, hi.words.shape[1]
+    funcs = projective_points(q, k).astype(np.int64)
+    g = (q ** hi.pivots.astype(np.int64)) @ funcs.T
+    masks = (hi.words[:, None, :] & kernels[g]).reshape(-1, width)
+    return np.repeat(np.arange(len(hi)), len(funcs)), lo.find_masks(masks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 5, 1), (2, 5, 2), (2, 6, 2), (3, 3, 1)]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_cover_merge_falls_back_to_the_search(params, g, b):
+    # with the true kernel words, and with one point bit of them flipped
+    # (which turns some generated masks foreign), the generator gives the
+    # binary search's pairs, misses (-1) included
+    q, n, l = params
+    geometry = GeometryContext(q, n, 1)
+    lo, hi = geometry.table(l), geometry.table(l + 1)
+    flipped, bit = geometry.kernels.copy(), b % q**n
+    flipped[g % q**n, bit // 64] ^= np.uint64(1 << (bit % 64))
+    for words in (geometry.kernels, flipped):
+        found = ladders._covers_from_above(lo, hi, words)
+        for new, old in zip(found, covers_by_search(lo, hi, words)):
+            assert np.array_equal(new, old)
+
+
+def test_passing_poset_run_never_searches_for_a_cover(capsys, monkeypatch):
+    # at J_2(6,1) every mask is one word, and the generated masks of each
+    # dimension pair sort to the table's masks each [N-l]_q times, so
+    # `_covers_from_above` matches them all by the merge
+    from qgrass import subspaces
+    from qgrass.cli import main
+
+    dims, searched, inside = [], [], []
+    real_covers, real_find = ladders._covers_from_above, subspaces.SubspaceTable.find_masks
+
+    def covers(lo, hi, kernels):
+        dims.append(lo.dim)
+        inside.append(True)
+        try:
+            return real_covers(lo, hi, kernels)
+        finally:
+            inside.pop()
+
+    def find_masks(table, words):
+        if inside:
+            searched.append(table.dim)
+        return real_find(table, words)
+
+    monkeypatch.setattr(ladders, "_covers_from_above", covers)
+    monkeypatch.setattr(subspaces.SubspaceTable, "find_masks", find_masks)
+    assert main(["verify", "--q", "2", "--n", "6", "--d", "1", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert dims == list(range(6))
+    assert searched == []
 
 
 @pytest.mark.parametrize(

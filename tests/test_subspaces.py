@@ -136,6 +136,54 @@ def test_integer_and_byte_keys_agree(q, n, l, int_rows, int_masks):
     assert (found == want).all() and (found[: len(tab)] == perm).all()
 
 
+MERGE_TABLES = [(2, 4, 2), (2, 5, 2), (2, 6, 1), (2, 6, 3), (3, 3, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MERGE_TABLES),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+    st.lists(
+        st.tuples(st.sampled_from(["drop", "duplicate", "foreign"]), st.integers(0, 10**6)),
+        max_size=3,
+    ),
+)
+def test_mask_merge_equals_binary_search(params, mult, rng, edits):
+    # the one-word mask keys of a table, each `mult` times in a random
+    # order, then some dropped, duplicated or replaced by a key that is
+    # no table mask: the merge answers exactly when the sorted keys are
+    # the table's each `mult` times, and then as the binary search does
+    tab = enumerate_subspaces(*params)
+    keys = np.repeat(tab.words[:, 0], mult)
+    rng.shuffle(keys)
+    for edit, k in edits:
+        k %= len(keys)
+        if edit == "drop":
+            keys = np.delete(keys, k)
+        elif edit == "duplicate":
+            keys = np.insert(keys, k, keys[k])
+        else:
+            keys[k] = tab.words[k % len(tab), 0] ^ tab.words[(k + 1) % len(tab), 0]
+    found = tab.match_masks(keys, mult)
+    whole = np.array_equal(np.sort(keys), np.sort(np.repeat(tab.words[:, 0], mult)))
+    assert (found is not None) == whole
+    if found is not None:
+        assert np.array_equal(found, tab.find_masks(keys[:, None]))
+
+
+def test_mask_merge_needs_distinct_one_word_masks():
+    # a table with a repeated mask, or masks of two words, is never
+    # matched by the merge, even by its own masks
+    tab = enumerate_subspaces(2, 5, 2)
+    assert np.array_equal(tab.match_masks(tab.words[:, 0], 1), np.arange(len(tab)))
+    tab.words[1] = tab.words[0]
+    tab._mask_order = None
+    assert tab.match_masks(tab.words[:, 0], 1) is None
+    wide = enumerate_subspaces(3, 4, 2)
+    assert wide.words.shape[1] == 2 and wide.match_masks(wide.words[:, 0], 1) is None
+
+
 def span_points(rows, q, n):
     # independent oracle: closure of the row span as a frozenset of tuples
     pts = {(0,) * n}
