@@ -12,23 +12,23 @@ split into slash covers (L1, the meet with x grows) and backslash covers
 
 from qgrass.ladders import build_poset_matrices
 from qgrass.qarith import q_binomial
-from qgrass.subspaces import GeometryContext, enumerate_subspaces
+from qgrass.subspaces import GeometryContext
 
 q, n, d = 2, 4, 2
+geometry = GeometryContext(q, n, d)
 
 print(f"subspaces of F_{q}^{n} by dimension:")
 for l in range(n + 1):
-    table = enumerate_subspaces(q, n, l)
+    table = geometry.table(l)
     assert len(table) == q_binomial(n, l, q)
     print(f"  dim {l}: {len(table)} subspaces")
 
-lines = enumerate_subspaces(q, n, 1)
+lines = geometry.table(1)
 print()
 print("every 1-dimensional subspace, by its echelon basis row:")
 for row in lines.rows[:, 0].tolist():
     print(f"  {''.join(str(v) for v in row)}")
 
-geometry = GeometryContext(q, n, d)
 pm = build_poset_matrices(geometry)
 print()
 print(f"base vertex x = row space of the first {d} unit vectors")

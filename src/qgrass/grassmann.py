@@ -545,20 +545,11 @@ def _table_perms(table: SubspaceTable, inv: np.ndarray, npoints: int):
     every entry under every point map (`_image_words`), and (g, count)
     the table index of each image, found by its point set; None unless
     every image is a table entry and every row is a bijection of the
-    table.  For one-word masks each row is matched by one argsort
-    (`SubspaceTable.match_masks` with multiplicity 1): its sorted image
-    keys equal the table's sorted keys, all distinct, exactly when the
-    row is a bijection onto the table.  Longer masks are found by binary
-    search (`find_masks`) and a row passes when it sorts to 0..count-1,
-    which a miss (-1) cannot."""
+    table."""
     images = _image_words(table.words, inv, npoints)
-    if images.shape[2] == 1:
-        perms = [table.match_masks(image[:, 0], 1) for image in images]
-        ok = all(p is not None for p in perms)
-    else:
-        perms = table.find_masks(images.reshape(-1, images.shape[2])).reshape(images.shape[:2])
-        ok = (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all()
-    return (np.array(perms), images) if ok else None
+    perms = table.find_masks(images.reshape(-1, images.shape[2])).reshape(images.shape[:2])
+    # a miss is -1, so each sorted row is 0..count-1 exactly for a bijection
+    return (perms, images) if (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all() else None
 
 
 def _group_action(gc: GraphContext):

@@ -81,7 +81,6 @@ class PosetMatrices:
         rows = keys // self.size  # np.divmod takes about twice as long
         return rows, keys - rows * self.size
 
-
     def layer_indicator(self, i: int, j: int) -> np.ndarray:
         return (self.ivec == i) & (self.jvec == j)
 
@@ -161,31 +160,24 @@ def _count_witness(side: str, kind: str, got, want, where) -> str | None:
     return f"{side}: element {g} has {int(got[g])} {kind} pairs, expected {int(want[g])}"
 
 
-# each ladder operator: its label and its layer shift s
-LADDERS = {
-    "L1": ("slash lowering", 1, 0),
-    "L2": ("backslash lowering", 0, 1),
-    "R1": ("slash raising", -1, 0),
-    "R2": ("backslash raising", 0, -1),
-}
-
-
 def _ladder_shift_witness(pm: PosetMatrices) -> str | None:
     """The last failing "<label> shift at layer (i,j)" of E*_{i,j} M =
     M E*_{(i,j)+s}, over the layers, then M = L1, L2, R1, R2 with s =
-    (1, 0), (0, 1), (-1, 0), (0, -1) (`LADDERS`); None when all hold.  The
-    left side keeps the entries (r, c) of M with layer(r) = (i, j), the
-    right those with layer(c) - s = (i, j), so layer(r) != layer(c) - s
-    breaks both."""
+    (1, 0), (0, 1), (-1, 0), (0, -1); None when all hold.  The left side
+    keeps the entries (r, c) of M with layer(r) = (i, j), the right those
+    with layer(c) - s = (i, j), so layer(r) != layer(c) - s breaks both."""
     d, width = pm.geometry.d, pm.geometry.ambient - pm.geometry.d + 1
 
-    def code(i, j):  # rank in the order of the layers, -1 off them
-        on = (i >= 0) & (i <= d) & (j >= 0) & (j < width) & np.isin(i + j, pm.dims)
+    def code(i, j):  # rank in the order of the layers, -1 off them (dims are consecutive)
+        l = i + j
+        on = (i >= 0) & (i <= d) & (j >= 0) & (j < width) & (l >= pm.dims[0]) & (l <= pm.dims[-1])
         return np.where(on, i * width + j, -1)
 
     own, failed = code(pm.ivec, pm.jvec), []
-    for k, (name, (label, di, dj)) in enumerate(LADDERS.items()):
-        r, c = pm.pairs(getattr(pm, name))
+    ladders = [("slash lowering", pm.L1, 1, 0), ("backslash lowering", pm.L2, 0, 1),
+               ("slash raising", pm.R1, -1, 0), ("backslash raising", pm.R2, 0, -1)]
+    for k, (label, keys, di, dj) in enumerate(ladders):
+        r, c = pm.pairs(keys)
         left, right = own[r], code(pm.ivec - di, pm.jvec - dj)[c]
         diff = left != right
         failed.append((int(max(left[diff].max(initial=-1), right[diff].max(initial=-1))), k, label))
@@ -193,36 +185,20 @@ def _ladder_shift_witness(pm: PosetMatrices) -> str | None:
     return None if last < 0 else f"{label} shift at layer ({last // width},{last % width})"
 
 
-def _steps_hold(pm: PosetMatrices, name: str, r: np.ndarray, c: np.ndarray) -> bool:
-    """Whether every pair (r, c) of the ladder `name` steps by its shift
-    s: (i, j)(r) = (i, j)(c) - s, so that it lies on both sides of the
-    E*_{i,j} identity of `_ladder_shift_witness` or on neither."""
-    _label, di, dj = LADDERS[name]
-    ivec, jvec = pm.ivec, pm.jvec
-    return np.array_equal(ivec[r], ivec[c] - di) and np.array_equal(jvec[r], jvec[c] - dj)
-
-
 def _operator_checks(pm: PosetMatrices, failures: dict) -> dict[str, tuple[bool, str | None]]:
     """(verdict, witness) of each check on L1, L2, R1, R2 and cover, in
     report order, each one identity of sorted key arrays.  `failures`
     holds the generation failures of each kind; the closed-form cover
-    counts per element (a bincount of the rows) are added to them.  The
-    rows and columns of each of L1, L2, R1, R2 are read once, one pair
-    set at a time, for its count, its transpose and its shift.
+    counts per element (a bincount of the rows) are added to them.
 
     - raising_is_transpose_of_lowering_<kind>: no failure of the kind,
       and the raising keys equal the sorted swapped lowering keys;
     - cover_matrix_splits: the sorted concatenation of the L1 and L2
       keys equals the cover keys, so a pair in both, or a duplicate,
       fails it as an entry 2 of L1 + L2 would;
-    - cover_types_disjoint: no L1 key is among the L2 keys.  When the
-      split holds and the cover keys strictly increase, the L1 and L2
-      keys together are distinct, which is the claim; otherwise each L1
-      key is looked up in the L2 keys (a binary search; np.intersect1d
-      would run np.unique on both first);
-    - ladder_support_shifts: every pair steps by its shift
-      (`_steps_hold`), or else `_ladder_shift_witness` names the last
-      failing layer, if any.
+    - cover_types_disjoint: no L1 key is found in the L2 keys (a binary
+      search; np.intersect1d would run np.unique on both first);
+    - ladder_support_shifts: `_ladder_shift_witness`.
     """
     q, n, d, m = pm.geometry.q, pm.geometry.ambient, pm.geometry.d, pm.size
     qint = np.array([q_int(k, q) for k in range(n + 1)], dtype=np.int64)
@@ -232,28 +208,23 @@ def _operator_checks(pm: PosetMatrices, failures: dict) -> dict[str, tuple[bool,
     below["backslash"] = qint[n - dimvec] - below["slash"]
     above = {"backslash": qint[pm.jvec]}
     above["slash"] = qint[dimvec] - above["backslash"]
-    out, steps = {}, True
-    for kind, lower, raising in (("slash", "L1", "R1"), ("backslash", "L2", "R2")):
+    out = {}
+    for kind, lower, raising in (("slash", pm.L1, pm.R1), ("backslash", pm.L2, pm.R2)):
         found = list(failures[kind])
-        for side, name, want, where in (
+        for side, keys, want, where in (
             ("from below", lower, below[kind], has_up),
             ("from above", raising, above[kind], has_down),
         ):
-            r, c = pm.pairs(getattr(pm, name))
-            found.append(_count_witness(side, kind, np.bincount(r, minlength=m), want, where))
-            steps = steps and _steps_hold(pm, name, r, c)
-            if name == lower:
-                swapped = np.sort(c * m + r)
+            got = np.bincount(keys // m, minlength=m)
+            found.append(_count_witness(side, kind, got, want, where))
         witness = next((w for w in found if w), None)
-        ok = witness is None and np.array_equal(getattr(pm, raising), swapped)
+        r, c = pm.pairs(lower)
+        ok = witness is None and np.array_equal(raising, np.sort(c * m + r))
         out[f"raising_is_transpose_of_lowering_{kind}"] = (ok, witness)
-    # two sorted runs, which the stable sort merges
-    splits = np.array_equal(pm.cover, np.sort(np.concatenate([pm.L1, pm.L2]), kind="stable"))
-    out["cover_matrix_splits"] = (splits, None)
-    distinct = splits and bool((pm.cover[1:] > pm.cover[:-1]).all())
-    disjoint = distinct or not (find_sorted(pm.L2, None, pm.L1) >= 0).any()
-    out["cover_types_disjoint"] = (disjoint, None)
-    shift_witness = None if steps else _ladder_shift_witness(pm)
+    split = np.sort(np.concatenate([pm.L1, pm.L2]))
+    out["cover_matrix_splits"] = (np.array_equal(pm.cover, split), None)
+    out["cover_types_disjoint"] = (not (find_sorted(pm.L2, None, pm.L1) >= 0).any(), None)
+    shift_witness = _ladder_shift_witness(pm)
     out["ladder_support_shifts"] = (shift_witness is None, shift_witness)
     return out
 

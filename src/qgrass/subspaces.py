@@ -221,19 +221,18 @@ class SubspaceTable:
 
         Lookup certificate: equal sorted arrays put every key on a table
         key, and distinct table keys make that entry the only one with
-        the key, so each index is the one `find_masks` returns.  Every
-        entry is then hit exactly `mult` times, and at `mult` = 1 the
-        keys are a bijection onto the table."""
+        the key, so each index is the one `find_masks` returns, and
+        every entry is hit exactly `mult` times."""
         if self.words.shape[1] != 1 or len(keys) != mult * len(self):
             return None
         table_keys, order = self._sorted_masks()
         if not (table_keys[1:] > table_keys[:-1]).all():
             return None
-        by_key = np.argsort(keys)
-        if not np.array_equal(keys[by_key], np.repeat(table_keys, mult)):
+        by_key = np.argsort(keys).reshape(len(self), mult)
+        if not (keys[by_key] == table_keys[:, None]).all():
             return None
         found = np.empty(len(keys), dtype=np.intp)
-        found[by_key] = np.repeat(order, mult)
+        found[by_key] = order[:, None]
         return found
 
 
@@ -275,7 +274,7 @@ def _echelon_blocks(q: int, ambient: int, dim: int):
 
 
 def enumerate_subspaces(
-    q: int, ambient: int, dim: int, cap: int | None = DEFAULT_TABLE_CAP, kernels=None
+    q: int, ambient: int, dim: int, cap: int | None = DEFAULT_TABLE_CAP, *, kernels
 ):
     """All dim-dimensional subspaces of F_q^ambient as a SubspaceTable,
     sorted by their flattened echelon rows.
@@ -286,8 +285,8 @@ def enumerate_subspaces(
     every filling is one.  The projected count q_binomial(ambient, dim,
     q) is checked against the cap before any work starts, and against
     the rows produced.  `kernels` is a function returning the kernel
-    words of F_q^ambient, called only after the cap check;
-    by default each call builds them (`kernel_words`).
+    words of F_q^ambient (`GeometryContext.kernels`), called only after
+    the cap check.
     """
     FieldContext(q)
     if not 0 <= dim <= ambient:
@@ -306,8 +305,7 @@ def enumerate_subspaces(
             f"enumeration produced {len(rows)} subspaces, expected {projected}"
         )
     rows = rows[np.argsort(_keys(rows.reshape(len(rows), -1), q), kind="stable")]
-    words = kernel_words(q, ambient) if kernels is None else kernels()
-    return SubspaceTable(q, ambient, dim, rows, words)
+    return SubspaceTable(q, ambient, dim, rows, kernels())
 
 
 class GeometryContext:
@@ -352,7 +350,7 @@ class GeometryContext:
     def table(self, dim: int) -> SubspaceTable:
         if dim not in self._tables:
             self._tables[dim] = enumerate_subspaces(
-                self.q, self.ambient, dim, self.table_cap, lambda: self.kernels
+                self.q, self.ambient, dim, self.table_cap, kernels=lambda: self.kernels
             )
         return self._tables[dim]
 

@@ -313,6 +313,14 @@ def patch_inclusion(mp, corrupt) -> None:
     mp.setattr(GraphContext, "inclusion", inclusion)
 
 
+def subspace_table(q: int, n: int, dim: int, cap=subspaces.DEFAULT_TABLE_CAP):
+    """The table of dim-subspaces of F_q^n, as a `GeometryContext` builds
+    it, from the kernel words of F_q^n (read when it is called)."""
+    return subspaces.enumerate_subspaces(
+        q, n, dim, cap, kernels=lambda: subspaces.kernel_words(q, n)
+    )
+
+
 def patch_table(mp, dim, edit) -> None:
     """Patch the enumeration so that the table of dim-subspaces is built
     from edit(rows), rows the reduced echelon bases of the true table in
@@ -323,9 +331,7 @@ def patch_table(mp, dim, edit) -> None:
         table = real(q, ambient, k, *args, **kwargs)
         if k != dim:
             return table
-        return subspaces.SubspaceTable(
-            q, ambient, k, edit(table.rows), subspaces.kernel_words(q, ambient)
-        )
+        return subspaces.SubspaceTable(q, ambient, k, edit(table.rows), kwargs["kernels"]())
 
     mp.setattr(subspaces, "enumerate_subspaces", enumerate_subspaces)
 

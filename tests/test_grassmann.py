@@ -1504,30 +1504,6 @@ def _drop_link(mp):
     mp.setattr(grassmann, "_x0_generators", gens)
 
 
-@pytest.mark.parametrize("q,n,d", [(2, 5, 2), (2, 6, 3), (3, 4, 2)])
-def test_table_perms_match_the_binary_search(q, n, d, monkeypatch):
-    # one-word masks (F_2^5, F_2^6) are matched by one sort per row, two
-    # words (F_3^4) by binary search: either way each row holds the
-    # table index of each image, and one repeated image refuses them
-    gc = build_graph(q, n, d)
-    mats, _fixing = grassmann._x0_generators(q, n, d)
-    inv = grassmann._inverse_point_maps(q, n, grassmann._conjugated(mats, gc.geometry.x_rows, q))
-    for i in range(1, d + 1):
-        table = gc.geometry.table(i)
-        perms, images = grassmann._table_perms(table, inv, q**n)
-        search = table.find_masks(images.reshape(-1, images.shape[2]))
-        assert np.array_equal(perms, search.reshape(images.shape[:2]))
-    real = grassmann._image_words
-
-    def repeated(table_words, inv, npoints):
-        out = real(table_words, inv, npoints).copy()
-        out[-1, 1] = out[-1, 0]
-        return out
-
-    monkeypatch.setattr(grassmann, "_image_words", repeated)
-    assert grassmann._table_perms(gc.geometry.table(d), inv, q**n) is None
-
-
 def _swap_images(dim):
     """A mutation that swaps two images in the stored permutation of
     the table of dim-subspaces under the first generator, after the

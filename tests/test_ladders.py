@@ -286,6 +286,23 @@ def test_slash_cover_moved_to_a_backslash_partner_fails_shift_check(poset25):
     assert witness is not None and witness == sparse_shift_oracle(moved)
 
 
+@pytest.mark.parametrize(
+    "name,row_layer,col_layer",
+    [("R1", None, (2, 2)), ("L1", (0, 2), (2, 0))],
+)
+def test_shift_witness_reads_no_layer_outside_the_window(name, row_layer, col_layer):
+    # in the D-1..D+1 window of F_2^6, D = 3, the moved column's layer
+    # less the shift, (3,2) or (1,0), lies above or below the window and
+    # ranks after the row's layer: only the row's layer may be named
+    pm = build_poset_matrices(GeometryContext(2, 6, 3, poset_cap=0))
+    rows, _cols = pm.pairs(getattr(pm, name))
+    k = 0 if row_layer is None else int(np.flatnonzero(pm.layer_indicator(*row_layer)[rows])[0])
+    target = int(np.flatnonzero(pm.layer_indicator(*col_layer))[0])
+    moved = with_moved_entry(pm, name, k, target, move_row=False)
+    witness = ladders._ladder_shift_witness(moved)
+    assert witness is not None and witness == sparse_shift_oracle(moved)
+
+
 def sparse_operator_checks(pm):
     """Test-only oracle: the checks of `ladders._operator_checks`, with no
     generation failure, as build_poset_matrices made them on scipy CSR

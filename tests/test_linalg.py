@@ -24,7 +24,7 @@ from qgrass.linalg import (
     rank_mod_prime,
     span_rank,
 )
-from qgrass.subspaces import enumerate_subspaces
+from qgrass.subspaces import GeometryContext
 
 
 def naive_product(a, b):
@@ -269,7 +269,7 @@ class TestStreamedProduct:
 
     def test_table_words_are_point_incidence(self):
         # a table's own words give the common point counts q^dim(meet)
-        table = enumerate_subspaces(2, 5, 2)
+        table = GeometryContext(2, 5, 2).table(2)
         bits = np.unpackbits(table.words.view(np.uint8), axis=1, bitorder="little")[:, :32]
         inc = bits.astype(bool)
         got = exact_int_product(table.words, table.words, 32)

@@ -11,7 +11,7 @@ from qgrass.errors import InvalidParameters, SizeCapExceeded
 from qgrass.ladders import build_poset_matrices
 from qgrass.linalg import echelon_mod_p
 from qgrass.qarith import q_binomial, q_int
-from qgrass.subspaces import GeometryContext, enumerate_subspaces
+from qgrass.subspaces import GeometryContext
 
 from oracles import (
     Subspace,
@@ -27,6 +27,7 @@ from oracles import (
     span_mask,
     span_words,
     subspace,
+    subspace_table,
     table_index,
     vector_index,
 )
@@ -69,7 +70,7 @@ SMALL_TABLES = [
 @given(st.sampled_from(SMALL_TABLES))
 def test_array_table_matches_enumeration_loop(params):
     q, n, l = params
-    tab = enumerate_subspaces(q, n, l, cap=None)
+    tab = subspace_table(q, n, l, cap=None)
     oracle = enumeration_loop_oracle(q, n, l)
     assert len(tab) == len(oracle) == q_binomial(n, l, q)
     assert tab.rows.tolist() == [[list(r) for r in s.rows] for s in oracle]
@@ -79,7 +80,7 @@ def test_array_table_matches_enumeration_loop(params):
 
 
 def test_lookups_by_rows_and_by_mask():
-    tab = enumerate_subspaces(3, 4, 2)
+    tab = subspace_table(3, 4, 2)
     order = np.arange(len(tab))
     assert (tab.find_rows(tab.rows) == order).all()
     assert (tab.find_masks(tab.words) == order).all()
@@ -106,7 +107,7 @@ def test_lookups_by_rows_and_by_mask():
 def test_integer_and_byte_keys_agree(q, n, l, int_rows, int_masks):
     # one uint64 key per row where the digits or the words fit in 64
     # bits, byte strings elsewhere: the same order and the same lookups
-    tab = enumerate_subspaces(q, n, l)
+    tab = subspace_table(q, n, l)
     flat = tab.rows.reshape(len(tab), -1)
     row_keys, mask_keys = subspaces._keys(flat, q), subspaces._keys(tab.words, 2**64)
     assert (row_keys.dtype == np.uint64, mask_keys.dtype == np.uint64) == (int_rows, int_masks)
@@ -154,7 +155,7 @@ def test_mask_merge_equals_binary_search(params, mult, rng, edits):
     # order, then some dropped, duplicated or replaced by a key that is
     # no table mask: the merge answers exactly when the sorted keys are
     # the table's each `mult` times, and then as the binary search does
-    tab = enumerate_subspaces(*params)
+    tab = subspace_table(*params)
     keys = np.repeat(tab.words[:, 0], mult)
     rng.shuffle(keys)
     for edit, k in edits:
@@ -175,12 +176,12 @@ def test_mask_merge_equals_binary_search(params, mult, rng, edits):
 def test_mask_merge_needs_distinct_one_word_masks():
     # a table with a repeated mask, or masks of two words, is never
     # matched by the merge, even by its own masks
-    tab = enumerate_subspaces(2, 5, 2)
+    tab = subspace_table(2, 5, 2)
     assert np.array_equal(tab.match_masks(tab.words[:, 0], 1), np.arange(len(tab)))
     tab.words[1] = tab.words[0]
     tab._mask_order = None
     assert tab.match_masks(tab.words[:, 0], 1) is None
-    wide = enumerate_subspaces(3, 4, 2)
+    wide = subspace_table(3, 4, 2)
     assert wide.words.shape[1] == 2 and wide.match_masks(wide.words[:, 0], 1) is None
 
 
@@ -207,14 +208,14 @@ class TestEnumeration:
             if len(pts) == 4:  # a, b independent
                 seen.add(pts)
         assert len(seen) == 155
-        assert len(enumerate_subspaces(2, 5, 2)) == 155
+        assert len(subspace_table(2, 5, 2)) == 155
         assert q_binomial(5, 2, 2) == 155
 
     def test_lines_of_f3_4(self):
-        assert len(enumerate_subspaces(3, 4, 1)) == 40
+        assert len(subspace_table(3, 4, 1)) == 40
 
     def test_sorted_unique_canonical(self):
-        tab = enumerate_subspaces(2, 4, 2)
+        tab = subspace_table(2, 4, 2)
         keys = [tuple(map(tuple, rows)) for rows in tab.rows.tolist()]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys) == q_binomial(4, 2, 2)
@@ -223,24 +224,24 @@ class TestEnumeration:
             assert canon == rows and list(piv) == pivots
 
     def test_extreme_dimensions(self):
-        zero = enumerate_subspaces(3, 4, 0)
+        zero = subspace_table(3, 4, 0)
         assert len(zero) == 1 and zero.rows.shape == (1, 0, 4)
-        full = enumerate_subspaces(2, 3, 3)
+        full = subspace_table(2, 3, 3)
         assert len(full) == 1 and np.bitwise_count(full.words).sum() == 8
 
     def test_dimension_outside_the_space_is_rejected(self):
         for dim in (-1, 5):
             with pytest.raises(InvalidParameters, match="0 <= dim <= ambient"):
-                enumerate_subspaces(2, 4, dim)
+                subspace_table(2, 4, dim)
 
     def test_cap_enforced_with_projection(self):
         with pytest.raises(SizeCapExceeded) as ei:
-            enumerate_subspaces(2, 5, 2, cap=100)
+            subspace_table(2, 5, 2, cap=100)
         assert ei.value.projected == 155
         assert ei.value.cap == 100
 
     def test_masks_have_power_of_q_points(self):
-        tab = enumerate_subspaces(3, 3, 2)
+        tab = subspace_table(3, 3, 2)
         assert (np.bitwise_count(tab.words).sum(axis=1) == 9).all()
 
 
@@ -248,7 +249,7 @@ MASK_SPACES = [(2, 6), (3, 4), (3, 5)]
 
 
 def _tables(q, n):
-    return [enumerate_subspaces(q, n, l, cap=None) for l in range(n + 1)]
+    return [subspace_table(q, n, l, cap=None) for l in range(n + 1)]
 
 
 @pytest.mark.parametrize("q,n", MASK_SPACES)
@@ -321,7 +322,7 @@ class TestIntersect:
     tables hold) against dim u + dim v - rank of the stacked rows."""
 
     def test_two_distinct_lines_meet_trivially(self):
-        lines = entries(enumerate_subspaces(2, 5, 1))
+        lines = entries(subspace_table(2, 5, 1))
         u, v = lines[0], lines[7]
         assert u != v
         assert meet_dim_by_rank(u, v) == 0
@@ -330,8 +331,8 @@ class TestIntersect:
 
     def test_meet_with_self_and_full_space(self):
         q, n = 2, 4
-        full = entries(enumerate_subspaces(q, n, n))[0]
-        for s in entries(enumerate_subspaces(q, n, 2))[:5]:
+        full = entries(subspace_table(q, n, n))[0]
+        for s in entries(subspace_table(q, n, 2))[:5]:
             assert meet_from_points(s, s) == s
             assert meet_from_points(s, full) == s
             assert meet_dim_by_rank(s, s) == meet_dim_by_rank(s, full) == 2
@@ -339,8 +340,8 @@ class TestIntersect:
     def test_against_mask_oracle_and_dim_formula(self):
         rng = random.Random(7)
         q, n = 2, 5
-        planes = entries(enumerate_subspaces(q, n, 2))
-        triples = entries(enumerate_subspaces(q, n, 3))
+        planes = entries(subspace_table(q, n, 2))
+        triples = entries(subspace_table(q, n, 3))
         for _ in range(120):
             u = rng.choice(planes)
             v = rng.choice(triples)
@@ -355,8 +356,8 @@ class TestIntersect:
 
     def test_q3_samples(self):
         rng = random.Random(11)
-        lines = entries(enumerate_subspaces(3, 4, 1))
-        planes = entries(enumerate_subspaces(3, 4, 2))
+        lines = entries(subspace_table(3, 4, 1))
+        planes = entries(subspace_table(3, 4, 2))
         for _ in range(60):
             u = rng.choice(lines)
             v = rng.choice(planes)
@@ -388,7 +389,7 @@ class TestCanonicalForm:
 
     def test_non_canonical_rows_rejected(self):
         # rows that are not in reduced echelon form name no table entry
-        tab = enumerate_subspaces(2, 4, 2)
+        tab = subspace_table(2, 4, 2)
         rows = np.array([[(1, 1, 0, 0), (1, 0, 0, 0)]], dtype=tab.rows.dtype)
         assert tab.find_rows(rows).tolist() == [-1]
 
